@@ -138,7 +138,7 @@ class BigSimEngine:
         its own: target clocks are carried in message payloads while all
         actual dispatch — sends, receives, migrations — happens as events
         on this kernel (driven through the AMPI runtime's interleave)."""
-        return self.runtime.cluster.queue.kernel
+        return self.runtime.cluster.queue
 
     def run(self) -> BigSimResult:
         """Execute the simulation; returns timing results."""

@@ -7,8 +7,8 @@ scheduler, made literal: a single deterministic, instrumented event core
 
 * one batched, slot-based ready/timed queue — O(1) live-event counting,
   lazy cancellation with batched compaction, and a ``(time, seq)`` FIFO
-  tie-break so simultaneous events always fire in schedule order.  The
-  hooks-off drain is a sort-and-walk fast path (see
+  tie-break so simultaneous events always fire in schedule order.  One
+  sort-and-pop dispatch loop serves every run, hooks on or off (see
   ``docs/kernel.md``); the frozen pre-fast-path implementation survives
   as :mod:`repro.kernel.refkernel`, the differential-testing oracle;
 * a :class:`RunPolicy` object expressing every stop condition the
@@ -24,9 +24,9 @@ scheduler, made literal: a single deterministic, instrumented event core
   when no subscriber is attached.
 
 Layering (see ``docs/architecture.md``): kernel → flows → runtimes →
-workloads.  The simulated cluster's :class:`~repro.sim.event.EventQueue`
-is a thin façade over an :class:`EventKernel`; the Cth thread scheduler
-schedules thread resumptions as kernel events; charm/AMPI message
+workloads.  The simulated cluster's queue (``Cluster.queue``) *is* an
+:class:`EventKernel`; the Cth thread scheduler schedules thread
+resumptions as kernel events; charm/AMPI message
 delivery, SDAG continuations, BigSim, and POSE all dispatch through the
 cluster's kernel.
 """

@@ -1,9 +1,10 @@
-"""The deterministic, instrumented event core — batched fast path.
+"""The deterministic, instrumented event core — one dispatch loop.
 
 One :class:`EventKernel` instance backs every run loop in the tree: the
-simulated cluster's :class:`~repro.sim.event.EventQueue` façade, each
-processor's Cth thread scheduler (thread resumptions are kernel events),
-and — through the cluster — charm/AMPI delivery, BigSim, and POSE.
+simulated cluster's queue (``Cluster.queue`` *is* an ``EventKernel``),
+each processor's Cth thread scheduler (thread resumptions are kernel
+events), the ``FlowWorld`` of compiled continuations, and — through the
+cluster — charm/AMPI delivery, BigSim, and POSE.
 
 Determinism contract (preserved bit-for-bit from the pre-kernel loops,
 and pinned against the frozen reference implementation in
@@ -17,58 +18,61 @@ and pinned against the frozen reference implementation in
 * scheduling strictly before ``current_time`` raises
   :class:`~repro.errors.ReproError` naming the offending callback.
 
-Storage model (the fast path)
------------------------------
+Storage model
+-------------
 Instead of a binary heap of per-event objects, pending events are plain
 8-slot lists — ``[time, seq, state, fn, args, category, flow, handle]``
 — split across two containers:
 
-* ``_data``: unsorted arrivals (append-only between batches);
+* ``_data``: unsorted arrivals (append-only between merges);
 * ``_batch``: the consume side, sorted **descending** so the earliest
   event sits at the end (``batch[-1]``) where ``list.pop()`` is O(1).
 
-A refill merges ``_data`` into ``_batch`` with one ``list.sort`` — for
+A merge folds ``_data`` into ``_batch`` with one ``list.sort`` — for
 the common mostly-ordered arrival pattern Timsort is close to O(n), and
 list-vs-list comparison runs entirely in C.  ``seq`` is unique, so the
-comparison never reaches the callback slots.  The drain loop then walks
-the batch with a bare ``for``, firing callbacks with no per-event method
-calls, hook checks, or policy evaluation: those are hoisted to batch
-boundaries.  ``state`` is 0 (live), 1 (cancelled), or 2 (fired); stale
-slots are skipped and dropped wholesale with the batch.
+comparison never reaches the callback slots.  ``state`` is 0 (live),
+1 (cancelled), or 2 (fired).
 
-:class:`KernelEvent` still exists, but as a lazily-materialized *view*
-over a slot (``schedule()`` returns one eagerly for compatibility; the
-bulk :meth:`EventKernel.post`/:meth:`EventKernel.post_batch` APIs return
-raw slots and allocate no handle).  Hooks-off runs therefore allocate
+The loop
+--------
+:meth:`EventKernel._drain` is the only code that fires callbacks;
+:meth:`~EventKernel.run`, :meth:`~EventKernel.run_batch` and
+:meth:`~EventKernel.step` are stop conditions around it.  Per event it
+pops the slot, updates the counters, checks the hook bus's one ``hot``
+flag, and calls — the reference kernel's sequence, so hook
+subscriptions, ``len()``/``live``/``empty`` and ``events_processed``
+are exact at every event on every path.  Popping is what keeps the host
+flat: a fired slot (and the args it holds) is freed as soon as its
+callback returns, so a long drain of self-reposting flows never carries
+its history, and the allocator and the cyclic GC see a steady heap.
+
+:class:`KernelEvent` is a lazily-materialized *view* over a slot
+(``schedule()`` returns one eagerly; the bulk
+:meth:`EventKernel.post`/:meth:`EventKernel.post_batch` APIs return raw
+slots and allocate no handle).  Hooks-off runs therefore allocate
 nothing per event beyond the slot itself.
 
 Bookkeeping is O(1) and derived: ``len(kernel)`` is
 ``posted - fired - cancelled`` from three monotone counters, so nothing
-is scanned and the hot loop maintains no per-event live counter.
+is scanned.
 
-Contract deltas vs. the reference kernel (documented, hook-invisible):
+Contract delta vs. the reference kernel (the only one):
 
-* ``run()`` is **not re-entrant** on the same kernel — it raises
-  :class:`~repro.errors.ReproError` instead of corrupting the batch
-  (nothing in the tree nests; the AMPI interleave drives distinct
-  kernels from the top level).  ``step()`` likewise refuses while a
-  ``run()`` is dispatching; ``peek_time()`` stays safe everywhere.
-* notify-hook subscriptions made *during* a hooks-off ``run()`` take
-  effect at the next batch boundary, not the next event.  Attach
-  tracers while the kernel is idle (everything in the tree does).
-* ``_dispatching`` is batch-granular on the hooks-off path (it is
-  per-event whenever hooks are hot, matching the reference exactly).
-* the fired-event counters behind ``len()``/``live``/``empty`` are
-  flushed at batch boundaries on the hooks-off path, so a callback
-  reading them *mid-drain* sees the pre-batch value.  State-based
-  introspection (``live_events()``, handle flags) is always exact;
-  nothing in the tree reads the counters mid-dispatch.
+* a kernel is **not re-entrant**: ``run()``, ``run_batch()`` and
+  ``step()`` share one guard, and calling any of them from inside a
+  callback the same kernel is dispatching raises
+  :class:`~repro.errors.ReproError` (the reference kernel nests).
+  Nothing in the tree nests — the AMPI interleave drives distinct
+  kernels from the top level; drive nested work by scheduling events.
+  ``peek_time()`` and every scheduling/cancelling call stay legal
+  mid-dispatch.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import ReproError
 from repro.kernel.hooks import HookBus
@@ -168,35 +172,6 @@ class KernelEvent:
         return f"<Event t={self.time:.1f} #{self.seq}{cat}{flag}>"
 
 
-class _PhysicalView:
-    """Introspection shim for the legacy ``kernel._heap`` attribute.
-
-    ``len()`` reports *physical* storage (live + stale slots), matching
-    the reference kernel's heap length that the sweep tests pin;
-    iteration yields handles for every physically-stored event.
-    """
-
-    __slots__ = ("_kernel",)
-
-    def __init__(self, kernel: "EventKernel") -> None:
-        self._kernel = kernel
-
-    def __len__(self) -> int:
-        k = self._kernel
-        return len(k._data) + len(k._batch)
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __iter__(self) -> Iterator[KernelEvent]:
-        k = self._kernel
-        for item in list(k._batch) + list(k._data):
-            yield item[_HANDLE] or k._handle(item)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<PhysicalView {len(self)} slots>"
-
-
 class EventKernel:
     """A time-ordered dispatch core with an instrumentation hook bus.
 
@@ -231,7 +206,7 @@ class EventKernel:
         self._stale_est = 0             # cancels since last compaction
         self._dispatching = False
         self._skip = False
-        self._running = False           # inside run()/run_batch()
+        self._running = False           # inside run() (the one guard)
         self._weakself = weakref.ref(self)
 
     # -- queue state (all O(1)) -----------------------------------------
@@ -249,15 +224,9 @@ class EventKernel:
         """True when no live events remain."""
         return self._seq - self._nfired - self._ncancelled == 0
 
-    @property
-    def _heap(self) -> _PhysicalView:
-        """Legacy physical-storage view (``len`` counts live + stale
-        slots, exactly like the reference kernel's backing heap)."""
-        return _PhysicalView(self)
-
     def live_events(self) -> List[KernelEvent]:
         """Snapshot of pending live events in dispatch order (O(n log n);
-        for introspection and façades, not the hot path)."""
+        for introspection, not the hot path)."""
         items = [it for it in self._batch if not it[_STATE]]
         items += [it for it in self._data if not it[_STATE]]
         items.sort()
@@ -423,9 +392,9 @@ class EventKernel:
         Keys are unique ``(time, seq)`` pairs and the filters preserve
         relative order, so survivors cannot be reordered."""
         if self._running:
-            # The drain loop owns the batch (and may hold a live
-            # iterator over it); stale slots it passes are dropped with
-            # the batch anyway, so compaction just waits for idle.
+            # The drain loop owns both containers (it tracks how much of
+            # ``_data`` it has scanned); stale slots it reaches are
+            # popped anyway, so compaction just waits for idle.
             return
         data = self._data
         data[:] = [it for it in data if not it[_STATE]]
@@ -453,7 +422,7 @@ class EventKernel:
         batch = self._batch
         if self._running:
             # Mid-dispatch: scan without mutating — the drain loop owns
-            # the batch iterator.
+            # both containers.
             best = None
             for item in reversed(batch):
                 if not item[_STATE]:
@@ -471,50 +440,6 @@ class EventKernel:
             batch.pop()
         return None
 
-    def step(self) -> bool:
-        """Pop and run the next live event.  Returns False if queue empty."""
-        if self._running:
-            raise ReproError("step() re-entered during run()")
-        batch = self._batch
-        self._refill()
-        while batch:
-            item = batch.pop()
-            if not item[_STATE]:
-                break
-        else:
-            return False
-        self._dispatch_one(item)
-        return True
-
-    def _dispatch_one(self, item: list) -> None:
-        """Fire one slot with full per-event (reference) semantics."""
-        item[_STATE] = 2
-        self._nfired += 1
-        self.current_time = item[_TIME]
-        self.events_processed += 1
-        self._skip = False
-        self._dispatching = True
-        hooks = self.hooks
-        hot = hooks.hot
-        if hot and hooks.on_dispatch_begin:
-            ev = item[_HANDLE] or self._handle(item)
-            for h in hooks.on_dispatch_begin:
-                h(self, ev)
-        try:
-            a = item[_ARGS]
-            if a:
-                item[_FN](*a)
-            else:
-                item[_FN]()
-        finally:
-            self._dispatching = False
-            if hot and hooks.on_dispatch_end:
-                ev = item[_HANDLE] or self._handle(item)
-                for h in hooks.on_dispatch_end:
-                    h(self, ev)
-        if self._skip:
-            self.events_processed -= 1
-
     def skip_current(self) -> None:
         """Declare the event being dispatched void: it counts neither
         against a :class:`RunPolicy` budget nor in ``events_processed``.
@@ -525,28 +450,28 @@ class EventKernel:
         """
         if not self._dispatching:
             raise ReproError("skip_current() outside event dispatch")
-        self._skip = True
+        if not self._skip:
+            self._skip = True
+            self.events_processed -= 1
+
+    def step(self) -> bool:
+        """Dispatch one event; returns False if the queue drained first.
+
+        Shorthand for ``run(RunPolicy(max_events=1, quiescence=False))``
+        — so a skipped event is free, as under every budget.
+        """
+        return self.run(RunPolicy(max_events=1, quiescence=False)) == 1
 
     def run_batch(self, max_events: Optional[int] = None) -> int:
-        """Dispatch up to ``max_events`` events (all, when None) through
-        the batched inner loop, *without* the quiescence protocol.
+        """Dispatch up to ``max_events`` events (all, when None)
+        *without* the quiescence protocol.
 
-        This is the raw fast path: equivalent to
-        ``run(RunPolicy(max_events=..., quiescence=False))`` but named
-        for callers (the thread→event compiler's emitted loops) that
-        want the batch semantics explicit.  Returns the number of
-        events dispatched (skipped events are free).
+        Shorthand for ``run(RunPolicy(max_events=..., quiescence=False))``,
+        named for callers (the thread→event compiler's emitted loops)
+        that own their idle handling.  Returns the number of events
+        dispatched (skipped events are free).
         """
-        if self._running:
-            raise ReproError("run_batch() re-entered during run()")
-        self._running = True
-        try:
-            if max_events is None and not self.hooks.hot:
-                return self._drain_cold()
-            processed, _cut = self._run_guarded(None, max_events)
-            return processed
-        finally:
-            self._running = False
+        return self.run(RunPolicy(max_events=max_events, quiescence=False))
 
     def run(self, policy: Optional[RunPolicy] = None, *,
             until: Optional[float] = None,
@@ -564,10 +489,11 @@ class EventKernel:
         only when the queue stays empty do the ``on_quiescence`` hooks
         fire and the call return.
 
-        ``run()`` is not re-entrant on a single kernel: calling it (or
-        ``run_batch``/``step``) from inside a dispatched callback raises
-        :class:`~repro.errors.ReproError` rather than corrupting the
-        batch mid-iteration.  Drive nested work by scheduling events.
+        A kernel is not re-entrant: ``run()``, ``run_batch()`` and
+        ``step()`` all enter here, and entering from inside a callback
+        this kernel is dispatching raises
+        :class:`~repro.errors.ReproError`.  Drive nested work by
+        scheduling events.
         """
         if self._running:
             raise ReproError("run() re-entered during run()")
@@ -579,17 +505,12 @@ class EventKernel:
         self._running = True
         try:
             while True:
-                if bound is None and budget is None and not self.hooks.hot:
-                    processed += self._drain_cold()
-                else:
-                    left = None if budget is None else budget - processed
-                    n, cut = self._run_guarded(bound, left)
-                    processed += n
-                    if cut:
-                        return processed
-                # Queue drained: quiescence protocol (hooks may re-arm).
-                if not policy.quiescence:
+                n, cut = self._drain(
+                    bound, None if budget is None else budget - processed)
+                processed += n
+                if cut or not policy.quiescence:
                     return processed
+                # Queue drained: quiescence protocol (hooks may re-arm).
                 hooks = self.hooks
                 pumped = False
                 for h in list(hooks.on_idle):
@@ -603,121 +524,50 @@ class EventKernel:
         finally:
             self._running = False
 
-    def _drain_cold(self) -> int:
-        """The hooks-off, unbounded drain: the throughput path.
+    def _drain(self, bound: Optional[float],
+               budget: Optional[int]) -> tuple:
+        """The dispatch loop — the only code that fires callbacks.
 
-        No per-event hook checks, policy evaluation, handle allocation,
-        or method calls — just sort, walk, call.  ``_dispatching`` is
-        held for the whole drain (batch-granular; see module docstring).
-        """
-        data = self._data
-        batch = self._batch
-        processed = 0
-        fired = 0
-        self._skip = False      # clear residue from a prior skipped event
-        self._dispatching = True
-        try:
-            while True:
-                if data:
-                    if batch:
-                        # Merge an interrupted batch's remainder back in.
-                        data.extend(batch)
-                        batch.clear()
-                    data.sort(reverse=True)
-                    batch[:] = data
-                    data.clear()
-                elif not batch:
-                    break
-                # Arrivals posted *during* the walk only force a merge
-                # when one of them sorts before the next batch item; a
-                # same-or-later-time arrival always has a higher seq and
-                # therefore belongs after the whole remaining batch.
-                # (Self-reposting flows — a compiled loop's back edge
-                # posts one event per dispatch — would otherwise re-sort
-                # the full batch per event: quadratic at 10⁶ flows.)
-                dmin = None
-                scanned = 0
-                for item in reversed(batch):
-                    if item[_STATE]:
-                        continue          # cancelled (or consumed) slot
-                    if data:
-                        n = len(data)
-                        if scanned < n:   # scan only the new arrivals
-                            for j in range(scanned, n):
-                                t = data[j][_TIME]
-                                if dmin is None or t < dmin:
-                                    dmin = t
-                            scanned = n
-                        if dmin < item[_TIME]:
-                            break         # early arrival: merge, resume
-                    self.current_time = item[_TIME]
-                    item[_STATE] = 2
-                    fired += 1
-                    processed += 1
-                    a = item[_ARGS]
-                    if a:
-                        item[_FN](*a)
-                    else:
-                        item[_FN]()
-                    if self._skip:
-                        self._skip = False
-                        processed -= 1
-                else:
-                    batch.clear()
-                    continue
-                # Interrupted mid-batch: keep only live slots (order
-                # preserved) and loop back to merge the arrivals.
-                batch[:] = [it for it in batch if not it[_STATE]]
-        finally:
-            self._dispatching = False
-            self._nfired += fired
-            self.events_processed += processed
-        return processed
-
-    def _run_guarded(self, bound: Optional[float],
-                     budget: Optional[int]) -> tuple:
-        """The instrumented/bounded loop: full per-event reference
-        semantics (hooks, ``until``/``max_events`` cuts, per-event
-        ``_dispatching``), byte-identical traces to ``refkernel``.
-
-        Returns ``(processed, cut)`` where ``cut`` is True when a
-        policy bound stopped the loop with work still queued.
+        Fires live events in ``(time, seq)`` order until the queue is
+        empty, the next event lies beyond ``bound``, or ``budget``
+        events have counted.  Returns ``(processed, cut)`` where ``cut``
+        is True when a bound stopped the loop (work may still be
+        queued).
         """
         data = self._data
         batch = self._batch
         hooks = self.hooks
         processed = 0
-        # Same lazy-merge discipline as _drain_cold: arrivals are folded
-        # in only when one could sort before the next item (strictly
-        # earlier time — equal-time arrivals have higher seqs and come
-        # after the whole batch), so self-reposting flows stay linear.
+        self._skip = False      # a callback may have skipped, then raised
+        # Lazy merge: arrivals posted during the drain are folded in
+        # only when one could sort before the next batch item (strictly
+        # earlier time — an equal-time arrival has a higher seq and
+        # belongs after the whole batch).  Self-reposting flows — a
+        # compiled loop's back edge posts one event per dispatch — would
+        # otherwise re-sort the full batch per event: quadratic at 10⁶
+        # flows.
         dmin = None
         scanned = 0
         while True:
             if budget is not None and processed >= budget:
                 return processed, True
             if data:
-                n = len(data)
-                if scanned < n:           # scan only the new arrivals
-                    for j in range(scanned, n):
-                        t = data[j][_TIME]
+                if batch:
+                    n = len(data)
+                    if scanned < n:       # scan only the new arrivals
+                        t = min(data[scanned:])[_TIME]
                         if dmin is None or t < dmin:
                             dmin = t
-                    scanned = n
+                        scanned = n
                 if not batch or dmin < batch[-1][_TIME]:
-                    if batch:
-                        data.extend(batch)
-                        batch.clear()
-                    data.sort(reverse=True)
-                    batch[:] = data
-                    data.clear()
+                    self._refill()
                     dmin = None
                     scanned = 0
             if not batch:
                 return processed, False
             item = batch[-1]
             if item[_STATE]:
-                batch.pop()
+                batch.pop()               # cancelled: drop lazily
                 continue
             if bound is not None and item[_TIME] > bound:
                 return processed, True
@@ -726,10 +576,8 @@ class EventKernel:
             self._nfired += 1
             self.current_time = item[_TIME]
             self.events_processed += 1
-            self._skip = False
             self._dispatching = True
-            hot = hooks.hot
-            if hot and hooks.on_dispatch_begin:
+            if hooks.hot and hooks.on_dispatch_begin:
                 ev = item[_HANDLE] or self._handle(item)
                 for h in hooks.on_dispatch_begin:
                     h(self, ev)
@@ -741,12 +589,12 @@ class EventKernel:
                     item[_FN]()
             finally:
                 self._dispatching = False
-                if hot and hooks.on_dispatch_end:
+                if hooks.hot and hooks.on_dispatch_end:
                     ev = item[_HANDLE] or self._handle(item)
                     for h in hooks.on_dispatch_end:
                         h(self, ev)
             if self._skip:
-                self.events_processed -= 1
+                self._skip = False
             else:
                 processed += 1
 

@@ -48,7 +48,7 @@ class HookBus:
         for name in NOTIFY_HOOKS:
             setattr(self, name, [])
         #: True when any notification hook has a subscriber; the kernel's
-        #: dispatch loop checks only this flag on the fast path.
+        #: dispatch loop checks only this flag when nothing subscribes.
         self.hot = False
         self._channels: Dict[str, List[Callable]] = {}
 

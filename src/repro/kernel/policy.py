@@ -1,8 +1,9 @@
 """Run policies: the stop conditions of every runtime, in one object.
 
 Before the kernel existed each run loop hand-rolled its own stop logic —
-``EventQueue.run(until, max_events)``, ``CthScheduler.run(max_switches)``,
-the AMPI interleave loop's round budget, BigSim's and POSE's drains.  A
+the cluster queue's ``run(until, max_events)``,
+``CthScheduler.run(max_switches)``, the AMPI interleave loop's round
+budget, BigSim's and POSE's drains.  A
 :class:`RunPolicy` captures all of them declaratively:
 
 * ``until`` — advance virtual time no further than this bound (an event

@@ -100,7 +100,7 @@ class RunObserver(KernelTracer):
 
     def attach(self, kernel=None) -> "RunObserver":
         """Attach to the cluster kernel, thread kernels, and channels."""
-        super().attach(kernel or self.cluster.queue.kernel)
+        super().attach(kernel or self.cluster.queue)
         self._last_busy = [p.busy_ns for p in self._procs]
         #: Busy time already on the clocks when observation began (e.g.
         #: thread-creation costs charged at runtime construction); the
@@ -120,7 +120,7 @@ class RunObserver(KernelTracer):
         return self
 
     def detach(self) -> None:
-        """Unsubscribe everywhere; all kernels return to the cold path."""
+        """Unsubscribe everywhere; every kernel's hook bus goes cold."""
         for k in self._attached_extra:
             k.hooks.unsubscribe("on_dispatch_begin", self._on_begin)
             k.hooks.unsubscribe("on_dispatch_end", self._on_end)

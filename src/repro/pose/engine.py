@@ -96,10 +96,9 @@ class PoseEngine:
         ``pose.deliver`` / ``pose.defer`` / ``net.pose``), so the POSE
         virtual-time machinery rides the same instrumented core as the
         other runtimes."""
-        return self.cluster.queue.kernel
+        return self.cluster.queue
 
-    def __init__(self, cluster: Cluster, throttle_window: Optional[float] = None,
-                 batched_posts: bool = True):
+    def __init__(self, cluster: Cluster, throttle_window: Optional[float] = None):
         #: Optimism control (the actual contribution of the POSE paper the
         #: ICPP paper cites: adaptive speculation windows).  An event whose
         #: timestamp is more than ``throttle_window`` ahead of GVT is
@@ -107,13 +106,6 @@ class PoseEngine:
         #: latency for far fewer rollbacks.  ``None`` = unlimited optimism
         #: (classic Time Warp).
         self.throttle_window = throttle_window
-        #: Post consecutive same-PE deliveries through the kernel's bulk
-        #: ingress (:meth:`Cluster.post_after_batch`) instead of one
-        #: ``after`` per event.  Dispatch order and traces are identical
-        #: either way; the toggle exists so the producer-batching bench
-        #: can measure the ingress saving (``tools/bench_kernel.py
-        #: --compare compiled``).
-        self.batched_posts = batched_posts
         self.deferrals = 0
         self.cluster = cluster
         self._posers: Dict[str, Poser] = {}
@@ -214,13 +206,8 @@ class PoseEngine:
         A remote send charges the sender's clock (shifting the delivery
         time of everything after it), so only *consecutive* local
         deliveries may share one batched post — the pending run is
-        flushed before every remote hop.  With ``batched_posts`` off
-        this degenerates to the per-event :meth:`_send` loop.
+        flushed before every remote hop.
         """
-        if not self.batched_posts:
-            for ev in evs:
-                self._send(src_pe, ev)
-            return
         pending: List[_Event] = []
         for ev in evs:
             if ev.dst not in self._posers:

@@ -318,7 +318,7 @@ def _ampi_state(spec: RunSpec, rt, at: Dict[str, Any],
             "resident_ranks": resident,
         }
     in_flight = [_event_record(ev, with_message=True)
-                 for ev in rt.cluster.queue.kernel.live_events()]
+                 for ev in rt.cluster.queue.live_events()]
     waiting = {str(r): _jsonable(list(wt))
                for r, wt in sorted(rt._waiting.items())}
     state: Dict[str, Any] = {

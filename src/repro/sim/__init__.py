@@ -13,7 +13,6 @@ magnitude; see DESIGN.md Section 2 for what is real versus modeled.
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.event import EventQueue, Event
 from repro.sim.platform import PlatformProfile, PLATFORMS, get_platform
 from repro.sim.network import Network, Message
 from repro.sim.topology import FatTree, FullyConnected, Topology, Torus3D
@@ -22,8 +21,6 @@ from repro.sim.cluster import Cluster
 
 __all__ = [
     "SimClock",
-    "EventQueue",
-    "Event",
     "PlatformProfile",
     "PLATFORMS",
     "get_platform",

@@ -1,12 +1,11 @@
-"""The simulated cluster: processors + network + event queue."""
+"""The simulated cluster: processors + network + event kernel."""
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
 from repro.errors import CommError, ReproError
-from repro.kernel import RunPolicy
-from repro.sim.event import Event, EventQueue
+from repro.kernel import EventKernel, KernelEvent, RunPolicy
 from repro.sim.network import Message, Network
 from repro.sim.platform import PlatformProfile, get_platform
 from repro.sim.processor import Processor
@@ -17,8 +16,9 @@ __all__ = ["Cluster"]
 class Cluster:
     """A distributed-memory machine of ``n`` simulated processors.
 
-    Execution model: a single global :class:`~repro.sim.event.EventQueue`
-    holds message arrivals and timers, processed in virtual-time order.
+    Execution model: a single global :class:`~repro.kernel.EventKernel`
+    (:attr:`queue`) holds message arrivals and timers, processed in
+    virtual-time order.
     Handling an event on processor *P* pulls *P*'s local clock up to the
     event time, then runs the handler, which charges local work and may
     send further messages stamped with *P*'s advancing local clock.  This
@@ -35,7 +35,7 @@ class Cluster:
             platform = get_platform(platform)
         self.platform = platform
         self.network = network or Network()
-        self.queue = EventQueue()
+        self.queue = EventKernel(name="sim", causality=True)
         self.processors: List[Processor] = [
             Processor(i, platform, cluster=self) for i in range(num_processors)
         ]
@@ -118,7 +118,7 @@ class Cluster:
         filter — runs in exactly the order the equivalent :meth:`send`
         loop would (so send timestamps, message ids, and injected-chaos
         RNG draws are byte-identical), but all arrival events enter the
-        kernel through one :meth:`~repro.sim.event.EventQueue.post_batch`
+        kernel through one :meth:`~repro.kernel.EventKernel.post_batch`
         call, paying batch ingress instead of per-event ``post`` cost.
         Returns the messages in send order.
         """
@@ -189,7 +189,7 @@ class Cluster:
 
     def at(self, proc_id: int, time: float, fn: Callable[..., Any],
            *args: Any, category: str = "timer",
-           flow: Optional[str] = None) -> Event:
+           flow: Optional[str] = None) -> KernelEvent:
         """Schedule ``fn(*args)`` on processor ``proc_id`` at virtual ``time``."""
         proc = self.processors[proc_id]
 
@@ -204,7 +204,7 @@ class Cluster:
 
     def after(self, proc_id: int, delay_ns: float, fn: Callable[..., Any],
               *args: Any, category: str = "timer",
-              flow: Optional[str] = None) -> Event:
+              flow: Optional[str] = None) -> KernelEvent:
         """Schedule ``fn`` on ``proc_id`` after ``delay_ns`` of its local time."""
         proc = self.processors[proc_id]
         return self.at(proc_id, proc.now + delay_ns, fn, *args,
@@ -251,8 +251,7 @@ class Cluster:
             max_events: Optional[int] = None,
             policy: Optional[RunPolicy] = None) -> int:
         """Drain the event queue; returns the number of events processed."""
-        return self.queue.run(until=until, max_events=max_events,
-                              policy=policy)
+        return self.queue.run(policy, until=until, max_events=max_events)
 
     def enable_tracing(self) -> None:
         """Record every message send into :attr:`message_trace` (debugging).

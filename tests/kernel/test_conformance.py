@@ -12,12 +12,11 @@ import pytest
 
 from repro.kernel import EventKernel
 from repro.sim import Cluster
-from repro.sim.event import EventQueue
 from tests.core.conftest import make_cluster
 
 
 def _sim_kernel():
-    return EventQueue().kernel
+    return Cluster(1).queue
 
 
 def _cth_kernel():
@@ -29,7 +28,7 @@ def _charm_kernel():
     from repro.charm import CharmRuntime
     cl = Cluster(2)
     rt = CharmRuntime(cl)
-    return rt.cluster.queue.kernel
+    return rt.cluster.queue
 
 
 def _bigsim_kernel():

@@ -16,6 +16,12 @@ pumps, and segmented ``until``/``max_events`` policies.  If the two
 kernels ever dispatch in different orders the streams diverge and the
 fire logs cannot match.
 
+The fast kernel has one dispatch loop with per-event reference
+semantics, so the same holds *inside* a hooks-off drain: a tracer
+subscribed from a callback sees the rest of the run exactly as the
+reference kernel reports it, and ``len()``/``live``/``empty``/
+``events_processed`` read from a callback are exact at every event.
+
 The third acceptance leg — unchanged chaos golden fingerprints — is
 enforced by ``tests/chaos/test_golden_seeds.py`` and
 ``tests/obs/test_golden_metrics.py``, which run the production (fast)
@@ -40,18 +46,20 @@ _SPAWN_LIMIT = 160
 COLD_SEEDS = list(range(25))
 TRACED_SEEDS = list(range(100, 120))
 POLICY_SEEDS = list(range(200, 212))
+MID_DRAIN_SEEDS = list(range(300, 310))
 
 
 class _Driver:
     """Runs one seeded random schedule against one kernel."""
 
-    def __init__(self, kernel_cls, seed, traced=False):
+    def __init__(self, kernel_cls, seed, traced=False, probe=False):
         self.kernel = kernel_cls(name="diff")
         self.rng = random.Random(seed)
         self.log = []
         self.handles = []
         self.next_id = 0
         self.pumps = 2
+        self.probe = probe      # log the O(1) counters from inside callbacks
         self.tracer = KernelTracer().attach(self.kernel) if traced else None
 
     def spawn(self, dt):
@@ -66,6 +74,8 @@ class _Driver:
 
     def body(self, ident):
         self.log.append((ident, self.kernel.current_time))
+        if self.probe:
+            self.log.append(self.counters())
         r = self.rng
         act = r.random()
         if act < 0.40 and self.next_id < _SPAWN_LIMIT:
@@ -77,6 +87,12 @@ class _Driver:
             self.handles[r.randrange(len(self.handles))].cancel()
         elif act < 0.65:
             self.kernel.skip_current()
+        if self.probe:
+            self.log.append(self.counters())
+
+    def counters(self):
+        k = self.kernel
+        return (len(k), k.live, k.empty, k.events_processed)
 
     def seed_initial(self, n=30):
         for _ in range(n):
@@ -162,6 +178,43 @@ def test_segmented_policy_runs_identical(seed):
         states.append((d.state(), rets))
     assert states[0] == states[1]
     assert states[0][0]["len"] == 0
+
+
+@pytest.mark.parametrize("seed", MID_DRAIN_SEEDS)
+def test_tracer_subscribed_mid_drain_byte_identical(seed):
+    """A tracer attached from inside a callback of a hooks-off drain
+    records from that event's own ``end`` onwards, on both kernels."""
+    results = []
+    for cls in (RefKernel, FastKernel):
+        d = _Driver(cls, seed)
+        d.seed_initial()
+        tracer = KernelTracer()
+        d.kernel.schedule(2.0, tracer.attach, d.kernel)
+        ret = d.kernel.run()
+        dump = "\n".join(json.dumps(e, sort_keys=True)
+                         for e in tracer.entries)
+        results.append((d.state(), ret, dump, tracer.counters))
+    ref, fast = results
+    assert ref == fast
+    first = json.loads(ref[2].split("\n")[0])
+    assert (first["ev"], first["site"]) == ("end", "KernelTracer.attach")
+    assert ref[3]["dispatched"] > 1 and ref[3]["quiescences"] == 1
+
+
+@pytest.mark.parametrize("seed", MID_DRAIN_SEEDS)
+def test_counters_read_mid_drain_identical(seed):
+    """``len``/``live``/``empty``/``events_processed`` observed from
+    inside callbacks (before and after each one's spawn, cancel or
+    ``skip_current``) match the reference at every event."""
+    states = []
+    for cls in (RefKernel, FastKernel):
+        d = _Driver(cls, seed, probe=True)
+        d.seed_initial()
+        ret = d.kernel.run()
+        states.append((d.state(), ret))
+    assert states[0] == states[1]
+    probes = [e for e in states[0][0]["log"] if len(e) == 4]
+    assert len({p[0] for p in probes}) > 5      # the queue really moved
 
 
 def test_post_matches_reference_schedule_order():

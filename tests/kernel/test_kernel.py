@@ -117,7 +117,7 @@ def test_batched_sweep_compacts_without_reordering():
     for ev in evs[::2]:
         ev.cancel()
     # The sweep physically removed cancelled entries at some point.
-    assert len(k._heap) < 400
+    assert len(k._data) + len(k._batch) < 400
     assert len(k) == 200
     k.run()
     survivors = [i for i in range(400) if i % 2 == 1]
@@ -130,7 +130,7 @@ def test_sweep_threshold_is_batched_not_eager():
     for ev in evs[:_SWEEP_MIN_STALE - 1]:
         ev.cancel()
     # Below the batch threshold nothing is compacted yet.
-    assert len(k._heap) == 1000
+    assert len(k._data) + len(k._batch) == 1000
 
 
 def test_peek_time_skips_cancelled_prefix():
@@ -227,6 +227,50 @@ def test_on_idle_may_re_arm_work():
     assert k.run() == 3
     assert fired == ["seed", "pumped", "pumped"]
     assert quiesced == [1]
+
+
+# -- non-re-entrancy --------------------------------------------------------
+
+_ENTRIES = {
+    "run": lambda k: k.run(),
+    "run_batch": lambda k: k.run_batch(),
+    "step": lambda k: k.step(),
+}
+
+
+@pytest.mark.parametrize("outer", sorted(_ENTRIES))
+@pytest.mark.parametrize("inner", sorted(_ENTRIES))
+def test_kernel_is_not_reentrant_through_any_entry(outer, inner):
+    """One rule for run/run_batch/step: a callback the kernel is
+    dispatching cannot drive the same kernel.  (``step()`` used to
+    dispatch outside the guard, so a stepped callback could nest.)"""
+    k = EventKernel()
+    refused = []
+
+    def nest():
+        with pytest.raises(ReproError, match="re-entered"):
+            _ENTRIES[inner](k)
+        refused.append(k.peek_time())   # peeking stays legal mid-dispatch
+
+    k.schedule(1.0, nest)
+    k.schedule(2.0, lambda: None)
+    _ENTRIES[outer](k)
+    assert refused == [2.0]
+    # The guard is released afterwards: the kernel keeps working.
+    k.run()
+    assert k.empty and k.events_processed == 2
+
+
+def test_step_runs_one_event_without_quiescence():
+    k = EventKernel()
+    fired, calls = [], []
+    k.hooks.subscribe("on_idle", lambda kk: calls.append("idle") or False)
+    k.schedule(1.0, fired.append, "a")
+    k.schedule(2.0, fired.append, "b")
+    assert k.step() and fired == ["a"] and len(k) == 1
+    assert k.step() and fired == ["a", "b"]
+    assert not k.step()
+    assert calls == []
 
 
 # -- hook bus ---------------------------------------------------------------

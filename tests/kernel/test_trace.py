@@ -141,7 +141,7 @@ def test_network_traffic_shows_up_as_messages():
     cl = Cluster(2)
     for proc in cl.processors:
         proc.set_message_handler(lambda msg: None)
-    tr = KernelTracer().attach(cl.queue.kernel)
+    tr = KernelTracer().attach(cl.queue)
     cl.send(0, 1, "ping", 64, tag="t")
     cl.send(1, 0, "pong", 64, tag="t")
     cl.run()

@@ -1,9 +1,18 @@
-"""Unit tests for SimClock and EventQueue."""
+"""Unit tests for SimClock and the kernel surface the cluster drives.
+
+``Cluster.queue`` is a bare :class:`~repro.kernel.EventKernel`; these
+are the sim-side expectations of it.  Three former cases were dropped as
+duplicates of ``tests/kernel/test_kernel.py``: FIFO ties
+(``test_time_order_with_fifo_ties``), cancellation
+(``test_cancelled_events_never_fire``) and ``until``
+(``test_until_leaves_later_events_queued``).
+"""
 
 import pytest
 
 from repro.errors import ReproError
-from repro.sim import EventQueue, SimClock
+from repro.kernel import EventKernel
+from repro.sim import SimClock
 
 
 def test_clock_advances():
@@ -30,7 +39,7 @@ def test_clock_advance_to_never_goes_backward():
 
 
 def test_event_order_by_time():
-    q = EventQueue()
+    q = EventKernel()
     log = []
     q.schedule(30, log.append, "c")
     q.schedule(10, log.append, "a")
@@ -40,49 +49,16 @@ def test_event_order_by_time():
     assert q.current_time == 30
 
 
-def test_simultaneous_events_fifo():
-    q = EventQueue()
-    log = []
-    for i in range(10):
-        q.schedule(5.0, log.append, i)
-    q.run()
-    assert log == list(range(10))
-
-
 def test_schedule_in_past_rejected():
-    q = EventQueue()
+    q = EventKernel()
     q.schedule(10, lambda: None)
     q.run()
     with pytest.raises(ReproError):
         q.schedule(5, lambda: None)
 
 
-def test_cancel():
-    q = EventQueue()
-    log = []
-    ev = q.schedule(10, log.append, "x")
-    q.schedule(20, log.append, "y")
-    ev.cancel()
-    q.run()
-    assert log == ["y"]
-    assert len(q) == 0
-
-
-def test_run_until():
-    q = EventQueue()
-    log = []
-    q.schedule(10, log.append, 1)
-    q.schedule(20, log.append, 2)
-    q.schedule(30, log.append, 3)
-    n = q.run(until=20)
-    assert n == 2
-    assert log == [1, 2]
-    q.run()
-    assert log == [1, 2, 3]
-
-
 def test_run_max_events():
-    q = EventQueue()
+    q = EventKernel()
     # An event that reschedules itself forever.
     def tick():
         q.schedule(q.current_time + 1, tick)
@@ -92,7 +68,7 @@ def test_run_max_events():
 
 
 def test_events_scheduled_during_run_are_seen():
-    q = EventQueue()
+    q = EventKernel()
     log = []
 
     def first():

@@ -168,9 +168,12 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "python": sys.version.split()[0],
         "benches": fresh,
-        "note": ("primary metrics are host-side ns/op, best-of-N; the "
-                 "gate fails on >20% regression against the previous "
-                 "run of this file"),
+        # Kept across rewrites: the note is where a deliberate re-record
+        # (a dropped entry, a changed methodology) explains itself.
+        "note": baseline.get("note") or (
+            "primary metrics are host-side ns/op, best-of-N; the gate "
+            "fails on >20% regression against the previous run of this "
+            "file"),
     }
     with open(BASELINE, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -1,41 +1,25 @@
 #!/usr/bin/env python3
-"""Benchmark the event kernel against the pre-refactor event queue.
+"""Benchmark the event kernel: ref-vs-fast and thread-vs-compiled A/B.
 
-Three scenarios, each best-of-``--repeats`` wall-clock:
-
-* **dispatch** — drain a pre-filled queue of no-op events: raw event
-  throughput, with the kernel measured both bare (tracer detached — the
-  production configuration) and with a :class:`KernelTracer` attached;
-* **len_poll** — ``len(queue)`` with thousands of events pending: the
-  pre-refactor queue scanned the heap (O(n)), the kernel keeps a live
-  counter (O(1));
-* **cancel** — schedule, cancel 90%, drain: the kernel's batched sweep
-  versus the legacy pop-time skip.
-
-Writes ``results/kernel_bench.json`` including the two acceptance
-checks: kernel dispatch throughput no worse than the legacy queue
-(within noise), and tracing-off overhead below 5%.
-
-``--compare ref`` switches the baseline from the pre-kernel legacy
-queue to the frozen reference kernel (:mod:`repro.kernel.refkernel`)
-and emits a ref-vs-fast A/B table instead: the ``schedule()``-API fast
-path, and the bulk ``post_batch``/``cancel_slots`` fast path, each as a
-speedup over the reference implementation.
+``--compare ref`` (the default) times the kernel against the frozen
+reference kernel (:mod:`repro.kernel.refkernel`), best-of-``--repeats``
+wall-clock on pre-filled queues of no-op events: drain, and drain with
+50% cancelled, each through the ``schedule()`` API and through the bulk
+``post_batch``/``cancel_slots`` ingress.  Writes
+``results/kernel_bench.json``.
 
 ``--compare compiled`` benchmarks the same workload as generator
 threads vs compiled continuation state machines (the two forms must
 agree on results and dispatch counts), plus the batched-vs-looped
-producer ingress for the POSE and BigSim event producers; its report is
-*merged* under the ``"compiled"`` key of ``results/kernel_bench.json``
-so the baseline numbers survive.
+producer ingress for cluster sends and the BigSim ghost scatter; its
+report is *merged* under the ``"compiled"`` key of
+``results/kernel_bench.json`` so the ref numbers survive.
 
 Run:  PYTHONPATH=src python tools/bench_kernel.py [--compare ref|compiled]
 """
 
 import argparse
 import gc
-import heapq  # migralint: disable=KRN001  (legacy baseline, bench only)
-import itertools
 import json
 import os
 import sys
@@ -43,82 +27,11 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.kernel import EventKernel, KernelTracer  # noqa: E402
+from repro.kernel import EventKernel  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
-# The pre-refactor EventQueue, inlined verbatim (minus docs) as the
-# baseline.  This is the O(n)-len, skip-at-pop implementation every
-# runtime used before repro.kernel existed.
-# ---------------------------------------------------------------------------
-
-class _LegacyEvent:
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time, seq, fn, args):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class LegacyEventQueue:
-    def __init__(self):
-        self._heap = []
-        self._counter = itertools.count()
-        self.current_time = 0.0
-        self.events_processed = 0
-
-    def __len__(self):
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    def schedule(self, time, fn, *args):
-        ev = _LegacyEvent(time, next(self._counter), fn, args)
-        heapq.heappush(self._heap, ev)
-        return ev
-
-    def peek_time(self):
-        self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
-
-    def step(self):
-        self._drop_cancelled()
-        if not self._heap:
-            return False
-        ev = heapq.heappop(self._heap)
-        self.current_time = ev.time
-        self.events_processed += 1
-        ev.fn(*ev.args)
-        return True
-
-    def run(self, until=None, max_events=None):
-        processed = 0
-        while True:
-            if max_events is not None and processed >= max_events:
-                break
-            t = self.peek_time()
-            if t is None:
-                break
-            if until is not None and t > until:
-                break
-            self.step()
-            processed += 1
-        return processed
-
-    def _drop_cancelled(self):
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
-
-# ---------------------------------------------------------------------------
-# scenarios
+# shared helpers
 # ---------------------------------------------------------------------------
 
 def _noop():
@@ -152,64 +65,13 @@ def best_of_interleaved(repeats, thunks):
     return best
 
 
-def bench_dispatch(makers, n, repeats):
-    def once(make_queue):
-        q = make_queue()
-        for i in range(n):
-            q.schedule(float(i), _noop)
-        q.run()
-
-    best = best_of_interleaved(repeats, {
-        name: (lambda make=make: once(make)) for name, make in makers.items()})
-    return {name: n / dt for name, dt in best.items()}
-
-
-def bench_len_poll(makers, pending, polls, repeats):
-    queues = {}
-    for name, make in makers.items():
-        q = make()
-        for i in range(pending):
-            q.schedule(float(i), _noop)
-        queues[name] = q
-
-    def once(q):
-        total = 0
-        for _ in range(polls):
-            total += len(q)
-        assert total == pending * polls
-
-    best = best_of_interleaved(repeats, {
-        name: (lambda q=q: once(q)) for name, q in queues.items()})
-    return {name: polls / dt for name, dt in best.items()}
-
-
-def bench_cancel(makers, n, repeats):
-    def once(make_queue):
-        q = make_queue()
-        evs = [q.schedule(float(i), _noop) for i in range(n)]
-        for i, ev in enumerate(evs):
-            if i % 10:           # cancel 90%
-                ev.cancel()
-        q.run()
-
-    best = best_of_interleaved(repeats, {
-        name: (lambda make=make: once(make)) for name, make in makers.items()})
-    return {name: n / dt for name, dt in best.items()}
-
-
 def make_kernel():
     return EventKernel(name="bench")
 
 
-def make_traced_kernel():
-    k = EventKernel(name="bench")
-    KernelTracer().attach(k)
-    return k
-
-
 # ---------------------------------------------------------------------------
 # --compare compiled: compiled continuations vs user-level threads, plus
-# the batched-vs-looped producer ingress (POSE / BigSim)
+# the batched-vs-looped producer ingress (cluster sends / BigSim)
 # ---------------------------------------------------------------------------
 
 def _bench_forms(flows, rounds, repeats):
@@ -243,54 +105,6 @@ def _bench_forms(flows, rounds, repeats):
     agree = (runs["uthread"].results == runs["compiled"].results
              and runs["uthread"].dispatches == runs["compiled"].dispatches)
     return table, agree
-
-
-def _bench_pose_producer(repeats):
-    """Wall time of a rollback-heavy POSE storm, batched posts on/off."""
-    from repro.core.pup import pup_register
-    from repro.pose import PoseEngine, Poser
-    from repro.sim import Cluster
-
-    class _Chain(Poser):
-        def __init__(self, nxt=""):
-            self.seen = []
-            self.nxt = nxt
-
-        def pup(self, p):
-            self.seen = p.list_double(self.seen)
-            self.nxt = p.str(self.nxt)
-
-        def on_tok(self, data):
-            self.seen.append(float(data))
-            if self.nxt:
-                return [(self.nxt, "tok", data + 1.0, 1.0)]
-            return []
-
-    pup_register(_Chain)
-    stats = {}
-
-    def once(batched):
-        cl = Cluster(2)
-        eng = PoseEngine(cl, throttle_window=None, batched_posts=batched)
-        eng.register("sink", _Chain(nxt="b"), 1)
-        eng.register("b", _Chain(nxt="c"), 0)
-        eng.register("c", _Chain(), 1)
-        for vt in range(60, 0, -1):
-            eng.schedule("sink", "tok", float(vt), at=float(vt))
-        stats[batched] = eng.run()
-
-    best = best_of_interleaved(repeats, {
-        "looped": lambda: once(False),
-        "batched": lambda: once(True),
-    })
-    return {
-        "events_processed": stats[True].events_processed,
-        "rollbacks": stats[True].rollbacks,
-        "identical_stats": stats[True] == stats[False],
-        "looped_ms": round(best["looped"] * 1e3, 2),
-        "batched_ms": round(best["batched"] * 1e3, 2),
-        "speedup": round(best["looped"] / best["batched"], 3),
-    }
 
 
 def _bench_bigsim_producer(repeats):
@@ -333,9 +147,9 @@ def _bench_bigsim_producer(repeats):
 def _bench_send_ingress(n_msgs, repeats):
     """Pure producer ingress: ``Cluster.send_batch`` vs a ``send`` loop.
 
-    The end-to-end POSE/BigSim numbers are dominated by snapshotting and
-    application work; this isolates the posting path itself, which is
-    where the batch adoption pays (and why the producers adopted it).
+    The end-to-end BigSim number is dominated by application work; this
+    isolates the posting path itself, which is where the batch adoption
+    pays (and why the producers adopted it).
     """
     from repro.sim import Cluster
 
@@ -364,22 +178,19 @@ def run_compiled_compare(args):
 
     The report lands under the ``"compiled"`` key of
     ``results/kernel_bench.json``, *merged* into whatever baseline
-    report the file already holds so the ref/legacy numbers survive.
+    report the file already holds so the ref numbers survive.
     """
     forms, agree = _bench_forms(args.flows, 4, args.repeats)
     ingress = _bench_send_ingress(600, max(5, args.repeats))
-    pose = _bench_pose_producer(args.repeats)
     bigsim = _bench_bigsim_producer(max(2, args.repeats // 2))
     return {
         "config": {"flows": args.flows, "rounds": 4,
                    "repeats": args.repeats},
         "forms": forms,
-        "producer_batching": {"send_ingress": ingress,
-                              "pose": pose, "bigsim": bigsim},
+        "producer_batching": {"send_ingress": ingress, "bigsim": bigsim},
         "acceptance": {
             "forms_agree": agree,
             "send_batch_ingress_faster": ingress["speedup"] > 1.0,
-            "pose_batched_identical": pose["identical_stats"],
             "bigsim_batched_identical": bigsim["identical_results"],
         },
     }
@@ -463,100 +274,32 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--events", type=int, default=200_000,
                     help="events per dispatch/cancel run")
-    ap.add_argument("--pending", type=int, default=2_000,
-                    help="queued events during len() polling")
-    ap.add_argument("--polls", type=int, default=10_000)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--flows", type=int, default=20_000,
                     help="flow count for --compare compiled")
-    ap.add_argument("--compare", choices=("legacy", "ref", "compiled"),
-                    default="legacy",
-                    help="baseline: the pre-kernel legacy queue (default), "
-                         "the frozen reference kernel (ref-vs-fast A/B), "
-                         "or compiled continuations vs user-level threads "
-                         "plus the batched-producer before/after")
+    ap.add_argument("--compare", choices=("ref", "compiled"), default="ref",
+                    help="the frozen reference kernel (ref-vs-fast A/B, "
+                         "default), or compiled continuations vs "
+                         "user-level threads plus the batched-producer "
+                         "before/after")
     ap.add_argument("--out", default=os.path.join(
         os.path.dirname(__file__), "..", "results", "kernel_bench.json"))
     args = ap.parse_args(argv)
 
+    out = os.path.abspath(args.out)
+    os.makedirs(os.path.dirname(out), exist_ok=True)
     if args.compare == "ref":
-        report = run_ref_compare(args)
-        out = os.path.abspath(args.out)
-        os.makedirs(os.path.dirname(out), exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = all(report["acceptance"].values())
-        print(f"\nacceptance: {'PASS' if ok else 'FAIL'}  ({out})")
-        return 0 if ok else 1
-
-    if args.compare == "compiled":
+        report = merged = run_ref_compare(args)
+    else:
         report = run_compiled_compare(args)
-        out = os.path.abspath(args.out)
-        os.makedirs(os.path.dirname(out), exist_ok=True)
         merged = {}
         if os.path.exists(out):
             with open(out) as fh:
                 merged = json.load(fh)
         merged["compiled"] = report
-        with open(out, "w") as fh:
-            json.dump(merged, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(json.dumps(report, indent=2, sort_keys=True))
-        ok = all(report["acceptance"].values())
-        print(f"\nacceptance: {'PASS' if ok else 'FAIL'}  ({out})")
-        return 0 if ok else 1
-
-    makers = {"legacy": LegacyEventQueue, "kernel": make_kernel,
-              "traced": make_traced_kernel}
-    disp = bench_dispatch(makers, args.events, args.repeats)
-    legacy_eps, kernel_eps, traced_eps = (
-        disp["legacy"], disp["kernel"], disp["traced"])
-
-    two = {"legacy": LegacyEventQueue, "kernel": make_kernel}
-    poll = bench_len_poll(two, args.pending, args.polls, args.repeats)
-    legacy_poll, kernel_poll = poll["legacy"], poll["kernel"]
-
-    canc = bench_cancel(two, args.events, args.repeats)
-    legacy_cancel, kernel_cancel = canc["legacy"], canc["kernel"]
-
-    overhead_off = (legacy_eps - kernel_eps) / legacy_eps * 100.0
-    overhead_traced = (kernel_eps - traced_eps) / kernel_eps * 100.0
-
-    report = {
-        "mode": "legacy",
-        "config": {"events": args.events, "pending": args.pending,
-                   "polls": args.polls, "repeats": args.repeats},
-        "dispatch": {
-            "legacy_events_per_s": round(legacy_eps),
-            "kernel_events_per_s": round(kernel_eps),
-            "kernel_traced_events_per_s": round(traced_eps),
-            "tracing_off_overhead_pct": round(overhead_off, 2),
-            "tracing_on_overhead_pct": round(overhead_traced, 2),
-        },
-        "len_poll": {
-            "legacy_polls_per_s": round(legacy_poll),
-            "kernel_polls_per_s": round(kernel_poll),
-            "speedup": round(kernel_poll / legacy_poll, 1),
-        },
-        "cancel_90pct": {
-            "legacy_events_per_s": round(legacy_cancel),
-            "kernel_events_per_s": round(kernel_cancel),
-            "speedup": round(kernel_cancel / legacy_cancel, 2),
-        },
-        "acceptance": {
-            "throughput_no_worse_than_legacy": kernel_eps >= legacy_eps * 0.95,
-            "tracing_off_overhead_lt_5pct": overhead_off < 5.0,
-        },
-    }
-
-    out = os.path.abspath(args.out)
-    os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(merged, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = all(report["acceptance"].values())
     print(f"\nacceptance: {'PASS' if ok else 'FAIL'}  ({out})")

@@ -84,7 +84,8 @@ def render_member(name: str, obj) -> list[str]:
     return lines
 
 
-def main() -> int:
+def render() -> str:
+    """The full text of ``docs/api.md`` for the tree as imported."""
     out = ["# API reference",
            "",
            "Generated from docstrings by `tools/gen_api_docs.py`; do not",
@@ -104,11 +105,15 @@ def main() -> int:
                 continue
             seen.add(key)
             out.extend(render_member(name, obj))
+    return "\n".join(out).rstrip() + "\n"
+
+
+def main() -> int:
+    text = render()
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
     with open(OUT, "w") as f:
-        f.write("\n".join(out).rstrip() + "\n")
-    print(f"wrote {os.path.abspath(OUT)} "
-          f"({len(out)} lines, {len(seen)} entries)")
+        f.write(text)
+    print(f"wrote {os.path.abspath(OUT)} ({text.count(chr(10))} lines)")
     return 0
 
 
