@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-from conftest import emit
-
-from repro.bench.figures import context_switch_series
-from repro.bench.report import render_series
+from repro.bench.__main__ import run_context_figure
+from repro.bench.figures import FIGURE_PLATFORMS
 from repro.flows import UserThreadFlow
 from repro.sim import Processor, get_platform
 
 
-def run_context_switch_figure(fig_no: int, platform: str, benchmark) -> None:
+def run_context_switch_figure(fig_no: int, benchmark) -> None:
     """Generate one of Figures 4–8, assert its shape, benchmark a switch."""
-    profile = get_platform(platform)
-    xs, series = context_switch_series(platform)
-    emit(f"fig{fig_no}_{platform}.txt",
-         render_series("n_flows", xs, series,
-                       f"Figure {fig_no}: context switch time (us) vs "
-                       f"number of flows — {profile.description}"))
+    profile = get_platform(FIGURE_PLATFORMS[fig_no])
+    xs, series = run_context_figure(fig_no)
 
     def last(name):
         vals = [v for v in series[name] if v is not None]

@@ -7,10 +7,8 @@ GreedyLB migration of the *simulation's own threads* recovers the lost
 host efficiency — while leaving the predicted target time bit-identical.
 """
 
-from conftest import emit
-
 from repro.balance import GreedyLB
-from repro.bench.report import render_table
+from repro.bench.report import emit, render_table
 from repro.bigsim import BigSimEngine, TargetMachine
 from repro.workloads.md import MDConfig, MDWorkload
 

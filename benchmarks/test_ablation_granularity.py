@@ -8,10 +8,8 @@ of ranks; balance quality after GreedyLB improves with the virtualization
 ratio.
 """
 
-from conftest import emit
-
 from repro.balance import GreedyLB
-from repro.bench.report import render_series
+from repro.bench.report import emit, render_series
 from repro.workloads.btmz import BTMZConfig, run_btmz
 
 # 9 ranks is deliberately row-misaligned: each rank's zones straddle the

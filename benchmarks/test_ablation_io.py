@@ -7,9 +7,7 @@ naive blocking serializes the I/O (makespan ~ N * io), interception
 overlaps it (makespan ~ io + N * compute).
 """
 
-from conftest import emit
-
-from repro.bench.report import render_series
+from repro.bench.report import emit, render_series
 from repro.core import CthScheduler, IsomallocArena, IsomallocStacks
 from repro.sim import Cluster
 

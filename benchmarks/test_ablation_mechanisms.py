@@ -6,9 +6,7 @@ related work) on the Linux x86 model, making the full cost spectrum of the
 paper's taxonomy visible in one table.
 """
 
-from conftest import emit
-
-from repro.bench.report import render_table
+from repro.bench.report import emit, render_table
 from repro.flows import (AmpiThreadFlow, EventObjectFlow, HybridThreadFlow,
                          KernelThreadFlow, ProcessFlow, UserThreadFlow)
 from repro.sim import Processor, get_platform

@@ -7,9 +7,7 @@ This bench sweeps the throttle window on a straggler-heavy workload and
 reports committed vs. speculative events.
 """
 
-from conftest import emit
-
-from repro.bench.report import render_table
+from repro.bench.report import emit, render_table
 from repro.core.pup import pup_register
 from repro.pose import PoseEngine, Poser
 from repro.sim import Cluster

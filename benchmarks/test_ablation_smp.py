@@ -6,9 +6,7 @@ nothing; isomalloc threads run anywhere.  This bench sweeps the core count
 and reports effective speedup per technique.
 """
 
-from conftest import emit
-
-from repro.bench.report import render_series
+from repro.bench.report import emit, render_series
 from repro.core.isomalloc import IsomallocArena
 from repro.core.smp import SmpRunner
 from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,

@@ -8,9 +8,7 @@ afford it on every switch.  This bench sweeps the GOT size and locates
 where the GOT swap starts to rival the base thread-switch cost.
 """
 
-from conftest import emit
-
-from repro.bench.report import render_series
+from repro.bench.report import emit, render_series
 from repro.core import CthScheduler, GlobalRegistry, IsomallocArena, \
     IsomallocStacks
 from repro.sim import Cluster

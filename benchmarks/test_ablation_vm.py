@@ -7,9 +7,7 @@ trade-off (bigger pages -> fewer page-table edits per switch -> cheaper
 aliasing), plus where the techniques cross over.
 """
 
-from conftest import emit
-
-from repro.bench.report import render_series
+from repro.bench.report import emit, render_series
 from repro.core.stacks import MemoryAliasStacks, StackCopyStacks
 from repro.sim import Processor, get_platform
 

@@ -6,10 +6,7 @@ instruction, reports their modeled cost on the paper's 2.2 GHz Athlon64
 and wall-clock benchmarks the executable model.
 """
 
-from conftest import emit
-
-from repro.bench.figures import minimal_swap_rows
-from repro.bench.report import render_table
+from repro.bench.__main__ import run_fig10
 from repro.core.context import MinimalSwap, RegisterFile, SWAP32, SWAP64
 from repro.sim import get_platform
 from repro.vm import AddressSpace, PhysicalMemory
@@ -17,16 +14,7 @@ from repro.vm.layout import MB
 
 
 def test_fig10_minimal_swap(benchmark):
-    rows = minimal_swap_rows(cpu_ghz=2.2)
-    emit("fig10_minswap.txt",
-         render_table(["routine", "instructions", "memory ops",
-                       "modeled cycles", "modeled ns @2.2GHz"], rows,
-                      "Figure 10: minimal context switching routines "
-                      "(paper measured 16 ns / 18 ns on a 2.2 GHz Athlon64)")
-         + "\n\nswap32 instruction stream:\n  "
-         + "\n  ".join(f"{i.op:5s} {i.operand}" for i in SWAP32.instructions)
-         + "\n\nswap64 instruction stream:\n  "
-         + "\n  ".join(f"{i.op:5s} {i.operand}" for i in SWAP64.instructions))
+    run_fig10()
 
     t32 = SWAP32.cost_ns(2.2)
     t64 = SWAP64.cost_ns(2.2)

@@ -7,22 +7,13 @@ per simulating processor at p = 4); ``REPRO_FULL=1`` uses the paper's full
 200,000 (50,000 per simulating processor at p = 4).
 """
 
-from conftest import emit
-
-from repro.bench.figures import bigsim_series, full_scale
-from repro.bench.report import render_series
+from repro.bench.__main__ import run_fig11
 from repro.bigsim import BigSimEngine, TargetMachine
 from repro.workloads.md import MDConfig, MDWorkload
 
 
 def test_fig11_bigsim_scaling(benchmark):
-    procs, series, targets = bigsim_series()
-    scale_note = "full paper scale" if full_scale() else \
-        "scaled default (REPRO_FULL=1 for 200,000)"
-    emit("fig11_bigsim.txt",
-         render_series("host procs", procs, series,
-                       f"Figure 11: simulation time per MD step (ms) using "
-                       f"{targets} user-level threads ({scale_note})"))
+    procs, series, targets = run_fig11()
 
     times = series["time_per_step_ms"]
     # Excellent scalability: strictly decreasing, near-linear speedup.

@@ -7,31 +7,13 @@ configurations converge to about the same time with LB while varying
 dramatically without it.
 """
 
-from conftest import emit
-
 from repro.balance import GreedyLB
-from repro.bench.figures import btmz_series
-from repro.bench.report import render_table
+from repro.bench.__main__ import run_fig12
 from repro.workloads.btmz import BTMZConfig, run_btmz
 
 
 def test_fig12_btmz_load_balancing(benchmark):
-    results = btmz_series()
-    rows = []
-    for label, no_lb, with_lb in results:
-        rows.append([
-            label,
-            f"{no_lb.makespan_ns / 1e6:.1f}",
-            f"{with_lb.makespan_ns / 1e6:.1f}",
-            f"{no_lb.makespan_ns / with_lb.makespan_ns:.2f}x",
-            f"{with_lb.imbalance_before:.2f} -> {with_lb.imbalance_after:.2f}",
-            with_lb.migrations,
-        ])
-    emit("fig12_btmz.txt",
-         render_table(["config", "no LB (ms)", "with LB (ms)", "speedup",
-                       "max/avg load", "migrations"], rows,
-                      "Figure 12: BT-MZ execution time with vs without "
-                      "thread-migration load balancing"))
+    results = run_fig12()
 
     # LB never loses, and actually migrates something.
     for label, no_lb, with_lb in results:

@@ -10,4 +10,4 @@ from _figures_common import run_context_switch_figure
 
 
 def test_fig4_context_switch_linux(benchmark):
-    run_context_switch_figure(4, "linux_x86", benchmark)
+    run_context_switch_figure(4, benchmark)

@@ -10,4 +10,4 @@ from _figures_common import run_context_switch_figure
 
 
 def test_fig5_context_switch_macosx(benchmark):
-    run_context_switch_figure(5, "mac_g5", benchmark)
+    run_context_switch_figure(5, benchmark)

@@ -10,4 +10,4 @@ from _figures_common import run_context_switch_figure
 
 
 def test_fig6_context_switch_solaris(benchmark):
-    run_context_switch_figure(6, "solaris", benchmark)
+    run_context_switch_figure(6, benchmark)

@@ -10,4 +10,4 @@ from _figures_common import run_context_switch_figure
 
 
 def test_fig7_context_switch_ibmsp(benchmark):
-    run_context_switch_figure(7, "ibm_sp", benchmark)
+    run_context_switch_figure(7, benchmark)

@@ -10,4 +10,4 @@ from _figures_common import run_context_switch_figure
 
 
 def test_fig8_context_switch_alpha(benchmark):
-    run_context_switch_figure(8, "alpha", benchmark)
+    run_context_switch_figure(8, benchmark)

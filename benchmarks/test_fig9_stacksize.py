@@ -7,22 +7,13 @@ isomalloc is flat and fastest, memory aliasing sits at mmap cost (~4 µs)
 with only slow growth.
 """
 
-from conftest import emit
-
-from repro.bench.figures import STACK_SIZES, stack_size_series
-from repro.bench.report import render_series
+from repro.bench.__main__ import run_fig9
 from repro.core.stacks import MemoryAliasStacks
 from repro.sim import Processor, get_platform
 
 
 def test_fig9_stack_size_sweep(benchmark):
-    sizes, series = stack_size_series("linux_x86")
-    labels = [f"{s // 1024}KB" if s < 1024 * 1024 else f"{s // (1024*1024)}MB"
-              for s in sizes]
-    emit("fig9_stacksize.txt",
-         render_series("stack", labels, series,
-                       "Figure 9: context switch time (us) vs stack size, "
-                       "x86 Linux — stack copy / isomalloc / memory alias"))
+    sizes, series = run_fig9()
 
     idx20k = min(range(len(sizes)), key=lambda i: abs(sizes[i] - 20 * 1024))
     copy, iso, alias = (series["stack_copy"], series["isomalloc"],

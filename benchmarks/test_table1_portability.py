@@ -4,10 +4,8 @@ Regenerates the Yes/Maybe/No matrix by *deriving* each cell from the
 platform's feature flags, and checks every cell against the paper.
 """
 
-from conftest import emit
-
-from repro.bench.report import render_table
-from repro.bench.tables import TABLE1_COLUMNS, table1_rows
+from repro.bench.__main__ import run_table1
+from repro.bench.tables import table1_rows
 
 #: The paper's Table 1, cell for cell.
 PAPER_TABLE1 = {
@@ -21,11 +19,6 @@ PAPER_TABLE1 = {
 
 
 def test_table1_portability(benchmark):
-    rows = benchmark(table1_rows)
-    headers = ["Thread"] + [name for name, _ in TABLE1_COLUMNS]
-    emit("table1_portability.txt",
-         render_table(headers, rows,
-                      "Table 1: portability of migratable thread "
-                      "implementations (derived from feature flags)"))
-    for row in rows:
+    for row in run_table1():
         assert row[1:] == PAPER_TABLE1[row[0]], f"mismatch in {row[0]}"
+    benchmark(table1_rows)

@@ -1,9 +1,6 @@
 """Table 2: practical limits on flow counts, measured by live probing."""
 
-from conftest import emit
-
-from repro.bench.report import render_table
-from repro.bench.tables import TABLE2_COLUMNS, table2_rows
+from repro.bench.__main__ import run_table2
 from repro.flows import KernelThreadFlow, probe_limit
 from repro.sim import Processor, get_platform
 
@@ -17,14 +14,7 @@ PAPER_TABLE2 = {
 
 
 def test_table2_limits(benchmark):
-    rows = table2_rows()
-    headers = (["Flow of control", "Limiting Factor"]
-               + [name for name, _ in TABLE2_COLUMNS])
-    emit("table2_limits.txt",
-         render_table(headers, rows,
-                      "Table 2: approximate practical limits "
-                      "(measured by creating flows until refusal)"))
-    for row in rows:
+    for row in run_table2():
         assert row[2:] == PAPER_TABLE2[row[0]], f"mismatch in {row[0]}"
 
     # Benchmark one representative probe (the Linux pthread limit).

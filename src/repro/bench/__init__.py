@@ -1,9 +1,11 @@
 """Benchmark harness: builders and renderers for every table and figure.
 
 Each paper experiment has one builder here returning plain data (series or
-table rows) plus a text renderer; the pytest-benchmark targets under
-``benchmarks/`` call these, print the paper-style output, assert the shape
-criteria from DESIGN.md Section 4, and benchmark the underlying primitive.
+table rows) and one ``run_<exp>()`` in :mod:`repro.bench.__main__` that
+renders and saves its ``results/`` file; ``python -m repro.bench`` and the
+pytest-benchmark targets under ``benchmarks/`` both call it, and the
+targets add the shape criteria from DESIGN.md Section 4 and benchmark the
+underlying primitive.
 """
 
 from repro.bench.report import render_series, render_table, save_report

@@ -7,9 +7,12 @@ Usage::
     python -m repro.bench -j 4            # fan out over 4 workers
     REPRO_FULL=1 python -m repro.bench fig11   # paper-scale Figure 11
 
-Reports are printed and saved under ``results/``.  This is the same
-machinery the pytest-benchmark targets drive; the CLI exists so downstream
-users can regenerate the evaluation without the test harness.
+Reports are printed and saved under ``results/``.  Each ``run_<exp>()``
+here is its experiment's one definition — it builds, renders and saves the
+``results/`` file and returns the built data — so the pytest-benchmark
+targets under ``benchmarks/`` call the same functions and either driver
+writes the same bytes; the CLI exists so downstream users can regenerate
+the evaluation without the test harness.
 
 Experiments run as independent :mod:`repro.exec` cells: a raising
 experiment no longer aborts the rest of the run (and no longer leaves
@@ -25,85 +28,105 @@ import time
 
 from repro.bench.figures import (FIGURE_PLATFORMS, bigsim_series,
                                  btmz_series, context_switch_series,
-                                 minimal_swap_rows, stack_size_series)
-from repro.bench.report import render_series, render_table, save_report
+                                 full_scale, minimal_swap_rows,
+                                 stack_size_series)
+from repro.bench.report import emit, render_series, render_table
 from repro.bench.tables import (TABLE1_COLUMNS, TABLE2_COLUMNS, table1_rows,
                                 table2_rows)
+from repro.core.context import SWAP32, SWAP64
+from repro.sim import get_platform
 
 
-def _emit(name: str, text: str) -> None:
-    print("\n" + text)
-    print(f"[saved {save_report(name, text)}]")
-
-
-def run_table1() -> None:
+def run_table1():
     """Table 1: portability matrix."""
+    rows = table1_rows()
     headers = ["Thread"] + [n for n, _ in TABLE1_COLUMNS]
-    _emit("table1_portability.txt",
-          render_table(headers, table1_rows(),
-                       "Table 1: portability of migratable thread "
-                       "implementations"))
+    emit("table1_portability.txt",
+         render_table(headers, rows,
+                      "Table 1: portability of migratable thread "
+                      "implementations (derived from feature flags)"))
+    return rows
 
 
-def run_table2() -> None:
+def run_table2():
     """Table 2: practical flow limits."""
+    rows = table2_rows()
     headers = (["Flow of control", "Limiting Factor"]
                + [n for n, _ in TABLE2_COLUMNS])
-    _emit("table2_limits.txt",
-          render_table(headers, table2_rows(),
-                       "Table 2: approximate practical limits"))
+    emit("table2_limits.txt",
+         render_table(headers, rows,
+                      "Table 2: approximate practical limits "
+                      "(measured by creating flows until refusal)"))
+    return rows
 
 
-def run_context_figure(fig_no: int) -> None:
+def run_context_figure(fig_no: int):
     """One of Figures 4-8."""
     platform = FIGURE_PLATFORMS[fig_no]
     xs, series = context_switch_series(platform)
-    _emit(f"fig{fig_no}_{platform}.txt",
-          render_series("n_flows", xs, series,
-                        f"Figure {fig_no}: context switch time (us) "
-                        f"vs number of flows — {platform}"))
+    emit(f"fig{fig_no}_{platform}.txt",
+         render_series("n_flows", xs, series,
+                       f"Figure {fig_no}: context switch time (us) vs "
+                       f"number of flows — "
+                       f"{get_platform(platform).description}"))
+    return xs, series
 
 
-def run_fig9() -> None:
+def run_fig9():
     """Figure 9: stack-size sweep."""
     sizes, series = stack_size_series()
     labels = [f"{s // 1024}KB" if s < 1024 * 1024
               else f"{s // (1024 * 1024)}MB" for s in sizes]
-    _emit("fig9_stacksize.txt",
-          render_series("stack", labels, series,
-                        "Figure 9: context switch time (us) vs stack size"))
+    emit("fig9_stacksize.txt",
+         render_series("stack", labels, series,
+                       "Figure 9: context switch time (us) vs stack size"))
+    return sizes, series
 
 
-def run_fig10() -> None:
+def run_fig10():
     """Figure 10: minimal swap routines."""
-    _emit("fig10_minswap.txt",
-          render_table(["routine", "instructions", "memory ops",
-                        "modeled cycles", "modeled ns @2.2GHz"],
-                       minimal_swap_rows(),
-                       "Figure 10: minimal context switching routines"))
+    rows = minimal_swap_rows()
+    streams = "".join(
+        f"\n\n{name} instruction stream:\n  "
+        + "\n  ".join(f"{i.op:5s} {i.operand}" for i in swap.instructions)
+        for name, swap in (("swap32", SWAP32), ("swap64", SWAP64)))
+    emit("fig10_minswap.txt",
+         render_table(["routine", "instructions", "memory ops",
+                       "modeled cycles", "modeled ns @2.2GHz"], rows,
+                      "Figure 10: minimal context switching routines "
+                      "(paper measured 16 ns / 18 ns on a 2.2 GHz Athlon64)")
+         + streams)
+    return rows
 
 
-def run_fig11() -> None:
+def run_fig11():
     """Figure 11: BigSim MD scaling."""
     procs, series, targets = bigsim_series()
-    _emit("fig11_bigsim.txt",
-          render_series("host procs", procs, series,
-                        f"Figure 11: simulation time per MD step (ms), "
-                        f"{targets} target processors"))
+    scale_note = "full paper scale" if full_scale() else \
+        "scaled default (REPRO_FULL=1 for 200,000)"
+    emit("fig11_bigsim.txt",
+         render_series("host procs", procs, series,
+                       f"Figure 11: simulation time per MD step (ms) using "
+                       f"{targets} user-level threads ({scale_note})"))
+    return procs, series, targets
 
 
-def run_fig12() -> None:
+def run_fig12():
     """Figure 12: BT-MZ with/without LB."""
+    results = btmz_series()
     rows = [[label,
              f"{no.makespan_ns / 1e6:.1f}",
              f"{lb.makespan_ns / 1e6:.1f}",
              f"{no.makespan_ns / lb.makespan_ns:.2f}x",
+             f"{lb.imbalance_before:.2f} -> {lb.imbalance_after:.2f}",
              lb.migrations]
-            for label, no, lb in btmz_series()]
-    _emit("fig12_btmz.txt",
-          render_table(["config", "no LB (ms)", "with LB (ms)", "speedup",
-                        "migrations"], rows,
-                       "Figure 12: BT-MZ with vs without load balancing"))
+            for label, no, lb in results]
+    emit("fig12_btmz.txt",
+         render_table(["config", "no LB (ms)", "with LB (ms)", "speedup",
+                       "max/avg load", "migrations"], rows,
+                      "Figure 12: BT-MZ execution time with vs without "
+                      "thread-migration load balancing"))
+    return results
 
 
 EXPERIMENTS = {
@@ -138,11 +161,12 @@ def main(argv: list[str]) -> int:
     wanted = args.experiments or list(EXPERIMENTS)
     unknown = [w for w in wanted if w not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}")
-        print(f"known: {', '.join(EXPERIMENTS)}")
+        print(f"unknown experiment(s): {', '.join(unknown)}",
+              file=sys.stderr)
+        print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
     if args.jobs < 1:
-        print(f"-j/--jobs must be >= 1 (got {args.jobs})")
+        print(f"-j/--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)
         return 2
 
     t0 = time.time()

@@ -91,7 +91,6 @@ def context_switch_cell(params: Dict, seed) -> Dict:
 def context_switch_series(platform_name: str,
                           grid: Sequence[int] = FLOW_GRID,
                           rounds: int = 3,
-                          cache=None,
                           ) -> Tuple[List[int], Dict[str, List[Optional[float]]]]:
     """Time per flow per context switch (µs) for the four mechanisms.
 
@@ -100,10 +99,8 @@ def context_switch_series(platform_name: str,
     mechanism's series ends (None) where its platform limit refuses further
     creation — the same truncation the paper's plots show.
 
-    The series fan out as one executor cell per mechanism (cached and
-    crash-contained when ``cache`` — a
-    :class:`~repro.exec.cache.ResultCache` — is provided); the merged
-    output is byte-identical to the old inline loop.
+    The series fan out as one crash-contained executor cell per
+    mechanism.
     """
     from repro.exec import Cell, SweepExecutor, SweepSpec
     grid = sorted(grid)
@@ -112,8 +109,8 @@ def context_switch_series(platform_name: str,
                   params={"platform": platform_name, "mechanism": key,
                           "grid": list(grid), "rounds": rounds})
              for key in _FIGURE_MECHS]
-    results = SweepExecutor(SweepSpec(name="context-switch", cells=cells),
-                            cache=cache).run()
+    results = SweepExecutor(
+        SweepSpec(name="context-switch", cells=cells)).run()
     out: Dict[str, List[Optional[float]]] = {}
     for res in results:
         if not res.ok:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Sequence
 
-__all__ = ["render_table", "render_series", "save_report", "RESULTS_DIR"]
+__all__ = ["render_table", "render_series", "save_report", "emit",
+           "RESULTS_DIR"]
 
 #: Where benchmark targets drop their text reports.
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..",
@@ -54,3 +55,9 @@ def save_report(name: str, text: str) -> str:
     with open(path, "w") as f:
         f.write(text + "\n")
     return path
+
+
+def emit(name: str, text: str) -> None:
+    """Print a report block and persist it under ``results/``."""
+    print("\n" + text)
+    print(f"[saved {save_report(name, text)}]")

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.flows import (KernelThreadFlow, ProcessFlow, UserThreadFlow,
-                         probe_limit)
-from repro.sim import Processor, get_platform
+from repro.flows import KernelThreadFlow, ProcessFlow, UserThreadFlow
+from repro.sim import get_platform
 
 __all__ = ["TABLE1_COLUMNS", "table1_rows", "TABLE2_COLUMNS",
-           "TABLE2_PROBE_CAPS", "table2_cell", "table2_rows"]
+           "TABLE2_PROBE_CAPS", "table2_rows"]
 
 #: Paper Table 1 column order: (display name, platform profile).
 TABLE1_COLUMNS: List[Tuple[str, str]] = [
@@ -74,35 +73,15 @@ _MECHS = {
 }
 
 
-def table2_cell(params: Dict, seed) -> Dict:
-    """Executor worker: one Table 2 probe (mechanism × platform).
-
-    ``params = {"mechanism": key, "platform": profile, "cap": int,
-    "chunk": int}`` → the probe outcome as plain data.  Each probe is
-    its own cell because a probe *ends in a refusal by design*; the
-    executor's crash containment keeps an unexpected failure in one
-    cell from taking down the table.
-    """
-    from repro.flows import MECHANISMS
-    cls = MECHANISMS[params["mechanism"]]
-    proc = Processor(0, get_platform(params["platform"]))
-    probe = probe_limit(cls(proc), cap=params["cap"],
-                        chunk=params["chunk"])
-    return {"mechanism": probe.mechanism, "platform": probe.platform,
-            "count": probe.count, "hit_limit": probe.hit_limit,
-            "limiting_factor": probe.limiting_factor,
-            "display": probe.display()}
-
-
-def table2_rows(chunk: int = 256, cache=None) -> List[List[str]]:
+def table2_rows(chunk: int = 256) -> List[List[str]]:
     """Table 2: practical flow-count limits, measured by live probing.
 
     Each cell creates flows on a fresh simulated processor until the OS
     model or memory refuses, or the paper's probe cap is reached (shown
-    with a trailing ``+``, the paper's "90000+" notation).  The probes
-    run as one executor cell per (mechanism, platform) — cached when a
-    :class:`~repro.exec.cache.ResultCache` is passed — and the merged
-    rows are byte-identical to the old inline loop.
+    with a trailing ``+``, the paper's "90000+" notation).  Each probe
+    is its own executor cell (mechanism × platform) because a probe *ends
+    in a refusal by design*: crash containment keeps an unexpected failure
+    in one cell from taking down the table.
     """
     from repro.errors import ReproError
     from repro.exec import Cell, SweepExecutor, SweepSpec
@@ -111,12 +90,11 @@ def table2_rows(chunk: int = 256, cache=None) -> List[List[str]]:
         for _, pname in TABLE2_COLUMNS:
             cells.append(Cell(
                 experiment="table2.limits",
-                runner="repro.bench.tables:table2_cell",
+                runner="repro.flows.scale:mechanism_limit_cell",
                 params={"mechanism": key, "platform": pname,
                         "cap": TABLE2_PROBE_CAPS[key][pname],
                         "chunk": chunk}))
-    results = SweepExecutor(SweepSpec(name="table2", cells=cells),
-                            cache=cache).run()
+    results = SweepExecutor(SweepSpec(name="table2", cells=cells)).run()
     probes: Dict[Tuple[str, str], Dict] = {}
     for res in results:
         if not res.ok:

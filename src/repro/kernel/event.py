@@ -282,7 +282,7 @@ class EventKernel:
         """Queue one event per entry of ``times``, all sharing
         ``fn``/``args``/labels; returns the raw slots in posted order.
 
-        This is the bulk ingress for event-compiled flows and benches:
+        This is the bulk ingress for event-compiled flows:
         the slot construction is a single list comprehension and the
         causality check one C-level ``min()`` scan, so per-event cost is
         a fraction of :meth:`schedule`.

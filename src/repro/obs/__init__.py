@@ -12,22 +12,20 @@ layer riding the kernel's hook bus:
   watches the thread kernels and the sanctioned runtime channels,
   attributing busy time per PE (:mod:`repro.obs.collect`);
 * :func:`build_report` / ``python -m repro.obs report <trace>`` — the
-  Projections-style post-mortem analyzer (:mod:`repro.obs.report`);
-* :class:`PhaseProfiler` — host-side wall/CPU profiling per run phase,
-  kept out of the deterministic registry (:mod:`repro.obs.profile`);
-* :mod:`repro.obs.benches` — the workers behind the
-  ``tools/bench_all.py`` perf-regression gate.
+  Projections-style post-mortem analyzer (:mod:`repro.obs.report`).
 
-Everything is strictly opt-in: with no observer attached, the kernels
-run their zero-cost path (one boolean per dispatch, one dict lookup per
-published channel) — pinned by the overhead tests.
+Everything here is virtual time and deterministic; host time is measured
+from outside the package, by ``python3 perf/run.py`` (judged by
+``perf/compare.py``).  Everything is strictly opt-in: with no observer
+attached, the kernels run their zero-cost path (one boolean per
+dispatch, one dict lookup per published channel) — pinned by the
+overhead tests.
 """
 
 from repro.obs.metrics import (BYTE_BUCKETS, Counter, Gauge, Histogram,
                                MetricsRegistry, RATIO_BUCKETS,
                                TIME_NS_BUCKETS)
 from repro.obs.collect import RunObserver
-from repro.obs.profile import PhaseProfiler
 from repro.obs.report import build_report, load_trace, render_report
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseProfiler",
     "RATIO_BUCKETS",
     "RunObserver",
     "TIME_NS_BUCKETS",

@@ -12,8 +12,8 @@ the kernel's hook bus.  Everything here is engineered for determinism:
 * :meth:`MetricsRegistry.snapshot` renders every instrument in sorted
   name order with plain JSON-able values — the stable form the golden
   metrics fingerprints hash;
-* nothing in this module reads the host clock or any RNG.  Host-side
-  profiling lives in :mod:`repro.obs.profile` and stays out of the
+* nothing in this module reads the host clock or any RNG.  Host time
+  is measured from outside ``src/`` (``perf/``) and stays out of the
   registry on purpose.
 """
 

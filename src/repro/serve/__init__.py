@@ -24,8 +24,8 @@ is the long-running front end that exploits that:
 
 Service counters (submissions, dedupe hits, journal replays, ...) live
 in a :class:`~repro.obs.metrics.MetricsRegistry` served by the
-``stats`` op; the cache-hit fast path is benchmarked by the
-``serve_dedupe`` cell in ``tools/bench_all.py``.
+``stats`` op; the cache-hit fast path is timed end to end by the
+``serve_chaos`` workload of ``python3 perf/run.py``.
 """
 
 from repro.serve.client import ServeClient, wait_until_up

@@ -35,7 +35,7 @@ def wait_for_worker(proc):
 
 
 def profiled(seed):
-    # Host-side profiling is the sanctioned exception (cf. PhaseProfiler).
+    # Host-side profiling is the sanctioned exception (cf. compiled_scale_cell).
     # migralint: disable=DET001
     t0 = time.perf_counter()
     return t0 + seed

@@ -62,13 +62,19 @@ def test_cli_unknown_experiment():
 
 
 def test_cli_runs_cheap_experiments(capsys, tmp_path, monkeypatch):
+    """The CLI is each experiment's one renderer: what it writes is the
+    checked-in ``results/`` file, byte for byte."""
     import repro.bench.report as report
+    checked_in = os.path.abspath(report.RESULTS_DIR)
     monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
-    assert main(["table1", "fig10"]) == 0
+    assert main(["table1", "fig9", "fig10", "fig12"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "Figure 10" in out
-    assert (tmp_path / "table1_portability.txt").exists()
+    for name in ("table1_portability.txt", "fig9_stacksize.txt",
+                 "fig10_minswap.txt", "fig12_btmz.txt"):
+        with open(os.path.join(checked_in, name)) as fh:
+            assert (tmp_path / name).read_text() == fh.read(), name
 
 
 def test_api_docs_generator(tmp_path, monkeypatch):

@@ -59,4 +59,7 @@ def test_all_green_run_exits_zero(fake_experiments, capsys):
 
 def test_unknown_experiment_still_exits_2(fake_experiments, capsys):
     assert bench_main.main(["nope"]) == 2
-    assert "unknown experiment(s): nope" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    # Usage errors go to stderr so a piped report stream stays clean.
+    assert "unknown experiment(s): nope" in captured.err
+    assert captured.out == ""

@@ -6,8 +6,8 @@ subscribers), and the kernel has exactly one dispatch loop, so a
 once-observed run executes the same instruction stream as a
 never-observed one, every hook branch not taken.  The timing test is a
 loose sanity bound only — host timing on a shared CI container is
-noise; the dispatch cost itself is tracked by ``tools/bench_all.py``
-and, end to end, by ``perf/run.py``.
+noise; the dispatch cost itself is tracked, end to end, by
+``perf/run.py``.
 """
 
 import ast

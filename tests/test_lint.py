@@ -36,8 +36,7 @@ def test_gate_covers_the_whole_tree():
             "spec.py", "pool.py", "cache.py", "executor.py", "progress.py",
             "runners.py",
             # ... and the observability layer (OBS001's home turf)
-            "metrics.py", "collect.py", "report.py", "profile.py",
-            "benches.py",
+            "metrics.py", "collect.py", "report.py",
             # ... and the flows workload/compiler layer (FLW002's
             # contract surface: every body here must stay COMPILABLE)
             "compile.py", "compiled.py", "programs.py", "runtime.py",
@@ -81,15 +80,16 @@ def test_suppressions_stay_rare():
     """Suppressions are an escape hatch, not a lifestyle: keep them few
     and force a conscious bump here when one is added.
 
-    Current budget: 3 historical (MIG002/OBS001) + 1 FLW002 on the
-    runtime body wrapper + 13 DET001 on host-side diagnostics (sweep
-    wall-clock timings, worker shutdown grace, bench/profiler timers;
-    two former ProgressReporter sites retired when its clock became
-    injectable) — each carries a justification comment at the site.
+    Current budget, exact: 3 historical (MIG002 in
+    ``examples/stencil_sdag.py``, OBS001 on the PUP and platform
+    registries) + 1 FLW002 on the AMPI runtime body wrapper + 7 DET001
+    in ``repro.exec`` (2 sweep wall-clock timings in ``executor.py``,
+    3 per-cell durations and 2 worker-shutdown grace reads in
+    ``pool.py``) — each carries a justification comment at the site.
     """
     findings = analyze_paths(GATE_PATHS)
     suppressed = [f for f in findings if f.suppressed]
-    assert len(suppressed) <= 19, "\n".join(f.render() for f in suppressed)
+    assert len(suppressed) <= 11, "\n".join(f.render() for f in suppressed)
 
 
 def test_flow_rules_are_in_the_gate():
