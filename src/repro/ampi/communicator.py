@@ -1,13 +1,19 @@
-"""Sub-communicators: MPI_Comm_split over AMPI ranks.
+"""Communicators: MPI_COMM_WORLD, MPI_Comm_split and the collectives.
 
 A :class:`Communicator` is an ordered group of world ranks with its own
-rank numbering, tag namespace, and collective operations.  ``split`` is the
-standard MPI collective: ranks calling with the same ``color`` end up in
-one sub-communicator, ordered by ``key`` (ties by world rank).
+rank numbering, tag namespace, and collective operations — the one
+implementation of every collective, for the world
+(:attr:`AmpiContext.world <repro.ampi.context.AmpiContext.world>`, which
+the context's ``barrier``/``bcast``/... delegate to) and for
+sub-communicators alike.  ``split`` is the standard MPI collective: ranks
+calling with the same ``color`` end up in one sub-communicator, ordered
+by ``key`` (ties by world rank).
 
-Collectives here are implemented over the context's point-to-point layer
-with tags carrying the communicator id, so traffic on different
-communicators never cross-matches — pinned down by the tests.
+Collectives are built from the context's point-to-point messages with
+internal tags, so their traffic pays latency and bandwidth on the
+simulated network like everything else; the tags carry the communicator
+id, so traffic on different communicators never cross-matches — pinned
+down by the tests.
 """
 
 from __future__ import annotations
@@ -22,26 +28,60 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Communicator"]
 
+
+class _AnyTagOf:
+    """Tag pattern equal to every point-to-point tag of one communicator.
+
+    Stands where the runtime's matcher expects a tag: ``msg.tag != pattern``
+    falls through the tuple's own comparison to :meth:`__eq__` here, so a
+    wildcard receive on a communicator suspends in the ordinary matcher
+    and still never sees a sibling communicator's (or the world's) traffic.
+    """
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: Tuple):
+        self.prefix = prefix
+
+    def __eq__(self, tag: Any) -> bool:
+        return (isinstance(tag, tuple) and len(tag) == len(self.prefix) + 1
+                and tag[:-1] == self.prefix)
+
+    def __repr__(self) -> str:
+        return repr(self.prefix + ("*",))
+
+
 class Communicator:
     """An ordered group of world ranks with its own collectives.
+
+    Every member must call a collective, in the same order.  The tree
+    algorithms work on root-relative local ranks, so any size (not only
+    powers of two) and any root cost log2(size) rounds.
 
     Attributes
     ----------
     members:
-        World ranks in this communicator, in local-rank order.
+        World ranks in this communicator, in local-rank order (shared,
+        not copied: every rank's world holds the runtime's one list).
     rank:
         This process's local rank within the communicator.
     """
 
     def __init__(self, ctx: "AmpiContext", members: List[int],
-                 comm_id: int):
-        if ctx.rank not in members:
-            raise AmpiError(
-                f"world rank {ctx.rank} is not a member of this communicator")
+                 comm_id: Any):
+        try:
+            self.rank = members.index(ctx.rank)
+        except ValueError:
+            raise AmpiError(f"world rank {ctx.rank} is not a member of "
+                            f"this communicator") from None
         self.ctx = ctx
-        self.members = list(members)
+        self.members = members
         self.comm_id = comm_id
-        self.rank = self.members.index(ctx.rank)
+        #: Tag prefix of the collectives: the world (id 0) uses the bare
+        #: ``("__bc", seq)`` form its replay digests pin.
+        self._ns: Tuple = () if comm_id == 0 else ("__comm", comm_id)
+        #: Tag prefix of this communicator's point-to-point messages.
+        self._p2p: Tuple = ("__comm", comm_id, "p2p")
         self._seq = 0
         self._splits = 0
 
@@ -56,12 +96,10 @@ class Communicator:
             raise AmpiError(f"bad local rank {local} (size {self.size})")
         return self.members[local]
 
-    def _tag(self, kind: str, seq: int) -> Tuple:
-        return ("__comm", self.comm_id, kind, seq)
-
-    def _next(self) -> int:
+    def _tag(self, kind: str) -> Tuple:
+        """A fresh internal tag; members agree on it by calling order."""
         self._seq += 1
-        return self._seq
+        return self._ns + (kind, self._seq)
 
     # ------------------------------------------------------------------
     # point-to-point in local ranks
@@ -70,32 +108,20 @@ class Communicator:
     def send(self, dest: int, data: Any, tag: Any = 0,
              size_bytes: Optional[int] = None) -> None:
         """Send to a *local* rank of this communicator."""
-        self.ctx.send(self.world_rank(dest), data,
-                      tag=("__comm", self.comm_id, "p2p", tag),
+        self.ctx.send(self.world_rank(dest), data, tag=self._p2p + (tag,),
                       size_bytes=size_bytes)
 
     def recv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG,
              ) -> Generator[Any, Any, Any]:
-        """Receive from a *local* rank of this communicator."""
+        """Receive from a *local* rank of this communicator.
+
+        A wildcard ``tag`` matches this communicator's point-to-point
+        traffic only, and suspends until some arrives.
+        """
         world_src = (ANY_SOURCE if source == ANY_SOURCE
                      else self.world_rank(source))
-        match_tag = (ANY_TAG if tag == ANY_TAG
-                     else ("__comm", self.comm_id, "p2p", tag))
-        if match_tag == ANY_TAG:
-            # Constrain wildcard receives to this communicator's namespace
-            # by polling for a namespaced match.
-            while True:
-                for world in (self.members if world_src == ANY_SOURCE
-                              else [world_src]):
-                    for m in list(self.ctx.runtime._queues[self.ctx.rank]):
-                        if (m.src == world and isinstance(m.tag, tuple)
-                                and len(m.tag) == 4
-                                and m.tag[:3] == ("__comm", self.comm_id,
-                                                  "p2p")):
-                            got = yield from self.ctx.recv(source=m.src,
-                                                           tag=m.tag)
-                            return got
-                yield "yield"
+        match_tag = (_AnyTagOf(self._p2p) if tag == ANY_TAG
+                     else self._p2p + (tag,))
         out = yield from self.ctx.recv(source=world_src, tag=match_tag)
         return out
 
@@ -104,107 +130,121 @@ class Communicator:
     # ------------------------------------------------------------------
 
     def barrier(self) -> Generator[Any, Any, None]:
-        """Barrier over this communicator's members only."""
-        seq = self._next()
-        root = self.members[0]
-        if self.ctx.rank == root:
-            for _ in range(self.size - 1):
-                yield from self.ctx.recv(tag=self._tag("bar", seq))
-            for m in self.members[1:]:
-                self.ctx.send(m, None, tag=self._tag("rel", seq))
-        else:
-            self.ctx.send(root, None, tag=self._tag("bar", seq))
-            yield from self.ctx.recv(source=root, tag=self._tag("rel", seq))
+        """MPI_Barrier: binomial reduce-to-0 then binomial release.
+
+        2·log2(P) rounds instead of the linear gather a naive
+        implementation uses — the root never handles more than log2(P)
+        messages.
+        """
+        yield from self.reduce(0, op="sum", root=0)
+        yield from self.bcast(None, root=0)
 
     def bcast(self, data: Any, root: int = 0) -> Generator[Any, Any, Any]:
-        """Broadcast from local rank ``root``."""
-        seq = self._next()
-        root_world = self.world_rank(root)
-        if self.ctx.rank == root_world:
-            for m in self.members:
-                if m != root_world:
-                    self.ctx.send(m, data, tag=self._tag("bc", seq))
-            return data
-        out = yield from self.ctx.recv(source=root_world,
-                                       tag=self._tag("bc", seq))
-        return out
+        """MPI_Bcast: binomial-tree broadcast from local rank ``root``.
+
+        Round k: every rank that already has the value and whose
+        root-relative id is below 2^k forwards it 2^k ranks ahead —
+        log2(P) rounds, each rank sends at most log2(P) messages.
+        """
+        tag = self._tag("__bc")
+        size = self.size
+        members = self.members
+        me = (self.rank - root) % size
+        if me != 0:
+            parent_rel = me - (1 << (me.bit_length() - 1))
+            data = yield from self.ctx.recv(
+                source=members[(parent_rel + root) % size], tag=tag)
+        k = 1
+        while k < size:
+            if me < k and me + k < size:
+                self.ctx.send(members[(me + k + root) % size], data, tag=tag)
+            k <<= 1
+        return data
 
     def reduce(self, value: Any, op: str = "sum", root: int = 0,
                ) -> Generator[Any, Any, Any]:
-        """Reduce to local rank ``root``."""
-        seq = self._next()
-        root_world = self.world_rank(root)
-        if self.ctx.rank == root_world:
-            values: List[Tuple[int, Any]] = [(self.rank, value)]
-            for _ in range(self.size - 1):
-                msg = yield from self.ctx.recv_msg(tag=self._tag("red", seq))
-                values.append((self.members.index(msg.src), msg.data))
-            values.sort(key=lambda kv: kv[0])
-            return apply_op(op, [v for _, v in values])
-        self.ctx.send(root_world, value, tag=self._tag("red", seq))
-        return None
+        """MPI_Reduce: binomial-tree combine toward local rank ``root``.
+
+        Each rank combines its children's partials (in ascending child
+        order, so the fold order is deterministic) and forwards one
+        message to its parent — log2(P) rounds.
+        """
+        tag = self._tag("__red")
+        size = self.size
+        members = self.members
+        me = (self.rank - root) % size
+        acc = value
+        k = 1
+        while k < size:
+            if me & k:
+                self.ctx.send(members[(me - k + root) % size], acc, tag=tag)
+                return None
+            if me + k < size:
+                partial = yield from self.ctx.recv(
+                    source=members[(me + k + root) % size], tag=tag)
+                acc = apply_op(op, [acc, partial])
+            k <<= 1
+        return acc
 
     def allreduce(self, value: Any, op: str = "sum",
                   ) -> Generator[Any, Any, Any]:
-        """Allreduce over this communicator."""
+        """MPI_Allreduce: reduce to local rank 0, then broadcast."""
         partial = yield from self.reduce(value, op=op, root=0)
         out = yield from self.bcast(partial, root=0)
         return out
 
     def gather(self, value: Any, root: int = 0,
                ) -> Generator[Any, Any, Optional[List[Any]]]:
-        """Gather to local rank ``root`` in local-rank order."""
-        seq = self._next()
-        root_world = self.world_rank(root)
-        if self.ctx.rank == root_world:
-            out: List[Any] = [None] * self.size
-            out[self.rank] = value
-            for _ in range(self.size - 1):
-                msg = yield from self.ctx.recv_msg(tag=self._tag("gat", seq))
-                out[self.members.index(msg.src)] = msg.data
-            return out
-        self.ctx.send(root_world, value, tag=self._tag("gat", seq))
-        return None
+        """MPI_Gather: ``root`` returns the local-rank-ordered list,
+        others None."""
+        tag = self._tag("__gat")
+        if self.rank != root:
+            self.ctx.send(self.world_rank(root), value, tag=tag)
+            return None
+        local = {world: i for i, world in enumerate(self.members)}
+        out: List[Any] = [None] * self.size
+        out[root] = value
+        for _ in range(self.size - 1):
+            msg = yield from self.ctx.recv_msg(tag=tag)
+            out[local[msg.src]] = msg.data
+        return out
 
     def allgather(self, value: Any) -> Generator[Any, Any, List[Any]]:
-        """Allgather over this communicator."""
+        """MPI_Allgather: everyone gets the local-rank-ordered list."""
         gathered = yield from self.gather(value, root=0)
         out = yield from self.bcast(gathered, root=0)
         return out
 
     def scatter(self, values: Optional[List[Any]], root: int = 0,
                 ) -> Generator[Any, Any, Any]:
-        """Scatter from local rank ``root``: one value per member."""
-        seq = self._next()
-        root_world = self.world_rank(root)
-        if self.ctx.rank == root_world:
-            if values is None or len(values) != self.size:
-                raise AmpiError(
-                    f"scatter needs exactly {self.size} values at root")
-            for i, m in enumerate(self.members):
-                if m != root_world:
-                    self.ctx.send(m, values[i], tag=self._tag("sca", seq))
-            return values[self.rank]
-        out = yield from self.ctx.recv(source=root_world,
-                                       tag=self._tag("sca", seq))
-        return out
+        """MPI_Scatter: ``root`` distributes one value per member."""
+        tag = self._tag("__sca")
+        if self.rank != root:
+            out = yield from self.ctx.recv(source=self.world_rank(root),
+                                           tag=tag)
+            return out
+        if values is None or len(values) != self.size:
+            raise AmpiError(
+                f"scatter needs exactly {self.size} values at root")
+        for i, world in enumerate(self.members):
+            if i != root:
+                self.ctx.send(world, values[i], tag=tag)
+        return values[root]
 
     def alltoall(self, values: List[Any]) -> Generator[Any, Any, List[Any]]:
-        """All-to-all within this communicator (local-rank indexed)."""
-        seq = self._next()
+        """MPI_Alltoall: element j of my list goes to local rank j."""
+        tag = self._tag("__a2a")
         if len(values) != self.size:
             raise AmpiError(f"alltoall needs exactly {self.size} values")
-        for i, m in enumerate(self.members):
+        for i, world in enumerate(self.members):
             if i != self.rank:
-                self.ctx.send(m, values[i],
-                              tag=self._tag(("a2a", self.rank), seq))
+                self.ctx.send(world, values[i], tag=tag)
+        local = {world: i for i, world in enumerate(self.members)}
         out: List[Any] = [None] * self.size
         out[self.rank] = values[self.rank]
-        for i, m in enumerate(self.members):
-            if i != self.rank:
-                got = yield from self.ctx.recv(source=m,
-                                               tag=self._tag(("a2a", i), seq))
-                out[i] = got
+        for _ in range(self.size - 1):
+            msg = yield from self.ctx.recv_msg(tag=tag)
+            out[local[msg.src]] = msg.data
         return out
 
     # ------------------------------------------------------------------

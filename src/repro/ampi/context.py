@@ -2,18 +2,19 @@
 
 Every blocking operation is a generator to be invoked with ``yield from``
 inside the rank's main generator; non-blocking operations (``send``,
-``iprobe``) are plain methods.  Collectives are built from point-to-point
-messages with internal tags, so their traffic pays latency and bandwidth on
-the simulated network like everything else.
+``iprobe``) are plain methods.  The collectives delegate to the world
+:class:`~repro.ampi.communicator.Communicator`, their one implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import AmpiError
-from repro.ampi.datatypes import ANY_SOURCE, ANY_TAG, apply_op, wire_size
+from repro.ampi.communicator import Communicator
+from repro.ampi.datatypes import ANY_SOURCE, ANY_TAG, wire_size
 from repro.ampi.request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,8 +48,6 @@ class AmpiContext:
     def __init__(self, runtime: "AmpiRuntime", rank: int):
         self.runtime = runtime
         self.rank = rank
-        self._coll_seq = 0
-        self._world: Optional["Communicator"] = None
 
     @property
     def size(self) -> int:
@@ -60,17 +59,15 @@ class AmpiContext:
         """The migratable user-level thread running this rank."""
         return self.runtime.rank_thread[self.rank]
 
-    @property
-    def world(self) -> "Communicator":
+    @cached_property
+    def world(self) -> Communicator:
         """MPI_COMM_WORLD as a :class:`~repro.ampi.communicator.Communicator`.
 
-        The plain context methods (barrier, bcast, ...) already operate on
-        the world; this handle exists to call :meth:`Communicator.split`.
+        The plain context collectives (barrier, bcast, ...) are this
+        communicator's.  Built on first use: a rank that never calls a
+        collective never pays for it.
         """
-        from repro.ampi.communicator import Communicator
-        if self._world is None:
-            self._world = Communicator(self, list(range(self.size)), 0)
-        return self._world
+        return Communicator(self, self.runtime.world_members, 0)
 
     def comm_split(self, color: Any, key: Optional[int] = None):
         """MPI_Comm_split on the world (collective).  ``yield from`` it."""
@@ -92,25 +89,6 @@ class AmpiContext:
             raise AmpiError(f"send to bad rank {dest} (size {self.size})")
         size = wire_size(data) if size_bytes is None else size_bytes
         self.runtime._send(self.rank, dest, data, tag, size)
-
-    def send_many(self, items) -> None:
-        """Buffered send to several ranks in one call.
-
-        ``items`` is a sequence of ``(dest, data, tag, size_bytes)``
-        tuples (``size_bytes`` may be None to derive from the data).
-        Semantically a :meth:`send` loop — same charges, same message
-        order — but the runtime batches runs of off-processor messages
-        into one bulk network post, the producer-side fast path for
-        exchange patterns like BigSim's per-step ghost scatter.
-        """
-        prepared = []
-        for dest, data, tag, size_bytes in items:
-            if not 0 <= dest < self.size:
-                raise AmpiError(
-                    f"send to bad rank {dest} (size {self.size})")
-            size = wire_size(data) if size_bytes is None else size_bytes
-            prepared.append((dest, data, tag, size))
-        self.runtime._send_many(self.rank, prepared)
 
     def recv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG,
              ) -> Generator[Any, Any, Any]:
@@ -195,126 +173,44 @@ class AmpiContext:
         return self.runtime._peek(self.rank, source, tag)
 
     # ------------------------------------------------------------------
-    # collectives (every rank must call them in the same order)
+    # collectives: MPI_COMM_WORLD's, implemented once in Communicator
     # ------------------------------------------------------------------
 
-    def _seq(self) -> int:
-        self._coll_seq += 1
-        return self._coll_seq
-
     def barrier(self) -> Generator[Any, Any, None]:
-        """MPI_Barrier: binomial reduce-to-0 then binomial release.
-
-        2·log2(P) rounds instead of the linear gather a naive
-        implementation uses — the root never handles more than log2(P)
-        messages.
-        """
-        yield from self.reduce(0, op="sum", root=0)
-        yield from self.bcast(None, root=0)
+        """MPI_Barrier over the world."""
+        yield from self.world.barrier()
 
     def bcast(self, data: Any, root: int = 0) -> Generator[Any, Any, Any]:
-        """MPI_Bcast: binomial-tree broadcast from ``root``.
-
-        Round k: every rank that already has the value and whose
-        root-relative id is below 2^k forwards it 2^k ranks ahead —
-        log2(P) rounds, each rank sends at most log2(P) messages.
-        """
-        seq = self._seq()
-        size = self.size
-        me = (self.rank - root) % size
-        if me != 0:
-            parent_rel = me - (1 << (me.bit_length() - 1))
-            parent = (parent_rel + root) % size
-            data = yield from self.recv(source=parent, tag=("__bc", seq))
-        k = 1
-        while k < size:
-            if me < k and me + k < size:
-                self.send((me + k + root) % size, data, tag=("__bc", seq))
-            k <<= 1
-        return data
+        """MPI_Bcast: binomial-tree broadcast from ``root``."""
+        return (yield from self.world.bcast(data, root))
 
     def reduce(self, value: Any, op: str = "sum", root: int = 0,
                ) -> Generator[Any, Any, Any]:
-        """MPI_Reduce: binomial-tree combine toward ``root``.
-
-        Each rank combines its children's partials (in ascending child
-        order, so the fold order is deterministic) and forwards one
-        message to its parent — log2(P) rounds.
-        """
-        seq = self._seq()
-        size = self.size
-        me = (self.rank - root) % size
-        acc = value
-        k = 1
-        while k < size:
-            if me & k:
-                parent = ((me - k) + root) % size
-                self.send(parent, acc, tag=("__red", seq))
-                return None
-            if me + k < size:
-                child = ((me + k) + root) % size
-                partial = yield from self.recv(source=child,
-                                               tag=("__red", seq))
-                acc = apply_op(op, [acc, partial])
-            k <<= 1
-        return acc
+        """MPI_Reduce: binomial-tree combine toward ``root``."""
+        return (yield from self.world.reduce(value, op, root))
 
     def allreduce(self, value: Any, op: str = "sum",
                   ) -> Generator[Any, Any, Any]:
         """MPI_Allreduce: reduce to rank 0, then broadcast."""
-        partial = yield from self.reduce(value, op=op, root=0)
-        out = yield from self.bcast(partial, root=0)
-        return out
+        return (yield from self.world.allreduce(value, op))
 
     def gather(self, value: Any, root: int = 0,
                ) -> Generator[Any, Any, Optional[List[Any]]]:
         """MPI_Gather: root returns the rank-ordered list, others None."""
-        seq = self._seq()
-        if self.rank == root:
-            out: List[Any] = [None] * self.size
-            out[self.rank] = value
-            for _ in range(self.size - 1):
-                msg = yield from self.recv_msg(tag=("__gat", seq))
-                out[msg.src] = msg.data
-            return out
-        self.send(root, value, tag=("__gat", seq))
-        return None
+        return (yield from self.world.gather(value, root))
 
     def allgather(self, value: Any) -> Generator[Any, Any, List[Any]]:
         """MPI_Allgather: everyone gets the rank-ordered list."""
-        gathered = yield from self.gather(value, root=0)
-        out = yield from self.bcast(gathered, root=0)
-        return out
+        return (yield from self.world.allgather(value))
 
     def scatter(self, values: Optional[List[Any]], root: int = 0,
                 ) -> Generator[Any, Any, Any]:
         """MPI_Scatter: root distributes one value per rank."""
-        seq = self._seq()
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise AmpiError(
-                    f"scatter needs exactly {self.size} values at root")
-            for r in range(self.size):
-                if r != root:
-                    self.send(r, values[r], tag=("__sca", seq))
-            return values[root]
-        out = yield from self.recv(source=root, tag=("__sca", seq))
-        return out
+        return (yield from self.world.scatter(values, root))
 
     def alltoall(self, values: List[Any]) -> Generator[Any, Any, List[Any]]:
         """MPI_Alltoall: element j of my list goes to rank j."""
-        seq = self._seq()
-        if len(values) != self.size:
-            raise AmpiError(f"alltoall needs exactly {self.size} values")
-        for r in range(self.size):
-            if r != self.rank:
-                self.send(r, values[r], tag=("__a2a", seq))
-        out: List[Any] = [None] * self.size
-        out[self.rank] = values[self.rank]
-        for _ in range(self.size - 1):
-            msg = yield from self.recv_msg(tag=("__a2a", seq))
-            out[msg.src] = msg.data
-        return out
+        return (yield from self.world.alltoall(values))
 
     # ------------------------------------------------------------------
     # scheduling, time, and migration

@@ -73,6 +73,9 @@ class AmpiRuntime:
         if num_ranks <= 0:
             raise AmpiError("need at least one rank")
         self.num_ranks = num_ranks
+        #: MPI_COMM_WORLD's member list, shared by every rank's world
+        #: communicator (one list, not one per rank).
+        self.world_members: List[int] = list(range(num_ranks))
         self.main = main
         layout = self.cluster.platform.layout()
         self.arena = IsomallocArena(layout, npes, slot_bytes=slot_bytes)
@@ -191,34 +194,6 @@ class AmpiRuntime:
             self._enqueue(msg)
         else:
             self.cluster.send(src_pe, dst_pe, msg, size_bytes=size, tag=_TAG)
-
-    def _send_many(self, src_rank: int, items) -> None:
-        """Send ``(dst_rank, data, tag, size)`` items, batching network hops.
-
-        Order-equivalent to a :meth:`_send` loop: same-PE messages still
-        charge and enqueue inline at their position (a local delivery can
-        complete a posted receive, and its charge advances the clock that
-        stamps every later send), while runs of *consecutive* off-PE
-        messages go through :meth:`Cluster.send_batch`, which posts all
-        their arrivals in one kernel batch.
-        """
-        src_pe = self.rank_pe(src_rank)
-        pending = []  # consecutive cross-PE (dst_pe, msg, size) triples
-        for dst_rank, data, tag, size in items:
-            msg = AmpiMessage(src=src_rank, dst=dst_rank, tag=tag,
-                              data=data, size_bytes=size)
-            dst_pe = self.rank_pe(dst_rank)
-            if src_pe == dst_pe:
-                if pending:
-                    self.cluster.send_batch(src_pe, pending, tag=_TAG)
-                    pending = []
-                self.cluster[src_pe].charge(
-                    self.cluster.platform.event_dispatch_ns)
-                self._enqueue(msg)
-            else:
-                pending.append((dst_pe, msg, size))
-        if pending:
-            self.cluster.send_batch(src_pe, pending, tag=_TAG)
 
     def _on_message(self, cluster_msg: Message) -> None:
         msg: AmpiMessage = cluster_msg.payload

@@ -114,8 +114,8 @@ class BigSimEngine:
             # 2. ghost exchange with target-time stamping; the message
             # carries its own size so the receiver prices the transfer
             # with the *sender's* ghost volume.
-            mpi.send_many([(n, (tclock, ghost), ("ghost", step, cell),
-                            ghost) for n in neighbors])
+            for n in neighbors:
+                mpi.send(n, (tclock, ghost), ("ghost", step, cell), ghost)
             for n in neighbors:
                 sender_t, sender_bytes = yield from mpi.recv(
                     source=n, tag=("ghost", step, n))

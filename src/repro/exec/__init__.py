@@ -24,8 +24,7 @@ processes: nothing a cell needs lives anywhere but its spec.
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
 from repro.exec.pool import (LocalPool, SerialBackend, backend_from_spec,
-                             backend_names, make_backend, register_backend,
-                             run_cell)
+                             backend_names, make_backend, run_cell)
 from repro.exec.progress import EXEC_CHANNELS, ProgressReporter
 from repro.exec.runners import (chaos_result_row, fault_config_params,
                                 run_bench_cell, run_chaos_cell)
@@ -35,7 +34,7 @@ __all__ = [
     "Cell", "CellResult", "SweepSpec", "resolve_runner",
     "ResultCache",
     "SerialBackend", "LocalPool", "make_backend", "run_cell",
-    "register_backend", "backend_from_spec", "backend_names",
+    "backend_from_spec", "backend_names",
     "EXEC_CHANNELS", "ProgressReporter",
     "SweepExecutor",
     "chaos_result_row", "fault_config_params", "run_chaos_cell",

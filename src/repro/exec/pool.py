@@ -38,7 +38,7 @@ from repro.errors import ReproError
 from repro.exec.spec import Cell, CellResult, resolve_runner
 
 __all__ = ["SerialBackend", "LocalPool", "make_backend", "run_cell",
-           "register_backend", "backend_from_spec", "backend_names"]
+           "backend_from_spec", "backend_names"]
 
 #: notify callback: ``notify(event, payload_dict)``.
 Notify = Callable[[str, dict], None]
@@ -301,26 +301,11 @@ def _make_local(jobs: Optional[int]):
     return LocalPool(jobs=jobs)
 
 
-#: The pluggable backend registry: name -> ``factory(jobs) -> backend``.
-#: Populated once at import with the two in-tree backends; a multi-host
-#: backend registers here without the service or CLI changing.
+#: The backend table: name -> ``factory(jobs) -> backend``.
 _BACKENDS: Dict[str, Callable] = {
     "serial": _make_serial,
     "local": _make_local,
 }
-
-
-def register_backend(name: str, factory: Callable) -> None:
-    """Register ``factory(jobs) -> backend`` under ``name``.
-
-    Factories must return objects honouring the ``run(cells,
-    warmup_runners, notify, on_result=None)`` contract.  Re-registering
-    a taken name is an error — silently shadowing ``serial`` would
-    change what ``--jobs 1`` means.
-    """
-    if name in _BACKENDS:
-        raise ReproError(f"backend {name!r} is already registered")
-    _BACKENDS[name] = factory
 
 
 def backend_names() -> List[str]:

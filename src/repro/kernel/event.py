@@ -82,7 +82,7 @@ __all__ = ["KernelEvent", "EventKernel"]
 
 #: Sweep cancelled slots out of storage once at least this many are
 #: stale *and* they make up half the physical queue — amortized O(1)
-#: per cancel.  (Per-call ``cancel_slot`` only evaluates the threshold
+#: per cancel.  (``cancel_slot`` only evaluates the threshold
 #: every 8th cancel, so compaction may lag by up to 7 slots.)
 _SWEEP_MIN_STALE = 64
 
@@ -276,8 +276,7 @@ class EventKernel:
                    args: tuple = (), category: str = "",
                    flow: Optional[str] = None,
                    args_list: Optional[List[tuple]] = None,
-                   flows: Optional[List[Optional[str]]] = None,
-                   fns: Optional[List[Callable[..., Any]]] = None
+                   flows: Optional[List[Optional[str]]] = None
                    ) -> List[list]:
         """Queue one event per entry of ``times``, all sharing
         ``fn``/``args``/labels; returns the raw slots in posted order.
@@ -287,17 +286,14 @@ class EventKernel:
         causality check one C-level ``min()`` scan, so per-event cost is
         a fraction of :meth:`schedule`.
 
-        ``args_list`` / ``flows`` / ``fns`` optionally carry one entry
-        per event (parallel to ``times``), overriding the shared
-        ``args`` / ``flow`` / ``fn``.  The batched producers (cluster
-        sends, POSE delivery, flow seeding) need per-event payloads,
-        flow labels, and — for multi-destination send batches — the
-        per-receiver ``deliver`` bound method, while still paying batch
-        ingress cost; the homogeneous path is untouched when all three
-        are None.
+        ``args_list`` / ``flows`` optionally carry one entry per event
+        (parallel to ``times``), overriding the shared ``args`` /
+        ``flow``: flow seeding and barrier release need per-event
+        payloads and flow labels while still paying batch ingress cost;
+        the homogeneous path is untouched when both are None.
         """
         seq = self._seq
-        if args_list is None and flows is None and fns is None:
+        if args_list is None and flows is None:
             items = [[t, s, 0, fn, args, category, flow, None]
                      for s, t in enumerate(times, seq)]
         else:
@@ -306,17 +302,14 @@ class EventKernel:
                 args_list = [args] * len(times)
             if flows is None:
                 flows = [flow] * len(times)
-            if fns is None:
-                fns = [fn] * len(times)
-            if (len(args_list) != len(times) or len(flows) != len(times)
-                    or len(fns) != len(times)):
+            if len(args_list) != len(times) or len(flows) != len(times):
                 raise ReproError(
-                    f"post_batch: args_list/flows/fns must parallel "
+                    f"post_batch: args_list/flows must parallel "
                     f"times ({len(times)} times, {len(args_list)} args, "
-                    f"{len(flows)} flows, {len(fns)} fns)")
-            items = [[t, s, 0, f, a, category, fl, None]
-                     for s, (t, f, a, fl) in enumerate(
-                         zip(times, fns, args_list, flows), seq)]
+                    f"{len(flows)} flows)")
+            items = [[t, s, 0, fn, a, category, fl, None]
+                     for s, (t, a, fl) in enumerate(
+                         zip(times, args_list, flows), seq)]
         if not items:
             return items
         if self.causality and min(items)[_TIME] < self.current_time:
@@ -363,29 +356,6 @@ class EventKernel:
                 and s * 2 >= len(self._data) + len(self._batch)):
             self._compact()
         return True
-
-    def cancel_slots(self, items: Iterable[list]) -> int:
-        """Bulk-cancel slots (POSE rollback, timer storms); returns the
-        number that were still live."""
-        n = 0
-        hooks = self.hooks
-        hot = hooks.hot and hooks.on_cancel
-        for item in items:
-            if item[_STATE]:
-                continue
-            item[_STATE] = 1
-            n += 1
-            if hot:
-                ev = item[_HANDLE] or self._handle(item)
-                for h in hooks.on_cancel:
-                    h(self, ev)
-        if n:
-            self._ncancelled += n
-            self._stale_est = s = self._stale_est + n
-            if (s >= _SWEEP_MIN_STALE
-                    and s * 2 >= len(self._data) + len(self._batch)):
-                self._compact()
-        return n
 
     def _compact(self) -> None:
         """Drop stale (cancelled/fired) slots from both containers.

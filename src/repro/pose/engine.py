@@ -200,45 +200,6 @@ class PoseEngine:
             self.cluster.send(src_pe, dst_pe, ev, size_bytes=64 + ev.uid % 7,
                               tag=_TAG)
 
-    def _send_many(self, src_pe: int, evs: List[_Event]) -> None:
-        """Send a run of events, batching consecutive local deliveries.
-
-        A remote send charges the sender's clock (shifting the delivery
-        time of everything after it), so only *consecutive* local
-        deliveries may share one batched post — the pending run is
-        flushed before every remote hop.
-        """
-        pending: List[_Event] = []
-        for ev in evs:
-            if ev.dst not in self._posers:
-                raise ReproError(f"event for unknown poser {ev.dst!r}")
-            if not ev.anti:
-                self._in_flight[ev.uid] = ev.vt
-            if self._pe[ev.dst] == src_pe:
-                pending.append(ev)
-            else:
-                self._flush_local(src_pe, pending)
-                self.cluster.send(src_pe, self._pe[ev.dst], ev,
-                                  size_bytes=64 + ev.uid % 7, tag=_TAG)
-        self._flush_local(src_pe, pending)
-
-    def _flush_local(self, pe: int, pending: List[_Event]) -> None:
-        if not pending:
-            return
-        if len(pending) == 1:
-            # A batch of one pays the trampoline without the ingress
-            # saving; the plain timer path is cheaper and trace-identical.
-            ev = pending.pop()
-            self.cluster.after(pe, self.cluster.platform.event_dispatch_ns,
-                               self._deliver, ev,
-                               category="pose.deliver", flow=ev.dst)
-            return
-        self.cluster.post_after_batch(
-            pe, self.cluster.platform.event_dispatch_ns, self._deliver,
-            [(ev,) for ev in pending], category="pose.deliver",
-            flows=[ev.dst for ev in pending])
-        pending.clear()
-
     def _on_message(self, msg: Message) -> None:
         self._deliver(msg.payload)
 
@@ -287,7 +248,8 @@ class PoseEngine:
                     f"{ev.dst}: event delay must be positive, got {delay}")
             record.outputs.append(
                 _Event(ev.vt + delay, next(self._uid), dst, name, data))
-        self._send_many(pe, record.outputs)
+        for out in record.outputs:
+            self._send(pe, out)
         self._history[ev.dst].append(record)
         self._in_flight.pop(ev.uid, None)
         self.events_processed += 1
@@ -309,18 +271,16 @@ class PoseEngine:
         self._posers[poser_id] = restored
         self._lvt[poser_id] = oldest.vt_before
         pe = self._pe[poser_id]
-        resends: List[_Event] = []
         for record in undone:
             # Cancel this record's outputs with antimessages...
             for out in record.outputs:
                 self.antimessages += 1
-                resends.append(_Event(out.vt, out.uid, out.dst, out.name,
+                self._send(pe, _Event(out.vt, out.uid, out.dst, out.name,
                                       None, anti=True))
             # ...and re-enqueue its own event for re-execution (except the
             # straggler's successors are re-delivered; the events
             # themselves are still valid inputs).
-            resends.append(record.event)
-        self._send_many(pe, resends)
+            self._send(pe, record.event)
 
     def _handle_anti(self, ev: _Event) -> None:
         """An antimessage annihilates its positive twin, wherever it is.

@@ -109,84 +109,6 @@ class Cluster:
             post(t, deliver, (msg, t), category, flow)
         return msg
 
-    def send_batch(self, src: int, items, tag: str = "") -> List[Message]:
-        """Send several messages from ``src``, posting arrivals in bulk.
-
-        ``items`` is a sequence of ``(dst, payload, size_bytes)``
-        triples.  Per-message bookkeeping — failure checks, sender
-        charge, message ids, delivery times, the chaos ``net.send``
-        filter — runs in exactly the order the equivalent :meth:`send`
-        loop would (so send timestamps, message ids, and injected-chaos
-        RNG draws are byte-identical), but all arrival events enter the
-        kernel through one :meth:`~repro.kernel.EventKernel.post_batch`
-        call, paying batch ingress instead of per-event ``post`` cost.
-        Returns the messages in send order.
-        """
-        items = items if isinstance(items, list) else list(items)
-        if len(items) == 1:
-            dst, payload, size_bytes = items[0]
-            return [self.send(src, dst, payload, size_bytes, tag=tag)]
-        sender = self.processors[src]
-        if sender.failed:
-            # Nothing dispatches during the loop, so the sender cannot
-            # fail partway through: check once.
-            raise CommError(f"failed processor {src} cannot send")
-        procs = self.processors
-        nprocs = len(procs)
-        per_msg_ns = self.network.per_message_cpu_ns
-        delivery_time = self.network.delivery_time
-        charge = sender.charge
-        trace = self.message_trace
-        hook_filter = self.queue.hooks.filter
-        flow_labels = self._flow_labels
-        cur = self.queue.current_time  # frozen for the whole loop
-        msg_id = self._next_msg_id
-        times: List[float] = []
-        fns: List[Callable[..., Any]] = []
-        args_list: List[tuple] = []
-        flows: List[str] = []
-        msgs: List[Message] = []
-        for dst, payload, size_bytes in items:
-            if not 0 <= dst < nprocs:
-                raise ReproError(f"bad destination processor {dst}")
-            receiver = procs[dst]
-            if receiver.failed:
-                raise CommError(f"send to failed processor {dst} "
-                                f"(tag={tag!r})")
-            charge(per_msg_ns)
-            msg_id += 1
-            msg = Message(src=src, dst=dst, payload=payload,
-                          size_bytes=size_bytes, tag=tag,
-                          send_time=sender.now, msg_id=msg_id)
-            arrival = delivery_time(sender.now, size_bytes, src=src,
-                                    dst=dst)
-            if arrival < cur:
-                arrival = cur
-            sender.messages_sent += 1
-            sender.bytes_sent += size_bytes
-            if trace is not None:
-                trace.append((msg.send_time, src, dst, tag, size_bytes))
-            arrivals = hook_filter("net.send", [arrival], msg=msg)
-            flow = flow_labels.get(dst)
-            if flow is None:
-                flow = flow_labels[dst] = f"pe{dst}"
-            deliver = receiver.deliver
-            for t in arrivals:
-                if t < cur:
-                    t = cur
-                times.append(t)
-                fns.append(deliver)
-                args_list.append((msg, t))
-                flows.append(flow)
-            msgs.append(msg)
-        self._next_msg_id = msg_id
-        category = self._net_categories.get(tag)
-        if category is None:
-            category = self._net_categories[tag] = f"net.{tag or 'raw'}"
-        self.queue.post_batch(times, None, category=category,
-                              args_list=args_list, flows=flows, fns=fns)
-        return msgs
-
     def at(self, proc_id: int, time: float, fn: Callable[..., Any],
            *args: Any, category: str = "timer",
            flow: Optional[str] = None) -> KernelEvent:
@@ -209,41 +131,6 @@ class Cluster:
         proc = self.processors[proc_id]
         return self.at(proc_id, proc.now + delay_ns, fn, *args,
                        category=category, flow=flow)
-
-    def post_after_batch(self, proc_id: int, delay_ns: float,
-                         fn: Callable[..., Any], args_list,
-                         category: str = "timer",
-                         flows: Optional[List[str]] = None) -> list:
-        """Schedule ``fn(*args)`` for every ``args`` in ``args_list`` on
-        ``proc_id``, all after the same ``delay_ns`` of its local time.
-
-        The batch analogue of calling :meth:`after` once per entry with
-        no work charged in between (which is when the per-call times
-        would coincide anyway): one shared trampoline advances the
-        processor clock exactly like :meth:`at`'s closure and keeps the
-        wrapped function's ``__qualname__`` so kernel traces show the
-        same dispatch site, while all events enter via ``post_batch``.
-        ``flows`` optionally labels each event; default ``pe<proc_id>``.
-        """
-        proc = self.processors[proc_id]
-        time = proc.now + delay_ns
-
-        def fire(*args):
-            proc.clock.advance_to(time)
-            fn(*args)
-
-        fire.__qualname__ = getattr(fn, "__qualname__",
-                                    "Cluster.post_after_batch.fire")
-        t = max(time, self.queue.current_time)
-        args_list = list(args_list)
-        if flows is None:
-            flow = self._flow_labels.get(proc_id)
-            if flow is None:
-                flow = self._flow_labels[proc_id] = f"pe{proc_id}"
-            flows = [flow] * len(args_list)
-        return self.queue.post_batch([t] * len(args_list), fire,
-                                     category=category,
-                                     args_list=args_list, flows=flows)
 
     # -- execution ----------------------------------------------------------
 

@@ -1,5 +1,11 @@
 """Tests for communicators and MPI_Comm_split."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.ampi import AmpiRuntime
@@ -196,3 +202,39 @@ def test_subcomm_scatter_and_alltoall():
         local = group.index(r)
         assert piece == f"{group[0]}->{local}"
         assert a2a == [(src, local) for src in group]
+
+
+_WILDCARD_RECV = textwrap.dedent("""
+    import json
+    from repro.ampi import AmpiRuntime
+
+    got = []
+
+    def main(mpi):
+        a = yield from mpi.comm_split(0)
+        b = yield from mpi.comm_split(0)    # sibling: same members, own tags
+        if mpi.rank == 1:                   # on the other processor
+            b.send(0, "on-b", tag=3)
+            mpi.charge(50_000)
+            a.send(0, "on-a", tag=7)
+        else:
+            got.append((yield from a.recv()))           # ANY_SOURCE, ANY_TAG
+            got.append((yield from b.recv(source=1)))   # source=k, ANY_TAG
+
+    AmpiRuntime(2, 2, main).run()
+    print(json.dumps(got))
+""")
+
+
+def test_wildcard_recv_suspends_until_its_communicator_has_traffic():
+    """A wildcard-tag receive on a sub-communicator whose sender lives on
+    another processor must suspend, not poll: a polling rank keeps its
+    scheduler busy forever, the network never drains, and the host hangs
+    (hence the subprocess and its timeout).  The sibling communicator's
+    earlier message must stay queued for its own receive."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _WILDCARD_RECV],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["on-a", "on-b"]

@@ -242,22 +242,3 @@ def test_post_batch_matches_reference_time_order():
     fast.post_batch(times, lambda: fast_log.append(fast.current_time))
     assert ref.run() == fast.run() == 500
     assert ref_log == fast_log
-
-
-def test_cancel_slots_matches_reference_cancels():
-    """Bulk slot cancellation drains like per-event ref cancels."""
-    times = [float(i % 23) for i in range(300)]
-    ref, fast = RefKernel(name="diff"), FastKernel(name="diff")
-    ref_log, fast_log = [], []
-    evs = [ref.schedule(t, ref_log.append, i)
-           for i, t in enumerate(times)]
-    for ev in evs[::3]:
-        ev.cancel()
-    items = []
-    for i, t in enumerate(times):
-        items.append(fast.post(t, fast_log.append, (i,)))
-    assert fast.cancel_slots(items[::3]) == len(evs[::3])
-    assert fast.cancel_slots(items[::3]) == 0      # idempotent
-    assert ref.run() == fast.run()
-    assert ref_log == fast_log
-    assert len(ref) == len(fast) == 0

@@ -65,7 +65,7 @@ def test_100k_cancel_storm_drains_flat():
     n = 100_000
     k = EventKernel(name="scale-cancel")
     items = k.post_batch([float(i % 89) for i in range(n)], _nop)
-    assert k.cancel_slots(items[::2]) == n // 2
+    assert sum(map(k.cancel_slot, items[::2])) == n // 2
     assert len(k) == n // 2
     t0 = time.perf_counter()
     assert k.run() == n // 2

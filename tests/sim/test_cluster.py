@@ -1,7 +1,11 @@
 """Tests for processors, kernel model, network, and cluster DES."""
 
+import ast
+import inspect
+
 import pytest
 
+import repro.sim.cluster
 from repro.errors import ProcessLimitExceeded, ReproError, ThreadLimitExceeded
 from repro.sim import Cluster, Network, get_platform
 from repro.sim.processor import KernelModel, Processor
@@ -163,3 +167,15 @@ def test_format_trace_empty():
     cl = Cluster(1)
     cl.enable_tracing()
     assert "no messages" in cl.format_trace()
+
+
+def test_cluster_has_a_single_send_path():
+    """Exactly one function in ``sim/cluster.py`` consults the
+    ``net.send`` filter channel, so every message meets the chaos
+    injector on the same road and a second send path cannot return."""
+    tree = ast.parse(inspect.getsource(repro.sim.cluster))
+    consulting = sorted({
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and node.value == "net.send"})
+    assert consulting == ["send"]
