@@ -9,8 +9,7 @@ and reports effective speedup per technique.
 from repro.bench.report import emit, render_series
 from repro.core.isomalloc import IsomallocArena
 from repro.core.smp import SmpRunner
-from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
-                               StackCopyStacks)
+from repro.core.stacks import make_stack_manager
 from repro.core.stacks_ext import MultiSlotAliasStacks
 from repro.sim import Processor, get_platform
 
@@ -21,18 +20,14 @@ WORK = [400_000.0] * 32
 def run(technique, cores):
     proc = Processor(0, get_platform("linux_x86"))
     profile = proc.profile
-    if technique == "isomalloc":
-        arena = IsomallocArena(proc.layout, 1, slot_bytes=128 * 1024)
-        mgr = IsomallocStacks(proc.space, profile, arena, 0,
-                              stack_bytes=8 * 1024)
-    elif technique == "stack_copy":
-        mgr = StackCopyStacks(proc.space, profile, stack_bytes=8 * 1024)
-    elif technique.startswith("alias_k"):
+    if technique.startswith("alias_k"):
         mgr = MultiSlotAliasStacks(proc.space, profile,
                                    stack_bytes=8 * 1024,
                                    slots=int(technique.split("=")[1]))
     else:
-        mgr = MemoryAliasStacks(proc.space, profile, stack_bytes=8 * 1024)
+        arena = IsomallocArena(proc.layout, 1, slot_bytes=128 * 1024)
+        mgr = make_stack_manager(technique, proc.space, profile, 8 * 1024,
+                                 arena)
     return SmpRunner(profile, mgr, cores=cores).run_batch(WORK)
 
 

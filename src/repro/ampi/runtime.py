@@ -15,8 +15,7 @@ from repro.core.checkpoint import Checkpointer
 from repro.core.isomalloc import IsomallocArena
 from repro.core.scheduler import CthScheduler
 from repro.core.migration import ThreadMigrator
-from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
-                               StackCopyStacks)
+from repro.core.stacks import make_stack_manager
 from repro.core.swapglobal import GlobalRegistry
 from repro.core.thread import ThreadState, UThread
 from repro.sim.cluster import Cluster
@@ -82,17 +81,8 @@ class AmpiRuntime:
         self.schedulers: List[CthScheduler] = []
         for pe in range(npes):
             proc = self.cluster[pe]
-            if technique == "isomalloc":
-                mgr = IsomallocStacks(proc.space, proc.profile, self.arena,
-                                      pe, stack_bytes=stack_bytes)
-            elif technique == "stack_copy":
-                mgr = StackCopyStacks(proc.space, proc.profile,
-                                      stack_bytes=stack_bytes)
-            elif technique == "memory_alias":
-                mgr = MemoryAliasStacks(proc.space, proc.profile,
-                                        stack_bytes=stack_bytes)
-            else:
-                raise AmpiError(f"unknown stack technique {technique!r}")
+            mgr = make_stack_manager(technique, proc.space, proc.profile,
+                                     stack_bytes, self.arena, pe)
             registry = None
             if globals_decl:
                 registry = GlobalRegistry(proc.space)
@@ -400,7 +390,7 @@ class AmpiRuntime:
                 return
             progressed = False
             for sched in self.schedulers:
-                if sched.ready:
+                if not sched.kernel.empty:
                     sched.run()
                     progressed = True
             if not self.cluster.queue.empty:

@@ -56,10 +56,10 @@ def classify_yield(node: ast.expr) -> Tuple[str, Optional[str]]:
     * ``"directive"`` — a recognised scheduler directive (``"yield"``,
       ``"suspend"``, ``"exit"``, or an ``("io", ns)`` tuple), with
       *directive* naming which one;
-    * ``"bare"`` — any other yielded value.  The scheduler forwards
-      unknown directives to ``directive_handler`` (the AMPI layer), so
-      a bare yield in a plain thread body is a protocol bug and an
-      unconditional compilation blocker.
+    * ``"bare"`` — any other yielded value.  The scheduler raises
+      ``SchedulerError`` on an unknown directive, so a bare yield in a
+      thread body is a protocol bug and an unconditional compilation
+      blocker.
     """
     if isinstance(node, ast.YieldFrom):
         return "delegate", None

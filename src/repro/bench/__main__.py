@@ -147,7 +147,7 @@ EXPERIMENTS = {
 def main(argv: list[str]) -> int:
     """CLI entry point; returns a process exit code."""
     from repro.exec import (Cell, ProgressReporter, SweepExecutor,
-                            SweepSpec, make_backend)
+                            SweepSpec, backend_from_spec)
 
     ap = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -175,7 +175,9 @@ def main(argv: list[str]) -> int:
                   params={"experiment": name})
              for name in wanted]
     executor = SweepExecutor(SweepSpec("bench", cells),
-                             backend=make_backend(args.jobs))
+                             backend=backend_from_spec(
+                                 "serial" if args.jobs == 1
+                                 else f"local:{args.jobs}"))
     reporter = ProgressReporter(executor.hooks)
     try:
         results = {r.cell_id: r for r in executor.run()}

@@ -9,8 +9,7 @@ from repro.balance.strategies import GreedyLB, NullLB
 from repro.bigsim import BigSimEngine, TargetMachine
 from repro.core.context import SWAP32, SWAP64
 from repro.core.isomalloc import IsomallocArena
-from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
-                               StackCopyStacks)
+from repro.core.stacks import make_stack_manager
 from repro.errors import OSLimitError, OutOfPhysicalMemory, \
     OutOfVirtualAddressSpace, ReproError
 from repro.flows import (AmpiThreadFlow, KernelThreadFlow, ProcessFlow,
@@ -143,16 +142,10 @@ def stack_size_series(platform_name: str = "linux_x86",
     for size in sizes:
         for technique in out:
             proc = Processor(0, profile)
-            if technique == "isomalloc":
-                arena = IsomallocArena(proc.layout, 1,
-                                       slot_bytes=2 * size + 64 * 1024)
-                mgr = IsomallocStacks(proc.space, profile, arena, 0,
-                                      stack_bytes=size)
-            elif technique == "stack_copy":
-                mgr = StackCopyStacks(proc.space, profile, stack_bytes=size)
-            else:
-                mgr = MemoryAliasStacks(proc.space, profile,
-                                        stack_bytes=size)
+            arena = IsomallocArena(proc.layout, 1,
+                                   slot_bytes=2 * size + 64 * 1024)
+            mgr = make_stack_manager(technique, proc.space, profile, size,
+                                     arena)
             a, b = mgr.create_stack(), mgr.create_stack()
             a.consume(size)
             b.consume(size)

@@ -22,7 +22,8 @@ from repro.core.pup import (PackingPupper, Puppable, PupError, SizingPupper,
 from repro.core.swapglobal import GlobalRegistry, GlobalOffsetTable
 from repro.core.isomalloc import IsomallocArena, IsomallocSlot
 from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
-                               StackCopyStacks, StackManager)
+                               StackCopyStacks, StackManager,
+                               make_stack_manager)
 from repro.core.stacks_ext import MultiSlotAliasStacks
 from repro.core.thread import ThreadState, UThread
 from repro.core.scheduler import CthScheduler
@@ -51,6 +52,7 @@ __all__ = [
     "StackCopyStacks",
     "IsomallocStacks",
     "MemoryAliasStacks",
+    "make_stack_manager",
     "MultiSlotAliasStacks",
     "ThreadState",
     "UThread",

@@ -177,7 +177,7 @@ class Checkpointer:
             thread.got.storage_addrs = list(image["got_storage"] or [])
         dst_sched.adopt(thread, image["saved_sp"])
         # Restores come back suspended; the caller decides when to resume.
-        dst_sched.ready.remove(thread)
+        dst_sched.unqueue(thread)
         thread.state = ThreadState.SUSPENDED
         self.restores_done += 1
         return thread

@@ -13,7 +13,7 @@ Physical memory is only assigned to *local* threads' pages; remote slots
 are claimed "only in principle".  The price is virtual-address-space
 consumption on every processor proportional to the total number of threads,
 which exhausts 32-bit machines quickly — reproduce with
-:meth:`IsomallocArena.capacity_check` and the Figure 9 / ablation benches.
+:attr:`IsomallocArena.slots_per_pe` and the Figure 9 / ablation benches.
 
 This module also implements the paper's extension over PM2: *malloc
 interposition*.  :class:`IsomallocHeap` provides ``malloc``/``free`` whose
@@ -114,14 +114,6 @@ class IsomallocArena:
     def slots_in_use(self) -> int:
         """Total slots currently allocated across the machine."""
         return len(self._owner)
-
-    def capacity_total(self) -> int:
-        """Maximum simultaneous threads the partition can address."""
-        return self.slots_per_pe * self.num_pes
-
-    def capacity_check(self, threads_per_pe: int) -> bool:
-        """Would ``threads_per_pe`` threads on every PE fit? (paper's n·s·p)"""
-        return threads_per_pe <= self.slots_per_pe
 
     def _check_pe(self, pe: int) -> None:
         if not 0 <= pe < self.num_pes:

@@ -186,7 +186,7 @@ class ThreadMigrator:
         if image.stats.get("was_suspended"):
             # A suspended thread stays suspended after migration; adopt()
             # optimistically queued it, so take it back out.
-            dst_sched.ready.remove(thread)
+            dst_sched.unqueue(thread)
             thread.state = ThreadState.SUSPENDED
         returned = bool(image.stats.get("bounced"))
         if returned:
@@ -223,10 +223,6 @@ class ThreadMigrator:
             total += len(slot["heap_contents"])
             total += 16 * len(slot["heap_state"]["free"]) + 64
         return total
-
-    def scheduler_for(self, thread: UThread) -> CthScheduler:
-        """The scheduler currently hosting ``thread``."""
-        return thread.scheduler
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ThreadMigrator {self.migrations_completed}/"

@@ -21,13 +21,16 @@ paper's interchangeability claim, enforced architecturally.  Under the
 kernel's ``(time, seq)`` tie-break reproduces FIFO order exactly; under
 ``"priority"`` the key is the thread's priority, and the same tie-break
 keeps equal priorities stable — bit-for-bit the orders the old deque
-produced.  :class:`_ReadyQueue` keeps the historical ``sched.ready``
-surface (append/remove/membership/len) over the kernel's live events.
+produced.  The ready queue *is* that kernel (``len(sched.kernel)``
+runnable threads, ``sched.kernel.empty``); each thread holds the slot of
+its own pending resumption (``UThread.queued``), so taking a thread
+back out — migration, checkpoint restore — is one O(1)
+:meth:`CthScheduler.unqueue`, never a search of the queue.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import SchedulerError, ThreadError
 from repro.kernel import EventKernel, RunPolicy
@@ -38,49 +41,6 @@ from repro.core.thread import ThreadBody, ThreadState, UThread
 from repro.sim.processor import Processor
 
 __all__ = ["CthScheduler"]
-
-
-class _ReadyQueue:
-    """Deque-compatible view over the scheduler kernel's live events.
-
-    Every entry in the backing :class:`~repro.kernel.EventKernel` is one
-    pending thread resumption, so the queue's length, membership, and
-    iteration all derive from the kernel's live-event set.  ``append``
-    schedules a resumption (through the scheduler's policy) and
-    ``remove`` cancels one — the two mutations migration and the tests
-    perform directly on ``sched.ready``.
-    """
-
-    __slots__ = ("_sched",)
-
-    def __init__(self, sched: "CthScheduler") -> None:
-        self._sched = sched
-
-    def append(self, thread: "UThread") -> None:
-        self._sched._enqueue(thread)
-
-    def remove(self, thread: "UThread") -> None:
-        for ev in self._sched.kernel.live_events():
-            if ev.args and ev.args[0] is thread:
-                ev.cancel()
-                return
-        raise ValueError(f"{thread!r} not in ready queue")
-
-    def __contains__(self, thread: object) -> bool:
-        return any(ev.args and ev.args[0] is thread
-                   for ev in self._sched.kernel.live_events())
-
-    def __len__(self) -> int:
-        return len(self._sched.kernel)
-
-    def __bool__(self) -> bool:
-        return not self._sched.kernel.empty
-
-    def __iter__(self) -> Iterator["UThread"]:
-        return (ev.args[0] for ev in self._sched.kernel.live_events())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<_ReadyQueue {[t.name for t in self]}>"
 
 
 class CthScheduler:
@@ -140,13 +100,8 @@ class CthScheduler:
         #: thread priority under "priority"), not a clock.
         self.kernel = EventKernel(name=f"cth-pe{processor.id}",
                                   causality=False)
-        self.ready = _ReadyQueue(self)
         self.current: Optional[UThread] = None
         self.threads: Dict[tuple, UThread] = {}
-        #: Handler for directives the core scheduler does not understand
-        #: (the AMPI layer hooks in here).  Returns True when it consumed
-        #: the directive and took responsibility for re-queueing the thread.
-        self.directive_handler: Optional[Callable[[UThread, Any], bool]] = None
         self._seq = 0
         # context slots (saved stack pointers) for swap emulation
         self._ctx_mapping = None
@@ -220,12 +175,18 @@ class CthScheduler:
         """
         key = (0.0 if self.policy == "fifo"
                else float(getattr(thread, "priority", 0)))
-        # post() (not schedule()): resumptions are fire-and-forget, so
-        # skipping the KernelEvent handle keeps the context-switch path
-        # allocation-free; ready-queue introspection goes through
-        # live_events(), which materializes handles on demand.
-        self.kernel.post(key, self._resume, (thread,), "cth.resume",
-                         thread.name or f"tid{thread.tid}")
+        # post() (not schedule()): skipping the KernelEvent handle keeps
+        # the context-switch path allocation-free; the raw slot is all
+        # unqueue() needs.
+        thread.queued = self.kernel.post(
+            key, self._resume, (thread,), "cth.resume",
+            thread.name or f"tid{thread.tid}")
+
+    def unqueue(self, thread: UThread) -> bool:
+        """Cancel ``thread``'s pending resumption (O(1): the thread holds
+        its slot).  Returns False when none was queued here."""
+        slot, thread.queued = thread.queued, None
+        return slot is not None and self.kernel.cancel_slot(slot)
 
     def _seed_inactive(self, thread: UThread, ctx: int) -> None:
         word = self.space.layout.word_bytes
@@ -274,6 +235,11 @@ class CthScheduler:
         if thread.state is not ThreadState.READY:
             self.kernel.skip_current()
             return
+        # The fired slot's args hold the thread: drop it, or every
+        # thread sits in a reference cycle (and pins its last slot)
+        # until the collector runs — +4 MB peak RSS on a Figure 11/12
+        # repetition.
+        thread.queued = None
         self._dispatch(thread)
 
     def _dispatch(self, thread: UThread) -> None:
@@ -332,9 +298,6 @@ class CthScheduler:
                 and directive[0] == "io"):
             self._handle_io(thread, float(directive[1]))
         else:
-            if self.directive_handler is not None and \
-                    self.directive_handler(thread, directive):
-                return
             raise SchedulerError(
                 f"{thread.name} yielded unknown directive {directive!r}")
 
@@ -445,11 +408,10 @@ class CthScheduler:
         """Detach a thread from this scheduler (migrate-out)."""
         if self.current is thread:
             raise ThreadError("cannot remove the running thread")
-        if thread in self.ready:
-            self.ready.remove(thread)
+        self.unqueue(thread)
         self.threads.pop(thread.tid, None)
         self._release_ctx(thread.tid)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<CthScheduler pe{self.processor.id} "
-                f"{self.stack_manager.technique} ready={len(self.ready)}>")
+                f"{self.stack_manager.technique} ready={len(self.kernel)}>")

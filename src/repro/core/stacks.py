@@ -43,7 +43,7 @@ from repro.vm.addrspace import AddressSpace, Mapping
 from repro.vm.physical import Frame
 
 __all__ = ["StackRecord", "StackManager", "StackCopyStacks",
-           "IsomallocStacks", "MemoryAliasStacks"]
+           "IsomallocStacks", "MemoryAliasStacks", "make_stack_manager"]
 
 
 @dataclass
@@ -154,6 +154,29 @@ class StackManager(ABC):
         self._next_tid += 1
         return self._next_tid
 
+    def _image(self, rec: StackRecord, **body) -> dict:
+        """A migration image: the fields every technique ships, plus the
+        technique's own ``body`` (stack contents or the whole slot)."""
+        return {"technique": self.technique, "size": rec.size,
+                "used_bytes": rec.used_bytes, "extra_live": rec.extra_live,
+                **body}
+
+    def _check_image(self, image: dict) -> None:
+        if image["technique"] != self.technique:
+            raise MigrationError(
+                f"stack image is {image['technique']}, not {self.technique}")
+
+    def _rebuild(self, image: dict) -> StackRecord:
+        """A fresh local stack carrying ``image``'s bookkeeping (the
+        single-address techniques, whose stacks are all one size)."""
+        self._check_image(image)
+        if image["size"] != self.stack_bytes:
+            raise MigrationError("stack size mismatch across processors")
+        rec = self.create_stack()
+        rec.used_bytes = image["used_bytes"]
+        rec.extra_live = image.get("extra_live", 0)
+        return rec
+
     def stack_read(self, rec: StackRecord, offset: int, length: int) -> bytes:
         """Read the *active or resident* stack contents of a thread."""
         return self.space.read(rec.base + offset, length)
@@ -260,23 +283,11 @@ class StackCopyStacks(StackManager):
         if self.active is rec:
             raise MigrationError("cannot migrate the active stack-copy thread")
         assert rec.backing is not None
-        return {
-            "technique": self.technique,
-            "size": rec.size,
-            "used_bytes": rec.used_bytes,
-            "extra_live": rec.extra_live,
-            "contents": self.space.read(rec.backing.start, rec.size),
-        }
+        return self._image(
+            rec, contents=self.space.read(rec.backing.start, rec.size))
 
     def unpack(self, image: dict) -> StackRecord:
-        if image["technique"] != self.technique:
-            raise MigrationError(
-                f"stack image is {image['technique']}, not {self.technique}")
-        if image["size"] != self.stack_bytes:
-            raise MigrationError("stack size mismatch across processors")
-        rec = self.create_stack()
-        rec.used_bytes = image["used_bytes"]
-        rec.extra_live = image.get("extra_live", 0)
+        rec = self._rebuild(image)
         assert rec.backing is not None
         self.space.write(rec.backing.start, image["contents"])
         return rec
@@ -326,25 +337,17 @@ class IsomallocStacks(StackManager):
 
     def pack(self, rec: StackRecord) -> dict:
         assert rec.slot is not None
-        return {
-            "technique": self.technique,
-            "size": rec.size,
-            "used_bytes": rec.used_bytes,
-            "extra_live": rec.extra_live,
-            "slot": rec.slot.pack(),
-        }
+        return self._image(rec, slot=rec.slot.pack())
 
     def unpack(self, image: dict) -> StackRecord:
-        if image["technique"] != self.technique:
-            raise MigrationError(
-                f"stack image is {image['technique']}, not {self.technique}")
+        self._check_image(image)
         slot = IsomallocSlot.adopt(self.arena, self.space, self.pe,
                                    image["slot"])
         tid = self._tid()
         return StackRecord(tid=tid, base=slot.stack_base,
                            size=image["size"],
                            used_bytes=image["used_bytes"],
-                           extra_live=image.get("extra_live", 0), slot=slot,
+                           extra_live=image["extra_live"], slot=slot,
                            address_class=tid)
 
     def evacuate(self, rec: StackRecord) -> None:
@@ -468,23 +471,18 @@ class MemoryAliasStacks(StackManager):
             raise MigrationError("cannot migrate the active aliased thread")
         assert rec.frames is not None
         page = self.space.layout.page_size
-        contents = b"".join(f.read(0, page) for f in rec.frames)
-        return {
-            "technique": self.technique,
-            "size": rec.size,
-            "used_bytes": rec.used_bytes,
-            "contents": contents,
-        }
+        image = self._image(
+            rec, contents=b"".join(f.read(0, page) for f in rec.frames))
+        if not rec.extra_live:
+            # Aliased images have never carried a zero register-image
+            # size, and a checkpoint's simulated disk time is its blob
+            # length: shipping the zero would move every pinned
+            # memory_alias makespan.
+            del image["extra_live"]
+        return image
 
     def unpack(self, image: dict) -> StackRecord:
-        if image["technique"] != self.technique:
-            raise MigrationError(
-                f"stack image is {image['technique']}, not {self.technique}")
-        if image["size"] != self.stack_bytes:
-            raise MigrationError("stack size mismatch across processors")
-        rec = self.create_stack()
-        rec.used_bytes = image["used_bytes"]
-        rec.extra_live = image.get("extra_live", 0)
+        rec = self._rebuild(image)
         page = self.space.layout.page_size
         assert rec.frames is not None
         for i, frame in enumerate(rec.frames):
@@ -493,3 +491,20 @@ class MemoryAliasStacks(StackManager):
 
     def evacuate(self, rec: StackRecord) -> None:
         self.destroy_stack(rec)
+
+
+def make_stack_manager(technique: str, space: AddressSpace,
+                       profile: PlatformProfile, stack_bytes: int,
+                       arena: IsomallocArena, pe: int = 0) -> StackManager:
+    """The manager for one Section 3.4 technique, by its ``technique``
+    name.  ``arena`` and ``pe`` are isomalloc's (the machine-wide slot
+    partition and this processor's range in it); the single-address
+    techniques ignore them."""
+    if technique == "isomalloc":
+        return IsomallocStacks(space, profile, arena, pe,
+                               stack_bytes=stack_bytes)
+    if technique == "stack_copy":
+        return StackCopyStacks(space, profile, stack_bytes=stack_bytes)
+    if technique == "memory_alias":
+        return MemoryAliasStacks(space, profile, stack_bytes=stack_bytes)
+    raise ThreadError(f"unknown stack technique {technique!r}")

@@ -71,6 +71,10 @@ class UThread:
         self.got: Optional["GlobalOffsetTable"] = None
         #: Scheduling priority (smaller runs first under the priority policy).
         self.priority = 0
+        #: Kernel slot of this thread's pending resumption: set by the
+        #: hosting scheduler when it queues the thread, dropped when the
+        #: resumption fires or is unqueued.
+        self.queued: Optional[list] = None
         self._gen: Optional[Generator] = None
         #: Value injected into the generator at the next resume
         #: (used by AMPI to deliver a received message).

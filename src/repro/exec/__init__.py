@@ -24,7 +24,7 @@ processes: nothing a cell needs lives anywhere but its spec.
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
 from repro.exec.pool import (LocalPool, SerialBackend, backend_from_spec,
-                             backend_names, make_backend, run_cell)
+                             backend_names, run_cell)
 from repro.exec.progress import EXEC_CHANNELS, ProgressReporter
 from repro.exec.runners import (chaos_result_row, fault_config_params,
                                 run_bench_cell, run_chaos_cell)
@@ -33,7 +33,7 @@ from repro.exec.spec import Cell, CellResult, SweepSpec, resolve_runner
 __all__ = [
     "Cell", "CellResult", "SweepSpec", "resolve_runner",
     "ResultCache",
-    "SerialBackend", "LocalPool", "make_backend", "run_cell",
+    "SerialBackend", "LocalPool", "run_cell",
     "backend_from_spec", "backend_names",
     "EXEC_CHANNELS", "ProgressReporter",
     "SweepExecutor",

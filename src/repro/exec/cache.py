@@ -11,9 +11,7 @@ The on-disk layout is **sharded**: entry ``abcdef…`` lives at
 characters of the key.  SHA-256 keys spread uniformly, so a cache with
 millions of entries keeps every directory at ~1/256th of the population
 and :meth:`ResultCache.stats` / shard listing never has to scan one
-giant directory.  Flat caches from before the sharding (every entry
-directly under ``<root>``) are migrated into shards on open, so old
-sweep caches keep their hits.
+giant directory.
 
 Entries embed the cache key they were stored under and :meth:`get`
 re-verifies it, so a file copied or renamed onto another key's path is
@@ -37,19 +35,12 @@ __all__ = ["ResultCache"]
 _HEX = set("0123456789abcdef")
 
 
-def _is_flat_entry(name: str) -> bool:
-    """Whether a filename is a pre-sharding flat entry (``<hex64>.json``)."""
-    stem, ext = os.path.splitext(name)
-    return ext == ".json" and len(stem) == 64 and set(stem) <= _HEX
-
-
 class ResultCache:
     """A sharded directory tree of ``<ab>/<cache-key>.json`` cell results."""
 
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._migrate_flat_entries()
 
     # -- layout ---------------------------------------------------------
 
@@ -61,27 +52,6 @@ class ResultCache:
 
     def _path(self, cell: Cell) -> str:
         return self._path_for_key(cell.cache_key())
-
-    def _migrate_flat_entries(self) -> int:
-        """Move pre-sharding flat entries into their shards.
-
-        Migration is per-file ``os.replace`` — atomic on one filesystem —
-        so a cache shared with a concurrently running sweep never shows
-        a half-moved entry; at worst both processes race to move the
-        same file and the loser's replace is a no-op re-replace.
-        """
-        moved = 0
-        for name in os.listdir(self.root):
-            if not _is_flat_entry(name):
-                continue
-            src = os.path.join(self.root, name)
-            if not os.path.isfile(src):
-                continue
-            shard = os.path.join(self.root, name[:2])
-            os.makedirs(shard, exist_ok=True)
-            os.replace(src, os.path.join(shard, name))
-            moved += 1
-        return moved
 
     # -- the cache contract ---------------------------------------------
 

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.errors import ReproError
 from repro.exec.spec import Cell, CellResult, resolve_runner
 
-__all__ = ["SerialBackend", "LocalPool", "make_backend", "run_cell",
+__all__ = ["SerialBackend", "LocalPool", "run_cell",
            "backend_from_spec", "backend_names"]
 
 #: notify callback: ``notify(event, payload_dict)``.
@@ -285,40 +285,18 @@ class LocalPool:
                 spawn()
 
 
-def make_backend(jobs: int):
-    """``jobs`` → the right backend (1 = serial reference, N = pool)."""
-    if jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {jobs}")
-    return SerialBackend() if jobs == 1 else LocalPool(jobs=jobs)
-
-
-def _make_serial(jobs: Optional[int]):
-    return SerialBackend()
-
-
-def _make_local(jobs: Optional[int]):
-    # ``None`` keeps LocalPool's own default (one worker per CPU).
-    return LocalPool(jobs=jobs)
-
-
-#: The backend table: name -> ``factory(jobs) -> backend``.
-_BACKENDS: Dict[str, Callable] = {
-    "serial": _make_serial,
-    "local": _make_local,
-}
-
-
 def backend_names() -> List[str]:
-    """The registered backend names, sorted (for CLI help/validation)."""
-    return sorted(_BACKENDS)
+    """The backend names :func:`backend_from_spec` accepts, sorted (for
+    CLI help/validation)."""
+    return ["local", "serial"]
 
 
 def backend_from_spec(spec: str, jobs: Optional[int] = None):
     """Build a backend from a ``name`` or ``name:jobs`` spec string.
 
     ``"serial"`` → the in-process reference; ``"local:4"`` → a 4-worker
-    :class:`LocalPool`; an explicit ``jobs`` argument wins over the
-    suffix.  Unknown names list the registry in the error.
+    :class:`LocalPool` (no count: one worker per CPU); an explicit
+    ``jobs`` argument wins over the suffix.
     """
     name, _, suffix = spec.partition(":")
     if suffix:
@@ -327,10 +305,9 @@ def backend_from_spec(spec: str, jobs: Optional[int] = None):
         except ValueError:
             raise ReproError(f"backend spec {spec!r}: jobs suffix must be "
                              f"an integer")
-    factory = _BACKENDS.get(name)
-    if factory is None:
+    if name not in backend_names():
         raise ReproError(f"unknown backend {name!r}; registered: "
                          f"{', '.join(backend_names())}")
     if jobs is not None and jobs < 1:
         raise ReproError(f"backend jobs must be >= 1, got {jobs}")
-    return factory(jobs)
+    return SerialBackend() if name == "serial" else LocalPool(jobs=jobs)

@@ -8,8 +8,9 @@ runs real message-passing workloads through the shared
 compiled-continuation flows are interchangeable behind one contract:
 
 ``create`` (real resources, real limits) / ``run_workload`` (execute a
-:class:`~repro.flows.runtime.FlowProgram`) / ``switch_cost_ns`` (the
-mechanistic model) / ``probe_limit`` (Table 2 probe).
+:class:`~repro.flows.runtime.FlowProgram` in the mechanism's ``form``) /
+``switch_cost_ns`` (the mechanistic model); Table 2's probe is
+:func:`repro.flows.limits.probe_limit`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ThreadLimitExceeded
 from repro.flows.runtime import FlowProgram, FlowWorld, WorkloadRun
-from repro.kernel import EventKernel, KernelTracer
+from repro.kernel import KernelTracer
 from repro.sim.processor import Processor
 
 __all__ = ["FlowHandle", "FlowMechanism", "YieldBenchmarkResult"]
@@ -59,6 +60,11 @@ class FlowMechanism(ABC):
     #: Relative cache working set touched per switch (drives the saturating
     #: cache-penalty term; processes re-touch the most state).
     cache_weight: float = 1.0
+    #: Which form of a :class:`FlowProgram` this mechanism executes
+    #: (:meth:`FlowWorld.spawn`'s ``form``).
+    form: str = "thread"
+    #: What stops creation first (Table 2's "limiting factor" column).
+    limiting_factor: str = "memory"
 
     def __init__(self, processor: Processor):
         self.processor = processor
@@ -74,6 +80,32 @@ class FlowMechanism(ABC):
     @abstractmethod
     def _destroy(self, handle: FlowHandle) -> None:
         """Mechanism-specific teardown."""
+
+    def _refuse_past_uthread_cap(self) -> None:
+        """The administrative per-user memory cap on user-level threads
+        (how the IBM SP tops out near 15,000 in Table 2)."""
+        limit = self.profile.max_uthreads
+        if limit is not None and self.n_flows >= limit:
+            raise ThreadLimitExceeded(
+                f"{self.profile.name}: per-user memory cap reached at "
+                f"{limit} user-level threads")
+
+    def _reserve_stack(self, index: int, nbytes: int, tag: str,
+                       addr: Optional[int] = None) -> FlowHandle:
+        """A thread flow's stack: a reserved virtual range in the mmap
+        area (at ``addr`` when given), lazily faulted — a fresh thread
+        has touched only its first page, which is how real machines fit
+        tens of thousands of 16 KB-reserved stacks in 1 GB of RAM."""
+        space = self.processor.space
+        stack = space.mmap(nbytes, region="iso", addr=addr,
+                           reserve_only=True, tag=f"{tag}{index}")
+        touched = space.physical.allocate_frames(1)
+        return FlowHandle(index, payload=(stack, touched))
+
+    def _release_stack(self, handle: FlowHandle) -> None:
+        stack, touched = handle.payload
+        self.processor.space.munmap(stack)
+        self.processor.space.physical.free_frames(touched)
 
     def create_flow(self) -> FlowHandle:
         """Create one more flow, charging its creation cost."""
@@ -113,19 +145,9 @@ class FlowMechanism(ABC):
 
     # -- workload execution -----------------------------------------------
 
-    def _spawn(self, world: FlowWorld, program: FlowProgram) -> None:
-        """Populate ``world`` with this mechanism's form of ``program``.
-
-        The default is the thread form (the generator body); event and
-        compiled mechanisms override this with their own front end.
-        """
-        world.spawn_threads(program.body)
-
     def run_workload(self, program: FlowProgram, *, trace: bool = False,
-                     max_events: Optional[int] = None,
-                     real_flows: bool = True,
-                     keep: bool = False) -> WorkloadRun:
-        """Execute ``program`` under this mechanism.
+                     real_flows: bool = True) -> WorkloadRun:
+        """Execute ``program`` under this mechanism, in its ``form``.
 
         ``real_flows`` creates one real flow per rank first (stacks,
         kernel objects...), so OS-limit and memory failures surface
@@ -137,17 +159,13 @@ class FlowMechanism(ABC):
         if real_flows:
             while self.n_flows < program.ranks:
                 self.create_flow()
-        kernel = EventKernel(name="flows", causality=False)
-        tracer = KernelTracer().attach(kernel) if trace else None
         world = FlowWorld(program.ranks,
                           dispatch_cost_ns=self.switch_cost_ns(
-                              program.ranks),
-                          kernel=kernel)
-        self._spawn(world, program)
-        processed = world.run(max_events)
-        if not keep:
-            self.destroy_all()
-        program.results.update(world.results)
+                              program.ranks))
+        tracer = KernelTracer().attach(world.kernel) if trace else None
+        world.spawn(self.form, program)
+        processed = world.run()
+        self.destroy_all()
         return WorkloadRun(
             mechanism=self.label,
             platform=self.profile.name,
@@ -157,14 +175,9 @@ class FlowMechanism(ABC):
             kernel_events=processed,
             work_ns=world.work_ns,
             modeled_switch_ns=world.modeled_switch_ns,
-            results=dict(world.results),
+            results=world.results,
             trace=tracer.entries if tracer is not None else None,
         )
-
-    def probe_limit(self, cap: int, chunk: int = 1):
-        """Table 2 probe: create until refusal or ``cap`` (then clean up)."""
-        from repro.flows.limits import probe_limit as _probe
-        return _probe(self, cap, chunk=chunk)
 
     # -- the experiment ---------------------------------------------------------
 

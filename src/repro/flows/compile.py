@@ -30,8 +30,8 @@ Pipeline
    iteration suspends); ``yield from`` delegation to another generator
    is chained through continuation hand-off frames; delegation to the
    runtime interface (``mpi.recv`` / ``mpi.barrier``) maps onto the
-   continuation primitives of
-   :class:`~repro.flows.runtime.CompiledContext`.
+   ``op_*`` continuation primitives of
+   :class:`~repro.flows.runtime.FlowContext`.
 4. **Codegen** — the states are emitted as Python source
    (:data:`CompiledFlow.source`), compiled, and executed in a namespace
    seeded with the original function's globals and closure values.
@@ -64,7 +64,7 @@ __all__ = ["FlowCompileError", "CompiledFlow", "compile_flow",
            "classify_function"]
 
 #: Runtime-interface delegations the compiler lowers onto continuation
-#: primitives (method name -> CompiledContext op).
+#: primitives (method name -> FlowContext op).
 _PRIMITIVES = {"recv": "op_recv", "barrier": "op_barrier"}
 
 
@@ -79,8 +79,9 @@ class FlowCompileError(ReproError):
 
 @dataclass(frozen=True)
 class CompiledFlow:
-    """One compiled thread body, ready for
-    :meth:`~repro.flows.runtime.FlowWorld.spawn_compiled`."""
+    """One compiled thread body, as
+    :meth:`~repro.flows.runtime.FlowWorld.spawn` instantiates it per
+    rank."""
 
     qualname: str
     path: str

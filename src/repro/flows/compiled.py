@@ -15,9 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.flows.base import FlowHandle, FlowMechanism
-from repro.flows.compile import compile_flow
-from repro.flows.runtime import FlowProgram, FlowWorld
-from repro.sim.processor import Processor
 
 __all__ = ["CompiledContinuationFlow"]
 
@@ -26,6 +23,7 @@ class CompiledContinuationFlow(FlowMechanism):
     """Thread bodies compiled to continuation state machines."""
 
     label = "compiled"
+    form = "compiled"
     #: A switch re-touches one frame record, barely more than an event
     #: object's application data.
     cache_weight = 0.35
@@ -34,9 +32,6 @@ class CompiledContinuationFlow(FlowMechanism):
     frame_bytes = 512
     #: Trampoline + frame indirection on top of a raw event dispatch.
     continuation_ns = 20.0
-
-    def __init__(self, processor: Processor):
-        super().__init__(processor)
 
     def _create(self, index: int) -> FlowHandle:
         # A compiled flow is pure user data, like an event object: no
@@ -56,6 +51,3 @@ class CompiledContinuationFlow(FlowMechanism):
         n = n_flows if n_flows is not None else self.n_flows
         return (self.profile.event_dispatch_ns + self.continuation_ns
                 + self.cache_penalty_ns(n))
-
-    def _spawn(self, world: FlowWorld, program: FlowProgram) -> None:
-        world.spawn_compiled(compile_flow(program.body))

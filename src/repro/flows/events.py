@@ -4,10 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ReproError
 from repro.flows.base import FlowHandle, FlowMechanism
-from repro.flows.runtime import FlowProgram, FlowWorld
-from repro.sim.processor import Processor
 
 __all__ = ["EventObjectFlow"]
 
@@ -22,12 +19,10 @@ class EventObjectFlow(FlowMechanism):
     """
 
     label = "event"
+    form = "event"
     cache_weight = 0.3          # only the object's own data is re-touched
     #: Modeled per-object state (application data + scheduler entry).
     object_bytes = 256
-
-    def __init__(self, processor: Processor):
-        super().__init__(processor)
 
     def _create(self, index: int) -> FlowHandle:
         # An event-driven object is pure user data: no kernel resource,
@@ -42,11 +37,3 @@ class EventObjectFlow(FlowMechanism):
         """One scheduler dispatch to an object's entry method."""
         n = n_flows if n_flows is not None else self.n_flows
         return self.profile.event_dispatch_ns + self.cache_penalty_ns(n)
-
-    def _spawn(self, world: FlowWorld, program: FlowProgram) -> None:
-        if program.event_objects is None:
-            raise ReproError(
-                f"program {program.name!r} has no hand-written "
-                f"event-object form — write one, or run it under a "
-                f"thread/compiled mechanism")
-        world.spawn_events(program.event_objects)

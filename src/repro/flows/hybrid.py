@@ -49,18 +49,13 @@ class HybridThreadFlow(FlowMechanism):
             processor.charge(self.profile.pthread_create_ns)
 
     def _create(self, index: int) -> FlowHandle:
-        stack = self.processor.space.mmap(self.stack_bytes, region="iso",
-                                          reserve_only=True,
-                                          tag=f"nm-stack{index}")
-        touched = self.processor.space.physical.allocate_frames(1)
+        handle = self._reserve_stack(index, self.stack_bytes, "nm-stack")
         self.processor.charge(self.profile.uthread_create_ns
                               + self.coordination_ns)
-        return FlowHandle(index, payload=(stack, touched))
+        return handle
 
     def _destroy(self, handle: FlowHandle) -> None:
-        stack, touched = handle.payload
-        self.processor.space.munmap(stack)
-        self.processor.space.physical.free_frames(touched)
+        self._release_stack(handle)
 
     def teardown(self) -> None:
         """Release the M kernel entities (after destroy_all)."""

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.flows.base import FlowHandle, FlowMechanism
-from repro.sim.processor import Processor
 
 __all__ = ["KernelThreadFlow"]
 
@@ -19,32 +18,22 @@ class KernelThreadFlow(FlowMechanism):
     """
 
     label = "pthread"
+    limiting_factor = "kernel"
     cache_weight = 1.2
     #: Default pthread stack reservation (kept small so the simulated
     #: 32-bit address space is not the binding constraint, as in reality
     #: where pthread stacks are lazily faulted).
     stack_bytes = 16 * 1024
 
-    def __init__(self, processor: Processor):
-        super().__init__(processor)
-
     def _create(self, index: int) -> FlowHandle:
         self.processor.kernel.thread_create()
-        # Stacks are reserved virtual ranges in the mmap area (the gap
-        # between heap and stack) and lazily faulted: a fresh thread has
-        # touched only its first page, which is how real machines fit tens
-        # of thousands of 16 KB-reserved stacks in 1 GB of RAM.
-        stack = self.processor.space.mmap(self.stack_bytes, region="iso",
-                                          reserve_only=True,
-                                          tag=f"pthread-stack{index}")
-        touched = self.processor.space.physical.allocate_frames(1)
+        handle = self._reserve_stack(index, self.stack_bytes,
+                                     "pthread-stack")
         self.processor.charge(self.profile.pthread_create_ns)
-        return FlowHandle(index, payload=(stack, touched))
+        return handle
 
     def _destroy(self, handle: FlowHandle) -> None:
-        stack, touched = handle.payload
-        self.processor.space.munmap(stack)
-        self.processor.space.physical.free_frames(touched)
+        self._release_stack(handle)
         self.processor.kernel.thread_exit()
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:

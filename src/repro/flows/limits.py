@@ -49,25 +49,19 @@ def probe_limit(mechanism: FlowMechanism, cap: int,
         still located exactly because refusals are per-creation).
     """
     count = 0
-    factor = ""
+    factor = mechanism.limiting_factor
     hit = False
     try:
         while count < cap:
             for _ in range(min(chunk, cap - count)):
                 mechanism.create_flow()
                 count += 1
-    except OSLimitError as e:
+    except OSLimitError:
         hit = True
-        factor = "ulimit/kernel" if mechanism.label == "process" else \
-            ("memory" if "memory" in str(e) else "kernel")
     except (OutOfPhysicalMemory, OutOfVirtualAddressSpace):
         hit = True
         factor = "memory"
     finally:
         mechanism.destroy_all()
-    if not hit:
-        factor = {"process": "ulimit/kernel", "pthread": "kernel",
-                  "cth": "memory", "ampi": "memory",
-                  "event": "memory"}.get(mechanism.label, "memory")
     return LimitProbe(mechanism.label, mechanism.profile.name,
                       count, hit, factor)

@@ -21,6 +21,7 @@ class ProcessFlow(FlowMechanism):
     """
 
     label = "process"
+    limiting_factor = "ulimit/kernel"
     cache_weight = 1.6          # an address-space switch re-touches the most
 
     def __init__(self, processor: Processor):

@@ -35,10 +35,11 @@ byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ReproError
+from repro.flows.compile import compile_flow
 from repro.kernel import EventKernel
 
 __all__ = [
@@ -100,18 +101,16 @@ class FlowProgram:
     is the optional hand-written SDAG/event-object form: a factory
     ``(world, rank) -> object`` where the object implements ``start()``
     and ``on_message(msg)`` and calls ``world.finish(rank)`` when done.
-    ``results`` is a shared output dict bodies may write into.
     """
 
     name: str
     ranks: int
     body: Callable[..., Any]
     event_objects: Optional[Callable[["FlowWorld", int], Any]] = None
-    results: Dict[int, Any] = field(default_factory=dict)
 
 
 class FlowContext:
-    """The generator-form runtime handle (the ``mpi`` receiver).
+    """The runtime handle every rank body receives (the ``mpi`` receiver).
 
     Deliberately a semantic subset of
     :class:`~repro.ampi.context.AmpiContext`, with the same suspend
@@ -119,11 +118,18 @@ class FlowContext:
     (``repro.analysis.flow``) classifies bodies written against it with
     the unchanged AMPI runtime interface: ``recv``/``barrier`` suspend,
     ``send``/``charge`` do not.
+
+    The suspending operations exist in both calling conventions: as
+    generator methods (``yield from mpi.recv()``, the thread form) and
+    as the ``op_*`` continuation primitives the lowered suspend points
+    of :mod:`repro.flows.compile` call.  Generated state functions
+    receive this object under the body's original receiver name, so
+    the non-suspending calls run verbatim in both forms.
     """
 
     __slots__ = ("_world", "_task", "rank", "nranks")
 
-    def __init__(self, world: "FlowWorld", task: "_GeneratorTask") -> None:
+    def __init__(self, world: "FlowWorld", task: "_Task") -> None:
         self._world = world
         self._task = task
         self.rank = task.rank
@@ -144,7 +150,7 @@ class FlowContext:
         """The world's shared output dict (write ``results[rank]``)."""
         return self._world.results
 
-    # -- suspending (generator methods, driven by ``yield from``) -------
+    # -- suspending, thread form (generator methods, ``yield from``) ----
 
     def recv(self, source: Optional[int] = None, tag: Any = None):
         """Receive a matching message's payload; suspends until one
@@ -164,72 +170,7 @@ class FlowContext:
         self._world._barrier_arrive()
         yield "suspend"
 
-
-class _GeneratorTask:
-    """Trampoline around one thread-form body generator."""
-
-    __slots__ = ("rank", "flow", "gen")
-    kind = "thread"
-
-    def __init__(self, world: "FlowWorld", rank: int,
-                 body: Callable[..., Any]) -> None:
-        self.rank = rank
-        self.flow = world.flow_label(rank)
-        self.gen = body(FlowContext(world, self))
-
-    def step(self, world: "FlowWorld") -> None:
-        try:
-            directive = self.gen.send(None)
-        except StopIteration:
-            world._task_done(self)
-            return
-        if directive == "suspend":
-            return
-        if directive == "yield":
-            world._post_resume(self)
-            return
-        if directive == "exit":
-            self.gen.close()
-            world._task_done(self)
-            return
-        raise ReproError(
-            f"flow r{self.rank}: unsupported directive {directive!r} "
-            f"(the flows runtime speaks yield/suspend/exit)")
-
-    def on_message(self, world: "FlowWorld", msg: FlowMessage) -> None:
-        world._mailbox_deliver(self, msg)
-
-
-class CompiledContext:
-    """The compiled-form runtime handle (also bound to ``mpi``).
-
-    Generated state functions receive this as their first argument
-    under the body's original receiver name, so non-suspending calls
-    (``mpi.send``, ``mpi.charge``, ``mpi.rank``) run verbatim; the
-    lowered suspend points call the ``op_*`` continuation primitives.
-    """
-
-    __slots__ = ("_world", "_task", "rank", "nranks")
-
-    def __init__(self, world: "FlowWorld", task: "CompiledTask") -> None:
-        self._world = world
-        self._task = task
-        self.rank = task.rank
-        self.nranks = world.ranks
-
-    # -- non-suspending (same surface as FlowContext) -------------------
-
-    def send(self, dest: int, data: Any, tag: Any = None) -> None:
-        self._world.send(self.rank, dest, data, tag)
-
-    def charge(self, ns: float) -> None:
-        self._world.charge(ns)
-
-    @property
-    def results(self) -> Dict[int, Any]:
-        return self._world.results
-
-    # -- continuation primitives (called from generated code) -----------
+    # -- suspending, compiled form (called from generated code) ---------
 
     def op_recv(self, frame, retry, cont, var: Optional[str],
                 source: Optional[int] = None, tag: Any = None):
@@ -277,17 +218,60 @@ class CompiledContext:
         return (cont, caller_frame)
 
 
-class CompiledTask:
+class _Task:
+    """One rank of a world.  Messages queue in the world's mailbox
+    until the body receives them (the thread and compiled forms); the
+    event-object form overrides :meth:`on_message`.  The forms set
+    ``rank``/``flow`` themselves: a ``super().__init__`` per task read
+    +3 % on the 80 000-flow ``flows_drain`` repetition."""
+
+    __slots__ = ("rank", "flow")
+
+    def on_message(self, world: "FlowWorld", msg: FlowMessage) -> None:
+        world._mailbox_deliver(self, msg)
+
+
+class _GeneratorTask(_Task):
+    """Trampoline around one thread-form body generator."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self, world: "FlowWorld", rank: int,
+                 body: Callable[..., Any]) -> None:
+        self.rank = rank
+        self.flow = f"r{rank}"
+        self.gen = body(FlowContext(world, self))
+
+    def step(self, world: "FlowWorld") -> None:
+        try:
+            directive = self.gen.send(None)
+        except StopIteration:
+            world._task_done(self)
+            return
+        if directive == "suspend":
+            return
+        if directive == "yield":
+            world._post_resume(self)
+            return
+        if directive == "exit":
+            self.gen.close()
+            world._task_done(self)
+            return
+        raise ReproError(
+            f"flow r{self.rank}: unsupported directive {directive!r} "
+            f"(the flows runtime speaks yield/suspend/exit)")
+
+
+class CompiledTask(_Task):
     """One flow running as a compiled continuation state machine."""
 
-    __slots__ = ("rank", "flow", "ctx", "_pc", "_frame")
-    kind = "compiled"
+    __slots__ = ("ctx", "_pc", "_frame")
 
     def __init__(self, world: "FlowWorld", rank: int, entry,
                  frame) -> None:
         self.rank = rank
-        self.flow = world.flow_label(rank)
-        self.ctx = CompiledContext(world, self)
+        self.flow = f"r{rank}"
+        self.ctx = FlowContext(world, self)
         self._pc = entry
         self._frame = frame
 
@@ -312,20 +296,16 @@ class CompiledTask:
                 f"flow r{self.rank}: compiled state returned {res!r} "
                 f"(expected a continuation, DONE, or SUSPENDED)")
 
-    def on_message(self, world: "FlowWorld", msg: FlowMessage) -> None:
-        world._mailbox_deliver(self, msg)
 
-
-class _EventObjectTask:
+class _EventObjectTask(_Task):
     """One flow as a hand-written event-driven object."""
 
-    __slots__ = ("rank", "flow", "obj")
-    kind = "event"
+    __slots__ = ("obj",)
 
     def __init__(self, world: "FlowWorld", rank: int,
                  factory: Callable[["FlowWorld", int], Any]) -> None:
         self.rank = rank
-        self.flow = world.flow_label(rank)
+        self.flow = f"r{rank}"
         self.obj = factory(world, rank)
 
     def step(self, world: "FlowWorld") -> None:
@@ -367,17 +347,13 @@ class WorkloadRun:
 class FlowWorld:
     """Per-run execution world: kernel + mailboxes + completion."""
 
-    def __init__(self, ranks: int, dispatch_cost_ns: float = 0.0,
-                 kernel: Optional[EventKernel] = None) -> None:
+    def __init__(self, ranks: int, dispatch_cost_ns: float = 0.0) -> None:
         if ranks <= 0:
             raise ReproError("a flow world needs at least one rank")
         self.ranks = ranks
-        # NB `kernel or ...` would discard an empty kernel (__len__ == 0
-        # makes it falsy) — compare against None explicitly.
-        self.kernel = kernel if kernel is not None \
-            else EventKernel(name="flows", causality=False)
+        #: The world's own kernel; tracers attach here before ``run()``.
+        self.kernel = EventKernel(name="flows", causality=False)
         self.dispatch_cost_ns = dispatch_cost_ns
-        self._flow_labels = [f"r{i}" for i in range(ranks)]
         self._tasks: List[Any] = []
         self._mailbox: List[List[FlowMessage]] = [[] for _ in range(ranks)]
         self._waiting: List[Optional[tuple]] = [None] * ranks
@@ -392,44 +368,48 @@ class FlowWorld:
 
     # -- construction ---------------------------------------------------
 
-    def flow_label(self, rank: int) -> str:
-        return self._flow_labels[rank]
-
-    def spawn_threads(self, body: Callable[..., Any]) -> None:
-        """Populate every rank with the generator form of ``body``."""
-        self._require_empty()
-        self._tasks = [_GeneratorTask(self, r, body)
-                       for r in range(self.ranks)]
-
-    def spawn_compiled(self, compiled) -> None:
-        """Populate every rank with a compiled continuation program
-        (a :class:`repro.flows.compile.CompiledFlow`)."""
-        self._require_empty()
-        self._tasks = [
-            CompiledTask(self, r, compiled.entry, compiled.new_frame())
-            for r in range(self.ranks)]
-
-    def spawn_events(self, factory: Callable[["FlowWorld", int], Any]) -> None:
-        """Populate every rank with a hand-written event object."""
-        self._require_empty()
-        self._tasks = [_EventObjectTask(self, r, factory)
-                       for r in range(self.ranks)]
-
-    def _require_empty(self) -> None:
+    def spawn(self, form: str, program: FlowProgram) -> None:
+        """Populate every rank with ``program`` in one of its forms:
+        ``"thread"`` (the generator body), ``"compiled"`` (the body
+        after :func:`repro.flows.compile.compile_flow`) or ``"event"``
+        (the hand-written event objects)."""
         if self._tasks:
             raise ReproError("world already populated")
+        ranks = range(self.ranks)
+        if form == "thread":
+            self._tasks = [_GeneratorTask(self, r, program.body)
+                           for r in ranks]
+        elif form == "compiled":
+            compiled = compile_flow(program.body)
+            self._tasks = [
+                CompiledTask(self, r, compiled.entry, compiled.new_frame())
+                for r in ranks]
+        elif form == "event":
+            if program.event_objects is None:
+                raise ReproError(
+                    f"program {program.name!r} has no hand-written "
+                    f"event-object form — write one, or run it in "
+                    f"thread/compiled form")
+            self._tasks = [_EventObjectTask(self, r, program.event_objects)
+                           for r in ranks]
+        else:
+            raise ReproError(
+                f"unknown flow form {form!r} (thread, compiled, event)")
 
     # -- execution ------------------------------------------------------
 
-    def seed(self) -> None:
-        """Post the initial resume for every rank (one batch)."""
+    def _post_all(self) -> None:
+        """Post one resume per rank in a single batch."""
         tasks = self._tasks
         self.kernel.post_batch(
-            [0.0] * len(tasks), self._resume, category="flow.resume",
-            args_list=[(t,) for t in tasks],
-            flows=[t.flow for t in tasks])
+            [0.0] * len(tasks), self._resume, [(t,) for t in tasks],
+            [t.flow for t in tasks], "flow.resume")
 
-    def run(self, max_events: Optional[int] = None) -> int:
+    def seed(self) -> None:
+        """Post the initial resume for every rank (one batch)."""
+        self._post_all()
+
+    def run(self) -> int:
         """Seed (if nothing is pending) and drain to quiescence.
 
         Raises :class:`~repro.errors.ReproError` if the kernel drains
@@ -440,8 +420,8 @@ class FlowWorld:
             raise ReproError("world has no tasks (spawn first)")
         if len(self.kernel) == 0 and self.dispatches == 0:
             self.seed()
-        processed = self.kernel.run_batch(max_events)
-        if self.kernel.empty and self._done < len(self._tasks):
+        processed = self.kernel.run_batch()
+        if self._done < len(self._tasks):
             stuck = [f"r{t.rank}(waiting={self._waiting[t.rank]})"
                      for t in self._tasks
                      if self._waiting[t.rank] is not None]
@@ -499,11 +479,7 @@ class FlowWorld:
         self._barrier_count += 1
         if self._barrier_count == len(self._tasks):
             self._barrier_count = 0
-            tasks = self._tasks
-            self.kernel.post_batch(
-                [0.0] * len(tasks), self._resume, category="flow.resume",
-                args_list=[(t,) for t in tasks],
-                flows=[t.flow for t in tasks])
+            self._post_all()
 
     # -- accounting -----------------------------------------------------
 

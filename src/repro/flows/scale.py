@@ -72,14 +72,14 @@ def mechanism_limit_cell(params: Dict[str, Any],
     :func:`repro.flows.limits.probe_limit` — because it is that probe,
     wrapped in a cell.
     """
-    from repro.flows import MECHANISMS
+    from repro.flows import MECHANISMS, probe_limit
     from repro.sim import Processor, get_platform
 
     cls = MECHANISMS[params["mechanism"]]
     proc = Processor(0, get_platform(params.get("platform", "linux_x86")))
     mech = cls(proc)
-    probe = mech.probe_limit(int(params["cap"]),
-                             chunk=int(params.get("chunk", 1024)))
+    probe = probe_limit(mech, int(params["cap"]),
+                        chunk=int(params.get("chunk", 1024)))
     return {
         "mechanism": probe.mechanism,
         "platform": probe.platform,

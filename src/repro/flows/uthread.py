@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ThreadLimitExceeded
 from repro.core.isomalloc import IsomallocArena
 from repro.flows.base import FlowHandle, FlowMechanism
 from repro.sim.processor import Processor
@@ -34,28 +33,14 @@ class UserThreadFlow(FlowMechanism):
     cache_weight = 1.0
     stack_bytes = 16 * 1024
 
-    def __init__(self, processor: Processor):
-        super().__init__(processor)
-
     def _create(self, index: int) -> FlowHandle:
-        limit = self.profile.max_uthreads
-        if limit is not None and self.n_flows >= limit:
-            raise ThreadLimitExceeded(
-                f"{self.profile.name}: per-user memory cap reached at "
-                f"{limit} user-level threads")
-        # Reserved in the mmap area, lazily faulted (first page touched) —
-        # see the same pattern in KernelThreadFlow.
-        stack = self.processor.space.mmap(self.stack_bytes, region="iso",
-                                          reserve_only=True,
-                                          tag=f"cth-stack{index}")
-        touched = self.processor.space.physical.allocate_frames(1)
+        self._refuse_past_uthread_cap()
+        handle = self._reserve_stack(index, self.stack_bytes, "cth-stack")
         self.processor.charge(self.profile.uthread_create_ns)
-        return FlowHandle(index, payload=(stack, touched))
+        return handle
 
     def _destroy(self, handle: FlowHandle) -> None:
-        stack, touched = handle.payload
-        self.processor.space.munmap(stack)
-        self.processor.space.physical.free_frames(touched)
+        self._release_stack(handle)
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One CthYield(): register swap + scheduler, entirely in user code."""
@@ -85,27 +70,19 @@ class AmpiThreadFlow(FlowMechanism):
         self._slots: dict[int, int] = {}
 
     def _create(self, index: int) -> FlowHandle:
-        limit = self.profile.max_uthreads
-        if limit is not None and self.n_flows >= limit:
-            raise ThreadLimitExceeded(
-                f"{self.profile.name}: per-user memory cap reached at "
-                f"{limit} user-level threads")
+        self._refuse_past_uthread_cap()
         base = self.arena.allocate_slot(0)
         # The whole slot's virtual range is claimed, exactly as isomalloc
         # reserves it cluster-wide; only the first stack page is faulted.
-        stack = self.processor.space.mmap(self.arena.slot_bytes, addr=base,
-                                          reserve_only=True,
-                                          tag=f"ampi-slot{index}")
-        touched = self.processor.space.physical.allocate_frames(1)
+        handle = self._reserve_stack(index, self.arena.slot_bytes,
+                                     "ampi-slot", addr=base)
         self._slots[index] = base
         self.processor.charge(self.profile.uthread_create_ns
                               + self.profile.ampi_overhead_ns)
-        return FlowHandle(index, payload=(stack, touched))
+        return handle
 
     def _destroy(self, handle: FlowHandle) -> None:
-        stack, touched = handle.payload
-        self.processor.space.munmap(stack)
-        self.processor.space.physical.free_frames(touched)
+        self._release_stack(handle)
         self.arena.release_slot(self._slots.pop(handle.index))
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:

@@ -6,7 +6,7 @@ scheduler, made literal: a single deterministic, instrumented event core
 (:class:`EventKernel`) with
 
 * one batched, slot-based ready/timed queue — O(1) live-event counting,
-  lazy cancellation with batched compaction, and a ``(time, seq)`` FIFO
+  lazy cancellation (dropped at pop), and a ``(time, seq)`` FIFO
   tie-break so simultaneous events always fire in schedule order.  One
   sort-and-pop dispatch loop serves every run, hooks on or off (see
   ``docs/kernel.md``); the frozen pre-fast-path implementation survives

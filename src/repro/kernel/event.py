@@ -12,9 +12,8 @@ and pinned against the frozen reference implementation in
 
 * events fire in ``(time, seq)`` order where ``seq`` is a per-kernel
   insertion counter — simultaneous events run in schedule (FIFO) order;
-* cancellation never perturbs the order of surviving events: cancelled
-  slots are lazily dropped during dispatch, and the batched compaction
-  filters in place without reordering;
+* cancellation never perturbs the order of surviving events: a
+  cancelled slot is only marked, and dropped when dispatch reaches it;
 * scheduling strictly before ``current_time`` raises
   :class:`~repro.errors.ReproError` naming the offending callback.
 
@@ -72,19 +71,13 @@ Contract delta vs. the reference kernel (the only one):
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import ReproError
 from repro.kernel.hooks import HookBus
 from repro.kernel.policy import RunPolicy
 
 __all__ = ["KernelEvent", "EventKernel"]
-
-#: Sweep cancelled slots out of storage once at least this many are
-#: stale *and* they make up half the physical queue — amortized O(1)
-#: per cancel.  (``cancel_slot`` only evaluates the threshold
-#: every 8th cancel, so compaction may lag by up to 7 slots.)
-_SWEEP_MIN_STALE = 64
 
 # Slot layout indices (a slot is a plain list; see module docstring).
 _TIME, _SEQ, _STATE, _FN, _ARGS, _CAT, _FLOW, _HANDLE = range(8)
@@ -189,8 +182,8 @@ class EventKernel:
 
     __slots__ = ("name", "causality", "hooks", "current_time",
                  "events_processed", "_data", "_batch", "_seq", "_nfired",
-                 "_ncancelled", "_stale_est", "_dispatching", "_skip",
-                 "_running", "_weakself", "__weakref__")
+                 "_ncancelled", "_dispatching", "_skip", "_running",
+                 "_weakself", "__weakref__")
 
     def __init__(self, name: str = "kernel", causality: bool = True) -> None:
         self.name = name
@@ -203,7 +196,6 @@ class EventKernel:
         self._seq = 0                   # total slots ever posted
         self._nfired = 0                # total slots fired
         self._ncancelled = 0            # total slots cancelled
-        self._stale_est = 0             # cancels since last compaction
         self._dispatching = False
         self._skip = False
         self._running = False           # inside run() (the one guard)
@@ -272,44 +264,29 @@ class EventKernel:
                 h(self, ev)
         return item
 
-    def post_batch(self, times: Iterable[float], fn: Callable[..., Any],
-                   args: tuple = (), category: str = "",
-                   flow: Optional[str] = None,
-                   args_list: Optional[List[tuple]] = None,
-                   flows: Optional[List[Optional[str]]] = None
-                   ) -> List[list]:
-        """Queue one event per entry of ``times``, all sharing
-        ``fn``/``args``/labels; returns the raw slots in posted order.
+    def post_batch(self, times: List[float], fn: Callable[..., Any],
+                   args_list: List[tuple],
+                   flows: List[Optional[str]],
+                   category: str = "") -> List[list]:
+        """Queue ``fn(*args_list[i])`` at ``times[i]`` under flow label
+        ``flows[i]`` for every ``i``, all sharing ``category``; returns
+        the raw slots in posted order.
 
-        This is the bulk ingress for event-compiled flows:
-        the slot construction is a single list comprehension and the
+        This is the bulk ingress for flow seeding and barrier release
+        (one event per rank, each with its own task and label): the
+        slot construction is a single list comprehension and the
         causality check one C-level ``min()`` scan, so per-event cost is
-        a fraction of :meth:`schedule`.
-
-        ``args_list`` / ``flows`` optionally carry one entry per event
-        (parallel to ``times``), overriding the shared ``args`` /
-        ``flow``: flow seeding and barrier release need per-event
-        payloads and flow labels while still paying batch ingress cost;
-        the homogeneous path is untouched when both are None.
+        a fraction of :meth:`post`.
         """
+        if len(args_list) != len(times) or len(flows) != len(times):
+            raise ReproError(
+                f"post_batch: args_list/flows must parallel "
+                f"times ({len(times)} times, {len(args_list)} args, "
+                f"{len(flows)} flows)")
         seq = self._seq
-        if args_list is None and flows is None:
-            items = [[t, s, 0, fn, args, category, flow, None]
-                     for s, t in enumerate(times, seq)]
-        else:
-            times = times if isinstance(times, list) else list(times)
-            if args_list is None:
-                args_list = [args] * len(times)
-            if flows is None:
-                flows = [flow] * len(times)
-            if len(args_list) != len(times) or len(flows) != len(times):
-                raise ReproError(
-                    f"post_batch: args_list/flows must parallel "
-                    f"times ({len(times)} times, {len(args_list)} args, "
-                    f"{len(flows)} flows)")
-            items = [[t, s, 0, fn, a, category, fl, None]
-                     for s, (t, a, fl) in enumerate(
-                         zip(times, args_list, flows), seq)]
+        items = [[t, s, 0, fn, a, category, fl, None]
+                 for s, (t, a, fl) in enumerate(
+                     zip(times, args_list, flows), seq)]
         if not items:
             return items
         if self.causality and min(items)[_TIME] < self.current_time:
@@ -347,30 +324,7 @@ class EventKernel:
             ev = item[_HANDLE] or self._handle(item)
             for h in hooks.on_cancel:
                 h(self, ev)
-        # Batched compaction: only when stale slots dominate physical
-        # storage, so each cancelled slot is filtered over at most once
-        # (amortized O(1) per cancel).  The threshold is evaluated every
-        # 8th cancel to keep this path branch-cheap.
-        self._stale_est = s = self._stale_est + 1
-        if (not s & 7 and s >= _SWEEP_MIN_STALE
-                and s * 2 >= len(self._data) + len(self._batch)):
-            self._compact()
         return True
-
-    def _compact(self) -> None:
-        """Drop stale (cancelled/fired) slots from both containers.
-        Keys are unique ``(time, seq)`` pairs and the filters preserve
-        relative order, so survivors cannot be reordered."""
-        if self._running:
-            # The drain loop owns both containers (it tracks how much of
-            # ``_data`` it has scanned); stale slots it reaches are
-            # popped anyway, so compaction just waits for idle.
-            return
-        data = self._data
-        data[:] = [it for it in data if not it[_STATE]]
-        batch = self._batch
-        batch[:] = [it for it in batch if not it[_STATE]]
-        self._stale_est = 0
 
     # -- dispatch -------------------------------------------------------
 

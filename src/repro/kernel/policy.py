@@ -30,26 +30,3 @@ class RunPolicy:
     until: Optional[float] = None
     max_events: Optional[int] = None
     quiescence: bool = True
-
-    @classmethod
-    def drain(cls) -> "RunPolicy":
-        """Run until the queue is empty (the common runtime default)."""
-        return cls()
-
-    @classmethod
-    def until_time(cls, until: float) -> "RunPolicy":
-        """Run no further than virtual time ``until``."""
-        return cls(until=until)
-
-    @classmethod
-    def budget(cls, max_events: int) -> "RunPolicy":
-        """Dispatch at most ``max_events`` events."""
-        return cls(max_events=max_events)
-
-    def exhausted(self, processed: int) -> bool:
-        """Whether the event budget is spent after ``processed`` dispatches."""
-        return self.max_events is not None and processed >= self.max_events
-
-    def cuts(self, time: float) -> bool:
-        """Whether an event at ``time`` lies beyond the time bound."""
-        return self.until is not None and time > self.until

@@ -18,12 +18,6 @@ Output formats:
   dispatched / skipped / cancelled, context switches (``cth.resume``
   dispatches), messages (``net.*`` dispatches), quiescence count, and
   total virtual idle time between dispatches.
-
-Record construction is **lazy**: a tracer built with ``record=False``
-maintains only the counters and never allocates a trace-record dict —
-``entries`` stays empty and ``dump``/``timeline`` report nothing.  Use
-it when a run only needs the aggregate numbers (long benches, CI
-smokes) and the per-event log would be dead weight.
 """
 
 from __future__ import annotations
@@ -78,18 +72,9 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
 
 
 class KernelTracer:
-    """Structured event log + counters for one :class:`EventKernel`.
+    """Structured event log + counters for one :class:`EventKernel`."""
 
-    Parameters
-    ----------
-    record:
-        When True (the default), build one entry dict per lifecycle
-        point into :attr:`entries`.  When False, keep counters only:
-        no per-event allocation happens anywhere in the tracer.
-    """
-
-    def __init__(self, record: bool = True) -> None:
-        self.record = record
+    def __init__(self) -> None:
         self.entries: List[Dict[str, Any]] = []
         self.counters: Dict[str, Any] = {
             "scheduled": 0,
@@ -166,22 +151,19 @@ class KernelTracer:
 
     def _on_schedule(self, kernel, ev) -> None:
         self.counters["scheduled"] += 1
-        if self.record:
-            self._entry("schedule", kernel, ev)
+        self._entry("schedule", kernel, ev)
 
     def _on_begin(self, kernel, ev) -> None:
-        if self.record:
-            self._entry("begin", kernel, ev)
+        self._entry("begin", kernel, ev)
         if self._last_end_time is not None and ev.time > self._last_end_time:
             self.counters["idle_ns"] += ev.time - self._last_end_time
 
     def _on_end(self, kernel, ev) -> None:
-        entry = self._entry("end", kernel, ev) if self.record else None
+        entry = self._entry("end", kernel, ev)
         self._last_end_time = ev.time
         c = self.counters
         if kernel._skip:
-            if entry is not None:
-                entry["skipped"] = True
+            entry["skipped"] = True
             c["skipped"] += 1
             return
         c["dispatched"] += 1
@@ -195,18 +177,15 @@ class KernelTracer:
 
     def _on_cancel(self, kernel, ev) -> None:
         self.counters["cancelled"] += 1
-        if self.record:
-            self._entry("cancel", kernel, ev)
+        self._entry("cancel", kernel, ev)
 
     def _on_idle(self, kernel) -> bool:
-        if self.record:
-            self._entry("idle", kernel)
+        self._entry("idle", kernel)
         return False  # observation only: never re-arms work
 
     def _on_quiescence(self, kernel) -> None:
         self.counters["quiescences"] += 1
-        if self.record:
-            self._entry("quiescence", kernel)
+        self._entry("quiescence", kernel)
 
     # -- reports --------------------------------------------------------
 

@@ -174,23 +174,12 @@ def _flows_program(spec: RunSpec):
 
 def _build_flows_world(spec: RunSpec):
     """A populated, traced :class:`FlowWorld` for one flows runspec."""
-    from repro.flows import compile_flow
     from repro.flows.runtime import FlowWorld
-    from repro.kernel import EventKernel, KernelTracer
+    from repro.kernel import KernelTracer
     program = _flows_program(spec)
-    kernel = EventKernel(name="flows", causality=False)
-    tracer = KernelTracer().attach(kernel)
-    world = FlowWorld(program.ranks, kernel=kernel)
-    form = spec.params.get("form", "thread")
-    if form == "thread":
-        world.spawn_threads(program.body)
-    elif form == "compiled":
-        world.spawn_compiled(compile_flow(program.body))
-    else:
-        if program.event_objects is None:
-            raise QueryError(
-                f"program {spec.target!r} has no event-object form")
-        world.spawn_events(program.event_objects)
+    world = FlowWorld(program.ranks)
+    tracer = KernelTracer().attach(world.kernel)
+    world.spawn(spec.params.get("form", "thread"), program)
     return program, world, tracer
 
 

@@ -191,8 +191,9 @@ class SweepService:
             hooks.subscribe(channel,
                             (lambda ch: lambda payload, **ctx:
                              forward(payload, channel=ch, **ctx))(channel))
-        executor = SweepExecutor(spec, backend=self._make_backend(),
-                                 cache=self.cache, hooks=hooks)
+        executor = SweepExecutor(
+            spec, backend=backend_from_spec(self.backend_spec, jobs=self.jobs),
+            cache=self.cache, hooks=hooks)
         try:
             results = await asyncio.to_thread(executor.run)
         except Exception as e:  # noqa: BLE001 - a sweep must not kill the service
@@ -218,9 +219,6 @@ class SweepService:
         self._broadcast(sweep, "sweep.end",
                         {"sweep_id": sweep.sweep_id, **sweep.summary,
                          "results": sweep.results})
-
-    def _make_backend(self):
-        return backend_from_spec(self.backend_spec, jobs=self.jobs)
 
     # -- progress fan-out -----------------------------------------------
 

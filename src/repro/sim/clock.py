@@ -40,9 +40,5 @@ class SimClock:
             self._now = t
         return self._now
 
-    def reset(self, t: float = 0.0) -> None:
-        """Reset the clock (test helper)."""
-        self._now = float(t)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SimClock {self._now:.1f}ns>"

@@ -33,10 +33,6 @@ class TagDispatcher:
                             f"on processor {self.processor.id}")
         self._handlers[prefix] = handler
 
-    def unregister(self, prefix: str) -> None:
-        """Remove a previously registered handler."""
-        self._handlers.pop(prefix, None)
-
     def _dispatch(self, msg: Message) -> None:
         prefix = msg.tag.split(":", 1)[0]
         handler = self._handlers.get(prefix)

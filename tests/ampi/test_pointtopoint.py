@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ampi import ANY_SOURCE, AmpiRuntime, wire_size
-from repro.errors import AmpiError
+from repro.errors import AmpiError, ThreadError
 
 
 def run_world(main, num_procs=2, num_ranks=4, **kw):
@@ -201,7 +201,7 @@ def test_runtime_rejects_bad_configs():
 
     with pytest.raises(AmpiError):
         AmpiRuntime(2, 0, main)
-    with pytest.raises(AmpiError):
+    with pytest.raises(ThreadError, match="unknown stack technique"):
         AmpiRuntime(2, 2, main, technique="greenlets")
     with pytest.raises(AmpiError):
         AmpiRuntime(2, 2, main, placement=lambda r: 5)

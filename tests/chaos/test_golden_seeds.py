@@ -78,7 +78,7 @@ def regenerate(jobs: int = 4) -> dict:
     will check.
     """
     from repro.exec import (Cell, SweepExecutor, SweepSpec,
-                            fault_config_params, make_backend)
+                            backend_from_spec, fault_config_params)
 
     rates = fault_config_params(CONFIG)
     cells = [Cell(experiment=f"chaos:{wl.name}",
@@ -86,7 +86,8 @@ def regenerate(jobs: int = 4) -> dict:
                   params={"workload": wl.name, "config": rates}, seed=s)
              for wl in STANDARD_WORKLOADS for s in SEEDS]
     results = SweepExecutor(SweepSpec("golden_seeds", cells),
-                            backend=make_backend(jobs)).run()
+                            backend=backend_from_spec(
+                                f"local:{jobs}")).run()
     table: dict = {}
     for res in results:
         if not res.ok:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import (CthScheduler, IsomallocArena, IsomallocStacks,
-                        MemoryAliasStacks, StackCopyStacks, ThreadMigrator)
+from repro.core import (CthScheduler, IsomallocArena, ThreadMigrator,
+                        make_stack_manager)
 from repro.sim import Cluster
 
 
@@ -20,17 +20,8 @@ def make_cluster(n=2, platform="linux_x86", technique="isomalloc",
     arena = IsomallocArena(cl.platform.layout(), n, slot_bytes=slot_bytes)
     scheds = []
     for pe in range(n):
-        if technique == "isomalloc":
-            mgr = IsomallocStacks(cl[pe].space, cl.platform, arena, pe,
-                                  stack_bytes=stack_bytes)
-        elif technique == "stack_copy":
-            mgr = StackCopyStacks(cl[pe].space, cl.platform,
-                                  stack_bytes=stack_bytes)
-        elif technique == "memory_alias":
-            mgr = MemoryAliasStacks(cl[pe].space, cl.platform,
-                                    stack_bytes=stack_bytes)
-        else:
-            raise ValueError(technique)
+        mgr = make_stack_manager(technique, cl[pe].space, cl.platform,
+                                 stack_bytes, arena, pe)
         registry = None
         if globals_decl:
             registry = GlobalRegistry(cl[pe].space)

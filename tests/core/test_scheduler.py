@@ -79,25 +79,21 @@ def test_unknown_directive_raises():
         scheds[0].run()
 
 
-def test_directive_handler_hook():
+def test_unqueue_cancels_the_threads_own_resumption():
     cl, scheds, _, _ = make_cluster(1)
-    seen = []
-
-    def handler(thread, directive):
-        seen.append(directive)
-        scheds[0].ready.append(thread)   # requeue ourselves
-        thread.state = ThreadState.READY
-        return True
-
-    scheds[0].directive_handler = handler
+    ran = []
 
     def body(th):
-        yield ("custom", 42)
-        yield "yield"
+        ran.append(th.name)
+        yield "exit"
 
-    scheds[0].create(body)
-    scheds[0].run()
-    assert seen == [("custom", 42)]
+    scheds[0].create(body, name="keep")
+    gone = scheds[0].create(body, name="gone")
+    assert scheds[0].unqueue(gone)
+    assert not scheds[0].unqueue(gone)      # nothing left to cancel
+    assert len(scheds[0].kernel) == 1
+    assert scheds[0].run() == 1
+    assert ran == ["keep"]
 
 
 def test_context_switch_charges_time():
@@ -124,7 +120,7 @@ def test_run_with_switch_budget():
     scheds[0].create(spinner)
     n = scheds[0].run(max_switches=5)
     assert n == 5
-    assert len(scheds[0].ready) == 1       # still runnable
+    assert len(scheds[0].kernel) == 1      # still runnable
 
 
 def test_step_one():

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.isomalloc import IsomallocArena
 from repro.core.smp import SmpRunner
-from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
-                               StackCopyStacks)
+from repro.core.stacks import make_stack_manager
 from repro.errors import SchedulerError
 from repro.sim import Processor, get_platform
 
@@ -15,14 +14,8 @@ WORK = [500_000.0] * 8        # eight half-millisecond items
 def make_runner(technique, cores=2):
     proc = Processor(0, get_platform("linux_x86"))
     profile = proc.profile
-    if technique == "isomalloc":
-        arena = IsomallocArena(proc.layout, 1, slot_bytes=128 * 1024)
-        mgr = IsomallocStacks(proc.space, profile, arena, 0,
-                              stack_bytes=8 * 1024)
-    elif technique == "stack_copy":
-        mgr = StackCopyStacks(proc.space, profile, stack_bytes=8 * 1024)
-    else:
-        mgr = MemoryAliasStacks(proc.space, profile, stack_bytes=8 * 1024)
+    arena = IsomallocArena(proc.layout, 1, slot_bytes=128 * 1024)
+    mgr = make_stack_manager(technique, proc.space, profile, 8 * 1024, arena)
     return SmpRunner(profile, mgr, cores=cores)
 
 

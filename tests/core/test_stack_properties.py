@@ -3,8 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.isomalloc import IsomallocArena
-from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
-                               StackCopyStacks)
+from repro.core.stacks import make_stack_manager
 from repro.core.thread import ThreadState
 from repro.sim import Cluster, Processor, get_platform
 from tests.core.conftest import make_cluster
@@ -14,13 +13,9 @@ STACK = 8 * 1024
 
 def build_manager(technique):
     proc = Processor(0, get_platform("linux_x86"))
-    if technique == "isomalloc":
-        arena = IsomallocArena(proc.layout, 1, slot_bytes=64 * 1024)
-        return IsomallocStacks(proc.space, proc.profile, arena, 0,
-                               stack_bytes=STACK)
-    if technique == "stack_copy":
-        return StackCopyStacks(proc.space, proc.profile, stack_bytes=STACK)
-    return MemoryAliasStacks(proc.space, proc.profile, stack_bytes=STACK)
+    arena = IsomallocArena(proc.layout, 1, slot_bytes=64 * 1024)
+    return make_stack_manager(technique, proc.space, proc.profile, STACK,
+                              arena)
 
 
 @given(technique=st.sampled_from(["isomalloc", "stack_copy", "memory_alias"]),
@@ -90,5 +85,5 @@ def test_scheduler_never_loses_threads(ops):
     sched.run()
     assert all(t.state is ThreadState.FINISHED for t in threads)
     assert sched.threads_finished == len(threads)
-    assert not sched.ready
+    assert sched.kernel.empty
     assert not sched.threads

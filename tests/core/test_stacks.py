@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.isomalloc import IsomallocArena
 from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
-                               StackCopyStacks)
+                               StackCopyStacks, make_stack_manager)
 from repro.errors import MigrationError, ThreadError
 from repro.sim import get_platform
 from repro.vm import AddressSpace, PhysicalMemory
@@ -20,12 +20,8 @@ def make_space(platform="linux_x86"):
 
 def make_manager(technique, platform="linux_x86", pe=0, arena=None, space=None):
     profile, sp = make_space(platform) if space is None else (get_platform(platform), space)
-    if technique == "stack_copy":
-        return StackCopyStacks(sp, profile, stack_bytes=STACK), sp
-    if technique == "memory_alias":
-        return MemoryAliasStacks(sp, profile, stack_bytes=STACK), sp
     arena = arena or IsomallocArena(profile.layout(), 2, slot_bytes=256 * 1024)
-    return IsomallocStacks(sp, profile, arena, pe, stack_bytes=STACK), sp
+    return make_stack_manager(technique, sp, profile, STACK, arena, pe), sp
 
 
 ALL = ["stack_copy", "isomalloc", "memory_alias"]
@@ -197,12 +193,7 @@ def test_pack_unpack_roundtrip_across_processors(technique):
     sp1 = AddressSpace(profile.layout(), PhysicalMemory(64 * MB), name="pe1")
     arena = IsomallocArena(profile.layout(), 2, slot_bytes=256 * 1024)
     mgr0, _ = make_manager(technique, arena=arena, space=sp0)
-    if technique == "isomalloc":
-        mgr1 = IsomallocStacks(sp1, profile, arena, 1, stack_bytes=STACK)
-    elif technique == "stack_copy":
-        mgr1 = StackCopyStacks(sp1, profile, stack_bytes=STACK)
-    else:
-        mgr1 = MemoryAliasStacks(sp1, profile, stack_bytes=STACK)
+    mgr1, _ = make_manager(technique, pe=1, arena=arena, space=sp1)
 
     rec = mgr0.create_stack()
     rec.consume(256)

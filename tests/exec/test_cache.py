@@ -90,23 +90,6 @@ def test_layout_is_two_level_sharded(tmp_path):
                                            for p in paths})
 
 
-def test_flat_seed_cache_migrates_into_shards(tmp_path):
-    """A pre-sharding cache (entries directly under root) keeps its hits."""
-    cache = ResultCache(str(tmp_path))
-    first = run(spec(), cache)
-    # Flatten: simulate a seed-era cache by moving entries back to root.
-    for path in entry_paths(tmp_path):
-        os.replace(path, tmp_path / os.path.basename(path))
-    for shard in [d for d in os.listdir(tmp_path)
-                  if (tmp_path / d).is_dir()]:
-        os.rmdir(tmp_path / shard)
-    migrated = ResultCache(str(tmp_path))  # opening migrates
-    assert not [n for n in os.listdir(tmp_path) if n.endswith(".json")]
-    again = run(spec(), migrated)
-    assert [r.cached for r in again] == [True] * 3
-    assert [r.value for r in again] == [r.value for r in first]
-
-
 def test_put_cleans_up_tmp_on_unserializable_payload(tmp_path):
     """Regression: a non-OSError from json.dump (e.g. TypeError on an
     unserializable payload) used to leak an orphan ``*.tmp`` forever."""

@@ -56,8 +56,8 @@ def test_merge_orders_results_by_cell_id_not_completion():
 
 def test_jobs_must_be_positive():
     from repro.errors import ReproError
-    from repro.exec import make_backend
-    with pytest.raises(ReproError, match="--jobs"):
-        make_backend(0)
-    assert make_backend(1).jobs == 1
-    assert make_backend(3).jobs == 3
+    from repro.exec import backend_from_spec
+    with pytest.raises(ReproError, match="jobs must be >= 1"):
+        backend_from_spec("local:0")
+    assert backend_from_spec("serial").jobs == 1
+    assert backend_from_spec("local:3").jobs == 3

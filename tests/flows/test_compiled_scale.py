@@ -20,7 +20,6 @@ import time
 import tracemalloc
 
 from repro.flows import CompiledContinuationFlow
-from repro.flows.compile import compile_flow
 from repro.flows.programs import spin_program
 from repro.flows.runtime import FlowWorld
 from repro.sim import Processor, get_platform
@@ -47,7 +46,7 @@ def _traced_drain(flows, rounds):
     """Spawn compiled flows, then measure the drain alone."""
     program = spin_program(flows, rounds)
     world = FlowWorld(flows)
-    world.spawn_compiled(compile_flow(program.body))
+    world.spawn("compiled", program)
     world.seed()
     gc.collect()
     tracemalloc.start()

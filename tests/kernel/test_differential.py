@@ -33,6 +33,7 @@ import random
 
 import pytest
 
+from repro.errors import ReproError
 from repro.kernel import KernelTracer
 from repro.kernel.event import EventKernel as FastKernel
 from repro.kernel.refkernel import EventKernel as RefKernel
@@ -232,13 +233,30 @@ def test_post_matches_reference_schedule_order():
 
 
 def test_post_batch_matches_reference_time_order():
-    """Bulk ingest preserves the reference dispatch-time sequence."""
+    """Bulk ingest preserves the reference dispatch sequence: per-event
+    args and flow labels land on the event they were posted with."""
     rng = random.Random(11)
     times = [float(rng.randrange(50)) for _ in range(500)]
+    flows = [f"r{i % 7}" for i in range(500)]
     ref, fast = RefKernel(name="diff"), FastKernel(name="diff")
     ref_log, fast_log = [], []
-    for t in times:
-        ref.schedule(t, lambda: ref_log.append(ref.current_time))
-    fast.post_batch(times, lambda: fast_log.append(fast.current_time))
+    for i, (t, fl) in enumerate(zip(times, flows)):
+        ref.schedule(t, lambda i: ref_log.append((ref.current_time, i)), i,
+                     category="bulk", flow=fl)
+    slots = fast.post_batch(
+        times, lambda i: fast_log.append((fast.current_time, i)),
+        [(i,) for i in range(500)], flows, "bulk")
+    assert [(ev.category, ev.flow) for ev in ref.live_events()] \
+        == [(ev.category, ev.flow) for ev in fast.live_events()]
+    assert [s[1] for s in slots] == list(range(500))
     assert ref.run() == fast.run() == 500
     assert ref_log == fast_log
+
+
+def test_post_batch_rejects_unparallel_lists():
+    fast = FastKernel(name="diff")
+    with pytest.raises(ReproError, match="must parallel"):
+        fast.post_batch([0.0, 1.0], print, [()], [None, None])
+    with pytest.raises(ReproError, match="must parallel"):
+        fast.post_batch([0.0, 1.0], print, [(), ()], [None])
+    assert len(fast) == 0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kernel import EventKernel, HookBus, MinHeap, RunPolicy
-from repro.kernel.event import _SWEEP_MIN_STALE
 
 
 # -- ordering ---------------------------------------------------------------
@@ -110,27 +109,16 @@ def test_cancel_after_firing_is_a_noop():
     assert ev.fired and not ev.cancelled
 
 
-def test_batched_sweep_compacts_without_reordering():
+def test_cancelling_half_never_reorders_survivors():
     k = EventKernel()
     fired = []
     evs = [k.schedule(float(i % 7), fired.append, i) for i in range(400)]
     for ev in evs[::2]:
         ev.cancel()
-    # The sweep physically removed cancelled entries at some point.
-    assert len(k._data) + len(k._batch) < 400
     assert len(k) == 200
     k.run()
     survivors = [i for i in range(400) if i % 2 == 1]
     assert fired == sorted(survivors, key=lambda i: (i % 7, i))
-
-
-def test_sweep_threshold_is_batched_not_eager():
-    k = EventKernel()
-    evs = [k.schedule(float(i), lambda: None) for i in range(1000)]
-    for ev in evs[:_SWEEP_MIN_STALE - 1]:
-        ev.cancel()
-    # Below the batch threshold nothing is compacted yet.
-    assert len(k._data) + len(k._batch) == 1000
 
 
 def test_peek_time_skips_cancelled_prefix():
@@ -160,7 +148,7 @@ def test_skipped_events_cost_nothing():
 
     k.schedule(1.0, stale)
     k.schedule(2.0, fired.append, "real")
-    assert k.run(RunPolicy.budget(1)) == 1
+    assert k.run(RunPolicy(max_events=1)) == 1
     assert fired == ["real"]
     assert k.events_processed == 1
 
@@ -183,17 +171,17 @@ def test_max_events_budget():
     for t in range(5):
         k.schedule(float(t), lambda: None)
     assert k.run(max_events=2) == 2
-    assert k.run(RunPolicy.budget(2)) == 2
-    assert k.run(RunPolicy.drain()) == 1
+    assert k.run(RunPolicy(max_events=2)) == 2
+    assert k.run(RunPolicy()) == 1
 
 
 def test_policy_constructors():
-    assert RunPolicy.until_time(7.0) == RunPolicy(until=7.0)
-    assert RunPolicy.budget(3) == RunPolicy(max_events=3)
-    assert RunPolicy.drain() == RunPolicy()
-    p = RunPolicy(until=5.0, max_events=2)
-    assert p.cuts(5.5) and not p.cuts(5.0)
-    assert p.exhausted(2) and not p.exhausted(1)
+    """The default policy drains to quiescence; policies are values."""
+    assert RunPolicy() == RunPolicy(until=None, max_events=None,
+                                    quiescence=True)
+    assert RunPolicy(max_events=3) != RunPolicy(until=3.0)
+    with pytest.raises(AttributeError):     # frozen dataclass
+        RunPolicy().until = 1.0
 
 
 def test_no_quiescence_policy_skips_idle_hooks():

@@ -31,7 +31,7 @@ def test_100k_event_batched_run_wall_clock_and_allocations():
     k = EventKernel(name="scale")
     # Non-monotonic times: the refill actually sorts, FIFO ties abound.
     times = [float(i % 997) for i in range(n)]
-    items = k.post_batch(times, _nop)
+    items = k.post_batch(times, _nop, [()] * n, [None] * n)
     assert len(items) == n and len(k) == n
 
     gc.collect()
@@ -64,7 +64,8 @@ def test_100k_event_batched_run_wall_clock_and_allocations():
 def test_100k_cancel_storm_drains_flat():
     n = 100_000
     k = EventKernel(name="scale-cancel")
-    items = k.post_batch([float(i % 89) for i in range(n)], _nop)
+    items = k.post_batch([float(i % 89) for i in range(n)], _nop,
+                         [()] * n, [None] * n)
     assert sum(map(k.cancel_slot, items[::2])) == n // 2
     assert len(k) == n // 2
     t0 = time.perf_counter()

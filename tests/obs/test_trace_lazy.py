@@ -1,16 +1,4 @@
-"""Lazy trace-record construction: counters-only tracing allocates
-no per-event records.
-
-Before the fast-path PR, :class:`KernelTracer` built one entry dict per
-lifecycle point unconditionally — even when the caller only wanted the
-aggregate counters.  ``KernelTracer(record=False)`` now skips record
-construction entirely; this suite pins both the behavior (identical
-counters, empty ``entries``) and the structure (zero allocation blocks
-attributed to ``trace.py`` during the run).
-"""
-
-import gc
-import tracemalloc
+"""The :class:`KernelTracer` lifecycle log for one event."""
 
 from repro.kernel import EventKernel, KernelTracer
 
@@ -19,53 +7,8 @@ def _nop():
     pass
 
 
-def _drive(kernel):
-    evs = [kernel.schedule(float(i % 7), _nop, category="demo",
-                           flow=f"f{i % 2}") for i in range(50)]
-    for ev in evs[::5]:
-        ev.cancel()
-    kernel.schedule(8.0, kernel.skip_current)
-    return kernel.run()
-
-
-def test_counters_only_mode_matches_recording_counters():
-    recording = KernelTracer().attach(EventKernel(name="rec"))
-    counting = KernelTracer(record=False).attach(EventKernel(name="cnt"))
-    assert _drive(recording._kernel) == _drive(counting._kernel)
-    assert counting.counters == recording.counters
-    assert counting.counters["dispatched"] == 40
-    assert counting.counters["skipped"] == 1
-    assert counting.counters["cancelled"] == 10
-    assert recording.entries, "record=True still builds the event log"
-    assert counting.entries == []
-    assert counting.timeline() == {}
-
-
-def test_counters_only_mode_allocates_no_trace_records():
-    k = EventKernel(name="lazy")
-    tracer = KernelTracer(record=False).attach(k)
-    k.post_batch([float(i % 11) for i in range(2_000)], _nop)
-    gc.collect()
-    tracemalloc.start()
-    snap0 = tracemalloc.take_snapshot()
-    k.run()
-    snap1 = tracemalloc.take_snapshot()
-    tracemalloc.stop()
-    trace_blocks = [s for s in snap1.compare_to(snap0, "filename")
-                    if "trace.py" in (s.traceback[0].filename or "")]
-    # O(1), not O(events): the only surviving tracer allocations are
-    # the handful of counter cells (non-small ints), never the 2000
-    # per-event record dicts a recording tracer would have built.
-    total = sum(s.count_diff for s in trace_blocks)
-    assert total <= 8, f"{total} trace.py blocks allocated during run"
-    assert sum(s.size_diff for s in trace_blocks) < 1024
-    assert tracer.counters["dispatched"] == 2_000
-    assert tracer.entries == []
-
-
 def test_recording_default_is_unchanged():
     tracer = KernelTracer()
-    assert tracer.record is True
     k = EventKernel(name="default")
     tracer.attach(k)
     k.schedule(1.0, _nop, category="demo")

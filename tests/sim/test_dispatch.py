@@ -40,12 +40,3 @@ def test_unknown_tag_raises_with_known_list():
     cl.send(0, 1, "x", 8, tag="mystery")
     with pytest.raises(CommError, match="known"):
         cl.run()
-
-
-def test_unregister():
-    cl = Cluster(2)
-    disp = TagDispatcher.of(cl[1])
-    disp.register("t", lambda m: None)
-    disp.unregister("t")
-    disp.register("t", lambda m: None)     # re-registration allowed
-    disp.unregister("absent")              # no-op

@@ -34,7 +34,7 @@ from repro.chaos import (STANDARD_WORKLOADS, ChaosRunner,  # noqa: E402
                          FaultConfig)
 from repro.exec import (Cell, ProgressReporter, ResultCache,  # noqa: E402
                         SweepExecutor, SweepSpec, fault_config_params,
-                        make_backend)
+                        backend_from_spec)
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "results",
                    "chaos_sweep.json")
@@ -112,7 +112,8 @@ def main(argv=None) -> int:
 
     spec = build_spec(names, seeds, config)
     executor = SweepExecutor(
-        spec, backend=make_backend(args.jobs),
+        spec, backend=backend_from_spec(
+            "serial" if args.jobs == 1 else f"local:{args.jobs}"),
         cache=ResultCache(args.cache) if args.cache else None,
         force=args.force)
     reporter = ProgressReporter(executor.hooks)
