@@ -210,9 +210,14 @@ class AmpiRuntime:
         waiting = self._waiting.get(msg.dst)
         if waiting is not None and msg.matches(*waiting):
             del self._waiting[msg.dst]
-            thread = self.rank_thread[msg.dst]
-            if thread.state is ThreadState.SUSPENDED:
-                thread.scheduler.awaken(thread)
+            self._wake(msg.dst)
+
+    def _wake(self, rank: int) -> None:
+        """Make ``rank`` runnable again if it is parked (a rank that is
+        READY or running needs no wake-up)."""
+        thread = self.rank_thread[rank]
+        if thread.state is ThreadState.SUSPENDED:
+            thread.scheduler.awaken(thread)
 
     def _post_recv(self, req) -> None:
         """Post an irecv: match the unexpected queue first, else park it."""
@@ -230,9 +235,7 @@ class AmpiRuntime:
         pred = self._wait_pred.get(rank)
         if pred is not None and pred():
             del self._wait_pred[rank]
-            thread = self.rank_thread[rank]
-            if thread.state is ThreadState.SUSPENDED:
-                thread.scheduler.awaken(thread)
+            self._wake(rank)
 
     def _match(self, rank: int, source: int, tag: Any,
                ) -> Optional[AmpiMessage]:
@@ -281,9 +284,7 @@ class AmpiRuntime:
         if self.on_checkpoint is not None:
             self.on_checkpoint()
         for rank in ranks:
-            thread = self.rank_thread[rank]
-            if thread.state is ThreadState.SUSPENDED:
-                thread.scheduler.awaken(thread)
+            self._wake(rank)
 
     def recover_rank(self, rank: int, dst_pe: int) -> None:
         """Rebuild a failed rank from its last coordinated checkpoint.
@@ -295,8 +296,8 @@ class AmpiRuntime:
         key = self.last_checkpoint.get(rank)
         if key is None:
             raise AmpiError(f"rank {rank} has no checkpoint to recover from")
-        thread = self.checkpointer.restore(key, dst_pe)
-        thread.scheduler.awaken(thread)
+        self.checkpointer.restore(key, dst_pe)
+        self._wake(rank)
         self.db.moved(rank, dst_pe)
 
     def _lb_migrate(self, rank: int, dst_pe: int) -> None:
@@ -338,9 +339,7 @@ class AmpiRuntime:
             self.rebalance_in_progress = False
         self.reports.append(report)
         for rank in ranks:
-            thread = self.rank_thread[rank]
-            if thread.state is ThreadState.SUSPENDED:
-                thread.scheduler.awaken(thread)
+            self._wake(rank)
 
     # ------------------------------------------------------------------
     # execution

@@ -132,13 +132,10 @@ def _crash_processor(rt, victim: int, survivors: List[int]) -> None:
     queue is empty, so the lost ranks' threads are destroyed and rebuilt
     from their checkpoints on the survivors, round-robin.
     """
-    sched = rt.schedulers[victim]
     lost = [r for r in range(rt.num_ranks)
             if rt.db.tracks(r) and rt.rank_pe(r) == victim]
     for rank in lost:
-        thread = rt.rank_thread[rank]
-        sched.remove(thread)
-        sched.stack_manager.evacuate(thread.stack)
+        rt.migrator.depart(rt.rank_thread[rank])
     rt.cluster[victim].failed = True
     for i, rank in enumerate(lost):
         rt.recover_rank(rank, survivors[i % len(survivors)])

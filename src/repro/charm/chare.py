@@ -51,13 +51,6 @@ class Chare:
         self.runtime._contribute(self.thisProxy.aid, self.thisIndex,
                                  value, op, callback)
 
-    def migrate_me(self, dst_pe: int) -> None:
-        """Ask the runtime to move this chare to another processor
-        (takes effect after the current entry method returns)."""
-        assert self.runtime is not None and self.thisProxy is not None
-        self.runtime.migrate_element(self.thisProxy.aid, self.thisIndex,
-                                     dst_pe)
-
     def pup(self, p) -> None:
         """Pack/unpack application state; default packs nothing.
 

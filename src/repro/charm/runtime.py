@@ -20,7 +20,7 @@ from repro.errors import CommError
 from repro.charm.chare import Chare
 from repro.charm.reduction import combine
 from repro.charm.sdag import SdagDriver
-from repro.core.pup import pup_pack, pup_unpack
+from repro.core.pup import pup_pack, pup_registered, pup_unpack
 from repro.kernel import QuiescenceCounter
 from repro.sim.cluster import Cluster
 from repro.sim.dispatch import TagDispatcher
@@ -149,16 +149,20 @@ class CharmRuntime:
         proxy = ArrayProxy(self, aid, n)
         for i in range(n):
             pe = placement(i) if placement else i % self.nproc
-            chare = cls(*args)
-            chare.thisIndex = i
-            chare.thisProxy = proxy
-            chare.runtime = self
-            chare._pe = pe
-            self._local[pe][(aid, i)] = chare
+            self._install(cls(*args), proxy, i, pe)
             self._home_loc[self._home(i)][(aid, i)] = pe
             self.cluster[pe].charge(self.cluster.platform.event_dispatch_ns)
             rec.red_rounds[i] = 0
         return proxy
+
+    def _install(self, chare: Chare, proxy: ArrayProxy, index: int,
+                 pe: int) -> None:
+        """Inject the runtime attributes and make ``chare`` local to ``pe``."""
+        chare.thisIndex = index
+        chare.thisProxy = proxy
+        chare.runtime = self
+        chare._pe = pe
+        self._local[pe][(proxy.aid, index)] = chare
 
     def proxy(self, aid: int) -> ArrayProxy:
         """Re-obtain the proxy for an existing array."""
@@ -349,25 +353,20 @@ class CharmRuntime:
     def migrate_element(self, aid: int, index: int, dst_pe: int) -> None:
         """Move an element to ``dst_pe``, packing its state with PUP."""
         key = (aid, index)
-        src = None
-        for pe in range(self.nproc):
-            if key in self._local[pe]:
-                src = pe
-                break
-        if src is None:
-            raise CommError(f"cannot migrate unknown element a{aid}[{index}]")
+        chare = self.element(aid, index)
+        src = chare.my_pe
         if src == dst_pe:
             return
-        chare = self._local[src].pop(key)
-        driver = self._drivers.pop(key, None)
         # Pack the application state for real when the class is puppable.
-        blob: Optional[bytes]
-        try:
+        # A registered class whose pup() fails must not degrade into a
+        # by-reference move: its PupError propagates, element still home.
+        blob: Optional[bytes] = None
+        wire = 256
+        if pup_registered(type(chare)):
             blob = pup_pack(chare)
             wire = len(blob)
-        except Exception:
-            blob = None
-            wire = 256
+        del self._local[src][key]
+        driver = self._drivers.pop(key, None)
         self._tombstone[src][key] = dst_pe
         self.cluster[src].charge(self.cluster.platform.mem.memcpy_cost(wire))
         self.cluster.send(src, dst_pe,
@@ -383,15 +382,9 @@ class CharmRuntime:
             # whole object: rebuild from bytes (the real PUP path).  A live
             # driver's generator closes over the original object, so that
             # object itself is kept (see DESIGN.md on generator state).
-            # Rebuild from the serialized image — the PUP path is real.
-            rebuilt = pup_unpack(blob)
-            rebuilt.thisIndex = index
-            rebuilt.thisProxy = ArrayProxy(self, aid, self._arrays[aid].n)
-            rebuilt.runtime = self
-            chare = rebuilt
-        chare._pe = pe
+            chare = pup_unpack(blob)
+        self._install(chare, self.proxy(aid), index, pe)
         self.cluster[pe].charge(self.cluster.platform.mem.memcpy_cost(wire))
-        self._local[pe][key] = chare
         if driver is not None:
             self._drivers[key] = driver
         self._tombstone[pe].pop(key, None)
@@ -476,15 +469,10 @@ class CharmRuntime:
             raise CommError("restore_array: no matching live array")
         proxy = ArrayProxy(self, aid, rec.n)
         for i, pe, data in image["elements"]:
-            rebuilt = pup_unpack(data)
-            rebuilt.thisIndex = i
-            rebuilt.thisProxy = proxy
-            rebuilt.runtime = self
-            rebuilt._pe = pe
             # Remove the old element wherever it currently lives.
             for p in range(self.nproc):
                 self._local[p].pop((aid, i), None)
-            self._local[pe][(aid, i)] = rebuilt
+            self._install(pup_unpack(data), proxy, i, pe)
             self._home_loc[self._home(i)][(aid, i)] = pe
         return proxy
 

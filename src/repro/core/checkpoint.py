@@ -100,20 +100,10 @@ class Checkpointer:
             raise MigrationError(
                 f"cannot checkpoint {thread.name} in state "
                 f"{thread.state.value}")
-        sched = thread.scheduler
-        image = {
-            "tid": tuple(thread.tid),
-            "name": thread.name,
-            "stack": sched.stack_manager.pack(thread.stack),
-            "saved_sp": sched.saved_sp(thread),
-            "got_image": list(thread.got.image) if thread.got else None,
-            "got_storage": (list(thread.got.storage_addrs)
-                            if thread.got else None),
-        }
-        # The on-disk image is sealed (length + CRC32) so that corruption
-        # on the simulated disk is a loud CheckpointError at restore, never
-        # a silently wrong memory image.
-        blob = pup_seal(pack_value(image))
+        # The on-disk image is the migration image, sealed (length +
+        # CRC32) so that corruption on the simulated disk is a loud
+        # CheckpointError at restore, never a silently wrong memory image.
+        blob = pup_seal(pack_value(self.migrator.pack(thread)))
         key = key or f"ckpt-{thread.name}-{self.checkpoints_taken}"
         # The kernel's "checkpoint.write" filter channel may replace the
         # blob (chaos: transient CheckpointError or a corrupted image that
@@ -123,7 +113,7 @@ class Checkpointer:
         self._store[key] = CheckpointRecord(
             key=key, blob=blob, tid=thread.tid, name=thread.name,
             switches_at_checkpoint=thread.switches, thread_obj=thread)
-        sched.processor.charge(self.disk.write_ns(len(blob)))
+        thread.scheduler.processor.charge(self.disk.write_ns(len(blob)))
         self.checkpoints_taken += 1
         self.bytes_written += len(blob)
         return key
@@ -168,17 +158,10 @@ class Checkpointer:
         except PupError as e:
             raise CheckpointError(
                 f"checkpoint {key!r} failed its integrity check: {e}") from e
-        dst_sched = self.migrator.schedulers[dst_pe]
-        dst_sched.processor.charge(self.disk.read_ns(len(record.blob)))
-        rec = dst_sched.stack_manager.unpack(image["stack"])
-        thread.stack = rec
-        if image["got_image"] is not None and thread.got is not None:
-            thread.got.image = list(image["got_image"])
-            thread.got.storage_addrs = list(image["got_storage"] or [])
-        dst_sched.adopt(thread, image["saved_sp"])
+        self.migrator.schedulers[dst_pe].processor.charge(
+            self.disk.read_ns(len(record.blob)))
         # Restores come back suspended; the caller decides when to resume.
-        dst_sched.unqueue(thread)
-        thread.state = ThreadState.SUSPENDED
+        self.migrator.rebuild(thread, image, dst_pe, suspended=True)
         self.restores_done += 1
         return thread
 

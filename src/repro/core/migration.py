@@ -36,12 +36,7 @@ _TAG = "thmig"
 class ThreadImage:
     """A packed thread in flight between processors."""
 
-    tid: tuple
-    name: str
-    stack_image: dict
-    saved_sp: int
-    got_image: Optional[List[int]]
-    got_storage: Optional[List[int]]
+    fields: dict                   # ThreadMigrator.pack(thread)
     thread_obj: UThread            # in-process handle (see module docstring)
     wire_bytes: int                # simulated size actually shipped
     stats: dict = field(default_factory=dict)
@@ -90,6 +85,49 @@ class ThreadMigrator:
         for proc in cluster.processors:
             TagDispatcher.of(proc).register(_TAG, self._on_message)
 
+    # -- the one image path: migrate ships it, a checkpoint writes it --
+
+    def pack(self, thread: UThread) -> dict:
+        """Everything that must move with ``thread``, as a value tree.
+        ``Checkpointer`` serializes exactly this, and blob length is
+        simulated disk time: keys and their order are a format."""
+        sched = thread.scheduler
+        got = thread.got
+        return {
+            "tid": tuple(thread.tid),
+            "name": thread.name,
+            "stack": sched.stack_manager.pack(thread.stack),
+            "saved_sp": sched.saved_sp(thread),
+            "got_image": list(got.image) if got else None,
+            "got_storage": list(got.storage_addrs) if got else None,
+        }
+
+    def depart(self, thread: UThread) -> None:
+        """Detach ``thread`` from its processor and free its stack."""
+        sched = thread.scheduler
+        sched.remove(thread)
+        sched.stack_manager.evacuate(thread.stack)
+
+    def rebuild(self, thread: UThread, image: dict, dst_pe: int,
+                suspended: bool) -> None:
+        """Inverse of :meth:`pack` on ``dst_pe``, same virtual addresses;
+        the thread ends READY, or SUSPENDED if that is how it left."""
+        dst_sched = self.schedulers[dst_pe]
+        try:
+            thread.stack = dst_sched.stack_manager.unpack(image["stack"])
+        except Exception as e:
+            raise MigrationError(
+                f"failed to rebuild {image['name']} on pe{dst_pe}: {e}"
+            ) from e
+        if image["got_image"] is not None and thread.got is not None:
+            thread.got.image = image["got_image"]
+            thread.got.storage_addrs = image["got_storage"] or []
+        dst_sched.adopt(thread, image["saved_sp"])
+        if suspended:
+            # adopt() optimistically queued it, so take it back out.
+            dst_sched.unqueue(thread)
+            thread.state = ThreadState.SUSPENDED
+
     # ------------------------------------------------------------------
 
     def migrate(self, thread: UThread, dst_pe: int) -> None:
@@ -123,23 +161,14 @@ class ThreadMigrator:
                 f"migration of {thread.name} pe{src_pe}->pe{dst_pe} "
                 f"aborted by fault injection")
 
-        was_suspended = thread.state is ThreadState.SUSPENDED
-        saved_sp = src_sched.saved_sp(thread)
-        manager = src_sched.stack_manager
-        stack_image = manager.pack(thread.stack)
+        fields = self.pack(thread)
         image = ThreadImage(
-            tid=thread.tid,
-            name=thread.name,
-            stack_image=stack_image,
-            saved_sp=saved_sp,
-            got_image=list(thread.got.image) if thread.got else None,
-            got_storage=list(thread.got.storage_addrs) if thread.got else None,
+            fields=fields,
             thread_obj=thread,
-            wire_bytes=self._image_bytes(stack_image),
-            stats={"was_suspended": was_suspended},
+            wire_bytes=self._image_bytes(fields["stack"]),
+            stats={"was_suspended": thread.state is ThreadState.SUSPENDED},
         )
-        src_sched.remove(thread)
-        manager.evacuate(thread.stack)
+        self.depart(thread)
         thread.state = ThreadState.MIGRATING
         # Packing pays a memory copy of the shipped bytes.
         src_proc = self.cluster[src_pe]
@@ -172,22 +201,9 @@ class ThreadMigrator:
         # Unpacking pays the mirror-image memory copy.
         dst_sched.processor.charge(
             dst_sched.profile.mem.memcpy_cost(image.wire_bytes))
-        try:
-            rec = dst_sched.stack_manager.unpack(image.stack_image)
-        except Exception as e:
-            raise MigrationError(
-                f"failed to rebuild {image.name} on pe{msg.dst}: {e}") from e
-        # consume() bookkeeping carried over by unpack via used_bytes.
-        thread.stack = rec
-        if image.got_image is not None and thread.got is not None:
-            thread.got.image = image.got_image
-            thread.got.storage_addrs = image.got_storage or []
-        dst_sched.adopt(thread, image.saved_sp)
-        if image.stats.get("was_suspended"):
-            # A suspended thread stays suspended after migration; adopt()
-            # optimistically queued it, so take it back out.
-            dst_sched.unqueue(thread)
-            thread.state = ThreadState.SUSPENDED
+        # A suspended thread stays suspended after migration.
+        self.rebuild(thread, image.fields, msg.dst,
+                     suspended=image.stats["was_suspended"])
         returned = bool(image.stats.get("bounced"))
         if returned:
             # A bounce-home rebuild is not a completed migration: the
@@ -204,7 +220,8 @@ class ThreadMigrator:
             # Observability channel (filter-style, payload passes
             # through): one event per rebuild, completed or returned.
             hooks.filter("migration.done", {
-                "name": image.name, "src": msg.src, "dst": msg.dst,
+                "name": image.fields["name"], "src": msg.src,
+                "dst": msg.dst,
                 "t": msg.send_time, "bytes": image.wire_bytes,
                 "returned": returned})
         if self.on_arrival is not None:

@@ -39,6 +39,7 @@ __all__ = [
     "PackingPupper",
     "UnpackingPupper",
     "pup_register",
+    "pup_registered",
     "pup_pack",
     "pup_unpack",
     "pup_size",
@@ -94,6 +95,26 @@ def pup_register(cls: Type[Any], name: Optional[str] = None) -> Type[Any]:
     _REGISTRY[key] = cls
     cls._pup_name = key
     return cls
+
+
+def pup_registered(cls: Type[Any]) -> bool:
+    """True when ``cls`` or a base is ``pup_register``'ed (packing still
+    needs the class's *own* registration)."""
+    return hasattr(cls, "_pup_name")
+
+
+def _wire_name(obj: Any) -> str:
+    """The wire name ``obj``'s own class registered; an inherited one
+    would unpack as the base — silently the wrong type — so is refused."""
+    cls = type(obj)
+    name = vars(cls).get("_pup_name")
+    if name is None:
+        inherited = getattr(cls, "_pup_name", None)
+        raise PupError(
+            f"{cls.__name__} is not pup_register'ed"
+            + (f" (its base {_REGISTRY[inherited].__name__} is)"
+               if inherited else ""))
+    return name
 
 
 class BasePupper:
@@ -234,9 +255,7 @@ class BasePupper:
             return inst
         if v is None:
             raise PupError("obj field requires a value when sizing/packing")
-        name = getattr(type(v), "_pup_name", None)
-        if name is None:
-            raise PupError(f"{type(v).__name__} is not pup_register'ed")
+        name = _wire_name(v)
         self._blob(name.encode("utf-8"))
         self._enter(name)
         try:
@@ -349,7 +368,7 @@ class UnpackingPupper(BasePupper):
 def pup_size(obj: Puppable) -> int:
     """Bytes :func:`pup_pack` will produce for ``obj`` (sizing phase)."""
     p = SizingPupper()
-    name = getattr(type(obj), "_pup_name", type(obj).__qualname__)
+    name = _wire_name(obj)
     p._blob(name.encode())
     p._enter(name)
     try:
@@ -361,9 +380,7 @@ def pup_size(obj: Puppable) -> int:
 
 def pup_pack(obj: Puppable) -> bytes:
     """Pack a registered puppable object into bytes."""
-    name = getattr(type(obj), "_pup_name", None)
-    if name is None:
-        raise PupError(f"{type(obj).__name__} is not pup_register'ed")
+    name = _wire_name(obj)
     p = PackingPupper()
     p._blob(name.encode("utf-8"))
     p._enter(name)

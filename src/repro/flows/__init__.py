@@ -58,12 +58,12 @@ MECHANISMS = {
     "ampi": AmpiThreadFlow,
 }
 
-#: Mechanisms implementing the workload-execution contract's three
-#: frontends (plus the N:M hybrid), keyed by label: the set the
-#: thread-vs-event-vs-compiled comparisons run over.
+#: Mechanisms that execute a :class:`FlowProgram` (thread form, its
+#: N:M hybrid, and the compiled form), keyed by label: the set the
+#: thread-vs-compiled comparisons run over.  ``EventObjectFlow`` is a
+#: cost model only; hand-written event objects run on ``repro.charm``.
 WORKLOAD_MECHANISMS = {
     "cth": UserThreadFlow,
-    "event": EventObjectFlow,
     "n:m": HybridThreadFlow,
     "compiled": CompiledContinuationFlow,
 }

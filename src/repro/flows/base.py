@@ -2,9 +2,9 @@
 
 A mechanism is both a *cost model* (creation cost, switch cost, OS
 limits — Figures 4–8 and Table 2) and an *executor*: every mechanism
-runs real message-passing workloads through the shared
+with a thread body runs real message-passing workloads through the shared
 :class:`~repro.flows.runtime.FlowWorld` substrate via
-:meth:`FlowMechanism.run_workload`, so thread, event-object, hybrid and
+:meth:`FlowMechanism.run_workload`, so thread, hybrid and
 compiled-continuation flows are interchangeable behind one contract:
 
 ``create`` (real resources, real limits) / ``run_workload`` (execute a

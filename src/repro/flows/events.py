@@ -16,6 +16,9 @@ class EventObjectFlow(FlowMechanism):
     the event-driven style can also be very efficient" — a switch here is
     one scheduler dispatch, no register or stack work at all, and an
     object's footprint is just its application data.
+
+    A cost model only: event objects *execute* on :mod:`repro.charm`,
+    and :meth:`FlowWorld.spawn` refuses this ``form``.
     """
 
     label = "event"

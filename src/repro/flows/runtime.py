@@ -1,10 +1,10 @@
-"""Workload execution for flow mechanisms: one kernel, three frontends.
+"""Workload execution for flow mechanisms: one kernel, two frontends.
 
-The paper's three flow-of-control styles all need to run *the same
-program* before their costs and limits can be compared honestly.  This
-module is the shared substrate: a :class:`FlowWorld` owns one fast-path
-:class:`~repro.kernel.EventKernel` plus per-rank mailboxes, and drives
-any mix of
+A thread body and the event form the compiler derives from it must run
+*the same program* before their costs and limits can be compared
+honestly.  This module is the shared substrate: a :class:`FlowWorld`
+owns one fast-path :class:`~repro.kernel.EventKernel` plus per-rank
+mailboxes, and drives
 
 * **generator tasks** — UThread-style bodies (``def main(mpi)``
   generators speaking the directive protocol) trampolined one resume
@@ -12,9 +12,11 @@ any mix of
 * **compiled tasks** — the same bodies after
   :mod:`repro.flows.compile` turned them into flat continuation state
   machines (no generator frames, no Python stacks held across
-  suspends);
-* **event objects** — hand-written SDAG-style objects reacting to
-  message-delivery events (the paper's "awkward but unbounded" form).
+  suspends).
+
+The *hand-written* event form (the paper's "awkward but unbounded"
+Section 2.4 shape) is a chare and lives on the chare runtime:
+:mod:`repro.workloads.stencil_chare` over :mod:`repro.charm`.
 
 Trace-identity contract (pinned by ``tests/flows/test_differential.py``):
 a generator task and its compiled translation produce **byte-identical
@@ -93,20 +95,14 @@ class FlowMessage:
 
 @dataclass
 class FlowProgram:
-    """One workload, in up to three forms.
-
-    ``body`` is the thread form: a generator function ``main(mpi)``
-    shared by every rank (rank identity comes from ``mpi.rank``), which
-    is also what :mod:`repro.flows.compile` consumes.  ``event_objects``
-    is the optional hand-written SDAG/event-object form: a factory
-    ``(world, rank) -> object`` where the object implements ``start()``
-    and ``on_message(msg)`` and calls ``world.finish(rank)`` when done.
-    """
+    """One workload: ``body`` is the thread form, a generator function
+    ``main(mpi)`` shared by every rank (rank identity comes from
+    ``mpi.rank``), which is also what :mod:`repro.flows.compile`
+    consumes to derive the compiled form."""
 
     name: str
     ranks: int
     body: Callable[..., Any]
-    event_objects: Optional[Callable[["FlowWorld", int], Any]] = None
 
 
 class FlowContext:
@@ -219,16 +215,11 @@ class FlowContext:
 
 
 class _Task:
-    """One rank of a world.  Messages queue in the world's mailbox
-    until the body receives them (the thread and compiled forms); the
-    event-object form overrides :meth:`on_message`.  The forms set
-    ``rank``/``flow`` themselves: a ``super().__init__`` per task read
-    +3 % on the 80 000-flow ``flows_drain`` repetition."""
+    """One rank of a world.  The forms set ``rank``/``flow``
+    themselves: a ``super().__init__`` per task read +3 % on the
+    80 000-flow ``flows_drain`` repetition."""
 
     __slots__ = ("rank", "flow")
-
-    def on_message(self, world: "FlowWorld", msg: FlowMessage) -> None:
-        world._mailbox_deliver(self, msg)
 
 
 class _GeneratorTask(_Task):
@@ -246,7 +237,7 @@ class _GeneratorTask(_Task):
         try:
             directive = self.gen.send(None)
         except StopIteration:
-            world._task_done(self)
+            world._done += 1
             return
         if directive == "suspend":
             return
@@ -255,7 +246,7 @@ class _GeneratorTask(_Task):
             return
         if directive == "exit":
             self.gen.close()
-            world._task_done(self)
+            world._done += 1
             return
         raise ReproError(
             f"flow r{self.rank}: unsupported directive {directive!r} "
@@ -290,34 +281,11 @@ class CompiledTask(_Task):
             pc, frame = res
             res = pc(ctx, frame)
         if res is DONE:
-            world._task_done(self)
+            world._done += 1
         elif res is not SUSPENDED:
             raise ReproError(
                 f"flow r{self.rank}: compiled state returned {res!r} "
                 f"(expected a continuation, DONE, or SUSPENDED)")
-
-
-class _EventObjectTask(_Task):
-    """One flow as a hand-written event-driven object."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, world: "FlowWorld", rank: int,
-                 factory: Callable[["FlowWorld", int], Any]) -> None:
-        self.rank = rank
-        self.flow = f"r{rank}"
-        self.obj = factory(world, rank)
-
-    def step(self, world: "FlowWorld") -> None:
-        # The seed event: the object's start() entry method.
-        self.obj.start()
-
-    def on_message(self, world: "FlowWorld", msg: FlowMessage) -> None:
-        # Event objects get one kernel event per delivery — suspension
-        # is inverted into the object's own state, which is exactly the
-        # awkwardness the paper's Section 2.4 describes.
-        world.kernel.post(0.0, world._deliver, (self, msg),
-                          "flow.deliver", self.flow)
 
 
 @dataclass(frozen=True)
@@ -363,16 +331,15 @@ class FlowWorld:
         self.work_ns = 0.0
         self.modeled_switch_ns = 0.0
         #: Shared per-rank output dict, exposed to bodies as
-        #: ``mpi.results`` (all three forms).
+        #: ``mpi.results``.
         self.results: Dict[int, Any] = {}
 
     # -- construction ---------------------------------------------------
 
     def spawn(self, form: str, program: FlowProgram) -> None:
         """Populate every rank with ``program`` in one of its forms:
-        ``"thread"`` (the generator body), ``"compiled"`` (the body
-        after :func:`repro.flows.compile.compile_flow`) or ``"event"``
-        (the hand-written event objects)."""
+        ``"thread"`` (the generator body) or ``"compiled"`` (the body
+        after :func:`repro.flows.compile.compile_flow`)."""
         if self._tasks:
             raise ReproError("world already populated")
         ranks = range(self.ranks)
@@ -384,17 +351,11 @@ class FlowWorld:
             self._tasks = [
                 CompiledTask(self, r, compiled.entry, compiled.new_frame())
                 for r in ranks]
-        elif form == "event":
-            if program.event_objects is None:
-                raise ReproError(
-                    f"program {program.name!r} has no hand-written "
-                    f"event-object form — write one, or run it in "
-                    f"thread/compiled form")
-            self._tasks = [_EventObjectTask(self, r, program.event_objects)
-                           for r in ranks]
         else:
             raise ReproError(
-                f"unknown flow form {form!r} (thread, compiled, event)")
+                f"unknown flow form {form!r} (thread, compiled); a "
+                f"hand-written event form is a chare — host it on "
+                f"repro.charm, as repro.workloads.stencil_chare does")
 
     # -- execution ------------------------------------------------------
 
@@ -430,17 +391,12 @@ class FlowWorld:
                 f"unfinished flows: {', '.join(stuck) or 'none waiting'}")
         return processed
 
-    # -- dispatch sites (shared by thread + compiled forms) -------------
+    # -- the dispatch site (shared by thread + compiled forms) ----------
 
     def _resume(self, task) -> None:
         self.dispatches += 1
         self.modeled_switch_ns += self.dispatch_cost_ns
         task.step(self)
-
-    def _deliver(self, task, msg: FlowMessage) -> None:
-        self.dispatches += 1
-        self.modeled_switch_ns += self.dispatch_cost_ns
-        task.obj.on_message(msg)
 
     def _post_resume(self, task) -> None:
         self.kernel.post(0.0, self._resume, (task,), "flow.resume",
@@ -449,18 +405,16 @@ class FlowWorld:
     # -- messaging ------------------------------------------------------
 
     def send(self, src: int, dst: int, data: Any, tag: Any = None) -> None:
-        """Deposit a message at rank ``dst`` (any task kind)."""
+        """Deposit a message in rank ``dst``'s mailbox, waking the rank
+        if it is suspended in a receive the message matches."""
         if not 0 <= dst < self.ranks:
             raise ReproError(f"bad destination rank {dst}")
-        self._tasks[dst].on_message(self, FlowMessage(src, tag, data))
-
-    def _mailbox_deliver(self, task, msg: FlowMessage) -> None:
-        rank = task.rank
-        self._mailbox[rank].append(msg)
-        waiting = self._waiting[rank]
+        msg = FlowMessage(src, tag, data)
+        self._mailbox[dst].append(msg)
+        waiting = self._waiting[dst]
         if waiting is not None and msg.matches(*waiting):
-            self._waiting[rank] = None
-            self._post_resume(task)
+            self._waiting[dst] = None
+            self._post_resume(self._tasks[dst])
 
     def _match(self, rank: int, source: Optional[int],
                tag: Any) -> Optional[FlowMessage]:
@@ -485,13 +439,6 @@ class FlowWorld:
 
     def charge(self, ns: float) -> None:
         self.work_ns += ns
-
-    def finish(self, rank: int) -> None:
-        """Event-object completion signal."""
-        self._task_done(self._tasks[rank])
-
-    def _task_done(self, task) -> None:
-        self._done += 1
 
     @property
     def finished(self) -> int:

@@ -1,22 +1,22 @@
-"""The paper's stencil workload, in all three flow-of-control forms.
+"""The paper's stencil workload: the thread form and what it shares.
 
-One 1-D Jacobi relaxation, written three ways:
+One 1-D Jacobi relaxation, in the two forms the compiler relates:
 
 * **thread form** — the blocking-receive generator body inside
   :func:`stencil_program` ("the program's natural control flow",
   Section 2.3);
 * **compiled form** — not written at all: :mod:`repro.flows.compile`
   derives it from the thread form, and the differential oracle pins
-  its kernel trace byte-identical to the generator's;
-* **event-object form** — :class:`StencilChare`, the hand-inverted
-  SDAG-style state machine (Section 2.4's "awkward" shape: explicit
-  step counters, explicit buffering of early messages, control flow
-  scattered across ``on_message``).
+  its kernel trace byte-identical to the generator's.
 
-All three share :func:`relax`, so their numeric results are
-float-exact comparable.  Ghost messages are tagged ``(dir, step)``;
-the step in the tag is what lets neighbors run asynchronously without
-a barrier while still matching deterministically.
+The hand-inverted event-object form (Section 2.4's "awkward" shape) is
+a chare, :class:`repro.workloads.stencil_chare.StencilChare`, hosted by
+:mod:`repro.charm`.  It shares :func:`relax`, :func:`stencil_field` and
+:data:`NS_PER_CELL` with the body here, so all three forms' numeric
+results are float-exact comparable.  Ghost messages are tagged
+``(dir, step)``; the step in the tag is what lets neighbors run
+asynchronously without a barrier while still matching
+deterministically.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.flows.runtime import FlowProgram, FlowWorld
+from repro.flows.runtime import FlowProgram
 
-__all__ = ["relax", "stencil_program", "StencilChare"]
+__all__ = ["relax", "stencil_field", "stencil_program", "NS_PER_CELL"]
 
 
 def relax(data: List[float], below: float, above: float) -> List[float]:
@@ -40,15 +40,20 @@ def relax(data: List[float], below: float, above: float) -> List[float]:
 
 
 #: Modeled compute cost per cell per sweep (charged, not traced).
-_NS_PER_CELL = 50.0
+NS_PER_CELL = 50.0
+
+
+def stencil_field(ranks: int, cells: int, seed: int) -> List[List[float]]:
+    """The seeded initial field, one strip of ``cells`` per rank."""
+    rng = random.Random(seed)
+    return [[rng.uniform(0.0, 100.0) for _ in range(cells)]
+            for _ in range(ranks)]
 
 
 def stencil_program(ranks: int, cells: int = 8, steps: int = 4,
                     seed: int = 1) -> FlowProgram:
-    """Build the three-forms stencil over a seeded initial field."""
-    rng = random.Random(seed)
-    init = [[rng.uniform(0.0, 100.0) for _ in range(cells)]
-            for _ in range(ranks)]
+    """Build the thread-form stencil over the seeded initial field."""
+    init = stencil_field(ranks, cells, seed)
 
     def main(mpi):
         data = list(init[mpi.rank])
@@ -68,84 +73,8 @@ def stencil_program(ranks: int, cells: int = 8, steps: int = 4,
                                             tag=("down", step))
             else:
                 below = data[0]
-            mpi.charge(_NS_PER_CELL * len(data))
+            mpi.charge(NS_PER_CELL * len(data))
             data = relax(data, below, above)
         mpi.results[mpi.rank] = data
 
-    def make_chare(world: FlowWorld, rank: int) -> "StencilChare":
-        return StencilChare(world, rank, list(init[rank]), steps)
-
-    return FlowProgram("stencil", ranks, main, event_objects=make_chare)
-
-
-class StencilChare:
-    """Hand-written event-object form of the same stencil.
-
-    Everything the generator expresses with straight-line code becomes
-    explicit object state: which step we are on, which ghosts have
-    arrived, and a buffer for messages from neighbors that are already
-    a step ahead.  This is the inversion the compiler performs
-    mechanically.
-    """
-
-    def __init__(self, world: FlowWorld, rank: int,
-                 data: List[float], steps: int) -> None:
-        self.world = world
-        self.rank = rank
-        self.nranks = world.ranks
-        self.data = data
-        self.steps = steps
-        self.step = 0
-        self._ghosts: dict = {}      # tag -> value, may hold future steps
-        self._finished = False
-
-    # -- entry methods ---------------------------------------------------
-
-    def start(self) -> None:
-        if self.steps == 0:
-            self._finish()
-            return
-        self._send_ghosts()
-        self._try_advance()
-
-    def on_message(self, msg) -> None:
-        self._ghosts[msg.tag] = msg.data
-        self._try_advance()
-
-    # -- the inverted control flow ---------------------------------------
-
-    def _send_ghosts(self) -> None:
-        if self.rank > 0:
-            self.world.send(self.rank, self.rank - 1, self.data[0],
-                            tag=("up", self.step))
-        if self.rank < self.nranks - 1:
-            self.world.send(self.rank, self.rank + 1, self.data[-1],
-                            tag=("down", self.step))
-
-    def _try_advance(self) -> None:
-        # Loop: several steps may unblock at once when buffered ghosts
-        # from a fast neighbor are already waiting.
-        while self.step < self.steps:
-            need_above = self.rank < self.nranks - 1
-            need_below = self.rank > 0
-            up = ("up", self.step)
-            down = ("down", self.step)
-            if need_above and up not in self._ghosts:
-                return
-            if need_below and down not in self._ghosts:
-                return
-            above = self._ghosts.pop(up) if need_above else self.data[-1]
-            below = self._ghosts.pop(down) if need_below else self.data[0]
-            self.world.charge(_NS_PER_CELL * len(self.data))
-            self.data = relax(self.data, below, above)
-            self.step += 1
-            if self.step < self.steps:
-                self._send_ghosts()
-        self._finish()
-
-    def _finish(self) -> None:
-        if self._finished:
-            return
-        self._finished = True
-        self.world.results[self.rank] = self.data
-        self.world.finish(self.rank)
+    return FlowProgram("stencil", ranks, main)

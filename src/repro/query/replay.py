@@ -45,7 +45,7 @@ REPLAY_FAULT_RATES = dict(
 
 _CHAOS_TARGETS = ("stencil", "samplesort", "btmz", "fragile-reduce")
 _FLOWS_TARGETS = ("spin", "ring", "pingpong", "stencil")
-_FORMS = ("thread", "compiled", "event")
+_FORMS = ("thread", "compiled")
 
 _CHAOS_KEYS = frozenset({"seed"})
 _FLOWS_KEYS = frozenset({"form", "ranks", "rounds", "cells", "steps",
@@ -111,7 +111,8 @@ def parse_runspec(text: str) -> RunSpec:
     form = params.get("form", "thread")
     if kind == "flows" and form not in _FORMS:
         raise QueryError(f"bad runspec {text!r}: form must be one of "
-                         f"{', '.join(_FORMS)}")
+                         f"{', '.join(_FORMS)} (hand-written event objects "
+                         f"run on repro.charm, not under flows:)")
     return RunSpec(kind, target, params)
 
 

@@ -3,6 +3,8 @@
 * :mod:`repro.workloads.stencil` — the Figure 1 five-point stencil with
   one-dimensional decomposition and ghost-strip exchange, with real NumPy
   numerics (Jacobi iteration), runnable over both the SDAG runtime and AMPI.
+* :mod:`repro.workloads.stencil_chare` — the :mod:`repro.flows.stencil`
+  program hand-inverted into a PUP-migratable chare (not re-exported).
 * :mod:`repro.workloads.md` — a cube-decomposition molecular-dynamics-like
   workload (the BigSim target application of Figure 11 / Section 4.4).
 * :mod:`repro.workloads.btmz` — a NAS BT-MZ-like multi-zone workload

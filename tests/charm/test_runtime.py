@@ -4,7 +4,7 @@ import pytest
 
 from repro.charm import Chare, CharmRuntime, When, Overlap
 from repro.core.pup import pup_register
-from repro.errors import CommError
+from repro.errors import CommError, PupError
 from repro.sim import Cluster
 
 
@@ -118,6 +118,22 @@ def test_migration_moves_state_via_pup():
     assert moved.value == 42              # state survived serialization
     assert moved.my_pe == 0
     assert rt.location_of(proxy.aid, 1) == 0
+
+
+def test_registered_chare_whose_pup_raises_never_migrates_by_reference():
+    """A failing pup() is a positioned PupError, not a "successful"
+    migration of the live Python object at a made-up 256-byte size."""
+    @pup_register
+    class BrokenPup(Chare):
+        def pup(self, p):
+            p.int("oops")
+
+    cl, rt, proxy = make(2, 2, BrokenPup)
+    with pytest.raises(PupError, match=r"BrokenPup \(field #\d, packing\)"):
+        rt.migrate_element(proxy.aid, 1, 0)
+    assert rt.migrations == 0
+    assert rt.element(proxy.aid, 1).my_pe == 1      # still home, intact
+    assert cl.run() == 0                            # nothing was shipped
 
 
 def test_messages_after_migration_are_forwarded():

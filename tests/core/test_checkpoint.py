@@ -1,8 +1,13 @@
 """Tests for checkpoint/restart and processor evacuation."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.core import Checkpointer, DiskModel
+from repro.core.pup import pack_value, pup_seal
 from repro.core.thread import ThreadState
 from repro.errors import MigrationError
 from tests.core.conftest import make_cluster
@@ -31,6 +36,47 @@ def test_checkpoint_produces_real_bytes():
     assert ck.bytes_written == rec.nbytes
 
 
+def test_checkpoint_blob_is_the_sealed_migration_image():
+    """Checkpointing is migration to disk: one image, whose keys and
+    order are an on-disk format (blob length is simulated disk time)."""
+    cl, scheds, mig, ck = make_world()
+
+    def body(th):
+        th.write(th.malloc(64), b"x" * 64)
+        yield "suspend"
+
+    t = scheds[0].create(body)
+    scheds[0].run()
+    image = mig.pack(t)
+    assert list(image) == ["tid", "name", "stack", "saved_sp",
+                           "got_image", "got_storage"]
+    assert ck.stored(ck.checkpoint(t)).blob == pup_seal(pack_value(image))
+
+
+def test_one_pack_one_rebuild_one_depart():
+    """Only ``ThreadMigrator`` packs, unpacks or evacuates through a
+    scheduler's stack manager, or adopts a thread; the checkpointer and
+    the chaos fail-stop call it."""
+    def is_image_step(f):
+        return isinstance(f, ast.Attribute) and (
+            f.attr == "adopt"
+            or f.attr in ("pack", "unpack", "evacuate")
+            and isinstance(f.value, ast.Attribute)
+            and f.value.attr == "stack_manager")
+
+    users = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        if path.name == "stacks.py":        # IsomallocSlot.adopt: a slot
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call) and is_image_step(n.func)
+                    for n in ast.walk(fn)):
+                users.add((path.name, fn.name))
+    assert users == {("migration.py", "pack"), ("migration.py", "depart"),
+                     ("migration.py", "rebuild")}
+
+
 def test_checkpoint_restore_roundtrip():
     """Checkpoint to 'disk', destroy local state, restore elsewhere."""
     cl, scheds, mig, ck = make_world()
@@ -48,8 +94,7 @@ def test_checkpoint_restore_roundtrip():
     scheds[0].run()
     key = ck.checkpoint(t)
     # Fail-stop: processor 0 loses the thread's local resources.
-    scheds[0].remove(t)
-    scheds[0].stack_manager.evacuate(t.stack)
+    mig.depart(t)
     # Restore on processor 1 and resume.
     restored = ck.restore(key, dst_pe=1)
     assert restored is t

@@ -88,6 +88,33 @@ def test_unregistered_class_rejected():
         pup_pack(Rogue())
 
 
+def test_unregistered_subclass_of_a_registered_class_is_refused_at_pack():
+    """An inherited wire name would unpack as the *base*: a trailing-
+    bytes error blamed on the wrong class, or — when the subclass adds
+    no fields — silently the wrong type."""
+    class Point3(Point):
+        def __init__(self, x=0.0, y=0.0, z=0.0):
+            super().__init__(x, y)
+            self.z = z
+
+        def pup(self, p):
+            super().pup(p)
+            self.z = p.double(self.z)
+
+    class Alias(Point):
+        pass
+
+    for obj in (Point3(1, 2, 3), Alias(1, 2)):
+        name = type(obj).__name__
+        for entry in (pup_pack, pup_size, lambda o: pup_pack(Nested(o))):
+            with pytest.raises(PupError, match=rf"{name} is not "
+                               rf"pup_register'ed \(its base Point is\)"):
+                entry(obj)
+    pup_register(Point3, name="test-pup-Point3")
+    back = pup_unpack(pup_pack(Point3(1, 2, 3)))
+    assert type(back) is Point3 and back.z == 3
+
+
 def test_unknown_wire_name_rejected():
     blob = pup_pack(Point(0, 0))
     # Corrupt the class name inside the buffer.

@@ -16,11 +16,14 @@ answer.
 
 import pytest
 
+from repro.charm import CharmRuntime
 from repro.flows import (CompiledContinuationFlow, UserThreadFlow,
                          WORKLOAD_MECHANISMS)
 from repro.flows.programs import pingpong_program, ring_program, spin_program
 from repro.flows.stencil import stencil_program
-from repro.sim import Processor, get_platform
+from repro.sim import Cluster, Processor, get_platform
+from repro.workloads.stencil_chare import (start_stencil_chares,
+                                           stencil_chare_results)
 
 SEEDS = (7, 11, 13)
 
@@ -99,16 +102,23 @@ def test_synchronous_receive_costs_no_kernel_event():
 
 def test_three_forms_agree_on_stencil_numerics():
     """Thread, compiled, hybrid and event-object forms share relax():
-    results must be float-exact equal, not approximately equal."""
-    runs = {}
+    results must be float-exact equal, not approximately equal.  The
+    hand-written event form is a chare, so its arm runs on the chare
+    runtime."""
+    results = {}
     for label, cls in sorted(WORKLOAD_MECHANISMS.items()):
         program = stencil_program(5, cells=8, steps=4, seed=11)
-        runs[label] = cls(make_proc()).run_workload(
-            program, real_flows=False)
-    reference = runs["cth"].results
+        results[label] = cls(make_proc()).run_workload(
+            program, real_flows=False).results
+    rt = CharmRuntime(Cluster(1))
+    proxy = start_stencil_chares(rt, 5, cells=8, steps=4, seed=11)
+    rt.run()
+    results["event"] = stencil_chare_results(rt, proxy)
+    reference = results["cth"]
     assert len(reference) == 5
-    for label, run in runs.items():
-        assert run.results == reference, label
+    assert set(results) == {"cth", "n:m", "compiled", "event"}
+    for label, got in results.items():
+        assert got == reference, label
 
 
 def test_three_forms_agree_on_ring_results():
@@ -116,7 +126,6 @@ def test_three_forms_agree_on_ring_results():
         label: cls(make_proc()).run_workload(
             ring_program(6, 3, seed=13), real_flows=False)
         for label, cls in WORKLOAD_MECHANISMS.items()
-        if label != "event"   # no hand-written event form for the ring
     }
     reference = runs["cth"].results
     assert len(reference) == 6
