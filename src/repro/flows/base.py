@@ -19,7 +19,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.errors import ReproError, ThreadLimitExceeded
+from repro.errors import (OutOfPhysicalMemory, ReproError,
+                          ThreadLimitExceeded)
 from repro.flows.runtime import FlowProgram, FlowWorld, WorkloadRun
 from repro.kernel import KernelTracer
 from repro.sim.processor import Processor
@@ -95,11 +96,17 @@ class FlowMechanism(ABC):
         """A thread flow's stack: a reserved virtual range in the mmap
         area (at ``addr`` when given), lazily faulted — a fresh thread
         has touched only its first page, which is how real machines fit
-        tens of thousands of 16 KB-reserved stacks in 1 GB of RAM."""
+        tens of thousands of 16 KB-reserved stacks in 1 GB of RAM.
+        A refusal of that page (Table 2's memory limit) gives the
+        reservation back."""
         space = self.processor.space
         stack = space.mmap(nbytes, region="iso", addr=addr,
                            reserve_only=True, tag=f"{tag}{index}")
-        touched = space.physical.allocate_frames(1)
+        try:
+            touched = space.physical.allocate_frames(1)
+        except OutOfPhysicalMemory:
+            space.munmap(stack)
+            raise
         return FlowHandle(index, payload=(stack, touched))
 
     def _release_stack(self, handle: FlowHandle) -> None:

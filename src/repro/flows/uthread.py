@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.isomalloc import IsomallocArena
+from repro.errors import VMError
 from repro.flows.base import FlowHandle, FlowMechanism
 from repro.sim.processor import Processor
 
@@ -74,8 +75,12 @@ class AmpiThreadFlow(FlowMechanism):
         base = self.arena.allocate_slot(0)
         # The whole slot's virtual range is claimed, exactly as isomalloc
         # reserves it cluster-wide; only the first stack page is faulted.
-        handle = self._reserve_stack(index, self.arena.slot_bytes,
-                                     "ampi-slot", addr=base)
+        try:
+            handle = self._reserve_stack(index, self.arena.slot_bytes,
+                                         "ampi-slot", addr=base)
+        except VMError:
+            self.arena.release_slot(base)
+            raise
         self._slots[index] = base
         self.processor.charge(self.profile.uthread_create_ns
                               + self.profile.ampi_overhead_ns)

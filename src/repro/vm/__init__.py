@@ -1,10 +1,10 @@
 """Simulated virtual-memory substrate.
 
 This package provides the machinery the paper's migration techniques are
-defined in terms of: physical page frames, per-address-space page tables,
-``mmap``/``munmap``/``mremap`` with page-granular mappings, and 32-/64-bit
-virtual-address-space layouts with a dedicated *isomalloc region* (paper
-Figure 2).
+defined in terms of: physical page frames, per-address-space mappings (one
+extent each, a frame slot per page), ``mmap``/``munmap``/``mremap``, and
+32-/64-bit virtual-address-space layouts with a dedicated *isomalloc
+region* (paper Figure 2).
 
 The substrate is deliberately faithful at the level the paper cares about:
 
@@ -19,7 +19,7 @@ The substrate is deliberately faithful at the level the paper cares about:
 """
 
 from repro.vm.physical import Frame, PhysicalMemory
-from repro.vm.pagetable import PageTable, PageTableEntry, Protection
+from repro.vm.pagetable import Protection
 from repro.vm.layout import AddressSpaceLayout, Region
 from repro.vm.addrspace import AddressSpace, Mapping
 from repro.vm.costs import MemoryCostModel
@@ -27,8 +27,6 @@ from repro.vm.costs import MemoryCostModel
 __all__ = [
     "Frame",
     "PhysicalMemory",
-    "PageTable",
-    "PageTableEntry",
     "Protection",
     "AddressSpaceLayout",
     "Region",

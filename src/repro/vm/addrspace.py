@@ -1,10 +1,10 @@
 """Simulated address spaces: mappings, reads/writes, and remapping.
 
 An :class:`AddressSpace` combines an :class:`~repro.vm.layout.AddressSpaceLayout`
-(where regions live), a :class:`~repro.vm.pagetable.PageTable` (what is
-mapped), and a :class:`~repro.vm.physical.PhysicalMemory` pool (what is
-resident).  It exposes the handful of operations the paper's techniques are
-built from:
+(where regions live), its :class:`Mapping` extents (what is mapped, and
+which frames are behind each page) and a
+:class:`~repro.vm.physical.PhysicalMemory` pool (what is resident).  It
+exposes the handful of operations the paper's techniques are built from:
 
 * ``mmap``/``munmap`` with either kernel-chosen or fixed addresses;
 * *reserved* mappings that consume virtual address space but no physical
@@ -15,12 +15,17 @@ built from:
   existing virtual range — the memory-aliasing stack switch (Figure 3);
 * byte and word reads/writes with protection checking, so simulated
   pointers stored in simulated memory behave like real ones.
+
+There is no per-page table: a mapping is one extent, so reserving,
+re-protecting and swapping frames cost the host one step whatever the
+range's size, as they cost the modeled machine one call.  Page-granular
+*quantities* (faults, COW breaks, pages mapped) are still counted exactly.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
     MapError,
@@ -31,19 +36,28 @@ from repro.errors import (
     VMError,
 )
 from repro.vm.layout import AddressSpaceLayout
-from repro.vm.pagetable import PageTable, Protection
+from repro.vm.pagetable import Protection
 from repro.vm.physical import Frame, PhysicalMemory
 
 __all__ = ["Mapping", "AddressSpace"]
 
+_READ = Protection.READ.value
+_WRITE = Protection.WRITE.value
+
 
 class Mapping:
-    """One contiguous mmap'ed range within an address space."""
+    """One contiguous mmap'ed range within an address space: an extent.
 
-    __slots__ = ("start", "length", "prot", "region", "tag", "reserved")
+    The mapping *is* the page-table record for its range: one protection
+    for every page, one frame slot per page, and the set of pages still
+    shared copy-on-write.
+    """
+
+    __slots__ = ("start", "length", "prot", "region", "tag", "frames", "cow")
 
     def __init__(self, start: int, length: int, prot: Protection,
-                 region: str, tag: str, reserved: bool):
+                 region: str, tag: str,
+                 frames: Optional[List[Optional[Frame]]] = None):
         self.start = start
         self.length = length
         self.prot = prot
@@ -51,13 +65,23 @@ class Mapping:
         #: Free-form label ("stack of thread 7", "GOT", ...), for debugging
         #: and for migration bookkeeping.
         self.tag = tag
-        #: True if created without physical backing (isomalloc remote claim).
-        self.reserved = reserved
+        #: The frame behind each page (``None``: that page is reserved),
+        #: or ``None`` while nothing is resident — an isomalloc remote
+        #: claim costs no per-page state.
+        self.frames = frames
+        #: Indices of pages shared copy-on-write (the first write to one
+        #: copies it); ``None`` until a fork shares them.
+        self.cow: Optional[Set[int]] = None
 
     @property
     def end(self) -> int:
         """One past the mapping's last address."""
         return self.start + self.length
+
+    @property
+    def reserved(self) -> bool:
+        """True while the range has no physical backing at all."""
+        return self.frames is None
 
     def contains(self, address: int) -> bool:
         """Whether ``address`` falls inside this mapping."""
@@ -164,15 +188,19 @@ class AddressSpace:
         self.layout = layout
         self.physical = physical
         self.name = name
-        self.pagetable = PageTable()
-        self._mappings: Dict[int, Mapping] = {}       # keyed by start address
-        self._free: Dict[str, _FreeList] = {
-            rname: _FreeList(r.start, r.end) for rname, r in layout.regions.items()
-        }
+        #: Live mappings by start address, in creation order.
+        self._mappings: Dict[int, Mapping] = {}
+        #: The same start addresses, sorted: address lookup is a bisect.
+        self._starts: List[int] = []
+        #: Per-region free lists, built when a region is first used.
+        self._free: Dict[str, _FreeList] = {}
+        self._resident_pages = 0
         # -- accounting (read by cost models and by the benchmarks) --------
         self.mmap_calls = 0
         self.munmap_calls = 0
         self.remap_calls = 0
+        #: Pages ever mapped, resident or reserved (sums mmap sizes).
+        self.pages_mapped = 0
         self.page_faults = 0
         self.cow_breaks = 0
         self.bytes_copied = 0
@@ -201,95 +229,112 @@ class AddressSpace:
             to let the allocator choose — like ``MAP_FIXED`` vs. not.
         reserve_only:
             If true, claim the virtual range without assigning physical
-            frames.  Reads/writes fault until :meth:`attach_frames`.
+            frames, at the same cost for 16 KB or 16 TB.  Reads/writes
+            fault until :meth:`attach_frames`.
         tag:
             Debugging/bookkeeping label.
         """
         if length <= 0:
             raise MapError(f"mmap length must be positive, got {length}")
-        length = self.layout.page_align_up(length)
+        page_size = self.layout.page_size
+        npages = self.layout.pages_for(length)
+        length = npages * page_size
         if addr is None:
-            start = self._free[region].allocate(length, self.layout.page_size)
+            start = self._region_free(region).allocate(length, page_size)
         else:
-            if addr % self.layout.page_size:
+            if addr % page_size:
                 raise MapError(f"fixed mmap address {addr:#x} not page aligned")
             region = self.layout.region_of(addr).name
-            self._free[region].allocate_fixed(addr, length)
+            self._region_free(region).allocate_fixed(addr, length)
             start = addr
-        npages = length // self.layout.page_size
-        first_vpn = self.layout.page_of(start)
-        if reserve_only:
-            for vpn in range(first_vpn, first_vpn + npages):
-                self.pagetable.map(vpn, None, prot)
-        else:
+        frames = None
+        if not reserve_only:
             try:
                 frames = self.physical.allocate_frames(npages)
             except Exception:
                 self._free[region].release(start, length)
                 raise
-            for i, vpn in enumerate(range(first_vpn, first_vpn + npages)):
-                self.pagetable.map(vpn, frames[i], prot)
-        mapping = Mapping(start, length, prot, region, tag, reserve_only)
+            self._resident_pages += npages
+        mapping = Mapping(start, length, prot, region, tag, frames)
+        starts = self._starts
+        if not starts or starts[-1] < start:
+            starts.append(start)
+        else:
+            bisect.insort(starts, start)
         self._mappings[start] = mapping
         self.mmap_calls += 1
+        self.pages_mapped += npages
         return mapping
 
     def munmap(self, mapping: Mapping) -> None:
         """Destroy a mapping, freeing any resident frames."""
-        if self._mappings.get(mapping.start) is not mapping:
+        start = mapping.start
+        if self._mappings.get(start) is not mapping:
             raise MapError(f"mapping {mapping!r} not found in {self.name!r}")
-        first_vpn = self.layout.page_of(mapping.start)
-        npages = mapping.length // self.layout.page_size
-        for vpn in range(first_vpn, first_vpn + npages):
-            pte = self.pagetable.unmap(vpn)
-            if pte.frame is not None:
-                self.physical.free_frame(pte.frame)
-        self._free[mapping.region].release(mapping.start, mapping.length)
-        del self._mappings[mapping.start]
+        frames = mapping.frames
+        if frames is not None:
+            if None in frames:
+                frames = [f for f in frames if f is not None]
+            self.physical.free_frames(frames)
+            self._resident_pages -= len(frames)
+            mapping.frames = None
+        self._free[mapping.region].release(start, mapping.length)
+        del self._mappings[start]
+        starts = self._starts
+        if starts[-1] == start:
+            starts.pop()
+        else:
+            del starts[bisect.bisect_left(starts, start)]
         self.munmap_calls += 1
 
     def mprotect(self, mapping: Mapping, prot: Protection) -> None:
         """Change every page's protection bits in an existing mapping."""
         if self._mappings.get(mapping.start) is not mapping:
             raise MapError(f"mapping {mapping!r} not found in {self.name!r}")
-        first_vpn = self.layout.page_of(mapping.start)
-        npages = mapping.length // self.layout.page_size
-        for vpn in range(first_vpn, first_vpn + npages):
-            self.pagetable.protect(vpn, prot)
         mapping.prot = prot
 
     def mapping_at(self, address: int) -> Optional[Mapping]:
         """Return the mapping containing ``address``, or ``None``."""
-        # Mappings are few per space in practice; linear scan keeps the
-        # structure simple.  Hot paths (read/write) go through the page
-        # table instead.
-        for m in self._mappings.values():
-            if m.contains(address):
+        starts = self._starts
+        i = bisect.bisect_right(starts, address) - 1
+        if i >= 0:
+            m = self._mappings[starts[i]]
+            if address < m.start + m.length:
                 return m
         return None
 
     def mappings(self) -> List[Mapping]:
-        """All current mappings (unordered)."""
+        """All current mappings, in creation order."""
         return list(self._mappings.values())
 
     # ------------------------------------------------------------------
-    # frame attachment (isomalloc migrate-in/out) and aliasing
+    # frame attachment (isomalloc migrate-in/out) and aliasing: validate,
+    # then commit with one assignment — a refused call changes nothing.
+    # The mapping copies a frame list it is given and hands over its own.
     # ------------------------------------------------------------------
+
+    def _checked(self, mapping: Mapping, frames: Optional[List[Frame]],
+                 problem: str) -> int:
+        """Page count of a live ``mapping``; ``frames`` must match it."""
+        npages = mapping.length // self.layout.page_size
+        if frames is not None and len(frames) != npages:
+            raise MapError(f"need {npages} frames, got {len(frames)}")
+        if self._mappings.get(mapping.start) is not mapping:
+            raise MapError(f"page {self.layout.page_of(mapping.start)} "
+                           f"of {mapping!r} {problem}")
+        return npages
 
     def attach_frames(self, mapping: Mapping, frames: List[Frame]) -> None:
         """Back a reserved mapping with physical frames (migrate-in)."""
-        npages = mapping.length // self.layout.page_size
-        if len(frames) != npages:
-            raise MapError(f"need {npages} frames, got {len(frames)}")
-        first_vpn = self.layout.page_of(mapping.start)
-        for i, vpn in enumerate(range(first_vpn, first_vpn + npages)):
-            pte = self.pagetable.lookup(vpn)
-            if pte is None:
-                raise MapError(f"page {vpn} of {mapping!r} not mapped")
-            if pte.frame is not None:
-                raise MapError(f"page {vpn} of {mapping!r} already resident")
-            pte.frame = frames[i]
-        mapping.reserved = False
+        npages = self._checked(mapping, frames, "not mapped")
+        held = mapping.frames
+        if held is not None and held.count(None) != npages:
+            page = next(i for i, f in enumerate(held) if f is not None)
+            raise MapError(
+                f"page {self.layout.page_of(mapping.start) + page} "
+                f"of {mapping!r} already resident")
+        mapping.frames = list(frames)
+        self._resident_pages += npages - mapping.frames.count(None)
         self.remap_calls += 1
 
     def detach_frames(self, mapping: Mapping) -> List[Frame]:
@@ -298,16 +343,15 @@ class AddressSpace:
         The caller takes ownership of the returned frames; the virtual range
         stays claimed so no other allocation can reuse the addresses.
         """
-        npages = mapping.length // self.layout.page_size
-        first_vpn = self.layout.page_of(mapping.start)
-        frames: List[Frame] = []
-        for vpn in range(first_vpn, first_vpn + npages):
-            pte = self.pagetable.lookup(vpn)
-            if pte is None or pte.frame is None:
-                raise MapError(f"page {vpn} of {mapping!r} not resident")
-            frames.append(pte.frame)
-            pte.frame = None
-        mapping.reserved = True
+        npages = self._checked(mapping, None, "not resident")
+        frames = mapping.frames
+        if frames is None or None in frames:
+            page = frames.index(None) if frames is not None else 0
+            raise MapError(
+                f"page {self.layout.page_of(mapping.start) + page} "
+                f"of {mapping!r} not resident")
+        mapping.frames = None
+        self._resident_pages -= npages
         self.remap_calls += 1
         return frames
 
@@ -318,20 +362,15 @@ class AddressSpace:
         virtual range — the common stack address — is untouched, but a
         different thread's physical pages now appear behind it.  Neither set
         of frames is copied or freed; ownership of the displaced frames
-        passes to the caller.
+        passes to the caller.  ``None`` entries, in either list, are
+        reserved pages.
         """
-        npages = mapping.length // self.layout.page_size
-        if len(frames) != npages:
-            raise MapError(f"need {npages} frames, got {len(frames)}")
-        first_vpn = self.layout.page_of(mapping.start)
-        old: List[Frame] = []
-        for i, vpn in enumerate(range(first_vpn, first_vpn + npages)):
-            pte = self.pagetable.lookup(vpn)
-            if pte is None:
-                raise MapError(f"page {vpn} of {mapping!r} not mapped")
-            old.append(pte.frame)  # may be None for a reserved page
-            pte.frame = frames[i]
-        mapping.reserved = False
+        npages = self._checked(mapping, frames, "not mapped")
+        old = mapping.frames
+        if old is None:
+            old = [None] * npages
+        mapping.frames = list(frames)
+        self._resident_pages += old.count(None) - mapping.frames.count(None)
         self.remap_calls += 1
         return old
 
@@ -339,56 +378,74 @@ class AddressSpace:
     # loads and stores
     # ------------------------------------------------------------------
 
-    def _translate(self, address: int, *, write: bool) -> Tuple[Frame, int]:
-        vpn = self.layout.page_of(address)
-        pte = self.pagetable.lookup(vpn)
-        if pte is None:
-            raise SegmentationFault(address, self.name)
-        if pte.frame is None:
-            self.page_faults += 1
-            raise PageFault(address, self.name)
-        needed = Protection.WRITE if write else Protection.READ
-        if not pte.prot & needed:
-            raise ProtectionFault(address, "write" if write else "read", self.name)
-        if write and pte.cow:
-            # Break the copy-on-write sharing: this owner gets a private
-            # copy (or exclusive use, if it is the last sharer).
-            self.cow_breaks += 1
-            if pte.frame.refcount > 1:
-                private = self.physical.allocate_frame()
-                private.copy_from(pte.frame)
-                self.physical.free_frame(pte.frame)   # drops one owner
-                pte.frame = private
-                self.bytes_copied += self.layout.page_size
-            pte.cow = False
-        return pte.frame, address % self.layout.page_size
+    def _pages(self, address: int, length: int,
+               write: bool) -> Iterator[Tuple[Frame, int, int]]:
+        """Translate ``[address, address+length)``: yields ``(frame,
+        offset, chunk)`` per page after that page's checks, in hardware
+        order — unmapped, not resident, protection, then the COW break."""
+        page_size = self.layout.page_size
+        need, access = (_WRITE, "write") if write else (_READ, "read")
+        end = address + length
+        while address < end:
+            m = self.mapping_at(address)
+            if m is None:
+                raise SegmentationFault(address, self.name)
+            frames = m.frames
+            allowed = m.prot.value & need
+            index, offset = divmod(address - m.start, page_size)
+            stop = min(end, m.start + m.length)
+            while address < stop:
+                frame = frames[index] if frames is not None else None
+                if frame is None:
+                    self.page_faults += 1
+                    raise PageFault(address, self.name)
+                if not allowed:
+                    raise ProtectionFault(address, access, self.name)
+                if write and m.cow and index in m.cow:
+                    frame = self._break_cow(m, index)
+                chunk = page_size - offset
+                if address + chunk > stop:
+                    chunk = stop - address
+                yield frame, offset, chunk
+                address += chunk
+                index += 1
+                offset = 0
+
+    def _break_cow(self, m: Mapping, index: int) -> Frame:
+        """First store to a shared page: this owner gets a private copy
+        (or exclusive use, if it is the last sharer)."""
+        self.cow_breaks += 1
+        frame = m.frames[index]
+        if frame.refcount > 1:
+            private = self.physical.allocate_frame()
+            private.copy_from(frame)
+            self.physical.free_frame(frame)   # drops one owner
+            m.frames[index] = frame = private
+            self.bytes_copied += self.layout.page_size
+        m.cow.discard(index)
+        return frame
 
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address`` (may span pages)."""
-        out = bytearray()
-        remaining = length
-        cursor = address
-        page_size = self.layout.page_size
-        while remaining > 0:
-            frame, offset = self._translate(cursor, write=False)
-            chunk = min(remaining, page_size - offset)
-            out += frame.read(offset, chunk)
-            cursor += chunk
-            remaining -= chunk
+        chunks = []
+        for frame, offset, chunk in self._pages(address, length, False):
+            data = frame._data
+            if data is None:
+                chunks.append(bytes(chunk))
+            elif chunk == len(data):
+                chunks.append(data)
+            else:
+                chunks.append(memoryview(data)[offset:offset + chunk])
         self.bytes_read += length
-        return bytes(out)
+        return b"".join(chunks)
 
     def write(self, address: int, payload: bytes) -> None:
         """Write ``payload`` starting at ``address`` (may span pages)."""
-        cursor = address
         view = memoryview(payload)
-        page_size = self.layout.page_size
-        while view:
-            frame, offset = self._translate(cursor, write=True)
-            chunk = min(len(view), page_size - offset)
-            frame.write(offset, bytes(view[:chunk]))
-            cursor += chunk
-            view = view[chunk:]
+        done = 0
+        for frame, offset, chunk in self._pages(address, len(view), True):
+            frame.data[offset:offset + chunk] = view[done:done + chunk]
+            done += chunk
         self.bytes_written += len(payload)
 
     def read_word(self, address: int) -> int:
@@ -414,12 +471,14 @@ class AddressSpace:
 
     def is_mapped(self, address: int) -> bool:
         """Whether the page containing ``address`` has any mapping."""
-        return self.pagetable.lookup(self.layout.page_of(address)) is not None
+        return self.mapping_at(address) is not None
 
     def is_resident(self, address: int) -> bool:
         """Whether the page containing ``address`` has a physical frame."""
-        pte = self.pagetable.lookup(self.layout.page_of(address))
-        return pte is not None and pte.frame is not None
+        m = self.mapping_at(address)
+        if m is None or m.frames is None:
+            return False
+        return m.frames[(address - m.start) // self.layout.page_size] is not None
 
     @property
     def mapped_bytes(self) -> int:
@@ -428,16 +487,23 @@ class AddressSpace:
 
     @property
     def resident_bytes(self) -> int:
-        """Total bytes backed by physical frames."""
-        return self.pagetable.resident_pages() * self.layout.page_size
+        """Total bytes backed by physical frames (a maintained count)."""
+        return self._resident_pages * self.layout.page_size
 
     def region_free_bytes(self, region: str) -> int:
         """Free virtual address space remaining in ``region``."""
-        return self._free[region].free_bytes()
+        return self._region_free(region).free_bytes()
 
     def region_largest_free(self, region: str) -> int:
         """Largest contiguous free range in ``region``."""
-        return self._free[region].largest_free()
+        return self._region_free(region).largest_free()
+
+    def _region_free(self, region: str) -> _FreeList:
+        free = self._free.get(region)
+        if free is None:
+            r = self.layout.regions[region]
+            free = self._free[region] = _FreeList(r.start, r.end)
+        return free
 
     # ------------------------------------------------------------------
     # process-model support
@@ -455,35 +521,29 @@ class AddressSpace:
         processes "heavy-weight" in total memory once both sides write.
         """
         child = AddressSpace(self.layout, self.physical, name)
-        page = self.layout.page_size
+        physical = self.physical
         for m in self._mappings.values():
             cm = child.mmap(m.length, m.prot, addr=m.start,
                             reserve_only=True, tag=m.tag)
-            if m.reserved:
+            frames = m.frames
+            resident = [f for f in frames or () if f is not None]
+            if not resident:
                 continue
-            npages = m.length // page
-            first_vpn = self.layout.page_of(m.start)
             if cow:
-                writable = bool(m.prot & Protection.WRITE)
-                for vpn in range(first_vpn, first_vpn + npages):
-                    src = self.pagetable.lookup(vpn)
-                    assert src is not None and src.frame is not None
-                    self.physical.share_frame(src.frame)
-                    dst = child.pagetable.lookup(vpn)
-                    assert dst is not None
-                    dst.frame = src.frame
-                    if writable:
-                        src.cow = True
-                        dst.cow = True
-                cm.reserved = False
+                for frame in resident:
+                    physical.share_frame(frame)
+                cm.frames = list(frames)
+                child._resident_pages += len(resident)
+                if m.prot.value & _WRITE:
+                    m.cow = set(range(len(frames)))
+                    cm.cow = set(m.cow)
             else:
-                frames = self.physical.allocate_frames(npages)
-                for i, vpn in enumerate(range(first_vpn,
-                                              first_vpn + npages)):
-                    src = self.pagetable.lookup(vpn)
-                    assert src is not None and src.frame is not None
-                    frames[i].copy_from(src.frame)
-                child.attach_frames(cm, frames)
+                copies = physical.allocate_frames(len(resident))
+                for dst, src in zip(copies, resident):
+                    dst.copy_from(src)
+                fresh = iter(copies)    # reserved pages stay reserved
+                child.attach_frames(cm, [None if f is None else next(fresh)
+                                         for f in frames])
                 child.bytes_copied += m.length
         return child
 

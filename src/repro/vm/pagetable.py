@@ -1,14 +1,14 @@
-"""Page tables: virtual-page to physical-frame mappings with protections."""
+"""Page protection bits.
+
+There is no page-table class: each :class:`~repro.vm.addrspace.Mapping`
+is the table entry for its whole range.
+"""
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional
 
-from repro.errors import MapError
-from repro.vm.physical import Frame
-
-__all__ = ["Protection", "PageTableEntry", "PageTable"]
+__all__ = ["Protection"]
 
 
 class Protection(enum.Flag):
@@ -22,93 +22,3 @@ class Protection(enum.Flag):
     RW = READ | WRITE
     #: Convenience combination for text segments.
     RX = READ | EXEC
-
-
-class PageTableEntry:
-    """One virtual page's mapping.
-
-    ``frame is None`` encodes a *reserved* page: the virtual range is claimed
-    (isomalloc-style "claimed only in principle") but touching it raises
-    :class:`~repro.errors.PageFault` until a frame is attached.
-    """
-
-    __slots__ = ("frame", "prot", "cow")
-
-    def __init__(self, frame: Optional[Frame], prot: Protection):
-        self.frame = frame
-        self.prot = prot
-        #: Copy-on-write: the frame is shared; the first write copies it.
-        self.cow = False
-
-    @property
-    def resident(self) -> bool:
-        """Whether the page has a physical frame behind it."""
-        return self.frame is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        backing = f"frame#{self.frame.index}" if self.frame else "reserved"
-        return f"<PTE {backing} {self.prot}>"
-
-
-class PageTable:
-    """Sparse map from virtual page number to :class:`PageTableEntry`.
-
-    The table knows nothing about address-space layout or frame ownership;
-    :class:`repro.vm.AddressSpace` layers policy on top.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[int, PageTableEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, vpn: int) -> bool:
-        return vpn in self._entries
-
-    def lookup(self, vpn: int) -> Optional[PageTableEntry]:
-        """Return the entry for virtual page ``vpn``, or ``None``."""
-        return self._entries.get(vpn)
-
-    def map(self, vpn: int, frame: Optional[Frame], prot: Protection) -> PageTableEntry:
-        """Install a mapping for ``vpn``; the page must not already be mapped."""
-        if vpn in self._entries:
-            raise MapError(f"virtual page {vpn} already mapped")
-        pte = PageTableEntry(frame, prot)
-        self._entries[vpn] = pte
-        return pte
-
-    def remap(self, vpn: int, frame: Optional[Frame]) -> PageTableEntry:
-        """Replace the frame behind an existing mapping (memory aliasing).
-
-        This is the primitive behind the paper's memory-aliasing stacks: the
-        virtual page keeps its address and protections, but the physical
-        frame behind it changes (Section 3.4.3, Figure 3).
-        """
-        pte = self._entries.get(vpn)
-        if pte is None:
-            raise MapError(f"virtual page {vpn} not mapped; cannot remap")
-        pte.frame = frame
-        return pte
-
-    def protect(self, vpn: int, prot: Protection) -> None:
-        """Change protections on an existing mapping (mprotect)."""
-        pte = self._entries.get(vpn)
-        if pte is None:
-            raise MapError(f"virtual page {vpn} not mapped; cannot protect")
-        pte.prot = prot
-
-    def unmap(self, vpn: int) -> PageTableEntry:
-        """Remove and return the mapping for ``vpn``."""
-        try:
-            return self._entries.pop(vpn)
-        except KeyError:
-            raise MapError(f"virtual page {vpn} not mapped; cannot unmap") from None
-
-    def mapped_pages(self) -> Iterator[int]:
-        """Iterate over all mapped virtual page numbers (unordered)."""
-        return iter(self._entries)
-
-    def resident_pages(self) -> int:
-        """Count pages that currently have a physical frame."""
-        return sum(1 for e in self._entries.values() if e.frame is not None)

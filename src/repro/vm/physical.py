@@ -9,7 +9,7 @@ physical memory unless that remote thread migrates in", paper Section 3.4.2).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.errors import OutOfPhysicalMemory, VMError
 
@@ -102,9 +102,10 @@ class PhysicalMemory:
             raise VMError("total_bytes must be a multiple of page_size")
         self.page_size = page_size
         self.total_frames = total_bytes // page_size
-        self._frames: dict[int, Frame] = {}
-        self._next_unused = 0
-        self._free: list[int] = []
+        #: Every frame ever created; a frame's index is its position.
+        self._frames: list[Frame] = []
+        #: Freed frames, reused last-freed-first.
+        self._free: list[Frame] = []
         #: Cumulative allocation statistics (never reset by free()).
         self.frames_allocated_ever = 0
 
@@ -118,7 +119,7 @@ class PhysicalMemory:
     @property
     def frames_in_use(self) -> int:
         """Number of currently-allocated frames."""
-        return self._next_unused - len(self._free)
+        return len(self._frames) - len(self._free)
 
     @property
     def bytes_in_use(self) -> int:
@@ -140,60 +141,77 @@ class PhysicalMemory:
         OutOfPhysicalMemory
             If the pool is exhausted.
         """
-        if self._free:
-            index = self._free.pop()
-            frame = self._frames[index]
-            frame.zero()
-            frame.allocated = True
-            frame.refcount = 1
-        else:
-            if self._next_unused >= self.total_frames:
-                raise OutOfPhysicalMemory(
-                    f"physical memory exhausted: {self.total_frames} frames "
-                    f"({self.total_bytes} bytes) all in use"
-                )
-            index = self._next_unused
-            self._next_unused += 1
-            frame = Frame(index, self.page_size)
-            self._frames[index] = frame
-        self.frames_allocated_ever += 1
-        return frame
+        if not self.frames_free:
+            raise OutOfPhysicalMemory(
+                f"physical memory exhausted: {self.total_frames} frames "
+                f"({self.total_bytes} bytes) all in use"
+            )
+        return self.allocate_frames(1)[0]
 
     def allocate_frames(self, count: int) -> list[Frame]:
-        """Allocate ``count`` frames, all-or-nothing."""
-        if count > self.frames_free:
+        """Allocate ``count`` zeroed frames, all-or-nothing.
+
+        Freed frames are reused first, most recently freed first; the
+        rest are created with the next unused indices.
+        """
+        free = self._free
+        created = len(self._frames)
+        available = self.total_frames - created + len(free)
+        if count > available:
             raise OutOfPhysicalMemory(
-                f"requested {count} frames but only {self.frames_free} free"
+                f"requested {count} frames but only {available} free"
             )
-        return [self.allocate_frame() for _ in range(count)]
+        frames: list[Frame] = []
+        if free and count > 0:
+            # The tail of the free list, reversed: the order pop() gave.
+            frames = free[:-count - 1:-1]
+            del free[-len(frames):]
+            for frame in frames:
+                frame._data = None
+                frame.allocated = True
+                frame.refcount = 1
+        if len(frames) < count:
+            page_size = self.page_size
+            fresh = [Frame(index, page_size) for index in
+                     range(created, created + count - len(frames))]
+            self._frames += fresh
+            frames += fresh
+        self.frames_allocated_ever += len(frames)
+        return frames
 
     def free_frame(self, frame: Frame) -> None:
         """Return a frame to the pool."""
-        if frame.pinned:
-            raise VMError(f"cannot free pinned frame #{frame.index}")
-        if self._frames.get(frame.index) is not frame:
-            raise VMError(f"frame #{frame.index} does not belong to this pool")
-        if not frame.allocated:
-            raise VMError(f"double free of frame #{frame.index}")
-        if frame.refcount > 1:
-            # A shared (COW) frame: drop one owner, keep the memory.
-            frame.refcount -= 1
-            return
-        frame.zero()
-        frame.allocated = False
-        self._free.append(frame.index)
+        self.free_frames((frame,))
 
     def share_frame(self, frame: Frame) -> Frame:
         """Add an owner to a frame (copy-on-write sharing)."""
-        if self._frames.get(frame.index) is not frame or not frame.allocated:
+        if (frame.index >= len(self._frames)
+                or self._frames[frame.index] is not frame
+                or not frame.allocated):
             raise VMError(f"cannot share frame #{frame.index}")
         frame.refcount += 1
         return frame
 
-    def free_frames(self, frames: list[Frame]) -> None:
-        """Return several frames to the pool."""
-        for f in frames:
-            self.free_frame(f)
+    def free_frames(self, frames: Iterable[Frame]) -> None:
+        """Return several frames to the pool, in order."""
+        pool = self._frames
+        created = len(pool)
+        release = self._free.append
+        for frame in frames:
+            if frame.pinned:
+                raise VMError(f"cannot free pinned frame #{frame.index}")
+            if frame.index >= created or pool[frame.index] is not frame:
+                raise VMError(
+                    f"frame #{frame.index} does not belong to this pool")
+            if not frame.allocated:
+                raise VMError(f"double free of frame #{frame.index}")
+            if frame.refcount > 1:
+                # A shared (COW) frame: drop one owner, keep the memory.
+                frame.refcount -= 1
+                continue
+            frame._data = None
+            frame.allocated = False
+            release(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<PhysicalMemory {self.frames_in_use}/{self.total_frames} frames "

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.flows import (KernelThreadFlow, ProcessFlow, UserThreadFlow,
-                         probe_limit)
+from repro.flows import (AmpiThreadFlow, KernelThreadFlow, ProcessFlow,
+                         UserThreadFlow, probe_limit)
 from repro.sim import Processor, get_platform
 
 
@@ -51,6 +51,24 @@ def test_probe_memory_limited_uthreads():
     assert probe.hit_limit
     assert probe.limiting_factor == "memory"
     assert probe.count == 512          # 2 MB / one lazily-faulted 4 KB page
+
+
+@pytest.mark.parametrize("mechanism", [UserThreadFlow, AmpiThreadFlow])
+def test_memory_limited_probe_leaks_nothing(mechanism):
+    """The creation Table 2's memory limit refuses gives back the stack
+    reservation (and the isomalloc slot) it had already taken."""
+    profile = get_platform("linux_x86").with_overrides(
+        physical_memory_bytes=64 * 4096)
+    p = Processor(0, profile)
+    mech = mechanism(p)
+    iso_free = p.space.region_free_bytes("iso")
+    probe = probe_limit(mech, cap=1_000)
+    assert (probe.count, probe.limiting_factor) == (64, "memory")
+    assert p.space.mappings() == []
+    assert p.space.region_free_bytes("iso") == iso_free
+    assert p.physical.frames_in_use == 0
+    if mechanism is AmpiThreadFlow:
+        assert mech.arena.slots_in_use() == 0
 
 
 def test_probe_chunked_equals_unchunked():

@@ -5,7 +5,9 @@ thread core knows no runtime built on it, and ``repro.flows`` hosts
 only the two forms the compiler relates — event-driven objects live
 once, in ``repro.charm``.  The whole edge list is data here, so a new
 edge (upward or not) is a reviewed diff rather than an accident.  AST
-scan only: nothing is imported, lazy in-function imports count.
+scan only: nothing is imported, lazy in-function imports count.  One
+more structural rule rides on the same scan: ``repro.vm``'s extent
+operations contain no per-page loop (``PER_PAGE_LOOPS``).
 """
 
 import ast
@@ -80,3 +82,42 @@ def test_the_load_bearing_layers_hold_in_the_reviewed_graph():
     assert IMPORTS["kernel"] == IMPORTS["vm"] == {"errors"}
     assert not IMPORTS["core"] & {"ampi", "charm", "flows"}
     assert not IMPORTS["flows"] & {"charm", "ampi", "workloads"}
+
+
+#: ``AddressSpace`` method -> the ``for … in range(…)`` loops doing
+#: per-page work (a subscript or a call in the body) it may contain.  A
+#: mapping is one extent: reserving, unmapping, re-protecting and
+#: detaching cost the host one step whatever the range's size, as they
+#: cost the modeled machine one call.  These were one loop each.
+PER_PAGE_LOOPS = {"mmap": 0, "munmap": 0, "mprotect": 0, "detach_frames": 0}
+
+
+def per_page_loops(func):
+    """``for``/comprehension loops over a ``range`` that subscript or
+    call something per iteration."""
+    def mentions(node, kinds):
+        return any(isinstance(n, kinds) for n in ast.walk(node))
+
+    def over_range(it):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "range" for n in ast.walk(it))
+
+    count = 0
+    for node in ast.walk(func):
+        if isinstance(node, ast.For) and over_range(node.iter):
+            count += any(mentions(stmt, (ast.Subscript, ast.Call))
+                         for stmt in node.body)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            count += any(over_range(gen.iter) for gen in node.generators)
+    return count
+
+
+def test_extent_operations_do_no_per_page_host_work():
+    tree = ast.parse((SRC / "vm" / "addrspace.py").read_text())
+    (space,) = (node for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "AddressSpace")
+    found = {fn.name: per_page_loops(fn) for fn in space.body
+             if isinstance(fn, ast.FunctionDef) and fn.name in PER_PAGE_LOOPS}
+    assert found == PER_PAGE_LOOPS
