@@ -29,6 +29,12 @@ from repro.errors import ReproError
 
 __all__ = ["KernelTracer", "load_trace"]
 
+# One codec for every trace line written and read: ``json.dumps`` /
+# ``json.loads`` would rebuild an encoder per entry and re-scan each
+# line for surrounding whitespace.
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+_decode_line = json.JSONDecoder().raw_decode
+
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
     """Read a JSON-lines trace file into a list of entry dicts.
@@ -58,7 +64,14 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
         if not line:
             continue
         try:
-            entry = json.loads(line)
+            entry, end = _decode_line(line)
+            if end != len(line):
+                # ``line`` is stripped, so whatever follows the value is
+                # data; report it where ``json.loads`` would, past any
+                # JSON whitespace.
+                rest = line[end:].lstrip(" \t\n\r")
+                raise json.JSONDecodeError("Extra data", line,
+                                           len(line) - len(rest))
         except ValueError as e:
             if index == last and not terminated:
                 break  # torn tail from a killed writer: drop it
@@ -127,19 +140,22 @@ class KernelTracer:
         if ev is not None:
             entry["t"] = ev.time
             entry["seq"] = ev.seq
-            if ev.category:
-                entry["category"] = ev.category
-            if ev.flow is not None:
-                entry["flow"] = ev.flow
+            category = ev.category
+            if category:
+                entry["category"] = category
+            flow = ev.flow
+            if flow is not None:
+                entry["flow"] = flow
             site = getattr(ev.fn, "__qualname__", None)
             if site:
                 entry["site"] = site
-            if ev.category and ev.category.startswith("net."):
+            if category and category.startswith("net."):
                 # Message deliveries carry the Message as their first
                 # argument; surface its identity so trace consumers (the
                 # repro.obs report) can build size/latency histograms and
                 # migration tables without the live objects.
-                msg = ev.args[0] if ev.args else None
+                args = ev.args
+                msg = args[0] if args else None
                 src = getattr(msg, "src", None)
                 if src is not None:
                     entry["src"] = src
@@ -203,9 +219,7 @@ class KernelTracer:
     def dump(self, path: str) -> int:
         """Write the event log as JSON lines; returns the entry count."""
         with open(path, "w") as fh:
-            for e in self.entries:
-                fh.write(json.dumps(e, sort_keys=True))
-                fh.write("\n")
+            fh.write("".join([_encode_line(e) + "\n" for e in self.entries]))
         return len(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -165,6 +165,7 @@ class RunObserver(KernelTracer):
             super()._on_begin(kernel, ev)
 
     def _on_end(self, kernel, ev) -> None:
+        category = ev.category
         if kernel is self._kernel:
             super()._on_end(kernel, ev)
             entry = self.entries[-1]
@@ -181,16 +182,16 @@ class RunObserver(KernelTracer):
                 c["skipped"] += 1
             else:
                 c["dispatched"] += 1
-                cat = ev.category or "uncategorized"
+                cat = category or "uncategorized"
                 by_cat = c["by_category"]
                 by_cat[cat] = by_cat.get(cat, 0) + 1
                 if cat == "cth.resume":
                     c["switches"] += 1
         if not skipped:
             self._c_dispatched.inc()
-            if ev.category == "cth.resume":
+            if category == "cth.resume":
                 self._c_switches.inc()
-            if (ev.category and ev.category.startswith("net.")
+            if (category and category.startswith("net.")
                     and "sent" in entry):
                 self._h_latency.observe(ev.time - entry["sent"])
         busy = self._last_busy

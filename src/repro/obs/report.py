@@ -17,45 +17,64 @@ Given a JSON-lines trace written by :class:`~repro.kernel.KernelTracer`
 Every view degrades gracefully: a plain ``KernelTracer`` dump (no
 ``busy``/``send``/``migration`` entries) still yields category counts
 and whatever the schema carries, with the missing sections marked
-absent rather than wrong.  ``--json`` output is fully deterministic —
+absent rather than wrong.  Entries that do not fit the schema follow the
+query engines' rule: a ``t``/``clock``/``busy``/``bytes`` value that is
+not a number is skipped, never coerced, an entry without a numeric ``t``
+charges window 0, and a ``migration`` entry without numeric ``src`` and
+``dst`` is not a move.  ``--json`` output is fully deterministic —
 sorted keys, fixed buckets, no host timestamps — so fingerprints of it
 are stable across runs (and are pinned by the golden-metrics tests).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List
 
 # Re-exported here for backward compatibility; the loader lives with the
 # tracer so every trace consumer shares one parsing/validation surface.
 from repro.kernel.trace import load_trace
 from repro.obs.metrics import BYTE_BUCKETS, Histogram, TIME_NS_BUCKETS
-from repro.query.engines import (aggregate_entries, compile_predicate,
-                                 filter_entries, trace_makespan,
-                                 window_index)
+from repro.query.engines import (aggregate_entries, filter_entries,
+                                 is_number, trace_makespan, window_index)
 
 __all__ = ["load_trace", "build_report", "render_report"]
 
 # The report's fixed views are just canned queries; keeping them in the
 # query language makes `python -m repro.query` and this report read the
 # trace identically (and documents the schema each view depends on).
-_IS_MIGRATION = compile_predicate("ev == 'migration'")
-_IS_SEND = compile_predicate("ev == 'send'")
-_IS_NET_DELIVERY = compile_predicate(
-    "ev == 'end' and not skipped and startswith(category, 'net.') "
-    "and has(sent)")
+_IS_MIGRATION = "ev == 'migration'"
+_IS_SEND = "ev == 'send'"
+_IS_NET_DELIVERY = ("ev == 'end' and not skipped "
+                    "and startswith(category, 'net.') and has(sent)")
 _IS_DISPATCH_END = "ev == 'end' and not skipped"
 
 
 # ---------------------------------------------------------------------------
 
 
+def _busy_charges(entries) -> Iterator[tuple]:
+    """``(entry, pe, ns)`` for every charge in the trace's ``busy`` maps."""
+    for e in entries:
+        busy = e.get("busy")
+        if isinstance(busy, dict):
+            for pe, ns in busy.items():
+                if is_number(ns):
+                    yield e, pe, ns
+
+
+def _pe_order(pe: str) -> tuple:
+    """PE keys in numeric order; a foreign (non-integer) key sorts last."""
+    try:
+        return (0, int(pe), pe)
+    except ValueError:
+        return (1, 0, pe)
+
+
 def _utilization(entries, makespan: float) -> Dict[str, Any]:
     busy: Dict[str, float] = {}
-    for e in entries:
-        for pe, ns in e.get("busy", {}).items():
-            busy[pe] = busy.get(pe, 0.0) + ns
-    pes = sorted(busy, key=int)
+    for _, pe, ns in _busy_charges(entries):
+        busy[pe] = busy.get(pe, 0.0) + ns
+    pes = sorted(busy, key=_pe_order)
     return {
         "makespan_ns": makespan,
         "per_pe": {pe: {"busy_ns": busy[pe],
@@ -81,15 +100,10 @@ def _imbalance_timeline(entries, makespan: float,
     pes: set = set()
     per_window: List[Dict[str, float]] = [dict() for _ in range(windows)]
     width = makespan / windows
-    for e in entries:
-        b = e.get("busy")
-        if not b:
-            continue
-        w = window_index(e.get("t", 0.0), width, windows)
-        acc = per_window[w]
-        for pe, ns in b.items():
-            pes.add(pe)
-            acc[pe] = acc.get(pe, 0.0) + ns
+    for e, pe, ns in _busy_charges(entries):
+        acc = per_window[window_index(e.get("t"), width, windows)]
+        pes.add(pe)
+        acc[pe] = acc.get(pe, 0.0) + ns
     n_pes = len(pes)
     out = []
     for w, acc in enumerate(per_window):
@@ -117,16 +131,21 @@ def _migration_table(entries) -> Dict[str, Any]:
     completed = returned = 0
     bytes_moved = 0
     for e in filter_entries(entries, _IS_MIGRATION):
-        key = (e["src"], e["dst"])
-        row = routes.setdefault(key, {"moves": 0, "returns": 0, "bytes": 0})
+        src, dst = e.get("src"), e.get("dst")
+        if not (is_number(src) and is_number(dst)):
+            continue
+        row = routes.setdefault((src, dst),
+                                {"moves": 0, "returns": 0, "bytes": 0})
         if e.get("returned"):
             row["returns"] += 1
             returned += 1
         else:
             row["moves"] += 1
             completed += 1
-        row["bytes"] += e.get("bytes", 0)
-        bytes_moved += e.get("bytes", 0)
+        size = e.get("bytes")
+        if is_number(size):
+            row["bytes"] += size
+            bytes_moved += size
     return {
         "completed": completed,
         "returned": returned,
@@ -141,11 +160,14 @@ def _migration_table(entries) -> Dict[str, Any]:
 def _message_histograms(entries) -> Dict[str, Any]:
     sizes = Histogram("net.msg_bytes", BYTE_BUCKETS)
     latency = Histogram("net.latency_ns", TIME_NS_BUCKETS)
-    for e in entries:
-        if _IS_SEND(e):
-            sizes.observe(e["bytes"])
-        elif _IS_NET_DELIVERY(e):
-            latency.observe(e["t"] - e["sent"])
+    for e in filter_entries(entries, _IS_SEND):
+        size = e.get("bytes")
+        if is_number(size):
+            sizes.observe(size)
+    for e in filter_entries(entries, _IS_NET_DELIVERY):
+        t, sent = e.get("t"), e["sent"]
+        if is_number(t) and is_number(sent):
+            latency.observe(t - sent)
     return {"sizes": sizes.snapshot(), "latency_ns": latency.snapshot()}
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from repro.errors import QueryError, QuerySyntaxError
 from repro.query.engines import (aggregate_entries, canonical_json,
                                  compile_predicate, filter_entries,
-                                 timeline_entries, trace_makespan,
-                                 window_index)
+                                 is_number, timeline_entries,
+                                 trace_makespan, window_index)
 from repro.query.expr import Binary, Call, Expr, Field, Literal, Unary
 from repro.query.parser import AggregateSpec, parse, parse_aggregate
 from repro.query.replay import (first_divergence, parse_runspec,
@@ -49,6 +49,7 @@ __all__ = [
     "timeline_entries",
     "window_index",
     "trace_makespan",
+    "is_number",
     "canonical_json",
     "parse_runspec",
     "parse_timespec",

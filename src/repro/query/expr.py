@@ -1,9 +1,15 @@
-"""Expression AST for trace queries: evaluation and exact unparsing.
+"""Expression AST for trace queries: compilation and exact unparsing.
 
 Nodes are small ``__slots__`` value objects with structural equality.
-Two properties drive the design:
+Three properties drive the design:
 
-* **Total evaluation** — :meth:`Expr.evaluate` never raises on trace
+* **Compile once, run per entry** — :meth:`Expr.compile` translates a
+  tree into nested closures: operators and builtins are resolved while
+  compiling, literal operands are captured by value, so the per-entry
+  work is the closure calls and nothing else.  The engines compile each
+  expression once per query; :meth:`Expr.evaluate` is the one-shot
+  convenience (``compile()(entry)``).
+* **Total evaluation** — a compiled expression never raises on trace
   data.  A missing field is ``None``; arithmetic with ``None`` or
   mismatched types is ``None``; an ordering comparison on incomparable
   values is ``False``.  Queries over heterogeneous JSONL entries (the
@@ -17,7 +23,8 @@ Two properties drive the design:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+import operator
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import QueryError
 
@@ -39,15 +46,33 @@ _PREC = {"or": 1, "and": 2, "not": 3,
 
 _COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
 
+_ORDERINGS = {"<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge}
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "%": operator.mod}
+
+#: Builtins that map ``None`` to ``None`` and a bad argument to ``None``.
+_CONVERSIONS = {"len": len, "abs": abs, "int": int, "float": float}
+
+Entry = Dict[str, Any]
+Compiled = Callable[[Entry], Any]
+
 
 class Expr:
-    """Base expression node; subclasses implement evaluate/unparse."""
+    """Base expression node; subclasses implement compile/unparse."""
 
     __slots__ = ()
     prec = 8  # atoms bind tightest
 
-    def evaluate(self, entry: Dict[str, Any]) -> Any:
+    def compile(self) -> Compiled:
+        """Translate this tree into an ``entry -> value`` closure."""
         raise NotImplementedError
+
+    def evaluate(self, entry: Entry) -> Any:
+        """Value of this expression on one entry (compiles each call:
+        to scan a trace, :meth:`compile` once and call the closure)."""
+        return self.compile()(entry)
 
     def unparse(self) -> str:
         raise NotImplementedError
@@ -82,8 +107,9 @@ class Literal(Expr):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def evaluate(self, entry: Dict[str, Any]) -> Any:
-        return self.value
+    def compile(self) -> Compiled:
+        value = self.value
+        return lambda entry: value
 
     def unparse(self) -> str:
         v = self.value
@@ -112,17 +138,24 @@ class Field(Expr):
     def __init__(self, path: Tuple[str, ...]) -> None:
         self.path = tuple(path)
 
-    def evaluate(self, entry: Dict[str, Any]) -> Any:
-        value: Any = entry
-        for key in self.path:
-            if isinstance(value, dict):
-                value = value.get(key)
-            elif isinstance(value, (list, tuple)) and key.isdigit():
-                idx = int(key)
-                value = value[idx] if idx < len(value) else None
-            else:
-                return None
-        return value
+    def compile(self) -> Compiled:
+        if len(self.path) == 1:
+            (key,) = self.path
+            return lambda entry: entry.get(key)
+        steps = tuple((key, int(key) if key.isdigit() else None)
+                      for key in self.path)
+
+        def walk(entry: Entry) -> Any:
+            value: Any = entry
+            for key, idx in steps:
+                if isinstance(value, dict):
+                    value = value.get(key)
+                elif idx is not None and isinstance(value, (list, tuple)):
+                    value = value[idx] if idx < len(value) else None
+                else:
+                    return None
+            return value
+        return walk
 
     def unparse(self) -> str:
         return ".".join(self.path)
@@ -141,16 +174,20 @@ class Unary(Expr):
     def prec(self) -> int:  # type: ignore[override]
         return _PREC["not" if self.op == "not" else "neg"]
 
-    def evaluate(self, entry: Dict[str, Any]) -> Any:
-        v = self.operand.evaluate(entry)
+    def compile(self) -> Compiled:
+        operand = self.operand.compile()
         if self.op == "not":
-            return not v
-        if v is None:
-            return None
-        try:
-            return -v
-        except TypeError:
-            return None
+            return lambda entry: not operand(entry)
+
+        def negate(entry: Entry) -> Any:
+            v = operand(entry)
+            if v is None:
+                return None
+            try:
+                return -v
+            except TypeError:
+                return None
+        return negate
 
     def unparse(self) -> str:
         inner = self._operand(self.operand)
@@ -171,49 +208,51 @@ class Binary(Expr):
     def prec(self) -> int:  # type: ignore[override]
         return _PREC[self.op]
 
-    def evaluate(self, entry: Dict[str, Any]) -> Any:
+    def compile(self) -> Compiled:
         op = self.op
+        left = self.left.compile()
+        right = self.right.compile()
         if op == "and":
-            left = self.left.evaluate(entry)
-            return self.right.evaluate(entry) if left else left
+            def conj(entry: Entry) -> Any:
+                v = left(entry)
+                return right(entry) if v else v
+            return conj
         if op == "or":
-            left = self.left.evaluate(entry)
-            return left if left else self.right.evaluate(entry)
-        left = self.left.evaluate(entry)
-        right = self.right.evaluate(entry)
+            def disj(entry: Entry) -> Any:
+                v = left(entry)
+                return v if v else right(entry)
+            return disj
         if op == "==":
-            return left == right
+            # The common shape, ``field == 'literal'``: capture the value
+            # and skip the right-hand call.
+            if isinstance(self.right, Literal):
+                want = self.right.value
+                return lambda entry: left(entry) == want
+            return lambda entry: left(entry) == right(entry)
         if op == "!=":
-            return left != right
-        if left is None or right is None:
-            # Ordering and arithmetic have no sensible answer against a
-            # missing field: comparisons are False (the entry simply
-            # does not match), arithmetic propagates the hole.
-            return False if op in _COMPARISONS else None
-        try:
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            if op == ">=":
-                return left >= right
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                return left / right
-            if op == "%":
-                return left % right
-        except TypeError:
-            return False if op in _COMPARISONS else None
-        except ZeroDivisionError:
-            return None
-        raise QueryError(f"unknown operator {op!r}")  # pragma: no cover
+            return lambda entry: left(entry) != right(entry)
+        # Ordering and arithmetic have no sensible answer against a
+        # missing field or a mismatched type: comparisons are False (the
+        # entry simply does not match), arithmetic propagates the hole.
+        if op in _ORDERINGS:
+            fn, hole = _ORDERINGS[op], False
+        elif op in _ARITHMETIC:
+            fn, hole = _ARITHMETIC[op], None
+        else:  # pragma: no cover
+            raise QueryError(f"unknown operator {op!r}")
+
+        def apply(entry: Entry) -> Any:
+            a = left(entry)
+            b = right(entry)
+            if a is None or b is None:
+                return hole
+            try:
+                return fn(a, b)
+            except TypeError:
+                return hole
+            except ZeroDivisionError:
+                return None
+        return apply
 
     def unparse(self) -> str:
         # Comparisons do not chain in the grammar, so a comparison
@@ -228,8 +267,9 @@ class Binary(Expr):
 class Call(Expr):
     """A function call: scalar builtins anywhere, aggregates in specs.
 
-    Evaluating an aggregate call as a scalar raises :class:`QueryError`
-    — the aggregate engine interprets those nodes itself.
+    An aggregate call compiles to a closure that raises
+    :class:`QueryError` when run as a scalar — the aggregate engine
+    interprets those nodes itself and compiles only their arguments.
     """
 
     __slots__ = ("name", "args")
@@ -238,31 +278,39 @@ class Call(Expr):
         self.name = name
         self.args = tuple(args)
 
-    def evaluate(self, entry: Dict[str, Any]) -> Any:
+    def compile(self) -> Compiled:
         name = self.name
         if name in AGGREGATE_NAMES:
-            raise QueryError(
-                f"aggregate {name}() is only valid in an aggregate spec")
-        args = [a.evaluate(entry) for a in self.args]
+            def refuse(entry: Entry) -> Any:
+                raise QueryError(
+                    f"aggregate {name}() is only valid in an aggregate spec")
+            return refuse
+        args = [a.compile() for a in self.args]
+        first = args[0]
         if name == "has":
-            return args[0] is not None
+            return lambda entry: first(entry) is not None
         if name == "startswith":
-            return (isinstance(args[0], str) and isinstance(args[1], str)
-                    and args[0].startswith(args[1]))
-        if args[0] is None:
-            return None
-        try:
-            if name == "len":
-                return len(args[0])
-            if name == "abs":
-                return abs(args[0])
-            if name == "int":
-                return int(args[0])
-            if name == "float":
-                return float(args[0])
-        except (TypeError, ValueError):
-            return None
-        raise QueryError(f"unknown function {name!r}")  # pragma: no cover
+            second = args[1]
+
+            def startswith(entry: Entry) -> bool:
+                s = first(entry)
+                prefix = second(entry)
+                return (isinstance(s, str) and isinstance(prefix, str)
+                        and s.startswith(prefix))
+            return startswith
+        if name not in _CONVERSIONS:  # pragma: no cover
+            raise QueryError(f"unknown function {name!r}")
+        fn = _CONVERSIONS[name]
+
+        def convert(entry: Entry) -> Any:
+            v = first(entry)
+            if v is None:
+                return None
+            try:
+                return fn(v)
+            except (TypeError, ValueError):
+                return None
+        return convert
 
     def unparse(self) -> str:
         return f"{self.name}({', '.join(a.unparse() for a in self.args)})"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.kernel import EventKernel, KernelTracer
+from repro.kernel import EventKernel, KernelTracer, load_trace
 from repro.sim import Cluster
 from tests.core.conftest import make_cluster
 
@@ -149,3 +149,102 @@ def test_network_traffic_shows_up_as_messages():
     assert all(cat.startswith("net.") for cat in tr.counters["by_category"])
     flows = tr.timeline()
     assert set(flows) == {"pe0", "pe1"}
+
+
+# -- the trace file contract --------------------------------------------------
+
+def test_dump_is_byte_identical_to_one_json_dumps_per_entry(tmp_path):
+    k, tr = traced_kernel()
+    k.schedule(1.0, lambda: None, category="net.x", flow="alpha")
+    k.schedule(2.0, lambda: None)
+    k.run()
+    tr.entries.append({"ev": "charge", "t": 2.5, "busy": {"1": 3.0, "0": 1},
+                       "note": "café", "nan": float("nan")})
+    path = tmp_path / "trace.jsonl"
+    assert tr.dump(str(path)) == len(tr.entries)
+    assert path.read_bytes() == "".join(
+        json.dumps(e, sort_keys=True) + "\n" for e in tr.entries).encode()
+
+
+def test_dump_of_an_empty_trace_is_an_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    assert KernelTracer().dump(str(path)) == 0
+    assert path.read_bytes() == b""
+
+
+def _load_by_json_loads(path):
+    """``load_trace`` as it was written over ``json.loads``: the
+    per-line contract the bound decoder must keep, message for message."""
+    with open(path) as fh:
+        data = fh.read()
+    entries = []
+    raw_lines = data.split("\n")
+    for index, line in enumerate(raw_lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError as e:
+            if index == len(raw_lines) - 1 and not data.endswith("\n"):
+                break
+            raise ReproError(
+                f"{path}:{index + 1}: not a JSON trace line: {e}")
+        if not isinstance(entry, dict):
+            raise ReproError(
+                f"{path}:{index + 1}: trace line is not a JSON object")
+        entries.append(entry)
+    return entries
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ('{"a": 1}\n{"b": [2, {"c": null}]}\n', 2),
+    ("", 0),
+    ('\n\n{"a": 1}\n   \n\t{"b": 2}  \n\n', 2),
+    ('{"a": 1}\r\n{"b": 2}\r\n', 2),
+    ('{"a": NaN, "b": -Infinity}\n', 1),
+    # two values on one line
+    ('{"a": 1} {"b": 2}\n', ":1: not a JSON trace line: Extra data: "
+                            "line 1 column 10 (char 9)"),
+    ('{"a": 1}{"b": 2}\n', ":1: not a JSON trace line: Extra data: "
+                           "line 1 column 9 (char 8)"),
+    ('{"a": 1}\n{} \t x\n', ":2: not a JSON trace line: Extra data: "
+                            "line 1 column 6 (char 5)"),
+    # one value spanning two lines
+    ('{"a":\n1}\n', ":1: not a JSON trace line: Expecting value: "
+                    "line 1 column 6 (char 5)"),
+    # parses as one array of three objects in bulk, corrupt line by line
+    ('{},{"a":[{}\n{}]}\n', ":1: not a JSON trace line: Extra data: "
+                            "line 1 column 3 (char 2)"),
+    # non-object lines
+    ('{"a": 1}\n[1, 2]\n', ":2: trace line is not a JSON object"),
+    ('5\n', ":1: trace line is not a JSON object"),
+    ('{"a": 1}\nnull\n', ":2: trace line is not a JSON object"),
+    # a torn tail is dropped only when the file ends mid-line
+    ('{"a": 1}\n{"b":', 1),
+    ('{"a": 1}\n{"b": 2} x', 1),
+    ('{"a": 1}\n[1', 1),
+    ('{"a": 1}\n{"b":\n', ":2: not a JSON trace line: Expecting value: "
+                          "line 1 column 6 (char 5)"),
+    ('garbage\n{"a": 1}\n{"b":', ":1: not a JSON trace line: Expecting "
+                                 "value: line 1 column 1 (char 0)"),
+    # ...and a complete non-object tail is still rejected
+    ('{"a": 1}\n[1, 2]', ":2: trace line is not a JSON object"),
+])
+def test_load_trace_line_contract(tmp_path, text, outcome):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode())
+    try:
+        want = _load_by_json_loads(str(path))
+    except ReproError as exc:
+        want = str(exc)
+    if isinstance(outcome, int):
+        assert len(want) == outcome
+        assert load_trace(str(path)) == want
+        assert [list(e) for e in load_trace(str(path))] == \
+            [list(e) for e in want]
+    else:
+        assert want == f"{path}{outcome}"
+        with pytest.raises(ReproError) as caught:
+            load_trace(str(path))
+        assert str(caught.value) == want

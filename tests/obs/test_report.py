@@ -153,6 +153,49 @@ def test_empty_trace_report_is_finite_and_renderable():
     assert render_report(report)  # must not raise
 
 
+def test_report_skips_values_that_do_not_fit_the_schema():
+    """Lines ``load_trace`` accepts must get a report, not a traceback:
+    non-numeric t/clock/busy/bytes values are skipped (never coerced), a
+    foreign PE key sorts after the integer ones, and a ``migration``
+    without numeric ``src``/``dst`` is not a move."""
+    entries = [
+        {"ev": "end", "t": 10.0, "clock": {"0": 10.0, "1": "x"},
+         "busy": {"0": 4.0, "1": "x", "10": 1.0, "2": 1.0, "pe-a": 2.0}},
+        {"ev": "end", "t": None, "busy": {"0": None, "2": 0.5}},
+        {"ev": "end", "t": "late", "busy": {"0": True}},
+        {"ev": "end", "busy": [1.0]},
+        {"ev": "end", "clock": [99.0]},
+        {"ev": "migration", "bytes": 5},
+        {"ev": "migration", "src": 0, "bytes": 5},
+        {"ev": "migration", "src": "a", "dst": 1, "bytes": 5},
+        {"ev": "migration", "src": 0, "dst": 1, "bytes": "big"},
+        {"ev": "migration", "src": 0, "dst": 1, "bytes": 7,
+         "returned": True},
+        {"ev": "send"},
+        {"ev": "send", "bytes": "x"},
+        {"ev": "send", "bytes": 100},
+        {"ev": "end", "category": "net.x", "sent": "x", "t": 3.0},
+        {"ev": "end", "category": "net.x", "sent": 1.0},
+        {"ev": "end", "category": "net.x", "sent": 1.0, "t": 3.0},
+    ]
+    report = build_report(entries, windows=2)
+    util = report["utilization"]
+    assert util["makespan_ns"] == 10.0
+    assert list(util["per_pe"]) == ["0", "2", "10", "pe-a"]
+    assert [row["busy_ns"] for row in util["per_pe"].values()] == \
+        [4.0, 1.5, 1.0, 2.0]
+    assert [w["busy_ns"] for w in report["imbalance_timeline"]] == \
+        [0.5, 8.0]
+    assert report["migrations"] == {
+        "completed": 1, "returned": 1, "bytes": 7,
+        "routes": [{"src": 0, "dst": 1, "moves": 1, "returns": 1,
+                    "bytes": 7}]}
+    assert report["messages"]["sizes"]["count"] == 1
+    assert report["messages"]["latency_ns"]["count"] == 1
+    assert report["messages"]["latency_ns"]["total"] == 2.0
+    assert render_report(report)
+
+
 def _cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")

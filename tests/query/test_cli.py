@@ -52,6 +52,20 @@ def test_aggregate_cli_matches_module_api(chaos_trace_file, chaos_trace):
         aggregate_entries(chaos_trace, "count(), sum(bytes) by ev"))
 
 
+def test_timeline_cli_answers_over_lines_without_a_numeric_t(tmp_path):
+    """Regression: ``"t": null`` (a line ``load_trace`` accepts) used to
+    die in ``window_index`` with a raw TypeError traceback."""
+    path = tmp_path / "f.jsonl"
+    path.write_text('{"ev":"end","t":5.0}\n{"ev":"x","t":null}\n'
+                    '{"ev":"x","t":"late","clock":{"0":"x"}}\n')
+    proc = _cli("timeline", str(path), "--windows", "2", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["makespan_ns"] == 5.0
+    assert [w["count"] for w in result["windows"]] == [2, 1]
+
+
 def test_timeline_cli_renders_and_serializes(chaos_trace_file):
     human = _cli("timeline", chaos_trace_file, "--windows", "4")
     assert human.returncode == 0, human.stderr

@@ -116,6 +116,76 @@ def test_timeline_empty_and_invalid():
         timeline_entries([], windows=0)
 
 
+def test_aggregate_groups_are_their_canonical_json():
+    """``1``, ``1.0`` and ``true`` are three groups, ``0.0`` and ``-0.0``
+    two, every NaN one; containers group by content.  Rows come out in
+    canonical-JSON order whatever the trace order."""
+    nan = float("nan")
+    entries = [{"a": 1}, {"a": 1.0}, {"a": True}, {"a": [1]},
+               {"a": {"k": 1}}, {"a": nan}, {"a": 0.0}, {"a": -0.0},
+               {"a": [1.0]}, {"a": float("nan")}, {"a": 1}, {"a": True},
+               {"a": [1]}, {"a": {"k": 1}}, {"a": "1"}, {}, {"a": None}]
+    result = aggregate_entries(entries, "count() by a")
+    assert result["entries"] == len(entries)
+    rows = [(repr(row["group"]["a"]), row["aggregates"]["count()"])
+            for row in result["rows"]]
+    assert rows == [("'1'", 1), ("-0.0", 1), ("0.0", 1), ("1.0", 1),
+                    ("1", 2), ("nan", 2), ("[1.0]", 1), ("[1]", 2),
+                    ("None", 2), ("True", 2), ("{'k': 1}", 2)]
+    assert repr(aggregate_entries(entries[::-1], "count() by a")) == \
+        repr(result)
+
+
+def test_aggregate_multi_field_groups_keep_types_apart():
+    entries = [{"a": 1, "b": "x"}, {"a": True, "b": "x"},
+               {"a": 1, "b": "x"}, {"a": 1.0, "b": "x"}, {"a": 1}]
+    result = aggregate_entries(entries, "count(), sum(a) by a, b")
+    got = [(repr(r["group"]), r["aggregates"]["count()"],
+            repr(r["aggregates"]["sum(a)"])) for r in result["rows"]]
+    assert got == [("{'a': 1, 'b': 'x'}", 2, "2"),
+                   ("{'a': 1, 'b': None}", 1, "1"),
+                   ("{'a': 1.0, 'b': 'x'}", 1, "1.0"),
+                   ("{'a': True, 'b': 'x'}", 1, "0")]
+
+
+# -- entries that do not fit the schema: a result, never a traceback --------
+
+FOREIGN = [
+    {"ev": "end", "t": 8.0, "bytes": 3},
+    {"ev": "x", "t": None, "bytes": 1},
+    {"ev": "x", "t": "late", "bytes": 1},
+    {"ev": "x", "t": True, "bytes": 1},
+    {"ev": "x", "t": float("nan"), "bytes": 1},
+    {"ev": "x", "t": [4.0], "bytes": "many"},
+    {"ev": "x", "bytes": None},
+    {"ev": "x", "t": 6.0, "bytes": 2},
+    {"ev": "x", "t": float("inf"), "bytes": 2},
+]
+
+
+def test_timeline_charges_entries_without_a_numeric_t_to_window_zero():
+    result = timeline_entries(FOREIGN, windows=4, value="bytes")
+    assert result["makespan_ns"] == 8.0
+    assert [w["count"] for w in result["windows"]] == [6, 0, 0, 3]
+    assert [w["sum"] for w in result["windows"]] == [4.0, 0.0, 0.0, 7.0]
+
+
+def test_makespan_skips_values_that_are_not_numbers():
+    assert trace_makespan([
+        {"clock": {"0": "x", "1": 3.0, "2": None, "3": True}},
+        {"clock": [9.0, 10.0]},
+        {"clock": 11.0},
+        {"ev": "end", "t": "late"},
+        {"ev": "end", "t": None},
+        {"ev": "end"},
+        {"ev": "end", "t": 2.5},
+        {"ev": "begin", "t": 50.0},
+    ]) == 3.0
+    assert trace_makespan([{"ev": "end", "t": None}]) == 0.0
+    assert timeline_entries([{"ev": "end", "t": None}], windows=2) == \
+        {"makespan_ns": 0.0, "windows": []}
+
+
 def test_window_index_clamps_both_ends():
     assert window_index(-5.0, 10.0, 4) == 0
     assert window_index(0.0, 10.0, 4) == 0
@@ -123,6 +193,9 @@ def test_window_index_clamps_both_ends():
     assert window_index(40.0, 10.0, 4) == 3
     assert window_index(1e9, 10.0, 4) == 3
     assert window_index(5.0, 0.0, 4) == 0
+    assert window_index(float("inf"), 10.0, 4) == 3
+    for foreign in (None, "12", True, [12.0], float("nan")):
+        assert window_index(foreign, 10.0, 4) == 0
 
 
 def test_canonical_json_is_order_insensitive():
