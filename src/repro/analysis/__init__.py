@@ -17,7 +17,7 @@ console script; ``tests/test_lint.py`` runs it over the whole shipped
 tree as a permanent gate.
 
 The ``repro.analysis.flow`` subpackage adds the interprocedural layer:
-per-function CFGs with explicit suspend points, a module-set call graph
+per-function suspend-point scans, a module-set call graph
 with fixed-point suspends inference, and the compilability report
 (``python -m repro.analysis flowreport``) that classifies every thread
 body as COMPILABLE / NEEDS-REWRITE / OPAQUE for the thread→event
@@ -35,7 +35,7 @@ KRN001    kernel-bypass: heap queues/run loops outside the event kernel
 EXC001    worker-purity: sweep workers ship cells as plain data
 OBS001    module-state: no mutable module-scope state in runtime pkgs
 FLW001    lost-delegation: suspending call without ``yield from``
-FLW002    unsplittable: suspend under with/try-finally/except, bare
+FLW002    unsplittable: suspend under with/try/except/match, bare
           yield, or closure capture mutated across a suspend
 FLW003    dead-suspend-surface: unreferenced private suspending helper
 DET001    wall-clock-in-sim: wall clock / unseeded RNG in runtime pkgs

@@ -1,4 +1,4 @@
-"""Flow analysis: suspend-point CFGs, interprocedural suspends inference,
+"""Flow analysis: suspend-point scans, interprocedural suspends inference,
 and the thread→event compilability report.
 
 ROADMAP item 2 wants Cth thread workloads mechanically compiled to
@@ -6,10 +6,11 @@ event-driven continuations (the CPC transformation, see PAPERS.md).  A
 compiler needs a static front end that decides *which* thread bodies are
 compilable and *why* the rest are not:
 
-* :mod:`repro.analysis.flow.cfg` — per-function control-flow graphs over
-  the Python AST, with basic blocks, back edges, and explicit suspend
-  nodes (``yield "yield"`` / ``yield "suspend"`` / ``yield from`` per the
-  :class:`repro.core.thread.UThread` body protocol);
+* :mod:`repro.analysis.flow.suspends` — where one ``def`` suspends
+  (``yield "yield"`` / ``yield "suspend"`` / ``yield from`` per the
+  :class:`repro.core.thread.UThread` body protocol) and inside which
+  protected regions, plus the one definition of an unsplittable
+  construct that the lint, the classifier and the compiler share;
 * :mod:`repro.analysis.flow.callgraph` — a module-set call graph with a
   fixed-point *suspends* inference (the CPC "cps" attribute): a function
   suspends if it yields a scheduler directive or ``yield from``-delegates
@@ -27,15 +28,6 @@ per-module faces of the same machinery.
 
 from __future__ import annotations
 
-from repro.analysis.flow.cfg import (
-    BasicBlock,
-    CapturedMutation,
-    FunctionCFG,
-    SuspendPoint,
-    build_cfg,
-    captured_mutations,
-    classify_yield,
-)
 from repro.analysis.flow.callgraph import (
     CallGraph,
     FuncInfo,
@@ -54,20 +46,25 @@ from repro.analysis.flow.report import (
     render_flow_human,
     render_flow_json,
 )
+from repro.analysis.flow.suspends import (
+    CapturedMutation,
+    SuspendPoint,
+    captured_mutations,
+    classify_yield,
+    suspend_points,
+    unsplittable,
+)
 
 __all__ = [
-    "BasicBlock",
     "Blocker",
     "BodyReport",
     "COMPILABLE",
     "CallGraph",
     "CapturedMutation",
     "FuncInfo",
-    "FunctionCFG",
     "NEEDS_REWRITE",
     "OPAQUE",
     "SuspendPoint",
-    "build_cfg",
     "build_flow_report",
     "captured_mutations",
     "classify_bodies",
@@ -75,4 +72,6 @@ __all__ = [
     "render_flow_human",
     "render_flow_json",
     "runtime_interface",
+    "suspend_points",
+    "unsplittable",
 ]

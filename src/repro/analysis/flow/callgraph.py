@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.astutil import FuncDef, call_name, walk_shallow
-from repro.analysis.flow.cfg import classify_yield
+from repro.analysis.flow.suspends import classify_yield
 
 __all__ = [
     "CallGraph",

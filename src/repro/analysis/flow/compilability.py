@@ -10,9 +10,11 @@ function its directive stream can flow through), then classifies:
   splittable straight-line/loop/branch code and every delegation
   resolves to a known callee or a runtime interface primitive;
 * **NEEDS-REWRITE** — at least one :class:`Blocker`: a suspend inside
-  ``try/finally`` or ``with``, a suspend under an ``except`` handler, a
-  bare yield of a non-directive value, a closure capture rebound across
-  a suspend point, or recursion through a suspending cycle.  Each
+  ``with``, any part of a ``try`` statement or ``match``, a bare yield
+  of a non-directive value, a closure capture rebound across a suspend
+  point (all three from :func:`~.suspends.unsplittable`, the definition
+  the lint and the compiler share), or recursion through a suspending
+  cycle.  Each
   blocker carries the construct kind, the rule id (FLW002), and the
   exact source location — the rewrite worklist for the human;
 * **OPAQUE** — no blocker found, but some delegation target could not
@@ -22,23 +24,18 @@ function its directive stream can flow through), then classifies:
 The runtime interface methods (``mpi.recv`` and friends) are treated as
 atomic suspension primitives, exactly as CPC treats its cps runtime:
 the compiler will emit an event op for the whole call, so their
-*implementation* CFGs are not part of any body's closure.
+*implementations* are not part of any body's closure.
 """
 
 from __future__ import annotations
 
-import ast
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.astutil import THREAD_PARAM_NAMES
 from repro.analysis.flow.callgraph import CallGraph, FuncInfo
-from repro.analysis.flow.cfg import (
-    FunctionCFG,
-    build_cfg,
-    captured_mutations,
-)
+from repro.analysis.flow.suspends import suspend_points, unsplittable
 
 __all__ = [
     "Blocker",
@@ -63,20 +60,14 @@ SCAN_ROOTS = (
     "src/repro/workloads",
 )
 
-#: protection label (cfg.SuspendPoint.protected) -> blocker kind.
-_PROTECTION_KIND = {
-    "try/finally": "suspend-in-finally",
-    "with": "suspend-in-with",
-    "except": "suspend-under-except",
-}
-
 
 @dataclass(frozen=True)
 class Blocker:
     """One construct that stops a body from being compiled."""
 
-    #: "suspend-in-finally" | "suspend-in-with" | "suspend-under-except"
-    #: | "bare-yield" | "closure-across-suspend" | "suspending-recursion"
+    #: "suspend-in-with" | "suspend-in-try" | "suspend-in-finally"
+    #: | "suspend-under-except" | "suspend-in-match" | "bare-yield"
+    #: | "closure-across-suspend" | "suspending-recursion"
     kind: str
     rule: str
     path: str
@@ -97,7 +88,7 @@ class BodyReport:
     qualname: str
     line: int
     classification: str
-    #: Own-CFG suspend point counts (directive / delegation / bare).
+    #: The body's own suspend point counts (directive / delegation).
     directives: int
     delegations: int
     #: Every function the body's directive stream flows through
@@ -157,16 +148,10 @@ def _closure_of(graph: CallGraph, body: FuncInfo) \
 class _Classifier:
     def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
-        self._cfgs: Dict[str, FunctionCFG] = {}
         self._cycle_members: Dict[str, Tuple[str, ...]] = {}
         for cycle in graph.suspending_cycles():
             for key in cycle:
                 self._cycle_members.setdefault(key, cycle)
-
-    def cfg_of(self, f: FuncInfo) -> FunctionCFG:
-        if f.key not in self._cfgs:
-            self._cfgs[f.key] = build_cfg(f.node)
-        return self._cfgs[f.key]
 
     def _delegation_suspends(self, f: FuncInfo, line: int,
                              col: int) -> bool:
@@ -177,36 +162,15 @@ class _Classifier:
         return True  # unmatched: assume the worst
 
     def blockers_in(self, f: FuncInfo) -> List[Blocker]:
-        out: List[Blocker] = []
-        cfg = self.cfg_of(f)
-        for sp in cfg.suspends:
-            if sp.protected:
-                # A delegation that provably never suspends needs no
-                # cut, so it may sit inside a protected region.
-                if sp.kind == "delegate" and not self._delegation_suspends(
-                        f, sp.line, sp.col):
-                    continue
-                kind = _PROTECTION_KIND[sp.protected[-1]]
-                out.append(Blocker(
-                    kind=kind, rule="FLW002", path=f.path, line=sp.line,
-                    func=f.qualname,
-                    detail=(f"suspend point inside "
-                            f"{' > '.join(sp.protected)} in {f.qualname}")))
-            if sp.kind == "bare":
-                out.append(Blocker(
-                    kind="bare-yield", rule="FLW002", path=f.path,
-                    line=sp.line, func=f.qualname,
-                    detail=(f"{f.qualname} yields a non-directive value; "
-                            f"the scheduler protocol only splits at "
-                            f'"yield"/"suspend"/("io", ns) directives')))
-        for mut in captured_mutations(f.node):
-            out.append(Blocker(
-                kind="closure-across-suspend", rule="FLW002", path=f.path,
-                line=mut.store_line, func=f.qualname,
-                detail=(f"{mut.name!r} is captured by the closure at line "
-                        f"{mut.closure_line} and rebound at line "
-                        f"{mut.store_line}, across the suspend point at "
-                        f"line {mut.suspend_line}")))
+        # A delegation that provably never suspends needs no cut, so it
+        # may sit inside a protected region.
+        points = [sp for sp in suspend_points(f.node)
+                  if not (sp.protected and sp.kind == "delegate"
+                          and not self._delegation_suspends(
+                              f, sp.line, sp.col))]
+        out = [Blocker(kind=kind, rule="FLW002", path=f.path, line=line,
+                       func=f.qualname, detail=detail)
+               for kind, line, detail in unsplittable(f.node, points)]
         cycle = self._cycle_members.get(f.key)
         if cycle is not None:
             names = ", ".join(k.split("::", 1)[1] for k in cycle)
@@ -230,14 +194,14 @@ class _Classifier:
             verdict = OPAQUE
         else:
             verdict = COMPILABLE
-        cfg = self.cfg_of(body)
+        kinds = [sp.kind for sp in suspend_points(body.node)]
         return BodyReport(
             path=body.path,
             qualname=body.qualname,
             line=body.line,
             classification=verdict,
-            directives=len(cfg.directive_suspends()),
-            delegations=len(cfg.delegations()),
+            directives=kinds.count("directive"),
+            delegations=kinds.count("delegate"),
             closure=sorted(f.key for f in members),
             blockers=blockers,
             opaque=opaque,

@@ -5,10 +5,9 @@ point into continuation functions — the CPC transformation.  *Generating
 events with style* (PAPERS.md) catalogues the constructs that defeat the
 split, and this rule flags each one at its exact location:
 
-* a suspend point inside ``with`` or ``try/finally`` — the cleanup
-  action would have to survive across continuations;
-* a suspend point under an ``except`` handler — the live exception
-  cannot be packed into a continuation record;
+* a suspend point inside ``with`` or any part of a ``try`` statement —
+  the cleanup action, the handlers' reach or the live exception would
+  have to survive across continuations — or inside ``match``;
 * a bare ``yield`` of a non-directive value — the scheduler protocol
   (``repro.core.scheduler``) only defines cuts at ``"yield"`` /
   ``"suspend"`` / ``("io", ns)`` directives;
@@ -31,7 +30,7 @@ from typing import Iterator
 from repro.analysis.astutil import THREAD_PARAM_NAMES
 from repro.analysis.core import Finding, ModuleContext, Rule, Severity, register
 from repro.analysis.flow.callgraph import CallGraph, FuncInfo
-from repro.analysis.flow.cfg import build_cfg, captured_mutations
+from repro.analysis.flow.suspends import unsplittable
 
 __all__ = ["Unsplittable"]
 
@@ -64,7 +63,7 @@ class Unsplittable(Rule):
     id = "FLW002"
     name = "unsplittable"
     severity = Severity.ERROR
-    summary = ("a suspend point inside with/try-finally/except, a bare "
+    summary = ("a suspend point inside with/try/except/match, a bare "
                "non-directive yield, or a closure capture mutated across "
                "a suspend defeats the thread-to-event split")
 
@@ -73,33 +72,8 @@ class Unsplittable(Rule):
         for func in graph.functions_in(ctx.path):
             if not _eligible(graph, func):
                 continue
-            cfg = build_cfg(func.node)
-            for sp in cfg.suspends:
-                if sp.protected:
-                    where = " > ".join(sp.protected)
-                    yield self.found(
-                        ctx, sp.line,
-                        f"suspend point in {func.qualname} sits inside "
-                        f"{where} — the compiler cannot split a "
-                        f"protected region; hoist the suspend out or "
-                        f"rewrite the cleanup as an explicit "
-                        f"continuation step")
-                if sp.kind == "bare":
-                    yield self.found(
-                        ctx, sp.line,
-                        f"{func.qualname} yields a non-directive value; "
-                        f"the scheduler only splits at \"yield\"/"
-                        f"\"suspend\"/(\"io\", ns) directives — "
-                        f"unknown values fall through to the directive "
-                        f"handler and cannot be compiled")
-            for mut in captured_mutations(func.node):
-                yield self.found(
-                    ctx, mut.store_line,
-                    f"{mut.name!r} is captured by the closure at line "
-                    f"{mut.closure_line} and rebound here, across the "
-                    f"suspend point at line {mut.suspend_line} — the "
-                    f"continuation record and the closure cell would "
-                    f"disagree; thread the value explicitly instead")
+            for _kind, line, detail in unsplittable(func.node):
+                yield self.found(ctx, line, f"{func.qualname}: {detail}")
         for cycle in graph.suspending_cycles():
             names = ", ".join(k.split("::", 1)[1] for k in cycle)
             for key in cycle:

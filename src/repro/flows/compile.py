@@ -23,7 +23,9 @@ Pipeline
    normal form (suspends only as expression statements or simple
    single-name assignments).
 3. **Lowering** — the body is split at its suspend points (the same
-   points :func:`repro.analysis.flow.cfg.build_cfg` reports) into a
+   points :func:`repro.analysis.flow.suspends.suspend_points` reports,
+   and refused over the same constructs
+   :func:`~repro.analysis.flow.suspends.unsplittable` names) into a
    state machine of plain functions ``state(mpi, _f) -> next``.  Locals
    live in an explicit ``__slots__`` frame record; loops become
    back-edge state transfers (re-posted through the kernel whenever the
@@ -55,9 +57,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.astutil import local_names
 from repro.analysis.flow.callgraph import runtime_interface
-from repro.analysis.flow.cfg import build_cfg, classify_yield
 from repro.analysis.flow.compilability import (COMPILABLE, BodyReport,
                                                classify_bodies)
+from repro.analysis.flow.suspends import (classify_yield, suspend_points,
+                                          unsplittable)
 from repro.errors import ReproError
 
 __all__ = ["FlowCompileError", "CompiledFlow", "compile_flow",
@@ -94,7 +97,7 @@ class CompiledFlow:
     frame_factory: Callable[[], Any]
     #: Number of generated state functions (all functions inlined).
     n_states: int
-    #: Suspend points of the outermost body (== the CFG's count).
+    #: Suspend points of the outermost body (== ``suspend_points``' count).
     suspend_points: int
 
     def new_frame(self) -> Any:
@@ -239,11 +242,8 @@ def _preflight(fn_node: ast.FunctionDef) -> None:
             raise _refuse(node, "global/nonlocal in a compiled body")
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             raise _refuse(node, "import inside a compiled body")
-        if isinstance(node, (ast.Try, ast.With, ast.AsyncWith,
-                             ast.Match)) and _has_suspend(node):
-            raise _refuse(node, "suspend inside try/with/match — the "
-                                "frame transform cannot split protected "
-                                "regions; hoist the suspend out")
+    for kind, line, detail in unsplittable(fn_node):  # refuse at the first
+        raise FlowCompileError(f"line {line}: [{kind}] {detail}")
 
 
 def _owned_break_continue(stmts: Sequence[ast.stmt]) -> Optional[ast.stmt]:
@@ -739,14 +739,14 @@ def compile_flow(fn: Callable[..., Any], *,
     code = compile(source, f"<compiled-flow {fn.__qualname__}>", "exec")
     exec(code, ns)  # noqa: S102 - the compiler's own codegen output
 
-    # Cross-check the lowering against the CFG the analysis built: every
+    # Cross-check the lowering against the analysis' suspend scan: every
     # suspend point must have become exactly one continuation site.
-    cfg = build_cfg(fn_node)
-    top = compiler.lowerings[0]
-    if top.n_suspends != len(cfg.suspends):
+    n_points = len(suspend_points(fn_node))
+    top = compiler.lowerings[-1]  # helpers finish (and append) first
+    if top.n_suspends != n_points:
         raise FlowCompileError(
             f"internal: lowered {top.n_suspends} suspend sites but the "
-            f"CFG reports {len(cfg.suspends)} — refusing the "
+            f"suspend scan reports {n_points} — refusing the "
             f"mismatched translation")
 
     return CompiledFlow(
@@ -757,5 +757,5 @@ def compile_flow(fn: Callable[..., Any], *,
         entry=ns[entry_name],
         frame_factory=ns[frame_name],
         n_states=sum(len(low.states) for low in compiler.lowerings),
-        suspend_points=len(cfg.suspends),
+        suspend_points=n_points,
     )

@@ -176,7 +176,11 @@ class KernelTracer:
 
     def _on_end(self, kernel, ev) -> None:
         entry = self._entry("end", kernel, ev)
-        self._last_end_time = ev.time
+        if kernel is self._kernel:
+            # The idle clock follows the attached kernel only: a subclass
+            # may feed other kernels' dispatches (RunObserver's thread
+            # kernels, which run on FIFO priority keys, not time).
+            self._last_end_time = ev.time
         c = self.counters
         if kernel._skip:
             entry["skipped"] = True

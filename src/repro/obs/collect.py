@@ -165,28 +165,12 @@ class RunObserver(KernelTracer):
             super()._on_begin(kernel, ev)
 
     def _on_end(self, kernel, ev) -> None:
+        # One entry schema and one set of aggregate counters for the
+        # cluster kernel and the thread kernels alike.
+        super()._on_end(kernel, ev)
+        entry = self.entries[-1]
         category = ev.category
-        if kernel is self._kernel:
-            super()._on_end(kernel, ev)
-            entry = self.entries[-1]
-            skipped = entry.get("skipped", False)
-        else:
-            # A thread kernel's dispatch: same entry schema, same
-            # aggregate counters; idle accounting stays cluster-only
-            # (thread kernels run on FIFO priority keys, not time).
-            entry = self._entry("end", kernel, ev)
-            c = self.counters
-            skipped = bool(kernel._skip)
-            if skipped:
-                entry["skipped"] = True
-                c["skipped"] += 1
-            else:
-                c["dispatched"] += 1
-                cat = category or "uncategorized"
-                by_cat = c["by_category"]
-                by_cat[cat] = by_cat.get(cat, 0) + 1
-                if cat == "cth.resume":
-                    c["switches"] += 1
+        skipped = entry.get("skipped", False)
         if not skipped:
             self._c_dispatched.inc()
             if category == "cth.resume":

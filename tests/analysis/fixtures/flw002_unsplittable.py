@@ -1,9 +1,10 @@
 """FLW002 fixture: constructs the thread→event split cannot cut.
 
 One function per blocker class: suspend in try/finally, suspend in
-with, suspend under except, bare non-directive yield, closure capture
-rebound across a suspend, and recursion through a suspending cycle —
-plus clean twins showing the splittable versions.
+with, suspend under except, suspend in the body of a try with handlers
+only, bare non-directive yield, closure capture rebound across a
+suspend, and recursion through a suspending cycle — plus clean twins
+showing the splittable versions.
 """
 
 
@@ -35,7 +36,7 @@ def except_body(th):
 
 def plain_try_body(th):
     try:
-        yield "suspend"
+        yield "suspend"  # expect: FLW002
     except ValueError:
         pass
     yield "yield"

@@ -1,12 +1,17 @@
-"""Unit tests for the flow CFG builder (repro.analysis.flow.cfg)."""
+"""Unit tests for the suspend scan (repro.analysis.flow.suspends).
+
+The file keeps the name it had when the module was ``flow/cfg.py`` so
+the surviving tests keep their ids; the graph tests went with the graph.
+"""
 
 import ast
 import textwrap
 
-from repro.analysis.flow.cfg import (
-    build_cfg,
+from repro.analysis.flow.suspends import (
     captured_mutations,
     classify_yield,
+    suspend_points,
+    unsplittable,
 )
 
 
@@ -16,8 +21,8 @@ def func_node(src, name="f"):
                 if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
-def cfg_of(src, name="f"):
-    return build_cfg(func_node(src, name))
+def points_of(src, name="f"):
+    return suspend_points(func_node(src, name))
 
 
 # -- yield classification ----------------------------------------------------
@@ -39,129 +44,92 @@ def test_classify_yield_directives():
                      ("delegate", None)]
 
 
-# -- block structure ---------------------------------------------------------
+# -- the scan ---------------------------------------------------------------
 
-def test_suspend_splits_blocks():
-    cfg = cfg_of('''
+def test_directive_suspend_is_recorded_unprotected():
+    (sp,) = points_of('''
         def f(th):
             a = 1
             yield "suspend"
             b = 2
     ''')
-    assert cfg.is_generator
-    (sp,) = cfg.suspends
     assert sp.kind == "directive" and sp.directive == "suspend"
-    assert sp.protected == ()
-    # The statement after the suspend lives in a different block.
-    before = cfg.block(sp.block)
-    afters = [cfg.block(s) for s in before.succs]
-    assert any(cfg.block(b.id).lines for b in afters)
-    assert sp.line in before.lines
+    assert (sp.line, sp.protected) == (4, ())
 
 
-def test_straight_line_has_no_back_edges():
-    cfg = cfg_of('''
-        def f(th):
-            a = 1
-            if a:
-                yield "yield"
-            return a
+def test_suspends_come_in_execution_site_order():
+    """Headers before blocks, blocks in source order, loops once."""
+    points = points_of('''
+        def f(mpi):
+            while (yield from mpi.recv()):
+                for i in range(3):
+                    if i == 2:
+                        continue
+                    yield "yield"
+                else:
+                    yield "suspend"
+            yield "exit"
     ''')
-    assert cfg.back_edges == []
-
-
-def test_while_loop_records_back_edge():
-    cfg = cfg_of('''
-        def f(th):
-            n = 3
-            while n:
-                n -= 1
-                yield "yield"
-    ''')
-    assert len(cfg.back_edges) == 1
-    src, dst = cfg.back_edges[0]
-    assert dst in cfg.block(src).succs
-    assert cfg.block(dst).label == "while-header"
-
-
-def test_for_loop_and_continue_back_edges():
-    cfg = cfg_of('''
-        def f(th):
-            for i in range(4):
-                if i == 2:
-                    continue
-                yield "yield"
-    ''')
-    headers = {dst for _src, dst in cfg.back_edges}
-    assert len(cfg.back_edges) == 2  # loop-end + continue
-    assert len(headers) == 1
-    assert cfg.block(next(iter(headers))).label == "for-header"
-
-
-def test_break_edges_to_loop_exit_not_header():
-    cfg = cfg_of('''
-        def f(th):
-            while True:
-                yield "suspend"
-                break
-    ''')
-    # Only the structural body-end back edge; break is not a back edge.
-    assert len(cfg.back_edges) == 1
+    assert [(sp.line, sp.directive or sp.target) for sp in points] == [
+        (3, "mpi.recv"), (7, "yield"), (9, "suspend"), (10, "exit")]
+    assert all(sp.protected == () for sp in points)
 
 
 def test_suspend_in_loop_counted_once():
     """Regression: compound-statement headers must not rescan bodies."""
-    cfg = cfg_of('''
+    points = points_of('''
         def f(mpi):
             for i in range(3):
                 if i:
                     yield from mpi.recv(i)
     ''')
-    assert len(cfg.suspends) == 1
-    assert cfg.suspends[0].kind == "delegate"
-    assert cfg.suspends[0].target == "mpi.recv"
+    (sp,) = points
+    assert sp.kind == "delegate" and sp.target == "mpi.recv"
 
 
 # -- protected regions -------------------------------------------------------
 
 def test_try_finally_marks_suspend_protected():
-    cfg = cfg_of('''
+    points = points_of('''
         def f(th):
             try:
                 yield "suspend"
             finally:
                 pass
     ''')
-    (sp,) = cfg.suspends
+    (sp,) = points
     assert sp.protected == ("try/finally",)
 
 
-def test_plain_try_except_body_is_unprotected():
-    cfg = cfg_of('''
+def test_plain_try_except_body_is_protected():
+    """The handlers' reach spans the cut: the lowering refuses it, so
+    the scan must too (body and ``else:`` alike)."""
+    points = points_of('''
         def f(th):
             try:
                 yield "suspend"
             except ValueError:
                 pass
+            else:
+                yield "yield"
     ''')
-    (sp,) = cfg.suspends
-    assert sp.protected == ()
+    assert [sp.protected for sp in points] == [("try",), ("try",)]
 
 
 def test_except_handler_suspend_is_protected():
-    cfg = cfg_of('''
+    points = points_of('''
         def f(th):
             try:
                 pass
             except ValueError:
                 yield "suspend"
     ''')
-    (sp,) = cfg.suspends
+    (sp,) = points
     assert sp.protected == ("except",)
 
 
 def test_with_marks_suspend_protected_and_nesting_order():
-    cfg = cfg_of('''
+    points = points_of('''
         def f(th):
             with lock():
                 try:
@@ -170,29 +138,103 @@ def test_with_marks_suspend_protected_and_nesting_order():
                     pass
             yield "yield"
     ''')
-    protected = [sp for sp in cfg.suspends if sp.protected]
-    clean = [sp for sp in cfg.suspends if not sp.protected]
+    protected = [sp for sp in points if sp.protected]
+    clean = [sp for sp in points if not sp.protected]
     assert len(protected) == 1 and len(clean) == 1
     # Outermost-first tuple: with encloses the try/finally.
     assert protected[0].protected == ("with", "try/finally")
 
 
 def test_finally_body_suspend_is_protected():
-    cfg = cfg_of('''
+    points = points_of('''
         def f(th):
             try:
                 pass
             finally:
                 yield "suspend"
     ''')
-    (sp,) = cfg.suspends
+    (sp,) = points
     assert sp.protected == ("try/finally",)
+
+
+def test_with_item_and_match_are_regions_from_the_header_down():
+    points = points_of('''
+        def f(mpi):
+            with (yield from mpi.recv()) as lock:
+                pass
+            match (yield from mpi.recv()):
+                case 1 if (yield "yield"):
+                    yield "suspend"
+    ''')
+    assert [sp.protected for sp in points] == [
+        ("with",), ("match",), ("match",), ("match",)]
+
+
+def test_try_with_handlers_and_finally_keeps_one_cleanup_region():
+    points = points_of('''
+        def f(th):
+            try:
+                yield "yield"
+            except ValueError:
+                yield "suspend"
+            finally:
+                pass
+    ''')
+    assert [sp.protected for sp in points] == [
+        ("try/finally",), ("try/finally", "except")]
+
+
+# -- the one definition of "unsplittable" ------------------------------------
+
+def test_unsplittable_names_kind_line_and_regions():
+    found = list(unsplittable(func_node('''
+        def f(th):
+            with lock():
+                try:
+                    yield "suspend"
+                except ValueError:
+                    yield 42
+            match th.rank:
+                case 0:
+                    yield "yield"
+            yield "yield"
+    ''')))
+    assert [(kind, line) for kind, line, _ in found] == [
+        ("suspend-in-try", 5), ("suspend-under-except", 7),
+        ("bare-yield", 7), ("suspend-in-match", 10)]
+    assert "with > try" in found[0][2] and "with > except" in found[1][2]
+
+
+def test_unsplittable_reports_captures_and_honours_a_points_subset():
+    node = func_node('''
+        def f(mpi):
+            count = 0
+            peek = lambda: count
+            with lock():
+                yield from mpi.size()
+            count = 1
+    ''')
+    assert [k for k, _, _ in unsplittable(node)] == [
+        "suspend-in-with", "closure-across-suspend"]
+    # The classifier drops delegations it proved never suspend.
+    assert [k for k, _, _ in unsplittable(node, points=[])] == [
+        "closure-across-suspend"]
+
+
+def test_clean_body_has_nothing_unsplittable():
+    assert list(unsplittable(func_node('''
+        def f(mpi):
+            for i in range(3):
+                if i:
+                    got = yield from mpi.recv(i)
+            yield "exit"
+    '''))) == []
 
 
 # -- nested scopes -----------------------------------------------------------
 
 def test_nested_def_and_lambda_yields_are_not_counted():
-    cfg = cfg_of('''
+    points = points_of('''
         def f(th):
             def inner(th2):
                 yield "suspend"
@@ -200,27 +242,19 @@ def test_nested_def_and_lambda_yields_are_not_counted():
             total = sum(x for x in range(3))
             yield "yield"
     ''')
-    assert len(cfg.suspends) == 1
-    assert cfg.suspends[0].directive == "yield"
+    (sp,) = points
+    assert sp.directive == "yield"
 
 
 def test_nested_yield_from_chain_targets():
-    cfg = cfg_of('''
+    points = points_of('''
         def f(mpi):
             yield from step_one(mpi)
             yield from mpi.barrier()
             yield from helpers.finish(mpi)
     ''')
-    assert [sp.target for sp in cfg.delegations()] == [
+    assert [sp.target for sp in points if sp.kind == "delegate"] == [
         "step_one", "mpi.barrier", "helpers.finish"]
-
-
-def test_lambda_cfg_is_trivial():
-    tree = ast.parse("g = lambda x: x + 1")
-    lam = next(n for n in ast.walk(tree) if isinstance(n, ast.Lambda))
-    cfg = build_cfg(lam)
-    assert not cfg.is_generator and cfg.suspends == []
-    assert cfg.exit in cfg.block(cfg.entry).succs
 
 
 # -- closure captures --------------------------------------------------------
