@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["AmpiMessage", "AmpiContext"]
 
 
-@dataclass
+@dataclass(slots=True)
 class AmpiMessage:
     """One rank-to-rank message."""
 
@@ -85,10 +85,16 @@ class AmpiContext:
         (MPI_Send with an eager protocol — the simulation has unbounded
         buffering, so sends never block.)
         """
-        if not 0 <= dest < self.size:
+        runtime = self.runtime
+        if not 0 <= dest < runtime.num_ranks:
             raise AmpiError(f"send to bad rank {dest} (size {self.size})")
-        size = wire_size(data) if size_bytes is None else size_bytes
-        self.runtime._send(self.rank, dest, data, tag, size)
+        if size_bytes is None:
+            size_bytes = wire_size(data)
+        elif size_bytes < 0:
+            # Same-processor sends never reach Cluster.send's check.
+            raise AmpiError(f"send of negative size {size_bytes} "
+                            f"(rank {self.rank}->{dest}, tag={tag!r})")
+        runtime._send(self.rank, dest, data, tag, size_bytes)
 
     def recv(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG,
              ) -> Generator[Any, Any, Any]:
@@ -97,8 +103,16 @@ class AmpiContext:
         Returns the message *data*; use :meth:`recv_msg` to also see the
         source and tag.
         """
-        msg = yield from self.recv_msg(source, tag)
-        return msg.data
+        # Its own match/park loop (recv_msg's, returning the data): one
+        # generator frame per blocking receive, not two.
+        runtime = self.runtime
+        rank = self.rank
+        while True:
+            msg = runtime._match(rank, source, tag)
+            if msg is not None:
+                return msg.data
+            runtime._set_waiting(rank, source, tag)
+            yield "suspend"
 
     def recv_msg(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG,
                  ) -> Generator[Any, Any, AmpiMessage]:
@@ -228,10 +242,13 @@ class AmpiContext:
         work measures longer, which is exactly what lets the balancer shed
         work from busy workstations (paper reference [10]).
         """
-        proc = self.thread.scheduler.processor
+        runtime = self.runtime
+        rank = self.rank
+        thread = runtime.rank_thread[rank]
+        proc = thread.scheduler.processor
         before = proc.now
-        self.thread.charge(ns)
-        self.runtime.db.record(self.rank, proc.now - before)
+        thread.charge(ns)
+        runtime.db.record(rank, proc.now - before)
 
     def wtime(self) -> float:
         """MPI_Wtime: this rank's processor-local virtual time (ns)."""

@@ -171,24 +171,23 @@ class AmpiRuntime:
 
     def _send(self, src_rank: int, dst_rank: int, data: Any, tag: Any,
               size: int) -> None:
-        msg = AmpiMessage(src=src_rank, dst=dst_rank, tag=tag, data=data,
-                          size_bytes=size)
-        src_pe = self.rank_pe(src_rank)
-        dst_pe = self.rank_pe(dst_rank)
-        if src_pe == dst_pe:
+        msg = AmpiMessage(src_rank, dst_rank, tag, data, size)
+        threads = self.rank_thread
+        src_proc = threads[src_rank].scheduler.processor
+        dst_proc = threads[dst_rank].scheduler.processor
+        if src_proc is dst_proc:
             # Same-processor ranks communicate through the scheduler —
             # "fast local message passing via the thread scheduler"
             # (Section 3.4) — no network traffic.
-            self.cluster[src_pe].charge(
-                self.cluster.platform.event_dispatch_ns)
+            src_proc.charge(self.cluster.platform.event_dispatch_ns)
             self._enqueue(msg)
         else:
-            self.cluster.send(src_pe, dst_pe, msg, size_bytes=size, tag=_TAG)
+            self.cluster.send(src_proc.id, dst_proc.id, msg, size, _TAG)
 
     def _on_message(self, cluster_msg: Message) -> None:
         msg: AmpiMessage = cluster_msg.payload
         here = cluster_msg.dst
-        current = self.rank_pe(msg.dst)
+        current = self.rank_thread[msg.dst].scheduler.processor.id
         if current != here:
             # The rank migrated while the message was in flight: forward.
             self.cluster.send(here, current, msg,
@@ -197,20 +196,23 @@ class AmpiRuntime:
         self._enqueue(msg)
 
     def _enqueue(self, msg: AmpiMessage) -> None:
-        self.db.record_comm(msg.src, msg.dst, msg.size_bytes)
+        dst = msg.dst
+        self.db.record_comm(msg.src, dst, msg.size_bytes)
         # Posted receives match before the unexpected-message queue
         # (standard MPI matching semantics).
-        for i, req in enumerate(self._posted[msg.dst]):
-            if msg.matches(req.source, req.tag):
-                del self._posted[msg.dst][i]
-                req._complete(msg)
-                self._wake_if_satisfied(msg.dst)
-                return
-        self._queues[msg.dst].append(msg)
-        waiting = self._waiting.get(msg.dst)
+        posted = self._posted[dst]
+        if posted:
+            for i, req in enumerate(posted):
+                if msg.matches(req.source, req.tag):
+                    del posted[i]
+                    req._complete(msg)
+                    self._wake_if_satisfied(dst)
+                    return
+        self._queues[dst].append(msg)
+        waiting = self._waiting.get(dst)
         if waiting is not None and msg.matches(*waiting):
-            del self._waiting[msg.dst]
-            self._wake(msg.dst)
+            del self._waiting[dst]
+            self._wake(dst)
 
     def _wake(self, rank: int) -> None:
         """Make ``rank`` runnable again if it is parked (a rank that is
@@ -240,9 +242,18 @@ class AmpiRuntime:
     def _match(self, rank: int, source: int, tag: Any,
                ) -> Optional[AmpiMessage]:
         q = self._queues[rank]
+        if not q:
+            return None
+        any_source = source == ANY_SOURCE
+        any_tag = tag == ANY_TAG
         for i, msg in enumerate(q):
-            if msg.matches(source, tag):
-                del q[i]
+            # AmpiMessage.matches, inlined against the two flags.
+            if ((any_source or msg.src == source)
+                    and (any_tag or msg.tag == tag)):
+                if i == 0:
+                    q.popleft()
+                else:
+                    del q[i]
                 return msg
         return None
 

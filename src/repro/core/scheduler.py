@@ -173,8 +173,7 @@ class CthScheduler:
         run queue.  Priority uses the thread's priority as the key;
         smaller numbers run first, equal priorities stay FIFO.
         """
-        key = (0.0 if self.policy == "fifo"
-               else float(getattr(thread, "priority", 0)))
+        key = 0.0 if self.policy == "fifo" else float(thread.priority)
         # post() (not schedule()): skipping the KernelEvent handle keeps
         # the context-switch path allocation-free; the raw slot is all
         # unqueue() needs.
@@ -246,7 +245,12 @@ class CthScheduler:
         self._switch_in(thread)
         directive = thread.step()
         self._switch_out(thread)
-        self._handle(thread, directive)
+        if directive == "suspend":
+            # Every blocking receive ends here; the other directives
+            # take the _handle ladder.
+            thread.state = ThreadState.SUSPENDED
+        else:
+            self._handle(thread, directive)
 
     def _switch_in(self, thread: UThread) -> None:
         cost = self.profile.uthread_switch_ns
@@ -265,7 +269,8 @@ class CthScheduler:
         thread.switches += 1
         self.current = thread
         self.context_switches += 1
-        self.processor.charge(cost)
+        if cost != 0.0:
+            self.processor.charge(cost)
 
     def _switch_out(self, thread: UThread) -> None:
         cost = 0.0
@@ -284,7 +289,10 @@ class CthScheduler:
             cost += self.swap.cost_ns(self.profile.cpu_ghz)
         cost += self.stack_manager.switch_out(thread.stack)
         self.current = None
-        self.processor.charge(cost)
+        # Isomalloc threads switch out for free; charging 0.0 moves
+        # neither busy_ns nor the clock.
+        if cost != 0.0:
+            self.processor.charge(cost)
 
     def _handle(self, thread: UThread, directive: Any) -> None:
         if directive == "yield":

@@ -177,24 +177,26 @@ class UThread:
     # generator protocol (driven by the scheduler)
     # ------------------------------------------------------------------
 
-    def _ensure_started(self) -> None:
-        if self._gen is None:
-            self._gen = self.body(self)
-
     def step(self) -> Any:
         """Advance the body to its next directive.
 
         Returns the yielded directive, or ``"exit"`` when the body
         finishes.  Only the scheduler calls this.
         """
-        self._ensure_started()
-        assert self._gen is not None
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = self.body(self)
+        value = self.resume_value
         try:
-            value, self.resume_value = self.resume_value, None
-            if hasattr(self._gen, "send"):
-                return self._gen.send(value)
-            # A plain iterator body (no send protocol): just advance it.
-            return next(self._gen)
+            if value is None:
+                return next(gen)         # send(None), for any iterator
+            self.resume_value = None
+            send = getattr(gen, "send", None)
+            if send is None:
+                # A plain iterator body (no send protocol): the value
+                # is dropped and the iterator just advances.
+                return next(gen)
+            return send(value)
         except StopIteration:
             return "exit"
 

@@ -46,12 +46,12 @@ class Cluster:
         #: cluster, so identical runs in one host process get identical
         #: ids (replay/fingerprint comparisons may key on msg_id).
         self._next_msg_id = 0
-        #: Interned instrumentation labels: every send used to build
-        #: fresh ``f"net.{tag}"`` / ``f"pe{dst}"`` strings, a measurable
-        #: slice of the per-message cost.  Tag and destination spaces
-        #: are tiny, so both caches stay a handful of entries.
+        #: Instrumentation labels, built once: the ``pe<id>`` flow label
+        #: of every processor, and the ``net.<tag>`` category of every
+        #: tag seen so far (the tag space is a handful of entries).
+        self._flow_labels: List[str] = [f"pe{i}"
+                                        for i in range(num_processors)]
         self._net_categories: dict = {}
-        self._flow_labels: dict = {}
 
     def __len__(self) -> int:
         return len(self.processors)
@@ -64,49 +64,57 @@ class Cluster:
     def send(self, src: int, dst: int, payload: Any, size_bytes: int,
              tag: str = "") -> Message:
         """Send a message; schedules its arrival on the event queue."""
-        if not 0 <= dst < len(self.processors):
+        processors = self.processors
+        n = len(processors)
+        if not 0 <= dst < n:
             raise ReproError(f"bad destination processor {dst}")
-        sender = self.processors[src]
+        if not 0 <= src < n:
+            raise ReproError(f"bad source processor {src}")
+        if size_bytes < 0:
+            raise ReproError(f"negative message size {size_bytes} "
+                             f"({src}->{dst}, tag={tag!r})")
+        sender = processors[src]
+        receiver = processors[dst]
         if sender.failed:
             raise CommError(f"failed processor {src} cannot send")
-        if self.processors[dst].failed:
+        if receiver.failed:
             raise CommError(f"send to failed processor {dst} "
                             f"(tag={tag!r})")
-        sender.charge(self.network.per_message_cpu_ns)
+        network = self.network
+        queue = self.queue
+        send_time = sender.charge(network.per_message_cpu_ns)
         self._next_msg_id += 1
-        msg = Message(src=src, dst=dst, payload=payload,
-                      size_bytes=size_bytes, tag=tag,
-                      send_time=sender.now, msg_id=self._next_msg_id)
-        arrival = self.network.delivery_time(sender.now, size_bytes,
-                                             src=src, dst=dst)
+        msg = Message(src, dst, payload, size_bytes, tag, send_time,
+                      self._next_msg_id)
+        arrival = network.delivery_time(send_time, size_bytes, src, dst)
         # Never schedule into the queue's past: a processor whose local
         # clock lags global event time can still legally send.
-        arrival = max(arrival, self.queue.current_time)
+        cur = queue.current_time
+        if arrival < cur:
+            arrival = cur
         sender.messages_sent += 1
         sender.bytes_sent += size_bytes
         if self.message_trace is not None:
-            self.message_trace.append((msg.send_time, src, dst, tag,
-                                       size_bytes))
-        receiver = self.processors[dst]
-        # The kernel's "net.send" filter channel is the sanctioned
-        # interception point for the delivery schedule: subscribers (the
-        # chaos injector) may drop, delay, duplicate, or reorder the
-        # arrivals deterministically.  Unsubscribed, the list passes
-        # through untouched.
-        arrivals = self.queue.hooks.filter("net.send", [arrival], msg=msg)
+            self.message_trace.append((send_time, src, dst, tag, size_bytes))
         category = self._net_categories.get(tag)
         if category is None:
             category = self._net_categories[tag] = f"net.{tag or 'raw'}"
-        flow = self._flow_labels.get(dst)
-        if flow is None:
-            flow = self._flow_labels[dst] = f"pe{dst}"
-        cur = self.queue.current_time
-        deliver = receiver.deliver
-        post = self.queue.post
-        for t in arrivals:
-            if t < cur:
-                t = cur
-            post(t, deliver, (msg, t), category, flow)
+        # The kernel's "net.send" filter channel is the sanctioned
+        # interception point for the delivery schedule: subscribers (the
+        # chaos injector) may drop, delay, duplicate, or reorder the
+        # arrivals deterministically.  Unsubscribed — every run but a
+        # chaos cell — the one arrival is posted as it stands.
+        hooks = queue.hooks
+        flow = self._flow_labels[dst]
+        if hooks.has("net.send"):
+            deliver = receiver.deliver
+            for t in hooks.filter("net.send", [arrival], msg=msg):
+                if t < cur:
+                    t = cur
+                queue.post(t, deliver, (msg, t), category, flow)
+        else:
+            queue.post(arrival, receiver.deliver, (msg, arrival), category,
+                       flow)
         return msg
 
     def at(self, proc_id: int, time: float, fn: Callable[..., Any],
@@ -122,7 +130,7 @@ class Cluster:
         fire.__qualname__ = getattr(fn, "__qualname__", "Cluster.at.fire")
         return self.queue.schedule(max(time, self.queue.current_time), fire,
                                    category=category,
-                                   flow=flow or f"pe{proc_id}")
+                                   flow=flow or self._flow_labels[proc_id])
 
     def after(self, proc_id: int, delay_ns: float, fn: Callable[..., Any],
               *args: Any, category: str = "timer",

@@ -34,8 +34,12 @@ class TagDispatcher:
         self._handlers[prefix] = handler
 
     def _dispatch(self, msg: Message) -> None:
-        prefix = msg.tag.split(":", 1)[0]
-        handler = self._handlers.get(prefix)
+        # A tag without ":" is its own prefix (every "ampi" message):
+        # split only when the whole tag is not a registered prefix.
+        handlers = self._handlers
+        handler = handlers.get(msg.tag)
+        if handler is None:
+            handler = handlers.get(msg.tag.split(":", 1)[0])
         if handler is None:
             raise CommError(
                 f"no handler for tag {msg.tag!r} on processor "

@@ -5,13 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, TYPE_CHECKING
 
+from repro.errors import ReproError
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.topology import Topology
 
 __all__ = ["Message", "Network"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message in flight between simulated processors.
 
@@ -59,6 +61,15 @@ class Network:
     topology: Optional["Topology"] = None
     per_hop_ns: float = 120.0
 
+    def __post_init__(self) -> None:
+        if not self.bytes_per_ns > 0:
+            raise ReproError(
+                f"network bytes_per_ns must be > 0, got {self.bytes_per_ns}")
+        for name in ("latency_ns", "per_message_cpu_ns", "per_hop_ns"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ReproError(f"network {name} must be >= 0, got {value}")
+
     def hop_ns(self, src: Optional[int], dst: Optional[int]) -> float:
         """Topology-dependent extra latency for one message."""
         if self.topology is None or src is None or dst is None:
@@ -75,5 +86,10 @@ class Network:
                       src: Optional[int] = None,
                       dst: Optional[int] = None) -> float:
         """Virtual time at which a message sent at ``send_time`` arrives."""
+        if self.topology is None:
+            # transfer_ns() with hop_ns() == 0.0, in the same association
+            # (adding 0.0 is exact), so both branches agree bit for bit.
+            return (send_time + self.per_message_cpu_ns
+                    + (self.latency_ns + size_bytes / self.bytes_per_ns))
         return (send_time + self.per_message_cpu_ns
                 + self.transfer_ns(size_bytes, src, dst))

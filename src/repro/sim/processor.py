@@ -110,7 +110,7 @@ class Processor:
     @property
     def now(self) -> float:
         """This processor's local virtual time in ns."""
-        return self.clock.now
+        return self.clock._now
 
     def charge(self, ns: float) -> float:
         """Charge ``ns`` of local work; returns the new local time.
@@ -125,8 +125,14 @@ class Processor:
                     f"background_load must be in [0, 1), got "
                     f"{self.background_load}")
             ns = ns / (1.0 - self.background_load)
+        # SimClock.advance, in place: every send, delivery and context
+        # switch charges, so this is one call rather than two.
+        if ns < 0:
+            raise ReproError(f"cannot advance clock by negative time {ns}")
         self.busy_ns += ns
-        return self.clock.advance(ns)
+        clock = self.clock
+        clock._now = now = clock._now + ns
+        return now
 
     # -- messaging ------------------------------------------------------------
 
@@ -147,14 +153,16 @@ class Processor:
                 f"message {msg.tag!r} delivered to failed processor "
                 f"{self.id} — in-flight traffic at crash time")
         self.clock.advance_to(arrival_time)
-        self.charge(self.cluster.network.per_message_cpu_ns
-                    if self.cluster else 0.0)
+        cluster = self.cluster
+        if cluster is not None:
+            self.charge(cluster.network.per_message_cpu_ns)
         self.messages_received += 1
-        if self._handler is None:
+        handler = self._handler
+        if handler is None:
             raise RuntimeError(
                 f"processor {self.id} received a message but has no handler"
             )
-        self._handler(msg)
+        handler(msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Processor {self.id} ({self.profile.name}) t={self.now:.0f}ns>"

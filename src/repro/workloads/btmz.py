@@ -218,27 +218,31 @@ def make_btmz_main(cfg: BTMZConfig, checkpoint_period: int = 0):
 
     def main(mpi):
         my_zones = assignment[mpi.rank]
-        my_points = rank_points[mpi.rank]
         left = mpi.rank - 1
         right = mpi.rank + 1
+        has_right = right < mpi.size
+        has_left = left >= 0
+        sweep_ns = cfg.ns_per_point * rank_points[mpi.rank]
+        # Zone geometry is fixed for the run: size each face once.
+        if has_right:
+            right_bytes = int(my_zones[-1].face_points(assignment[right][0])
+                              * cfg.bytes_per_face_point)
+        if has_left:
+            left_bytes = int(my_zones[0].face_points(assignment[left][-1])
+                             * cfg.bytes_per_face_point)
         for it in range(cfg.iterations):
+            face = ("face", it)
             # BT solver sweep over every owned zone.
-            mpi.charge(cfg.ns_per_point * my_points)
+            mpi.charge(sweep_ns)
             # Boundary exchange with adjacent ranks (zone face data).
-            if right < mpi.size:
-                face = assignment[mpi.rank][-1].face_points(
-                    assignment[right][0])
-                mpi.send(right, None, tag=("face", it),
-                         size_bytes=int(face * cfg.bytes_per_face_point))
-            if left >= 0:
-                face = assignment[mpi.rank][0].face_points(
-                    assignment[left][-1])
-                mpi.send(left, None, tag=("face", it),
-                         size_bytes=int(face * cfg.bytes_per_face_point))
-            if right < mpi.size:
-                yield from mpi.recv(source=right, tag=("face", it))
-            if left >= 0:
-                yield from mpi.recv(source=left, tag=("face", it))
+            if has_right:
+                mpi.send(right, None, tag=face, size_bytes=right_bytes)
+            if has_left:
+                mpi.send(left, None, tag=face, size_bytes=left_bytes)
+            if has_right:
+                yield from mpi.recv(source=right, tag=face)
+            if has_left:
+                yield from mpi.recv(source=left, tag=face)
             if (it + 1) % cfg.lb_period == 0:
                 yield from mpi.migrate()
             if checkpoint_period and (it + 1) % checkpoint_period == 0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ampi import ANY_SOURCE, AmpiRuntime, wire_size
-from repro.errors import AmpiError, ThreadError
+from repro.errors import AmpiError, ReproError, ThreadError
 
 
 def run_world(main, num_procs=2, num_ranks=4, **kw):
@@ -158,6 +158,19 @@ def test_send_bad_rank():
 
     with pytest.raises(AmpiError):
         run_world(main, num_ranks=2)
+
+
+@pytest.mark.parametrize("dest", [1, 2])      # next processor, same one
+def test_send_refuses_negative_size(dest):
+    """``size_bytes=-10**9`` used to price the wire negative: the message
+    arrived before earlier traffic and ``bytes_sent`` went below zero."""
+    def main(mpi):
+        if mpi.rank == 0:
+            mpi.send(dest, "x", size_bytes=-10**9)
+        yield from mpi.yield_()
+
+    with pytest.raises(ReproError, match="-1000000000"):
+        run_world(main)
 
 
 def test_deadlock_detected_with_diagnostics():

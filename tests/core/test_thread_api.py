@@ -125,3 +125,32 @@ def test_work_accounting():
     sched.run()
     assert t.work_ns == 1000.0
     assert t.switches == 2
+
+
+def test_step_sends_a_pending_value_then_plain_nexts():
+    """``step`` resumes with ``next`` unless a value is pending; the
+    value is delivered exactly once."""
+    got = []
+
+    def body(th):
+        got.append((yield "suspend"))
+        got.append((yield "suspend"))
+
+    cl, sched, t = make_thread(body)
+    assert t.step() == "suspend"           # start: runs to the first yield
+    t.resume_value = ("payload", 1)
+    assert t.step() == "suspend"
+    assert t.resume_value is None
+    assert t.step() == "exit"
+    assert got == [("payload", 1), None]
+
+
+def test_step_on_a_plain_iterator_body_drops_the_pending_value():
+    """A body without the ``send`` protocol just advances; a pending
+    ``resume_value`` is consumed, not delivered and not an error."""
+    cl, sched, t = make_thread(lambda th: iter(["suspend", "yield"]))
+    assert t.step() == "suspend"
+    t.resume_value = "ignored"
+    assert t.step() == "yield"
+    assert t.resume_value is None
+    assert t.step() == "exit"

@@ -6,9 +6,13 @@ import inspect
 import pytest
 
 import repro.sim.cluster
+from repro.ampi import AmpiRuntime
+from repro.balance.strategies import GreedyLB
 from repro.errors import ProcessLimitExceeded, ReproError, ThreadLimitExceeded
-from repro.sim import Cluster, Network, get_platform
+from repro.kernel import KernelTracer
+from repro.sim import Cluster, Message, Network, get_platform
 from repro.sim.processor import KernelModel, Processor
+from repro.workloads.btmz import BTMZConfig, make_btmz_main
 
 
 def test_kernel_model_process_limit():
@@ -179,3 +183,96 @@ def test_cluster_has_a_single_send_path():
         for node in ast.walk(fn)
         if isinstance(node, ast.Constant) and node.value == "net.send"})
     assert consulting == ["send"]
+
+
+# -- refusals on the send road ----------------------------------------------
+
+def test_cluster_bad_source():
+    """A negative ``src`` used to wrap: PE n-1 was charged and counted
+    while the Message said ``src=-1``."""
+    cl = Cluster(2)
+    for src in (-1, 2):
+        with pytest.raises(ReproError, match=f"bad source processor {src}"):
+            cl.send(src, 0, "x", 10)
+    assert [p.messages_sent for p in cl.processors] == [0, 0]
+    assert cl.makespan == 0.0
+
+
+def test_cluster_refuses_negative_size():
+    """A negative size priced the wire negative: the arrival overtook
+    earlier traffic and ``bytes_sent`` went below zero."""
+    cl = Cluster(2)
+    with pytest.raises(ReproError, match=r"-1000000000 \(0->1, tag='t'\)"):
+        cl.send(0, 1, "x", -10**9, tag="t")
+    assert cl[0].bytes_sent == 0 and cl.queue.empty
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bytes_per_ns", 0.0), ("bytes_per_ns", -1.0), ("latency_ns", -1.0),
+    ("per_message_cpu_ns", -1.0), ("per_hop_ns", -1.0)])
+def test_network_refuses_degenerate_parameters(field, value):
+    """``bytes_per_ns=0.0`` used to construct and die with a bare
+    ZeroDivisionError at the first send."""
+    with pytest.raises(ReproError, match=field):
+        Network(**{field: value})
+
+
+def test_deliver_charges_receive_overhead_only_when_attached():
+    cl = Cluster(2, network=Network(per_message_cpu_ns=100))
+    detached = Processor(0, get_platform("linux_x86"))
+    for proc in (cl[1], detached):
+        proc.set_message_handler(lambda m: None)
+        proc.deliver(Message(0, proc.id, None, 8), 1000.0)
+    assert (cl[1].busy_ns, cl[1].now) == (100.0, 1100.0)
+    assert (detached.busy_ns, detached.now) == (0.0, 1000.0)
+
+
+# -- the unsubscribed branch of send against the subscribed one -------------
+
+def _traced_ampi_run(tmp_path, name, subscriber=None):
+    cl = Cluster(4, platform="tungsten_xeon")
+    if subscriber is not None:
+        cl.queue.hooks.subscribe("net.send", subscriber)
+    tracer = KernelTracer().attach(cl.queue)
+    msg_ids = []
+    cl.queue.hooks.subscribe(
+        "on_dispatch_begin",
+        lambda kernel, ev: msg_ids.extend(a.msg_id for a in ev.args
+                                          if isinstance(a, Message)))
+    rt = AmpiRuntime(cl, 8, make_btmz_main(BTMZConfig("A", 8, 4,
+                                                      iterations=3)),
+                     strategy=GreedyLB(), slot_bytes=256 * 1024,
+                     stack_bytes=8 * 1024)
+    rt.run()
+    path = tmp_path / name
+    tracer.dump(str(path))
+    counters = [(p.messages_sent, p.bytes_sent, p.busy_ns, p.now)
+                for p in cl.processors]
+    return path.read_bytes(), msg_ids, counters
+
+
+def test_identity_net_send_subscriber_changes_nothing(tmp_path):
+    """The unsubscribed branch posts what the filter channel would
+    have: an identity subscriber takes the other branch and must
+    reproduce the run exactly."""
+    bare = _traced_ampi_run(tmp_path, "bare.jsonl")
+    filtered = _traced_ampi_run(tmp_path, "filtered.jsonl",
+                                lambda arrivals, msg: arrivals)
+    assert len(bare[1]) > 20 and b'"net.ampi"' in bare[0]
+    assert filtered == bare
+
+
+def test_net_send_subscriber_still_drops_and_duplicates():
+    cl = Cluster(2)
+    got = []
+    cl[1].set_message_handler(lambda m: got.append(m.payload))
+    verdicts = {"drop": lambda arrivals: [],
+                "twice": lambda arrivals: arrivals + [arrivals[0] + 5.0],
+                "past": lambda arrivals: [-1.0]}
+    cl.queue.hooks.subscribe(
+        "net.send", lambda arrivals, msg: verdicts[msg.payload](arrivals))
+    for payload in ("drop", "twice", "past"):
+        cl.send(0, 1, payload, 10)
+    cl.run()
+    assert sorted(got) == ["past", "twice", "twice"]
+    assert cl[0].messages_sent == 3 and cl[1].messages_received == 3

@@ -68,3 +68,18 @@ def test_cluster_delivery_respects_topology():
     cl.send(0, 5, "x", 10)       # cross-core: 4 hops
     cl.run()
     assert times["far"] - times["near"] == pytest.approx(20_000.0)
+
+
+def test_zero_hop_delivery_equals_flat_network_bit_for_bit():
+    """``Network.delivery_time`` prices a topology-less wire in one
+    expression; a topology contributing zero hops must agree exactly."""
+    flat = Network()
+    zero_hops = [(Network(topology=Torus3D((2, 2, 2))), 3, 3),
+                 (Network(topology=FullyConnected(4), per_hop_ns=0.0), 0, 1)]
+    for send_time in (0.0, 0.1, 1234.5678, 1e9 / 3, 57146728.0):
+        for size in (0, 1, 7, 40, 1000, 41_920, 10**6 + 1, 2**31 + 3):
+            want = flat.delivery_time(send_time, size, 0, 1)
+            assert want == (send_time + flat.per_message_cpu_ns
+                            + flat.transfer_ns(size))
+            for net, src, dst in zero_hops:
+                assert net.delivery_time(send_time, size, src, dst) == want

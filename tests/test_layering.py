@@ -5,9 +5,11 @@ thread core knows no runtime built on it, and ``repro.flows`` hosts
 only the two forms the compiler relates — event-driven objects live
 once, in ``repro.charm``.  The whole edge list is data here, so a new
 edge (upward or not) is a reviewed diff rather than an accident.  AST
-scan only: nothing is imported, lazy in-function imports count.  One
-more structural rule rides on the same scan: ``repro.vm``'s extent
-operations contain no per-page loop (``PER_PAGE_LOOPS``).
+scan only: nothing is imported, lazy in-function imports count.  Two
+more structural rules ride on the same scan: ``repro.vm``'s extent
+operations contain no per-page loop (``PER_PAGE_LOOPS``), and the
+point-to-point message road builds no string and consults the
+``net.send`` filter only when it is subscribed (``PER_MESSAGE``).
 """
 
 import ast
@@ -121,3 +123,85 @@ def test_extent_operations_do_no_per_page_host_work():
     found = {fn.name: per_page_loops(fn) for fn in space.body
              if isinstance(fn, ast.FunctionDef) and fn.name in PER_PAGE_LOOPS}
     assert found == PER_PAGE_LOOPS
+
+
+#: file -> (class, methods): the point-to-point message road.  Each
+#: method runs once per message, so none builds a string (an f-string
+#: outside a ``raise`` or a cache-miss ``if … is None:`` branch) and none
+#: consults the ``net.send`` filter channel outside the ``hooks.has(…)``
+#: branch: labels are tables bound per run, the filter is the chaos
+#: cells' road.
+PER_MESSAGE = {
+    "sim/cluster.py": ("Cluster", {"send"}),
+    "sim/processor.py": ("Processor", {"deliver"}),
+    "sim/dispatch.py": ("TagDispatcher", {"_dispatch"}),
+    "ampi/runtime.py": ("AmpiRuntime", {"_send", "_enqueue", "_match"}),
+}
+
+
+def per_message_work(func):
+    """Descriptions of the f-strings and ``.filter(`` calls in ``func``
+    that sit on its every-message path."""
+    def is_none_test(test):
+        return (isinstance(test, ast.Compare)
+                and any(isinstance(op, ast.Is) for op in test.ops)
+                and any(isinstance(c, ast.Constant) and c.value is None
+                        for c in test.comparators))
+
+    def calls_has(test):
+        return any(isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "has" for n in ast.walk(test))
+
+    found = []
+
+    def visit(node, cold, subscribed):
+        if isinstance(node, ast.JoinedStr) and not cold:
+            found.append(f"f-string at line {node.lineno}")
+            return
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "filter" and not subscribed):
+            found.append(f".filter( at line {node.lineno}")
+        if isinstance(node, ast.If):
+            visit(node.test, cold, subscribed)
+            for stmt in node.body:
+                visit(stmt, cold or is_none_test(node.test),
+                      subscribed or calls_has(node.test))
+            for stmt in node.orelse:
+                visit(stmt, cold, subscribed)
+            return
+        cold = cold or isinstance(node, ast.Raise)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cold, subscribed)
+
+    visit(func, False, False)
+    return found
+
+
+def test_the_message_road_builds_no_strings_and_filters_only_subscribed():
+    seen = {}
+    for rel, (cls_name, methods) in PER_MESSAGE.items():
+        (cls,) = (node for node in ast.parse((SRC / rel).read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == cls_name)
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in methods:
+                seen[f"{cls_name}.{fn.name}"] = per_message_work(fn)
+    assert seen == {f"{cls_name}.{name}": []
+                    for cls_name, methods in PER_MESSAGE.values()
+                    for name in methods}
+
+
+def test_the_per_message_scan_sees_what_it_forbids():
+    (func,) = ast.parse(
+        "def send(self, dst):\n"
+        "    flow = f'pe{dst}'\n"
+        "    if flow is None:\n"
+        "        flow = f'pe{dst}'\n"
+        "    if dst < 0:\n"
+        "        raise ValueError(f'bad {dst}')\n"
+        "    if self.hooks.has('net.send'):\n"
+        "        self.hooks.filter('net.send', [])\n"
+        "    else:\n"
+        "        self.hooks.filter('net.send', [])\n").body
+    assert per_message_work(func) == ["f-string at line 2",
+                                      ".filter( at line 10"]
