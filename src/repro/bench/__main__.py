@@ -23,8 +23,11 @@ table sums up, and the exit code is nonzero if anything failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 import time
+from typing import Any, Dict, Optional
 
 from repro.bench.figures import (FIGURE_PLATFORMS, bigsim_series,
                                  btmz_series, context_switch_series,
@@ -144,6 +147,22 @@ EXPERIMENTS = {
 }
 
 
+def run_bench_cell(params: Dict[str, Any],
+                   seed: Optional[int]) -> Dict[str, Any]:
+    """Executor worker for one paper experiment: ``{"experiment": "fig9"}``.
+
+    The experiment writes its own ``results/`` file as a side effect
+    (each experiment owns a distinct file, so parallel cells never
+    collide); the captured stdout comes back as the payload so the
+    parent can print reports in a stable order.
+    """
+    name = params["experiment"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        EXPERIMENTS[name]()
+    return {"experiment": name, "output": buf.getvalue()}
+
+
 def main(argv: list[str]) -> int:
     """CLI entry point; returns a process exit code."""
     from repro.exec import (Cell, ProgressReporter, SweepExecutor,
@@ -171,7 +190,7 @@ def main(argv: list[str]) -> int:
 
     t0 = time.time()
     cells = [Cell(experiment=f"bench:{name}",
-                  runner="repro.exec.runners:run_bench_cell",
+                  runner="repro.bench.__main__:run_bench_cell",
                   params={"experiment": name})
              for name in wanted]
     executor = SweepExecutor(SweepSpec("bench", cells),

@@ -11,7 +11,7 @@ from repro.core.context import SWAP32, SWAP64
 from repro.core.isomalloc import IsomallocArena
 from repro.core.stacks import make_stack_manager
 from repro.errors import OSLimitError, OutOfPhysicalMemory, \
-    OutOfVirtualAddressSpace, ReproError
+    OutOfVirtualAddressSpace
 from repro.flows import (AmpiThreadFlow, KernelThreadFlow, ProcessFlow,
                          UserThreadFlow)
 from repro.sim import Processor, get_platform
@@ -50,17 +50,15 @@ def full_scale() -> bool:
 # Figures 4-8: context switch time vs number of flows
 # ---------------------------------------------------------------------------
 
-#: Figure 4-8 series order (and the per-cell fan-out grain).
+#: Figure 4-8 series order.
 _FIGURE_MECHS = ("process", "pthread", "cth", "ampi")
 
 
 def context_switch_cell(params: Dict, seed) -> Dict:
-    """Executor worker: one mechanism's Figure 4-8 series on one platform.
+    """One mechanism's Figure 4-8 series on one platform, as a cell.
 
     ``params = {"platform": str, "mechanism": label, "grid": [int...],
     "rounds": int}`` → ``{"mechanism": label, "ys": [µs-or-None...]}``.
-    One cell per mechanism keeps a limit crash (a mechanism refusing
-    creation is the *point* of the figure) contained to its own series.
     """
     from repro.flows import MECHANISMS
     cls = MECHANISMS[params["mechanism"]]
@@ -98,28 +96,16 @@ def context_switch_series(platform_name: str,
     mechanism's series ends (None) where its platform limit refuses further
     creation — the same truncation the paper's plots show.
 
-    The series fan out as one crash-contained executor cell per
-    mechanism.
+    One :func:`context_switch_cell` per mechanism, in series order.
     """
-    from repro.exec import Cell, SweepExecutor, SweepSpec
     grid = sorted(grid)
-    cells = [Cell(experiment=f"fig.switch.{platform_name}",
-                  runner="repro.bench.figures:context_switch_cell",
-                  params={"platform": platform_name, "mechanism": key,
-                          "grid": list(grid), "rounds": rounds})
-             for key in _FIGURE_MECHS]
-    results = SweepExecutor(
-        SweepSpec(name="context-switch", cells=cells)).run()
     out: Dict[str, List[Optional[float]]] = {}
-    for res in results:
-        if not res.ok:
-            raise ReproError(f"figure cell {res.cell_id} failed: "
-                             f"{res.error}")
-        out[res.value["mechanism"]] = res.value["ys"]
-    # Preserve the historical series order (insertion order of the dict).
-    out = {label: out[label] for label in ("process", "pthread", "cth",
-                                           "ampi")}
-    return list(grid), out
+    for key in _FIGURE_MECHS:
+        value = context_switch_cell(
+            {"platform": platform_name, "mechanism": key,
+             "grid": grid, "rounds": rounds}, None)
+        out[value["mechanism"]] = value["ys"]
+    return grid, out
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.flows import KernelThreadFlow, ProcessFlow, UserThreadFlow
+from repro.flows.scale import mechanism_limit_cell
 from repro.sim import get_platform
 
 __all__ = ["TABLE1_COLUMNS", "table1_rows", "TABLE2_COLUMNS",
@@ -67,9 +67,9 @@ TABLE2_PROBE_CAPS: Dict[str, Dict[str, int]] = {
 }
 
 _MECHS = {
-    "process": (ProcessFlow, "Process", "ulimit/kernel"),
-    "pthread": (KernelThreadFlow, "Kernel Threads", "kernel"),
-    "cth": (UserThreadFlow, "User-level Threads", "memory"),
+    "process": ("Process", "ulimit/kernel"),
+    "pthread": ("Kernel Threads", "kernel"),
+    "cth": ("User-level Threads", "memory"),
 }
 
 
@@ -78,34 +78,15 @@ def table2_rows(chunk: int = 256) -> List[List[str]]:
 
     Each cell creates flows on a fresh simulated processor until the OS
     model or memory refuses, or the paper's probe cap is reached (shown
-    with a trailing ``+``, the paper's "90000+" notation).  Each probe
-    is its own executor cell (mechanism × platform) because a probe *ends
-    in a refusal by design*: crash containment keeps an unexpected failure
-    in one cell from taking down the table.
+    with a trailing ``+``, the paper's "90000+" notation).
     """
-    from repro.errors import ReproError
-    from repro.exec import Cell, SweepExecutor, SweepSpec
-    cells = []
-    for key in _MECHS:
-        for _, pname in TABLE2_COLUMNS:
-            cells.append(Cell(
-                experiment="table2.limits",
-                runner="repro.flows.scale:mechanism_limit_cell",
-                params={"mechanism": key, "platform": pname,
-                        "cap": TABLE2_PROBE_CAPS[key][pname],
-                        "chunk": chunk}))
-    results = SweepExecutor(SweepSpec(name="table2", cells=cells)).run()
-    probes: Dict[Tuple[str, str], Dict] = {}
-    for res in results:
-        if not res.ok:
-            raise ReproError(f"table2 cell {res.cell_id} failed: "
-                             f"{res.error}")
-        probes[(res.value["mechanism"], res.value["platform"])] = res.value
     rows = []
-    for key, (cls, label, factor) in _MECHS.items():
+    for key, (label, factor) in _MECHS.items():
         row = [label, factor]
         for _, pname in TABLE2_COLUMNS:
-            probe = probes[(cls.label, get_platform(pname).name)]
+            probe = mechanism_limit_cell(
+                {"mechanism": key, "platform": pname,
+                 "cap": TABLE2_PROBE_CAPS[key][pname], "chunk": chunk}, None)
             if key == "process" and probe["hit_limit"]:
                 # The probing program is itself a process; the paper
                 # reports the kernel's total, so count it back in.

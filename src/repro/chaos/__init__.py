@@ -23,24 +23,28 @@ injection point, and reduces each run to a replayable, shrinkable
   BT-MZ runs (and a deliberately fragile reduction for tool tests).
 """
 
-from repro.chaos.faults import SITES, FaultConfig, FaultEvent, FaultSchedule
-from repro.chaos.harness import (ChaosResult, drive_ampi_chaos,
-                                 wire_ampi_faults)
+from repro.chaos.faults import (SITES, STANDARD_RATES, FaultConfig,
+                                FaultEvent, FaultSchedule)
+from repro.chaos.harness import (ChaosResult, build_ampi_chaos,
+                                 drive_ampi_chaos, wire_ampi_faults)
 from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import (INVARIANTS, ChaosContext,
                                     check_invariants, invariant)
 from repro.chaos.runner import ChaosRunner
-from repro.chaos.workloads import (STANDARD_WORKLOADS, BTMZChaosWorkload,
+from repro.chaos.workloads import (STANDARD_WORKLOADS, WORKLOADS,
+                                   BTMZChaosWorkload,
                                    ChaosWorkload, FragileReduceWorkload,
                                    SampleSortChaosWorkload,
                                    StencilChaosWorkload)
 
 __all__ = [
-    "SITES", "FaultEvent", "FaultConfig", "FaultSchedule",
+    "SITES", "STANDARD_RATES", "FaultEvent", "FaultConfig", "FaultSchedule",
     "FaultInjector",
     "ChaosContext", "INVARIANTS", "invariant", "check_invariants",
-    "ChaosResult", "wire_ampi_faults", "drive_ampi_chaos",
+    "ChaosResult", "wire_ampi_faults", "build_ampi_chaos",
+    "drive_ampi_chaos",
     "ChaosRunner",
     "ChaosWorkload", "StencilChaosWorkload", "SampleSortChaosWorkload",
     "BTMZChaosWorkload", "FragileReduceWorkload", "STANDARD_WORKLOADS",
+    "WORKLOADS",
 ]

@@ -25,12 +25,13 @@ same workload, which is what makes ``(site, seq)`` a stable address.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ChaosError
 
-__all__ = ["SITES", "FaultEvent", "FaultConfig", "FaultSchedule"]
+__all__ = ["SITES", "STANDARD_RATES", "FaultEvent", "FaultConfig",
+           "FaultSchedule"]
 
 #: The faultable decision sites.
 #:
@@ -97,7 +98,15 @@ class FaultConfig:
     #: Stop injecting after this many faults (0 = unlimited).
     max_faults: int = 0
 
-    def _check(self) -> None:
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            rate = getattr(self, f.name)
+            if f.name.endswith("_rate") and not 0.0 <= rate <= 1.0:
+                raise ChaosError(f"{f.name} is {rate}, not in [0, 1]")
+        if not self.delay_ns_min <= self.delay_ns_max:
+            raise ChaosError(
+                f"delay_ns_min {self.delay_ns_min} exceeds delay_ns_max "
+                f"{self.delay_ns_max}")
         pairs = [("send", self.drop_rate + self.delay_rate + self.dup_rate
                   + self.reorder_rate),
                  ("migrate", self.migrate_abort_rate),
@@ -108,6 +117,17 @@ class FaultConfig:
             if not 0.0 <= total <= 1.0:
                 raise ChaosError(
                     f"{site!r} fault rates sum to {total}, not in [0, 1]")
+
+
+#: The standard sweep's fault rates: ``tools/chaos_sweep.py``'s defaults
+#: and the fixed profile every ``chaos:`` runspec replays under — part of
+#: the runspec contract (one spec, one run), and nonzero so that seeds
+#: diverge and ``bisect`` has something to find.
+STANDARD_RATES = dict(
+    drop_rate=0.01, delay_rate=0.08, reorder_rate=0.05,
+    migrate_abort_rate=0.1, migrate_bounce_rate=0.05,
+    ckpt_error_rate=0.02, ckpt_corrupt_rate=0.02,
+    crash_rate=0.15, evac_rate=0.1)
 
 
 class FaultSchedule:
@@ -128,7 +148,6 @@ class FaultSchedule:
                 "(use .seeded() / .scripted())")
         self.seed = seed
         self.config = config or FaultConfig()
-        self.config._check()
         self._rng = random.Random(seed) if seed is not None else None
         self._script: Dict[Tuple[str, int], FaultEvent] = {}
         if script is not None:

@@ -33,7 +33,8 @@ from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import ChaosContext, check_invariants
 from repro.errors import ChaosError, InvariantViolation, ReproError
 
-__all__ = ["ChaosResult", "wire_ampi_faults", "drive_ampi_chaos"]
+__all__ = ["ChaosResult", "wire_ampi_faults", "build_ampi_chaos",
+           "drive_ampi_chaos"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def wire_ampi_faults(rt, injector: FaultInjector) -> ChaosContext:
     runtime's ``on_checkpoint`` hook, chained before any hook already
     installed.
     """
-    injector.attach(rt.cluster, rt.checkpointer)
+    injector.attach(rt.cluster)
     ctx = ChaosContext(runtime=rt, injector=injector)
     injector.on_inject = lambda ev: check_invariants(ctx, "inject")
     prev_hook = rt.on_checkpoint
@@ -159,6 +160,19 @@ def _evacuate_processor(rt, victim: int, survivors: List[int]) -> None:
 # driving
 # ---------------------------------------------------------------------------
 
+def build_ampi_chaos(workload, schedule: FaultSchedule):
+    """Build ``workload``'s runtime, traced and fault-wired, not yet run.
+
+    Returns ``(rt, check, injector, ctx)``.  The one build step a full
+    chaos run and a partial replay (``repro.query.replay_at``) share, so
+    both see the same event sequence.
+    """
+    rt, check = workload.build()
+    rt.cluster.enable_tracing()
+    injector = FaultInjector(schedule)
+    return rt, check, injector, wire_ampi_faults(rt, injector)
+
+
 def drive_ampi_chaos(workload, schedule: FaultSchedule,
                      seed: Optional[int] = None,
                      observe=None) -> ChaosResult:
@@ -176,10 +190,7 @@ def drive_ampi_chaos(workload, schedule: FaultSchedule,
     channels' values pass through observers unchanged, so fingerprints
     are identical with or without one (pinned by the golden tests).
     """
-    rt, check = workload.build()
-    rt.cluster.enable_tracing()
-    injector = FaultInjector(schedule)
-    ctx = wire_ampi_faults(rt, injector)
+    rt, check, injector, ctx = build_ampi_chaos(workload, schedule)
     if observe is not None:
         observe(rt, ctx)
     outcome, detail = "pass", ""

@@ -2,15 +2,15 @@
 
 One :class:`FaultInjector` subscribes to the cluster kernel's
 :class:`~repro.kernel.HookBus` — the only sanctioned interception point.
-:meth:`FaultInjector.attach` registers one adapter per channel the
-runtimes publish (``"net.send"``, ``"migration.start"``,
+:meth:`FaultInjector.attach` subscribes one ``on_*`` method per channel
+the runtimes publish (``"net.send"``, ``"migration.start"``,
 ``"migration.delivery"``, ``"checkpoint.write"``,
-``"checkpoint.barrier"``); the subsystems themselves never learn the
-injector exists, and no runtime call site is wrapped or subclassed —
-chaos is purely additive.  The adapters call the ``on_*`` methods below,
-whose consultation order against the schedule is the determinism
+``"checkpoint.barrier"``), each taking its channel's own signature; the
+subsystems themselves never learn the injector exists, and no runtime
+call site is wrapped or subclassed — chaos is purely additive.  The
+methods' consultation order against the schedule is the determinism
 contract: one :meth:`~repro.chaos.faults.FaultSchedule.decide` per
-channel visit, in kernel dispatch order.
+channel visit (per arrival on ``"net.send"``), in kernel dispatch order.
 
 Message faults only apply to tags in ``faultable_tags`` (application
 traffic, ``"ampi"`` by default).  Thread-migration images are *never*
@@ -58,66 +58,38 @@ class FaultInjector:
         #: runs the invariant checkers here).
         self.on_inject = None
         self.cluster = None
-        self.checkpointer = None
-
-    #: channel name -> adapter-method name, in subscription order.
-    _CHANNELS = (
-        ("net.send", "_net_send"),
-        ("migration.start", "_migration_start"),
-        ("migration.delivery", "_migration_delivery"),
-        ("checkpoint.write", "_checkpoint_write"),
-        ("checkpoint.barrier", "_checkpoint_barrier"),
-    )
 
     # ------------------------------------------------------------------
 
-    def attach(self, cluster, checkpointer=None) -> "FaultInjector":
+    def attach(self, cluster) -> "FaultInjector":
         """Subscribe this injector on the cluster kernel's hook bus.
 
         Every faultable decision point in the runtimes is a named bus
-        channel; one adapter per channel translates the channel protocol
-        into the ``on_*`` methods.  Attaching twice (to any cluster)
-        would double the schedule consultations and wreck determinism,
-        so it is an error.
+        channel and one ``on_*`` method is its subscriber.  Attaching
+        twice (to any cluster) would double the schedule consultations
+        and wreck determinism, so it is an error.
         """
         if self.cluster is not None:
             raise ChaosError("injector is already attached to a cluster")
         self.cluster = cluster
-        self.checkpointer = checkpointer
-        bus = cluster.queue.hooks
-        for channel, method in self._CHANNELS:
-            bus.subscribe(channel, getattr(self, method))
+        for channel, fn in self._subscriptions():
+            cluster.queue.hooks.subscribe(channel, fn)
         return self
 
     def detach(self) -> None:
-        """Unsubscribe all channel adapters from the cluster's bus."""
+        """Unsubscribe every ``on_*`` method from the cluster's bus."""
         if self.cluster is None:
             raise ChaosError("injector is not attached")
-        bus = self.cluster.queue.hooks
-        for channel, method in self._CHANNELS:
-            bus.unsubscribe(channel, getattr(self, method))
+        for channel, fn in self._subscriptions():
+            self.cluster.queue.hooks.unsubscribe(channel, fn)
         self.cluster = None
-        self.checkpointer = None
 
-    # -- bus channel adapters -------------------------------------------
-
-    def _net_send(self, arrivals, msg) -> List[float]:
-        out: List[float] = []
-        for arrival in arrivals:
-            out.extend(self.on_send(msg, arrival))
-        return out
-
-    def _migration_start(self, thread, src_pe, dst_pe):
-        return True if self.on_migrate(thread, src_pe, dst_pe) else None
-
-    def _migration_delivery(self, image, msg):
-        return self.on_migration_delivery(image, msg)
-
-    def _checkpoint_write(self, blob, key) -> bytes:
-        return self.on_checkpoint_write(key, blob)
-
-    def _checkpoint_barrier(self):
-        return self.on_barrier()
+    def _subscriptions(self):
+        return (("net.send", self.on_send),
+                ("migration.start", self.on_migrate),
+                ("migration.delivery", self.on_migration_delivery),
+                ("checkpoint.write", self.on_checkpoint_write),
+                ("checkpoint.barrier", self.on_barrier))
 
     def notify(self, event: FaultEvent) -> None:
         """Fire the :attr:`on_inject` hook for an applied fault."""
@@ -126,52 +98,56 @@ class FaultInjector:
 
     # -- cluster hook: message faults -----------------------------------
 
-    def on_send(self, msg, arrival: float) -> List[float]:
+    def on_send(self, arrivals: List[float], msg) -> List[float]:
         """Decide the arrival times of one sent message.
 
         Returns the (possibly empty) list of delivery times the cluster
-        should schedule: ``[]`` drops the message, two entries duplicate
-        it, an earlier-than-computed time reorders it ahead of traffic
-        sent before it.
+        should schedule, consulting the schedule once per incoming
+        arrival: none drops the message, two duplicate it, an
+        earlier-than-computed time reorders it ahead of traffic sent
+        before it.
         """
         if msg.tag not in self.faultable_tags:
-            return [arrival]
-        self.counters["sends_seen"] += 1
-        out = [arrival]
-        ev = self.schedule.decide("send")
-        if ev is not None:
-            if ev.kind == "drop":
-                out = []
+            return arrivals
+        out: List[float] = []
+        for arrival in arrivals:
+            self.counters["sends_seen"] += 1
+            ev = self.schedule.decide("send")
+            if ev is None:
+                times = [arrival]
+            elif ev.kind == "drop":
+                times = []
                 self.counters["dropped"] += 1
             elif ev.kind == "delay":
-                out = [arrival + float(ev.arg)]
+                times = [arrival + float(ev.arg)]
                 self.counters["delayed"] += 1
             elif ev.kind == "dup":
-                out = [arrival, arrival + float(ev.arg)]
+                times = [arrival, arrival + float(ev.arg)]
                 self.counters["duplicated"] += 1
             elif ev.kind == "reorder":
                 # The cluster clamps this up to the current event time:
                 # the message arrives as early as legally possible,
                 # jumping ahead of slower traffic sent before it.
-                out = [msg.send_time]
+                times = [msg.send_time]
                 self.counters["reordered"] += 1
             else:
                 raise ChaosError(f"unknown send fault kind {ev.kind!r}")
-        self.arrivals_scheduled += len(out)
-        if ev is not None:
-            self.notify(ev)  # after the ledger is consistent
+            self.arrivals_scheduled += len(times)
+            out.extend(times)
+            if ev is not None:
+                self.notify(ev)  # after the ledger is consistent
         return out
 
     # -- migrator hooks: abort and bounce -------------------------------
 
-    def on_migrate(self, thread, src_pe: int, dst_pe: int) -> bool:
-        """Whether to veto a migration before any state moves."""
+    def on_migrate(self, thread, src_pe: int, dst_pe: int) -> Optional[bool]:
+        """``True`` to veto a migration before any state moves, else ``None``."""
         ev = self.schedule.decide("migrate")
         if ev is not None and ev.kind == "abort":
             self.counters["migrations_vetoed"] += 1
             self.notify(ev)
             return True
-        return False
+        return None
 
     def on_migration_delivery(self, image, msg) -> Optional[str]:
         """``"bounce"`` to refuse an arriving thread image, else ``None``."""
@@ -184,7 +160,7 @@ class FaultInjector:
 
     # -- checkpointer hook: disk errors ---------------------------------
 
-    def on_checkpoint_write(self, key: str, blob: bytes) -> bytes:
+    def on_checkpoint_write(self, blob: bytes, key: str) -> bytes:
         """Pass, corrupt, or refuse one checkpoint blob.
 
         ``io_error`` raises :class:`CheckpointError` (a transient write

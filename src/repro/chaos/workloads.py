@@ -27,7 +27,7 @@ from repro.workloads.stencil import (StencilConfig, ampi_stencil_main,
 
 __all__ = ["ChaosWorkload", "StencilChaosWorkload",
            "SampleSortChaosWorkload", "BTMZChaosWorkload",
-           "FragileReduceWorkload", "STANDARD_WORKLOADS"]
+           "FragileReduceWorkload", "STANDARD_WORKLOADS", "WORKLOADS"]
 
 
 class ChaosWorkload:
@@ -220,3 +220,8 @@ class FragileReduceWorkload(ChaosWorkload):
 #: on purpose: it is a known-broken protocol used to test the tools).
 STANDARD_WORKLOADS = (StencilChaosWorkload, SampleSortChaosWorkload,
                       BTMZChaosWorkload)
+
+#: Every chaos workload by name — the one table cells, runspecs and the
+#: sweep tool resolve names through (standard three first).
+WORKLOADS = {cls.name: cls for cls in
+             STANDARD_WORKLOADS + (FragileReduceWorkload,)}

@@ -368,46 +368,25 @@ class UnpackingPupper(BasePupper):
 def pup_size(obj: Puppable) -> int:
     """Bytes :func:`pup_pack` will produce for ``obj`` (sizing phase)."""
     p = SizingPupper()
-    name = _wire_name(obj)
-    p._blob(name.encode())
-    p._enter(name)
-    try:
-        obj.pup(p)
-    finally:
-        p._exit()
+    p.obj(obj)
     return p.size
 
 
 def pup_pack(obj: Puppable) -> bytes:
     """Pack a registered puppable object into bytes."""
-    name = _wire_name(obj)
     p = PackingPupper()
-    p._blob(name.encode("utf-8"))
-    p._enter(name)
-    try:
-        obj.pup(p)
-    finally:
-        p._exit()
+    p.obj(obj)
     return p.buffer()
 
 
 def pup_unpack(data: bytes) -> Any:
     """Rebuild a registered puppable object from :func:`pup_pack` output."""
     p = UnpackingPupper(data)
-    name = p._blob(None).decode("utf-8")
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise PupError(f"unpacking unknown pup class {name!r}")
-    inst = _fresh_instance(cls)
-    p._enter(name)
-    try:
-        inst.pup(p)
-    finally:
-        p._exit()
+    inst = p.obj()
     if not p.exhausted:
         raise PupError(
-            f"{name}: {len(p._data) - p._offset} trailing bytes after "
-            f"unpack — over-long blob or pup() asymmetry")
+            f"{_wire_name(inst)}: {len(p._data) - p._offset} trailing bytes "
+            f"after unpack — over-long blob or pup() asymmetry")
     return inst
 
 

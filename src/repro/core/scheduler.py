@@ -298,8 +298,6 @@ class CthScheduler:
         if directive == "yield":
             thread.state = ThreadState.READY
             self._enqueue(thread)
-        elif directive == "suspend":
-            thread.state = ThreadState.SUSPENDED
         elif directive == "exit":
             self._finish(thread)
         elif (isinstance(directive, tuple) and len(directive) == 2

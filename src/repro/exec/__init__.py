@@ -27,7 +27,7 @@ from repro.exec.pool import (LocalPool, SerialBackend, backend_from_spec,
                              backend_names, run_cell)
 from repro.exec.progress import EXEC_CHANNELS, ProgressReporter
 from repro.exec.runners import (chaos_result_row, fault_config_params,
-                                run_bench_cell, run_chaos_cell)
+                                run_chaos_cell)
 from repro.exec.spec import Cell, CellResult, SweepSpec, resolve_runner
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "EXEC_CHANNELS", "ProgressReporter",
     "SweepExecutor",
     "chaos_result_row", "fault_config_params", "run_chaos_cell",
-    "run_bench_cell",
 ]

@@ -14,8 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Optional
 
-__all__ = ["chaos_result_row", "fault_config_params", "run_chaos_cell",
-           "run_bench_cell"]
+__all__ = ["chaos_result_row", "fault_config_params", "run_chaos_cell"]
 
 
 def fault_config_params(config) -> Dict[str, Any]:
@@ -46,31 +45,8 @@ def chaos_result_row(result) -> Dict[str, Any]:
 def run_chaos_cell(params: Dict[str, Any],
                    seed: Optional[int]) -> Dict[str, Any]:
     """One seeded chaos run: ``{"workload": name, "config": rates}``."""
-    from repro.chaos import ChaosRunner, FaultConfig
-    from repro.chaos.workloads import STANDARD_WORKLOADS
+    from repro.chaos import WORKLOADS, ChaosRunner, FaultConfig
 
-    workloads = {cls.name: cls for cls in STANDARD_WORKLOADS}
     config = FaultConfig(**params.get("config", {}))
-    runner = ChaosRunner(workloads[params["workload"]](), config)
+    runner = ChaosRunner(WORKLOADS[params["workload"]](), config)
     return chaos_result_row(runner.run_seed(seed))
-
-
-def run_bench_cell(params: Dict[str, Any],
-                   seed: Optional[int]) -> Dict[str, Any]:
-    """One paper experiment: ``{"experiment": "fig9"}``.
-
-    The experiment writes its own ``results/`` file as a side effect
-    (each experiment owns a distinct file, so parallel cells never
-    collide); the captured stdout comes back as the payload so the
-    parent can print reports in a stable order.
-    """
-    import contextlib
-    import io
-
-    from repro.bench.__main__ import EXPERIMENTS
-
-    name = params["experiment"]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        EXPERIMENTS[name]()
-    return {"experiment": name, "output": buf.getvalue()}

@@ -9,8 +9,8 @@ scheduler, made literal: a single deterministic, instrumented event core
   lazy cancellation (dropped at pop), and a ``(time, seq)`` FIFO
   tie-break so simultaneous events always fire in schedule order.  One
   sort-and-pop dispatch loop serves every run, hooks on or off (see
-  ``docs/kernel.md``); the frozen pre-fast-path implementation survives
-  as :mod:`repro.kernel.refkernel`, the differential-testing oracle;
+  ``docs/kernel.md``); the frozen pre-fast-path implementation is the
+  differential-testing oracle under ``tests/kernel/``;
 * a :class:`RunPolicy` object expressing every stop condition the
   runtimes used to hand-roll (``until`` / ``max_events`` / run to
   quiescence);

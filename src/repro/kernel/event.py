@@ -7,8 +7,8 @@ events), the ``FlowWorld`` of compiled continuations, and — through the
 cluster — charm/AMPI delivery, BigSim, and POSE.
 
 Determinism contract (preserved bit-for-bit from the pre-kernel loops,
-and pinned against the frozen reference implementation in
-:mod:`repro.kernel.refkernel` by ``tests/kernel/test_differential.py``):
+and pinned against the frozen reference implementation by
+``tests/kernel/test_differential.py``):
 
 * events fire in ``(time, seq)`` order where ``seq`` is a per-kernel
   insertion counter — simultaneous events run in schedule (FIFO) order;

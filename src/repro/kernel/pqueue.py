@@ -5,11 +5,10 @@ source tree (enforced by the KRN001 lint rule and the tier-1 gate in
 ``tests/test_lint.py``).  Anything outside ``repro.kernel`` that needs a
 heap — load-balancing strategies, future schedulers — goes through
 :class:`MinHeap` so the ordering discipline (and any future replacement
-of the backing structure) lives in one place.  Within the kernel
-package, the frozen reference kernel (:mod:`repro.kernel.refkernel`)
-uses the re-exported ``heappush``/``heappop`` directly on
-:attr:`MinHeap.data`; the fast-path event core replaced its heap with
-batched sorted slots and no longer goes through this module.
+of the backing structure) lives in one place.  The event core itself
+replaced its heap with batched sorted slots and does not go through this
+module; the frozen reference kernel that still does is a test oracle
+under ``tests/kernel/``.
 """
 
 from __future__ import annotations
@@ -17,14 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Iterable, List, Optional
 
-__all__ = ["MinHeap", "heappush", "heappop", "heapify", "heapreplace"]
-
-#: Re-exports for the kernel package's hot paths (and only those — the
-#: KRN001 rule flags heap calls anywhere else).
-heappush = heapq.heappush
-heappop = heapq.heappop
-heapify = heapq.heapify
-heapreplace = heapq.heapreplace
+__all__ = ["MinHeap"]
 
 
 class MinHeap:

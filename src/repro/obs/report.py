@@ -32,6 +32,7 @@ from typing import Any, Dict, Iterator, List
 
 # Re-exported here for backward compatibility; the loader lives with the
 # tracer so every trace consumer shares one parsing/validation surface.
+from repro.errors import QueryError
 from repro.kernel.trace import load_trace
 from repro.obs.metrics import BYTE_BUCKETS, Histogram, TIME_NS_BUCKETS
 from repro.query.engines import (aggregate_entries, filter_entries,
@@ -95,7 +96,9 @@ def _imbalance_timeline(entries, makespan: float,
     (negative, or past the makespan) charges the nearest edge window,
     so Σ(window busy) always equals the trace's total busy time.
     """
-    if makespan <= 0 or windows <= 0:
+    if windows <= 0:
+        raise QueryError("timeline needs at least one window")
+    if makespan <= 0:
         return []
     pes: set = set()
     per_window: List[Dict[str, float]] = [dict() for _ in range(windows)]

@@ -15,7 +15,7 @@ The package splits into two halves that share one surface:
   virtual time or event count and dumps the reconstructed cluster
   state as canonical JSON.
 
-``python -m repro.query`` (or ``tools/query.py``) exposes all five
+``python -m repro.query`` exposes all five
 verbs with migralint's 0/1/2 exit convention.
 """
 

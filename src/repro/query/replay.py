@@ -24,6 +24,7 @@ pull obs/chaos/flows at import time.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import QueryError
@@ -31,25 +32,18 @@ from repro.errors import QueryError
 __all__ = ["RunSpec", "parse_runspec", "parse_timespec", "run_recorded",
            "first_divergence", "replay_at"]
 
-#: Fault rates every ``chaos:`` runspec replays under.  Fixed and
-#: nonzero on purpose: the rates are part of the runspec contract (the
-#: same spec must always rebuild the same run), and with the all-zero
-#: default config every seed would produce the identical fault-free
-#: trace — there would be nothing for ``bisect`` to find.  The profile
-#: matches the chaos suite's standard sweep rates.
-REPLAY_FAULT_RATES = dict(
-    drop_rate=0.01, delay_rate=0.08, reorder_rate=0.05,
-    migrate_abort_rate=0.1, migrate_bounce_rate=0.05,
-    ckpt_error_rate=0.02, ckpt_corrupt_rate=0.02,
-    crash_rate=0.15, evac_rate=0.1)
-
-_CHAOS_TARGETS = ("stencil", "samplesort", "btmz", "fragile-reduce")
-_FLOWS_TARGETS = ("spin", "ring", "pingpong", "stencil")
 _FORMS = ("thread", "compiled")
 
-_CHAOS_KEYS = frozenset({"seed"})
-_FLOWS_KEYS = frozenset({"form", "ranks", "rounds", "cells", "steps",
-                         "seed"})
+#: ``flows:`` program -> the integer params its builder takes, with the
+#: value a runspec that omits one runs under.  These are the only keys
+#: the program's runspecs accept (beside ``form``), so no key can be
+#: accepted and then ignored.
+_FLOWS_PARAMS = {
+    "spin": dict(ranks=4, rounds=3),
+    "ring": dict(ranks=4, rounds=3, seed=0),
+    "pingpong": dict(ranks=4, rounds=3, seed=0),
+    "stencil": dict(ranks=4, cells=8, steps=4, seed=1),
+}
 
 
 class RunSpec:
@@ -77,8 +71,10 @@ def parse_runspec(text: str) -> RunSpec:
 
     Kinds: ``chaos`` (workloads ``stencil``/``samplesort``/``btmz``/
     ``fragile-reduce``; param ``seed``) and ``flows`` (programs
-    ``spin``/``ring``/``pingpong``/``stencil``; params ``form``,
-    ``ranks``, ``rounds``, ``cells``, ``steps``, ``seed``).
+    ``spin``/``ring``/``pingpong``/``stencil``; params ``form`` plus the
+    integers the program reads: ``ranks``, ``rounds``, ``cells``,
+    ``steps``, ``seed``).  Every param but ``form`` is an integer; a
+    repeated key, or one the target never reads, is refused.
     """
     parts = text.strip().split(":")
     if len(parts) < 2 or not parts[0] or not parts[1]:
@@ -86,15 +82,17 @@ def parse_runspec(text: str) -> RunSpec:
             f"bad runspec {text!r}: want kind:target[:key=value...]")
     kind, target = parts[0], parts[1]
     if kind == "chaos":
-        targets, keys = _CHAOS_TARGETS, _CHAOS_KEYS
+        from repro.chaos.workloads import WORKLOADS
+        keys_of = dict.fromkeys(WORKLOADS, ("seed",))
     elif kind == "flows":
-        targets, keys = _FLOWS_TARGETS, _FLOWS_KEYS
+        keys_of = {t: ("form", *ints) for t, ints in _FLOWS_PARAMS.items()}
     else:
         raise QueryError(f"bad runspec {text!r}: unknown kind {kind!r} "
                          "(want chaos or flows)")
-    if target not in targets:
+    if target not in keys_of:
         raise QueryError(f"bad runspec {text!r}: unknown {kind} target "
-                         f"{target!r} (known: {', '.join(targets)})")
+                         f"{target!r} (known: {', '.join(keys_of)})")
+    keys = keys_of[target]
     params: Dict[str, Any] = {}
     for part in parts[2:]:
         key, eq, value = part.partition("=")
@@ -102,34 +100,54 @@ def parse_runspec(text: str) -> RunSpec:
             raise QueryError(
                 f"bad runspec {text!r}: {part!r} is not key=value")
         if key not in keys:
-            raise QueryError(f"bad runspec {text!r}: unknown param "
-                             f"{key!r} (known: {', '.join(sorted(keys))})")
-        if value.lstrip("-").isdigit():
-            params[key] = int(value)
-        else:
+            raise QueryError(f"bad runspec {text!r}: unknown param {key!r} "
+                             f"for {kind}:{target} (known: "
+                             f"{', '.join(sorted(keys))})")
+        if key in params:
+            raise QueryError(f"bad runspec {text!r}: param {key!r} given "
+                             "more than once")
+        if key == "form":
+            if value not in _FORMS:
+                raise QueryError(
+                    f"bad runspec {text!r}: form must be one of "
+                    f"{', '.join(_FORMS)} (hand-written event objects "
+                    f"run on repro.charm, not under flows:)")
             params[key] = value
-    form = params.get("form", "thread")
-    if kind == "flows" and form not in _FORMS:
-        raise QueryError(f"bad runspec {text!r}: form must be one of "
-                         f"{', '.join(_FORMS)} (hand-written event objects "
-                         f"run on repro.charm, not under flows:)")
+            continue
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise QueryError(f"bad runspec {text!r}: {key} needs an "
+                             f"integer, got {value!r}") from None
+    if params.get("cells", 1) < 1:
+        raise QueryError(f"bad runspec {text!r}: a stencil strip needs at "
+                         f"least one cell, got cells={params['cells']}")
     return RunSpec(kind, target, params)
 
 
 def parse_timespec(text: str) -> Tuple[str, float]:
-    """``"250000"`` → ("time", 250000.0); ``"@120"`` → ("events", 120)."""
+    """``"250000"`` → ("time", 250000.0); ``"@120"`` → ("events", 120).
+
+    A negative event count and a non-finite time are refused.
+    """
     text = text.strip()
     if text.startswith("@"):
         try:
-            return ("events", int(text[1:]))
+            count = int(text[1:])
         except ValueError:
-            raise QueryError(
-                f"bad timespec {text!r}: @N needs an integer event count")
+            count = -1
+        if count < 0:
+            raise QueryError(f"bad timespec {text!r}: @N needs a "
+                             "non-negative integer event count")
+        return ("events", count)
     try:
-        return ("time", float(text))
+        time = float(text)
     except ValueError:
-        raise QueryError(f"bad timespec {text!r}: want a virtual time in "
-                         "ns, or @N for an event count")
+        time = math.nan
+    if not math.isfinite(time):
+        raise QueryError(f"bad timespec {text!r}: want a finite virtual "
+                         "time in ns, or @N for an event count")
+    return ("time", time)
 
 
 # ---------------------------------------------------------------------------
@@ -137,40 +155,26 @@ def parse_timespec(text: str) -> Tuple[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def _chaos_schedule(spec: RunSpec):
-    from repro.chaos.faults import FaultConfig, FaultSchedule
-    return FaultSchedule.seeded(spec.params.get("seed", 0),
-                                FaultConfig(**REPLAY_FAULT_RATES))
-
-
-def _chaos_workload(spec: RunSpec):
-    from repro.chaos.workloads import (BTMZChaosWorkload,
-                                       FragileReduceWorkload,
-                                       SampleSortChaosWorkload,
-                                       StencilChaosWorkload)
-    cls = {"stencil": StencilChaosWorkload,
-           "samplesort": SampleSortChaosWorkload,
-           "btmz": BTMZChaosWorkload,
-           "fragile-reduce": FragileReduceWorkload}[spec.target]
-    return cls()
+def _chaos_run(spec: RunSpec):
+    """The ``(workload, schedule)`` pair a ``chaos:`` runspec names."""
+    from repro.chaos.faults import (STANDARD_RATES, FaultConfig,
+                                    FaultSchedule)
+    from repro.chaos.workloads import WORKLOADS
+    return (WORKLOADS[spec.target](),
+            FaultSchedule.seeded(spec.params.get("seed", 0),
+                                 FaultConfig(**STANDARD_RATES)))
 
 
 def _flows_program(spec: RunSpec):
     from repro.flows.programs import (pingpong_program, ring_program,
                                       spin_program)
     from repro.flows.stencil import stencil_program
-    p = spec.params
-    target = spec.target
-    if target == "spin":
-        return spin_program(p.get("ranks", 4), p.get("rounds", 3))
-    if target == "ring":
-        return ring_program(p.get("ranks", 4), p.get("rounds", 3),
-                            seed=p.get("seed", 0))
-    if target == "pingpong":
-        return pingpong_program(p.get("ranks", 4), p.get("rounds", 3),
-                                seed=p.get("seed", 0))
-    return stencil_program(p.get("ranks", 4), cells=p.get("cells", 8),
-                           steps=p.get("steps", 4), seed=p.get("seed", 1))
+    build = {"spin": spin_program, "ring": ring_program,
+             "pingpong": pingpong_program,
+             "stencil": stencil_program}[spec.target]
+    params = {**_FLOWS_PARAMS[spec.target], **spec.params}
+    params.pop("form", None)
+    return build(**params)
 
 
 def _build_flows_world(spec: RunSpec):
@@ -182,20 +186,6 @@ def _build_flows_world(spec: RunSpec):
     tracer = KernelTracer().attach(world.kernel)
     world.spawn(spec.params.get("form", "thread"), program)
     return program, world, tracer
-
-
-def _build_chaos_run(spec: RunSpec):
-    """A built, fault-wired chaos runtime, exactly as the harness wires
-    it (same build, same tracing, same injector) — so a partial replay
-    sees the same event sequence as the recorded full run."""
-    from repro.chaos.harness import wire_ampi_faults
-    from repro.chaos.injector import FaultInjector
-    workload = _chaos_workload(spec)
-    rt, _check = workload.build()
-    rt.cluster.enable_tracing()
-    injector = FaultInjector(_chaos_schedule(spec))
-    wire_ampi_faults(rt, injector)
-    return rt
 
 
 def run_recorded(spec: RunSpec) -> List[Dict[str, Any]]:
@@ -215,7 +205,7 @@ def run_recorded(spec: RunSpec) -> List[Dict[str, Any]]:
         def observe(rt, ctx):
             holder["obs"] = RunObserver.for_ampi(rt).attach()
 
-        drive_ampi_chaos(_chaos_workload(spec), _chaos_schedule(spec),
+        drive_ampi_chaos(*_chaos_run(spec),
                          seed=spec.params.get("seed", 0),
                          observe=observe)
         obs = holder["obs"]
@@ -388,7 +378,8 @@ def replay_at(spec: RunSpec, timespec) -> Dict[str, Any]:
         world.seed()
         world.kernel.run(RunPolicy(until=until, max_events=max_events))
         return _flow_state(spec, program, world, at)
-    rt = _build_chaos_run(spec)
+    from repro.chaos.harness import build_ampi_chaos
+    rt = build_ampi_chaos(*_chaos_run(spec))[0]
     stopped_by = None
     try:
         rt.run(until=until, max_net_events=max_events)

@@ -12,7 +12,6 @@ reproducible.  The profiles are calibrated to the paper's reported orders of
 magnitude; see DESIGN.md Section 2 for what is real versus modeled.
 """
 
-from repro.sim.clock import SimClock
 from repro.sim.platform import PlatformProfile, PLATFORMS, get_platform
 from repro.sim.network import Network, Message
 from repro.sim.topology import FatTree, FullyConnected, Topology, Torus3D
@@ -20,7 +19,6 @@ from repro.sim.processor import Processor
 from repro.sim.cluster import Cluster
 
 __all__ = [
-    "SimClock",
     "PlatformProfile",
     "PLATFORMS",
     "get_platform",

@@ -124,7 +124,8 @@ class Cluster:
         proc = self.processors[proc_id]
 
         def fire():
-            proc.clock.advance_to(time)
+            if time > proc.now:
+                proc.now = time
             fn(*args)
 
         fire.__qualname__ = getattr(fn, "__qualname__", "Cluster.at.fire")

@@ -6,7 +6,6 @@ from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import (CommError, ProcessLimitExceeded, ReproError,
                           ThreadLimitExceeded)
-from repro.sim.clock import SimClock
 from repro.sim.network import Message
 from repro.sim.platform import PlatformProfile
 from repro.vm.addrspace import AddressSpace
@@ -80,7 +79,10 @@ class Processor:
         self.id = proc_id
         self.profile = profile
         self.cluster = cluster
-        self.clock = SimClock()
+        #: This processor's local virtual time in ns.  Work moves it with
+        #: :meth:`charge`; a delivery or timer pulls an idle processor's
+        #: clock forward to the event's time, never backward.
+        self.now = 0.0
         self.physical = PhysicalMemory(profile.physical_memory_bytes,
                                        profile.page_size)
         self.layout = profile.layout()
@@ -107,11 +109,6 @@ class Processor:
 
     # -- time ---------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        """This processor's local virtual time in ns."""
-        return self.clock._now
-
     def charge(self, ns: float) -> float:
         """Charge ``ns`` of local work; returns the new local time.
 
@@ -125,13 +122,10 @@ class Processor:
                     f"background_load must be in [0, 1), got "
                     f"{self.background_load}")
             ns = ns / (1.0 - self.background_load)
-        # SimClock.advance, in place: every send, delivery and context
-        # switch charges, so this is one call rather than two.
         if ns < 0:
             raise ReproError(f"cannot advance clock by negative time {ns}")
         self.busy_ns += ns
-        clock = self.clock
-        clock._now = now = clock._now + ns
+        self.now = now = self.now + ns
         return now
 
     # -- messaging ------------------------------------------------------------
@@ -152,7 +146,8 @@ class Processor:
             raise CommError(
                 f"message {msg.tag!r} delivered to failed processor "
                 f"{self.id} — in-flight traffic at crash time")
-        self.clock.advance_to(arrival_time)
+        if arrival_time > self.now:
+            self.now = arrival_time
         cluster = self.cluster
         if cluster is not None:
             self.charge(cluster.network.per_message_cpu_ns)

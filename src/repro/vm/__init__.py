@@ -19,9 +19,8 @@ The substrate is deliberately faithful at the level the paper cares about:
 """
 
 from repro.vm.physical import Frame, PhysicalMemory
-from repro.vm.pagetable import Protection
 from repro.vm.layout import AddressSpaceLayout, Region
-from repro.vm.addrspace import AddressSpace, Mapping
+from repro.vm.addrspace import AddressSpace, Mapping, Protection
 from repro.vm.costs import MemoryCostModel
 
 __all__ = [

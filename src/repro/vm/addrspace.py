@@ -25,6 +25,7 @@ range's size, as they cost the modeled machine one call.  Page-granular
 from __future__ import annotations
 
 import bisect
+import enum
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -36,10 +37,23 @@ from repro.errors import (
     VMError,
 )
 from repro.vm.layout import AddressSpaceLayout
-from repro.vm.pagetable import Protection
 from repro.vm.physical import Frame, PhysicalMemory
 
-__all__ = ["Mapping", "AddressSpace"]
+__all__ = ["Protection", "Mapping", "AddressSpace"]
+
+
+class Protection(enum.Flag):
+    """Page protection bits (a subset of mmap's PROT_*)."""
+
+    NONE = 0
+    READ = enum.auto()
+    WRITE = enum.auto()
+    EXEC = enum.auto()
+    #: Convenience combination used by almost every data mapping.
+    RW = READ | WRITE
+    #: Convenience combination for text segments.
+    RX = READ | EXEC
+
 
 _READ = Protection.READ.value
 _WRITE = Protection.WRITE.value

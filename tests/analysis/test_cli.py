@@ -17,14 +17,12 @@ FIXTURES = os.path.join("tests", "analysis", "fixtures")
 CLEAN_TARGET = os.path.join("src", "repro", "analysis")
 
 
-def run_cli(*args, module=True):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    cmd = [sys.executable, "-m", "repro.analysis", *args] if module else \
-        [sys.executable, *args]
-    return subprocess.run(cmd, capture_output=True, text=True,
-                          cwd=ROOT, env=env)
+    return subprocess.run([sys.executable, "-m", "repro.analysis", *args],
+                          capture_output=True, text=True, cwd=ROOT, env=env)
 
 
 def test_exit_0_on_clean_tree():
@@ -103,13 +101,6 @@ def test_human_output_pins_rule_file_line():
     body = proc.stdout.strip().splitlines()
     assert all(":" in line and "MIG001" in line for line in body[:-1])
     assert "mig001_pup.py:16" in proc.stdout   # the marked `dropped` line
-
-
-def test_tools_wrapper_runs_without_install():
-    proc = run_cli(os.path.join("tools", "migralint.py"), "--list-rules",
-                   module=False)
-    assert proc.returncode == 0
-    assert "MIG005" in proc.stdout
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])

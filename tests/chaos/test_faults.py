@@ -76,6 +76,18 @@ def test_rates_must_sum_within_unit_interval():
         FaultSchedule.seeded(0, FaultConfig(drop_rate=0.7, delay_rate=0.5))
 
 
+@pytest.mark.parametrize("bad, why", [
+    # Each site's *sum* is legal here; a rate on its own is not.
+    (dict(drop_rate=-0.5, delay_rate=0.6), "drop_rate is -0.5"),
+    (dict(crash_rate=1.5, evac_rate=-0.6), "crash_rate is 1.5"),
+    (dict(migrate_abort_rate=float("nan")), "migrate_abort_rate is nan"),
+    (dict(delay_ns_min=9.0, delay_ns_max=3.0), "delay_ns_min 9.0 exceeds"),
+])
+def test_each_rate_and_the_delay_range_are_checked(bad, why):
+    with pytest.raises(ChaosError, match=why):
+        FaultConfig(**bad)
+
+
 def test_needs_exactly_one_of_seed_or_script():
     with pytest.raises(ChaosError):
         FaultSchedule()

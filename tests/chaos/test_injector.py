@@ -80,6 +80,35 @@ def test_unfaultable_tags_pass_untouched():
     assert injector.schedule._seq["send"] == 0
 
 
+def test_each_channel_visit_is_one_decide_in_dispatch_order():
+    """``attach`` subscribes the ``on_*`` methods themselves: publishing
+    on the cluster's bus with each channel's own signature consults the
+    schedule once per visit (once per arrival on ``net.send``)."""
+    cl, _ = message_cluster()
+    schedule = FaultSchedule.scripted([])
+    visits = []
+    decide = schedule.decide
+    schedule.decide = lambda site: visits.append(site) or decide(site)
+    injector = FaultInjector(schedule, faultable_tags=("t",)).attach(cl)
+    bus = cl.queue.hooks
+    msg = cl.send(0, 1, "x", 10, tag="t")           # the cluster publishes
+    assert visits == ["send"]
+    assert bus.filter("net.send", [1.0, 2.0], msg=msg) == [1.0, 2.0]
+    assert bus.decide("migration.start", thread=None,
+                      src_pe=0, dst_pe=1) is None
+    assert bus.decide("migration.delivery", image=None, msg=msg) is None
+    assert bus.filter("checkpoint.write", b"blob", key="k") == b"blob"
+    assert bus.decide("checkpoint.barrier") is None
+    assert visits == ["send", "send", "send", "migrate", "mig_delivery",
+                      "ckpt", "barrier"]
+    assert injector.counters["sends_seen"] == 3
+    assert injector.arrivals_scheduled == 3
+    injector.detach()
+    assert not any(bus.has(channel) for channel in (
+        "net.send", "migration.start", "migration.delivery",
+        "checkpoint.write", "checkpoint.barrier"))
+
+
 # -- migration faults -------------------------------------------------------
 
 def body(th):

@@ -14,7 +14,7 @@ def healthy_context():
     """A built-but-not-run runtime with an idle injector."""
     rt, _ = FragileReduceWorkload().build()
     injector = FaultInjector(FaultSchedule.scripted([]))
-    injector.attach(rt.cluster, rt.checkpointer)
+    injector.attach(rt.cluster)
     return ChaosContext(runtime=rt, injector=injector)
 
 
@@ -113,7 +113,7 @@ def test_migrating_is_excused_at_inject_but_not_quiescence():
 def test_unexpected_checkpoint_corruption_is_a_violation():
     rt, _ = FragileReduceWorkload().build()
     injector = FaultInjector(FaultSchedule.scripted([]))
-    injector.attach(rt.cluster, rt.checkpointer)
+    injector.attach(rt.cluster)
     ctx = ChaosContext(runtime=rt, injector=injector)
     thread = rt.rank_thread[0]
     rt.schedulers[0].run()                     # park the threads

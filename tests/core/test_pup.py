@@ -79,6 +79,24 @@ def test_sizing_matches_packing():
         assert pup_size(obj) == len(pup_pack(obj))
 
 
+#: ``pup_pack`` output captured before the three entry points started
+#: sharing ``BasePupper.obj``'s framing: name blob, then the fields.
+NESTED_HEX = (
+    "06000000000000004e65737465640500000000000000506f696e7400000000000022"
+    "40000000000000204002000000000000000500000000000000506f696e7400000000"
+    "0000f03f00000000000000400500000000000000506f696e74000000000000084000"
+    "0000000000104003000000000000003c663402000000000000000200000000000000"
+    "03000000000000001800000000000000000000000000803f00000040000040400000"
+    "80400000a040")
+
+
+def test_packed_bytes_of_a_nested_object_are_pinned():
+    n = Nested(Point(9, 8), [Point(1, 2), Point(3, 4)],
+               np.arange(6, dtype=np.float32).reshape(2, 3))
+    assert pup_pack(n).hex() == NESTED_HEX
+    assert pup_size(n) == len(NESTED_HEX) // 2 == 176
+
+
 def test_unregistered_class_rejected():
     class Rogue:
         def pup(self, p):
@@ -119,7 +137,8 @@ def test_unknown_wire_name_rejected():
     blob = pup_pack(Point(0, 0))
     # Corrupt the class name inside the buffer.
     bad = blob.replace(b"Point", b"Joint")
-    with pytest.raises(PupError):
+    with pytest.raises(PupError, match=r"^unpacking unknown pup class "
+                                       r"'Joint'$"):
         pup_unpack(bad)
 
 
@@ -192,7 +211,9 @@ def test_truncated_blob_length_error_names_class():
 
 def test_overlong_buffer_error_names_class_and_byte_count():
     blob = pup_pack(Point(1, 2))
-    with pytest.raises(PupError, match=r"Point: 5 trailing bytes"):
+    with pytest.raises(PupError, match=r"^Point: 5 trailing bytes after "
+                                       r"unpack — over-long blob or pup\(\) "
+                                       r"asymmetry$"):
         pup_unpack(blob + b"\x00" * 5)
 
 

@@ -1,8 +1,8 @@
 """The frozen reference event kernel (differential-testing oracle).
 
-This module is a byte-for-byte copy of the pre-fast-path
-``repro.kernel.event`` — a per-event-object binary heap with the
-original inline run loop.  It exists solely so the differential harness
+This module is a copy of the pre-fast-path ``repro.kernel.event`` — a
+per-event-object binary heap with the original inline run loop.  It
+exists solely so the differential harness
 (``tests/kernel/test_differential.py``) and the property suite can run
 the same randomized schedules through both implementations and assert
 identical event orderings, traces, and counters.
@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterator, List, Optional
 
 from repro.errors import ReproError
 from repro.kernel.hooks import HookBus
 from repro.kernel.policy import RunPolicy
-from repro.kernel.pqueue import MinHeap, heappop, heappush
+from repro.kernel.pqueue import MinHeap
 
 __all__ = ["KernelEvent", "EventKernel"]
 

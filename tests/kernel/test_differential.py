@@ -1,7 +1,7 @@
 """Differential harness: fast kernel vs the frozen reference kernel.
 
 The fast path (:mod:`repro.kernel.event`) re-implements the event core
-around batched slot storage; :mod:`repro.kernel.refkernel` is the
+around batched slot storage; :mod:`tests.kernel.refkernel` is the
 frozen pre-fast-path implementation.  This suite runs *the same
 randomized seeded schedule* through both and asserts they are
 indistinguishable: identical event orderings, identical
@@ -36,7 +36,7 @@ import pytest
 from repro.errors import ReproError
 from repro.kernel import KernelTracer
 from repro.kernel.event import EventKernel as FastKernel
-from repro.kernel.refkernel import EventKernel as RefKernel
+from tests.kernel.refkernel import EventKernel as RefKernel
 
 #: Relative delays drawn by the driver: duplicates and 0.0 on purpose,
 #: so equal-timestamp FIFO ties and run-now events are common.

@@ -2,7 +2,7 @@
 
 Seeded random schedules driven against *both* implementations — the
 fast path (:mod:`repro.kernel.event`) and the frozen reference
-(:mod:`repro.kernel.refkernel`) — asserting the contract properties
+(:mod:`tests.kernel.refkernel`) — asserting the contract properties
 directly rather than by example:
 
 * ``(time, seq)`` FIFO total order: the fire sequence is exactly the
@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro.kernel.event import EventKernel as FastKernel
-from repro.kernel.refkernel import EventKernel as RefKernel
+from tests.kernel.refkernel import EventKernel as RefKernel
 
 KERNELS = {"fast": FastKernel, "ref": RefKernel}
 SEEDS = range(8)

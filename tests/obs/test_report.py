@@ -228,6 +228,17 @@ def test_cli_text_mode_and_error_path(traced_run):
     assert missing.stderr.strip()
 
 
+@pytest.mark.parametrize("windows", ["0", "-3"])
+def test_cli_refuses_a_timeline_without_windows(traced_run, windows):
+    """The rule ``python -m repro.query timeline --windows 0`` follows:
+    exit 2, not a report that silently has no timeline."""
+    _, _, path = traced_run
+    proc = _cli("report", path, "--windows", windows)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "at least one window" in proc.stderr
+
+
 def test_cli_empty_trace_is_a_diagnosed_error(tmp_path):
     """An empty trace used to fall through to a meaningless all-zero
     report; it is now a usage error: exit 2, one-line diagnostic."""

@@ -1,5 +1,5 @@
-"""``python -m repro.query`` and ``tools/query.py``: exit codes,
-diagnostics, and byte-stable output."""
+"""``python -m repro.query``: exit codes, diagnostics, and byte-stable
+output."""
 
 import json
 import os
@@ -81,6 +81,17 @@ def test_missing_trace_and_bad_runspec_are_exit_2():
     assert "runspec" in proc.stderr
 
 
+def test_malformed_runspecs_and_timespecs_are_exit_2_not_tracebacks():
+    for args in (("at", "chaos:stencil:seed=--5", "100"),
+                 ("at", "flows:ring:ranks=abc", "@3"),
+                 ("at", "flows:ring", "@-3"),
+                 ("at", "flows:ring", "nan")):
+        proc = _cli(*args)
+        assert proc.returncode == 2, args
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_bisect_cli_identical_and_divergent():
     same = _cli("bisect", "flows:ring:ranks=3:rounds=2",
                 "flows:ring:ranks=3:rounds=2", "--json")
@@ -104,12 +115,3 @@ def test_at_cli_output_is_byte_stable():
     assert compiled.stdout == first.stdout
     state = json.loads(first.stdout)
     assert state["kind"] == "flows"
-
-
-def test_tools_wrapper_is_equivalent():
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "query.py"),
-         "bisect", "flows:spin:rounds=2", "flows:spin:rounds=2"],
-        capture_output=True, text=True, cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
-    assert "identical" in proc.stdout

@@ -43,6 +43,30 @@ def test_bad_runspecs_are_query_errors(bad):
         parse_runspec(bad)
 
 
+@pytest.mark.parametrize("bad, why", [
+    ("chaos:stencil:seed=--5", "seed needs an integer"),
+    ("flows:ring:ranks=abc", "ranks needs an integer"),
+    ("chaos:stencil:seed=abc", "seed needs an integer"),
+    ("flows:ring:form=thread:form=compiled", "param 'form' given more than once"),
+    ("flows:spin:seed=3", "unknown param 'seed' for flows:spin"),
+    ("flows:ring:cells=9", "unknown param 'cells' for flows:ring"),
+    ("flows:stencil:cells=0", "a stencil strip needs at least one cell"),
+])
+def test_runspec_params_are_typed_unique_and_the_targets_own(bad, why):
+    with pytest.raises(QueryError, match=f"bad runspec {bad!r}: {why}"):
+        parse_runspec(bad)
+
+
+def test_runspec_integers_keep_their_sign():
+    assert parse_runspec("chaos:btmz:seed=-5").params == {"seed": -5}
+
+
+@pytest.mark.parametrize("bad", ["@-3", "nan", "inf", "-inf"])
+def test_timespec_refuses_negative_counts_and_non_finite_times(bad):
+    with pytest.raises(QueryError, match=f"bad timespec {bad!r}"):
+        parse_timespec(bad)
+
+
 def test_timespec_parses_time_and_event_counts():
     assert parse_timespec("250000") == ("time", 250000.0)
     assert parse_timespec("1.5e6") == ("time", 1.5e6)

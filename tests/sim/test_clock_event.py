@@ -1,4 +1,4 @@
-"""Unit tests for SimClock and the kernel surface the cluster drives.
+"""Unit tests for a processor's clock and the kernel surface the cluster drives.
 
 ``Cluster.queue`` is a bare :class:`~repro.kernel.EventKernel`; these
 are the sim-side expectations of it.  Three former cases were dropped as
@@ -12,30 +12,33 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kernel import EventKernel
-from repro.sim import SimClock
+from repro.sim import Cluster
 
 
 def test_clock_advances():
-    c = SimClock()
-    assert c.now == 0.0
-    c.advance(100)
-    assert c.now == 100.0
-    c.advance(0.5)
-    assert c.now == 100.5
+    p = Cluster(1).processors[0]
+    assert p.now == 0.0
+    assert p.charge(100) == 100.0
+    p.charge(0.5)
+    assert p.now == 100.5
 
 
 def test_clock_rejects_negative():
-    c = SimClock()
+    p = Cluster(1).processors[0]
     with pytest.raises(ReproError):
-        c.advance(-1)
+        p.charge(-1)
+    assert p.now == 0.0 and p.busy_ns == 0.0
 
 
 def test_clock_advance_to_never_goes_backward():
-    c = SimClock(50)
-    c.advance_to(30)
-    assert c.now == 50
-    c.advance_to(80)
-    assert c.now == 80
+    cluster = Cluster(1)
+    p = cluster.processors[0]
+    p.charge(50)
+    seen = []
+    cluster.at(0, 30, lambda: seen.append(p.now))
+    cluster.at(0, 80, lambda: seen.append(p.now))
+    cluster.run()
+    assert seen == [50, 80]
 
 
 def test_event_order_by_time():

@@ -31,7 +31,7 @@ IMPORTS = {
     "charm": {"core", "errors", "kernel", "sim"},
     "core": {"errors", "kernel", "sim", "vm"},
     "errors": set(),
-    "exec": {"bench", "chaos", "errors", "kernel"},
+    "exec": {"chaos", "errors", "kernel"},
     "flows": {"analysis", "core", "errors", "kernel", "sim"},
     "kernel": {"errors"},
     "obs": {"errors", "kernel", "query"},
@@ -42,6 +42,21 @@ IMPORTS = {
     "vm": {"errors"},
     "workloads": {"ampi", "balance", "charm", "core", "errors", "flows",
                   "sim"},
+}
+
+
+#: The import edges that close a cycle, each with the reason it stays.
+#: Without them the package graph is a DAG; a new cycle fails
+#: ``test_the_only_cycles_are_the_named_ones``.
+CYCLE_EDGES = {
+    # ``perf/`` pins ``repro.query.run_recorded`` (which records through a
+    # ``RunObserver``) and ``repro.obs.RunObserver`` (whose report is built
+    # on the query engines): the {obs, query} pair.
+    ("query", "obs"),
+    # ``LBDatabase.attach_metrics`` takes its histogram buckets from
+    # ``repro.obs.metrics``; with obs -> query -> chaos -> balance that
+    # pulls ampi/balance/chaos/workloads into the same component.
+    ("balance", "obs"),
 }
 
 
@@ -78,6 +93,19 @@ def test_the_import_graph_is_the_reviewed_one():
                    sorted(IMPORTS[pkg] - found[pkg]))
              for pkg in IMPORTS if found[pkg] != IMPORTS[pkg]}
     assert not drift, f"{{package: (new edges, vanished edges)}} = {drift}"
+
+
+def test_the_only_cycles_are_the_named_ones():
+    assert all(dst in IMPORTS[src] for src, dst in CYCLE_EDGES)
+    graph = {pkg: {dst for dst in deps if (pkg, dst) not in CYCLE_EDGES}
+             for pkg, deps in IMPORTS.items()}
+    done = set()
+    while len(done) < len(graph):
+        ready = {pkg for pkg, deps in graph.items()
+                 if pkg not in done and deps <= done}
+        assert ready, ("import cycle among "
+                       f"{sorted(set(graph) - done)}")
+        done |= ready
 
 
 def test_the_load_bearing_layers_hold_in_the_reviewed_graph():

@@ -29,8 +29,7 @@ def test_gate_covers_the_whole_tree():
             "quickstart.py", "faults.py", "injector.py", "invariants.py",
             "harness.py", "runner.py",
             # the event kernel must stay inside the gate too
-            "event.py", "refkernel.py",
-            "pqueue.py", "hooks.py", "policy.py", "trace.py",
+            "event.py", "pqueue.py", "hooks.py", "policy.py", "trace.py",
             "quiescence.py",
             # ... and the parallel sweep executor (EXC001's home turf)
             "spec.py", "pool.py", "cache.py", "executor.py", "progress.py",

@@ -9,7 +9,7 @@ and its in-flight ghosts have to be forwarded after it.
 import pytest
 
 from repro.charm import CharmRuntime
-from repro.core.pup import pup_pack, pup_unpack
+from repro.core.pup import pup_pack, pup_size, pup_unpack
 from repro.errors import ReproError
 from repro.flows import WORKLOAD_MECHANISMS
 from repro.flows.stencil import stencil_program
@@ -57,11 +57,23 @@ def test_element_migrated_mid_run_is_rebuilt_from_bytes_and_still_exact(
     assert stencil_chare_results(rt, proxy) == flow_results("cth")
 
 
+#: ``pup_pack`` of the chare below, captured before ``pup_pack`` /
+#: ``pup_size`` / ``pup_unpack`` shared ``BasePupper.obj``'s framing.
+BUFFERED_HEX = (
+    "0c000000000000005374656e63696c4368617265020000000000000000000000"
+    "0000f83f00000000000004400400000000000000010000000000000001020000"
+    "0000000000010000000000000002000000000000000200000000000000000000"
+    "000000d03f000000000000e03f01000000000000000300000000000000010000"
+    "0000000000000000000000f0bf")
+
+
 def test_buffered_ghosts_survive_the_pup_roundtrip():
     chare = StencilChare()
     chare.data, chare.steps, chare.step, chare.started = [1.5, 2.5], 4, 1, True
     chare.above, chare.below = {1: 0.25, 2: 0.5}, {3: -1.0}
-    back = pup_unpack(pup_pack(chare))
+    blob = pup_pack(chare)
+    assert blob.hex() == BUFFERED_HEX and pup_size(chare) == 141
+    back = pup_unpack(blob)
     assert vars(back) == vars(chare)
 
 

@@ -30,8 +30,9 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.chaos import (STANDARD_WORKLOADS, ChaosRunner,  # noqa: E402
-                         FaultConfig)
+from repro.chaos import (STANDARD_RATES, STANDARD_WORKLOADS,  # noqa: E402
+                         WORKLOADS, ChaosRunner, FaultConfig)
+from repro.errors import ChaosError  # noqa: E402
 from repro.exec import (Cell, ProgressReporter, ResultCache,  # noqa: E402
                         SweepExecutor, SweepSpec, fault_config_params,
                         backend_from_spec)
@@ -39,7 +40,17 @@ from repro.exec import (Cell, ProgressReporter, ResultCache,  # noqa: E402
 OUT = os.path.join(os.path.dirname(__file__), "..", "results",
                    "chaos_sweep.json")
 
-WORKLOADS = {cls.name: cls for cls in STANDARD_WORKLOADS}
+STANDARD = sorted(cls.name for cls in STANDARD_WORKLOADS)
+
+#: Command-line flag -> the ``FaultConfig`` rate it sets.
+RATE_FLAGS = {
+    "--drop-rate": "drop_rate", "--delay-rate": "delay_rate",
+    "--reorder-rate": "reorder_rate", "--abort-rate": "migrate_abort_rate",
+    "--bounce-rate": "migrate_bounce_rate",
+    "--ckpt-error-rate": "ckpt_error_rate",
+    "--ckpt-corrupt-rate": "ckpt_corrupt_rate",
+    "--crash-rate": "crash_rate", "--evac-rate": "evac_rate",
+}
 
 #: The worker entry point every chaos cell names.
 RUNNER = "repro.exec.runners:run_chaos_cell"
@@ -48,7 +59,7 @@ RUNNER = "repro.exec.runners:run_chaos_cell"
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("-w", "--workload", action="append",
-                    choices=sorted(WORKLOADS), default=None,
+                    choices=STANDARD, default=None,
                     help="workload to sweep (repeatable; default: all)")
     ap.add_argument("-n", "--seeds", type=int, default=20,
                     help="number of seeds (default 20)")
@@ -62,15 +73,9 @@ def parse_args(argv=None):
                          "already has a result are skipped")
     ap.add_argument("--force", action="store_true",
                     help="recompute cached cells (still refreshes the cache)")
-    ap.add_argument("--drop-rate", type=float, default=0.01)
-    ap.add_argument("--delay-rate", type=float, default=0.08)
-    ap.add_argument("--reorder-rate", type=float, default=0.05)
-    ap.add_argument("--abort-rate", type=float, default=0.1)
-    ap.add_argument("--bounce-rate", type=float, default=0.05)
-    ap.add_argument("--ckpt-error-rate", type=float, default=0.02)
-    ap.add_argument("--ckpt-corrupt-rate", type=float, default=0.02)
-    ap.add_argument("--crash-rate", type=float, default=0.15)
-    ap.add_argument("--evac-rate", type=float, default=0.1)
+    for flag, rate in RATE_FLAGS.items():
+        ap.add_argument(flag, dest=rate, type=float,
+                        default=STANDARD_RATES[rate])
     ap.add_argument("--shrink", action="store_true",
                     help="shrink failing schedules to minimal repros")
     ap.add_argument("-o", "--output", default=OUT,
@@ -99,16 +104,14 @@ def main(argv=None) -> int:
         print(f"chaos_sweep: -j/--jobs must be >= 1 (got {args.jobs})",
               file=sys.stderr)
         return 2
-    config = FaultConfig(
-        drop_rate=args.drop_rate, delay_rate=args.delay_rate,
-        reorder_rate=args.reorder_rate,
-        migrate_abort_rate=args.abort_rate,
-        migrate_bounce_rate=args.bounce_rate,
-        ckpt_error_rate=args.ckpt_error_rate,
-        ckpt_corrupt_rate=args.ckpt_corrupt_rate,
-        crash_rate=args.crash_rate, evac_rate=args.evac_rate)
+    try:
+        config = FaultConfig(**{rate: getattr(args, rate)
+                                for rate in RATE_FLAGS.values()})
+    except ChaosError as e:
+        print(f"chaos_sweep: {e}", file=sys.stderr)
+        return 2
     seeds = range(args.start_seed, args.start_seed + args.seeds)
-    names = sorted(set(args.workload or WORKLOADS))
+    names = sorted(set(args.workload or STANDARD))
 
     spec = build_spec(names, seeds, config)
     executor = SweepExecutor(
@@ -158,11 +161,8 @@ def main(argv=None) -> int:
               f"(attempts={r.attempts}):\n{r.error}", file=sys.stderr)
 
     payload = {
-        "config": {k: getattr(config, k) for k in (
-            "drop_rate", "delay_rate", "dup_rate", "reorder_rate",
-            "migrate_abort_rate", "migrate_bounce_rate",
-            "ckpt_error_rate", "ckpt_corrupt_rate",
-            "crash_rate", "evac_rate")},
+        "config": {k: v for k, v in fault_config_params(config).items()
+                   if k.endswith("_rate")},
         "seeds": [int(s) for s in seeds],
         "results": rows,
         "findings": len(findings),
