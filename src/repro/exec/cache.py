@@ -50,9 +50,6 @@ class ResultCache:
     def _path_for_key(self, key: str) -> str:
         return os.path.join(self._shard_dir(key), key + ".json")
 
-    def _path(self, cell: Cell) -> str:
-        return self._path_for_key(cell.cache_key())
-
     # -- the cache contract ---------------------------------------------
 
     def get(self, cell: Cell) -> Optional[CellResult]:

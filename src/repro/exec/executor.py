@@ -20,7 +20,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.exec.cache import ResultCache
-from repro.exec.pool import SerialBackend
+from repro.exec.pool import SerialBackend, done_payload
 from repro.exec.spec import CellResult, SweepSpec
 from repro.kernel import HookBus
 
@@ -61,10 +61,7 @@ class SweepExecutor:
             "name": self.spec.name, "cells": len(self.spec),
             "cached": len(by_id)})
         for result in by_id.values():
-            self._emit("exec.cell.done", {
-                "cell_id": result.cell_id, "status": result.status,
-                "duration_s": result.duration_s,
-                "attempts": result.attempts, "cached": True})
+            self._emit("exec.cell.done", done_payload(result))
         if todo:
             def notify(event: str, payload: dict) -> None:
                 self._emit("exec." + event, payload)

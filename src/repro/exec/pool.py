@@ -71,6 +71,21 @@ def run_cell(cell: Cell) -> dict:
                 "duration_s": time.perf_counter() - t0}  # migralint: disable=DET001
 
 
+def cell_result(cell: Cell, raw: dict, attempts: int = 1) -> CellResult:
+    """The :class:`CellResult` for one :func:`run_cell` dict."""
+    return CellResult(cell_id=cell.cell_id, status=raw["status"],
+                      value=raw["value"], error=raw["error"],
+                      attempts=attempts, duration_s=raw["duration_s"])
+
+
+def done_payload(result: CellResult) -> dict:
+    """The ``exec.cell.done`` payload: the one spelling of a finished
+    cell, fresh or served from cache."""
+    return {"cell_id": result.cell_id, "status": result.status,
+            "duration_s": result.duration_s, "attempts": result.attempts,
+            "cached": result.cached}
+
+
 class SerialBackend:
     """Run every cell in the calling process, in submission order."""
 
@@ -81,18 +96,11 @@ class SerialBackend:
         results: List[CellResult] = []
         for cell in cells:
             notify("cell.start", {"cell_id": cell.cell_id})
-            raw = run_cell(cell)
-            result = CellResult(cell_id=cell.cell_id, status=raw["status"],
-                                value=raw["value"], error=raw["error"],
-                                duration_s=raw["duration_s"])
+            result = cell_result(cell, run_cell(cell))
             results.append(result)
             if on_result is not None:
                 on_result(cell, result)
-            notify("cell.done", {"cell_id": cell.cell_id,
-                                 "status": result.status,
-                                 "duration_s": result.duration_s,
-                                 "attempts": result.attempts,
-                                 "cached": False})
+            notify("cell.done", done_payload(result))
         return results
 
 
@@ -150,14 +158,12 @@ class LocalPool:
     #: How long to wait on the result queue before polling worker health.
     _POLL_S = 0.1
 
-    def __init__(self, jobs: Optional[int] = None,
-                 start_method: Optional[str] = None):
+    def __init__(self, jobs: Optional[int] = None):
         self.jobs = max(1, jobs if jobs is not None
                         else (multiprocessing.cpu_count() or 1))
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn")
 
     def run(self, cells: Sequence[Cell], warmup_runners: Sequence[str],
             notify: Notify, on_result: OnResult = None) -> List[CellResult]:
@@ -209,18 +215,11 @@ class LocalPool:
                     continue
                 if kind == "done" and worker.busy == idx:
                     worker.busy = None
-                    results[idx] = CellResult(
-                        cell_id=cells[idx].cell_id, status=raw["status"],
-                        value=raw["value"], error=raw["error"],
-                        attempts=attempts[idx],
-                        duration_s=raw["duration_s"])
+                    results[idx] = cell_result(cells[idx], raw,
+                                               attempts[idx])
                     if on_result is not None:
                         on_result(cells[idx], results[idx])
-                    notify("cell.done", {"cell_id": cells[idx].cell_id,
-                                         "status": raw["status"],
-                                         "duration_s": raw["duration_s"],
-                                         "attempts": attempts[idx],
-                                         "cached": False})
+                    notify("cell.done", done_payload(results[idx]))
                     dispatch_idle()
             return [results[i] for i in range(len(cells))]
         except KeyboardInterrupt:
@@ -277,10 +276,7 @@ class LocalPool:
                     attempts=attempts[idx])
                 if on_result is not None:
                     on_result(cell, results[idx])
-                notify("cell.done", {"cell_id": cell.cell_id,
-                                     "status": "error", "duration_s": 0.0,
-                                     "attempts": attempts[idx],
-                                     "cached": False})
+                notify("cell.done", done_payload(results[idx]))
             if todo:
                 spawn()
 

@@ -33,19 +33,12 @@ EXEC_CHANNELS = (
 
 
 class ProgressReporter:
-    """Subscribe to a sweep's channels and narrate done/running/failed.
-
-    Pass a :class:`~repro.obs.metrics.MetricsRegistry` as ``registry``
-    to additionally publish the same lifecycle as ``exec.cells.*``
-    counters and the ``exec.cells.total`` gauge (counts only — the
-    wall-clock ETA never enters the registry).
-    """
+    """Subscribe to a sweep's channels and narrate done/running/failed."""
 
     def __init__(self, bus: HookBus, stream: Optional[TextIO] = None,
-                 registry=None, clock=None):
+                 clock=None):
         self.bus = bus
         self.stream = stream if stream is not None else sys.stderr
-        self.registry = registry
         # Injectable clock so the ETA math is testable with fake time;
         # the wall clock only ever feeds the operator display.
         # migralint: disable=DET001
@@ -79,8 +72,6 @@ class ProgressReporter:
         self.total = payload["cells"]
         # Wall clock feeds the operator-facing ETA line only.
         self._t0 = self._clock()
-        if self.registry is not None:
-            self.registry.gauge("exec.cells.total").set(self.total)
         return payload
 
     def _on_start(self, payload, **ctx):
@@ -89,8 +80,6 @@ class ProgressReporter:
 
     def _on_crash(self, payload, **ctx):
         self.crashes += 1
-        if self.registry is not None:
-            self.registry.counter("exec.cells.crashes").inc()
         if payload["will_retry"]:
             self.running -= 1       # the retry's cell.start re-counts it
             self._emit(f"worker died on {payload['cell_id']} "
@@ -104,12 +93,6 @@ class ProgressReporter:
             self.running = max(0, self.running - 1)
         if payload["status"] != "ok":
             self.failed += 1
-        if self.registry is not None:
-            self.registry.counter("exec.cells.done").inc()
-            if payload.get("cached"):
-                self.registry.counter("exec.cells.cached").inc()
-            if payload["status"] != "ok":
-                self.registry.counter("exec.cells.failed").inc()
         step = max(1, self.total // 10)
         self._emit(self._line(), force=self._live or self.failed
                    or self.done % step == 0 or self.done == self.total)

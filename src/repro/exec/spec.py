@@ -16,6 +16,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -65,19 +66,25 @@ class Cell:
     params: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
 
-    @property
+    @cached_property
+    def _params_json(self) -> str:
+        """The canonical params text every name below derives from; a
+        cell is plain data fixed at construction, so it is taken once."""
+        return _canonical(self.params)
+
+    @cached_property
     def config_hash(self) -> str:
         """Stable short hash of the cell's code + configuration."""
-        blob = f"{self.runner}\n{_canonical(dict(self.params))}"
+        blob = f"{self.runner}\n{self._params_json}"
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
-    @property
+    @cached_property
     def cell_id(self) -> str:
         """The stable ``experiment/config-hash/seed`` identity."""
         tail = "-" if self.seed is None else str(self.seed)
         return f"{self.experiment}/{self.config_hash}/{tail}"
 
-    @property
+    @cached_property
     def sort_key(self) -> Tuple:
         """Merge order: experiment, then config, then *numeric* seed."""
         return (self.experiment, self.config_hash,
@@ -86,7 +93,7 @@ class Cell:
     def cache_key(self) -> str:
         """Full-length content hash keying the on-disk result cache."""
         blob = (f"exec-cache-v1\n{self.experiment}\n{self.runner}\n"
-                f"{_canonical(dict(self.params))}\n{self.seed!r}")
+                f"{self._params_json}\n{self.seed!r}")
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

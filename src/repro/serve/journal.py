@@ -1,14 +1,17 @@
 """The append-only submission journal: what makes the service restartable.
 
 Every accepted sweep is durably recorded *before* a single cell runs,
-and marked done after its last cell — two record types on one
-append-only JSON-lines file:
+and marked done after its last cell — record types on one append-only
+JSON-lines file:
 
 ``{"type": "submit", "sweep_id": ..., "name": ..., "cells": [...]}``
     fsync'd to disk before the submit is acknowledged; the cells are in
     wire form (plain data), so the record alone can rebuild the sweep.
 ``{"type": "done", "sweep_id": ..., "ok": n, "error": m}``
     appended when the sweep's merged results are in hand.
+``{"type": "mark", "sweep_id": ...}``
+    written by rotation alone, when the records it drops held the
+    highest sweep number: it counts for numbering and nothing else.
 
 A service killed at any point therefore restarts into one of two
 states per sweep: *done* (both records present — nothing to do) or
@@ -24,17 +27,29 @@ fsync'd, and ``os.replace``'d over the journal, so a crash mid-rotation
 leaves either the old complete journal or the new complete one — never
 a torn file.  A torn *trailing* line (the kill landed mid-append) is
 tolerated on read and dropped on the next rotation.
+
+The file is read exactly once, at open — the only moment it can hold
+records this object did not write.  Every later answer (the replay
+worklist, the next sweep number, when to rotate, the stats) comes from
+state :meth:`append` keeps as it writes: the journal is a single-writer
+log, and a second view of it is a second :class:`SubmissionJournal`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 
 __all__ = ["SubmissionJournal"]
+
+
+def _number(sweep_id: Any) -> int:
+    """The numeric tail of a sweep id (``sweep-000042`` → 42), else 0."""
+    tail = str(sweep_id).rsplit("-", 1)[-1]
+    return int(tail) if tail.isdigit() else 0
 
 
 class SubmissionJournal:
@@ -46,9 +61,51 @@ class SubmissionJournal:
         #: journal as dead submit/done pairs.
         self.rotate_after = max(1, int(rotate_after))
         self.rotations = 0
+        self._pending: Dict[str, Dict[str, Any]] = {}   # in submit order
+        self._dead = 0          # submit/done pairs awaiting rotation
+        self._records = 0       # decodable records in the file
+        self._dropped = 0       # undecodable lines in the file
+        self._highest = 0       # high-water sweep number
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self._fh = open(path, "a", encoding="utf-8")
+        self._load()
+
+    def _load(self) -> None:
+        """Fold the file as found at open.
+
+        Only a *trailing* torn line is expected (a kill mid-append);
+        mid-file garbage is also skipped rather than aborting the
+        restart, because refusing to start over one bad line would turn
+        a crash the journal exists to survive into an outage.
+        """
+        line = "\n"
+        with open(self.path, encoding="utf-8") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    rec = None
+                if isinstance(rec, dict) and "sweep_id" in rec:
+                    self._fold(rec)
+                else:
+                    self._dropped += 1
+        if not line.endswith("\n"):
+            # End the torn tail, or the next append is glued to it and
+            # lost with it.
+            self._fh.write("\n")
+
+    def _fold(self, rec: Dict[str, Any]) -> None:
+        """Account for one record the file now holds."""
+        self._records += 1
+        sid = rec["sweep_id"]
+        self._highest = max(self._highest, _number(sid))
+        if rec.get("type") == "submit":
+            self._pending[sid] = rec
+        elif rec.get("type") == "done" and self._pending.pop(sid, None):
+            self._dead += 1
 
     # -- writing --------------------------------------------------------
 
@@ -60,6 +117,7 @@ class SubmissionJournal:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._fold(record)
 
     def submit(self, sweep_id: str, name: str,
                cells: List[Dict[str, Any]]) -> None:
@@ -72,74 +130,32 @@ class SubmissionJournal:
         have accumulated."""
         self.append({"type": "done", "sweep_id": sweep_id,
                      "ok": ok, "error": error})
-        if self._completed_records() >= self.rotate_after:
+        if self._dead >= self.rotate_after:
             self.rotate()
 
     # -- reading --------------------------------------------------------
 
-    def scan(self) -> Tuple[List[Dict[str, Any]], int]:
-        """All decodable records plus the count of dropped torn lines.
-
-        Only a *trailing* torn line is expected (a kill mid-append);
-        mid-file garbage is also skipped rather than aborting the
-        restart, because refusing to start over one bad line would turn
-        a crash the journal exists to survive into an outage.
-        """
-        records: List[Dict[str, Any]] = []
-        dropped = 0
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        rec = json.loads(line)
-                    except ValueError:
-                        dropped += 1
-                        continue
-                    if isinstance(rec, dict) and "sweep_id" in rec:
-                        records.append(rec)
-                    else:
-                        dropped += 1
-        except OSError:
-            return [], 0
-        return records, dropped
-
     def pending(self) -> List[Dict[str, Any]]:
         """Submit records with no matching done — the replay worklist,
         in original submission order."""
-        records, _ = self.scan()
-        finished = {r["sweep_id"] for r in records if r["type"] == "done"}
-        return [r for r in records
-                if r["type"] == "submit" and r["sweep_id"] not in finished]
+        return list(self._pending.values())
 
     def next_sweep_number(self) -> int:
-        """1 + the highest numeric sweep id on record, so ids never
-        repeat across restarts (results from two lives of the service
-        must not collide)."""
-        records, _ = self.scan()
-        highest = 0
-        for rec in records:
-            sid = str(rec.get("sweep_id", ""))
-            tail = sid.rsplit("-", 1)[-1]
-            if tail.isdigit():
-                highest = max(highest, int(tail))
-        return highest + 1
-
-    def _completed_records(self) -> int:
-        records, _ = self.scan()
-        done = {r["sweep_id"] for r in records if r["type"] == "done"}
-        return sum(1 for r in records
-                   if r["type"] == "submit" and r["sweep_id"] in done)
+        """1 + the highest numeric sweep id ever recorded — rotated-away
+        records included — so ids never repeat across restarts (results
+        from two lives of the service must not collide)."""
+        return self._highest + 1
 
     # -- rotation -------------------------------------------------------
 
     def rotate(self) -> int:
         """Compact to pending-only via write-rename; returns the number
         of records dropped (dead pairs plus torn lines)."""
-        records, dropped = self.scan()
         keep = self.pending()
+        if self._highest > max(map(_number, self._pending), default=0):
+            # The records that held the high-water mark are going.
+            keep.insert(0, {"type": "mark",
+                            "sweep_id": f"mark-{self._highest}"})
         tmp = self.path + ".rotate.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             for rec in keep:
@@ -150,12 +166,16 @@ class SubmissionJournal:
         os.replace(tmp, self.path)
         self._fh = open(self.path, "a", encoding="utf-8")
         self.rotations += 1
-        return len(records) - len(keep) + dropped
+        dropped = self._records - len(self._pending) + self._dropped
+        self._records, self._dead, self._dropped = len(keep), 0, 0
+        return dropped
 
     def stats(self) -> Dict[str, int]:
-        records, dropped = self.scan()
-        return {"records": len(records), "pending": len(self.pending()),
-                "dropped": dropped, "rotations": self.rotations}
+        """Counts of what the file holds: decodable ``records`` (a mark
+        included), ``pending`` submits, undecodable ``dropped`` lines;
+        and the ``rotations`` this object has performed."""
+        return {"records": self._records, "pending": len(self._pending),
+                "dropped": self._dropped, "rotations": self.rotations}
 
     def close(self) -> None:
         if self._fh is not None:

@@ -113,7 +113,8 @@ def cells_from_wire(raw: Sequence[Any]) -> List[Cell]:
         if not isinstance(params, dict):
             raise ProtocolError(f"cells[{i}].params must be an object")
         seed = item.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (isinstance(seed, bool)
+                                 or not isinstance(seed, int)):
             raise ProtocolError(f"cells[{i}].seed must be an integer "
                                 f"or null")
         cells.append(Cell(experiment=experiment, runner=runner,

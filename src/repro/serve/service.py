@@ -36,7 +36,8 @@ import asyncio
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ReproError
-from repro.exec import ResultCache, SweepExecutor, backend_from_spec
+from repro.exec import (ResultCache, SweepExecutor, SweepSpec,
+                        backend_from_spec)
 from repro.exec.progress import EXEC_CHANNELS
 from repro.kernel import HookBus
 from repro.obs import MetricsRegistry
@@ -49,20 +50,18 @@ __all__ = ["SweepService"]
 class _Sweep:
     """Service-side state for one accepted sweep."""
 
-    __slots__ = ("sweep_id", "name", "wire_cells", "state", "results",
+    __slots__ = ("sweep_id", "spec", "state", "results",
                  "summary", "task", "watchers", "keys")
 
-    def __init__(self, sweep_id: str, name: str,
-                 wire_cells: List[Dict[str, Any]]):
+    def __init__(self, sweep_id: str, spec: SweepSpec):
         self.sweep_id = sweep_id
-        self.name = name
-        self.wire_cells = wire_cells
+        self.spec = spec                # validated once, at registration
         self.state = "queued"           # queued | running | done | error
         self.results: Optional[List[Dict[str, Any]]] = None
         self.summary: Dict[str, Any] = {}
         self.task: Optional[asyncio.Task] = None
         self.watchers: List[asyncio.Queue] = []
-        self.keys: Set[str] = set()
+        self.keys: Set[str] = {cell.cache_key() for cell in spec.cells}
 
 
 class SweepService:
@@ -70,16 +69,14 @@ class SweepService:
 
     def __init__(self, socket_path: str, cache_root: str,
                  journal_path: str, backend: str = "serial",
-                 jobs: Optional[int] = None,
-                 registry: Optional[MetricsRegistry] = None,
-                 rotate_after: int = 256):
+                 jobs: Optional[int] = None, rotate_after: int = 256):
         self.socket_path = socket_path
         self.cache = ResultCache(cache_root)
         self.journal = SubmissionJournal(journal_path,
                                          rotate_after=rotate_after)
         self.backend_spec = backend
         self.jobs = jobs
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._sweeps: Dict[str, _Sweep] = {}
         #: cache_key -> sweep_id currently computing that cell.
         self._inflight_keys: Dict[str, str] = {}
@@ -150,9 +147,7 @@ class SweepService:
                   wire_cells: List[Dict[str, Any]],
                   journal: bool = True) -> _Sweep:
         """Validate, journal, and index a sweep (not yet running)."""
-        spec = protocol.spec_from_wire(name, wire_cells)   # validate early
-        sweep = _Sweep(sweep_id, name, wire_cells)
-        sweep.keys = {cell.cache_key() for cell in spec.cells}
+        sweep = _Sweep(sweep_id, protocol.spec_from_wire(name, wire_cells))
         if journal:
             # Durability before execution: once this returns, a crash
             # at *any* later point replays the sweep.
@@ -176,7 +171,6 @@ class SweepService:
             if other is not None and other.task is not None:
                 await asyncio.wait({other.task})
         sweep.state = "running"
-        spec = protocol.spec_from_wire(sweep.name, sweep.wire_cells)
         loop = asyncio.get_running_loop()
         hooks = HookBus()
 
@@ -192,8 +186,8 @@ class SweepService:
                             (lambda ch: lambda payload, **ctx:
                              forward(payload, channel=ch, **ctx))(channel))
         executor = SweepExecutor(
-            spec, backend=backend_from_spec(self.backend_spec, jobs=self.jobs),
-            cache=self.cache, hooks=hooks)
+            sweep.spec, cache=self.cache, hooks=hooks,
+            backend=backend_from_spec(self.backend_spec, jobs=self.jobs))
         try:
             results = await asyncio.to_thread(executor.run)
         except Exception as e:  # noqa: BLE001 - a sweep must not kill the service
@@ -318,7 +312,7 @@ class SweepService:
             sweep.watchers.append(queue)
         sweep.task = asyncio.create_task(self._run_sweep(sweep))
         await self._send(writer, {"ok": True, "sweep_id": sweep.sweep_id,
-                                  "cells": len(sweep.wire_cells),
+                                  "cells": len(sweep.spec),
                                   "state": sweep.state})
         if queue is None:
             return
@@ -347,8 +341,8 @@ class SweepService:
 
     def _op_status(self) -> Dict[str, Any]:
         return {"ok": True, "sweeps": {
-            sid: {"name": s.name, "state": s.state,
-                  "cells": len(s.wire_cells)}
+            sid: {"name": s.spec.name, "state": s.state,
+                  "cells": len(s.spec)}
             for sid, s in sorted(self._sweeps.items())}}
 
     def _op_stats(self) -> Dict[str, Any]:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.exec import Cell, CellResult, SweepSpec, resolve_runner
+from repro.exec import (Cell, CellResult, ResultCache, SweepExecutor,
+                        SweepSpec, resolve_runner)
 
 RUNNER = "tests.exec.workers:echo"
 
@@ -22,6 +23,42 @@ def test_cell_id_is_stable_and_param_sensitive():
     x = Cell(experiment="t", runner=RUNNER, params={"a": 1, "b": 2}, seed=0)
     y = Cell(experiment="t", runner=RUNNER, params={"b": 2, "a": 1}, seed=0)
     assert x.cell_id == y.cell_id
+
+
+#: Captured at the commit before a cell kept its canonical text: these
+#: strings name cache files, ``results/chaos_sweep.json`` rows and the
+#: ``perf/expected.json`` digests, so they never change.
+IDENTITY_GOLDENS = [
+    (Cell(experiment="t:echo", runner=RUNNER, seed=7,
+          params={"knob": 1, "nested": {"b": [1, 2.5, None], "a": "x"}}),
+     "82fd610db2c0", "t:echo/82fd610db2c0/7",
+     "149dd3169a4ef161d8169a36eefd96954496023364a7100f2de815e24a543257"),
+    (Cell(experiment="bench:fig9", runner="repro.bench.__main__:run_fig9"),
+     "7bc52569a8b3", "bench:fig9/7bc52569a8b3/-",
+     "92fafbc89d85e811b6d1107261ae331713f84a77688783f627d5bab8356468fc"),
+]
+
+
+@pytest.mark.parametrize("c, config_hash, cell_id, cache_key",
+                         IDENTITY_GOLDENS)
+def test_identity_strings_are_byte_stable(c, config_hash, cell_id,
+                                          cache_key):
+    for _ in range(2):            # first derivation and every later one
+        assert c.config_hash == config_hash
+        assert c.cell_id == cell_id
+        assert c.cache_key() == cache_key
+
+
+def test_param_order_does_not_matter_on_the_cached_path(tmp_path):
+    def run(params):
+        spec = SweepSpec("order", [Cell(experiment="t", runner=RUNNER,
+                                        params=params, seed=0)])
+        return SweepExecutor(spec, cache=ResultCache(str(tmp_path))).run()
+
+    (first,) = run({"a": 1, "b": {"x": 1, "y": 2}})
+    (again,) = run({"b": {"y": 2, "x": 1}, "a": 1})
+    assert (first.cached, again.cached) == (False, True)
+    assert again.cell_id == first.cell_id
 
 
 def test_cell_id_names_experiment_confighash_seed():

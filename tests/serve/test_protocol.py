@@ -50,6 +50,7 @@ def test_cell_roundtrips_through_wire_form():
     ({**WIRE, "params": [1]}, "params"),
     ({**WIRE, "seed": "three"}, "seed"),
     ({**WIRE, "bogus": 1}, "unknown fields"),
+    ({**WIRE, "seed": True}, "seed"),    # a bool is an int; a seed is not
 ])
 def test_invalid_wire_cells_name_the_field(bad, hint):
     with pytest.raises(ProtocolError) as exc:

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.exec import spec as spec_module
 from tests.serve.conftest import BOOM, SLOW, wire_cells
 
 
@@ -156,3 +157,25 @@ def test_malformed_line_gets_a_typed_error(live_service):
         assert reply["ok"] is False and "undecodable" in reply["error"]
     finally:
         sock.close()
+
+
+def test_a_served_cached_sweep_canonicalises_each_cell_once(
+        live_service, monkeypatch):
+    """Through ``_register`` + ``_run_sweep``: the sweep is parsed once
+    and the executor runs the cells registration named (8 per cell when
+    ``_run_sweep`` parsed the wire cells again and every name
+    re-serialised the params)."""
+    wire = wire_cells(150, workload="stencil", config={"drop_rate": 0.01})
+    seen = []
+    real = spec_module._canonical
+
+    def counting(params):
+        seen.append(1)
+        return real(params)
+
+    with live_service.client() as c:
+        c.submit("cold", wire)
+        monkeypatch.setattr(spec_module, "_canonical", counting)
+        warm = c.submit("warm", wire)
+    assert warm["cached"] == 150
+    assert len(seen) <= 150

@@ -9,7 +9,9 @@ scan only: nothing is imported, lazy in-function imports count.  Two
 more structural rules ride on the same scan: ``repro.vm``'s extent
 operations contain no per-page loop (``PER_PAGE_LOOPS``), and the
 point-to-point message road builds no string and consults the
-``net.send`` filter only when it is subscribed (``PER_MESSAGE``).
+``net.send`` filter only when it is subscribed (``PER_MESSAGE``); and
+the host side derives what is fixed per journal, per sweep and per cell
+in one place each (``PER_SWEEP``).
 """
 
 import ast
@@ -233,3 +235,61 @@ def test_the_per_message_scan_sees_what_it_forbids():
         "        self.hooks.filter('net.send', [])\n").body
     assert per_message_work(func) == ["f-string at line 2",
                                       ".filter( at line 10"]
+
+
+#: file -> the functions holding the one call that derives the fact the
+#: file owns.  The journal file is opened for reading by one function
+#: (at open: every later answer comes from what ``append`` folded), the
+#: service calls ``spec_from_wire`` at one site (registration; the run
+#: uses that spec), and one function calls ``_canonical`` (every name of
+#: a cell derives from its text).  Each was re-derived per request.
+PER_SWEEP = {
+    "serve/journal.py": ["_load"],
+    "serve/service.py": ["_register"],
+    "exec/spec.py": ["_params_json"],
+}
+
+
+def callee(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None)
+
+
+def opens_to_read(call):
+    """``open(...)`` with no mode, or one that can read (``r``, ``+``)."""
+    if callee(call) != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords
+                              if k.arg == "mode"]
+    return not modes or not isinstance(modes[0], ast.Constant) or bool(
+        set(modes[0].value) & set("r+"))
+
+
+def functions_calling(rel, matches):
+    """One entry per matching call: the name of the function it is in."""
+    return [fn.name for fn in ast.walk(ast.parse((SRC / rel).read_text()))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and matches(node)]
+
+
+def test_per_sweep_facts_are_derived_in_one_place_each():
+    found = {
+        "serve/journal.py": functions_calling("serve/journal.py",
+                                              opens_to_read),
+        "serve/service.py": functions_calling(
+            "serve/service.py", lambda c: callee(c) == "spec_from_wire"),
+        "exec/spec.py": functions_calling(
+            "exec/spec.py", lambda c: callee(c) == "_canonical"),
+    }
+    assert found == PER_SWEEP
+
+
+def test_the_per_sweep_scan_tells_reading_from_writing():
+    calls = [stmt.value for stmt in ast.parse(
+        "open(p)\nopen(p, 'r')\nopen(p, mode='a+')\nopen(p, mode)\n"
+        "open(p, 'a')\nopen(p, 'w', encoding='utf-8')\nos.replace(a, b)\n"
+    ).body]
+    assert [opens_to_read(c) for c in calls] == [True, True, True, True,
+                                                  False, False, False]
