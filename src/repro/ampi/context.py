@@ -20,7 +20,19 @@ from repro.ampi.request import Request
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ampi.runtime import AmpiRuntime
 
-__all__ = ["AmpiMessage", "AmpiContext"]
+__all__ = ["AmpiMessage", "AmpiContext", "AT_MIGRATE", "AT_CHECKPOINT"]
+
+# Why a rank is parked: the record a blocking operation leaves in
+# ``AmpiRuntime.parked`` before it suspends.  Plain data — a parked rank
+# can be dumped, packed and compared — in one of four shapes:
+#
+#   ("recv", source, tag)   a blocking receive of that pattern
+#   ("wait", mode, seqs)    MPI_Wait*: "all" / "any" of the posted
+#                           receives numbered ``seqs`` (``Request.seq``)
+#   AT_MIGRATE              the MPI_Migrate barrier
+#   AT_CHECKPOINT           the coordinated-checkpoint barrier
+AT_MIGRATE = ("migrate",)
+AT_CHECKPOINT = ("checkpoint",)
 
 
 @dataclass(slots=True)
@@ -111,7 +123,7 @@ class AmpiContext:
             msg = runtime._match(rank, source, tag)
             if msg is not None:
                 return msg.data
-            runtime._set_waiting(rank, source, tag)
+            runtime.parked[rank] = ("recv", source, tag)
             yield "suspend"
 
     def recv_msg(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG,
@@ -121,7 +133,7 @@ class AmpiContext:
             msg = self.runtime._match(self.rank, source, tag)
             if msg is not None:
                 return msg
-            self.runtime._set_waiting(self.rank, source, tag)
+            self.runtime.parked[self.rank] = ("recv", source, tag)
             yield "suspend"
 
     # -- non-blocking operations ------------------------------------------
@@ -149,15 +161,18 @@ class AmpiContext:
     def wait(self, req: Request) -> Generator[Any, Any, Any]:
         """MPI_Wait: suspend until the request completes; returns its data."""
         while not req.done:
-            self.runtime._set_wait_pred(self.rank, lambda: req.done)
+            self._park_on("all", [req])
             yield "suspend"
         return req.data
+
+    def _park_on(self, mode: str, reqs: List[Request]) -> None:
+        self.runtime.parked[self.rank] = (
+            "wait", mode, tuple(r.seq for r in reqs if not r.done))
 
     def waitall(self, reqs: List[Request]) -> Generator[Any, Any, List[Any]]:
         """MPI_Waitall: suspend until every request completes."""
         while not all(r.done for r in reqs):
-            self.runtime._set_wait_pred(
-                self.rank, lambda: all(r.done for r in reqs))
+            self._park_on("all", reqs)
             yield "suspend"
         return [r.data for r in reqs]
 
@@ -167,8 +182,7 @@ class AmpiContext:
         if not reqs:
             raise AmpiError("waitany over no requests")
         while not any(r.done for r in reqs):
-            self.runtime._set_wait_pred(
-                self.rank, lambda: any(r.done for r in reqs))
+            self._park_on("any", reqs)
             yield "suspend"
         for i, r in enumerate(reqs):
             if r.done:
@@ -267,7 +281,7 @@ class AmpiContext:
         failure, :meth:`AmpiRuntime.recover_rank` rebuilds lost ranks from
         these images.
         """
-        self.runtime._at_checkpoint_point(self.rank)
+        self.runtime.parked[self.rank] = AT_CHECKPOINT
         yield "suspend"
 
     def migrate(self) -> Generator[Any, Any, None]:
@@ -278,5 +292,5 @@ class AmpiContext:
         ranks accordingly — "transparent thread migration without having
         to change any of the benchmark code" (Section 4.5).
         """
-        self.runtime._at_migrate_point(self.rank)
+        self.runtime.parked[self.rank] = AT_MIGRATE
         yield "suspend"

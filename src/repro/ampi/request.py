@@ -22,7 +22,7 @@ __all__ = ["Request"]
 class Request:
     """Handle for one outstanding non-blocking operation."""
 
-    __slots__ = ("kind", "rank", "source", "tag", "done", "_msg")
+    __slots__ = ("kind", "rank", "source", "tag", "done", "_msg", "seq")
 
     def __init__(self, kind: str, rank: int, source: int = -1,
                  tag: Any = -1):
@@ -32,6 +32,9 @@ class Request:
         self.tag = tag
         self.done = kind == "send"  # eager sends complete at once
         self._msg: Optional["AmpiMessage"] = None
+        #: A pending receive's number in its runtime's post order: how a
+        #: park record names the requests a rank waits on.
+        self.seq: Optional[int] = None
 
     def _complete(self, msg: Optional["AmpiMessage"]) -> None:
         self._msg = msg

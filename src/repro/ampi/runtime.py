@@ -6,7 +6,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import AmpiError, CheckpointError, MigrationAborted
-from repro.ampi.context import AmpiContext, AmpiMessage
+from repro.ampi.context import (AT_CHECKPOINT, AT_MIGRATE, AmpiContext,
+                                AmpiMessage)
 from repro.ampi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.balance.instrument import LBDatabase
 from repro.balance.manager import LBManager, RebalanceReport
@@ -102,14 +103,14 @@ class AmpiRuntime:
         self.rank_ctx: List[AmpiContext] = []
         self._queues: List[Deque[AmpiMessage]] = [deque()
                                                   for _ in range(num_ranks)]
-        self._waiting: Dict[int, Tuple[int, Any]] = {}
+        #: The park table: rank -> why it is suspended, one plain-data
+        #: record (see :mod:`repro.ampi.context`) written by the rank's
+        #: blocking operation and deleted by whatever wakes it.
+        self.parked: Dict[int, tuple] = {}
         #: Posted (not yet matched) irecv requests, per rank, in post order.
         self._posted: List[List] = [[] for _ in range(num_ranks)]
-        #: Generalized wait predicates for request-based waits, per rank.
-        self._wait_pred: Dict[int, Any] = {}
+        self._posts = 0
         self._finished = 0
-        self._at_migrate: set[int] = set()
-        self._at_checkpoint: set[int] = set()
         #: rank -> key of its most recent coordinated checkpoint.
         self.last_checkpoint: Dict[int, str] = {}
         #: Hook called after a coordinated checkpoint is written, before
@@ -209,9 +210,10 @@ class AmpiRuntime:
                     self._wake_if_satisfied(dst)
                     return
         self._queues[dst].append(msg)
-        waiting = self._waiting.get(dst)
-        if waiting is not None and msg.matches(*waiting):
-            del self._waiting[dst]
+        why = self.parked.get(dst)
+        if (why is not None and why[0] == "recv"
+                and msg.matches(why[1], why[2])):
+            del self.parked[dst]
             self._wake(dst)
 
     def _wake(self, rank: int) -> None:
@@ -227,17 +229,21 @@ class AmpiRuntime:
         if msg is not None:
             req._complete(msg)
         else:
+            req.seq = self._posts
+            self._posts += 1
             self._posted[req.rank].append(req)
 
-    def _set_wait_pred(self, rank: int, pred) -> None:
-        """Suspend-side of MPI_Wait*: resume when ``pred()`` turns true."""
-        self._wait_pred[rank] = pred
-
     def _wake_if_satisfied(self, rank: int) -> None:
-        pred = self._wait_pred.get(rank)
-        if pred is not None and pred():
-            del self._wait_pred[rank]
-            self._wake(rank)
+        """A posted receive of ``rank`` just completed: resume the rank if
+        it is parked in an MPI_Wait* that this satisfies."""
+        why = self.parked.get(rank)
+        if why is not None and why[0] == "wait":
+            _, mode, seqs = why
+            pending = {req.seq for req in self._posted[rank]}
+            if (pending.isdisjoint(seqs) if mode == "all"
+                    else not pending.issuperset(seqs)):
+                del self.parked[rank]
+                self._wake(rank)
 
     def _match(self, rank: int, source: int, tag: Any,
                ) -> Optional[AmpiMessage]:
@@ -260,26 +266,30 @@ class AmpiRuntime:
     def _peek(self, rank: int, source: int, tag: Any) -> bool:
         return any(m.matches(source, tag) for m in self._queues[rank])
 
-    def _set_waiting(self, rank: int, source: int, tag: Any) -> None:
-        self._waiting[rank] = (source, tag)
-
     # ------------------------------------------------------------------
     # MPI_Migrate / load balancing
     # ------------------------------------------------------------------
 
-    def _at_migrate_point(self, rank: int) -> None:
-        self._at_migrate.add(rank)
+    def _release_barrier(self, barrier: tuple, action) -> bool:
+        """Collect-and-release, the one shape of both AMPI barriers: once
+        every live rank is parked at ``barrier``, run ``action(ranks)``
+        and resume them.  Returns whether that happened."""
+        ranks = sorted([rank for rank, why in self.parked.items()
+                        if why == barrier])
+        if not ranks or len(ranks) != self.num_ranks - self._finished:
+            return False
+        for rank in ranks:
+            del self.parked[rank]
+        action(ranks)
+        for rank in ranks:
+            self._wake(rank)
+        return True
 
-    def _at_checkpoint_point(self, rank: int) -> None:
-        self._at_checkpoint.add(rank)
-
-    def _run_checkpoint(self) -> None:
+    def _run_checkpoint(self, ranks: List[int]) -> None:
         """Coordinated checkpoint: every live rank is suspended at the
-        barrier; write all images to the simulated disk, fire the hook,
-        then resume everyone (reference [42]'s blocking coordinated
+        barrier; write all images to the simulated disk and fire the hook
+        before they resume (reference [42]'s blocking coordinated
         protocol)."""
-        ranks = sorted(self._at_checkpoint)
-        self._at_checkpoint.clear()
         for rank in ranks:
             key = (f"ampi-r{rank}-"
                    f"e{self.checkpointer.checkpoints_taken}")
@@ -294,8 +304,6 @@ class AmpiRuntime:
                     self.rank_thread[rank], key=key)
         if self.on_checkpoint is not None:
             self.on_checkpoint()
-        for rank in ranks:
-            self._wake(rank)
 
     def recover_rank(self, rank: int, dst_pe: int) -> None:
         """Rebuild a failed rank from its last coordinated checkpoint.
@@ -321,9 +329,7 @@ class AmpiRuntime:
         if rank is not None and self.db.tracks(rank):
             self.db.moved(rank, thread.scheduler.processor.id)
 
-    def _run_rebalance(self) -> None:
-        ranks = sorted(self._at_migrate)
-        self._at_migrate.clear()
+    def _run_rebalance(self, ranks: List[int]) -> None:
         self._lb_moves.clear()
         for pe, proc in enumerate(self.cluster.processors):
             self.db.set_pe_speed(pe, max(1e-6, 1.0 - proc.background_load))
@@ -349,8 +355,6 @@ class AmpiRuntime:
         finally:
             self.rebalance_in_progress = False
         self.reports.append(report)
-        for rank in ranks:
-            self._wake(rank)
 
     # ------------------------------------------------------------------
     # execution
@@ -414,13 +418,9 @@ class AmpiRuntime:
                         net_budget -= processed
                     if processed:
                         progressed = True
-            if (self._at_migrate
-                    and len(self._at_migrate) == self.num_ranks - self._finished):
-                self._run_rebalance()
+            if self._release_barrier(AT_MIGRATE, self._run_rebalance):
                 progressed = True
-            if (self._at_checkpoint
-                    and len(self._at_checkpoint) == self.num_ranks - self._finished):
-                self._run_checkpoint()
+            if self._release_barrier(AT_CHECKPOINT, self._run_checkpoint):
                 progressed = True
             if not progressed:
                 if bounded:
@@ -429,20 +429,33 @@ class AmpiRuntime:
         raise AmpiError(f"run() exceeded {max_rounds} scheduling rounds")
 
     def _raise_deadlock(self) -> None:
+        """Raise the deadlock report, derived from the park table alone.
+
+        The error's ``parked`` is a copy of the whole table.  Its text is
+        pinned — a deadlocked chaos cell's fingerprint digests it, and
+        ``perf/expected.json`` digests that — so it keeps the grouping it
+        has always had (receive waits, request waits, the MPI_Migrate
+        barrier) and its silence about the checkpoint barrier.
+        """
         lines = []
-        for rank, (source, tag) in sorted(self._waiting.items()):
-            src = "ANY" if source == ANY_SOURCE else source
-            tg = "ANY" if tag == ANY_TAG else tag
-            lines.append(f"rank {rank} waiting for recv(source={src}, "
-                         f"tag={tg})")
-        for rank in sorted(self._wait_pred):
-            pending = [f"{r}" for r in self._posted[rank]]
-            lines.append(f"rank {rank} waiting on requests "
-                         f"(posted: {pending or 'completed-pred pending'})")
-        for rank in sorted(self._at_migrate):
-            lines.append(f"rank {rank} at MPI_Migrate barrier")
-        raise AmpiError("AMPI deadlock: no runnable rank and no message in "
-                        "flight\n" + "\n".join(lines))
+        for kind in ("recv", "wait", "migrate"):
+            for rank, why in sorted(self.parked.items()):
+                if why[0] != kind:
+                    continue
+                if kind == "recv":
+                    src = "ANY" if why[1] == ANY_SOURCE else why[1]
+                    tg = "ANY" if why[2] == ANY_TAG else why[2]
+                    lines.append(f"rank {rank} waiting for recv(source="
+                                 f"{src}, tag={tg})")
+                elif kind == "wait":
+                    lines.append(f"rank {rank} waiting on requests ({why[1]} "
+                                 f"of posted receives {list(why[2])})")
+                else:
+                    lines.append(f"rank {rank} at MPI_Migrate barrier")
+        error = AmpiError("AMPI deadlock: no runnable rank and no message in "
+                          "flight\n" + "\n".join(lines))
+        error.parked = dict(self.parked)
+        raise error
 
     # -- reporting ----------------------------------------------------------
 

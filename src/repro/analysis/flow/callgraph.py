@@ -187,12 +187,12 @@ class CallGraph:
         return graph
 
     @classmethod
-    def from_context(cls, ctx, interface=None) -> "CallGraph":
+    def from_context(cls, ctx) -> "CallGraph":
         """Single-module graph for a rule, cached on the ModuleContext."""
         cached = getattr(ctx, "_flow_callgraph", None)
         if cached is not None:
             return cached
-        graph = cls(interface=interface)
+        graph = cls()
         graph.add_module(ctx.path, ctx.tree)
         graph.finalize()
         ctx._flow_callgraph = graph

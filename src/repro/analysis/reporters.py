@@ -18,15 +18,11 @@ __all__ = ["render_human", "render_json", "JSON_VERSION"]
 JSON_VERSION = 1
 
 
-def _visible(findings: Sequence[Finding], show_suppressed: bool):
-    return [f for f in findings if show_suppressed or not f.suppressed]
-
-
 def render_human(findings: Sequence[Finding],
                  show_suppressed: bool = False) -> str:
     """Compiler-style ``path:line: RULE severity: message`` lines + summary."""
-    shown = _visible(findings, show_suppressed)
-    lines: List[str] = [f.render() for f in shown]
+    lines: List[str] = [f.render() for f in findings
+                        if show_suppressed or not f.suppressed]
     active = sum(1 for f in findings if not f.suppressed)
     suppressed = len(findings) - active
     if active == 0:
@@ -39,10 +35,8 @@ def render_human(findings: Sequence[Finding],
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding],
-                show_suppressed: bool = True) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Stable JSON document (sorted keys, suppressed findings included)."""
-    shown = _visible(findings, show_suppressed)
     doc = {
         "version": JSON_VERSION,
         "findings": [
@@ -54,7 +48,7 @@ def render_json(findings: Sequence[Finding],
                 "message": f.message,
                 "suppressed": f.suppressed,
             }
-            for f in shown
+            for f in findings
         ],
         "summary": {
             "total": len(findings),

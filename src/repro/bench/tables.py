@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
+                               StackCopyStacks)
 from repro.flows.scale import mechanism_limit_cell
 from repro.sim import get_platform
 
@@ -27,22 +29,17 @@ TABLE1_COLUMNS: List[Tuple[str, str]] = [
 def table1_rows() -> List[List[str]]:
     """Table 1: portability of the three migratable-thread techniques.
 
-    Every cell is *derived* from the platform's feature flags (mmap
-    availability, stack-base fixity, QuickThreads port, microkernel remap
-    extension) — see :class:`repro.sim.platform.PlatformProfile`.
+    Every cell is the stack manager's own ``support(profile)`` — the
+    verdict its constructor acts on — *derived* from the platform's
+    feature flags (mmap availability, stack-base fixity, QuickThreads
+    port, microkernel remap extension).
     """
-    techniques = [
-        ("Stack Copy", "stack_copy_support"),
-        ("Isomalloc", "isomalloc_support"),
-        ("Memory Alias", "memory_alias_support"),
-    ]
-    rows = []
-    for label, method in techniques:
-        row = [label]
-        for _, pname in TABLE1_COLUMNS:
-            row.append(getattr(get_platform(pname), method)())
-        rows.append(row)
-    return rows
+    techniques = [("Stack Copy", StackCopyStacks),
+                  ("Isomalloc", IsomallocStacks),
+                  ("Memory Alias", MemoryAliasStacks)]
+    return [[label] + [manager.support(get_platform(pname))
+                       for _, pname in TABLE1_COLUMNS]
+            for label, manager in techniques]
 
 
 #: Paper Table 2 column order: (display name, platform profile).
@@ -73,7 +70,7 @@ _MECHS = {
 }
 
 
-def table2_rows(chunk: int = 256) -> List[List[str]]:
+def table2_rows() -> List[List[str]]:
     """Table 2: practical flow-count limits, measured by live probing.
 
     Each cell creates flows on a fresh simulated processor until the OS
@@ -86,7 +83,7 @@ def table2_rows(chunk: int = 256) -> List[List[str]]:
         for _, pname in TABLE2_COLUMNS:
             probe = mechanism_limit_cell(
                 {"mechanism": key, "platform": pname,
-                 "cap": TABLE2_PROBE_CAPS[key][pname], "chunk": chunk}, None)
+                 "cap": TABLE2_PROBE_CAPS[key][pname], "chunk": 256}, None)
             if key == "process" and probe["hit_limit"]:
                 # The probing program is itself a process; the paper
                 # reports the kernel's total, so count it back in.

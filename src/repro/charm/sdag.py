@@ -93,7 +93,6 @@ class SdagDriver:
         self._collected: Dict[int, List[Any]] = {}
         self.finished = False
         self.on_finish = on_finish
-        self.messages_buffered = 0
 
     # -- message intake -----------------------------------------------------
 
@@ -111,7 +110,6 @@ class SdagDriver:
         if self.finished:
             raise SdagError(f"message {name!r} delivered to finished driver")
         self.buffers.setdefault(name, deque()).append(payload)
-        self.messages_buffered += 1
         self._try_advance()
 
     # -- FSM ---------------------------------------------------------------

@@ -326,6 +326,14 @@ class IsomallocSlot:
             "heap_contents": self.heap.heap_bytes(),
         }
 
+    @staticmethod
+    def image_bytes(image: dict) -> int:
+        """Simulated wire size of a :meth:`pack` image: stack, resident
+        heap, and the allocator metadata (a 64-byte header plus 16 bytes
+        per free-list entry)."""
+        return (len(image["stack_contents"]) + len(image["heap_contents"])
+                + 16 * len(image["heap_state"]["free"]) + 64)
+
     def evacuate(self) -> None:
         """Unmap everything locally after packing (migrate-out).
 

@@ -17,7 +17,7 @@ internal pointers) genuinely moves and is genuinely verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.errors import MigrationAborted, MigrationError
@@ -39,7 +39,8 @@ class ThreadImage:
     fields: dict                   # ThreadMigrator.pack(thread)
     thread_obj: UThread            # in-process handle (see module docstring)
     wire_bytes: int                # simulated size actually shipped
-    stats: dict = field(default_factory=dict)
+    was_suspended: bool = False    # a suspended thread stays suspended
+    bounced: bool = False          # refused once by its destination
 
 
 class ThreadMigrator:
@@ -165,8 +166,8 @@ class ThreadMigrator:
         image = ThreadImage(
             fields=fields,
             thread_obj=thread,
-            wire_bytes=self._image_bytes(fields["stack"]),
-            stats={"was_suspended": thread.state is ThreadState.SUSPENDED},
+            wire_bytes=src_sched.stack_manager.image_bytes(fields["stack"]),
+            was_suspended=thread.state is ThreadState.SUSPENDED,
         )
         self.depart(thread)
         thread.state = ThreadState.MIGRATING
@@ -184,14 +185,14 @@ class ThreadMigrator:
         image: ThreadImage = msg.payload
         # An already-bounced image is never offered to the
         # "migration.delivery" channel again (one bounce per migration).
-        if (not image.stats.get("bounced")
+        if (not image.bounced
                 and self.cluster.queue.hooks.decide(
                     "migration.delivery", image=image, msg=msg) == "bounce"):
             # Mid-flight abort: the destination refuses the image (crash
             # during migration).  Nothing was unpacked there, so the full
             # image simply ships back and the thread is rebuilt at home —
             # the abort-and-retry protocol's in-flight half.
-            image.stats["bounced"] = True
+            image.bounced = True
             self.migrations_bounced += 1
             self.cluster.send(msg.dst, msg.src, image,
                               size_bytes=image.wire_bytes, tag=_TAG)
@@ -201,11 +202,9 @@ class ThreadMigrator:
         # Unpacking pays the mirror-image memory copy.
         dst_sched.processor.charge(
             dst_sched.profile.mem.memcpy_cost(image.wire_bytes))
-        # A suspended thread stays suspended after migration.
         self.rebuild(thread, image.fields, msg.dst,
-                     suspended=image.stats["was_suspended"])
-        returned = bool(image.stats.get("bounced"))
-        if returned:
+                     suspended=image.was_suspended)
+        if image.bounced:
             # A bounce-home rebuild is not a completed migration: the
             # thread is back on its source processor, having moved
             # nowhere.  Counting it as completed (and bumping
@@ -223,23 +222,9 @@ class ThreadMigrator:
                 "name": image.fields["name"], "src": msg.src,
                 "dst": msg.dst,
                 "t": msg.send_time, "bytes": image.wire_bytes,
-                "returned": returned})
+                "returned": image.bounced})
         if self.on_arrival is not None:
             self.on_arrival(thread)
-
-    @staticmethod
-    def _image_bytes(stack_image: dict) -> int:
-        """Simulated wire size of a packed stack/slot image."""
-        total = 256  # envelope and metadata
-        contents = stack_image.get("contents")
-        if contents is not None:
-            total += len(contents)
-        slot = stack_image.get("slot")
-        if slot is not None:
-            total += len(slot["stack_contents"])
-            total += len(slot["heap_contents"])
-            total += 16 * len(slot["heap_state"]["free"]) + 64
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<ThreadMigrator {self.migrations_completed}/"

@@ -179,10 +179,6 @@ class BasePupper:
         """A signed 64-bit integer field."""
         return self._prim("<q", v)
 
-    def uint(self, v: int = 0) -> int:
-        """An unsigned 64-bit integer field."""
-        return self._prim("<Q", v)
-
     def double(self, v: float = 0.0) -> float:
         """A 64-bit float field."""
         return self._prim("<d", v)

@@ -117,7 +117,6 @@ class CthScheduler:
                                        + self._main_stack.length)
         # -- statistics ------------------------------------------------------
         self.context_switches = 0
-        self.threads_created = 0
         self.threads_finished = 0
 
     # ------------------------------------------------------------------
@@ -162,7 +161,6 @@ class CthScheduler:
         thread.state = ThreadState.READY
         self._enqueue(thread)
         self.threads[thread.tid] = thread
-        self.threads_created += 1
         return thread
 
     def _enqueue(self, thread: UThread) -> None:

@@ -33,8 +33,8 @@ and the Figure 9 benchmark treat techniques uniformly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.errors import MigrationError, ThreadError
 from repro.core.isomalloc import IsomallocArena, IsomallocSlot
@@ -44,6 +44,10 @@ from repro.vm.physical import Frame
 
 __all__ = ["StackRecord", "StackManager", "StackCopyStacks",
            "IsomallocStacks", "MemoryAliasStacks", "make_stack_manager"]
+
+#: Envelope and metadata every thread image pays on the wire.
+_ENVELOPE_BYTES = 256
+
 
 
 @dataclass
@@ -55,7 +59,6 @@ class StackRecord:
     Figure 9 experiment) and is what stack copying pays to move.
     """
 
-    tid: int
     base: int
     size: int
     used_bytes: int
@@ -70,7 +73,6 @@ class StackRecord:
     backing: Optional[Mapping] = None            # stack copy: backing store
     slot: Optional[IsomallocSlot] = None         # isomalloc: the whole slot
     frames: Optional[List[Frame]] = None         # aliasing: private frames
-    resident: bool = True
 
     @property
     def top(self) -> int:
@@ -104,15 +106,25 @@ class StackManager(ABC):
     #: (isomalloc yes; the single-address techniques no — the paper's
     #: SMP limitation of stack copying and aliasing).
     concurrent_active: bool = False
+    #: What :meth:`support` asks of the platform, for the refusal message.
+    needs: str = "?"
 
     def __init__(self, space: AddressSpace, profile: PlatformProfile,
                  stack_bytes: int):
+        if self.support(profile) == "No":
+            raise ThreadError(
+                f"{profile.name}: {self.technique} threads need "
+                f"{self.needs} (Table 1: 'No' on this machine)")
         self.space = space
         self.profile = profile
         self.stack_bytes = space.layout.page_align_up(stack_bytes)
-        self.switch_in_count = 0
-        self.switch_out_count = 0
-        self._next_tid = 0
+
+    @staticmethod
+    @abstractmethod
+    def support(profile: PlatformProfile) -> str:
+        """This technique's Table 1 cell on ``profile``: "Yes", "Maybe"
+        (the mechanism exists but we have not run it there) or "No".
+        The constructor refuses exactly the "No" machines."""
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -141,6 +153,10 @@ class StackManager(ABC):
         """Produce a migration image for the stack (and slot, if owned)."""
 
     @abstractmethod
+    def image_bytes(self, image: dict) -> int:
+        """Simulated wire size of an image :meth:`pack` produced."""
+
+    @abstractmethod
     def unpack(self, image: dict) -> StackRecord:
         """Rebuild a migrated stack on *this* manager's processor."""
 
@@ -149,10 +165,6 @@ class StackManager(ABC):
         """Release local resources after :meth:`pack` (migrate-out)."""
 
     # -- shared helpers --------------------------------------------------------
-
-    def _tid(self) -> int:
-        self._next_tid += 1
-        return self._next_tid
 
     def _image(self, rec: StackRecord, **body) -> dict:
         """A migration image: the fields every technique ships, plus the
@@ -166,19 +178,8 @@ class StackManager(ABC):
             raise MigrationError(
                 f"stack image is {image['technique']}, not {self.technique}")
 
-    def _rebuild(self, image: dict) -> StackRecord:
-        """A fresh local stack carrying ``image``'s bookkeeping (the
-        single-address techniques, whose stacks are all one size)."""
-        self._check_image(image)
-        if image["size"] != self.stack_bytes:
-            raise MigrationError("stack size mismatch across processors")
-        rec = self.create_stack()
-        rec.used_bytes = image["used_bytes"]
-        rec.extra_live = image.get("extra_live", 0)
-        return rec
-
     def stack_read(self, rec: StackRecord, offset: int, length: int) -> bytes:
-        """Read the *active or resident* stack contents of a thread."""
+        """Read a thread's stack, ``offset`` bytes from its base."""
         return self.space.read(rec.base + offset, length)
 
     def stack_write(self, rec: StackRecord, offset: int, payload: bytes) -> None:
@@ -186,51 +187,133 @@ class StackManager(ABC):
         self.space.write(rec.base + offset, payload)
 
 
-class StackCopyStacks(StackManager):
+class SingleAddressStacks(StackManager):
+    """What stack copying and memory aliasing share (§3.4.1, §3.4.3).
+
+    Every thread executes from a common stack address, so its stack bytes
+    are in one of two places: under the common mapping while it is the
+    active thread, in its private home otherwise.  A technique says only
+    where that home is (:meth:`_home`) and what a switch moves between the
+    two; reading, writing, packing, unpacking and evacuating a stack are
+    the same for both.  ``commons`` and ``active`` are indexed by address
+    class: one entry, except under k-slot aliasing.
+    """
+
+    #: Whether an image of a thread with no register image on its stack
+    #: says so (``"extra_live": 0``) or omits the key.
+    ships_zero_extra_live = True
+
+    def __init__(self, space: AddressSpace, profile: PlatformProfile,
+                 stack_bytes: int, tag: str,
+                 addrs: Optional[Sequence[int]] = None):
+        super().__init__(space, profile, stack_bytes)
+        if addrs is None:
+            # Deterministic, so every processor sharing the layout derives
+            # the same common execution address.
+            addrs = [space.layout.regions["stack"].start]
+        self.commons = [space.mmap(self.stack_bytes, addr=addr, tag=tag)
+                        for addr in addrs]
+        self.active: List[Optional[StackRecord]] = [None] * len(self.commons)
+
+    @abstractmethod
+    def _create(self, slot: int) -> StackRecord:
+        """A new stack executing from ``commons[slot]``."""
+
+    @abstractmethod
+    def _home(self, rec: StackRecord, offset: int, length: int,
+              payload: Optional[bytes] = None) -> bytes:
+        """Read ``length`` bytes of an *inactive* thread's stack from where
+        the technique keeps them — or, given ``payload``, write it there."""
+
+    def create_stack(self) -> StackRecord:
+        return self._create(0)
+
+    def stack_read(self, rec: StackRecord, offset: int, length: int) -> bytes:
+        """Read a thread's stack wherever it currently lives."""
+        if self.active[rec.address_class] is rec:
+            return self.space.read(rec.base + offset, length)
+        return self._home(rec, offset, length)
+
+    def stack_write(self, rec: StackRecord, offset: int, payload: bytes) -> None:
+        """Write a thread's stack wherever it currently lives."""
+        if self.active[rec.address_class] is rec:
+            self.space.write(rec.base + offset, payload)
+        else:
+            self._home(rec, offset, len(payload), payload)
+
+    def pack(self, rec: StackRecord) -> dict:
+        if self.active[rec.address_class] is rec:
+            raise MigrationError(
+                f"cannot migrate the active {self.technique} thread")
+        image = self._image(rec, contents=self._home(rec, 0, rec.size))
+        if not (rec.extra_live or self.ships_zero_extra_live):
+            del image["extra_live"]
+        return image
+
+    def image_bytes(self, image: dict) -> int:
+        return _ENVELOPE_BYTES + len(image["contents"])
+
+    def unpack(self, image: dict) -> StackRecord:
+        return self._rebuild(image, 0)
+
+    def _rebuild(self, image: dict, slot: int) -> StackRecord:
+        """A fresh local stack in address class ``slot`` carrying ``image``
+        (refused before anything is allocated)."""
+        self._check_image(image)
+        if image["size"] != self.stack_bytes:
+            raise MigrationError("stack size mismatch across processors")
+        rec = self._create(slot)
+        rec.used_bytes = image["used_bytes"]
+        rec.extra_live = image.get("extra_live", 0)
+        self._home(rec, 0, len(image["contents"]), image["contents"])
+        return rec
+
+    def evacuate(self, rec: StackRecord) -> None:
+        self.destroy_stack(rec)
+
+
+class StackCopyStacks(SingleAddressStacks):
     """Naive migratable threads: one stack address, copy in and out (§3.4.1).
 
     All threads on all processors execute from one system-wide stack
     address, so migration is just shipping the saved copy.  The technique
     requires the platform to place that common address identically on every
-    node — impossible under stack-address randomization, which is why the
-    constructor checks ``profile.fixed_stack_base``.
+    node — impossible under stack-address randomization, which is what
+    :meth:`support` checks (``profile.fixed_stack_base``).
     """
 
     technique = "stack_copy"
-    concurrent_active = False
+    needs = ("a fixed system stack base (stack-smashing protection "
+             "randomizes it)")
 
     def __init__(self, space: AddressSpace, profile: PlatformProfile,
                  stack_bytes: int = 64 * 1024):
-        super().__init__(space, profile, stack_bytes)
-        if not profile.fixed_stack_base:
-            raise ThreadError(
-                f"{profile.name}: stack-copy threads need a fixed system "
-                f"stack base (stack-smashing protection randomizes it)")
-        # The common execution address: deterministic, so every processor
-        # sharing the layout derives the same one.
-        stack_region = space.layout.regions["stack"]
-        self.common = space.mmap(self.stack_bytes, addr=stack_region.start,
-                                 tag="common-stack")
-        self.active: Optional[StackRecord] = None
+        super().__init__(space, profile, stack_bytes, "common-stack")
 
-    def create_stack(self) -> StackRecord:
+    @staticmethod
+    def support(profile: PlatformProfile) -> str:
+        if not profile.fixed_stack_base:
+            return "No"
+        return "Yes" if profile.quickthreads_port else "Maybe"
+
+    def _create(self, slot: int) -> StackRecord:
         backing = self.space.mmap(self.stack_bytes, region="heap",
                                   tag="stackcopy-backing")
-        return StackRecord(tid=self._tid(), base=self.common.start,
+        return StackRecord(base=self.commons[slot].start,
                            size=self.stack_bytes, used_bytes=0,
                            backing=backing)
 
     def destroy_stack(self, rec: StackRecord) -> None:
-        if self.active is rec:
-            self.active = None
+        if self.active[0] is rec:
+            self.active[0] = None
         if rec.backing is not None:
             self.space.munmap(rec.backing)
             rec.backing = None
 
     def switch_in(self, rec: StackRecord) -> float:
-        if self.active is rec:
+        if self.active[0] is rec:
             return 0.0
-        if self.active is not None:
+        if self.active[0] is not None:
             raise ThreadError("stack-copy: another thread is still active "
                               "(only one can run per address space)")
         assert rec.backing is not None
@@ -240,86 +323,76 @@ class StackCopyStacks(StackManager):
             # Live stack data sits at the top of the stack.
             off = self.stack_bytes - live
             data = self.space.read(rec.backing.start + off, live)
-            self.space.write(self.common.start + off, data)
+            self.space.write(rec.base + off, data)
             self.space.bytes_copied += live
             cost += self.profile.mem.memcpy_cost(live)
-        self.active = rec
-        self.switch_in_count += 1
+        self.active[0] = rec
         return cost
 
     def switch_out(self, rec: StackRecord) -> float:
-        if self.active is not rec:
+        if self.active[0] is not rec:
             raise ThreadError("stack-copy: switching out a non-active thread")
         assert rec.backing is not None
         cost = 0.0
         live = rec.live_bytes
         if live:
             off = self.stack_bytes - live
-            data = self.space.read(self.common.start + off, live)
+            data = self.space.read(rec.base + off, live)
             self.space.write(rec.backing.start + off, data)
             self.space.bytes_copied += live
             cost += self.profile.mem.memcpy_cost(live)
-        self.active = None
-        self.switch_out_count += 1
+        self.active[0] = None
         return cost
 
-    def stack_read(self, rec: StackRecord, offset: int, length: int) -> bytes:
-        """Read a thread's stack — from the common address if active,
-        otherwise from its backing store."""
-        if self.active is rec:
-            return self.space.read(self.common.start + offset, length)
+    def _home(self, rec: StackRecord, offset: int, length: int,
+              payload: Optional[bytes] = None) -> bytes:
+        """An inactive thread's stack is in its backing mapping."""
         assert rec.backing is not None
-        return self.space.read(rec.backing.start + offset, length)
-
-    def stack_write(self, rec: StackRecord, offset: int, payload: bytes) -> None:
-        """Write a thread's stack wherever it currently lives."""
-        if self.active is rec:
-            self.space.write(self.common.start + offset, payload)
-        else:
-            assert rec.backing is not None
-            self.space.write(rec.backing.start + offset, payload)
-
-    def pack(self, rec: StackRecord) -> dict:
-        if self.active is rec:
-            raise MigrationError("cannot migrate the active stack-copy thread")
-        assert rec.backing is not None
-        return self._image(
-            rec, contents=self.space.read(rec.backing.start, rec.size))
-
-    def unpack(self, image: dict) -> StackRecord:
-        rec = self._rebuild(image)
-        assert rec.backing is not None
-        self.space.write(rec.backing.start, image["contents"])
-        return rec
-
-    def evacuate(self, rec: StackRecord) -> None:
-        self.destroy_stack(rec)
+        if payload is None:
+            return self.space.read(rec.backing.start + offset, length)
+        self.space.write(rec.backing.start + offset, payload)
+        return b""
 
 
 class IsomallocStacks(StackManager):
-    """Isomalloc threads: globally unique stack and heap addresses (§3.4.2)."""
+    """Isomalloc threads: globally unique stack and heap addresses (§3.4.2).
+
+    A thread's bytes are always at its own addresses, so the base class's
+    direct ``stack_read``/``stack_write`` serve active and inactive threads
+    alike, and its image is the whole slot — stack, heap and allocator
+    metadata — which is why this is the one technique with its own
+    ``pack``/``unpack``/``evacuate``.
+    """
 
     technique = "isomalloc"
     concurrent_active = True
+    needs = "mmap or an equivalent mapping call"
 
     def __init__(self, space: AddressSpace, profile: PlatformProfile,
                  arena: IsomallocArena, pe: int,
                  stack_bytes: int = 64 * 1024):
         super().__init__(space, profile, stack_bytes)
-        if not profile.has_mmap:
-            raise ThreadError(
-                f"{profile.name}: isomalloc needs mmap (Table 1: 'No' on "
-                f"this machine)")
         self.arena = arena
         self.pe = pe
+        #: Address classes handed out: every thread is its own.
+        self._threads = 0
+
+    @staticmethod
+    def support(profile: PlatformProfile) -> str:
+        if not (profile.has_mmap or profile.mmap_equivalent):
+            return "No"
+        return ("Yes" if profile.has_mmap and profile.isomalloc_impl
+                else "Maybe")
+
+    def _record(self, slot: IsomallocSlot, **fields) -> StackRecord:
+        self._threads += 1
+        return StackRecord(base=slot.stack_base, slot=slot,
+                           address_class=self._threads, **fields)
 
     def create_stack(self) -> StackRecord:
         slot = IsomallocSlot(self.arena, self.space, self.pe,
                              self.stack_bytes)
-        tid = self._tid()
-        return StackRecord(tid=tid, base=slot.stack_base,
-                           size=self.stack_bytes, used_bytes=0, slot=slot,
-                           address_class=tid)
+        return self._record(slot, size=self.stack_bytes, used_bytes=0)
 
     def destroy_stack(self, rec: StackRecord) -> None:
         if rec.slot is not None:
@@ -328,27 +401,25 @@ class IsomallocStacks(StackManager):
 
     def switch_in(self, rec: StackRecord) -> float:
         # Nothing moves: the thread's addresses are exclusively its own.
-        self.switch_in_count += 1
         return 0.0
 
     def switch_out(self, rec: StackRecord) -> float:
-        self.switch_out_count += 1
         return 0.0
 
     def pack(self, rec: StackRecord) -> dict:
         assert rec.slot is not None
         return self._image(rec, slot=rec.slot.pack())
 
+    def image_bytes(self, image: dict) -> int:
+        return _ENVELOPE_BYTES + IsomallocSlot.image_bytes(image["slot"])
+
     def unpack(self, image: dict) -> StackRecord:
         self._check_image(image)
         slot = IsomallocSlot.adopt(self.arena, self.space, self.pe,
                                    image["slot"])
-        tid = self._tid()
-        return StackRecord(tid=tid, base=slot.stack_base,
-                           size=image["size"],
-                           used_bytes=image["used_bytes"],
-                           extra_live=image["extra_live"], slot=slot,
-                           address_class=tid)
+        return self._record(slot, size=image["size"],
+                            used_bytes=image["used_bytes"],
+                            extra_live=image["extra_live"])
 
     def evacuate(self, rec: StackRecord) -> None:
         assert rec.slot is not None
@@ -356,7 +427,7 @@ class IsomallocStacks(StackManager):
         rec.slot = None
 
 
-class MemoryAliasStacks(StackManager):
+class MemoryAliasStacks(SingleAddressStacks):
     """Memory-aliasing stacks: remap instead of copy (§3.4.3, Figure 3).
 
     Each thread's stack data lives in its own physical frames.  All threads
@@ -367,130 +438,92 @@ class MemoryAliasStacks(StackManager):
     """
 
     technique = "memory_alias"
-    concurrent_active = False
+    needs = "mmap, an mmap equivalent, or a microkernel remap extension"
+    # Aliased images have never carried a zero register-image size, and a
+    # checkpoint's simulated disk time is its blob length: shipping the
+    # zero would move every pinned memory_alias makespan.
+    ships_zero_extra_live = False
 
     def __init__(self, space: AddressSpace, profile: PlatformProfile,
                  stack_bytes: int = 64 * 1024,
-                 base_addr: Optional[int] = None):
-        super().__init__(space, profile, stack_bytes)
-        if not (profile.has_mmap or profile.mmap_equivalent
-                or profile.microkernel_remap_extension):
-            raise ThreadError(
-                f"{profile.name}: memory aliasing needs mmap, an mmap "
-                f"equivalent, or a microkernel remap extension")
-        stack_region = space.layout.regions["stack"]
-        if base_addr is None:
-            base_addr = stack_region.start
-        self.common = space.mmap(self.stack_bytes, addr=base_addr,
-                                 tag="alias-stack")
-        # The common mapping's own initial frames back "no thread"; they are
-        # parked here when a real thread's frames are mapped in.
-        self._parked: Optional[List[Frame]] = None
-        self.active: Optional[StackRecord] = None
+                 addrs: Optional[Sequence[int]] = None):
+        super().__init__(space, profile, stack_bytes, "alias-stack", addrs)
+        # Each common mapping's own initial frames back "no thread"; they
+        # are parked here while a real thread's frames are mapped in.
+        self._parked: List[Optional[List[Frame]]] = [None] * len(self.commons)
         self.npages = self.stack_bytes // space.layout.page_size
 
-    def create_stack(self) -> StackRecord:
+    @staticmethod
+    def support(profile: PlatformProfile) -> str:
+        if profile.has_mmap and profile.memalias_impl:
+            return "Yes"
+        if (profile.has_mmap or profile.mmap_equivalent
+                or profile.microkernel_remap_extension):
+            return "Maybe"
+        return "No"
+
+    def _create(self, slot: int) -> StackRecord:
         frames = self.space.physical.allocate_frames(self.npages)
-        return StackRecord(tid=self._tid(), base=self.common.start,
+        return StackRecord(base=self.commons[slot].start,
                            size=self.stack_bytes, used_bytes=0,
-                           frames=frames)
+                           address_class=slot, frames=frames)
 
     def destroy_stack(self, rec: StackRecord) -> None:
-        if self.active is rec:
+        if self.active[rec.address_class] is rec:
             self._switch_out_frames(rec)
         if rec.frames is not None:
             self.space.physical.free_frames(rec.frames)
             rec.frames = None
 
     def switch_in(self, rec: StackRecord) -> float:
-        if self.active is rec:
+        slot = rec.address_class
+        if self.active[slot] is rec:
             return 0.0
-        if self.active is not None:
+        if self.active[slot] is not None:
             raise ThreadError("memory-alias: another thread is still active")
         assert rec.frames is not None
-        displaced = self.space.remap_frames(self.common, rec.frames)
-        if self._parked is None:
-            self._parked = displaced
+        self._parked[slot] = self.space.remap_frames(self.commons[slot],
+                                                     rec.frames)
         rec.frames = None           # frames are now under the common mapping
-        self.active = rec
-        self.switch_in_count += 1
+        self.active[slot] = rec
         return self.profile.mem.remap_cost(self.npages)
 
     def switch_out(self, rec: StackRecord) -> float:
-        if self.active is not rec:
+        if self.active[rec.address_class] is not rec:
             raise ThreadError("memory-alias: switching out a non-active thread")
         self._switch_out_frames(rec)
-        self.switch_out_count += 1
         # The switch-out remap is folded into the next switch-in (one mmap
         # call swaps both), so only a bookkeeping cost is charged here.
         return 0.0
 
     def _switch_out_frames(self, rec: StackRecord) -> None:
-        assert self._parked is not None
-        rec.frames = self.space.remap_frames(self.common, self._parked)
-        self._parked = None
-        self.active = None
+        slot = rec.address_class
+        assert self._parked[slot] is not None
+        rec.frames = self.space.remap_frames(self.commons[slot],
+                                             self._parked[slot])
+        self._parked[slot] = None
+        self.active[slot] = None
 
-    def stack_read(self, rec: StackRecord, offset: int, length: int) -> bytes:
-        """Read a thread's stack — via the common mapping if active,
-        directly from its private frames otherwise."""
-        if self.active is rec:
-            return self.space.read(self.common.start + offset, length)
+    def _home(self, rec: StackRecord, offset: int, length: int,
+              payload: Optional[bytes] = None) -> bytes:
+        """An inactive thread's stack is in its private frames, mapped
+        nowhere: the one walk over them, whole image or a few bytes."""
         assert rec.frames is not None
-        return self._frames_rw(rec.frames, offset, length, None)
-
-    def stack_write(self, rec: StackRecord, offset: int, payload: bytes) -> None:
-        """Write a thread's stack wherever its frames currently are."""
-        if self.active is rec:
-            self.space.write(self.common.start + offset, payload)
-        else:
-            assert rec.frames is not None
-            self._frames_rw(rec.frames, offset, len(payload), payload)
-
-    def _frames_rw(self, frames: List[Frame], offset: int, length: int,
-                   payload: Optional[bytes]) -> bytes:
         page = self.space.layout.page_size
+        view = None if payload is None else memoryview(payload)
         out = bytearray()
-        cursor = offset
-        remaining = length
-        written = 0
-        while remaining > 0:
-            idx, off = divmod(cursor, page)
-            chunk = min(remaining, page - off)
-            if payload is None:
-                out += frames[idx].read(off, chunk)
+        done = 0
+        while done < length:
+            index = (offset + done) // page
+            start = offset + done - index * page
+            chunk = min(length - done, page - start)
+            if view is None:
+                out += rec.frames[index].read(start, chunk)
             else:
-                frames[idx].write(off, payload[written:written + chunk])
-            cursor += chunk
-            remaining -= chunk
-            written += chunk
+                rec.frames[index].data[start:start + chunk] = (
+                    view[done:done + chunk])
+            done += chunk
         return bytes(out)
-
-    def pack(self, rec: StackRecord) -> dict:
-        if self.active is rec:
-            raise MigrationError("cannot migrate the active aliased thread")
-        assert rec.frames is not None
-        page = self.space.layout.page_size
-        image = self._image(
-            rec, contents=b"".join(f.read(0, page) for f in rec.frames))
-        if not rec.extra_live:
-            # Aliased images have never carried a zero register-image
-            # size, and a checkpoint's simulated disk time is its blob
-            # length: shipping the zero would move every pinned
-            # memory_alias makespan.
-            del image["extra_live"]
-        return image
-
-    def unpack(self, image: dict) -> StackRecord:
-        rec = self._rebuild(image)
-        page = self.space.layout.page_size
-        assert rec.frames is not None
-        for i, frame in enumerate(rec.frames):
-            frame.write(0, image["contents"][i * page:(i + 1) * page])
-        return rec
-
-    def evacuate(self, rec: StackRecord) -> None:
-        self.destroy_stack(rec)
 
 
 def make_stack_manager(technique: str, space: AddressSpace,

@@ -17,101 +17,55 @@ interpolation.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.errors import MigrationError, ThreadError
-from repro.core.stacks import MemoryAliasStacks, StackManager, StackRecord
+from repro.core.stacks import MemoryAliasStacks, StackRecord
 from repro.sim.platform import PlatformProfile
 from repro.vm.addrspace import AddressSpace
 
 __all__ = ["MultiSlotAliasStacks"]
 
 
-class MultiSlotAliasStacks(StackManager):
-    """Memory aliasing with ``slots`` independent common stack addresses."""
+class MultiSlotAliasStacks(MemoryAliasStacks):
+    """Memory aliasing with ``slots`` independent common stack addresses.
+
+    Everything but the choice of slot is :class:`MemoryAliasStacks`': a
+    thread's slot is its ``address_class``, picked round-robin at creation
+    and carried in its image.
+    """
 
     technique = "memory_alias_k"
     concurrent_active = True     # up to ``slots`` threads at once
 
     def __init__(self, space: AddressSpace, profile: PlatformProfile,
                  stack_bytes: int = 64 * 1024, slots: int = 2):
-        super().__init__(space, profile, stack_bytes)
         if slots <= 0:
             raise ThreadError("need at least one alias slot")
         stack_region = space.layout.regions["stack"]
-        stride = self.stack_bytes + space.layout.page_size  # guard gap
+        stack_bytes = space.layout.page_align_up(stack_bytes)
+        stride = stack_bytes + space.layout.page_size  # guard gap
         if slots * stride > stack_region.size:
             raise ThreadError(
-                f"{slots} alias slots of {self.stack_bytes} bytes do not "
+                f"{slots} alias slots of {stack_bytes} bytes do not "
                 f"fit the stack region")
-        self.slots: List[MemoryAliasStacks] = [
-            MemoryAliasStacks(space, profile, stack_bytes,
-                              base_addr=stack_region.start + i * stride)
-            for i in range(slots)
-        ]
+        super().__init__(space, profile, stack_bytes,
+                         [stack_region.start + i * stride
+                          for i in range(slots)])
         self._next_slot = 0
-
-    @property
-    def num_slots(self) -> int:
-        """Number of concurrently-active address classes."""
-        return len(self.slots)
-
-    def _slot_of(self, rec: StackRecord) -> MemoryAliasStacks:
-        return self.slots[rec.address_class]
-
-    # -- lifecycle ------------------------------------------------------------
 
     def create_stack(self) -> StackRecord:
         index = self._next_slot
-        self._next_slot = (self._next_slot + 1) % len(self.slots)
-        rec = self.slots[index].create_stack()
-        rec.address_class = index
-        return rec
-
-    def destroy_stack(self, rec: StackRecord) -> None:
-        self._slot_of(rec).destroy_stack(rec)
-
-    # -- switching ------------------------------------------------------------
-
-    def switch_in(self, rec: StackRecord) -> float:
-        cost = self._slot_of(rec).switch_in(rec)
-        self.switch_in_count += 1
-        return cost
-
-    def switch_out(self, rec: StackRecord) -> float:
-        cost = self._slot_of(rec).switch_out(rec)
-        self.switch_out_count += 1
-        return cost
-
-    def stack_read(self, rec: StackRecord, offset: int, length: int) -> bytes:
-        return self._slot_of(rec).stack_read(rec, offset, length)
-
-    def stack_write(self, rec: StackRecord, offset: int,
-                    payload: bytes) -> None:
-        self._slot_of(rec).stack_write(rec, offset, payload)
-
-    # -- migration ------------------------------------------------------------
+        self._next_slot = (index + 1) % len(self.commons)
+        return self._create(index)
 
     def pack(self, rec: StackRecord) -> dict:
-        image = self._slot_of(rec).pack(rec)
-        image["technique"] = self.technique
+        image = super().pack(rec)
         image["slot_index"] = rec.address_class
         return image
 
     def unpack(self, image: dict) -> StackRecord:
-        if image.get("technique") != self.technique:
+        index = image.get("slot_index", 0)
+        if index >= len(self.commons):
             raise MigrationError(
-                f"stack image is {image.get('technique')!r}, "
-                f"not {self.technique}")
-        index = image["slot_index"]
-        if index >= len(self.slots):
-            raise MigrationError(
-                f"destination has only {len(self.slots)} alias slots; "
+                f"destination has only {len(self.commons)} alias slots; "
                 f"thread is pinned to slot {index}")
-        inner = dict(image, technique="memory_alias")
-        rec = self.slots[index].unpack(inner)
-        rec.address_class = index
-        return rec
-
-    def evacuate(self, rec: StackRecord) -> None:
-        self._slot_of(rec).evacuate(rec)
+        return self._rebuild(image, index)

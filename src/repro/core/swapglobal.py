@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import MigrationError, ThreadError
+from repro.errors import ThreadError
 from repro.vm.addrspace import AddressSpace, Mapping
 
 __all__ = ["GlobalVar", "GlobalRegistry", "GlobalOffsetTable"]
@@ -164,14 +164,6 @@ class GlobalRegistry:
         self.swap_count += 1
         return self.got_bytes
 
-    def rebind(self, space: AddressSpace) -> None:
-        """Point the registry at another address space after migration.
-
-        The GOT and master storage are at fixed data-region addresses that
-        exist in every process image, so only the space handle changes.
-        """
-        self.space = space
-
 
 class GlobalOffsetTable:
     """One thread's private GOT image plus private global storage.
@@ -216,10 +208,3 @@ class GlobalOffsetTable:
         "The thread scheduler then swaps the GOT when switching threads."
         """
         return self.registry.install_image(self.image)
-
-    def validate_resident(self) -> None:
-        """Check every private storage address is resident (post-migration)."""
-        for addr in self.storage_addrs:
-            if not self.registry.space.is_resident(addr):
-                raise MigrationError(
-                    f"private global storage at {addr:#x} not resident")

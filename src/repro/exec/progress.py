@@ -47,7 +47,6 @@ class ProgressReporter:
         self.done = 0
         self.failed = 0
         self.running = 0
-        self.crashes = 0
         self._t0: Optional[float] = None     # set by exec.sweep.begin
         self._live = self.stream.isatty() if hasattr(
             self.stream, "isatty") else False
@@ -79,7 +78,6 @@ class ProgressReporter:
         return payload
 
     def _on_crash(self, payload, **ctx):
-        self.crashes += 1
         if payload["will_retry"]:
             self.running -= 1       # the retry's cell.start re-counts it
             self._emit(f"worker died on {payload['cell_id']} "

@@ -28,13 +28,13 @@ class QuiescenceCounter:
         self.created = 0
         self.processed = 0
 
-    def note_created(self, n: int = 1) -> None:
-        """Count ``n`` messages entering flight."""
-        self.created += n
+    def note_created(self) -> None:
+        """Count one message entering flight."""
+        self.created += 1
 
-    def note_processed(self, n: int = 1) -> None:
-        """Count ``n`` messages leaving flight."""
-        self.processed += n
+    def note_processed(self) -> None:
+        """Count one message leaving flight."""
+        self.processed += 1
 
     @property
     def balanced(self) -> bool:

@@ -299,8 +299,8 @@ def _ampi_state(spec: RunSpec, rt, at: Dict[str, Any],
         }
     in_flight = [_event_record(ev, with_message=True)
                  for ev in rt.cluster.queue.live_events()]
-    waiting = {str(r): _jsonable(list(wt))
-               for r, wt in sorted(rt._waiting.items())}
+    waiting = {str(r): _jsonable(list(why[1:]))
+               for r, why in sorted(rt.parked.items()) if why[0] == "recv"}
     state: Dict[str, Any] = {
         "kind": "chaos",
         "runspec": spec.canonical(),

@@ -8,7 +8,9 @@ Each :class:`PlatformProfile` bundles:
   Windows-style mapping equivalent exists, whether the system stack base is
   fixed across nodes, whether our QuickThreads-based stack-copy
   implementation was ported, whether a microkernel extension could support
-  remapping (the Blue Gene/L case, Section 3.4.4);
+  remapping (the Blue Gene/L case, Section 3.4.4).  Each stack manager in
+  :mod:`repro.core.stacks` turns them into its own verdict
+  (``support(profile)``), which its constructor acts on;
 * **scheduling cost constants** driving the Figures 4–8 context-switch
   curves.  Kernel mechanisms pay syscall entry/exit plus a run-queue term
   (linear in the number of runnable flows, the pre-O(1)-scheduler
@@ -96,28 +98,6 @@ class PlatformProfile:
     def with_overrides(self, **kwargs) -> "PlatformProfile":
         """Return a copy with some fields replaced (scenario building)."""
         return replace(self, **kwargs)
-
-    # -- Table 1 derivation --------------------------------------------------
-
-    def stack_copy_support(self) -> str:
-        """Portability verdict for stack-copying threads on this platform."""
-        if not self.fixed_stack_base:
-            return "No"
-        return "Yes" if self.quickthreads_port else "Maybe"
-
-    def isomalloc_support(self) -> str:
-        """Portability verdict for isomalloc threads on this platform."""
-        if not (self.has_mmap or self.mmap_equivalent):
-            return "No"
-        return "Yes" if (self.has_mmap and self.isomalloc_impl) else "Maybe"
-
-    def memory_alias_support(self) -> str:
-        """Portability verdict for memory-aliasing stacks on this platform."""
-        if self.has_mmap and self.memalias_impl:
-            return "Yes"
-        if self.has_mmap or self.mmap_equivalent or self.microkernel_remap_extension:
-            return "Maybe"
-        return "No"
 
 
 def _mem(bw: float, syscall: float, fixed: float, per_page: float,

@@ -508,10 +508,6 @@ class AddressSpace:
         """Free virtual address space remaining in ``region``."""
         return self._region_free(region).free_bytes()
 
-    def region_largest_free(self, region: str) -> int:
-        """Largest contiguous free range in ``region``."""
-        return self._region_free(region).largest_free()
-
     def _region_free(self, region: str) -> _FreeList:
         free = self._free.get(region)
         if free is None:

@@ -41,8 +41,6 @@ class MemoryCostModel:
         size in Figure 9.
     tlb_flush_ns:
         Cost of the TLB shootdown a remap or address-space switch implies.
-    page_fault_ns:
-        Cost of servicing one soft page fault.
     page_zero_ns:
         Cost of zeroing a fresh page at allocation.
     """
@@ -52,7 +50,6 @@ class MemoryCostModel:
     mmap_fixed_ns: float = 600.0
     per_page_map_ns: float = 55.0
     tlb_flush_ns: float = 500.0
-    page_fault_ns: float = 2_000.0
     page_zero_ns: float = 800.0
 
     def memcpy_cost(self, nbytes: int) -> float:
@@ -69,10 +66,6 @@ class MemoryCostModel:
         A remap is a mapping call plus the TLB flush the aliasing requires.
         """
         return self.mmap_cost(npages) + self.tlb_flush_ns
-
-    def fault_cost(self, nfaults: int) -> float:
-        """Virtual ns for ``nfaults`` soft page faults."""
-        return nfaults * self.page_fault_ns
 
     def allocation_cost(self, npages: int) -> float:
         """Virtual ns to allocate and zero ``npages`` fresh pages."""

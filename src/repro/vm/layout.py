@@ -88,11 +88,6 @@ class AddressSpaceLayout:
 
     # -- address helpers ----------------------------------------------------
 
-    @property
-    def address_limit(self) -> int:
-        """Total size of the virtual address space."""
-        return 1 << self.word_bits
-
     def page_of(self, address: int) -> int:
         """Virtual page number containing ``address``."""
         return address // self.page_size

@@ -221,6 +221,21 @@ def test_pack_wrong_technique_rejected():
 
 
 @pytest.mark.parametrize("technique", ["stack_copy", "memory_alias"])
+def test_refused_unpack_leaves_no_half_built_stack(technique):
+    """Technique and size are checked before anything is allocated."""
+    other = "memory_alias" if technique == "stack_copy" else "stack_copy"
+    src, _ = make_manager(other)
+    image = src.pack(src.create_stack())
+    dst, sp = make_manager(technique)
+    wrong_size = dict(dst.pack(dst.create_stack()), size=2 * STACK)
+    before = (len(sp.mappings()), sp.physical.frames_in_use)
+    for refused in (image, wrong_size):
+        with pytest.raises(MigrationError):
+            dst.unpack(refused)
+    assert (len(sp.mappings()), sp.physical.frames_in_use) == before
+
+
+@pytest.mark.parametrize("technique", ["stack_copy", "memory_alias"])
 def test_cannot_migrate_active_thread(technique):
     mgr, _ = make_manager(technique)
     rec = mgr.create_stack()

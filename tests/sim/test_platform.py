@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.sim import PLATFORMS, get_platform
+from repro.core.isomalloc import IsomallocArena
+from repro.core.stacks import (IsomallocStacks, MemoryAliasStacks,
+                               StackCopyStacks)
+from repro.errors import ThreadError
+from repro.sim import PLATFORMS, Processor, get_platform
 
 
 def test_all_expected_platforms_registered():
@@ -35,7 +39,8 @@ def test_with_overrides():
     assert fast.name == base.name
 
 
-# -- Table 1: the portability matrix must be derivable from feature flags --
+# -- Table 1: the portability matrix must be derivable from feature flags,
+# -- by the stack managers themselves (their constructors act on it) -------
 
 TABLE1_EXPECTED = {
     # platform      (stack copy, isomalloc, memory alias)
@@ -54,8 +59,32 @@ TABLE1_EXPECTED = {
 @pytest.mark.parametrize("name,expected", TABLE1_EXPECTED.items())
 def test_table1_portability_derivation(name, expected):
     p = get_platform(name)
-    assert (p.stack_copy_support(), p.isomalloc_support(),
-            p.memory_alias_support()) == expected
+    assert (StackCopyStacks.support(p), IsomallocStacks.support(p),
+            MemoryAliasStacks.support(p)) == expected
+
+
+def _construct(manager, profile):
+    proc = Processor(0, profile)
+    if manager is IsomallocStacks:
+        return manager(proc.space, profile,
+                       IsomallocArena(profile.layout(), 1), 0)
+    return manager(proc.space, profile)
+
+
+@pytest.mark.parametrize("name", TABLE1_EXPECTED)
+@pytest.mark.parametrize("column,manager", enumerate(
+    [StackCopyStacks, IsomallocStacks, MemoryAliasStacks]))
+def test_a_technique_constructs_iff_its_table1_cell_is_not_no(
+        name, column, manager):
+    """One statement per technique: the table's cell and the constructor's
+    refusal cannot disagree (isomalloc on Windows once did — "Maybe" in
+    the table, refused as "Table 1: 'No'" by the constructor)."""
+    profile = get_platform(name)
+    if TABLE1_EXPECTED[name][column] == "No":
+        with pytest.raises(ThreadError, match="Table 1: 'No'"):
+            _construct(manager, profile)
+    else:
+        assert _construct(manager, profile).create_stack().size > 0
 
 
 def test_quirk_flags():

@@ -11,7 +11,10 @@ operations contain no per-page loop (``PER_PAGE_LOOPS``), and the
 point-to-point message road builds no string and consults the
 ``net.send`` filter only when it is subscribed (``PER_MESSAGE``); and
 the host side derives what is fixed per journal, per sweep and per cell
-in one place each (``PER_SWEEP``).
+in one place each (``PER_SWEEP``); a migratable thread's facts — where
+its stack bytes are, what its image weighs, why its rank is parked — have
+one owner each (``PER_THREAD``); and nothing stored on ``self`` goes
+unread (``WRITE_ONLY_ALLOWED``).
 """
 
 import ast
@@ -293,3 +296,196 @@ def test_the_per_sweep_scan_tells_reading_from_writing():
     ).body]
     assert [opens_to_read(c) for c in calls] == [True, True, True, True,
                                                   False, False, False]
+
+
+#: What one migratable thread's facts may cost in definitions.  Across
+#: the two stack modules, ``evacuate``/``stack_read``/``stack_write``
+#: have a single-address body and a direct-address (isomalloc) body,
+#: ``pack``/``unpack`` a third for the k-slot tag (each technique once
+#: had its own of all five); ``MemoryAliasStacks`` walks private frames
+#: in one loop (it had three); the migrator reads no key of a stack
+#: image; and a parked rank is one record in one table, written by the
+#: blocking operation itself.
+PER_THREAD = {
+    "definitions": {"evacuate": 2, "stack_read": 2, "stack_write": 2,
+                    "pack": 3, "unpack": 3},
+    "frame_loops": 1,
+    "image_keys": {"contents", "slot", "heap_state", "stack_contents",
+                   "heap_contents"},
+    "park_containers": {"_waiting", "_wait_pred", "_at_migrate",
+                        "_at_checkpoint"},
+}
+
+FRAME_METHODS = {"read", "write", "zero", "copy_from"}
+
+
+def concrete_definitions(trees, names):
+    """``{name: count}`` of non-abstract method definitions."""
+    def abstract(fn):
+        return any(getattr(d, "id", getattr(d, "attr", None))
+                   == "abstractmethod" for d in fn.decorator_list)
+    found = dict.fromkeys(names, 0)
+    for tree in trees:
+        for fn in ast.walk(tree):
+            if (isinstance(fn, ast.FunctionDef) and fn.name in found
+                    and not abstract(fn)):
+                found[fn.name] += 1
+    return found
+
+
+def frame_loops(cls):
+    """Loops (statement or comprehension) in ``cls`` whose body calls a
+    ``Frame`` method."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    return sum(
+        any(isinstance(n, ast.Call) and callee(n) in FRAME_METHODS
+            and isinstance(n.func, ast.Attribute) for n in ast.walk(loop))
+        for loop in ast.walk(cls) if isinstance(loop, loops))
+
+
+def subscripted_keys(tree):
+    """String constants used as a subscript anywhere in ``tree``."""
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def names_mentioned(tree):
+    """Every identifier and attribute name in ``tree``."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def runtime_calls(tree):
+    """Names of the methods called on ``….runtime`` / ``runtime``."""
+    def is_runtime(node):
+        return (getattr(node, "attr", None) == "runtime"
+                or getattr(node, "id", None) == "runtime")
+    return {n.func.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and is_runtime(n.func.value)}
+
+
+def is_park_setter(name):
+    return name.startswith("_set_") or (name.startswith("_at_")
+                                        and name.endswith("_point"))
+
+
+def _stack_modules():
+    return [ast.parse((SRC / "core" / name).read_text())
+            for name in ("stacks.py", "stacks_ext.py")]
+
+
+def test_stack_bytes_are_located_by_one_body_per_addressing():
+    found = concrete_definitions(_stack_modules(), PER_THREAD["definitions"])
+    over = {name: n for name, n in found.items()
+            if n > PER_THREAD["definitions"][name]}
+    assert not over, f"definitions over budget: {over}"
+
+
+def test_private_frames_are_walked_by_one_loop():
+    (alias,) = (node for node in _stack_modules()[0].body
+                if isinstance(node, ast.ClassDef)
+                and node.name == "MemoryAliasStacks")
+    assert frame_loops(alias) <= PER_THREAD["frame_loops"]
+
+
+def test_the_migrator_reads_no_key_of_a_stack_image():
+    migration = ast.parse((SRC / "core" / "migration.py").read_text())
+    assert not subscripted_keys(migration) & PER_THREAD["image_keys"]
+
+
+def test_a_parked_rank_is_one_record_written_by_its_blocking_operation():
+    for path in sorted((SRC / "ampi").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not names_mentioned(tree) & PER_THREAD["park_containers"], path
+    context = ast.parse((SRC / "ampi" / "context.py").read_text())
+    assert not {name for name in runtime_calls(context)
+                if is_park_setter(name)}
+
+
+def test_the_per_thread_scans_see_what_they_forbid():
+    tree = ast.parse(
+        "class MemoryAliasStacks(Base):\n"
+        "    @abstractmethod\n"
+        "    def pack(self, rec): ...\n"
+        "    def unpack(self, image):\n"
+        "        for i, frame in enumerate(rec.frames):\n"
+        "            frame.write(0, image['contents'][i])\n"
+        "        return b''.join(f.read(0, page) for f in rec.frames)\n"
+        "    def evacuate(self, rec):\n"
+        "        while self._waiting:\n"
+        "            self.runtime._set_waiting(1)\n"
+        "            runtime._at_migrate_point(2)\n"
+        "            runtime._match(3)\n")
+    assert concrete_definitions([tree, tree], ["pack", "unpack", "evacuate"]) \
+        == {"pack": 0, "unpack": 2, "evacuate": 2}
+    assert frame_loops(tree.body[0]) == 2
+    assert subscripted_keys(tree) == {"contents"}
+    assert "_waiting" in names_mentioned(tree)
+    assert sorted(filter(is_park_setter, runtime_calls(tree))) == [
+        "_at_migrate_point", "_set_waiting"]
+    assert not is_park_setter("_match")
+
+
+#: attribute -> why it may be stored on ``self`` and never loaded.
+#: Anything else a method assigns to ``self`` somewhere in ``src/repro``
+#: must be read somewhere — product, tests, tools, examples, perf or
+#: benchmarks — or it is bookkeeping nobody asked for (ten counter writes
+#: per context switch were exactly that).
+WRITE_ONLY_ALLOWED = {
+    "evacuations_skipped": "fault-path tally: threads a partial evacuation "
+                           "had to leave behind (Checkpointer.evacuate)",
+    "address": "SegmentationFault/PageFault/ProtectionFault payload: an "
+               "error's fields are its public data for handlers",
+    "operation": "ProtectionFault payload, as above",
+}
+
+READERS = ("src", "tests", "tools", "examples", "perf", "benchmarks")
+
+
+def stored_on_self(tree):
+    """Names ``X`` of every ``self.X = …`` / ``self.X += …`` in ``tree``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def loaded_names(tree):
+    """Attribute names read in ``tree``: ``x.name`` in a load context, or
+    ``getattr(x, "name", …)``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Call) and callee(node) == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)):
+            found.add(node.args[1].value)
+    return found
+
+
+def test_nothing_stored_on_self_goes_unread():
+    root = SRC.parent.parent
+    stored = set()
+    for path in SRC.rglob("*.py"):
+        stored |= stored_on_self(ast.parse(path.read_text()))
+    loaded = set()
+    for name in READERS:
+        for path in (root / name).rglob("*.py"):
+            loaded |= loaded_names(ast.parse(path.read_text()))
+    assert stored - loaded == set(WRITE_ONLY_ALLOWED)
+
+
+def test_the_write_only_scan_tells_a_store_from_a_load():
+    tree = ast.parse(
+        "class C:\n"
+        "    def f(self, other):\n"
+        "        self.count += 1\n"
+        "        self.seen = other.peer = self.total\n"
+        "        return getattr(self, 'lazy', 0)\n")
+    assert stored_on_self(tree) == {"count", "seen"}
+    assert loaded_names(tree) == {"total", "lazy"}
