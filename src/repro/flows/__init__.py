@@ -15,8 +15,7 @@ context-switch cost to the processor clock (Figures 4–8):
 """
 
 from repro.flows.base import FlowHandle, FlowMechanism, YieldBenchmarkResult
-from repro.flows.runtime import (FlowMessage, FlowProgram, FlowWorld,
-                                 WorkloadRun)
+from repro.flows.runtime import FlowProgram, FlowWorld, WorkloadRun
 from repro.flows.compile import CompiledFlow, FlowCompileError, compile_flow
 from repro.flows.process import ProcessFlow
 from repro.flows.kthread import KernelThreadFlow
@@ -30,7 +29,6 @@ __all__ = [
     "FlowHandle",
     "FlowMechanism",
     "YieldBenchmarkResult",
-    "FlowMessage",
     "FlowProgram",
     "FlowWorld",
     "WorkloadRun",

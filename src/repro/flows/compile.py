@@ -34,7 +34,15 @@ Pipeline
    runtime interface (``mpi.recv`` / ``mpi.barrier``) maps onto the
    ``op_*`` continuation primitives of
    :class:`~repro.flows.runtime.FlowContext`.
-4. **Codegen** — the states are emitted as Python source
+4. **Fusion** — a ``return (S, _f)`` goto costs a trampoline bounce, so
+   the lowered states are fused to one per straight-line run
+   (:meth:`_FunctionLowering.fuse`): a goto to a lone
+   ``return mpi.op_*(...)`` becomes that call, a state only one goto
+   names is inlined there, unreached states are dropped.  What stays a
+   boundary is what must be nameable: a ``cont``/``retry`` target, a
+   join, a loop header, a helper's entry.  CPC keeps its translation
+   cheap the same way — straight-line code is not split per statement.
+5. **Codegen** — the states are emitted as Python source
    (:data:`CompiledFlow.source`), compiled, and executed in a namespace
    seeded with the original function's globals and closure values.
 
@@ -49,6 +57,7 @@ compiled.
 from __future__ import annotations
 
 import ast
+import collections
 import functools
 import inspect
 import os
@@ -69,6 +78,9 @@ __all__ = ["FlowCompileError", "CompiledFlow", "compile_flow",
 #: Runtime-interface delegations the compiler lowers onto continuation
 #: primitives (method name -> FlowContext op).
 _PRIMITIVES = {"recv": "op_recv", "barrier": "op_barrier"}
+
+#: What a lowered ``for`` header's ``next(it, _END)`` reads at loop exit.
+_END = object()
 
 
 class FlowCompileError(ReproError):
@@ -95,7 +107,7 @@ class CompiledFlow:
     entry: Callable[..., Any]
     #: Frame record class for the outermost function.
     frame_factory: Callable[[], Any]
-    #: Number of generated state functions (all functions inlined).
+    #: State functions left after fusion, delegated helpers' included.
     n_states: int
     #: Suspend points of the outermost body (== ``suspend_points``' count).
     suspend_points: int
@@ -598,17 +610,21 @@ class _FunctionLowering:
         body_entry = self.lower_block(list(st.body), header)
         it_attr = ast.Attribute(value=ast.Name(id="_f", ctx=ast.Load()),
                                 attr=it_field, ctx=ast.Load())
-        # header: advance the explicit iterator or leave the loop.
+        # header: advance the explicit iterator or leave the loop.  No
+        # ``try:`` here — the fusion pass inlines the loop body and the
+        # exit path into this state, and neither may land where a
+        # ``StopIteration`` of its own would read as loop exit.
         self._emit(header, [
-            ast.Try(
-                body=[ast.Assign(
-                    targets=[self.rewrite(st.target)],
-                    value=ast.Call(func=self._load("next"),
-                                   args=[it_attr], keywords=[]))],
-                handlers=[ast.ExceptHandler(
-                    type=self._load("StopIteration"), name=None,
-                    body=[self._goto(exit_)])],
-                orelse=[], finalbody=[]),
+            ast.Assign(
+                targets=[ast.Name(id="_n", ctx=ast.Store())],
+                value=ast.Call(func=self._load("next"),
+                               args=[it_attr, self._load("_END")],
+                               keywords=[])),
+            ast.If(test=ast.Compare(left=self._load("_n"), ops=[ast.Is()],
+                                    comparators=[self._load("_END")]),
+                   body=[self._goto(exit_)], orelse=[]),
+            ast.Assign(targets=[self.rewrite(st.target)],
+                       value=self._load("_n")),
             self._goto(body_entry)])
         setup = [ast.Assign(
             targets=[ast.Attribute(
@@ -618,6 +634,51 @@ class _FunctionLowering:
                            args=[self.rewrite(st.iter)], keywords=[])),
             self._goto(header)]
         return self._emit(self._state_name(), setup)
+
+    # -- fusion --------------------------------------------------------
+
+    def fuse(self, entry: str) -> None:
+        """One state per straight-line run: a goto whose target is a
+        lone ``return mpi.op_*(...)`` becomes that call (the state
+        survives only where something names it as ``retry``/``cont``), a
+        state nothing but one goto names is inlined at that goto, and
+        what ``entry`` no longer reaches is dropped.  Each rewrite
+        removes one trampoline bounce and moves no statement past
+        another, so the kernel trace cannot tell."""
+        bodies = {fn.name: fn.body for fn in self.states}
+        named = collections.Counter(
+            n.id for fn in self.states for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and n.id in bodies)
+
+        def resolve(block: List[ast.stmt]) -> List[ast.stmt]:
+            # Gotos end blocks, and blocks nest through ``if`` only.
+            for st in block:
+                if isinstance(st, ast.If):
+                    resolve(st.body)
+                    resolve(st.orelse)
+            last = block[-1] if block else None
+            if isinstance(last, ast.Return) \
+                    and isinstance(last.value, ast.Tuple) \
+                    and last.value.elts[1].id == "_f":
+                target = last.value.elts[0].id
+                body = bodies[target]
+                if len(body) == 1 and isinstance(body[0], ast.Return) \
+                        and isinstance(body[0].value, ast.Call):
+                    block[-1] = body[0]
+                elif named[target] == 1 and target != entry:
+                    block[-1:] = resolve(body)
+            return block
+
+        keep = set()
+        work = [entry]
+        while work:
+            name = work.pop()
+            if name not in keep:
+                keep.add(name)
+                work.extend(n.id for st in resolve(bodies[name])
+                            for n in ast.walk(st)
+                            if isinstance(n, ast.Name) and n.id in bodies)
+        self.states = [fn for fn in self.states if fn.name in keep]
 
     # -- frame ----------------------------------------------------------
 
@@ -670,6 +731,7 @@ class _Compiler:
             _preflight(fn_node)
             low = _FunctionLowering(self, fn_node, self._prefix())
             entry = low.lower_function()
+            low.fuse(entry)
             self.lowerings.append(low)
             return entry, low.frame_name, low.params
         finally:
@@ -728,7 +790,7 @@ def compile_flow(fn: Callable[..., Any], *,
               f"{fn.__code__.co_firstlineno}), generated by "
               f"repro.flows.compile.\n")
     source = header + ast.unparse(generated)
-    ns: Dict[str, Any] = dict(fn.__globals__)
+    ns: Dict[str, Any] = dict(fn.__globals__, _END=_END)
     for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
         try:
             ns[name] = cell.cell_contents

@@ -27,6 +27,14 @@ a receive whose message is already queued continues synchronously in
 both (no kernel event).  Bulk transitions — seeding all ranks, barrier
 release — go through ``post_batch``.
 
+One pass per message (pinned by ``tests/flows/test_message_budget.py``):
+a mailbox entry is the plain tuple ``(src, tag, data)``;
+:meth:`FlowContext.send` range-checks, appends and tests the
+destination's ``(source, tag)`` wait inline, posting the resume itself;
+``recv``/``op_recv`` scan their own mailbox with inline comparisons and
+write ``_waiting[rank]`` directly.  Each task carries its ``(task,)``
+kernel args tuple once, so no post builds one.
+
 Cost model: the world charges ``dispatch_cost_ns`` (the owning
 mechanism's modeled switch cost) per dispatch into
 :attr:`FlowWorld.modeled_switch_ns`, and bodies charge their compute
@@ -45,7 +53,6 @@ from repro.flows.compile import compile_flow
 from repro.kernel import EventKernel
 
 __all__ = [
-    "FlowMessage",
     "FlowProgram",
     "FlowContext",
     "FlowWorld",
@@ -69,28 +76,6 @@ class _Sentinel:
 DONE = _Sentinel("flow-done")
 #: Returned by a continuation state after parking a resume point.
 SUSPENDED = _Sentinel("flow-suspended")
-
-
-class FlowMessage:
-    """One rank-to-rank message (source, tag, payload)."""
-
-    __slots__ = ("src", "tag", "data")
-
-    def __init__(self, src: int, tag: Any, data: Any) -> None:
-        self.src = src
-        self.tag = tag
-        self.data = data
-
-    def matches(self, source: Optional[int], tag: Any) -> bool:
-        """MPI-style wildcard matching (None = any)."""
-        if source is not None and self.src != source:
-            return False
-        if tag is not None and self.tag != tag:
-            return False
-        return True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FlowMessage(src={self.src}, tag={self.tag!r})"
 
 
 @dataclass
@@ -125,21 +110,42 @@ class FlowContext:
 
     __slots__ = ("_world", "_task", "rank", "nranks")
 
-    def __init__(self, world: "FlowWorld", task: "_Task") -> None:
+    def __init__(self, world: "FlowWorld", task: "_Task",
+                 rank: int) -> None:
         self._world = world
         self._task = task
-        self.rank = task.rank
+        self.rank = rank
         self.nranks = world.ranks
 
     # -- non-suspending -------------------------------------------------
 
     def send(self, dest: int, data: Any, tag: Any = None) -> None:
-        """Deposit a message at ``dest`` (eager, never suspends)."""
-        self._world.send(self.rank, dest, data, tag)
+        """Deposit ``(rank, tag, data)`` in ``dest``'s mailbox (eager,
+        never suspends), waking ``dest`` if it is suspended in a receive
+        the message matches."""
+        world = self._world
+        try:
+            box = world._mailbox[dest] if 0 <= dest < self.nranks else None
+        except TypeError:  # 1.0, None: ordered or not, it is no index
+            box = None
+        if box is None:
+            raise ReproError(
+                f"flow r{self.rank}: bad destination rank {dest!r} "
+                f"(world has ranks 0..{self.nranks - 1})")
+        box.append((self.rank, tag, data))
+        waiting = world._waiting[dest]
+        if waiting is not None:
+            source, wtag = waiting
+            if (source is None or self.rank == source) \
+                    and (wtag is None or tag == wtag):
+                world._waiting[dest] = None
+                task = world._tasks[dest]
+                world.kernel.post(0.0, world._resume, task.args,
+                                  "flow.resume", task.flow)
 
     def charge(self, ns: float) -> None:
         """Account ``ns`` of modeled compute for this rank."""
-        self._world.charge(ns)
+        self._world.work_ns += ns
 
     @property
     def results(self) -> Dict[int, Any]:
@@ -149,15 +155,18 @@ class FlowContext:
     # -- suspending, thread form (generator methods, ``yield from``) ----
 
     def recv(self, source: Optional[int] = None, tag: Any = None):
-        """Receive a matching message's payload; suspends until one
-        arrives.  Returns synchronously (no kernel event) when a match
-        is already queued — the compiled form mirrors this exactly."""
-        world, task = self._world, self._task
+        """Receive a matching message's payload (MPI-style wildcards:
+        ``None`` = any); suspends until one arrives.  Returns
+        synchronously (no kernel event) when a match is already queued
+        — the compiled form mirrors this exactly."""
+        box = self._world._mailbox[self.rank]
         while True:
-            msg = world._match(task.rank, source, tag)
-            if msg is not None:
-                return msg.data
-            world._set_waiting(task.rank, source, tag)
+            for i, (src, mtag, data) in enumerate(box):
+                if (source is None or src == source) \
+                        and (tag is None or mtag == tag):
+                    del box[i]
+                    return data
+            self._world._waiting[self.rank] = (source, tag)
             yield "suspend"
 
     def barrier(self):
@@ -175,26 +184,33 @@ class FlowContext:
         Match now → store and continue synchronously; no match →
         register the wait and park ``retry`` (which re-runs the match,
         exactly like the generator's receive loop)."""
-        world, task = self._world, self._task
-        msg = world._match(task.rank, source, tag)
-        if msg is not None:
-            if var is not None:
-                setattr(frame, var, msg.data)
-            return (cont, frame)
-        world._set_waiting(task.rank, source, tag)
-        task._save(retry, frame)
+        box = self._world._mailbox[self.rank]
+        for i, (src, mtag, data) in enumerate(box):
+            if (source is None or src == source) \
+                    and (tag is None or mtag == tag):
+                del box[i]
+                if var is not None:
+                    setattr(frame, var, data)
+                return (cont, frame)
+        self._world._waiting[self.rank] = (source, tag)
+        task = self._task
+        task._pc = retry
+        task._frame = frame
         return SUSPENDED
 
     def op_barrier(self, frame, cont):
         """``yield from mpi.barrier()`` in continuation form."""
         self._world._barrier_arrive()
-        self._task._save(cont, frame)
+        task = self._task
+        task._pc = cont
+        task._frame = frame
         return SUSPENDED
 
     def op_yield(self, frame, cont):
         """``yield "yield"`` — cooperative yield via kernel re-post."""
         task = self._task
-        task._save(cont, frame)
+        task._pc = cont
+        task._frame = frame
         self._world._post_resume(task)
         return SUSPENDED
 
@@ -215,11 +231,13 @@ class FlowContext:
 
 
 class _Task:
-    """One rank of a world.  The forms set ``rank``/``flow``
-    themselves: a ``super().__init__`` per task read +3 % on the
-    80 000-flow ``flows_drain`` repetition."""
+    """One rank of a world: ``flow`` is its kernel label (``r<rank>``;
+    the rank itself lives on its :class:`FlowContext`), ``args`` its
+    ``(task,)`` kernel args tuple, built once and shared by every post.
+    The forms set both themselves: a ``super().__init__`` per task read
+    +3 % on the 80 000-flow ``flows_drain`` repetition."""
 
-    __slots__ = ("rank", "flow")
+    __slots__ = ("flow", "args")
 
 
 class _GeneratorTask(_Task):
@@ -229,9 +247,9 @@ class _GeneratorTask(_Task):
 
     def __init__(self, world: "FlowWorld", rank: int,
                  body: Callable[..., Any]) -> None:
-        self.rank = rank
         self.flow = f"r{rank}"
-        self.gen = body(FlowContext(world, self))
+        self.args = (self,)
+        self.gen = body(FlowContext(world, self, rank))
 
     def step(self, world: "FlowWorld") -> None:
         try:
@@ -249,7 +267,7 @@ class _GeneratorTask(_Task):
             world._done += 1
             return
         raise ReproError(
-            f"flow r{self.rank}: unsupported directive {directive!r} "
+            f"flow {self.flow}: unsupported directive {directive!r} "
             f"(the flows runtime speaks yield/suspend/exit)")
 
 
@@ -260,14 +278,10 @@ class CompiledTask(_Task):
 
     def __init__(self, world: "FlowWorld", rank: int, entry,
                  frame) -> None:
-        self.rank = rank
         self.flow = f"r{rank}"
-        self.ctx = FlowContext(world, self)
+        self.args = (self,)
+        self.ctx = FlowContext(world, self, rank)
         self._pc = entry
-        self._frame = frame
-
-    def _save(self, pc, frame) -> None:
-        self._pc = pc
         self._frame = frame
 
     def step(self, world: "FlowWorld") -> None:
@@ -284,7 +298,7 @@ class CompiledTask(_Task):
             world._done += 1
         elif res is not SUSPENDED:
             raise ReproError(
-                f"flow r{self.rank}: compiled state returned {res!r} "
+                f"flow {self.flow}: compiled state returned {res!r} "
                 f"(expected a continuation, DONE, or SUSPENDED)")
 
 
@@ -323,7 +337,8 @@ class FlowWorld:
         self.kernel = EventKernel(name="flows", causality=False)
         self.dispatch_cost_ns = dispatch_cost_ns
         self._tasks: List[Any] = []
-        self._mailbox: List[List[FlowMessage]] = [[] for _ in range(ranks)]
+        #: Per-rank queues of ``(src, tag, data)`` tuples.
+        self._mailbox: List[List[tuple]] = [[] for _ in range(ranks)]
         self._waiting: List[Optional[tuple]] = [None] * ranks
         self._barrier_count = 0
         self._done = 0
@@ -363,7 +378,7 @@ class FlowWorld:
         """Post one resume per rank in a single batch."""
         tasks = self._tasks
         self.kernel.post_batch(
-            [0.0] * len(tasks), self._resume, [(t,) for t in tasks],
+            [0.0] * len(tasks), self._resume, [t.args for t in tasks],
             [t.flow for t in tasks], "flow.resume")
 
     def seed(self) -> None:
@@ -374,8 +389,9 @@ class FlowWorld:
         """Seed (if nothing is pending) and drain to quiescence.
 
         Raises :class:`~repro.errors.ReproError` if the kernel drains
-        with unfinished flows (a deadlocked receive), naming the stuck
-        ranks — crash containment for the sweep cells.
+        with unfinished flows (a deadlocked receive or a barrier some
+        rank never reaches), naming the stuck ranks — crash containment
+        for the sweep cells.
         """
         if not self._tasks:
             raise ReproError("world has no tasks (spawn first)")
@@ -383,9 +399,12 @@ class FlowWorld:
             self.seed()
         processed = self.kernel.run_batch()
         if self._done < len(self._tasks):
-            stuck = [f"r{t.rank}(waiting={self._waiting[t.rank]})"
-                     for t in self._tasks
-                     if self._waiting[t.rank] is not None]
+            stuck = [f"r{rank}(waiting={wait})"
+                     for rank, wait in enumerate(self._waiting)
+                     if wait is not None]
+            if self._barrier_count:
+                stuck.append(f"{self._barrier_count} of {len(self._tasks)} "
+                             f"ranks at the barrier")
             raise ReproError(
                 f"flow world drained with {len(self._tasks) - self._done} "
                 f"unfinished flows: {', '.join(stuck) or 'none waiting'}")
@@ -399,46 +418,16 @@ class FlowWorld:
         task.step(self)
 
     def _post_resume(self, task) -> None:
-        self.kernel.post(0.0, self._resume, (task,), "flow.resume",
+        self.kernel.post(0.0, self._resume, task.args, "flow.resume",
                          task.flow)
 
-    # -- messaging ------------------------------------------------------
-
-    def send(self, src: int, dst: int, data: Any, tag: Any = None) -> None:
-        """Deposit a message in rank ``dst``'s mailbox, waking the rank
-        if it is suspended in a receive the message matches."""
-        if not 0 <= dst < self.ranks:
-            raise ReproError(f"bad destination rank {dst}")
-        msg = FlowMessage(src, tag, data)
-        self._mailbox[dst].append(msg)
-        waiting = self._waiting[dst]
-        if waiting is not None and msg.matches(*waiting):
-            self._waiting[dst] = None
-            self._post_resume(self._tasks[dst])
-
-    def _match(self, rank: int, source: Optional[int],
-               tag: Any) -> Optional[FlowMessage]:
-        box = self._mailbox[rank]
-        for i, msg in enumerate(box):
-            if msg.matches(source, tag):
-                del box[i]
-                return msg
-        return None
-
-    def _set_waiting(self, rank: int, source: Optional[int],
-                     tag: Any) -> None:
-        self._waiting[rank] = (source, tag)
+    # -- barrier (messaging lives on FlowContext) ----------------------
 
     def _barrier_arrive(self) -> None:
         self._barrier_count += 1
         if self._barrier_count == len(self._tasks):
             self._barrier_count = 0
             self._post_all()
-
-    # -- accounting -----------------------------------------------------
-
-    def charge(self, ns: float) -> None:
-        self.work_ns += ns
 
     @property
     def finished(self) -> int:

@@ -31,12 +31,9 @@ __all__ = ["relax", "stencil_field", "stencil_program", "NS_PER_CELL"]
 
 def relax(data: List[float], below: float, above: float) -> List[float]:
     """One Jacobi sweep over a rank's cells with ghost values."""
-    out = []
-    for i in range(len(data)):
-        left = below if i == 0 else data[i - 1]
-        right = above if i == len(data) - 1 else data[i + 1]
-        out.append((left + data[i] + right) / 3.0)
-    return out
+    return [(left + mid + right) / 3.0
+            for left, mid, right in zip([below, *data], data,
+                                        [*data[1:], above])]
 
 
 #: Modeled compute cost per cell per sweep (charged, not traced).

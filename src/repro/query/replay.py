@@ -340,10 +340,10 @@ def _flow_state(spec: RunSpec, program, world,
         "finished": world.finished,
         "barrier_arrivals": world._barrier_count,
         "mailboxes": {
-            str(r): [{"src": m.src, "tag": _jsonable(m.tag),
-                      "data": _jsonable(m.data)}
-                     for m in world._mailbox[r]]
-            for r in range(world.ranks)},
+            str(r): [{"src": src, "tag": _jsonable(tag),
+                      "data": _jsonable(data)}
+                     for src, tag, data in box]
+            for r, box in enumerate(world._mailbox)},
         "waiting": {str(r): _jsonable(w and list(w))
                     for r, w in enumerate(world._waiting)},
         "pending_events": [_event_record(ev)

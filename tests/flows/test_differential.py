@@ -5,7 +5,8 @@ the *computation*: a generator body and its compiled translation must
 produce byte-identical kernel traces — same events, same order, same
 sequence numbers, same dispatch sites — and identical results, across
 seeds and across every program shape we ship (messaging ring,
-conditional ping-pong, barrier, stencil halo exchange, pure spin).
+conditional ping-pong, barrier, stencil halo exchange, pure spin) plus
+bodies that delegate to sibling helper generators.
 
 Byte identity is deliberately stronger than result equality: it pins
 the synchronous-receive optimization (an already-queued message must
@@ -14,18 +15,54 @@ labels, so a compiler regression cannot hide behind a still-correct
 answer.
 """
 
+import random
+
 import pytest
 
 from repro.charm import CharmRuntime
 from repro.flows import (CompiledContinuationFlow, UserThreadFlow,
                          WORKLOAD_MECHANISMS)
 from repro.flows.programs import pingpong_program, ring_program, spin_program
-from repro.flows.stencil import stencil_program
+from repro.flows.runtime import FlowProgram
+from repro.flows.stencil import relax, stencil_program
 from repro.sim import Cluster, Processor, get_platform
 from repro.workloads.stencil_chare import (start_stencil_chares,
                                            stencil_chare_results)
 
 SEEDS = (7, 11, 13)
+
+
+# -- helper-delegating bodies (module level: the compiler resolves a
+# delegation target by name in the body's own source file) --------------
+
+def _swap_with(mpi, peer, value):
+    mpi.send(peer, value, tag="swap")
+    got = yield from mpi.recv(source=peer, tag="swap")
+    return got
+
+
+def _settle(mpi, rounds):
+    for _ in range(rounds):
+        yield "yield"
+    yield from mpi.barrier()
+
+
+def _make_delegating_body(rounds, seed):
+    rng = random.Random(seed)
+    values = [rng.randrange(100) for _ in range(64)]
+
+    def main(mpi):
+        peer = mpi.rank ^ 1
+        acc = 0
+        for i in range(rounds):
+            if peer < mpi.nranks:
+                got = yield from _swap_with(mpi, peer,
+                                            values[mpi.rank] + i)
+                acc += got
+            yield from _settle(mpi, mpi.rank % 3)
+        mpi.results[mpi.rank] = acc
+
+    return main
 
 
 def make_proc(platform="linux_x86"):
@@ -68,6 +105,16 @@ def test_pingpong_traces_byte_identical_across_seeds(seed):
 def test_stencil_traces_byte_identical_across_seeds(seed):
     assert_byte_identical(
         lambda: stencil_program(4, cells=6, steps=3, seed=seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_helper_delegation_traces_byte_identical_across_seeds(seed):
+    # A value-returning helper around a receive and a helper with its
+    # own loop and barrier: continuation hand-off frames in both
+    # directions, called from inside a suspending loop.
+    thread, _ = assert_byte_identical(lambda: FlowProgram(
+        "delegating", 5, _make_delegating_body(3, seed)))
+    assert any(thread.results.values())
 
 
 def test_spin_traces_byte_identical():
@@ -131,3 +178,24 @@ def test_three_forms_agree_on_ring_results():
     assert len(reference) == 6
     for label, run in runs.items():
         assert run.results == reference, label
+
+
+def _relax_loop(data, below, above):
+    """``relax`` as it was written before it became one comprehension."""
+    out = []
+    for i in range(len(data)):
+        left = below if i == 0 else data[i - 1]
+        right = above if i == len(data) - 1 else data[i + 1]
+        out.append((left + data[i] + right) / 3.0)
+    return out
+
+
+@pytest.mark.parametrize("cells", range(13))
+def test_relax_is_float_exact_with_the_indexed_loop(cells):
+    rng = random.Random(cells)
+    for _ in range(20):
+        data = [rng.uniform(-100.0, 100.0) for _ in range(cells)]
+        below, above = rng.uniform(-100.0, 100.0), rng.uniform(0.0, 1e-9)
+        got = relax(data, below, above)
+        assert got == _relax_loop(data, below, above)
+        assert len(got) == cells
