@@ -113,10 +113,6 @@ class AmpiRuntime:
         self._finished = 0
         #: rank -> key of its most recent coordinated checkpoint.
         self.last_checkpoint: Dict[int, str] = {}
-        #: Hook called after a coordinated checkpoint is written, before
-        #: ranks resume — the window in which a simulated failure can be
-        #: recovered from the fresh checkpoints (tests inject faults here).
-        self.on_checkpoint: Optional[Callable[[], None]] = None
         self.checkpointer = Checkpointer(self.migrator)
         self._lb_moves: List[Tuple[int, int]] = []
         #: tid -> rank, for placement bookkeeping on thread arrival (tids
@@ -287,9 +283,11 @@ class AmpiRuntime:
 
     def _run_checkpoint(self, ranks: List[int]) -> None:
         """Coordinated checkpoint: every live rank is suspended at the
-        barrier; write all images to the simulated disk and fire the hook
-        before they resume (reference [42]'s blocking coordinated
-        protocol)."""
+        barrier; write all images to the simulated disk, then publish
+        ``checkpoint.barrier`` (``runtime=self``) before they resume
+        (reference [42]'s blocking coordinated protocol).  That is the
+        window in which a failure can be recovered from the fresh images:
+        the chaos injector crashes or drains a processor there."""
         for rank in ranks:
             key = (f"ampi-r{rank}-"
                    f"e{self.checkpointer.checkpoints_taken}")
@@ -302,8 +300,7 @@ class AmpiRuntime:
                 # real outage, not something to paper over.
                 self.last_checkpoint[rank] = self.checkpointer.checkpoint(
                     self.rank_thread[rank], key=key)
-        if self.on_checkpoint is not None:
-            self.on_checkpoint()
+        self.cluster.queue.hooks.decide("checkpoint.barrier", runtime=self)
 
     def recover_rank(self, rank: int, dst_pe: int) -> None:
         """Rebuild a failed rank from its last coordinated checkpoint.

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Tuple
 
-__all__ = ["LBDatabase"]
+__all__ = ["LBDatabase", "RATIO_BUCKETS"]
+
+#: Bucket edges of the ``lb.imbalance`` histogram: max/avg load ratios
+#: (:meth:`LBDatabase.imbalance`; 1.0 is perfect balance).
+RATIO_BUCKETS: Tuple[float, ...] = (1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 
 
 class LBDatabase:
@@ -41,7 +45,6 @@ class LBDatabase:
         if registry is None:
             self._metrics = None
             return
-        from repro.obs.metrics import RATIO_BUCKETS
         self._metrics = {
             "imbalance": registry.histogram("lb.imbalance", RATIO_BUCKETS),
             "windows": registry.counter("lb.windows"),

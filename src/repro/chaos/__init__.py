@@ -9,10 +9,11 @@ aborts, and checkpoint-disk errors into unmodified :mod:`repro.sim` /
 injection point, and reduces each run to a replayable, shrinkable
 ``(seed, schedule)`` pair:
 
-* :mod:`~repro.chaos.faults` — :class:`FaultSchedule`: seeded or scripted
-  decisions at stable ``(site, seq)`` points;
-* :mod:`~repro.chaos.injector` — :class:`FaultInjector`: the hooks the
-  cluster, migrator, and checkpointer call;
+* :mod:`~repro.chaos.faults` — :data:`FAULTS` (the fault model) and
+  :class:`FaultSchedule`: seeded or scripted decisions at stable
+  ``(site, seq)`` points;
+* :mod:`~repro.chaos.injector` — :class:`FaultInjector`: subscribers on
+  the runtimes' fault channels;
 * :mod:`~repro.chaos.invariants` — the :func:`invariant` registry and
   :func:`check_invariants`;
 * :mod:`~repro.chaos.harness` — wiring + outcome classification
@@ -23,7 +24,7 @@ injection point, and reduces each run to a replayable, shrinkable
   BT-MZ runs (and a deliberately fragile reduction for tool tests).
 """
 
-from repro.chaos.faults import (SITES, STANDARD_RATES, FaultConfig,
+from repro.chaos.faults import (FAULTS, SITES, STANDARD_RATES, FaultConfig,
                                 FaultEvent, FaultSchedule)
 from repro.chaos.harness import (ChaosResult, build_ampi_chaos,
                                  drive_ampi_chaos, wire_ampi_faults)
@@ -38,8 +39,8 @@ from repro.chaos.workloads import (STANDARD_WORKLOADS, WORKLOADS,
                                    StencilChaosWorkload)
 
 __all__ = [
-    "SITES", "STANDARD_RATES", "FaultEvent", "FaultConfig", "FaultSchedule",
-    "FaultInjector",
+    "FAULTS", "SITES", "STANDARD_RATES", "FaultEvent", "FaultConfig",
+    "FaultSchedule", "FaultInjector",
     "ChaosContext", "INVARIANTS", "invariant", "check_invariants",
     "ChaosResult", "wire_ampi_faults", "build_ampi_chaos",
     "drive_ampi_chaos",

@@ -20,32 +20,91 @@ per-site sequence number that advances on **every** consultation, fault
 or not.  Because the simulation itself is deterministic, the k-th
 consultation of a site is the same physical event in every run of the
 same workload, which is what makes ``(site, seq)`` a stable address.
+Sites, kinds, rates, counters and arguments are stated once, in
+:data:`FAULTS`; everything else here and in the injector reads it.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.errors import ChaosError
 
-__all__ = ["SITES", "STANDARD_RATES", "FaultEvent", "FaultConfig",
-           "FaultSchedule"]
+__all__ = ["FAULTS", "SITES", "STANDARD_RATES", "FaultEvent", "FaultKind",
+           "FaultConfig", "FaultSchedule"]
+
+
+def _real(arg) -> bool:
+    return isinstance(arg, numbers.Real) and not isinstance(arg, bool)
+
+
+class FaultArg(NamedTuple):
+    """What a kind's ``arg`` is: how a seeded schedule draws it, which
+    scripted values are legal, and how a refusal names them."""
+
+    draw: Callable[[random.Random, "FaultConfig"], Any]
+    admits: Callable[[Any], bool]
+    what: str
+
+
+NO_ARG = FaultArg(lambda rng, cfg: None, lambda arg: arg is None, "no arg")
+#: Extra delay in ns (``delay``; the duplicate's offset for ``dup``).
+NS = FaultArg(
+    lambda rng, cfg: round(rng.uniform(cfg.delay_ns_min,
+                                       cfg.delay_ns_max), 1),
+    lambda arg: _real(arg) and math.isfinite(arg) and arg >= 0,
+    "a finite real >= 0")
+#: A fraction picking among the live choices (a processor for
+#: ``crash``/``evac``, a payload byte for ``corrupt``) — a fraction, not an
+#: index, so a schedule stays meaningful as processors fail.
+FRACTION = FaultArg(lambda rng, cfg: round(rng.random(), 6),
+                    lambda arg: _real(arg) and 0 <= arg < 1,
+                    "a real in [0, 1)")
+
+
+class FaultKind(NamedTuple):
+    """One row of :data:`FAULTS`."""
+
+    kind: str
+    rate: str          # the FaultConfig field it is drawn at
+    counter: str       # the FaultInjector counter applying it bumps
+    arg: FaultArg
+
+
+#: site -> its kinds, in draw order.  A site is a decision point the
+#: runtimes publish on the hook bus; the injector subscribes one ``on_*``
+#: method per site that applies its kinds.
+FAULTS: Dict[str, tuple] = {
+    # a faultable message leaves Cluster.send
+    "send": (FaultKind("drop", "drop_rate", "dropped", NO_ARG),
+             FaultKind("delay", "delay_rate", "delayed", NS),
+             FaultKind("dup", "dup_rate", "duplicated", NS),
+             FaultKind("reorder", "reorder_rate", "reordered", NO_ARG)),
+    # a migration is about to start: veto it before any state moves
+    "migrate": (FaultKind("abort", "migrate_abort_rate",
+                          "migrations_vetoed", NO_ARG),),
+    # a thread image arrives: the destination refuses, the image ships home
+    "mig_delivery": (FaultKind("bounce", "migrate_bounce_rate",
+                               "migrations_bounced", NO_ARG),),
+    # a checkpoint blob is about to hit the simulated disk
+    "ckpt": (FaultKind("io_error", "ckpt_error_rate", "ckpt_io_errors",
+                       NO_ARG),
+             FaultKind("corrupt", "ckpt_corrupt_rate", "ckpt_corrupted",
+                       FRACTION)),
+    # a coordinated checkpoint barrier completed: fail or drain a processor
+    "barrier": (FaultKind("crash", "crash_rate", "crashes", FRACTION),
+                FaultKind("evac", "evac_rate", "evacuations", FRACTION)),
+}
 
 #: The faultable decision sites.
-#:
-#: * ``send`` — a faultable message leaves :meth:`Cluster.send`
-#:   (drop / delay / dup / reorder);
-#: * ``migrate`` — a migration is about to start (abort before any state
-#:   moves);
-#: * ``mig_delivery`` — a thread image arrives at its destination
-#:   (bounce: the destination refuses and the image ships home);
-#: * ``ckpt`` — a checkpoint blob is about to hit the simulated disk
-#:   (io_error / corrupt);
-#: * ``barrier`` — a coordinated checkpoint barrier completed
-#:   (crash / evac of a processor).
-SITES = ("send", "migrate", "mig_delivery", "ckpt", "barrier")
+SITES = tuple(FAULTS)
+#: ``(site, kind)`` -> its row.
+KINDS = {(site, row.kind): row for site, rows in FAULTS.items()
+         for row in rows}
 
 
 @dataclass(frozen=True)
@@ -56,12 +115,8 @@ class FaultEvent:
     into a scripted :class:`FaultSchedule` (see
     :meth:`ChaosRunner.repro_script`).
 
-    ``arg`` is the kind's parameter: extra delay in ns (``delay``, and
-    the duplicate's offset for ``dup``), or a fraction in ``[0, 1)``
-    selecting a victim among the currently-live choices (``crash`` /
-    ``evac`` pick a processor, ``corrupt`` picks a payload byte) — a
-    fraction, not an index, so a schedule stays meaningful as processors
-    fail or blob sizes change.
+    ``arg`` is the kind's parameter, of the sort its :data:`FAULTS` row
+    names (:data:`NO_ARG`, :data:`NS` or :data:`FRACTION`).
     """
 
     site: str
@@ -74,29 +129,24 @@ class FaultEvent:
 class FaultConfig:
     """Per-decision-point fault rates for seeded schedules.
 
-    Rates are probabilities per consultation of the matching site; the
-    kinds of one site are mutually exclusive (at most one fault per
-    decision point).
+    Rates are probabilities per consultation of the site whose
+    :data:`FAULTS` row names them; the kinds of one site are mutually
+    exclusive (at most one fault per decision point).  ``delay_ns_*``
+    bound the drawn :data:`NS` arguments.
     """
 
-    # -- "send" site ----------------------------------------------------
     drop_rate: float = 0.0
     delay_rate: float = 0.0
     dup_rate: float = 0.0
     reorder_rate: float = 0.0
     delay_ns_min: float = 2_000.0
     delay_ns_max: float = 50_000.0
-    # -- "migrate" / "mig_delivery" sites -------------------------------
     migrate_abort_rate: float = 0.0
     migrate_bounce_rate: float = 0.0
-    # -- "ckpt" site ----------------------------------------------------
     ckpt_error_rate: float = 0.0
     ckpt_corrupt_rate: float = 0.0
-    # -- "barrier" site -------------------------------------------------
     crash_rate: float = 0.0
     evac_rate: float = 0.0
-    #: Stop injecting after this many faults (0 = unlimited).
-    max_faults: int = 0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -107,13 +157,8 @@ class FaultConfig:
             raise ChaosError(
                 f"delay_ns_min {self.delay_ns_min} exceeds delay_ns_max "
                 f"{self.delay_ns_max}")
-        pairs = [("send", self.drop_rate + self.delay_rate + self.dup_rate
-                  + self.reorder_rate),
-                 ("migrate", self.migrate_abort_rate),
-                 ("mig_delivery", self.migrate_bounce_rate),
-                 ("ckpt", self.ckpt_error_rate + self.ckpt_corrupt_rate),
-                 ("barrier", self.crash_rate + self.evac_rate)]
-        for site, total in pairs:
+        for site, rows in FAULTS.items():
+            total = sum(getattr(self, row.rate) for row in rows)
             if not 0.0 <= total <= 1.0:
                 raise ChaosError(
                     f"{site!r} fault rates sum to {total}, not in [0, 1]")
@@ -130,11 +175,27 @@ STANDARD_RATES = dict(
     crash_rate=0.15, evac_rate=0.1)
 
 
+def _check_scripted(i: int, ev: FaultEvent) -> None:
+    """Refuse script entry ``i`` unless :data:`FAULTS` admits it: a known
+    site, one of that site's kinds, and the argument the kind takes."""
+    if ev.site not in FAULTS:
+        raise ChaosError(
+            f"script[{i}]: unknown fault site {ev.site!r}; known: {SITES}")
+    row = KINDS.get((ev.site, ev.kind))
+    if row is None:
+        raise ChaosError(
+            f"script[{i}]: site {ev.site!r} has no fault kind {ev.kind!r}; "
+            f"known: {tuple(row.kind for row in FAULTS[ev.site])}")
+    if not row.arg.admits(ev.arg):
+        raise ChaosError(f"script[{i}]: {ev.kind!r} takes {row.arg.what}, "
+                         f"got {ev.arg!r}")
+
+
 class FaultSchedule:
     """A deterministic answer to "does a fault fire at this point?".
 
     Build one with :meth:`seeded` or :meth:`scripted`; the injector calls
-    :meth:`decide` at every faultable decision point.  Applied events
+    :meth:`decide` at every faultable decision point.  Fired events
     accumulate in :attr:`injected` (and :meth:`script` returns them),
     which is exactly the list a scripted replay needs.
     """
@@ -147,20 +208,26 @@ class FaultSchedule:
                 "FaultSchedule needs exactly one of seed= or script= "
                 "(use .seeded() / .scripted())")
         self.seed = seed
-        self.config = config or FaultConfig()
+        self.config = cfg = config or FaultConfig()
         self._rng = random.Random(seed) if seed is not None else None
-        self._script: Dict[Tuple[str, int], FaultEvent] = {}
-        if script is not None:
-            for ev in script:
-                if ev.site not in SITES:
-                    raise ChaosError(f"unknown fault site {ev.site!r}; "
-                                     f"known: {SITES}")
-                key = (ev.site, ev.seq)
-                if key in self._script:
-                    raise ChaosError(f"duplicate scripted event at {key}")
-                self._script[key] = ev
+        #: site -> ``(kind, rate, arg)`` per row: the rates, read once.
+        self._rates = {site: [(row.kind, getattr(cfg, row.rate), row.arg)
+                              for row in rows]
+                       for site, rows in FAULTS.items()}
+        self._script: Dict[tuple, FaultEvent] = {}
+        for i, ev in enumerate(script or ()):
+            _check_scripted(i, ev)
+            key = (ev.site, ev.seq)
+            if key in self._script:
+                raise ChaosError(
+                    f"script[{i}]: duplicate scripted event at {key}")
+            self._script[key] = ev
         self._seq: Dict[str, int] = {site: 0 for site in SITES}
-        #: Every fault actually applied this run, in application order.
+        #: Every fault the schedule fired this run, in decision order.  A
+        #: barrier fault is recorded here even when it is skipped — the
+        #: injector never takes down the last live processor — so an entry
+        #: is not always an applied fault (the injector's counters are).
+        #: Replaying this list reproduces the run either way.
         self.injected: List[FaultEvent] = []
 
     # -- constructors ---------------------------------------------------
@@ -196,54 +263,21 @@ class FaultSchedule:
         self._seq[site] = seq + 1
         if self._rng is None:
             ev = self._script.get((site, seq))
-            if ev is not None:
-                self.injected.append(ev)
-            return ev
-        cfg = self.config
-        if cfg.max_faults and len(self.injected) >= cfg.max_faults:
-            return None
-        ev = self._draw(site, seq)
+        else:
+            ev = self._draw(site, seq)
         if ev is not None:
             self.injected.append(ev)
         return ev
 
     def _draw(self, site: str, seq: int) -> Optional[FaultEvent]:
+        """One ``rng.random()`` against the site's rates in row order; an
+        argument is drawn only for the kind that fires."""
         rng = self._rng
-        cfg = self.config
         r = rng.random()
-        if site == "send":
-            if r < cfg.drop_rate:
-                return FaultEvent(site, seq, "drop")
-            r -= cfg.drop_rate
-            if r < cfg.delay_rate:
-                ns = round(rng.uniform(cfg.delay_ns_min, cfg.delay_ns_max), 1)
-                return FaultEvent(site, seq, "delay", ns)
-            r -= cfg.delay_rate
-            if r < cfg.dup_rate:
-                ns = round(rng.uniform(cfg.delay_ns_min, cfg.delay_ns_max), 1)
-                return FaultEvent(site, seq, "dup", ns)
-            r -= cfg.dup_rate
-            if r < cfg.reorder_rate:
-                return FaultEvent(site, seq, "reorder")
-        elif site == "migrate":
-            if r < cfg.migrate_abort_rate:
-                return FaultEvent(site, seq, "abort")
-        elif site == "mig_delivery":
-            if r < cfg.migrate_bounce_rate:
-                return FaultEvent(site, seq, "bounce")
-        elif site == "ckpt":
-            if r < cfg.ckpt_error_rate:
-                return FaultEvent(site, seq, "io_error")
-            r -= cfg.ckpt_error_rate
-            if r < cfg.ckpt_corrupt_rate:
-                return FaultEvent(site, seq, "corrupt",
-                                  round(rng.random(), 6))
-        elif site == "barrier":
-            if r < cfg.crash_rate:
-                return FaultEvent(site, seq, "crash", round(rng.random(), 6))
-            r -= cfg.crash_rate
-            if r < cfg.evac_rate:
-                return FaultEvent(site, seq, "evac", round(rng.random(), 6))
+        for kind, rate, arg in self._rates[site]:
+            if r < rate:
+                return FaultEvent(site, seq, kind, arg.draw(rng, self.config))
+            r -= rate
         return None
 
     # -- replay support -------------------------------------------------

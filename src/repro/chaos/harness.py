@@ -1,11 +1,10 @@
 """Wiring faults into an AMPI run and classifying what comes out.
 
 :func:`wire_ampi_faults` attaches a :class:`FaultInjector` to a built
-:class:`~repro.ampi.runtime.AmpiRuntime` — message faults on the cluster,
-abort/bounce on the migrator, disk faults on the checkpointer, and
-processor crash/evacuation at coordinated checkpoint barriers (the one
-point where every live rank has a fresh image on disk and the event queue
-is provably empty, so fail-stop recovery is well-defined).
+:class:`~repro.ampi.runtime.AmpiRuntime`'s cluster bus — every fault
+site, processor crash/evacuation at coordinated checkpoint barriers
+included, is a channel the runtimes publish there — and checks the
+invariants after each applied fault.
 
 :func:`drive_ampi_chaos` runs a chaos workload under a schedule and
 reduces the run to a :class:`ChaosResult` with one of four outcomes:
@@ -31,7 +30,7 @@ from typing import Dict, List, Optional
 from repro.chaos.faults import FaultEvent, FaultSchedule
 from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import ChaosContext, check_invariants
-from repro.errors import ChaosError, InvariantViolation, ReproError
+from repro.errors import InvariantViolation, ReproError
 
 __all__ = ["ChaosResult", "wire_ampi_faults", "build_ampi_chaos",
            "drive_ampi_chaos"]
@@ -73,87 +72,15 @@ class ChaosResult:
 # ---------------------------------------------------------------------------
 
 def wire_ampi_faults(rt, injector: FaultInjector) -> ChaosContext:
-    """Attach an injector to every faultable layer of an AMPI runtime.
+    """Attach an injector to an AMPI runtime's cluster bus.
 
-    Returns the :class:`ChaosContext` the invariant checkers run against.
-    Invariants are checked after every applied fault; barrier faults
-    (processor crash / proactive evacuation) are applied through the
-    runtime's ``on_checkpoint`` hook, chained before any hook already
-    installed.
+    Returns the :class:`ChaosContext` the invariant checkers run against;
+    invariants are checked after every applied fault.
     """
     injector.attach(rt.cluster)
     ctx = ChaosContext(runtime=rt, injector=injector)
     injector.on_inject = lambda ev: check_invariants(ctx, "inject")
-    prev_hook = rt.on_checkpoint
-    bus = rt.cluster.queue.hooks
-
-    def barrier_hook():
-        ev = bus.decide("checkpoint.barrier")
-        if ev is not None:
-            _apply_barrier_fault(rt, injector, ev)
-        if prev_hook is not None:
-            prev_hook()
-
-    rt.on_checkpoint = barrier_hook
     return ctx
-
-
-def _pick_victim(rt, fraction: float) -> Optional[int]:
-    """Map a schedule fraction onto a live processor, or None to skip.
-
-    Barrier faults never take down the last live processor — a machine
-    with no survivors has no recovery story to test.
-    """
-    live = [p.id for p in rt.cluster.processors if not p.failed]
-    if len(live) < 2:
-        return None
-    return live[min(int(float(fraction) * len(live)), len(live) - 1)]
-
-
-def _apply_barrier_fault(rt, injector: FaultInjector,
-                         ev: FaultEvent) -> None:
-    victim = _pick_victim(rt, ev.arg or 0.0)
-    if victim is None:
-        return
-    survivors = [p.id for p in rt.cluster.processors
-                 if not p.failed and p.id != victim]
-    if ev.kind == "crash":
-        _crash_processor(rt, victim, survivors)
-    elif ev.kind == "evac":
-        _evacuate_processor(rt, victim, survivors)
-    else:
-        raise ChaosError(f"unknown barrier fault kind {ev.kind!r}")
-    injector.record_barrier(ev)
-
-
-def _crash_processor(rt, victim: int, survivors: List[int]) -> None:
-    """Fail-stop a processor right after a coordinated checkpoint.
-
-    Every live rank has a fresh image on the simulated disk and the event
-    queue is empty, so the lost ranks' threads are destroyed and rebuilt
-    from their checkpoints on the survivors, round-robin.
-    """
-    lost = [r for r in range(rt.num_ranks)
-            if rt.db.tracks(r) and rt.rank_pe(r) == victim]
-    for rank in lost:
-        rt.migrator.depart(rt.rank_thread[rank])
-    rt.cluster[victim].failed = True
-    for i, rank in enumerate(lost):
-        rt.recover_rank(rank, survivors[i % len(survivors)])
-
-
-def _evacuate_processor(rt, victim: int, survivors: List[int]) -> None:
-    """Proactively drain a processor, then mark it failed once empty.
-
-    The paper's "vacate a node that is expected to fail": threads migrate
-    off while the node still works.  If fault injection aborts every
-    attempt for some thread, the node stays up (a half-evacuated node
-    cannot fail-stop without losing threads).
-    """
-    rt.checkpointer.evacuate(victim, targets=survivors)
-    rt.cluster.run()  # complete the thread-image deliveries
-    if not rt.schedulers[victim].threads:
-        rt.cluster[victim].failed = True
 
 
 # ---------------------------------------------------------------------------

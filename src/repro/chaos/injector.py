@@ -11,24 +11,29 @@ call site is wrapped or subclassed — chaos is purely additive.  The
 methods' consultation order against the schedule is the determinism
 contract: one :meth:`~repro.chaos.faults.FaultSchedule.decide` per
 channel visit (per arrival on ``"net.send"``), in kernel dispatch order.
+Each method applies its site's kinds (:data:`~repro.chaos.faults.FAULTS`)
+and ends in the one count-and-notify step.
 
-Message faults only apply to tags in ``faultable_tags`` (application
-traffic, ``"ampi"`` by default).  Thread-migration images are *never*
-dropped or duplicated — losing one would lose a thread outright, which is
-not a fault model the paper's runtime admits; migrations instead fail via
-the dedicated abort (before any state moves) and bounce (the image returns
-home intact) paths.
+Message faults only apply to :data:`FAULTABLE_TAGS` (application
+traffic).  Thread-migration images are *never* dropped or duplicated —
+losing one would lose a thread outright, which is not a fault model the
+paper's runtime admits; migrations instead fail via the dedicated abort
+(before any state moves) and bounce (the image returns home intact)
+paths.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.chaos.faults import FaultEvent, FaultSchedule
+from repro.chaos.faults import KINDS, FaultEvent, FaultSchedule
 from repro.core.pup import pup_seal
 from repro.errors import ChaosError, CheckpointError
 
 __all__ = ["FaultInjector"]
+
+#: The message tags whose sends are faultable: AMPI's application traffic.
+FAULTABLE_TAGS = ("ampi",)
 
 #: Size of the pup integrity-envelope header (magic + length + CRC32);
 #: corruption flips payload bytes so the seal, not luck, catches it.
@@ -38,16 +43,11 @@ _SEAL_HEADER_LEN = len(pup_seal(b""))
 class FaultInjector:
     """Applies a schedule's decisions at the runtime's faultable points."""
 
-    def __init__(self, schedule: FaultSchedule,
-                 faultable_tags: Tuple[str, ...] = ("ampi",)):
+    def __init__(self, schedule: FaultSchedule):
         self.schedule = schedule
-        self.faultable_tags = tuple(faultable_tags)
-        self.counters: Dict[str, int] = {
-            "sends_seen": 0, "dropped": 0, "delayed": 0, "duplicated": 0,
-            "reordered": 0, "migrations_vetoed": 0, "migrations_bounced": 0,
-            "ckpt_io_errors": 0, "ckpt_corrupted": 0, "crashes": 0,
-            "evacuations": 0,
-        }
+        #: ``sends_seen``, then one counter per :data:`FAULTS` row.
+        self.counters = dict.fromkeys(
+            ["sends_seen", *(row.counter for row in KINDS.values())], 0)
         #: Arrival events scheduled for faultable sends; the conservation
         #: invariant checks this against sends - drops + dups.
         self.arrivals_scheduled = 0
@@ -91,8 +91,9 @@ class FaultInjector:
                 ("checkpoint.write", self.on_checkpoint_write),
                 ("checkpoint.barrier", self.on_barrier))
 
-    def notify(self, event: FaultEvent) -> None:
-        """Fire the :attr:`on_inject` hook for an applied fault."""
+    def _applied(self, event: FaultEvent) -> None:
+        """Count an applied fault and fire the :attr:`on_inject` hook."""
+        self.counters[KINDS[event.site, event.kind].counter] += 1
         if self.on_inject is not None:
             self.on_inject(event)
 
@@ -107,7 +108,7 @@ class FaultInjector:
         earlier-than-computed time reorders it ahead of traffic sent
         before it.
         """
-        if msg.tag not in self.faultable_tags:
+        if msg.tag not in FAULTABLE_TAGS:
             return arrivals
         out: List[float] = []
         for arrival in arrivals:
@@ -117,25 +118,19 @@ class FaultInjector:
                 times = [arrival]
             elif ev.kind == "drop":
                 times = []
-                self.counters["dropped"] += 1
             elif ev.kind == "delay":
                 times = [arrival + float(ev.arg)]
-                self.counters["delayed"] += 1
             elif ev.kind == "dup":
                 times = [arrival, arrival + float(ev.arg)]
-                self.counters["duplicated"] += 1
-            elif ev.kind == "reorder":
-                # The cluster clamps this up to the current event time:
-                # the message arrives as early as legally possible,
-                # jumping ahead of slower traffic sent before it.
-                times = [msg.send_time]
-                self.counters["reordered"] += 1
             else:
-                raise ChaosError(f"unknown send fault kind {ev.kind!r}")
+                # reorder.  The cluster clamps this up to the current
+                # event time: the message arrives as early as legally
+                # possible, jumping ahead of slower traffic sent before it.
+                times = [msg.send_time]
             self.arrivals_scheduled += len(times)
             out.extend(times)
             if ev is not None:
-                self.notify(ev)  # after the ledger is consistent
+                self._applied(ev)  # after the ledger is consistent
         return out
 
     # -- migrator hooks: abort and bounce -------------------------------
@@ -143,20 +138,18 @@ class FaultInjector:
     def on_migrate(self, thread, src_pe: int, dst_pe: int) -> Optional[bool]:
         """``True`` to veto a migration before any state moves, else ``None``."""
         ev = self.schedule.decide("migrate")
-        if ev is not None and ev.kind == "abort":
-            self.counters["migrations_vetoed"] += 1
-            self.notify(ev)
-            return True
-        return None
+        if ev is None:
+            return None
+        self._applied(ev)
+        return True
 
     def on_migration_delivery(self, image, msg) -> Optional[str]:
         """``"bounce"`` to refuse an arriving thread image, else ``None``."""
         ev = self.schedule.decide("mig_delivery")
-        if ev is not None and ev.kind == "bounce":
-            self.counters["migrations_bounced"] += 1
-            self.notify(ev)
-            return "bounce"
-        return None
+        if ev is None:
+            return None
+        self._applied(ev)
+        return "bounce"
 
     # -- checkpointer hook: disk errors ---------------------------------
 
@@ -172,45 +165,45 @@ class FaultInjector:
         if ev is None:
             return blob
         if ev.kind == "io_error":
-            self.counters["ckpt_io_errors"] += 1
-            self.notify(ev)
+            self._applied(ev)
             raise CheckpointError(
                 f"injected disk write error for checkpoint {key!r}")
-        if ev.kind == "corrupt":
-            payload = len(blob) - _SEAL_HEADER_LEN
-            i = _SEAL_HEADER_LEN + min(int(float(ev.arg) * payload),
-                                       payload - 1)
-            blob = blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
-            self.counters["ckpt_corrupted"] += 1
-            self.corrupted_keys.add(key)
-            self.notify(ev)
-            return blob
-        raise ChaosError(f"unknown ckpt fault kind {ev.kind!r}")
+        payload = len(blob) - _SEAL_HEADER_LEN
+        i = _SEAL_HEADER_LEN + min(int(float(ev.arg) * payload), payload - 1)
+        blob = blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:]
+        self.corrupted_keys.add(key)
+        self._applied(ev)
+        return blob
 
-    # -- barrier hook: processor-level faults ---------------------------
+    # -- runtime hook: processor-level faults ---------------------------
 
-    def on_barrier(self) -> Optional[FaultEvent]:
-        """Consult the schedule at a checkpoint barrier.
+    def on_barrier(self, runtime) -> None:
+        """Crash or evacuate a processor at a coordinated checkpoint.
 
-        The harness interprets the returned ``crash``/``evac`` event (it
-        knows which processors are live and performs the recovery), then
-        reports back through :meth:`record_barrier`.
+        ``runtime`` (an :class:`~repro.ampi.runtime.AmpiRuntime`) has a
+        fresh image of every live rank on disk and an empty event queue,
+        so fail-stop recovery is well-defined.  A fault drawn with fewer
+        than two live processors is skipped (:func:`_pick_victim`).
         """
-        return self.schedule.decide("barrier")
-
-    def record_barrier(self, event: FaultEvent) -> None:
-        """Count and announce a barrier fault the harness applied."""
-        key = {"crash": "crashes", "evac": "evacuations"}.get(event.kind)
-        if key is None:
-            raise ChaosError(f"unknown barrier fault kind {event.kind!r}")
-        self.counters[key] += 1
-        self.notify(event)
+        ev = self.schedule.decide("barrier")
+        if ev is None:
+            return
+        victim = _pick_victim(runtime, ev.arg)
+        if victim is None:
+            return
+        survivors = [p.id for p in runtime.cluster.processors
+                     if not p.failed and p.id != victim]
+        if ev.kind == "crash":
+            _crash_processor(runtime, victim, survivors)
+        else:
+            _evacuate_processor(runtime, victim, survivors)
+        self._applied(ev)
 
     # ------------------------------------------------------------------
 
     @property
     def faults_injected(self) -> int:
-        """Total faults applied so far."""
+        """Total faults the schedule fired so far (its ``injected``)."""
         return len(self.schedule.injected)
 
     def export_metrics(self, registry) -> None:
@@ -231,3 +224,47 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FaultInjector {self.schedule.mode}: {self.summary()}>"
+
+
+def _pick_victim(rt, fraction: float) -> Optional[int]:
+    """Map a schedule fraction onto a live processor, or None to skip.
+
+    Barrier faults never take down the last live processor — a machine
+    with no survivors has no recovery story to test.  A skipped fault
+    stays in the schedule's ``injected`` (a replay must hit it too) but
+    moves no counter.
+    """
+    live = [p.id for p in rt.cluster.processors if not p.failed]
+    if len(live) < 2:
+        return None
+    return live[min(int(float(fraction) * len(live)), len(live) - 1)]
+
+
+def _crash_processor(rt, victim: int, survivors: List[int]) -> None:
+    """Fail-stop a processor right after a coordinated checkpoint.
+
+    Every live rank has a fresh image on the simulated disk and the event
+    queue is empty, so the lost ranks' threads are destroyed and rebuilt
+    from their checkpoints on the survivors, round-robin.
+    """
+    lost = [r for r in range(rt.num_ranks)
+            if rt.db.tracks(r) and rt.rank_pe(r) == victim]
+    for rank in lost:
+        rt.migrator.depart(rt.rank_thread[rank])
+    rt.cluster[victim].failed = True
+    for i, rank in enumerate(lost):
+        rt.recover_rank(rank, survivors[i % len(survivors)])
+
+
+def _evacuate_processor(rt, victim: int, survivors: List[int]) -> None:
+    """Proactively drain a processor, then mark it failed once empty.
+
+    The paper's "vacate a node that is expected to fail": threads migrate
+    off while the node still works.  If fault injection aborts every
+    attempt for some thread, the node stays up (a half-evacuated node
+    cannot fail-stop without losing threads).
+    """
+    rt.checkpointer.evacuate(victim, targets=survivors)
+    rt.cluster.run()  # complete the thread-image deliveries
+    if not rt.schedulers[victim].threads:
+        rt.cluster[victim].failed = True

@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.balance.instrument import RATIO_BUCKETS
 from repro.errors import ReproError
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -34,9 +35,6 @@ BYTE_BUCKETS: Tuple[float, ...] = (
 #: Virtual durations: decades from 1 µs to 1 s (in nanoseconds).
 TIME_NS_BUCKETS: Tuple[float, ...] = (
     1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
-
-#: Load-imbalance ratios (max/avg; 1.0 is perfect balance).
-RATIO_BUCKETS: Tuple[float, ...] = (1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0)
 
 
 class Counter:

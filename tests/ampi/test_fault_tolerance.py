@@ -49,20 +49,21 @@ def test_failure_at_checkpoint_recovers_state():
     rt = AmpiRuntime(2, 4, main)
     failed = {}
 
-    def inject_failure():
+    def inject_failure(runtime):
+        if failed:
+            return                       # only fail once
         # Processor 0 "fails": its ranks (0 and 2) lose all local state.
-        sched = rt.schedulers[0]
+        sched = runtime.schedulers[0]
         for rank in (0, 2):
-            thread = rt.rank_thread[rank]
+            thread = runtime.rank_thread[rank]
             sched.remove(thread)
             sched.stack_manager.evacuate(thread.stack)
             failed[rank] = True
         # Recover both onto processor 1 from the just-written images.
-        rt.recover_rank(0, dst_pe=1)
-        rt.recover_rank(2, dst_pe=1)
-        rt.on_checkpoint = None          # only fail once
+        runtime.recover_rank(0, dst_pe=1)
+        runtime.recover_rank(2, dst_pe=1)
 
-    rt.on_checkpoint = inject_failure
+    rt.cluster.queue.hooks.subscribe("checkpoint.barrier", inject_failure)
     rt.run()
     assert failed == {0: True, 2: True}
     # All four ranks completed; recovered ranks kept their heap state and
@@ -71,6 +72,27 @@ def test_failure_at_checkpoint_recovers_state():
     assert out[2] == (7002, 1)
     assert out[1][0] == 7001
     assert out[3][0] == 7003
+
+
+def test_each_checkpoint_barrier_is_published_with_the_runtime():
+    """``checkpoint.barrier`` is the runtime's own channel: a plain
+    subscriber sees one visit per barrier, after every image is on disk
+    and before any rank resumes."""
+    def main(mpi):
+        yield from mpi.checkpoint()
+        mpi.charge(1000.0)
+        yield from mpi.checkpoint()
+
+    rt = AmpiRuntime(2, 4, main)
+    visits = []
+    rt.cluster.queue.hooks.subscribe(
+        "checkpoint.barrier",
+        lambda runtime: visits.append(
+            (runtime, runtime.checkpointer.checkpoints_taken,
+             {t.state for t in runtime.rank_thread})))
+    rt.run()
+    resting = {ThreadState.SUSPENDED}
+    assert visits == [(rt, 4, resting), (rt, 8, resting)]
 
 
 def test_recover_without_checkpoint_rejected():

@@ -1,9 +1,19 @@
 """Tests for fault schedules: seeded draws, scripted replay, determinism."""
 
+import dataclasses
+import hashlib
+import json
+import pathlib
+
 import pytest
 
-from repro.chaos import SITES, FaultConfig, FaultEvent, FaultSchedule
+from repro.chaos import (SITES, ChaosRunner, FaultConfig, FaultEvent,
+                         FaultInjector, FaultSchedule,
+                         SampleSortChaosWorkload)
+from repro.chaos.faults import FAULTS
 from repro.errors import ChaosError
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
 
 
 FULL_RATES = FaultConfig(
@@ -108,18 +118,103 @@ def test_rejects_duplicate_scripted_point():
                                 FaultEvent("send", 0, "delay", 1.0)])
 
 
-def test_max_faults_caps_injection():
-    cfg = FaultConfig(drop_rate=1.0, max_faults=3)
-    sched = FaultSchedule.seeded(0, cfg)
-    drive(sched, n=10)
-    assert len(sched.injected) == 3
-
-
 def test_every_kind_is_drawable():
     kinds = {ev.kind for ev in drive(FaultSchedule.seeded(11, FULL_RATES),
                                      n=500)}
     assert kinds == {"drop", "delay", "dup", "reorder", "abort", "bounce",
                      "io_error", "corrupt", "crash", "evac"}
+
+
+#: sha256 of the ``repr`` stream of ``drive(seeded(s, FULL_RATES), 500)``,
+#: captured from the per-site ``if``/``elif`` draw that the table loop
+#: replaced: the RNG stream and every event must not move.
+SEEDED_STREAMS = {
+    0: "6a7faf029103d2026a0aea072d8aff1e7cf4c8d76e0e6adc8a774e3d2ebde31c",
+    7: "136d9dacedc04c732d6fd72383a03a56cd8e79facc5c332ff988fc9fb147778c",
+    11: "582c34ed13c2dd86dd42f37f8fb0ed552f2fc63bc124d5371726ec6bb77206cd",
+    42: "f537dc671ec4eb2f6ac610615a9adc567e5230e7a9f6c239d4c3f48db838c587",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_STREAMS))
+def test_seeded_event_streams_are_pinned(seed):
+    events = drive(FaultSchedule.seeded(seed, FULL_RATES), n=500)
+    text = "\n".join(repr(ev) for ev in events)
+    assert hashlib.sha256(text.encode()).hexdigest() == SEEDED_STREAMS[seed]
+
+
+# -- the table is the model -------------------------------------------------
+
+def test_every_rate_field_is_in_exactly_one_row():
+    """No rate is accepted and then ignored, and no row names a rate
+    ``FaultConfig`` does not have."""
+    named = [row.rate for rows in FAULTS.values() for row in rows]
+    rate_fields = [f.name for f in dataclasses.fields(FaultConfig)
+                   if f.name.endswith("_rate")]
+    assert sorted(named) == sorted(rate_fields)
+    assert len(set(named)) == len(named)
+    assert SITES == tuple(FAULTS)
+
+
+def test_injector_counters_are_the_tables_in_row_order():
+    """``results/chaos_sweep.json`` rows keep this insertion order."""
+    counters = FaultInjector(FaultSchedule.scripted([])).counters
+    assert list(counters) == [
+        "sends_seen", "dropped", "delayed", "duplicated", "reordered",
+        "migrations_vetoed", "migrations_bounced", "ckpt_io_errors",
+        "ckpt_corrupted", "crashes", "evacuations"]
+    assert list(counters)[1:] == [row.counter for rows in FAULTS.values()
+                                  for row in rows]
+
+
+# -- scripts are checked before they run -------------------------------------
+
+@pytest.mark.parametrize("bad, why", [
+    # a kind that is not its site's
+    (FaultEvent("migrate", 0, "bounce"), "site 'migrate' has no fault kind"),
+    (FaultEvent("send", 0, "explode"), "site 'send' has no fault kind"),
+    (FaultEvent("barrier", 0, "drop"), "site 'barrier' has no fault kind"),
+    # an argless kind with an arg
+    (FaultEvent("send", 0, "drop", 5.0), "'drop' takes no arg"),
+    (FaultEvent("migrate", 0, "abort", 0), "'abort' takes no arg"),
+    # delay/dup: a finite real >= 0, never a bool
+    (FaultEvent("send", 0, "delay"), "'delay' takes a finite real >= 0"),
+    (FaultEvent("send", 0, "delay", -1.0), "finite real >= 0"),
+    (FaultEvent("send", 0, "dup", float("inf")), "finite real >= 0"),
+    (FaultEvent("send", 0, "delay", True), "got True"),
+    (FaultEvent("send", 0, "dup", "9000"), "got '9000'"),
+    # corrupt/crash/evac: a real in [0, 1)
+    (FaultEvent("ckpt", 0, "corrupt"), r"'corrupt' takes a real in \[0, 1\)"),
+    (FaultEvent("barrier", 0, "crash", "x"), r"a real in \[0, 1\)"),
+    (FaultEvent("barrier", 0, "evac", 1.0), r"a real in \[0, 1\)"),
+    (FaultEvent("ckpt", 0, "corrupt", float("nan")), "got nan"),
+    (FaultEvent("barrier", 0, "crash", False), "got False"),
+])
+def test_scripts_are_checked_before_they_run(bad, why):
+    """A malformed script is refused, positioned, before any run — never
+    classified as a cleanly ``detected`` fault or a runtime ``error``."""
+    script = [FaultEvent("send", 7, "reorder"), bad]
+    runner = ChaosRunner(SampleSortChaosWorkload())
+    with pytest.raises(ChaosError, match=r"^script\[1\]: .*" + why):
+        runner.replay(script)
+
+
+def test_legal_scripts_are_accepted():
+    FaultSchedule.scripted([
+        FaultEvent("send", 0, "delay", 0), FaultEvent("send", 1, "dup", 5),
+        FaultEvent("ckpt", 0, "corrupt", 0.0),
+        FaultEvent("barrier", 0, "evac", 0.999999),
+        FaultEvent("mig_delivery", 0, "bounce")])
+
+
+def test_the_checked_in_sweep_schedules_are_accepted():
+    with open(RESULTS / "chaos_sweep.json") as fh:
+        rows = json.load(fh)["results"]
+    schedules = [[eval(text) for text in row["schedule"]]  # noqa: S307
+                 for row in rows]
+    assert sum(map(len, schedules)) > 0
+    for events in schedules:
+        assert FaultSchedule.scripted(events).script() == []
 
 
 def test_victim_fractions_stay_in_unit_interval():

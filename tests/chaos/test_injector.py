@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.chaos import FaultEvent, FaultInjector, FaultSchedule
+from repro.chaos import (STANDARD_RATES, BTMZChaosWorkload, ChaosRunner,
+                         FaultConfig, FaultEvent, FaultInjector,
+                         FaultSchedule)
 from repro.core import Checkpointer
 from repro.core.thread import ThreadState
 from repro.errors import CheckpointError, MigrationAborted
@@ -19,11 +21,8 @@ def message_cluster(n=2):
     return cl, log
 
 
-def scripted_injector(cl, *events, tags=("t",)):
-    injector = FaultInjector(FaultSchedule.scripted(list(events)),
-                             faultable_tags=tags)
-    injector.attach(cl)
-    return injector
+def scripted_injector(cl, *events):
+    return FaultInjector(FaultSchedule.scripted(list(events))).attach(cl)
 
 
 # -- message faults ---------------------------------------------------------
@@ -31,8 +30,8 @@ def scripted_injector(cl, *events, tags=("t",)):
 def test_drop_loses_exactly_the_scripted_message():
     cl, log = message_cluster()
     injector = scripted_injector(cl, FaultEvent("send", 0, "drop"))
-    cl.send(0, 1, "first", 100, tag="t")
-    cl.send(0, 1, "second", 100, tag="t")
+    cl.send(0, 1, "first", 100, tag="ampi")
+    cl.send(0, 1, "second", 100, tag="ampi")
     cl.run()
     assert log == ["second"]
     assert injector.counters["sends_seen"] == 2
@@ -43,8 +42,8 @@ def test_drop_loses_exactly_the_scripted_message():
 def test_delay_defers_delivery_past_later_traffic():
     cl, log = message_cluster()
     scripted_injector(cl, FaultEvent("send", 0, "delay", 1_000_000.0))
-    cl.send(0, 1, "slowed", 100, tag="t")
-    cl.send(0, 1, "normal", 100, tag="t")
+    cl.send(0, 1, "slowed", 100, tag="ampi")
+    cl.send(0, 1, "normal", 100, tag="ampi")
     cl.run()
     assert log == ["normal", "slowed"]
 
@@ -52,7 +51,7 @@ def test_delay_defers_delivery_past_later_traffic():
 def test_dup_delivers_the_message_twice():
     cl, log = message_cluster()
     injector = scripted_injector(cl, FaultEvent("send", 0, "dup", 5_000.0))
-    cl.send(0, 1, "once?", 100, tag="t")
+    cl.send(0, 1, "once?", 100, tag="ampi")
     cl.run()
     assert log == ["once?", "once?"]
     assert injector.counters["duplicated"] == 1
@@ -62,8 +61,8 @@ def test_dup_delivers_the_message_twice():
 def test_reorder_jumps_ahead_of_earlier_traffic():
     cl, log = message_cluster()
     injector = scripted_injector(cl, FaultEvent("send", 1, "reorder"))
-    cl.send(0, 1, "big-and-slow", 1_000_000, tag="t")   # long wire time
-    cl.send(0, 1, "queue-jumper", 100, tag="t")          # reordered early
+    cl.send(0, 1, "big-and-slow", 1_000_000, tag="ampi")   # long wire time
+    cl.send(0, 1, "queue-jumper", 100, tag="ampi")          # reordered early
     cl.run()
     assert log == ["queue-jumper", "big-and-slow"]
     assert injector.counters["reordered"] == 1
@@ -89,16 +88,16 @@ def test_each_channel_visit_is_one_decide_in_dispatch_order():
     visits = []
     decide = schedule.decide
     schedule.decide = lambda site: visits.append(site) or decide(site)
-    injector = FaultInjector(schedule, faultable_tags=("t",)).attach(cl)
+    injector = FaultInjector(schedule).attach(cl)
     bus = cl.queue.hooks
-    msg = cl.send(0, 1, "x", 10, tag="t")           # the cluster publishes
+    msg = cl.send(0, 1, "x", 10, tag="ampi")           # the cluster publishes
     assert visits == ["send"]
     assert bus.filter("net.send", [1.0, 2.0], msg=msg) == [1.0, 2.0]
     assert bus.decide("migration.start", thread=None,
                       src_pe=0, dst_pe=1) is None
     assert bus.decide("migration.delivery", image=None, msg=msg) is None
     assert bus.filter("checkpoint.write", b"blob", key="k") == b"blob"
-    assert bus.decide("checkpoint.barrier") is None
+    assert bus.decide("checkpoint.barrier", runtime=None) is None
     assert visits == ["send", "send", "send", "migrate", "mig_delivery",
                       "ckpt", "barrier"]
     assert injector.counters["sends_seen"] == 3
@@ -153,7 +152,7 @@ def test_thread_images_are_never_dropped():
     """Message faults only touch faultable tags; a drop scripted at the
     first send must not eat a migration image."""
     cl, scheds, mig, _ = make_cluster(2)
-    scripted_injector(cl, FaultEvent("send", 0, "drop"), tags=("ampi",))
+    scripted_injector(cl, FaultEvent("send", 0, "drop"))
     t = scheds[0].create(body)
     scheds[0].run()
     mig.migrate(t, 1)
@@ -193,10 +192,25 @@ def test_corrupt_write_fails_loudly_at_restore():
         ck.restore("k", 1)             # the seal catches the flipped byte
 
 
+# -- barrier faults ---------------------------------------------------------
+
+def test_a_barrier_fault_with_one_live_processor_is_recorded_not_applied():
+    """btmz seed 32 draws two crashes.  The first leaves one live
+    processor, so the second stays in the schedule — a replay must reach
+    the same decision — but is not applied and moves no counter."""
+    runner = ChaosRunner(BTMZChaosWorkload(), FaultConfig(**STANDARD_RATES))
+    result = runner.run_seed(32)
+    assert [ev.kind for ev in result.schedule].count("crash") == 2
+    assert result.counters["crashes"] == 1
+    assert result.outcome == "pass"
+    assert runner.replay(result.schedule).fingerprint() \
+        == result.fingerprint()
+
+
 def test_summary_lists_nonzero_counters():
     cl, log = message_cluster()
     injector = scripted_injector(cl, FaultEvent("send", 0, "drop"))
     assert injector.summary() == "no faults"
-    cl.send(0, 1, "x", 10, tag="t")
+    cl.send(0, 1, "x", 10, tag="ampi")
     cl.run()
     assert "dropped=1" in injector.summary()

@@ -13,8 +13,9 @@ point-to-point message road builds no string and consults the
 the host side derives what is fixed per journal, per sweep and per cell
 in one place each (``PER_SWEEP``); a migratable thread's facts — where
 its stack bytes are, what its image weighs, why its rank is parked — have
-one owner each (``PER_THREAD``); and nothing stored on ``self`` goes
-unread (``WRITE_ONLY_ALLOWED``).
+one owner each (``PER_THREAD``); every channel the fault injector
+subscribes is a runtime's (``PER_FAULT``); and nothing stored on
+``self`` goes unread (``WRITE_ONLY_ALLOWED``).
 """
 
 import ast
@@ -28,7 +29,7 @@ SRC = pathlib.Path(repro.__file__).parent
 IMPORTS = {
     "ampi": {"balance", "core", "errors", "sim"},
     "analysis": set(),
-    "balance": {"errors", "kernel", "obs"},
+    "balance": {"errors", "kernel"},
     "bench": {"balance", "bigsim", "core", "errors", "exec", "flows", "sim",
               "workloads"},
     "bigsim": {"ampi", "balance", "errors", "workloads"},
@@ -39,7 +40,7 @@ IMPORTS = {
     "exec": {"chaos", "errors", "kernel"},
     "flows": {"analysis", "core", "errors", "kernel", "sim"},
     "kernel": {"errors"},
-    "obs": {"errors", "kernel", "query"},
+    "obs": {"balance", "errors", "kernel", "query"},
     "pose": {"core", "errors", "sim"},
     "query": {"chaos", "errors", "flows", "kernel", "obs"},
     "serve": {"errors", "exec", "kernel", "obs"},
@@ -58,10 +59,6 @@ CYCLE_EDGES = {
     # ``RunObserver``) and ``repro.obs.RunObserver`` (whose report is built
     # on the query engines): the {obs, query} pair.
     ("query", "obs"),
-    # ``LBDatabase.attach_metrics`` takes its histogram buckets from
-    # ``repro.obs.metrics``; with obs -> query -> chaos -> balance that
-    # pulls ampi/balance/chaos/workloads into the same component.
-    ("balance", "obs"),
 }
 
 
@@ -428,6 +425,86 @@ def test_the_per_thread_scans_see_what_they_forbid():
     assert sorted(filter(is_park_setter, runtime_calls(tree))) == [
         "_at_migrate_point", "_set_waiting"]
     assert not is_park_setter("_match")
+
+
+#: Where a fault travels.  Every channel the injector subscribes (in
+#: ``FaultInjector._subscriptions``) is published — ``.decide("…")`` or
+#: ``.filter("…")`` — by a runtime outside ``repro/chaos``: the injector
+#: is a set of subscribers and nothing more (the checkpoint-barrier fault
+#: once published its channel to itself from a callback the AMPI runtime
+#: carried).  And the one function raising a ``ChaosError`` that names a
+#: fault kind is the scripted validation: a kind a subscriber is handed
+#: is one the table admitted, so no subscriber re-checks it.
+PER_FAULT = {
+    "subscriptions": ("chaos/injector.py", "_subscriptions"),
+    "kind_refusals": {"chaos/faults.py": ["_check_scripted"]},
+}
+
+
+def subscribed_channels(tree, func_name):
+    """The dotted channel names in function ``func_name`` of ``tree``."""
+    (func,) = (fn for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == func_name)
+    return [node.value for node in ast.walk(func)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "." in node.value]
+
+
+def published_channels(tree):
+    """Channels ``tree`` publishes: ``x.decide("c", …)``/``x.filter("c", …)``
+    with a constant channel name."""
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("decide", "filter") and node.args
+            and isinstance(node.args[0], ast.Constant)}
+
+
+def kind_refusals(tree):
+    """One entry per ``raise ChaosError(…)`` whose message text mentions a
+    kind: the name of the function it is in."""
+    def mentions_kind(call):
+        return any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   and "kind" in n.value for n in ast.walk(call))
+    return [fn.name for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and callee(node.exc) == "ChaosError" and mentions_kind(node.exc)]
+
+
+def test_every_fault_channel_is_a_runtimes_and_kinds_are_refused_once():
+    rel, func_name = PER_FAULT["subscriptions"]
+    subscribed = subscribed_channels(ast.parse((SRC / rel).read_text()),
+                                     func_name)
+    assert len(subscribed) == 5
+    published, refusals = set(), {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        found = kind_refusals(tree)
+        if found:
+            refusals[path.relative_to(SRC).as_posix()] = found
+        if path.relative_to(SRC).parts[0] != "chaos":
+            published |= published_channels(tree)
+    assert [ch for ch in subscribed if ch not in published] == []
+    assert refusals == PER_FAULT["kind_refusals"]
+
+
+def test_the_per_fault_scans_see_what_they_forbid():
+    tree = ast.parse(
+        "def _subscriptions(self):\n"
+        "    return (('net.send', self.on_send), ('x.y', self.on_x))\n"
+        "def publish(bus, name):\n"
+        "    bus.decide('net.send', msg=1)\n"
+        "    bus.filter(name, 2)\n"
+        "    bus.has('x.y')\n"
+        "def on_x(ev):\n"
+        "    raise ChaosError(f'unknown x fault kind {ev.kind!r}')\n"
+        "def on_y(ev):\n"
+        "    raise ChaosError(f'{ev.kind!r} is not attached')\n")
+    assert subscribed_channels(tree, "_subscriptions") == ["net.send", "x.y"]
+    assert published_channels(tree) == {"net.send"}
+    assert kind_refusals(tree) == ["on_x"]
 
 
 #: attribute -> why it may be stored on ``self`` and never loaded.
