@@ -80,6 +80,7 @@ class Checkpointer:
                  disk: Optional[DiskModel] = None):
         self.migrator = migrator
         self.disk = disk or DiskModel()
+        self._hooks = migrator.cluster.queue.hooks
         self._store: Dict[str, CheckpointRecord] = {}
         self.checkpoints_taken = 0
         self.restores_done = 0
@@ -108,8 +109,7 @@ class Checkpointer:
         # The kernel's "checkpoint.write" filter channel may replace the
         # blob (chaos: transient CheckpointError or a corrupted image that
         # the seal catches at restore).
-        blob = self.migrator.cluster.queue.hooks.filter(
-            "checkpoint.write", blob, key=key)
+        blob = self._hooks.filter("checkpoint.write", blob, key=key)
         self._store[key] = CheckpointRecord(
             key=key, blob=blob, tid=thread.tid, name=thread.name,
             switches_at_checkpoint=thread.switches, thread_obj=thread)

@@ -67,6 +67,9 @@ class ThreadMigrator:
                 f"mixed stack techniques across processors: {techniques}")
         self.cluster = cluster
         self.schedulers = schedulers
+        #: What every migration reads and a run never changes.
+        self._processors = cluster.processors
+        self._hooks = cluster.queue.hooks
         #: Called with each thread after it is rebuilt on its new processor.
         self.on_arrival: Optional[Callable[[UThread], None]] = None
         self.migrations_started = 0
@@ -139,7 +142,8 @@ class ThreadMigrator:
         real runtime, where migration happens from the scheduler).
         """
         src_sched = thread.scheduler
-        src_pe = src_sched.processor.id
+        src_proc = src_sched.processor
+        src_pe = src_proc.id
         if not 0 <= dst_pe < len(self.schedulers):
             raise MigrationError(f"bad destination processor {dst_pe}")
         if thread.state not in (ThreadState.READY, ThreadState.SUSPENDED):
@@ -147,16 +151,18 @@ class ThreadMigrator:
                 f"cannot migrate {thread.name} in state {thread.state.value}")
         if dst_pe == src_pe:
             return  # no-op, like the real runtime
-        if self.cluster[dst_pe].failed:
+        # Either end failed: refused before any state moves (a thread
+        # departed from a failed source would be lost in flight).
+        if src_proc.failed or self._processors[dst_pe].failed:
             self.migrations_aborted += 1
             raise MigrationAborted(
-                f"cannot migrate {thread.name}: processor {dst_pe} has "
-                f"failed")
+                f"cannot migrate {thread.name}: processor "
+                f"{src_pe if src_proc.failed else dst_pe} has failed")
         # The kernel's "migration.start" decision channel is the sanctioned
         # interception point: a subscriber (the chaos injector) returning a
         # truthy verdict vetoes the migration before any state moves.
-        if self.cluster.queue.hooks.decide("migration.start", thread=thread,
-                                           src_pe=src_pe, dst_pe=dst_pe):
+        if self._hooks.decide("migration.start", thread=thread,
+                              src_pe=src_pe, dst_pe=dst_pe):
             self.migrations_aborted += 1
             raise MigrationAborted(
                 f"migration of {thread.name} pe{src_pe}->pe{dst_pe} "
@@ -172,7 +178,6 @@ class ThreadMigrator:
         self.depart(thread)
         thread.state = ThreadState.MIGRATING
         # Packing pays a memory copy of the shipped bytes.
-        src_proc = self.cluster[src_pe]
         src_proc.charge(src_sched.profile.mem.memcpy_cost(image.wire_bytes))
         self.cluster.send(src_pe, dst_pe, image,
                           size_bytes=image.wire_bytes, tag=_TAG)
@@ -185,9 +190,10 @@ class ThreadMigrator:
         image: ThreadImage = msg.payload
         # An already-bounced image is never offered to the
         # "migration.delivery" channel again (one bounce per migration).
+        hooks = self._hooks
         if (not image.bounced
-                and self.cluster.queue.hooks.decide(
-                    "migration.delivery", image=image, msg=msg) == "bounce"):
+                and hooks.decide("migration.delivery", image=image,
+                                 msg=msg) == "bounce"):
             # Mid-flight abort: the destination refuses the image (crash
             # during migration).  Nothing was unpacked there, so the full
             # image simply ships back and the thread is rebuilt at home —
@@ -214,7 +220,6 @@ class ThreadMigrator:
         else:
             thread.migrations += 1
             self.migrations_completed += 1
-        hooks = self.cluster.queue.hooks
         if hooks.has("migration.done"):
             # Observability channel (filter-style, payload passes
             # through): one event per rebuild, completed or returned.

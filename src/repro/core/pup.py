@@ -450,41 +450,78 @@ def pup_unpack_checked(data: bytes) -> Any:
 _VT_NONE, _VT_BOOL, _VT_INT, _VT_FLOAT, _VT_BYTES, _VT_STR = 0, 1, 2, 3, 4, 5
 _VT_LIST, _VT_TUPLE, _VT_DICT, _VT_ARRAY = 6, 7, 8, 9
 
+# The codec's wire format is a pup stream: every tag and count is a pupper
+# ``int`` ("<q"), a byte string a ``_blob`` ("<Q" length, then the bytes).
+# The walk packs each value's tag with what follows it in one call.
+_INT = struct.Struct("<q").pack
+_LEN = struct.Struct("<Q").pack
+_TAG_INT = struct.Struct("<qq").pack
+_TAG_LEN = struct.Struct("<qQ").pack
+_TAG_DOUBLE = struct.Struct("<qd").pack
+_TAG_BYTE = struct.Struct("<qB").pack
+_NONE = _INT(_VT_NONE)
 
-def _pack_value_into(p: PackingPupper, value: Any) -> None:
-    if value is None:
-        p.int(_VT_NONE)
-    elif isinstance(value, bool):
-        p.int(_VT_BOOL)
-        p.bool(value)
-    elif isinstance(value, int):
-        p.int(_VT_INT)
-        p.int(value)
-    elif isinstance(value, float):
-        p.int(_VT_FLOAT)
-        p.double(value)
-    elif isinstance(value, (bytes, bytearray)):
-        p.int(_VT_BYTES)
-        p.bytes(bytes(value))
-    elif isinstance(value, str):
-        p.int(_VT_STR)
-        p.str(value)
-    elif isinstance(value, np.ndarray):
-        p.int(_VT_ARRAY)
-        p.array(value)
-    elif isinstance(value, (list, tuple)):
-        p.int(_VT_LIST if isinstance(value, list) else _VT_TUPLE)
-        p.int(len(value))
-        for item in value:
-            _pack_value_into(p, item)
-    elif isinstance(value, dict):
-        p.int(_VT_DICT)
-        p.int(len(value))
+#: The types the walk encodes.  A value of a subclass (an ``IntEnum``, a
+#: NumPy scalar, a named tuple) encodes as the one it derives from; no
+#: class can derive from two of them (``bool`` cannot be subclassed).
+_KINDS = (bool, int, float, bytes, bytearray, str, np.ndarray, list, tuple,
+          dict)
+_EXACT = frozenset(_KINDS) | {type(None)}
+
+
+def _kind(value: Any) -> type:
+    """The codec type a value whose class is not one of ``_KINDS``
+    encodes as."""
+    for kind in _KINDS:
+        if isinstance(value, kind):
+            return kind
+    raise PupError(f"pack_value cannot encode {type(value).__name__}: "
+                   f"{value!r}")
+
+
+def _walk(value: Any, out: Any) -> None:
+    """Append ``value``'s encoding to a chunk list through ``out``."""
+    kind = type(value)
+    if kind not in _EXACT:
+        kind = _kind(value)
+    if kind is str:
+        raw = value.encode("utf-8")
+        out(_TAG_LEN(_VT_STR, len(raw)))
+        out(raw)
+    elif kind is int:
+        try:
+            out(_TAG_INT(_VT_INT, value))
+        except struct.error as e:
+            raise PupError(f"pack_value cannot encode {value!r} as a "
+                           f"64-bit int: {e}") from None
+    elif kind is dict:
+        out(_TAG_INT(_VT_DICT, len(value)))
         for k, v in value.items():
-            _pack_value_into(p, k)
-            _pack_value_into(p, v)
+            _walk(k, out)
+            _walk(v, out)
+    elif kind is bytes or kind is bytearray:
+        out(_TAG_LEN(_VT_BYTES, len(value)))
+        out(value)
+    elif kind is tuple or kind is list:
+        out(_TAG_INT(_VT_LIST if kind is list else _VT_TUPLE, len(value)))
+        for item in value:
+            _walk(item, out)
+    elif value is None:
+        out(_NONE)
+    elif kind is float:
+        out(_TAG_DOUBLE(_VT_FLOAT, value))
+    elif kind is bool:
+        out(_TAG_BYTE(_VT_BOOL, 1 if value else 0))
     else:
-        raise PupError(f"pack_value cannot encode {type(value).__name__}")
+        dtype = value.dtype.str.encode("ascii")
+        out(_TAG_LEN(_VT_ARRAY, len(dtype)))
+        out(dtype)
+        out(_INT(value.ndim))
+        for dim in value.shape:
+            out(_INT(dim))
+        raw = np.ascontiguousarray(value).tobytes()
+        out(_LEN(len(raw)))
+        out(raw)
 
 
 def _unpack_value_from(p: UnpackingPupper) -> Any:
@@ -519,11 +556,13 @@ def pack_value(value: Any) -> bytes:
 
     Used wherever a migration or checkpoint image — a nest of dicts,
     byte strings, and numbers — must become real bytes on the simulated
-    disk or wire.  Inverse of :func:`unpack_value`.
+    disk or wire.  Inverse of :func:`unpack_value`.  The walk appends to
+    one chunk list and the bytes are joined once: a stack image is copied
+    once, not once per layer it passes through.
     """
-    p = PackingPupper()
-    _pack_value_into(p, value)
-    return p.buffer()
+    chunks: List[Any] = []
+    _walk(value, chunks.append)
+    return b"".join(chunks)
 
 
 def unpack_value(data: bytes) -> Any:

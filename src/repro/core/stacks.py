@@ -507,23 +507,13 @@ class MemoryAliasStacks(SingleAddressStacks):
     def _home(self, rec: StackRecord, offset: int, length: int,
               payload: Optional[bytes] = None) -> bytes:
         """An inactive thread's stack is in its private frames, mapped
-        nowhere: the one walk over them, whole image or a few bytes."""
+        nowhere: the pool loads or stores them as one run, whole image or
+        a few bytes."""
         assert rec.frames is not None
-        page = self.space.layout.page_size
-        view = None if payload is None else memoryview(payload)
-        out = bytearray()
-        done = 0
-        while done < length:
-            index = (offset + done) // page
-            start = offset + done - index * page
-            chunk = min(length - done, page - start)
-            if view is None:
-                out += rec.frames[index].read(start, chunk)
-            else:
-                rec.frames[index].data[start:start + chunk] = (
-                    view[done:done + chunk])
-            done += chunk
-        return bytes(out)
+        if payload is None:
+            return self.space.physical.load(rec.frames, offset, length)
+        self.space.physical.store(rec.frames, offset, payload)
+        return b""
 
 
 def make_stack_manager(technique: str, space: AddressSpace,

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     MapError,
+    OutOfPhysicalMemory,
     OutOfVirtualAddressSpace,
     PageFault,
     ProtectionFault,
@@ -392,38 +393,24 @@ class AddressSpace:
     # loads and stores
     # ------------------------------------------------------------------
 
-    def _pages(self, address: int, length: int,
-               write: bool) -> Iterator[Tuple[Frame, int, int]]:
-        """Translate ``[address, address+length)``: yields ``(frame,
-        offset, chunk)`` per page after that page's checks, in hardware
-        order — unmapped, not resident, protection, then the COW break."""
+    def _reach(self, m: Mapping, address: int, stop: int, need: int,
+               access: str) -> int:
+        """Check an access to ``[address, stop)`` inside ``m`` and return
+        how far it may go: ``stop``, or the base of its first page with no
+        frame.  The first page faults here, in hardware order: not
+        resident, then protection (one test: the mapping has one)."""
+        frames = m.frames
         page_size = self.layout.page_size
-        need, access = (_WRITE, "write") if write else (_READ, "read")
-        end = address + length
-        while address < end:
-            m = self.mapping_at(address)
-            if m is None:
-                raise SegmentationFault(address, self.name)
-            frames = m.frames
-            allowed = m.prot.value & need
-            index, offset = divmod(address - m.start, page_size)
-            stop = min(end, m.start + m.length)
-            while address < stop:
-                frame = frames[index] if frames is not None else None
-                if frame is None:
-                    self.page_faults += 1
-                    raise PageFault(address, self.name)
-                if not allowed:
-                    raise ProtectionFault(address, access, self.name)
-                if write and m.cow and index in m.cow:
-                    frame = self._break_cow(m, index)
-                chunk = page_size - offset
-                if address + chunk > stop:
-                    chunk = stop - address
-                yield frame, offset, chunk
-                address += chunk
-                index += 1
-                offset = 0
+        first = (address - m.start) // page_size
+        if frames is None or frames[first] is None:
+            self.page_faults += 1
+            raise PageFault(address, self.name)
+        if not m.prot.value & need:
+            raise ProtectionFault(address, access, self.name)
+        span = frames[first:(stop - 1 - m.start) // page_size + 1]
+        if None in span:
+            return m.start + (first + span.index(None)) * page_size
+        return stop
 
     def _break_cow(self, m: Mapping, index: int) -> Frame:
         """First store to a shared page: this owner gets a private copy
@@ -440,26 +427,87 @@ class AddressSpace:
         return frame
 
     def read(self, address: int, length: int) -> bytes:
-        """Read ``length`` bytes starting at ``address`` (may span pages)."""
-        chunks = []
-        for frame, offset, chunk in self._pages(address, length, False):
-            data = frame._data
-            if data is None:
-                chunks.append(bytes(chunk))
-            elif chunk == len(data):
-                chunks.append(data)
-            else:
-                chunks.append(memoryview(data)[offset:offset + chunk])
+        """Read ``length`` bytes starting at ``address`` (may span pages
+        and mappings), copied once.
+
+        Host work is per mapping, not per page.  A fault is the one the
+        first bad page raises, in hardware order: unmapped
+        (:class:`SegmentationFault`), not resident (:class:`PageFault`,
+        counted in ``page_faults``), then protection
+        (:class:`ProtectionFault`); its ``address`` is the faulting
+        byte's — ``address`` itself, or the base of a later page.  A read
+        that faults returns nothing and counts no bytes.  Pages nobody
+        wrote read as zeros and stay unmaterialized.  A negative
+        ``length`` is refused with a :class:`VMError`.
+        """
+        if length < 0:
+            raise VMError(f"read of negative length {length} at "
+                          f"{address:#x} in {self.name!r}")
+        end = address + length
+        parts = []
+        while address < end:
+            m = self.mapping_at(address)
+            if m is None:
+                raise SegmentationFault(address, self.name)
+            stop = m.start + m.length
+            if stop > end:
+                stop = end
+            reach = self._reach(m, address, stop, _READ, "read")
+            if reach < stop:
+                self.page_faults += 1
+                raise PageFault(reach, self.name)
+            parts.append(self.physical.load(m.frames, address - m.start,
+                                            stop - address))
+            address = stop
         self.bytes_read += length
-        return b"".join(chunks)
+        return b"".join(parts)
 
     def write(self, address: int, payload: bytes) -> None:
-        """Write ``payload`` starting at ``address`` (may span pages)."""
+        """Write ``payload`` starting at ``address`` (may span pages and
+        mappings).
+
+        Host work is per mapping, not per page: one slice-assign per page,
+        and a copy-on-write break only where a shared page is stored to.
+        Faults are :meth:`read`'s, in the same order, with the COW break
+        last (:class:`~repro.errors.OutOfPhysicalMemory` when the private
+        copy finds no frame).  A write is partial the way hardware's is:
+        every page before the faulting one is written (and its COW broken)
+        before the fault is raised; ``bytes_written`` counts only a write
+        that completes.
+        """
         view = memoryview(payload)
+        end = address + len(view)
+        page_size = self.layout.page_size
         done = 0
-        for frame, offset, chunk in self._pages(address, len(view), True):
-            frame.data[offset:offset + chunk] = view[done:done + chunk]
-            done += chunk
+        while address < end:
+            m = self.mapping_at(address)
+            if m is None:
+                raise SegmentationFault(address, self.name)
+            stop = m.start + m.length
+            if stop > end:
+                stop = end
+            reach = self._reach(m, address, stop, _WRITE, "write")
+            no_copy = None
+            if m.cow:
+                first = (address - m.start) // page_size
+                last = (reach - 1 - m.start) // page_size + 1
+                for index in sorted(m.cow.intersection(range(first, last))):
+                    try:
+                        self._break_cow(m, index)
+                    except OutOfPhysicalMemory as exc:
+                        no_copy = exc
+                        reach = max(address, m.start + index * page_size)
+                        break
+            count = reach - address
+            self.physical.store(m.frames, address - m.start,
+                                view[done:done + count])
+            if no_copy is not None:
+                raise no_copy
+            if reach < stop:
+                self.page_faults += 1
+                raise PageFault(reach, self.name)
+            done += count
+            address = stop
         self.bytes_written += len(payload)
 
     def read_word(self, address: int) -> int:

@@ -11,6 +11,7 @@ effectively unbounded.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
@@ -85,6 +86,10 @@ class AddressSpaceLayout:
         for required in ("text", "data", "heap", "iso", "stack"):
             if required not in self.regions:
                 raise VMError(f"layout missing required region {required!r}")
+        #: The regions in address order, and their starts: finding the
+        #: region of an address is a bisect.
+        self._ordered = sorted(self.regions.values(), key=lambda r: r.start)
+        self._starts = [r.start for r in self._ordered]
 
     # -- address helpers ----------------------------------------------------
 
@@ -112,8 +117,10 @@ class AddressSpaceLayout:
         VMError
             If the address is outside every region.
         """
-        for region in self.regions.values():
-            if region.contains(address):
+        i = bisect.bisect_right(self._starts, address) - 1
+        if i >= 0:
+            region = self._ordered[i]
+            if address < region.end:
                 return region
         raise VMError(f"address {address:#x} falls outside every region")
 

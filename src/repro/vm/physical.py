@@ -9,7 +9,7 @@ physical memory unless that remote thread migrates in", paper Section 3.4.2).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from repro.errors import OutOfPhysicalMemory, VMError
 
@@ -191,6 +191,62 @@ class PhysicalMemory:
             raise VMError(f"cannot share frame #{frame.index}")
         frame.refcount += 1
         return frame
+
+    # -- loads and stores over a run of frames ----------------------------
+    # ``frames`` laid end to end, ``offset`` counted from the first one's
+    # base: an address space's mapping, or a thread's private stack frames
+    # that are mapped nowhere.  The caller checks the range is resident.
+
+    def load(self, frames: Sequence[Frame], offset: int,
+             length: int) -> bytes:
+        """The ``length`` bytes at ``offset`` of ``frames``, copied once.
+        A frame nobody wrote reads as zeros and stays unmaterialized."""
+        if length < 0:
+            raise VMError(f"load of negative length {length}")
+        if not length:
+            return b""
+        page = self.page_size
+        first = offset // page
+        last = (offset + length - 1) // page
+        bufs = [frame._data for frame in frames[first:last + 1]]
+        if None in bufs:
+            zero = bytes(page)
+            bufs = [zero if b is None else b for b in bufs]
+        offset -= first * page
+        if offset or length != len(bufs) * page:
+            tail = offset + length - (len(bufs) - 1) * page
+            if len(bufs) == 1:
+                bufs[0] = memoryview(bufs[0])[offset:tail]
+            else:
+                bufs[0] = memoryview(bufs[0])[offset:]
+                bufs[-1] = memoryview(bufs[-1])[:tail]
+        return b"".join(bufs)
+
+    def store(self, frames: Sequence[Frame], offset: int,
+              payload: bytes) -> None:
+        """Write ``payload`` at ``offset`` of ``frames``: one slice-assign
+        per page; a whole page onto a frame nobody wrote becomes that
+        frame's buffer without a zero-fill first."""
+        view = memoryview(payload)
+        end = len(view)
+        if not end:
+            return
+        page = self.page_size
+        first, offset = divmod(offset, page)
+        done = 0
+        for frame in frames[first:first + (offset + end + page - 1) // page]:
+            stop = done + page - offset
+            if stop > end:
+                stop = end
+            data = frame._data
+            if data is None and stop - done == page:
+                frame._data = bytearray(view[done:stop])
+            else:
+                if data is None:
+                    data = frame._data = bytearray(page)
+                data[offset:offset + stop - done] = view[done:stop]
+            done = stop
+            offset = 0
 
     def free_frames(self, frames: Iterable[Frame]) -> None:
         """Return several frames to the pool, in order."""

@@ -6,11 +6,14 @@ migrations) with a coordinated checkpoint every 8 (320 images) — is the
 road ``ThreadMigrator.pack/rebuild/depart`` and the stack managers'
 ``pack``/``unpack`` carry.  Total calls per technique were 1 046 656 /
 897 607 / 874 024 when each manager had its own copy of that road and
-every switch bumped two counters nothing read (1 031 262 / 885 117 /
-814 822 since); memory aliasing then made 43 520 ``Frame.read`` +
-``Frame.write`` calls from three per-page loops.
-The simulated outcome is pinned beside the budget: same makespan, same
-bytes on the wire.
+every switch bumped two counters nothing read, and 1 031 272 / 885 127 /
+814 832 while loads and stores resumed a generator per page and
+``pack_value`` ran every field through a ``PackingPupper``; they are
+707 312 / 666 503 / 635 696 with one pass per mapping and per image.
+Memory aliasing made 43 520, then 23 040, ``Frame.read`` +
+``Frame.write`` calls; its private frames now move through the pool's
+``load``/``store``, one run per image.  The simulated outcome is pinned
+beside the budget: same makespan, same bytes on the wire.
 """
 
 import pytest
@@ -23,15 +26,15 @@ from tests.callcount import count_calls
 
 #: technique -> (calls allowed, makespan_ns, bytes shipped).
 STORM = {
-    "isomalloc": (1_035_000, 974659842.0, 84705280),
-    "stack_copy": (888_000, 974490882.0, 84541440),
-    "memory_alias": (818_000, 976926914.0, 84541440),
+    "isomalloc": (710_000, 974659842.0, 84705280),
+    "stack_copy": (669_000, 974490882.0, 84541440),
+    "memory_alias": (638_000, 976926914.0, 84541440),
 }
 
-#: ``Frame.read`` + ``Frame.write`` calls under memory aliasing: one
-#: ``read`` per page packed (2 880 images of 8 pages), no ``write`` —
-#: unpacking stores through ``Frame.data`` as ``AddressSpace.write`` does.
-FRAME_CALLS = 23_040
+#: ``Frame.read`` + ``Frame.write`` calls under memory aliasing: none —
+#: packing and unpacking a stack is one ``PhysicalMemory.load``/``store``
+#: over the thread's frames, as ``AddressSpace.read``/``write`` are.
+FRAME_CALLS = 0
 
 
 def storm(technique):

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.pup import pack_value
 from repro.core.thread import ThreadState
-from repro.errors import MigrationError
+from repro.errors import MigrationAborted, MigrationError
 from tests.core.conftest import make_cluster
 
 
@@ -149,6 +150,26 @@ def test_migrate_bad_destination():
     t = scheds[0].create(lambda th: iter(()))
     with pytest.raises(MigrationError):
         mig.migrate(t, 7)
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+@pytest.mark.parametrize("down", [0, 1])
+def test_migration_with_a_failed_end_is_refused_before_any_state_moves(
+        technique, down):
+    """Off a failed source as onto a failed destination: the thread stays
+    where it is, queued, its stack in place, and the abort is counted."""
+    cl, scheds, mig, _ = make_cluster(2, technique=technique)
+    t = scheds[0].create(lambda th: iter(()))
+    image = pack_value(mig.pack(t))
+    cl[down].failed = True
+    with pytest.raises(MigrationAborted, match=f"processor {down} has failed"):
+        mig.migrate(t, 1)
+    assert (mig.migrations_aborted, mig.migrations_started) == (1, 0)
+    assert t.state is ThreadState.READY and scheds[0].threads[t.tid] is t
+    assert pack_value(mig.pack(t)) == image
+    cl[down].failed = False
+    scheds[0].run()
+    assert t.state is ThreadState.FINISHED
 
 
 def test_multi_hop_migration():

@@ -9,13 +9,15 @@ scan only: nothing is imported, lazy in-function imports count.  Two
 more structural rules ride on the same scan: ``repro.vm``'s extent
 operations contain no per-page loop (``PER_PAGE_LOOPS``), and the
 point-to-point message road builds no string and consults the
-``net.send`` filter only when it is subscribed (``PER_MESSAGE``); and
-the host side derives what is fixed per journal, per sweep and per cell
-in one place each (``PER_SWEEP``); a migratable thread's facts — where
-its stack bytes are, what its image weighs, why its rank is parked — have
-one owner each (``PER_THREAD``); every channel the fault injector
-subscribes is a runtime's (``PER_FAULT``); and nothing stored on
-``self`` goes unread (``WRITE_ONLY_ALLOWED``).
+``net.send`` filter only when it is subscribed (``PER_MESSAGE``); a
+thread image crosses the host per mapping and per image, never per page
+or per field (``PER_IMAGE``); the host side derives what is fixed per
+journal, per sweep and per cell in one place each (``PER_SWEEP``); a
+migratable thread's facts — where its stack bytes are, what its image
+weighs, why its rank is parked — have one owner each (``PER_THREAD``);
+every channel the fault injector subscribes is a runtime's
+(``PER_FAULT``); and nothing stored on ``self`` goes unread
+(``WRITE_ONLY_ALLOWED``).
 """
 
 import ast
@@ -153,6 +155,113 @@ def test_extent_operations_do_no_per_page_host_work():
     found = {fn.name: per_page_loops(fn) for fn in space.body
              if isinstance(fn, ast.FunctionDef) and fn.name in PER_PAGE_LOOPS}
     assert found == PER_PAGE_LOOPS
+
+
+#: The image road pays per image and per mapping, never per page or per
+#: field.  ``AddressSpace.read``/``write`` contain no ``yield`` and call
+#: no generator helper (they resumed ``_pages`` once per page); each of
+#: their ``while`` loops turns once per mapping (it calls ``mapping_at``)
+#: and no ``for`` loop runs over a ``range`` of pages.  ``pack_value``'s
+#: walk calls no pupper method (a ``PackingPupper`` ran ``int`` →
+#: ``_prim`` → ``_tick`` per field) and builds no pupper.
+PER_IMAGE = {
+    "loads_and_stores": ("vm/addrspace.py", "AddressSpace",
+                         {"read", "write"}),
+    "value_walk": ("core/pup.py", {"pack_value", "_walk", "_kind"}),
+}
+
+
+def per_page_steps(cls, names):
+    """``{method: [finding, …]}`` for the methods ``names`` of ``cls``."""
+    generators = {fn.name for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(n, (ast.Yield, ast.YieldFrom))
+                          for n in ast.walk(fn))}
+    found = {}
+    for fn in cls.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in names):
+            continue
+        steps = found[fn.name] = []
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                steps.append(f"yield at line {node.lineno}")
+            elif isinstance(node, ast.Call) and callee(node) in generators:
+                steps.append(f"{callee(node)}() at line {node.lineno}")
+            elif (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+                    and callee(node.iter) == "range"):
+                steps.append(f"range loop at line {node.lineno}")
+            elif isinstance(node, ast.While) and not any(
+                    isinstance(n, ast.Call) and callee(n) == "mapping_at"
+                    for n in ast.walk(node)):
+                steps.append(f"while without mapping_at at line "
+                             f"{node.lineno}")
+    return found
+
+
+def pupper_calls(tree, names):
+    """Calls, in the functions ``names`` of ``tree``, of a pupper method
+    (``x.int(…)``) or of a pupper class."""
+    puppers = [node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name.endswith("Pupper")]
+    methods = {fn.name for cls in puppers for fn in cls.body
+               if isinstance(fn, ast.FunctionDef)}
+    classes = {cls.name for cls in puppers}
+    return [f"{fn.name}: {callee(node)}() at line {node.lineno}"
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in names
+            for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and ((isinstance(node.func, ast.Attribute)
+                  and node.func.attr in methods)
+                 or (isinstance(node.func, ast.Name)
+                     and node.func.id in classes))]
+
+
+def test_the_image_road_pays_per_mapping_and_per_image():
+    rel, cls_name, names = PER_IMAGE["loads_and_stores"]
+    (space,) = (node for node in ast.parse((SRC / rel).read_text()).body
+                if isinstance(node, ast.ClassDef) and node.name == cls_name)
+    assert per_page_steps(space, names) == {name: [] for name in names}
+    rel, names = PER_IMAGE["value_walk"]
+    tree = ast.parse((SRC / rel).read_text())
+    assert {fn.name for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)} >= names
+    assert pupper_calls(tree, names) == []
+
+
+def test_the_per_image_scans_see_what_they_forbid():
+    (space,) = ast.parse(
+        "class AddressSpace:\n"
+        "    def _pages(self, address, length):\n"
+        "        yield address\n"
+        "    def read(self, address, length):\n"
+        "        return b''.join(self._pages(address, length))\n"
+        "    def write(self, address, payload):\n"
+        "        for index in range(len(payload)):\n"
+        "            self.frames[index].write(0, payload)\n"
+        "        while address:\n"
+        "            address -= 1\n"
+        "        while address:\n"
+        "            m = self.mapping_at(address)\n").body
+    assert per_page_steps(space, {"read", "write"}) == {
+        "read": ["_pages() at line 5"],
+        "write": ["range loop at line 7", "while without mapping_at at "
+                                          "line 9"]}
+    tree = ast.parse(
+        "class BasePupper:\n"
+        "    def int(self, v): ...\n"
+        "class PackingPupper(BasePupper):\n"
+        "    def _prim(self, fmt, v): ...\n"
+        "def _walk(value, out):\n"
+        "    out(value.encode('utf-8'))\n"
+        "    p = PackingPupper()\n"
+        "    p.int(len(value))\n"
+        "def pack_value(value):\n"
+        "    return p._prim('<q', value)\n"
+        "def other(p):\n"
+        "    p.int(1)\n")
+    assert pupper_calls(tree, {"_walk", "pack_value"}) == [
+        "_walk: PackingPupper() at line 7", "_walk: int() at line 8",
+        "pack_value: _prim() at line 10"]
 
 
 #: file -> (class, methods): the point-to-point message road.  Each
@@ -300,13 +409,14 @@ def test_the_per_sweep_scan_tells_reading_from_writing():
 #: have a single-address body and a direct-address (isomalloc) body,
 #: ``pack``/``unpack`` a third for the k-slot tag (each technique once
 #: had its own of all five); ``MemoryAliasStacks`` walks private frames
-#: in one loop (it had three); the migrator reads no key of a stack
-#: image; and a parked rank is one record in one table, written by the
-#: blocking operation itself.
+#: in no loop of its own — the pool's ``load``/``store`` move them as one
+#: run (it had three loops, then one); the migrator reads no key of a
+#: stack image; and a parked rank is one record in one table, written by
+#: the blocking operation itself.
 PER_THREAD = {
     "definitions": {"evacuate": 2, "stack_read": 2, "stack_write": 2,
                     "pack": 3, "unpack": 3},
-    "frame_loops": 1,
+    "frame_loops": 0,
     "image_keys": {"contents", "slot", "heap_state", "stack_contents",
                    "heap_contents"},
     "park_containers": {"_waiting", "_wait_pred", "_at_migrate",
@@ -515,9 +625,8 @@ def test_the_per_fault_scans_see_what_they_forbid():
 WRITE_ONLY_ALLOWED = {
     "evacuations_skipped": "fault-path tally: threads a partial evacuation "
                            "had to leave behind (Checkpointer.evacuate)",
-    "address": "SegmentationFault/PageFault/ProtectionFault payload: an "
-               "error's fields are its public data for handlers",
-    "operation": "ProtectionFault payload, as above",
+    "operation": "ProtectionFault payload: an error's fields are its "
+                 "public data for handlers",
 }
 
 READERS = ("src", "tests", "tools", "examples", "perf", "benchmarks")

@@ -12,7 +12,7 @@ in creation order.
 from collections import Counter
 
 from repro.errors import (MapError, OutOfPhysicalMemory, PageFault,
-                          ProtectionFault, SegmentationFault)
+                          ProtectionFault, SegmentationFault, VMError)
 from repro.vm import Protection
 
 
@@ -91,6 +91,9 @@ class PageModel:
         return pte[0], address % self.page
 
     def read(self, address, length):
+        if length < 0:
+            raise VMError(f"model: read of negative length {length} at "
+                          f"{address:#x}")
         found = [self.translate(address + i, False) for i in range(length)]
         self.n["bytes_read"] += length
         return b"".join(frame.read(offset, 1) for frame, offset in found)

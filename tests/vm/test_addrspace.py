@@ -8,6 +8,7 @@ from repro.errors import (
     PageFault,
     ProtectionFault,
     SegmentationFault,
+    VMError,
 )
 from repro.vm import AddressSpace, AddressSpaceLayout, PhysicalMemory, Protection
 from repro.vm.layout import MB
@@ -52,6 +53,14 @@ def test_word_roundtrip_64bit():
     m = sp.mmap(4096)
     sp.write_word(m.start, 2**63 + 12345)
     assert sp.read_word(m.start) == 2**63 + 12345
+
+
+@pytest.mark.parametrize("mapped", [False, True])
+def test_read_refuses_a_negative_length(space, mapped):
+    address = space.mmap(4096).start if mapped else 0x5000_0000
+    with pytest.raises(VMError, match=f"-5 at {address:#x}"):
+        space.read(address, -5)
+    assert space.bytes_read == 0
 
 
 def test_unmapped_access_segfaults(space):

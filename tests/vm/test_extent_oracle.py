@@ -3,17 +3,23 @@
 A Hypothesis state machine drives random mmap / munmap / mprotect /
 attach / detach / remap / fork / read / write sequences through a real
 ``AddressSpace`` and through ``pagemodel.PageModel`` (each on its own frame
-pool) and demands, after every step: the same exception type, the same
-bytes, the same counters, the same frame index behind every page, the same
-``frames_in_use``.
+pool) and demands, after every step: the same exception type and faulting
+address, the same bytes, the same counters, the same frame index behind
+every page, the same ``frames_in_use``, and the same frames materialized —
+a page nobody wrote holds no host buffer.  Loads and stores also run
+across the boundary of two adjacent fixed-address mappings and as whole
+pages onto frames nobody wrote, the two shapes a per-mapping ``read``/
+``write`` treats differently from a per-page one.
 """
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core import IsomallocArena, make_stack_manager
 from repro.errors import (MapError, OutOfPhysicalMemory,
                           OutOfVirtualAddressSpace, ReproError)
+from repro.sim import Cluster
 from repro.vm import (AddressSpace, AddressSpaceLayout, PhysicalMemory,
                       Protection, Region)
 
@@ -40,7 +46,8 @@ def indices(frames):
 
 
 def both(real, model):
-    """Run one step in both worlds; same exception type or both succeed."""
+    """Run one step in both worlds; the same exception (type and, for a
+    fault, address) or both succeed."""
     results, raised = [], []
     for step in (real, model):
         try:
@@ -48,8 +55,8 @@ def both(real, model):
             raised.append(None)
         except ReproError as exc:
             results.append(None)
-            raised.append(type(exc))
-    assert raised[0] is raised[1], raised
+            raised.append((type(exc), getattr(exc, "address", None)))
+    assert raised[0] == raised[1], raised
     return results[0], results[1], raised[0] is None
 
 
@@ -85,7 +92,21 @@ class ExtentsMatchPages(RuleBasedStateMachine):
           region=st.sampled_from(REGIONS), reserve=st.booleans(),
           fixed=st.none() | st.integers(0, REGION_PAGES - 1))
     def mmap(self, w, npages, prot, region, reserve, fixed):
+        self._mmap(self._world(w), npages, prot, region, reserve, fixed)
+
+    @rule(w=picks, pick=picks, npages=st.integers(1, 5), prot=prots,
+          reserve=st.booleans())
+    def mmap_adjacent(self, w, pick, npages, prot, reserve):
+        """A fixed-address mapping starting where a live one ends."""
         world = self._world(w)
+        m = self._mapping(world, pick)
+        if m is None:
+            return
+        fixed = (m.end - LAYOUT.regions[m.region].start) // PAGE
+        if fixed < REGION_PAGES:
+            self._mmap(world, npages, prot, m.region, reserve, fixed)
+
+    def _mmap(self, world, npages, prot, region, reserve, fixed):
         lo = LAYOUT.regions[region].start // PAGE
         if fixed is None:       # first fit, as _FreeList promises
             first = next((v for v in range(lo, lo + REGION_PAGES - npages + 1)
@@ -163,6 +184,56 @@ class ExtentsMatchPages(RuleBasedStateMachine):
                          for frames in (real, model))
             self.loose.append(pair)
 
+    @rule(w=picks, pick=picks, keep=st.integers(0, 3), kid=st.booleans(),
+          fill=st.integers(0, 255))
+    def cow_write_with_pool_exhausted(self, w, pick, keep, kid, fill):
+        """Fork a world copy-on-write, take all but ``keep`` free frames,
+        then write one shared mapping whole, in the parent or the child:
+        a COW break may find no frame partway through."""
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        forks = len(self.worlds)
+        if m is None or m.frames is None or forks == 4:
+            return
+        self.mprotect(w, pick, Protection.RW)
+        self.fork(w, True)
+        if len(self.worlds) == forks:
+            return
+        want = self.real_pool.frames_free - keep
+        if want > 0:
+            self.grab_frames([True] * want)
+        target = self.worlds[-1] if kid else world
+        self._write_whole(target, world.live.index(m), fill)
+
+    @rule(w=picks, pick=picks, holes=st.lists(st.booleans(), min_size=5,
+                                              max_size=5),
+          fill=st.integers(0, 255))
+    def remap_with_holes(self, w, pick, holes, fill):
+        """Leave a writable mapping partly resident — a fresh frame under
+        its first page and some others, none under the rest — then read
+        and write all of it."""
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        if m is None:
+            return
+        self.mprotect(w, pick, Protection.RW)
+        loose = len(self.loose)
+        self.grab_frames([True] + [not hole for hole
+                                   in holes[1:m.length // PAGE]])
+        if len(self.loose) > loose:
+            self.remap(w, pick, loose)
+        real, model, _ = both(lambda: world.real.read(m.start, m.length),
+                              lambda: world.model.read(m.start, m.length))
+        assert real == model
+        self._write_whole(world, pick, fill)
+
+    def _write_whole(self, world, pick, fill):
+        m = self._mapping(world, pick)
+        if m is not None:
+            payload = bytes([fill, 255 - fill]) * (m.length // 2)
+            both(lambda: world.real.write(m.start, payload),
+                 lambda: world.model.write(m.start, payload))
+
     @rule(pick=picks)
     def free_loose(self, pick):
         if self.loose:
@@ -233,7 +304,7 @@ class ExtentsMatchPages(RuleBasedStateMachine):
         return base + offset
 
     @rule(w=picks, pick=picks, offset=st.integers(-8, 4 * PAGE),
-          length=st.integers(0, 3 * PAGE))
+          length=st.integers(-3, 3 * PAGE))
     def read(self, w, pick, offset, length):
         world = self._world(w)
         address = self._address(world, pick, offset)
@@ -249,6 +320,40 @@ class ExtentsMatchPages(RuleBasedStateMachine):
         both(lambda: world.real.write(address, payload),
              lambda: world.model.write(address, payload))
 
+    @rule(w=picks, pick=picks, back=st.integers(1, 2 * PAGE),
+          ahead=st.integers(1, 2 * PAGE))
+    def read_across(self, w, pick, back, ahead):
+        """From ``back`` bytes before a mapping's end to ``ahead`` past
+        it: into the adjacent mapping, if there is one."""
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        if m is not None:
+            real, model, _ = both(
+                lambda: world.real.read(m.end - back, back + ahead),
+                lambda: world.model.read(m.end - back, back + ahead))
+            assert real == model
+
+    @rule(w=picks, pick=picks, back=st.integers(1, 2 * PAGE),
+          payload=st.binary(min_size=1, max_size=3 * PAGE))
+    def write_across(self, w, pick, back, payload):
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        if m is not None:
+            both(lambda: world.real.write(m.end - back, payload),
+                 lambda: world.model.write(m.end - back, payload))
+
+    @rule(w=picks, pick=picks, page=st.integers(0, 4),
+          npages=st.integers(1, 5), fill=st.integers(0, 255))
+    def write_whole_pages(self, w, pick, page, npages, fill):
+        """Page-aligned whole pages: onto a frame nobody wrote, each
+        becomes the frame's buffer with no zero-fill first."""
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        if m is not None:
+            payload = bytes([fill, 255 - fill]) * (npages * PAGE // 2)
+            both(lambda: world.real.write(m.start + page * PAGE, payload),
+                 lambda: world.model.write(m.start + page * PAGE, payload))
+
     # -- what must agree after every step ----------------------------------
 
     @invariant()
@@ -257,7 +362,8 @@ class ExtentsMatchPages(RuleBasedStateMachine):
         assert real.frames_in_use == model.frames_in_use
         assert real.frames_allocated_ever == model.frames_allocated_ever
         for a, b in zip(real._frames, model._frames, strict=True):
-            assert (a.allocated, a.refcount) == (b.allocated, b.refcount)
+            assert (a.allocated, a.refcount, a.materialized) == \
+                (b.allocated, b.refcount, b.materialized)
             assert a.read(0, PAGE) == b.read(0, PAGE)
 
     @invariant()
@@ -284,8 +390,34 @@ class ExtentsMatchPages(RuleBasedStateMachine):
                     assert (m.cow is not None and i in m.cow) == cow
                 assert not real.is_mapped(m.end) or \
                     real.mapping_at(m.end) is not m
+                if m.frames is not None and None not in m.frames:
+                    # The pool's one load, whole and ragged at both ends,
+                    # against the frames read one by one.
+                    pages = b"".join(f.read(0, PAGE) for f in m.frames)
+                    load = real.physical.load
+                    assert load(m.frames, 0, m.length) == pages
+                    assert load(m.frames, 5, m.length - 9) == pages[5:-4]
 
 
 ExtentsMatchPages.TestCase.settings = settings(
     max_examples=200, stateful_step_count=30, deadline=None)
 TestExtentsMatchPages = ExtentsMatchPages.TestCase
+
+
+@pytest.mark.parametrize("technique", ["isomalloc", "stack_copy",
+                                       "memory_alias"])
+def test_packing_a_never_written_stack_materializes_no_frame(technique):
+    """An 8-page stack nobody wrote packs to zeros without giving any
+    frame a host buffer, under each technique's road to its bytes."""
+    cluster = Cluster(1)
+    proc = cluster[0]
+    page = proc.space.layout.page_size
+    arena = IsomallocArena(cluster.platform.layout(), 1,
+                           slot_bytes=16 * page)
+    mgr = make_stack_manager(technique, proc.space, cluster.platform,
+                             8 * page, arena, 0)
+    image = mgr.pack(mgr.create_stack())
+    stack = image["slot"]["stack_contents"] if "slot" in image \
+        else image["contents"]
+    assert stack == bytes(8 * page)
+    assert not any(f.materialized for f in proc.space.physical._frames)

@@ -68,6 +68,24 @@ def test_region_of():
     assert lay.region_of(heap.start) is heap
     with pytest.raises(VMError):
         lay.region_of(0)  # below text
+    # Regions declared out of address order, with gaps between them: each
+    # is found from its first to its last byte, and no gap belongs to one.
+    shuffled = AddressSpaceLayout(32, 4096, [
+        Region("stack", 0x40000, 0x1000),
+        Region("text", 0x1000, 0x1000),
+        Region("iso", 0x30000, 0x2000),
+        Region("data", 0x2000, 0x1000),
+        Region("heap", 0x20000, 0x1000),
+    ])
+    for layout in (lay, AddressSpaceLayout.large64(), shuffled):
+        regions = list(layout.regions.values())
+        for r in regions:
+            assert layout.region_of(r.start) is r
+            assert layout.region_of(r.end - 1) is r
+            if not any(o.contains(r.end) for o in regions):
+                with pytest.raises(VMError):
+                    layout.region_of(r.end)
+    assert shuffled.region_of(0x2000).name == "data"   # adjacent to text
 
 
 def test_layout_rejects_overlapping_regions():

@@ -103,3 +103,19 @@ def test_bad_page_size_rejected():
         PhysicalMemory(4096, page_size=3000)
     with pytest.raises(VMError):
         PhysicalMemory(5000, page_size=4096)
+
+
+def test_load_and_store_treat_frames_as_one_run():
+    """Bytes at an offset of frames laid end to end, ragged at both ends;
+    only the pages a store reaches are materialized."""
+    pm = PhysicalMemory(16 * 256, page_size=256)
+    frames = pm.allocate_frames(4)
+    payload = bytes(range(200)) * 2
+    pm.store(frames, 300, payload)                  # pages 1 and 2
+    assert [f.materialized for f in frames] == [False, True, True, False]
+    assert pm.load(frames, 290, 420) == bytes(10) + payload + bytes(10)
+    assert pm.load(frames, 0, 256) == bytes(256)
+    assert not frames[0].materialized
+    assert pm.load(frames, 5, 0) == b""
+    with pytest.raises(VMError, match="-1"):
+        pm.load(frames, 0, -1)
