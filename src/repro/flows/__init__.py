@@ -14,8 +14,9 @@ context-switch cost to the processor clock (Figures 4–8):
   the artificially low no-op cost, exactly as the paper observed.
 """
 
-from repro.flows.base import FlowHandle, FlowMechanism, YieldBenchmarkResult
-from repro.flows.runtime import FlowProgram, FlowWorld, WorkloadRun
+from repro.flows.base import FlowMechanism, YieldBenchmarkResult
+from repro.flows.runtime import (FlowContext, FlowProgram, FlowWorld,
+                                 WorkloadRun)
 from repro.flows.compile import CompiledFlow, FlowCompileError, compile_flow
 from repro.flows.process import ProcessFlow
 from repro.flows.kthread import KernelThreadFlow
@@ -26,9 +27,9 @@ from repro.flows.compiled import CompiledContinuationFlow
 from repro.flows.limits import LimitProbe, probe_limit
 
 __all__ = [
-    "FlowHandle",
     "FlowMechanism",
     "YieldBenchmarkResult",
+    "FlowContext",
     "FlowProgram",
     "FlowWorld",
     "WorkloadRun",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import (OutOfPhysicalMemory, ReproError,
                           ThreadLimitExceeded)
@@ -25,15 +25,7 @@ from repro.flows.runtime import FlowProgram, FlowWorld, WorkloadRun
 from repro.kernel import KernelTracer
 from repro.sim.processor import Processor
 
-__all__ = ["FlowHandle", "FlowMechanism", "YieldBenchmarkResult"]
-
-
-@dataclass
-class FlowHandle:
-    """One created flow of control (opaque per-mechanism payload)."""
-
-    index: int
-    payload: object = None
+__all__ = ["FlowMechanism", "YieldBenchmarkResult"]
 
 
 @dataclass(frozen=True)
@@ -70,17 +62,21 @@ class FlowMechanism(ABC):
     def __init__(self, processor: Processor):
         self.processor = processor
         self.profile = processor.profile
-        self.flows: List[FlowHandle] = []
+        #: Each live flow's payload (what :meth:`_create` returned); a
+        #: flow's index is its position.
+        self.flows: List[Any] = []
 
     # -- creation ---------------------------------------------------------
 
     @abstractmethod
-    def _create(self, index: int) -> FlowHandle:
-        """Mechanism-specific creation; may raise an OS-limit error."""
+    def _create(self, index: int) -> Any:
+        """Mechanism-specific creation; returns the flow's payload (its
+        real resources, or ``None`` when it holds none).  May raise an
+        OS-limit error."""
 
     @abstractmethod
-    def _destroy(self, handle: FlowHandle) -> None:
-        """Mechanism-specific teardown."""
+    def _destroy(self, payload: Any) -> None:
+        """Mechanism-specific teardown of one flow's payload."""
 
     def _refuse_past_uthread_cap(self) -> None:
         """The administrative per-user memory cap on user-level threads
@@ -92,13 +88,13 @@ class FlowMechanism(ABC):
                 f"{limit} user-level threads")
 
     def _reserve_stack(self, index: int, nbytes: int, tag: str,
-                       addr: Optional[int] = None) -> FlowHandle:
+                       addr: Optional[int] = None) -> tuple:
         """A thread flow's stack: a reserved virtual range in the mmap
         area (at ``addr`` when given), lazily faulted — a fresh thread
         has touched only its first page, which is how real machines fit
         tens of thousands of 16 KB-reserved stacks in 1 GB of RAM.
         A refusal of that page (Table 2's memory limit) gives the
-        reservation back."""
+        reservation back.  Returns the payload ``(stack, touched)``."""
         space = self.processor.space
         stack = space.mmap(nbytes, region="iso", addr=addr,
                            reserve_only=True, tag=f"{tag}{index}")
@@ -107,18 +103,19 @@ class FlowMechanism(ABC):
         except OutOfPhysicalMemory:
             space.munmap(stack)
             raise
-        return FlowHandle(index, payload=(stack, touched))
+        return stack, touched
 
-    def _release_stack(self, handle: FlowHandle) -> None:
-        stack, touched = handle.payload
+    def _release_stack(self, payload: tuple) -> None:
+        stack, touched = payload
         self.processor.space.munmap(stack)
         self.processor.space.physical.free_frames(touched)
 
-    def create_flow(self) -> FlowHandle:
-        """Create one more flow, charging its creation cost."""
-        handle = self._create(len(self.flows))
-        self.flows.append(handle)
-        return handle
+    def create_flow(self) -> Any:
+        """Create one more flow, charging its creation cost; returns its
+        payload."""
+        payload = self._create(len(self.flows))
+        self.flows.append(payload)
+        return payload
 
     def destroy_all(self) -> None:
         """Tear down every flow this mechanism created."""
@@ -162,17 +159,21 @@ class FlowMechanism(ABC):
         modeled switch cost at that population is charged per dispatch.
         ``trace=True`` attaches a :class:`KernelTracer` and returns its
         entries on the run (the differential oracle's byte source).
+        The flows are torn down however the run ends: a refused
+        creation or a failed world leaks no stack or frame.
         """
-        if real_flows:
-            while self.n_flows < program.ranks:
-                self.create_flow()
-        world = FlowWorld(program.ranks,
-                          dispatch_cost_ns=self.switch_cost_ns(
-                              program.ranks))
-        tracer = KernelTracer().attach(world.kernel) if trace else None
-        world.spawn(self.form, program)
-        processed = world.run()
-        self.destroy_all()
+        try:
+            if real_flows:
+                while self.n_flows < program.ranks:
+                    self.create_flow()
+            world = FlowWorld(program.ranks,
+                              dispatch_cost_ns=self.switch_cost_ns(
+                                  program.ranks))
+            tracer = KernelTracer().attach(world.kernel) if trace else None
+            world.spawn(self.form, program)
+            processed = world.run()
+        finally:
+            self.destroy_all()
         return WorkloadRun(
             mechanism=self.label,
             platform=self.profile.name,

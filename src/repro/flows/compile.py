@@ -33,7 +33,7 @@ Pipeline
    is chained through continuation hand-off frames; delegation to the
    runtime interface (``mpi.recv`` / ``mpi.barrier``) maps onto the
    ``op_*`` continuation primitives of
-   :class:`~repro.flows.runtime.FlowContext`.
+   :class:`~repro.flows.runtime.CompiledTask`.
 4. **Fusion** — a ``return (S, _f)`` goto costs a trampoline bounce, so
    the lowered states are fused to one per straight-line run
    (:meth:`_FunctionLowering.fuse`): a goto to a lone
@@ -76,7 +76,7 @@ __all__ = ["FlowCompileError", "CompiledFlow", "compile_flow",
            "classify_function"]
 
 #: Runtime-interface delegations the compiler lowers onto continuation
-#: primitives (method name -> FlowContext op).
+#: primitives (method name -> CompiledTask op).
 _PRIMITIVES = {"recv": "op_recv", "barrier": "op_barrier"}
 
 #: What a lowered ``for`` header's ``next(it, _END)`` reads at loop exit.
@@ -103,7 +103,7 @@ class CompiledFlow:
     line: int
     #: Generated Python source of the full state machine.
     source: str
-    #: Entry state function ``(ctx, frame) -> next``.
+    #: Entry state function ``(task, frame) -> next``.
     entry: Callable[..., Any]
     #: Frame record class for the outermost function.
     frame_factory: Callable[[], Any]
@@ -111,9 +111,6 @@ class CompiledFlow:
     n_states: int
     #: Suspend points of the outermost body (== ``suspend_points``' count).
     suspend_points: int
-
-    def new_frame(self) -> Any:
-        return self.frame_factory()
 
 
 # ---------------------------------------------------------------------------

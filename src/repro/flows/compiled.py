@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.flows.base import FlowHandle, FlowMechanism
+from repro.flows.base import FlowMechanism
 
 __all__ = ["CompiledContinuationFlow"]
 
@@ -33,18 +33,19 @@ class CompiledContinuationFlow(FlowMechanism):
     #: Trampoline + frame indirection on top of a raw event dispatch.
     continuation_ns = 20.0
 
-    def _create(self, index: int) -> FlowHandle:
+    def _create(self, index: int) -> None:
         # A compiled flow is pure user data, like an event object: no
         # stack mapping, no kernel resource.  Creation is one dispatch
         # to run the entry state up to its first suspend.
         self.processor.charge(self.profile.event_dispatch_ns
                               + self.continuation_ns)
-        # No payload object at all: a million handles stay a million
-        # small records, which is the mechanism's whole argument.
-        return FlowHandle(index)
+        # No payload object at all: ``flows`` holds ``None`` per flow, so
+        # a million flows allocate nothing here beyond the list's slots
+        # — the mechanism's whole argument.
+        return None
 
-    def _destroy(self, handle: FlowHandle) -> None:
-        handle.payload = None
+    def _destroy(self, payload: None) -> None:
+        pass
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One kernel dispatch into a state function via the trampoline."""

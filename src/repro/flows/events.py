@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.flows.base import FlowHandle, FlowMechanism
+from repro.flows.base import FlowMechanism
 
 __all__ = ["EventObjectFlow"]
 
@@ -27,14 +27,14 @@ class EventObjectFlow(FlowMechanism):
     #: Modeled per-object state (application data + scheduler entry).
     object_bytes = 256
 
-    def _create(self, index: int) -> FlowHandle:
+    def _create(self, index: int) -> dict:
         # An event-driven object is pure user data: no kernel resource,
         # no stack; just account a small allocation.
         self.processor.charge(self.profile.event_dispatch_ns)
-        return FlowHandle(index, payload={"state": 0})
+        return {"state": 0}
 
-    def _destroy(self, handle: FlowHandle) -> None:
-        handle.payload = None
+    def _destroy(self, payload: dict) -> None:
+        pass
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One scheduler dispatch to an object's entry method."""

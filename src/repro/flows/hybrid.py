@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ThreadLimitExceeded
-from repro.flows.base import FlowHandle, FlowMechanism
+from repro.flows.base import FlowMechanism
 from repro.sim.processor import Processor
 
 __all__ = ["HybridThreadFlow"]
@@ -48,14 +48,14 @@ class HybridThreadFlow(FlowMechanism):
             processor.kernel.thread_create()
             processor.charge(self.profile.pthread_create_ns)
 
-    def _create(self, index: int) -> FlowHandle:
-        handle = self._reserve_stack(index, self.stack_bytes, "nm-stack")
+    def _create(self, index: int) -> tuple:
+        payload = self._reserve_stack(index, self.stack_bytes, "nm-stack")
         self.processor.charge(self.profile.uthread_create_ns
                               + self.coordination_ns)
-        return handle
+        return payload
 
-    def _destroy(self, handle: FlowHandle) -> None:
-        self._release_stack(handle)
+    def _destroy(self, payload: tuple) -> None:
+        self._release_stack(payload)
 
     def teardown(self) -> None:
         """Release the M kernel entities (after destroy_all)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.flows.base import FlowHandle, FlowMechanism
+from repro.flows.base import FlowMechanism
 
 __all__ = ["KernelThreadFlow"]
 
@@ -25,15 +25,15 @@ class KernelThreadFlow(FlowMechanism):
     #: where pthread stacks are lazily faulted).
     stack_bytes = 16 * 1024
 
-    def _create(self, index: int) -> FlowHandle:
+    def _create(self, index: int) -> tuple:
         self.processor.kernel.thread_create()
-        handle = self._reserve_stack(index, self.stack_bytes,
-                                     "pthread-stack")
+        payload = self._reserve_stack(index, self.stack_bytes,
+                                      "pthread-stack")
         self.processor.charge(self.profile.pthread_create_ns)
-        return handle
+        return payload
 
-    def _destroy(self, handle: FlowHandle) -> None:
-        self._release_stack(handle)
+    def _destroy(self, payload: tuple) -> None:
+        self._release_stack(payload)
         self.processor.kernel.thread_exit()
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from repro.flows.base import FlowHandle, FlowMechanism
+from repro.flows.base import FlowMechanism
 from repro.sim.processor import Processor
 
 __all__ = ["ProcessFlow"]
@@ -29,7 +29,7 @@ class ProcessFlow(FlowMechanism):
         #: Modeled per-process kernel state, for memory accounting (bytes).
         self.kernel_state_bytes = 16 * 1024
 
-    def _create(self, index: int) -> FlowHandle:
+    def _create(self, index: int) -> Any:
         self.processor.kernel.fork()
         # Modern fork is copy-on-write: creation pays kernel work plus
         # page-table duplication; the page copies come later, at first
@@ -40,10 +40,9 @@ class ProcessFlow(FlowMechanism):
                   * (space.resident_bytes // space.layout.page_size))
         kernel_copy_ns = self.profile.mem.memcpy_cost(self.kernel_state_bytes)
         self.processor.charge(self.profile.fork_ns + pte_ns + kernel_copy_ns)
-        return FlowHandle(index, payload=child)
+        return child
 
-    def _destroy(self, handle: FlowHandle) -> None:
-        child = handle.payload
+    def _destroy(self, child: Any) -> None:
         for mapping in list(child.mappings()):
             child.munmap(mapping)
         self.processor.kernel.exit_process()

@@ -35,6 +35,14 @@ destination's ``(source, tag)`` wait inline, posting the resume itself;
 write ``_waiting[rank]`` directly.  Each task carries its ``(task,)``
 kernel args tuple once, so no post builds one.
 
+What a rank costs the host (pinned by ``tests/flows/test_footprint.py``):
+a rank is one task object — a :class:`FlowContext` subclass, so no
+separate context — plus its args tuple and its generator or frame
+record, and a rank that is never sent to has no mailbox (the slot stays
+``None`` until the first message).  The cyclic collector re-walks every
+such object at each full collection, so the count is a host cost of its
+own: at seven objects per flow it was a third of the 80 000-flow drain.
+
 Cost model: the world charges ``dispatch_cost_ns`` (the owning
 mechanism's modeled switch cost) per dispatch into
 :attr:`FlowWorld.modeled_switch_ns`, and bodies charge their compute
@@ -91,7 +99,8 @@ class FlowProgram:
 
 
 class FlowContext:
-    """The runtime handle every rank body receives (the ``mpi`` receiver).
+    """One rank of a world, and the runtime handle its body receives
+    (the ``mpi`` receiver).
 
     Deliberately a semantic subset of
     :class:`~repro.ampi.context.AmpiContext`, with the same suspend
@@ -100,22 +109,23 @@ class FlowContext:
     the unchanged AMPI runtime interface: ``recv``/``barrier`` suspend,
     ``send``/``charge`` do not.
 
-    The suspending operations exist in both calling conventions: as
-    generator methods (``yield from mpi.recv()``, the thread form) and
-    as the ``op_*`` continuation primitives the lowered suspend points
-    of :mod:`repro.flows.compile` call.  Generated state functions
-    receive this object under the body's original receiver name, so
-    the non-suspending calls run verbatim in both forms.
+    A rank is one host object: the two task classes below *are*
+    contexts, adding what their form resumes — the body generator, or
+    the compiled form's parked ``(state, frame)`` and the ``op_*``
+    continuation primitives its lowered suspend points call.  ``flow``
+    is the rank's kernel label (``r<rank>``) and ``args`` its ``(task,)``
+    kernel args tuple, built once and shared by every post of its
+    resume.
     """
 
-    __slots__ = ("_world", "_task", "rank", "nranks")
+    __slots__ = ("_world", "rank", "nranks", "flow", "args")
 
-    def __init__(self, world: "FlowWorld", task: "_Task",
-                 rank: int) -> None:
+    def __init__(self, world: "FlowWorld", rank: int) -> None:
         self._world = world
-        self._task = task
         self.rank = rank
         self.nranks = world.ranks
+        self.flow = f"r{rank}"
+        self.args = (self,)
 
     # -- non-suspending -------------------------------------------------
 
@@ -124,14 +134,17 @@ class FlowContext:
         never suspends), waking ``dest`` if it is suspended in a receive
         the message matches."""
         world = self._world
+        mailbox = world._mailbox
         try:
-            box = world._mailbox[dest] if 0 <= dest < self.nranks else None
+            box = mailbox[dest] if 0 <= dest < self.nranks else False
         except TypeError:  # 1.0, None: ordered or not, it is no index
-            box = None
-        if box is None:
+            box = False
+        if box is False:
             raise ReproError(
                 f"flow r{self.rank}: bad destination rank {dest!r} "
                 f"(world has ranks 0..{self.nranks - 1})")
+        if box is None:  # dest's first message opens its mailbox
+            box = mailbox[dest] = []
         box.append((self.rank, tag, data))
         waiting = world._waiting[dest]
         if waiting is not None:
@@ -159,14 +172,19 @@ class FlowContext:
         ``None`` = any); suspends until one arrives.  Returns
         synchronously (no kernel event) when a match is already queued
         — the compiled form mirrors this exactly."""
-        box = self._world._mailbox[self.rank]
+        world = self._world
+        rank = self.rank
         while True:
-            for i, (src, mtag, data) in enumerate(box):
-                if (source is None or src == source) \
-                        and (tag is None or mtag == tag):
-                    del box[i]
-                    return data
-            self._world._waiting[self.rank] = (source, tag)
+            # Read the slot on every scan: this rank's first message
+            # replaces the ``None`` there with the mailbox.
+            box = world._mailbox[rank]
+            if box:
+                for i, (src, mtag, data) in enumerate(box):
+                    if (source is None or src == source) \
+                            and (tag is None or mtag == tag):
+                        del box[i]
+                        return data
+            world._waiting[rank] = (source, tag)
             yield "suspend"
 
     def barrier(self):
@@ -174,6 +192,70 @@ class FlowContext:
         all ranks with one ``post_batch``."""
         self._world._barrier_arrive()
         yield "suspend"
+
+
+class _GeneratorTask(FlowContext):
+    """A rank running its thread-form body generator, trampolined one
+    resume per kernel event."""
+
+    __slots__ = ("gen",)
+
+    def __init__(self, world: "FlowWorld", rank: int,
+                 body: Callable[..., Any]) -> None:
+        super().__init__(world, rank)
+        self.gen = body(self)
+
+    def step(self, world: "FlowWorld") -> None:
+        try:
+            directive = self.gen.send(None)
+        except StopIteration:
+            world._done += 1
+            return
+        if directive == "suspend":
+            return
+        if directive == "yield":
+            world.kernel.post(0.0, world._resume, self.args,
+                              "flow.resume", self.flow)
+            return
+        if directive == "exit":
+            self.gen.close()
+            world._done += 1
+            return
+        raise ReproError(
+            f"flow {self.flow}: unsupported directive {directive!r} "
+            f"(the flows runtime speaks yield/suspend/exit)")
+
+
+class CompiledTask(FlowContext):
+    """A rank running as a compiled continuation state machine: the
+    parked ``(_pc, _frame)`` pair is all it holds beyond its context.
+    Generated state functions receive the task itself as their
+    receiver, so the body's non-suspending calls run verbatim and its
+    lowered suspend points call the ``op_*`` primitives below."""
+
+    __slots__ = ("_pc", "_frame")
+
+    def __init__(self, world: "FlowWorld", rank: int, entry,
+                 frame) -> None:
+        super().__init__(world, rank)
+        self._pc = entry
+        self._frame = frame
+
+    def step(self, world: "FlowWorld") -> None:
+        pc, frame = self._pc, self._frame
+        self._pc = self._frame = None
+        res = pc(self, frame)
+        # The trampoline: states hand back (next_state, frame) until a
+        # primitive parks a resume point or the outermost frame returns.
+        while res.__class__ is tuple:
+            pc, frame = res
+            res = pc(self, frame)
+        if res is DONE:
+            world._done += 1
+        elif res is not SUSPENDED:
+            raise ReproError(
+                f"flow {self.flow}: compiled state returned {res!r} "
+                f"(expected a continuation, DONE, or SUSPENDED)")
 
     # -- suspending, compiled form (called from generated code) ---------
 
@@ -185,33 +267,33 @@ class FlowContext:
         register the wait and park ``retry`` (which re-runs the match,
         exactly like the generator's receive loop)."""
         box = self._world._mailbox[self.rank]
-        for i, (src, mtag, data) in enumerate(box):
-            if (source is None or src == source) \
-                    and (tag is None or mtag == tag):
-                del box[i]
-                if var is not None:
-                    setattr(frame, var, data)
-                return (cont, frame)
+        if box:
+            for i, (src, mtag, data) in enumerate(box):
+                if (source is None or src == source) \
+                        and (tag is None or mtag == tag):
+                    del box[i]
+                    if var is not None:
+                        setattr(frame, var, data)
+                    return (cont, frame)
         self._world._waiting[self.rank] = (source, tag)
-        task = self._task
-        task._pc = retry
-        task._frame = frame
+        self._pc = retry
+        self._frame = frame
         return SUSPENDED
 
     def op_barrier(self, frame, cont):
         """``yield from mpi.barrier()`` in continuation form."""
         self._world._barrier_arrive()
-        task = self._task
-        task._pc = cont
-        task._frame = frame
+        self._pc = cont
+        self._frame = frame
         return SUSPENDED
 
     def op_yield(self, frame, cont):
         """``yield "yield"`` — cooperative yield via kernel re-post."""
-        task = self._task
-        task._pc = cont
-        task._frame = frame
-        self._world._post_resume(task)
+        self._pc = cont
+        self._frame = frame
+        world = self._world
+        world.kernel.post(0.0, world._resume, self.args, "flow.resume",
+                          self.flow)
         return SUSPENDED
 
     def op_exit(self, frame):
@@ -228,78 +310,6 @@ class FlowContext:
         if var is not None:
             setattr(caller_frame, var, value)
         return (cont, caller_frame)
-
-
-class _Task:
-    """One rank of a world: ``flow`` is its kernel label (``r<rank>``;
-    the rank itself lives on its :class:`FlowContext`), ``args`` its
-    ``(task,)`` kernel args tuple, built once and shared by every post.
-    The forms set both themselves: a ``super().__init__`` per task read
-    +3 % on the 80 000-flow ``flows_drain`` repetition."""
-
-    __slots__ = ("flow", "args")
-
-
-class _GeneratorTask(_Task):
-    """Trampoline around one thread-form body generator."""
-
-    __slots__ = ("gen",)
-
-    def __init__(self, world: "FlowWorld", rank: int,
-                 body: Callable[..., Any]) -> None:
-        self.flow = f"r{rank}"
-        self.args = (self,)
-        self.gen = body(FlowContext(world, self, rank))
-
-    def step(self, world: "FlowWorld") -> None:
-        try:
-            directive = self.gen.send(None)
-        except StopIteration:
-            world._done += 1
-            return
-        if directive == "suspend":
-            return
-        if directive == "yield":
-            world._post_resume(self)
-            return
-        if directive == "exit":
-            self.gen.close()
-            world._done += 1
-            return
-        raise ReproError(
-            f"flow {self.flow}: unsupported directive {directive!r} "
-            f"(the flows runtime speaks yield/suspend/exit)")
-
-
-class CompiledTask(_Task):
-    """One flow running as a compiled continuation state machine."""
-
-    __slots__ = ("ctx", "_pc", "_frame")
-
-    def __init__(self, world: "FlowWorld", rank: int, entry,
-                 frame) -> None:
-        self.flow = f"r{rank}"
-        self.args = (self,)
-        self.ctx = FlowContext(world, self, rank)
-        self._pc = entry
-        self._frame = frame
-
-    def step(self, world: "FlowWorld") -> None:
-        pc, frame = self._pc, self._frame
-        self._pc = self._frame = None
-        ctx = self.ctx
-        res = pc(ctx, frame)
-        # The trampoline: states hand back (next_state, frame) until a
-        # primitive parks a resume point or the outermost frame returns.
-        while res.__class__ is tuple:
-            pc, frame = res
-            res = pc(ctx, frame)
-        if res is DONE:
-            world._done += 1
-        elif res is not SUSPENDED:
-            raise ReproError(
-                f"flow {self.flow}: compiled state returned {res!r} "
-                f"(expected a continuation, DONE, or SUSPENDED)")
 
 
 @dataclass(frozen=True)
@@ -337,8 +347,9 @@ class FlowWorld:
         self.kernel = EventKernel(name="flows", causality=False)
         self.dispatch_cost_ns = dispatch_cost_ns
         self._tasks: List[Any] = []
-        #: Per-rank queues of ``(src, tag, data)`` tuples.
-        self._mailbox: List[List[tuple]] = [[] for _ in range(ranks)]
+        #: Per-rank queues of ``(src, tag, data)`` tuples; ``None`` until
+        #: the rank's first message arrives.
+        self._mailbox: List[Optional[List[tuple]]] = [None] * ranks
         self._waiting: List[Optional[tuple]] = [None] * ranks
         self._barrier_count = 0
         self._done = 0
@@ -363,9 +374,9 @@ class FlowWorld:
                            for r in ranks]
         elif form == "compiled":
             compiled = compile_flow(program.body)
-            self._tasks = [
-                CompiledTask(self, r, compiled.entry, compiled.new_frame())
-                for r in ranks]
+            entry, new_frame = compiled.entry, compiled.frame_factory
+            self._tasks = [CompiledTask(self, r, entry, new_frame())
+                           for r in ranks]
         else:
             raise ReproError(
                 f"unknown flow form {form!r} (thread, compiled); a "
@@ -416,10 +427,6 @@ class FlowWorld:
         self.dispatches += 1
         self.modeled_switch_ns += self.dispatch_cost_ns
         task.step(self)
-
-    def _post_resume(self, task) -> None:
-        self.kernel.post(0.0, self._resume, task.args, "flow.resume",
-                         task.flow)
 
     # -- barrier (messaging lives on FlowContext) ----------------------
 

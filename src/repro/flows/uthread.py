@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.core.isomalloc import IsomallocArena
 from repro.errors import VMError
-from repro.flows.base import FlowHandle, FlowMechanism
+from repro.flows.base import FlowMechanism
 from repro.sim.processor import Processor
 
 __all__ = ["UserThreadFlow", "AmpiThreadFlow"]
@@ -34,14 +34,14 @@ class UserThreadFlow(FlowMechanism):
     cache_weight = 1.0
     stack_bytes = 16 * 1024
 
-    def _create(self, index: int) -> FlowHandle:
+    def _create(self, index: int) -> tuple:
         self._refuse_past_uthread_cap()
-        handle = self._reserve_stack(index, self.stack_bytes, "cth-stack")
+        payload = self._reserve_stack(index, self.stack_bytes, "cth-stack")
         self.processor.charge(self.profile.uthread_create_ns)
-        return handle
+        return payload
 
-    def _destroy(self, handle: FlowHandle) -> None:
-        self._release_stack(handle)
+    def _destroy(self, payload: tuple) -> None:
+        self._release_stack(payload)
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One CthYield(): register swap + scheduler, entirely in user code."""
@@ -68,27 +68,26 @@ class AmpiThreadFlow(FlowMechanism):
         super().__init__(processor)
         self.arena = arena or IsomallocArena(
             processor.layout, 1, slot_bytes=slot_bytes)
-        self._slots: dict[int, int] = {}
 
-    def _create(self, index: int) -> FlowHandle:
+    def _create(self, index: int) -> tuple:
         self._refuse_past_uthread_cap()
         base = self.arena.allocate_slot(0)
         # The whole slot's virtual range is claimed, exactly as isomalloc
         # reserves it cluster-wide; only the first stack page is faulted.
         try:
-            handle = self._reserve_stack(index, self.arena.slot_bytes,
-                                         "ampi-slot", addr=base)
+            payload = self._reserve_stack(index, self.arena.slot_bytes,
+                                          "ampi-slot", addr=base)
         except VMError:
             self.arena.release_slot(base)
             raise
-        self._slots[index] = base
         self.processor.charge(self.profile.uthread_create_ns
                               + self.profile.ampi_overhead_ns)
-        return handle
+        return payload
 
-    def _destroy(self, handle: FlowHandle) -> None:
-        self._release_stack(handle)
-        self.arena.release_slot(self._slots.pop(handle.index))
+    def _destroy(self, payload: tuple) -> None:
+        self._release_stack(payload)
+        # The stack was mapped at its slot's base.
+        self.arena.release_slot(payload[0].start)
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One MPI_Yield(): Cth switch + GOT swap + AMPI scheduler layer."""

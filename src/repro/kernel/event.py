@@ -23,7 +23,8 @@ Instead of a binary heap of per-event objects, pending events are plain
 8-slot lists — ``[time, seq, state, fn, args, category, flow, handle]``
 — split across two containers:
 
-* ``_data``: unsorted arrivals (append-only between merges);
+* ``_data``: unsorted arrivals (append-only between merges), whose
+  earliest time the posts keep in ``_amin``;
 * ``_batch``: the consume side, sorted **descending** so the earliest
   event sits at the end (``batch[-1]``) where ``list.pop()`` is O(1).
 
@@ -81,6 +82,7 @@ __all__ = ["KernelEvent", "EventKernel"]
 
 # Slot layout indices (a slot is a plain list; see module docstring).
 _TIME, _SEQ, _STATE, _FN, _ARGS, _CAT, _FLOW, _HANDLE = range(8)
+_INF = float("inf")
 
 
 class KernelEvent:
@@ -181,9 +183,9 @@ class EventKernel:
     """
 
     __slots__ = ("name", "causality", "hooks", "current_time",
-                 "events_processed", "_data", "_batch", "_seq", "_nfired",
-                 "_ncancelled", "_dispatching", "_skip", "_running",
-                 "_weakself", "__weakref__")
+                 "events_processed", "_data", "_amin", "_batch", "_seq",
+                 "_nfired", "_ncancelled", "_dispatching", "_skip",
+                 "_running", "_weakself", "__weakref__")
 
     def __init__(self, name: str = "kernel", causality: bool = True) -> None:
         self.name = name
@@ -192,6 +194,7 @@ class EventKernel:
         self.current_time = 0.0
         self.events_processed = 0
         self._data: List[list] = []     # unsorted arrivals
+        self._amin = _INF               # earliest time in _data
         self._batch: List[list] = []    # sorted descending; earliest last
         self._seq = 0                   # total slots ever posted
         self._nfired = 0                # total slots fired
@@ -257,6 +260,8 @@ class EventKernel:
         self._seq = seq + 1
         item = [time, seq, 0, fn, args, category, flow, None]
         self._data.append(item)
+        if time < self._amin:
+            self._amin = time
         hooks = self.hooks
         if hooks.hot and hooks.on_schedule:
             ev = self._handle(item)
@@ -274,9 +279,10 @@ class EventKernel:
 
         This is the bulk ingress for flow seeding and barrier release
         (one event per rank, each with its own task and label): the
-        slot construction is a single list comprehension and the
-        causality check one C-level ``min()`` scan, so per-event cost is
-        a fraction of :meth:`post`.
+        slot construction is a single list comprehension, and one
+        C-level ``min()`` over ``times`` serves both the causality check
+        and the arrivals' minimum, so per-event cost is a fraction of
+        :meth:`post`.
         """
         if len(args_list) != len(times) or len(flows) != len(times):
             raise ReproError(
@@ -289,11 +295,13 @@ class EventKernel:
                      zip(times, args_list, flows), seq)]
         if not items:
             return items
-        if self.causality and min(items)[_TIME] < self.current_time:
-            earliest = min(items)
-            raise self._causality_error(earliest[_TIME], earliest[_FN])
+        tmin = min(times)
+        if self.causality and tmin < self.current_time:
+            raise self._causality_error(tmin, fn)
         self._seq = seq + len(items)
         self._data.extend(items)
+        if tmin < self._amin:
+            self._amin = tmin
         hooks = self.hooks
         if hooks.hot and hooks.on_schedule:
             for item in items:
@@ -340,6 +348,7 @@ class EventKernel:
             data.sort(reverse=True)
             batch[:] = data
             data.clear()
+            self._amin = _INF
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None."""
@@ -463,30 +472,19 @@ class EventKernel:
         hooks = self.hooks
         processed = 0
         self._skip = False      # a callback may have skipped, then raised
-        # Lazy merge: arrivals posted during the drain are folded in
-        # only when one could sort before the next batch item (strictly
-        # earlier time — an equal-time arrival has a higher seq and
-        # belongs after the whole batch).  Self-reposting flows — a
-        # compiled loop's back edge posts one event per dispatch — would
-        # otherwise re-sort the full batch per event: quadratic at 10⁶
-        # flows.
-        dmin = None
-        scanned = 0
+        # Lazy merge: arrivals are folded in only when one could sort
+        # before the next batch item (strictly earlier time — an
+        # equal-time arrival has a higher seq and belongs after the
+        # whole batch).  ``_amin``, kept by the posts, is the earliest
+        # arrival, so the test reads no arrival.  Self-reposting flows —
+        # a compiled loop's back edge posts one event per dispatch —
+        # would otherwise re-sort the full batch per event: quadratic
+        # at 10⁶ flows.
         while True:
             if budget is not None and processed >= budget:
                 return processed, True
-            if data:
-                if batch:
-                    n = len(data)
-                    if scanned < n:       # scan only the new arrivals
-                        t = min(data[scanned:])[_TIME]
-                        if dmin is None or t < dmin:
-                            dmin = t
-                        scanned = n
-                if not batch or dmin < batch[-1][_TIME]:
-                    self._refill()
-                    dmin = None
-                    scanned = 0
+            if data and (not batch or self._amin < batch[-1][_TIME]):
+                self._refill()
             if not batch:
                 return processed, False
             item = batch[-1]

@@ -342,7 +342,7 @@ def _flow_state(spec: RunSpec, program, world,
         "mailboxes": {
             str(r): [{"src": src, "tag": _jsonable(tag),
                       "data": _jsonable(data)}
-                     for src, tag, data in box]
+                     for src, tag, data in box or ()]
             for r, box in enumerate(world._mailbox)},
         "waiting": {str(r): _jsonable(w and list(w))
                     for r, w in enumerate(world._waiting)},

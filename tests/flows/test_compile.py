@@ -137,7 +137,7 @@ def test_generated_source_is_deterministic_and_labeled():
 
 def test_frame_record_is_slotted_with_continuation_field():
     cf = compile_flow(ring_program(3, 2).body)
-    frame = cf.new_frame()
+    frame = cf.frame_factory()
     # The delegation-return linkage starts empty at the outermost frame.
     assert frame._ret is None
     # Documented delta vs. real generators: a local read before its

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.errors import ProcessLimitExceeded, ThreadLimitExceeded
-from repro.flows import (AmpiThreadFlow, EventObjectFlow, KernelThreadFlow,
-                         MECHANISMS, ProcessFlow, UserThreadFlow)
+from repro.errors import (ProcessLimitExceeded, ReproError,
+                          ThreadLimitExceeded)
+from repro.flows import (AmpiThreadFlow, EventObjectFlow, FlowProgram,
+                         KernelThreadFlow, MECHANISMS, ProcessFlow,
+                         UserThreadFlow)
+from repro.flows.programs import ring_program
 from repro.sim import Processor, get_platform
 
 
@@ -36,8 +39,7 @@ def test_process_creation_builds_real_address_spaces():
     m = p.space.mmap(4096, region="data")
     p.space.write(m.start, b"parent-state")
     mech = ProcessFlow(p)
-    h = mech.create_flow()
-    child = h.payload
+    child = mech.create_flow()          # a process's payload: its space
     assert child.read(m.start, 12) == b"parent-state"
     mech.destroy_all()
 
@@ -132,6 +134,43 @@ def test_ampi_uses_real_isomalloc_slots():
     assert mech.arena.slots_in_use() == 1
     mech.destroy_all()
     assert mech.arena.slots_in_use() == 0
+
+
+def _ring_that_receives_first(mpi):
+    got = yield from mpi.recv(source=(mpi.rank - 1) % mpi.nranks)
+    mpi.send((mpi.rank + 1) % mpi.nranks, got)
+
+
+def _stacks(proc, tag):
+    return [m for m in proc.space.mappings() if m.tag.startswith(tag)]
+
+
+def test_a_failed_world_leaks_no_real_flow():
+    """Every rank of the ring waits on its left neighbour, so the world
+    drains with all four flows stuck — and the four stacks and their
+    touched frames still go back."""
+    p = make_proc()
+    frames = p.space.physical.frames_in_use
+    mech = UserThreadFlow(p)
+    program = FlowProgram("stuck-ring", 4, _ring_that_receives_first)
+    with pytest.raises(ReproError,
+                       match="drained with 4 unfinished flows"):
+        mech.run_workload(program)
+    assert mech.n_flows == 0
+    assert _stacks(p, "cth-stack") == []
+    assert p.space.physical.frames_in_use == frames
+
+
+def test_a_creation_refused_while_populating_leaks_no_real_flow():
+    """linux_x86 refuses the 251st pthread: the 250 created before it
+    are torn down, their kernel threads exited and stacks unmapped."""
+    p = make_proc("linux_x86")           # limit 250
+    mech = KernelThreadFlow(p)
+    with pytest.raises(ThreadLimitExceeded):
+        mech.run_workload(ring_program(300, 1))
+    assert mech.n_flows == 0
+    assert p.kernel.kthread_count == 0
+    assert _stacks(p, "pthread-stack") == []
 
 
 def test_ampi_costlier_than_cth_on_every_platform():

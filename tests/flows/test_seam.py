@@ -50,11 +50,23 @@ def test_one_function_turns_a_program_into_tasks():
 
 
 def test_the_flows_runtime_defines_exactly_the_two_task_classes():
+    """A rank is one object: both task classes *are* ``FlowContext``s,
+    and no context points back at a separate task."""
     tree = ast.parse(RUNTIME.read_text())
     tasks = {c.name for c in tree.body if isinstance(c, ast.ClassDef)
-             and any(isinstance(b, ast.Name) and b.id == "_Task"
+             and any(isinstance(b, ast.Name) and b.id == "FlowContext"
                      for b in c.bases)}
     assert tasks == TASK_CLASSES
+    classes = {c.name for c in tree.body if isinstance(c, ast.ClassDef)}
+    assert "_Task" not in classes
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "_task" not in attrs
+    slots = {elt.value for n in ast.walk(tree)
+             if isinstance(n, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                     for t in n.targets)
+             for elt in ast.walk(n.value) if isinstance(elt, ast.Constant)}
+    assert "_task" not in slots
 
 
 def test_one_bulk_post_call_site_in_the_flows_runtime():

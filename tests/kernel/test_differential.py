@@ -10,11 +10,15 @@ indistinguishable: identical event orderings, identical
 
 Schedules are generated per seed by a deterministic driver whose
 callbacks draw from a ``random.Random(seed)`` stream in dispatch order:
-mixed inserts (including equal-timestamp FIFO ties), cancellations
-(pending, fired, and double), ``skip_current``, quiescence re-arm
-pumps, and segmented ``until``/``max_events`` policies.  If the two
-kernels ever dispatch in different orders the streams diverge and the
-fire logs cannot match.
+mixed inserts (including equal-timestamp FIFO ties), bulk posts of 2–5
+events timed both before and after the next pending event
+(``post_batch`` on the fast kernel, a ``schedule`` loop on the
+reference), cancellations (pending, fired, and double),
+``skip_current``, quiescence re-arm pumps, and segmented
+``until``/``max_events`` policies — including cuts that leave arrivals
+unmerged and a later run that resumes them.  If the two kernels ever
+dispatch in different orders the streams diverge and the fire logs
+cannot match.
 
 The fast kernel has one dispatch loop with per-event reference
 semantics, so the same holds *inside* a hooks-off drain: a tracer
@@ -73,6 +77,33 @@ class _Driver:
         self.handles.append(ev)
         return ev
 
+    def bulk(self):
+        """Post 2–5 events in one call: some before the next pending
+        event (or tied with the one running), some at or after it — the
+        arrivals a drain must merge at once and the ones it may leave
+        unmerged.  The fast kernel takes them through ``post_batch``,
+        the reference through a ``schedule`` loop."""
+        k, r = self.kernel, self.rng
+        now = k.current_time
+        head = k.peek_time()
+        times = []
+        for _ in range(r.randint(2, 5)):
+            if head is not None and r.random() < 0.5:
+                times.append(now + (head - now) * r.choice((0.0, 0.25, 0.5)))
+            else:
+                times.append((now if head is None else head)
+                             + r.choice(_DTS))
+        idents = list(range(self.next_id, self.next_id + len(times)))
+        self.next_id += len(times)
+        cat = _CATS[idents[0] % len(_CATS)]
+        flows = [f"f{i % 4}" for i in idents]
+        if isinstance(k, FastKernel):
+            k.post_batch(times, self.body, [(i,) for i in idents], flows,
+                         cat)
+        else:
+            for t, i, fl in zip(times, idents, flows):
+                k.schedule(t, self.body, i, category=cat, flow=fl)
+
     def body(self, ident):
         self.log.append((ident, self.kernel.current_time))
         if self.probe:
@@ -88,6 +119,8 @@ class _Driver:
             self.handles[r.randrange(len(self.handles))].cancel()
         elif act < 0.65:
             self.kernel.skip_current()
+        elif act < 0.75 and self.next_id < _SPAWN_LIMIT:
+            self.bulk()
         if self.probe:
             self.log.append(self.counters())
 
@@ -179,6 +212,51 @@ def test_segmented_policy_runs_identical(seed):
         states.append((d.state(), rets))
     assert states[0] == states[1]
     assert states[0][0]["len"] == 0
+
+
+@pytest.mark.parametrize("seed", POLICY_SEEDS)
+def test_runs_cut_with_arrivals_pending_resume_identically(seed):
+    """Short ``max_events``/``until`` cuts stop the fast kernel with
+    arrivals still unmerged (posted by the last callback, or later than
+    the next pending event); the next run must merge them exactly where
+    the reference heap would have ordered them."""
+    states, pending = [], 0
+    for cls in (RefKernel, FastKernel):
+        d = _Driver(cls, seed)
+        d.seed_initial()
+        rng = random.Random(seed + 4242)
+        rets = []
+        for _ in range(12):
+            if rng.random() < 0.6:
+                rets.append(d.kernel.run(max_events=rng.randint(1, 3)))
+            else:
+                bound = d.kernel.current_time + rng.choice((0.0, 1.0))
+                rets.append(d.kernel.run(until=bound))
+            if cls is FastKernel and d.kernel._data:
+                pending += 1
+        rets.append(d.kernel.run())    # final drain
+        states.append((d.state(), rets))
+    assert states[0] == states[1]
+    assert states[0][0]["len"] == 0
+    assert pending, "no cut left arrivals pending: the case went untested"
+
+
+def test_an_arrival_before_the_head_fires_first_after_peek_refill():
+    """``peek_time()`` outside a run merges the arrivals into the batch;
+    an event posted afterwards, earlier than the batch head, must still
+    be merged and fire first — by ``post`` and by ``post_batch``."""
+    for bulk in (False, True):
+        fast, log = FastKernel(name="diff"), []
+        fast.post(5.0, log.append, ("late",))
+        fast.post(6.0, log.append, ("later",))
+        assert fast.peek_time() == 5.0
+        if bulk:
+            fast.post_batch([7.0, 1.0], log.append, [("last",), ("early",)],
+                            [None, None])
+        else:
+            fast.post(1.0, log.append, ("early",))
+        assert fast.run() == (4 if bulk else 3)
+        assert log[:2] == ["early", "late"], (bulk, log)
 
 
 @pytest.mark.parametrize("seed", MID_DRAIN_SEEDS)

@@ -16,8 +16,9 @@ journal, per sweep and per cell in one place each (``PER_SWEEP``); a
 migratable thread's facts — where its stack bytes are, what its image
 weighs, why its rank is parked — have one owner each (``PER_THREAD``);
 every channel the fault injector subscribes is a runtime's
-(``PER_FAULT``); and nothing stored on ``self`` goes unread
-(``WRITE_ONLY_ALLOWED``).
+(``PER_FAULT``); nothing stored on ``self`` goes unread
+(``WRITE_ONLY_ALLOWED``); and nothing under ``src/`` switches the
+cyclic collector off or down (``GC_TUNING``).
 """
 
 import ast
@@ -675,3 +676,64 @@ def test_the_write_only_scan_tells_a_store_from_a_load():
         "        return getattr(self, 'lazy', 0)\n")
     assert stored_on_self(tree) == {"count", "seen"}
     assert loaded_names(tree) == {"total", "lazy"}
+
+
+#: Collector switches nothing under ``src/`` may throw.  A flow's host
+#: cost is paid in objects the cyclic GC tracks (``tests/flows/
+#: test_footprint.py`` counts them); turning the collector off or down
+#: would hide that cost instead of removing it, for every program that
+#: imports the package.
+GC_TUNING = {"disable", "freeze", "set_threshold"}
+
+
+def gc_tuning_calls(tree):
+    """``(line, name)`` of each ``gc.disable()``/``freeze``/``set_threshold``
+    call in ``tree``, through the module (any alias) or a name imported
+    from it."""
+    modules, functions = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            functions.update((a.asname or a.name, a.name)
+                             for a in node.names)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name) \
+                and func.value.id in modules:
+            name = func.attr
+        elif isinstance(func, ast.Name):
+            name = functions.get(func.id)
+        else:
+            continue
+        if name in GC_TUNING:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_nothing_in_src_tunes_the_collector():
+    found = {path.relative_to(SRC).as_posix(): calls
+             for path in sorted(SRC.rglob("*.py"))
+             if (calls := gc_tuning_calls(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+def test_the_gc_scan_sees_what_it_forbids():
+    tree = ast.parse(
+        "import gc\n"
+        "import gc as collector\n"
+        "from gc import freeze as hold\n"
+        "gc.disable()\n"
+        "collector.set_threshold(0)\n"
+        "hold()\n"
+        "gc.collect()\n"
+        "gc.enable()\n"
+        "pool.disable()\n"
+        "freeze()\n")
+    assert gc_tuning_calls(tree) == [(4, "disable"), (5, "set_threshold"),
+                                     (6, "freeze")]
