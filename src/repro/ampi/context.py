@@ -55,11 +55,19 @@ class AmpiMessage:
 
 
 class AmpiContext:
-    """The MPI world as seen by one rank."""
+    """The MPI world as seen by one rank.
+
+    It is also the rank's thread body: the scheduler calls it with the
+    thread, and it starts the runtime's ``main`` on itself.
+    """
 
     def __init__(self, runtime: "AmpiRuntime", rank: int):
         self.runtime = runtime
         self.rank = rank
+
+    def __call__(self, thread) -> Generator:
+        """The rank's body: ``main(self)``, driven by its thread."""
+        return self.runtime.main(self)
 
     @property
     def size(self) -> int:
@@ -123,17 +131,23 @@ class AmpiContext:
             msg = runtime._match(rank, source, tag)
             if msg is not None:
                 return msg.data
+            if source != ANY_SOURCE and not 0 <= source < runtime.num_ranks:
+                raise runtime._bad_source(rank, source)
             runtime.parked[rank] = ("recv", source, tag)
             yield "suspend"
 
     def recv_msg(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG,
                  ) -> Generator[Any, Any, AmpiMessage]:
         """Blocking receive returning the full :class:`AmpiMessage`."""
+        runtime = self.runtime
+        rank = self.rank
         while True:
-            msg = self.runtime._match(self.rank, source, tag)
+            msg = runtime._match(rank, source, tag)
             if msg is not None:
                 return msg
-            self.runtime.parked[self.rank] = ("recv", source, tag)
+            if source != ANY_SOURCE and not 0 <= source < runtime.num_ranks:
+                raise runtime._bad_source(rank, source)
+            runtime.parked[rank] = ("recv", source, tag)
             yield "suspend"
 
     # -- non-blocking operations ------------------------------------------

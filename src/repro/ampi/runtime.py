@@ -9,6 +9,7 @@ from repro.errors import AmpiError, CheckpointError, MigrationAborted
 from repro.ampi.context import (AT_CHECKPOINT, AT_MIGRATE, AmpiContext,
                                 AmpiMessage)
 from repro.ampi.datatypes import ANY_SOURCE, ANY_TAG
+from repro.ampi.request import Request
 from repro.balance.instrument import LBDatabase
 from repro.balance.manager import LBManager, RebalanceReport
 from repro.balance.strategies import GreedyLB, Strategy
@@ -90,9 +91,10 @@ class AmpiRuntime:
                 for name, size in globals_decl:
                     registry.declare(name, size)
                 registry.build()
-            self.schedulers.append(
-                CthScheduler(proc, mgr, globals_registry=registry,
-                             emulate_swap=emulate_swap))
+            sched = CthScheduler(proc, mgr, globals_registry=registry,
+                                 emulate_swap=emulate_swap)
+            sched.on_exit = self._rank_exited
+            self.schedulers.append(sched)
         self.migrator = ThreadMigrator(self.cluster, self.schedulers)
         self.migrator.on_arrival = self._thread_arrived
         self.db = LBDatabase(npes)
@@ -107,8 +109,9 @@ class AmpiRuntime:
         #: record (see :mod:`repro.ampi.context`) written by the rank's
         #: blocking operation and deleted by whatever wakes it.
         self.parked: Dict[int, tuple] = {}
-        #: Posted (not yet matched) irecv requests, per rank, in post order.
-        self._posted: List[List] = [[] for _ in range(num_ranks)]
+        #: rank -> its posted (not yet matched) irecv requests, in post
+        #: order; a rank has an entry only while it has some pending.
+        self._posted: Dict[int, List[Request]] = {}
         self._posts = 0
         self._finished = 0
         #: rank -> key of its most recent coordinated checkpoint.
@@ -131,32 +134,21 @@ class AmpiRuntime:
             pe = placement(rank) if placement else rank % npes
             if not 0 <= pe < npes:
                 raise AmpiError(f"placement({rank}) = {pe} out of range")
+            # The context is the thread's body: calling it starts main.
             ctx = AmpiContext(self, rank)
             thread = self.schedulers[pe].create(
-                self._make_body(ctx), name=f"rank{rank}",
+                ctx, name=f"rank{rank}",
                 privatize_globals=bool(globals_decl))
             self.rank_thread.append(thread)
             self.rank_ctx.append(ctx)
             self._rank_of_tid[thread.tid] = rank
             self.db.register(rank, pe)
 
-    # ------------------------------------------------------------------
-    # rank bodies
-    # ------------------------------------------------------------------
-
-    def _make_body(self, ctx: AmpiContext):
-        def body(th):
-            try:
-                # Runtime bookkeeping wrapper, never itself compiled to
-                # events: the compiler (ROADMAP 2) transforms the user's
-                # main, and this try/finally is the runtime's own
-                # completion accounting around it.
-                # migralint: disable=FLW002
-                yield from self.main(ctx)
-            finally:
-                self._finished += 1
-                self.db.unregister(ctx.rank)
-        return body
+    def _rank_exited(self, thread: UThread) -> None:
+        """Every scheduler's ``on_exit``: a rank's body returned or
+        raised, so it counts as finished and leaves the LB database."""
+        self._finished += 1
+        self.db.unregister(self._rank_of_tid[thread.tid])
 
     # ------------------------------------------------------------------
     # rank-to-rank messaging
@@ -197,11 +189,14 @@ class AmpiRuntime:
         self.db.record_comm(msg.src, dst, msg.size_bytes)
         # Posted receives match before the unexpected-message queue
         # (standard MPI matching semantics).
-        posted = self._posted[dst]
-        if posted:
-            for i, req in enumerate(posted):
+        posted = self._posted
+        if posted and dst in posted:
+            reqs = posted[dst]
+            for i, req in enumerate(reqs):
                 if msg.matches(req.source, req.tag):
-                    del posted[i]
+                    del reqs[i]
+                    if not reqs:
+                        del posted[dst]
                     req._complete(msg)
                     self._wake_if_satisfied(dst)
                     return
@@ -219,15 +214,29 @@ class AmpiRuntime:
         if thread.state is ThreadState.SUSPENDED:
             thread.scheduler.awaken(thread)
 
-    def _post_recv(self, req) -> None:
+    def _post_recv(self, req: Request) -> None:
         """Post an irecv: match the unexpected queue first, else park it."""
         msg = self._match(req.rank, req.source, req.tag)
         if msg is not None:
             req._complete(msg)
+            return
+        source = req.source
+        if source != ANY_SOURCE and not 0 <= source < self.num_ranks:
+            raise self._bad_source(req.rank, source)
+        req.seq = self._posts
+        self._posts += 1
+        reqs = self._posted.get(req.rank)
+        if reqs is None:
+            self._posted[req.rank] = [req]
         else:
-            req.seq = self._posts
-            self._posts += 1
-            self._posted[req.rank].append(req)
+            reqs.append(req)
+
+    def _bad_source(self, rank: int, source: int) -> AmpiError:
+        """The error for a receive no message can ever match: one from a
+        rank outside the world.  Receives test for it only where they
+        would park or post, so one that matches at once pays nothing."""
+        return AmpiError(f"rank {rank}: receive from bad rank {source} "
+                         f"(size {self.num_ranks})")
 
     def _wake_if_satisfied(self, rank: int) -> None:
         """A posted receive of ``rank`` just completed: resume the rank if
@@ -235,7 +244,7 @@ class AmpiRuntime:
         why = self.parked.get(rank)
         if why is not None and why[0] == "wait":
             _, mode, seqs = why
-            pending = {req.seq for req in self._posted[rank]}
+            pending = {req.seq for req in self._posted.get(rank, ())}
             if (pending.isdisjoint(seqs) if mode == "all"
                     else not pending.issuperset(seqs)):
                 del self.parked[rank]
@@ -270,9 +279,14 @@ class AmpiRuntime:
         """Collect-and-release, the one shape of both AMPI barriers: once
         every live rank is parked at ``barrier``, run ``action(ranks)``
         and resume them.  Returns whether that happened."""
-        ranks = sorted([rank for rank, why in self.parked.items()
+        parked = self.parked
+        live = self.num_ranks - self._finished
+        if len(parked) < live:
+            # Some live rank is not parked at all: refused without a scan.
+            return False
+        ranks = sorted([rank for rank, why in parked.items()
                         if why == barrier])
-        if not ranks or len(ranks) != self.num_ranks - self._finished:
+        if not ranks or len(ranks) != live:
             return False
         for rank in ranks:
             del self.parked[rank]

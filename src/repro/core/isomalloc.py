@@ -120,6 +120,14 @@ class IsomallocArena:
             raise ThreadError(f"bad processor {pe} (arena has {self.num_pes})")
 
 
+def _heap_state(brk: int, free: list, allocated_bytes: int,
+                live_blocks: int) -> dict:
+    """A heap's allocator metadata as its image carries it (the keys and
+    their order are part of the checkpoint format)."""
+    return {"brk": brk, "free": free, "allocated_bytes": allocated_bytes,
+            "live_blocks": live_blocks}
+
+
 @dataclass
 class _HeapExtent:
     """Python-side record of one mmap'ed chunk of a slot's heap."""
@@ -230,12 +238,8 @@ class IsomallocHeap:
 
     def pack_state(self) -> dict:
         """Metadata needed to rebuild the allocator on another processor."""
-        return {
-            "brk": self.brk,
-            "free": list(self._free),
-            "allocated_bytes": self.allocated_bytes,
-            "live_blocks": self.live_blocks,
-        }
+        return _heap_state(self.brk, list(self._free), self.allocated_bytes,
+                           self.live_blocks)
 
     def heap_bytes(self) -> bytes:
         """The resident heap contents ``[base, brk)`` for shipping."""
@@ -292,22 +296,30 @@ class IsomallocSlot:
         self.stack_base = self.base + arena.slot_bytes - stack_bytes
         self.stack_mapping: Optional[Mapping] = space.mmap(
             stack_bytes, addr=self.stack_base, tag="iso-stack")
-        heap_limit = self.stack_base - arena.layout.page_size  # guard page gap
-        self.heap = IsomallocHeap(space, self.base, heap_limit,
-                                  arena.layout.page_size)
+        #: The slot's allocator, built on the first ``malloc``/``free``:
+        #: a thread that never allocates carries none.
+        self.heap: Optional[IsomallocHeap] = None
 
     @property
     def stack_top(self) -> int:
         """Highest stack address + 1 (initial stack pointer)."""
         return self.stack_base + self.stack_bytes
 
+    def _used_heap(self) -> IsomallocHeap:
+        if self.heap is None:
+            page = self.arena.layout.page_size
+            # A guard page separates the heap's limit from the stack.
+            self.heap = IsomallocHeap(self.space, self.base,
+                                      self.stack_base - page, page)
+        return self.heap
+
     def malloc(self, nbytes: int) -> int:
         """Allocate migratable heap memory inside the slot."""
-        return self.heap.malloc(nbytes)
+        return self._used_heap().malloc(nbytes)
 
     def free(self, addr: int) -> None:
         """Free migratable heap memory inside the slot."""
-        self.heap.free(addr)
+        self._used_heap().free(addr)
 
     def contains(self, address: int) -> bool:
         """Whether an address belongs to this slot's range."""
@@ -318,12 +330,15 @@ class IsomallocSlot:
     def pack(self) -> dict:
         """Produce the slot's migration image (stack + heap + metadata)."""
         assert self.stack_mapping is not None
+        heap = self.heap
         return {
             "base": self.base,
             "stack_bytes": self.stack_bytes,
             "stack_contents": self.space.read(self.stack_base, self.stack_bytes),
-            "heap_state": self.heap.pack_state(),
-            "heap_contents": self.heap.heap_bytes(),
+            # A slot without a heap ships what a fresh heap would.
+            "heap_state": (_heap_state(self.base, [], 0, 0) if heap is None
+                           else heap.pack_state()),
+            "heap_contents": b"" if heap is None else heap.heap_bytes(),
         }
 
     @staticmethod
@@ -344,7 +359,8 @@ class IsomallocSlot:
         if self.stack_mapping is not None:
             self.space.munmap(self.stack_mapping)
             self.stack_mapping = None
-        self.heap.unmap_all()
+        if self.heap is not None:
+            self.heap.unmap_all()
 
     @classmethod
     def adopt(cls, arena: IsomallocArena, space: AddressSpace, pe: int,
@@ -365,10 +381,15 @@ class IsomallocSlot:
                 f"slot addresses {slot.stack_base:#x} unavailable on "
                 f"processor {pe}: {e}") from e
         space.write(slot.stack_base, image["stack_contents"])
-        heap_limit = slot.stack_base - arena.layout.page_size
-        slot.heap = IsomallocHeap.rebuild(
-            space, slot.base, heap_limit, arena.layout.page_size,
-            image["heap_state"], image["heap_contents"])
+        state = image["heap_state"]
+        if state["brk"] == slot.base:
+            # Nothing was ever allocated: no free list, no contents.
+            slot.heap = None
+        else:
+            page = arena.layout.page_size
+            slot.heap = IsomallocHeap.rebuild(
+                space, slot.base, slot.stack_base - page, page, state,
+                image["heap_contents"])
         return slot
 
     def destroy(self) -> None:

@@ -30,10 +30,10 @@ back out — migration, checkpoint restore — is one O(1)
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import SchedulerError, ThreadError
-from repro.kernel import EventKernel, RunPolicy
+from repro.kernel import EventKernel
 from repro.core.context import SWAP32, SWAP64, MinimalSwap, RegisterFile
 from repro.core.stacks import StackManager
 from repro.core.swapglobal import GlobalOffsetTable, GlobalRegistry
@@ -100,6 +100,13 @@ class CthScheduler:
         #: thread priority under "priority"), not a clock.
         self.kernel = EventKernel(name=f"cth-pe{processor.id}",
                                   causality=False)
+        #: The one resumption callable every post hands the kernel, bound
+        #: once: a bound method made per post is one more object per
+        #: pending thread (traces still name ``CthScheduler._resume``).
+        self._resume_fn = self._resume
+        #: Called with each thread whose body is over — it returned, or
+        #: it raised (then before the exception leaves the dispatch).
+        self.on_exit: Optional[Callable[[UThread], None]] = None
         self.current: Optional[UThread] = None
         self.threads: Dict[tuple, UThread] = {}
         self._seq = 0
@@ -176,7 +183,7 @@ class CthScheduler:
         # the context-switch path allocation-free; the raw slot is all
         # unqueue() needs.
         thread.queued = self.kernel.post(
-            key, self._resume, (thread,), "cth.resume",
+            key, self._resume_fn, (thread,), "cth.resume",
             thread.name or f"tid{thread.tid}")
 
     def unqueue(self, thread: UThread) -> bool:
@@ -216,14 +223,16 @@ class CthScheduler:
 
         Returns the number of context switches performed by this call.
         """
-        return self.kernel.run(RunPolicy(max_events=max_switches))
+        return self.kernel.run(max_events=max_switches)
 
     def step_one(self) -> bool:
         """Run exactly one ready thread to its next directive."""
         return self.run(max_switches=1) == 1
 
     def _resume(self, thread: UThread) -> None:
-        """Kernel dispatch target for one queued thread resumption.
+        """Kernel dispatch target for one queued thread resumption: the
+        whole context switch — switch-in, one step of the body,
+        switch-out, the directive — in one frame.
 
         A thread that is no longer READY (it was popped through another
         path, suspended, or finished since this resumption was queued)
@@ -237,40 +246,33 @@ class CthScheduler:
         # until the collector runs — +4 MB peak RSS on a Figure 11/12
         # repetition.
         thread.queued = None
-        self._dispatch(thread)
-
-    def _dispatch(self, thread: UThread) -> None:
-        self._switch_in(thread)
-        directive = thread.step()
-        self._switch_out(thread)
-        if directive == "suspend":
-            # Every blocking receive ends here; the other directives
-            # take the _handle ladder.
-            thread.state = ThreadState.SUSPENDED
-        else:
-            self._handle(thread, directive)
-
-    def _switch_in(self, thread: UThread) -> None:
-        cost = self.profile.uthread_switch_ns
+        profile = self.profile
+        cost = profile.uthread_switch_ns
         cost += self.stack_manager.switch_in(thread.stack)
         if thread.got is not None:
             nbytes = thread.got.swap_in()
-            cost += self.profile.mem.memcpy_cost(nbytes)
+            cost += profile.mem.memcpy_cost(nbytes)
         if self.emulate_swap:
             self.swap.execute(self.space, self.machine_regs,
                               self._ctx_slot("main"),
                               self._ctx_slot(thread.tid))
             # The register image has been popped back off the stack.
             thread.stack.extra_live = 0
-            cost += self.swap.cost_ns(self.profile.cpu_ghz)
+            cost += self.swap.cost_ns(profile.cpu_ghz)
         thread.state = ThreadState.RUNNING
         thread.switches += 1
         self.current = thread
         self.context_switches += 1
         if cost != 0.0:
             self.processor.charge(cost)
-
-    def _switch_out(self, thread: UThread) -> None:
+        try:
+            directive = thread.step()
+        except BaseException:
+            # The body raised: it is over all the same.  The exception
+            # leaves with the thread still switched in.
+            if self.on_exit is not None:
+                self.on_exit(thread)
+            raise
         cost = 0.0
         if self.emulate_swap:
             # The thread's stack pointer sits below whatever it alloca()'d;
@@ -291,6 +293,12 @@ class CthScheduler:
         # neither busy_ns nor the clock.
         if cost != 0.0:
             self.processor.charge(cost)
+        if directive == "suspend":
+            # Every blocking receive ends here; the other directives
+            # take the _handle ladder.
+            thread.state = ThreadState.SUSPENDED
+        else:
+            self._handle(thread, directive)
 
     def _handle(self, thread: UThread, directive: Any) -> None:
         if directive == "yield":
@@ -311,6 +319,8 @@ class CthScheduler:
         self._release_ctx(thread.tid)
         self.stack_manager.destroy_stack(thread.stack)
         self.threads_finished += 1
+        if self.on_exit is not None:
+            self.on_exit(thread)
 
     def _handle_io(self, thread: UThread, duration_ns: float) -> None:
         """A blocking call, e.g. disk or socket I/O (paper Section 2.3).

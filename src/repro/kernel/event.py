@@ -83,6 +83,9 @@ __all__ = ["KernelEvent", "EventKernel"]
 # Slot layout indices (a slot is a plain list; see module docstring).
 _TIME, _SEQ, _STATE, _FN, _ARGS, _CAT, _FLOW, _HANDLE = range(8)
 _INF = float("inf")
+#: ``run()``'s policy when given no stop condition: drain.  Frozen, so
+#: one serves every call — a scheduler pass allocates no policy.
+_DRAIN = RunPolicy()
 
 
 class KernelEvent:
@@ -431,7 +434,8 @@ class EventKernel:
         if self._running:
             raise ReproError("run() re-entered during run()")
         if policy is None:
-            policy = RunPolicy(until=until, max_events=max_events)
+            policy = (_DRAIN if until is None and max_events is None
+                      else RunPolicy(until=until, max_events=max_events))
         bound = policy.until
         budget = policy.max_events
         processed = 0

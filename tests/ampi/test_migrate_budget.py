@@ -8,8 +8,11 @@ road ``ThreadMigrator.pack/rebuild/depart`` and the stack managers'
 897 607 / 874 024 when each manager had its own copy of that road and
 every switch bumped two counters nothing read, and 1 031 272 / 885 127 /
 814 832 while loads and stores resumed a generator per page and
-``pack_value`` ran every field through a ``PackingPupper``; they are
-707 312 / 666 503 / 635 696 with one pass per mapping and per image.
+``pack_value`` ran every field through a ``PackingPupper``, 707 312 /
+666 503 / 635 696 with one pass per mapping and per image, and they are
+668 531 / 643 594 / 612 787 with a context switch one frame, no wrapper
+generator around a rank's ``main`` and no heap in a slot nobody
+mallocs from.
 Memory aliasing made 43 520, then 23 040, ``Frame.read`` +
 ``Frame.write`` calls; its private frames now move through the pool's
 ``load``/``store``, one run per image.  The simulated outcome is pinned
@@ -26,9 +29,9 @@ from tests.callcount import count_calls
 
 #: technique -> (calls allowed, makespan_ns, bytes shipped).
 STORM = {
-    "isomalloc": (710_000, 974659842.0, 84705280),
-    "stack_copy": (669_000, 974490882.0, 84541440),
-    "memory_alias": (638_000, 976926914.0, 84541440),
+    "isomalloc": (672_000, 974659842.0, 84705280),
+    "stack_copy": (647_000, 974490882.0, 84541440),
+    "memory_alias": (616_000, 976926914.0, 84541440),
 }
 
 #: ``Frame.read`` + ``Frame.write`` calls under memory aliasing: none —

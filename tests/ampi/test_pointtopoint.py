@@ -160,6 +160,19 @@ def test_send_bad_rank():
         run_world(main, num_ranks=2)
 
 
+@pytest.mark.parametrize("op", ["recv", "recv_msg"])
+@pytest.mark.parametrize("source", [7, 2, -5])
+def test_recv_from_bad_rank_fails_at_the_call(op, source):
+    """A receive no message can match used to park until the whole world
+    deadlocked (``rank 0 waiting for recv(source=7, tag=ANY)``)."""
+    def main(mpi):
+        if mpi.rank == 0:
+            yield from getattr(mpi, op)(source=source)
+
+    with pytest.raises(AmpiError, match=f"bad rank {source} \\(size 2\\)"):
+        run_world(main, num_ranks=2)
+
+
 @pytest.mark.parametrize("dest", [1, 2])      # next processor, same one
 def test_send_refuses_negative_size(dest):
     """``size_bytes=-10**9`` used to price the wire negative: the message

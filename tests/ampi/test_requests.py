@@ -168,6 +168,24 @@ def test_overlapping_computation_and_communication():
     assert out == {0: "halo-from-1", 1: "halo-from-0"}
 
 
+@pytest.mark.parametrize("source", [-5, 2])
+def test_irecv_from_bad_rank_fails_at_the_call(source):
+    """It used to post, and the ``wait`` deadlocked the world."""
+    boom = {}
+
+    def main(mpi):
+        if mpi.rank == 0:
+            try:
+                mpi.irecv(source=source)
+            except AmpiError as e:
+                boom["msg"] = str(e)
+        yield from mpi.yield_()
+
+    rt = run_world(main)
+    assert boom["msg"] == f"rank 0: receive from bad rank {source} (size 2)"
+    assert not rt._posted
+
+
 def test_deadlock_diagnostics_mention_requests():
     def main(mpi):
         req = mpi.irecv(source=mpi.rank, tag="never")  # self, never sent
