@@ -31,14 +31,10 @@ MIG002    unprivatized-global: raw module globals in migratable bodies
 MIG003    non-migratable-state: locks/files/sockets held across yields
 MIG004    sdag-discipline: SDAG methods yield only When/Overlap/Atomic
 MIG005    isomalloc-escape: simulated addresses leaking into host state
-KRN001    kernel-bypass: heap queues/run loops outside the event kernel
-EXC001    worker-purity: sweep workers ship cells as plain data
-OBS001    module-state: no mutable module-scope state in runtime pkgs
 FLW001    lost-delegation: suspending call without ``yield from``
 FLW002    unsplittable: suspend under with/try/except/match, bare
           yield, or closure capture mutated across a suspend
 FLW003    dead-suspend-surface: unreferenced private suspending helper
-DET001    wall-clock-in-sim: wall clock / unseeded RNG in runtime pkgs
 ========  ==============================================================
 """
 

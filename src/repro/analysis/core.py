@@ -3,7 +3,7 @@
 A :class:`Rule` inspects one parsed module (a :class:`ModuleContext`) and
 yields :class:`Finding`\\ s.  Rules self-register through the
 :func:`register` decorator; :func:`all_rules` returns them in rule-id
-order.  Suppression is per-line: a ``# migralint: disable=MIG001`` (or
+order.  Suppression is per-line: a ``migralint: disable=MIG001`` (or
 ``disable=MIG001,MIG002`` or ``disable=all``) comment on the flagged
 line — or on a standalone comment line immediately above it — marks the
 finding suppressed without deleting it from the report.
@@ -51,7 +51,7 @@ class Finding:
     path: str
     line: int
     message: str
-    #: True when an inline ``# migralint: disable=`` comment covers it.
+    #: True when an inline suppression comment covers it.
     suppressed: bool = False
 
     @property
@@ -65,8 +65,11 @@ class Finding:
                 f"{self.severity.value}: {self.message}{tag}")
 
 
-#: Comment syntax: ``# migralint: disable=MIG001,MIG002`` / ``disable=all``.
-_SUPPRESS_RE = re.compile(r"#\s*migralint:\s*disable=([A-Za-z0-9_,\s]+)")
+#: Comment syntax: ``migralint: disable=MIG001,MIG002`` / ``disable=all``.
+#: The ids end at the first token that is not one, so a justification
+#: may follow on the same line (``disable=MIG002 write-once registry``).
+_SUPPRESS_RE = re.compile(
+    r"#\s*migralint:\s*disable=((?:(?:[A-Z]{3}\d{3}|all)\b[,\s]*)+)", re.I)
 #: A line that is nothing but a comment (suppression applies to next line).
 _COMMENT_ONLY_RE = re.compile(r"^\s*#")
 
@@ -78,8 +81,7 @@ def _parse_suppressions(source: str) -> Dict[int, Set[str]]:
         m = _SUPPRESS_RE.search(text)
         if not m:
             continue
-        rules = {part.strip().upper() for part in m.group(1).split(",")
-                 if part.strip()}
+        rules = set(re.findall(r"\w+", m.group(1).upper()))
         target = lineno
         # A standalone suppression comment covers the line below it.
         if _COMMENT_ONLY_RE.match(text):
@@ -136,8 +138,8 @@ class Rule:
 
 #: Global registry, id -> rule class.  Populated by :func:`register` at
 #: import time only (duplicate ids are rejected) and holding classes,
-#: not per-run state — safe as a module global; runtime packages where
-#: such globals can poison replay are policed by OBS001.
+#: not per-run state — safe as a module global (a ``MODULE_STATE`` row
+#: in ``tests/test_layering.py``).
 _RULES: Dict[str, Type[Rule]] = {}
 
 

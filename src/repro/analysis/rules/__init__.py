@@ -3,25 +3,19 @@
 Each module defines one rule, grounded in a specific mechanism of the
 paper: PUP traversal (MIG001), swap-global privatization (MIG002), the
 migration state contract (MIG003), SDAG coordination discipline (MIG004),
-isomalloc address validity (MIG005), the single-event-kernel discipline
-(KRN001), the sweep-worker purity contract (EXC001), the
-no-module-global-runtime-state discipline (OBS001), replay determinism
-(DET001), and the thread→event compilation disciplines built on
-:mod:`repro.analysis.flow` — lost delegation (FLW001), unsplittable
-constructs (FLW002), and dead suspend surface (FLW003).
+isomalloc address validity (MIG005), and the thread→event compilation
+disciplines built on :mod:`repro.analysis.flow` — lost delegation
+(FLW001), unsplittable constructs (FLW002), and dead suspend surface
+(FLW003).
 """
 
 from repro.analysis.rules import (  # noqa: F401
-    det001_determinism,
-    exc001_worker_purity,
     flw001_delegation,
     flw002_unsplittable,
     flw003_dead_surface,
-    krn001_kernel_bypass,
     mig001_pup,
     mig002_globals,
     mig003_state,
     mig004_sdag,
     mig005_isomalloc,
-    obs001_module_state,
 )

@@ -45,8 +45,8 @@ class ChaosContext:
 #: Registry of invariant checkers: name -> fn(ctx, point) -> error or None.
 #: Written only by the :func:`invariant` decorator at import time
 #: (duplicates rejected); every checker keeps its run state on the
-#: :class:`ChaosContext`, never here — the module-global-state hazard
-#: OBS001 polices in the runtime packages.
+#: :class:`ChaosContext`, never here (a ``MODULE_STATE`` row in
+#: ``tests/test_layering.py``).
 INVARIANTS: Dict[str, Callable[[ChaosContext, str], Optional[str]]] = {}
 
 

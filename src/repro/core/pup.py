@@ -62,7 +62,6 @@ class Puppable(Protocol):
 #: per class at decoration (import) time, mapping stable wire names to
 #: types; it holds no per-run state — re-registering the same name is
 #: rejected — so identical runs see the identical registry.
-# migralint: disable=OBS001
 _REGISTRY: Dict[str, Type[Any]] = {}
 
 

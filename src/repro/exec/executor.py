@@ -46,7 +46,6 @@ class SweepExecutor:
         """Execute the sweep; results come back ordered by cell id."""
         # Host-side sweep duration for the progress log only — never
         # visible to cells, which see only (params, seed).
-        # migralint: disable=DET001
         t0 = time.monotonic()
         by_id: Dict[str, CellResult] = {}
         todo = []
@@ -82,5 +81,5 @@ class SweepExecutor:
             "name": self.spec.name,
             "ok": sum(1 for r in merged if r.ok),
             "error": sum(1 for r in merged if not r.ok),
-            "duration_s": time.monotonic() - t0})  # migralint: disable=DET001
+            "duration_s": time.monotonic() - t0})
         return merged

@@ -58,17 +58,16 @@ def run_cell(cell: Cell) -> dict:
     """
     # duration_s is host-side diagnostics about the run, not part of
     # the result value; cells themselves stay pure in (params, seed).
-    # migralint: disable=DET001
     t0 = time.perf_counter()
     try:
         fn = resolve_runner(cell.runner)
         value = fn(dict(cell.params), cell.seed)
         return {"status": "ok", "value": value, "error": "",
-                "duration_s": time.perf_counter() - t0}  # migralint: disable=DET001
+                "duration_s": time.perf_counter() - t0}
     except Exception:  # noqa: BLE001 - containment is the whole point
         return {"status": "error", "value": None,
                 "error": traceback.format_exc(),
-                "duration_s": time.perf_counter() - t0}  # migralint: disable=DET001
+                "duration_s": time.perf_counter() - t0}
 
 
 def cell_result(cell: Cell, raw: dict, attempts: int = 1) -> CellResult:
@@ -231,10 +230,9 @@ class LocalPool:
                 w.stop()
             # Shutdown grace period for worker processes — host
             # plumbing after every cell result is already in hand.
-            # migralint: disable=DET001
             deadline = time.monotonic() + 2.0
             for w in workers.values():
-                w.proc.join(max(0.0, deadline - time.monotonic()))  # migralint: disable=DET001
+                w.proc.join(max(0.0, deadline - time.monotonic()))
                 if w.proc.is_alive():  # pragma: no cover - stuck worker
                     w.proc.terminate()
                     w.proc.join(1.0)

@@ -41,7 +41,6 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         # Injectable clock so the ETA math is testable with fake time;
         # the wall clock only ever feeds the operator display.
-        # migralint: disable=DET001
         self._clock = clock if clock is not None else time.monotonic
         self.total = 0
         self.done = 0

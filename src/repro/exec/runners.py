@@ -1,7 +1,7 @@
 """Worker entry points: how a cell's plain params become a real run.
 
-Every function here follows the worker purity discipline that the
-EXC001 lint rule enforces over this package: an entry point takes
+Every function here follows the worker purity discipline that
+``tests/test_layering.py`` pins over this package: an entry point takes
 ``(params, seed)`` **plain data**, constructs whatever runtime it needs
 through public constructors *inside the call*, and returns a JSON-able
 payload.  No live kernel, scheduler, or runtime object ever crosses the

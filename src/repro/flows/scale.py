@@ -41,12 +41,11 @@ def compiled_scale_cell(params: Dict[str, Any],
     program = spin_program(flows, rounds)
     # Host wall time is the cell's deliverable (the "can it actually
     # run" evidence); the workload itself is deterministic.
-    # migralint: disable=DET001
     t0 = time.perf_counter()
     run = mech.run_workload(program,
                             real_flows=bool(params.get("real_flows",
                                                        True)))
-    wall_s = time.perf_counter() - t0  # migralint: disable=DET001
+    wall_s = time.perf_counter() - t0
     return {
         "mechanism": run.mechanism,
         "platform": run.platform,

@@ -1,8 +1,8 @@
 """The kernel's priority-queue primitive.
 
 This module is the single sanctioned home of the ``heapq`` import in the
-source tree (enforced by the KRN001 lint rule and the tier-1 gate in
-``tests/test_lint.py``).  Anything outside ``repro.kernel`` that needs a
+source tree (pinned by ``HOST_IMPORTS`` in ``tests/test_layering.py``).
+Anything outside ``repro.kernel`` that needs a
 heap — load-balancing strategies, future schedulers — goes through
 :class:`MinHeap` so the ordering discipline (and any future replacement
 of the backing structure) lives in one place.  The event core itself

@@ -114,8 +114,7 @@ def _mem(bw: float, syscall: float, fixed: float, per_page: float,
 #: All built-in machine models, keyed by short name.  Written only at
 #: import time by the ``_register`` calls below (frozen PlatformProfile
 #: values, never touched per run), so it cannot leak one run's state
-#: into the next — the hazard OBS001 exists to catch.
-# migralint: disable=OBS001
+#: into the next (a ``MODULE_STATE`` row in ``tests/test_layering.py``).
 PLATFORMS: Dict[str, PlatformProfile] = {}
 
 

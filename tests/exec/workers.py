@@ -1,8 +1,8 @@
 """Worker entry points for the executor tests.
 
 These live in a real importable module (not closures) because cells
-address their runners by dotted path — the same discipline EXC001
-enforces on the shipped runners.  The crashy ones communicate through
+address their runners by dotted path — the same discipline
+``tests/test_layering.py`` pins on the shipped runners.  The crashy ones communicate through
 marker files so a retried cell can behave differently on a fresh worker.
 """
 

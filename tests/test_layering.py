@@ -18,15 +18,60 @@ weighs, why its rank is parked — have one owner each (``PER_THREAD``);
 every channel the fault injector subscribes is a runtime's
 (``PER_FAULT``); nothing stored on ``self`` goes unread
 (``WRITE_ONLY_ALLOWED``); and nothing under ``src/`` switches the
-cyclic collector off or down (``GC_TUNING``).
+cyclic collector off or down (``GC_TUNING``).  And the host stays
+outside the simulation: which package may import ``heapq``, a clock,
+``random``, ``multiprocessing`` or a pickler (``HOST_IMPORTS``); the
+module-scope state is the reviewed import-time registries
+(``MODULE_STATE``); host clocks are read by the reviewed functions and
+every generator is seeded (``HOST_CLOCK``); no run queue is drained
+outside ``repro.kernel`` (``RUN_QUEUE_NAMES``); and sweep workers hand
+pools module-level targets and build runtimes per cell
+(``RUNTIME_CONSTRUCTORS``).  Each of these scans ``src/repro`` and
+``examples/`` (``MODULE_STATE``: all of ``src/repro``).
 """
 
 import ast
+import functools
 import pathlib
 
 import repro
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = SRC.parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def scanned(examples=True):
+    """``(label, tree)`` for every module of ``src/repro`` (labelled as
+    ``exec/pool.py``) and, with ``examples``, of ``examples/``
+    (``examples/quickstart.py``)."""
+    paths = [(p.relative_to(SRC).as_posix(), p)
+             for p in sorted(SRC.rglob("*.py"))]
+    if examples:
+        paths += [(f"examples/{p.name}", p)
+                  for p in sorted((ROOT / "examples").glob("*.py"))]
+    return tuple((label, ast.parse(p.read_text())) for label, p in paths)
+
+
+def package(label):
+    """The package a scanned module is in, whatever the file is called:
+    ``kernel`` for ``kernel/pqueue.py``, ``errors`` for ``errors.py``."""
+    return label.split("/")[0].removesuffix(".py")
+
+
+def imported_names(tree):
+    """``(line, dotted name)`` of each import in ``tree``, lazy in-function
+    ones included (``from repro import x`` imports ``repro.x``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"relative import at line {node.lineno}"
+            names = ([f"repro.{a.name}" for a in node.names]
+                     if node.module == "repro" else [node.module])
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names)
 
 #: package -> the sibling packages (or top-level modules) it imports.
 IMPORTS = {
@@ -68,26 +113,12 @@ CYCLE_EDGES = {
 def scan_imports():
     """``{package: {imported sibling packages}}`` over ``src/repro``."""
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC)
-        if rel.name == "__init__.py" and len(rel.parts) == 1:
-            continue
-        pkg = rel.parts[0] if len(rel.parts) > 1 else rel.stem
-        targets = found.setdefault(pkg, set())
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom):
-                assert node.level == 0, f"{rel}: relative import"
-                names = ([f"repro.{a.name}" for a in node.names]
-                         if node.module == "repro" else [node.module])
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            for name in names:
-                parts = name.split(".")
-                if parts[0] == "repro" and len(parts) > 1:
-                    targets.add(parts[1])
-        targets.discard(pkg)
+    for label, tree in scanned(examples=False):
+        pkg = package(label)
+        if pkg != "__init__":
+            found.setdefault(pkg, set()).update(
+                name.split(".")[1] for _, name in imported_names(tree)
+                if name.startswith("repro.") and name.split(".")[1] != pkg)
     return found
 
 
@@ -590,12 +621,10 @@ def test_every_fault_channel_is_a_runtimes_and_kinds_are_refused_once():
                                      func_name)
     assert len(subscribed) == 5
     published, refusals = set(), {}
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        found = kind_refusals(tree)
-        if found:
-            refusals[path.relative_to(SRC).as_posix()] = found
-        if path.relative_to(SRC).parts[0] != "chaos":
+    for label, tree in scanned(examples=False):
+        if found := kind_refusals(tree):
+            refusals[label] = found
+        if package(label) != "chaos":
             published |= published_channels(tree)
     assert [ch for ch in subscribed if ch not in published] == []
     assert refusals == PER_FAULT["kind_refusals"]
@@ -656,13 +685,12 @@ def loaded_names(tree):
 
 
 def test_nothing_stored_on_self_goes_unread():
-    root = SRC.parent.parent
     stored = set()
-    for path in SRC.rglob("*.py"):
-        stored |= stored_on_self(ast.parse(path.read_text()))
+    for _, tree in scanned(examples=False):
+        stored |= stored_on_self(tree)
     loaded = set()
     for name in READERS:
-        for path in (root / name).rglob("*.py"):
+        for path in (ROOT / name).rglob("*.py"):
             loaded |= loaded_names(ast.parse(path.read_text()))
     assert stored - loaded == set(WRITE_ONLY_ALLOWED)
 
@@ -717,9 +745,8 @@ def gc_tuning_calls(tree):
 
 
 def test_nothing_in_src_tunes_the_collector():
-    found = {path.relative_to(SRC).as_posix(): calls
-             for path in sorted(SRC.rglob("*.py"))
-             if (calls := gc_tuning_calls(ast.parse(path.read_text())))}
+    found = {label: calls for label, tree in scanned(examples=False)
+             if (calls := gc_tuning_calls(tree))}
     assert found == {}
 
 
@@ -737,3 +764,419 @@ def test_the_gc_scan_sees_what_it_forbids():
         "freeze()\n")
     assert gc_tuning_calls(tree) == [(4, "disable"), (5, "set_threshold"),
                                      (6, "freeze")]
+
+
+# -- the host stays outside the simulation ------------------------------------
+
+def marked(source, scan):
+    """Line numbers of ``source`` marked ``# expect: <scan>``."""
+    return [n for n, text in enumerate(source.splitlines(), start=1)
+            if text.endswith(f"# expect: {scan}")]
+
+
+#: Host module -> the packages that may import it (``examples`` is the
+#: examples directory).  Heap order is the kernel's (``MinHeap`` wraps
+#: the one ``heapq``); a host clock is read only where host work is timed
+#: or bounded (which functions: ``HOST_CLOCK``); ``random`` is imported
+#: only to build a seeded ``random.Random``; only the sweep executor
+#: starts processes; and nothing pickles — a cell crosses a process
+#: boundary as plain data plus a runner's dotted name.
+HOST_IMPORTS = {
+    "heapq": {"kernel"},
+    "time": {"bench", "examples", "exec", "flows", "serve"},
+    "datetime": set(),
+    "random": {"balance", "chaos", "flows"},
+    "multiprocessing": {"exec"},
+    "pickle": set(),
+    "dill": set(),
+    "cloudpickle": set(),
+}
+
+
+def host_imports(tree):
+    """``(line, module)`` for each import of a ``HOST_IMPORTS`` module."""
+    return sorted((line, name.split(".")[0])
+                  for line, name in imported_names(tree)
+                  if name.split(".")[0] in HOST_IMPORTS)
+
+
+def test_host_modules_are_imported_by_the_reviewed_packages():
+    found = {module: set() for module in HOST_IMPORTS}
+    for label, tree in scanned():
+        for _, module in host_imports(tree):
+            found[module].add(package(label))
+    assert found == HOST_IMPORTS
+
+
+HOST_IMPORT_CASES = """\
+import heapq  # expect: import
+from heapq import heappush  # expect: import
+import multiprocessing.pool  # expect: import
+from pickle import dumps  # expect: import
+import json
+from repro.kernel import MinHeap
+def later():
+    import time  # expect: import
+"""
+
+
+def test_the_host_import_scan_sees_what_it_forbids():
+    found = host_imports(ast.parse(HOST_IMPORT_CASES))
+    assert [line for line, _ in found] == marked(HOST_IMPORT_CASES, "import")
+    assert [package(label) for label in ("kernel/pqueue.py", "errors.py",
+            "balance/kernel_heap.py", "examples/quickstart.py")] == [
+        "kernel", "errors", "balance", "examples"]
+
+
+#: ``file:name`` -> why a module-scope container that function bodies
+#: mutate is not per-run state.  A module global lives as long as the
+#: host process, so a table or counter mutated at run time carries one
+#: run into the next (message ids once kept counting across runs, and
+#: identical runs stopped replaying identically).  Each of these is a
+#: registry written at import time only, refusing a second entry under
+#: a name it holds.
+MODULE_STATE = {
+    "analysis/core.py:_RULES": "rule classes, by @register",
+    "chaos/invariants.py:INVARIANTS": "checkers (state on the ChaosContext)",
+    "core/pup.py:_REGISTRY": "puppable classes by wire name, pup_register",
+    "sim/platform.py:PLATFORMS": "frozen machine models, by _register",
+}
+
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict",
+                 "OrderedDict", "deque", "Counter"}
+MUTATORS = {"append", "appendleft", "add", "update", "setdefault", "pop",
+            "popitem", "popleft", "clear", "extend", "insert", "remove",
+            "discard", "sort", "reverse"}
+
+
+def module_state(tree):
+    """``(line, name)`` of each module-scope container a function body
+    mutates, and of each module-scope number one rebinds via ``global``."""
+    containers, numbers = {}, {}
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or not stmt.value:
+            continue
+        value = stmt.value
+        for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target]):
+            if not isinstance(target, ast.Name) or target.id.startswith("__"):
+                continue
+            if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
+                                  ast.DictComp, ast.SetComp)) or (
+                    isinstance(value, ast.Call)
+                    and callee(value) in MUTABLE_CALLS):
+                containers[target.id] = stmt.lineno
+            elif (isinstance(value, ast.Constant)
+                    and type(value.value) in (int, float)):
+                numbers[target.id] = stmt.lineno
+    rebound, mutated = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                rebound.update(node.names)
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATORS
+                    and isinstance(node.func.value, ast.Name)):
+                mutated.add(node.func.value.id)
+            elif (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name)):
+                mutated.add(node.value.id)
+    return sorted(
+        [(line, name) for name, line in containers.items()
+         if name in mutated | rebound]
+        + [(line, name) for name, line in numbers.items() if name in rebound])
+
+
+def test_module_state_is_the_reviewed_import_time_registries():
+    found = {f"{label}:{name}" for label, tree in scanned(examples=False)
+             for _, name in module_state(tree)}
+    assert found == set(MODULE_STATE)
+
+
+MODULE_STATE_CASES = """\
+_MESSAGE_COUNTER = 0  # expect: state
+def next_message_id():
+    global _MESSAGE_COUNTER
+    _MESSAGE_COUNTER += 1
+HANDLERS = {}  # expect: state
+def register_handler(tag, fn):
+    HANDLERS[tag] = fn
+IN_FLIGHT = []  # expect: state
+def track(msg):
+    IN_FLIGHT.append(msg)
+SEEN: dict = dict()  # expect: state
+forget = lambda key: SEEN.pop(key)
+DEFAULT_LATENCY_NS = 6_500.0
+TAGS = ("ampi", "thmig")
+LAYOUT = {"stack_pages": 8}
+def read_only():
+    return LAYOUT["stack_pages"], DEFAULT_LATENCY_NS
+class PerRunState:
+    def bump(self):
+        self.counter += 1
+        self.registry["last"] = self.counter
+"""
+
+
+def test_the_module_state_scan_sees_what_it_forbids():
+    found = module_state(ast.parse(MODULE_STATE_CASES))
+    assert [line for line, _ in found] == marked(MODULE_STATE_CASES, "state")
+
+
+#: file -> the functions in it that read a host clock or sleep on one.
+#: Simulated time is the kernel's and a run is a function of its inputs
+#: and seed; these time or bound host work only: a cell's and a sweep's
+#: duration, the worker-shutdown grace, the progress ETA, a client's wait
+#: for the service socket, the flow-scale cell's wall time, the elapsed
+#: time the bench CLI and an example print.  And every ``Random`` /
+#: ``default_rng`` gets a seed; nothing draws from a process-global one.
+HOST_CLOCK = {
+    "bench/__main__.py": {"main"},
+    "examples/bigsim_md.py": {"main"},
+    "exec/executor.py": {"SweepExecutor.run"},
+    "exec/pool.py": {"run_cell", "LocalPool.run"},
+    "exec/progress.py": {"ProgressReporter.__init__"},
+    "flows/scale.py": {"compiled_scale_cell"},
+    "serve/client.py": {"wait_until_up"},
+}
+
+CLOCKS = {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+          "perf_counter_ns", "process_time", "process_time_ns", "sleep"}
+RNG_DRAWS = {"random", "randint", "randrange", "choice", "choices",
+             "shuffle", "sample", "uniform", "gauss", "seed", "getrandbits",
+             "rand", "randn", "integers", "normal", "permutation"}
+RNG_CONSTRUCTORS = {"Random", "default_rng", "SystemRandom"}
+
+
+def clock_reads(tree):
+    """``(line, scope)`` of each mention of a ``time`` clock, called or
+    passed along; the scope is the enclosing ``Class.method``/function,
+    or ``<module>``."""
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for a in node.names if a.name == "time"}
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "time"
+                for a in node.names if a.name in CLOCKS}
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = node.name if scope == "<module>" else \
+                f"{scope}.{node.name}"
+        if (isinstance(node, ast.Attribute) and node.attr in CLOCKS
+                and getattr(node.value, "id", None) in modules) or (
+                isinstance(node, ast.Name) and node.id in imported):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def unseeded_draws(tree):
+    """Line of each draw from a process-global generator (``random.x()``,
+    ``np.random.x()``, a draw imported from either) and of each generator
+    built without a seed (or from OS entropy)."""
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("random", "numpy.random")
+                for a in node.names if a.name in RNG_DRAWS}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, name = node.func, callee(node)
+        if name in RNG_CONSTRUCTORS:
+            seeds = node.args[:1] + [k.value for k in node.keywords
+                                     if k.arg == "seed"]
+            if name == "SystemRandom" or not seeds or (
+                    isinstance(seeds[0], ast.Constant)
+                    and seeds[0].value is None):
+                found.append(node.lineno)
+        elif name in RNG_DRAWS and (
+                (isinstance(func, ast.Name) and func.id in imported)
+                or (isinstance(func, ast.Attribute) and "random" in (
+                    getattr(func.value, "id", None),
+                    getattr(func.value, "attr", None)))):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_host_clocks_are_read_where_reviewed_and_every_rng_is_seeded():
+    clocks, unseeded = {}, {}
+    for label, tree in scanned():
+        if reads := clock_reads(tree):
+            clocks[label] = {scope for _, scope in reads}
+        if lines := unseeded_draws(tree):
+            unseeded[label] = lines
+    assert clocks == HOST_CLOCK
+    assert unseeded == {}
+
+
+HOST_CLOCK_CASES = """\
+import random
+import time
+import numpy as np
+from random import Random, shuffle
+from time import perf_counter
+def sample_latency(seed):
+    rng = random.Random(seed)
+    wait = rng.random()
+    t0 = time.time()  # expect: clock
+    t1 = perf_counter()  # expect: clock
+    jitter = random.random()  # expect: rng
+    fallback = Random()  # expect: rng
+    also = random.Random(None)  # expect: rng
+    good = Random(seed + 1)
+    ints = np.random.default_rng(seed).integers(4)
+    noise = np.random.rand(3)  # expect: rng
+def shuffle_ranks(ranks, seed):
+    shuffle(ranks)  # expect: rng
+    random.Random(seed).shuffle(ranks)
+class Pool:
+    def close(self, proc, clock=time.monotonic):  # expect: clock
+        time.sleep(0.1)  # expect: clock
+"""
+
+
+def test_the_clock_and_rng_scans_see_what_they_forbid():
+    tree = ast.parse(HOST_CLOCK_CASES)
+    reads = clock_reads(tree)
+    assert [line for line, _ in reads] == marked(HOST_CLOCK_CASES, "clock")
+    assert {scope for _, scope in reads} == {"sample_latency", "Pool.close"}
+    assert unseeded_draws(tree) == marked(HOST_CLOCK_CASES, "rng")
+
+
+#: Name fragments that make a container a run queue.  Draining one in a
+#: loop outside ``repro.kernel`` is a second dispatch loop, which the
+#: tracer, chaos hooks and stop policies cannot see.  A bounded buffer
+#: drain (SDAG's ``buf``) is not a run loop, and its name says so.
+RUN_QUEUE_NAMES = ("ready", "runq", "run_queue", "queue", "event")
+
+#: Constructors of live runtime state.  A sweep worker module (in
+#: ``repro.exec``, or importing ``multiprocessing``) calls none at import
+#: time — warm state every worker would inherit — and hands another
+#: process a module-level function, never a lambda or a nested ``def``.
+RUNTIME_CONSTRUCTORS = {
+    "AmpiRuntime", "CharmRuntime", "EventKernel", "Cluster", "ChaosRunner",
+    "PoseEngine", "BigSimEngine", "FaultInjector", "CthScheduler", "HookBus",
+    "LBManager", "Checkpointer", "ThreadMigrator",
+}
+POOL_CALLS = {"Process", "submit", "apply_async", "map", "map_async",
+              "starmap", "imap", "imap_unordered"}
+
+
+def drain_loops(tree):
+    """Line of each ``<run queue>.popleft()`` / ``.pop(0)`` in a ``while``."""
+    def drains(node):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            return False
+        receiver = node.func.value
+        name = getattr(receiver, "attr", getattr(receiver, "id", "")).lower()
+        args = [getattr(arg, "value", arg) for arg in node.args]
+        return any(frag in name for frag in RUN_QUEUE_NAMES) and (
+            (node.func.attr, args) in (("popleft", []), ("pop", [0])))
+    return sorted({node.lineno for loop in ast.walk(tree)
+                   if isinstance(loop, ast.While)
+                   for node in ast.walk(loop) if drains(node)})
+
+
+def worker_impurities(tree):
+    """Line of each lambda or nested ``def`` handed to a pool call, and of
+    each runtime constructed at import time (outside every ``def``)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = ({node.name for node in ast.walk(tree) if isinstance(node, defs)}
+              - {node.name for node in tree.body if isinstance(node, defs)})
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and callee(node) in POOL_CALLS:
+            found |= {arg.lineno for arg in node.args + [
+                k.value for k in node.keywords
+                if k.arg in (None, "target", "func", "fn")]
+                if isinstance(arg, ast.Lambda)
+                or getattr(arg, "id", None) in nested}
+
+    def at_import(node):
+        if isinstance(node, (*defs, ast.Lambda)):
+            return
+        if isinstance(node, ast.Call) and callee(node) in RUNTIME_CONSTRUCTORS:
+            found.add(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            at_import(child)
+
+    at_import(tree)
+    return sorted(found)
+
+
+def test_no_run_queue_is_drained_outside_the_kernel():
+    found = {label: lines for label, tree in scanned()
+             if package(label) != "kernel" and (lines := drain_loops(tree))}
+    assert found == {}
+
+
+def test_sweep_workers_get_module_level_targets_and_build_runtimes_per_cell():
+    workers = {label for label, tree in scanned() if package(label) == "exec"
+               or "multiprocessing" in {m for _, m in host_imports(tree)}}
+    assert "exec/pool.py" in workers
+    found = {label: lines for label, tree in scanned()
+             if label in workers and (lines := worker_impurities(tree))}
+    assert found == {}
+
+
+DRAIN_CASES = """\
+def drain(ready):
+    while ready:
+        ready.popleft().run()  # expect: drain
+class Scheduler:
+    def loop(self):
+        while self.run_queue:
+            self.run_queue.pop(0).fire()  # expect: drain
+    def loop_nested(self):
+        while True:
+            while self.events:
+                self.events.popleft()()  # expect: drain
+def sdag_style_buffer_drain(buf, got, count):
+    while buf and len(got) < count:
+        got.append(buf.popleft())
+def stack_pop_is_fine(stack):
+    while stack:
+        stack.pop()
+def popleft_outside_a_loop(queue_like):
+    return queue_like.popleft() if queue_like else None
+"""
+
+WORKER_CASES = """\
+import multiprocessing
+from repro.chaos import ChaosRunner
+def run_cell(params, seed):
+    runner = ChaosRunner(params["workload"])
+    return {"seed": seed, "runner": runner.workload}
+WARM_RUNNER = ChaosRunner("stencil")  # expect: worker
+if __debug__:
+    WARM_KERNEL = EventKernel()  # expect: worker
+class Cells:
+    RUNNER = ChaosRunner("ring")  # expect: worker
+def launch(pool):
+    def closure_target(cell):
+        return cell
+    a = multiprocessing.Process(target=closure_target)  # expect: worker
+    b = multiprocessing.Process(target=lambda: 0)  # expect: worker
+    c = multiprocessing.Process(target=run_cell)
+    d = pool.submit(run_cell, {})
+    e = pool.map(lambda cell: cell, [])  # expect: worker
+"""
+
+
+def test_the_drain_and_worker_scans_see_what_they_forbid():
+    assert drain_loops(ast.parse(DRAIN_CASES)) == marked(DRAIN_CASES, "drain")
+    assert worker_impurities(ast.parse(WORKER_CASES)) == marked(
+        WORKER_CASES, "worker")
