@@ -1176,7 +1176,10 @@ def launch(pool):
 """
 
 
-def test_the_drain_and_worker_scans_see_what_they_forbid():
+def test_the_drain_scan_sees_what_it_forbids():
     assert drain_loops(ast.parse(DRAIN_CASES)) == marked(DRAIN_CASES, "drain")
+
+
+def test_the_worker_scan_sees_what_it_forbids():
     assert worker_impurities(ast.parse(WORKER_CASES)) == marked(
         WORKER_CASES, "worker")
