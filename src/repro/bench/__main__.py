@@ -8,11 +8,12 @@ Usage::
     REPRO_FULL=1 python -m repro.bench fig11   # paper-scale Figure 11
 
 Reports are printed and saved under ``results/``.  Each ``run_<exp>()``
-here is its experiment's one definition — it builds, renders and saves the
-``results/`` file and returns the built data — so the pytest-benchmark
-targets under ``benchmarks/`` call the same functions and either driver
-writes the same bytes; the CLI exists so downstream users can regenerate
-the evaluation without the test harness.
+here (the ablations' in :mod:`repro.bench.ablations`) is its experiment's
+one definition — it builds, renders and saves its ``results/`` file and
+returns the built data — and this CLI is the one writer of every
+``results/*.txt`` report.  ``tests/claims/`` runs the same functions into
+a temporary directory, asserts the paper's shapes on the returned data
+and byte-compares each report with the checked-in file.
 
 Experiments run as independent :mod:`repro.exec` cells: a raising
 experiment no longer aborts the rest of the run (and no longer leaves
@@ -29,6 +30,11 @@ import sys
 import time
 from typing import Any, Dict, Optional
 
+from repro.bench.ablations import (run_ablation_bigsim_lb,
+                                   run_ablation_granularity, run_ablation_io,
+                                   run_ablation_mechanisms,
+                                   run_ablation_page_size, run_ablation_pose,
+                                   run_ablation_smp, run_ablation_swapglobal)
 from repro.bench.figures import (FIGURE_PLATFORMS, bigsim_series,
                                  btmz_series, context_switch_series,
                                  full_scale, minimal_swap_rows,
@@ -144,6 +150,14 @@ EXPERIMENTS = {
     "fig10": run_fig10,
     "fig11": run_fig11,
     "fig12": run_fig12,
+    "ablation_page_size": run_ablation_page_size,
+    "ablation_granularity": run_ablation_granularity,
+    "ablation_swapglobal": run_ablation_swapglobal,
+    "ablation_io": run_ablation_io,
+    "ablation_smp": run_ablation_smp,
+    "ablation_bigsim_lb": run_ablation_bigsim_lb,
+    "ablation_pose": run_ablation_pose,
+    "ablation_mechanisms": run_ablation_mechanisms,
 }
 
 
@@ -183,6 +197,11 @@ def main(argv: list[str]) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}",
               file=sys.stderr)
         print(f"known: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return 2
+    repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+    if repeated:
+        print(f"experiment(s) named more than once: {', '.join(repeated)}",
+              file=sys.stderr)
         return 2
     if args.jobs < 1:
         print(f"-j/--jobs must be >= 1 (got {args.jobs})", file=sys.stderr)

@@ -63,3 +63,11 @@ def test_unknown_experiment_still_exits_2(fake_experiments, capsys):
     # Usage errors go to stderr so a piped report stream stays clean.
     assert "unknown experiment(s): nope" in captured.err
     assert captured.out == ""
+
+
+def test_repeated_experiment_exits_2(fake_experiments, capsys):
+    assert bench_main.main(["a", "b", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "experiment(s) named more than once: a\n"
+    assert captured.out == ""
+    assert fake_experiments == []

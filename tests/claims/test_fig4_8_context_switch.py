@@ -1,17 +1,21 @@
-"""Shared driver for the Figures 4–8 context-switch benchmarks."""
+"""Figures 4–8: context-switch time vs number of flows on five machines.
 
-from __future__ import annotations
+Four mechanisms (processes, pthreads, Cth user-level threads, AMPI
+migratable threads) are created for real on each simulated processor and
+driven through the yield-loop microbenchmark; series end where the
+platform's limits refuse further creation.  Claim 1 is the ordering on
+Linux, Mac OS X and Solaris; claim 13 the IBM SP / Alpha quirk.
+"""
 
-from repro.bench.__main__ import run_context_figure
+import pytest
+
 from repro.bench.figures import FIGURE_PLATFORMS
-from repro.flows import UserThreadFlow
-from repro.sim import Processor, get_platform
+from repro.sim import get_platform
 
 
-def run_context_switch_figure(fig_no: int, benchmark) -> None:
-    """Generate one of Figures 4–8, assert its shape, benchmark a switch."""
+def check_context_switch_figure(experiment, fig_no):
     profile = get_platform(FIGURE_PLATFORMS[fig_no])
-    xs, series = run_context_figure(fig_no)
+    xs, series = experiment(f"fig{fig_no}")
 
     def last(name):
         vals = [v for v in series[name] if v is not None]
@@ -53,7 +57,12 @@ def run_context_switch_figure(fig_no: int, benchmark) -> None:
         assert all(x <= profile.max_uthreads
                    for x in xs[:measured])
 
-    # pytest-benchmark target: the real cost of one modeled uthread switch
-    # computation on this platform.
-    mech = UserThreadFlow(Processor(0, profile))
-    benchmark(mech.switch_cost_ns, 1_000)
+
+@pytest.mark.parametrize("fig_no", [4, 5, 6])
+def test_claim1_fig4_6_user_threads_fastest(experiment, fig_no):
+    check_context_switch_figure(experiment, fig_no)
+
+
+@pytest.mark.parametrize("fig_no", [7, 8])
+def test_claim13_fig7_8_kernel_flows_artificially_low(experiment, fig_no):
+    check_context_switch_figure(experiment, fig_no)

@@ -78,8 +78,8 @@ IMPORTS = {
     "ampi": {"balance", "core", "errors", "sim"},
     "analysis": set(),
     "balance": {"errors", "kernel"},
-    "bench": {"balance", "bigsim", "core", "errors", "exec", "flows", "sim",
-              "workloads"},
+    "bench": {"balance", "bigsim", "core", "errors", "exec", "flows", "pose",
+              "sim", "workloads"},
     "bigsim": {"ampi", "balance", "errors", "workloads"},
     "chaos": {"ampi", "balance", "core", "errors", "workloads"},
     "charm": {"core", "errors", "kernel", "sim"},
@@ -659,7 +659,7 @@ WRITE_ONLY_ALLOWED = {
                  "public data for handlers",
 }
 
-READERS = ("src", "tests", "tools", "examples", "perf", "benchmarks")
+READERS = ("src", "tests", "tools", "examples", "perf")
 
 
 def stored_on_self(tree):
