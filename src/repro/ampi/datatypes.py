@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Callable, Dict
-
-import numpy as np
 
 from repro.errors import AmpiError
 
@@ -15,12 +14,38 @@ ANY_SOURCE = -1
 #: Wildcard tag for :meth:`AmpiContext.recv`.
 ANY_TAG = -1
 
-#: Built-in reduction operators (MPI_SUM and friends).
+
+def _numpy_for(a: Any, b: Any) -> Any:
+    """The ``numpy`` module if ``a`` or ``b`` is an array, else ``None``.
+
+    Looked up, never imported: no array can exist before NumPy is loaded,
+    so a run that sends none never loads it.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and (isinstance(a, np.ndarray)
+                           or isinstance(b, np.ndarray)):
+        return np
+    return None
+
+
+def _min(a: Any, b: Any) -> Any:
+    np = _numpy_for(a, b)
+    return min(a, b) if np is None else np.minimum(a, b)
+
+
+def _max(a: Any, b: Any) -> Any:
+    np = _numpy_for(a, b)
+    return max(a, b) if np is None else np.maximum(a, b)
+
+
+#: Built-in reduction operators (MPI_SUM and friends).  ``min``/``max``
+#: go elementwise when either operand is an array, as ``sum``/``prod``
+#: broadcast in either order: a reduction folds in tree order.
 OPS: Dict[str, Callable[[Any, Any], Any]] = {
     "sum": lambda a, b: a + b,
     "prod": lambda a, b: a * b,
-    "min": lambda a, b: np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b),
-    "max": lambda a, b: np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b),
+    "min": _min,
+    "max": _max,
     "land": lambda a, b: bool(a) and bool(b),
     "lor": lambda a, b: bool(a) or bool(b),
 }
@@ -48,8 +73,6 @@ def wire_size(data: Any) -> int:
     """
     if data is None:
         return 16
-    if isinstance(data, np.ndarray):
-        return int(data.nbytes) + 64
     if isinstance(data, (bytes, bytearray, memoryview)):
         return len(data) + 32
     if isinstance(data, str):
@@ -60,5 +83,8 @@ def wire_size(data: Any) -> int:
         return 16 + sum(wire_size(x) for x in data)
     if isinstance(data, dict):
         return 16 + sum(wire_size(k) + wire_size(v) for k, v in data.items())
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(data, np.ndarray):
+        return int(data.nbytes) + 64
     # Arbitrary objects: a conservative flat estimate.
     return 256

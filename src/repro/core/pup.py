@@ -26,12 +26,15 @@ Example
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
-from typing import Any, Dict, List, Optional, Protocol, Type, runtime_checkable
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Type,
+                    runtime_checkable)
 
 from repro.errors import PupError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Puppable",
@@ -219,6 +222,7 @@ class BasePupper:
 
     def array(self, v: Optional[np.ndarray] = None) -> np.ndarray:
         """A NumPy array field (dtype and shape preserved)."""
+        import numpy as np
         if self.is_unpacking:
             dtype = np.dtype(self._blob(None).decode("ascii"))
             ndim = self.int()
@@ -460,18 +464,27 @@ _TAG_DOUBLE = struct.Struct("<qd").pack
 _TAG_BYTE = struct.Struct("<qB").pack
 _NONE = _INT(_VT_NONE)
 
-#: The types the walk encodes.  A value of a subclass (an ``IntEnum``, a
-#: NumPy scalar, a named tuple) encodes as the one it derives from; no
-#: class can derive from two of them (``bool`` cannot be subclassed).
-_KINDS = (bool, int, float, bytes, bytearray, str, np.ndarray, list, tuple,
-          dict)
-_EXACT = frozenset(_KINDS) | {type(None)}
+#: The types the walk encodes, in the order a subclass is matched: the
+#: scalars, then ``numpy.ndarray``, then the containers.  A value of a
+#: subclass (an ``IntEnum``, a NumPy scalar, a named tuple) encodes as the
+#: one it derives from; no class can derive from two of them (``bool``
+#: cannot be subclassed).  The array type is looked up in ``sys.modules``,
+#: never imported: no array can exist before NumPy is loaded.
+_SCALARS = (bool, int, float, bytes, bytearray, str)
+_CONTAINERS = (list, tuple, dict)
+_EXACT = frozenset(_SCALARS + _CONTAINERS) | {type(None)}
 
 
 def _kind(value: Any) -> type:
-    """The codec type a value whose class is not one of ``_KINDS``
+    """The codec type a value whose class is not one of the exact kinds
     encodes as."""
-    for kind in _KINDS:
+    for kind in _SCALARS:
+        if isinstance(value, kind):
+            return kind
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
+        return np.ndarray
+    for kind in _CONTAINERS:
         if isinstance(value, kind):
             return kind
     raise PupError(f"pack_value cannot encode {type(value).__name__}: "
@@ -512,6 +525,7 @@ def _walk(value: Any, out: Any) -> None:
     elif kind is bool:
         out(_TAG_BYTE(_VT_BOOL, 1 if value else 0))
     else:
+        import numpy as np
         dtype = value.dtype.str.encode("ascii")
         out(_TAG_LEN(_VT_ARRAY, len(dtype)))
         out(dtype)

@@ -51,6 +51,10 @@ class Cluster:
         #: tag seen so far (the tag space is a handful of entries).
         self._flow_labels: List[str] = [f"pe{i}"
                                         for i in range(num_processors)]
+        #: Every processor's ``deliver``, bound once: a send posts it
+        #: rather than binding a new method object per message.
+        self._deliver: List[Callable[[Message, float], None]] = [
+            proc.deliver for proc in self.processors]
         self._net_categories: dict = {}
 
     def __len__(self) -> int:
@@ -106,15 +110,14 @@ class Cluster:
         # chaos cell — the one arrival is posted as it stands.
         hooks = queue.hooks
         flow = self._flow_labels[dst]
+        deliver = self._deliver[dst]
         if hooks.has("net.send"):
-            deliver = receiver.deliver
             for t in hooks.filter("net.send", [arrival], msg=msg):
                 if t < cur:
                     t = cur
                 queue.post(t, deliver, (msg, t), category, flow)
         else:
-            queue.post(arrival, receiver.deliver, (msg, arrival), category,
-                       flow)
+            queue.post(arrival, deliver, (msg, arrival), category, flow)
         return msg
 
     def at(self, proc_id: int, time: float, fn: Callable[..., Any],

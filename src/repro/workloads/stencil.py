@@ -12,12 +12,13 @@ paper compares in Section 2.4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.ampi import AmpiRuntime
 from repro.balance.strategies import NullLB, Strategy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["StencilConfig", "jacobi_reference", "ampi_stencil_main",
            "run_ampi_stencil"]
@@ -36,6 +37,7 @@ class StencilConfig:
 
 def jacobi_reference(grid: np.ndarray, iterations: int) -> np.ndarray:
     """Sequential reference: ``iterations`` Jacobi sweeps, Dirichlet edges."""
+    import numpy as np
     g = grid.astype(np.float64).copy()
     for _ in range(iterations):
         nxt = g.copy()
@@ -47,6 +49,7 @@ def jacobi_reference(grid: np.ndarray, iterations: int) -> np.ndarray:
 
 def initial_grid(cfg: StencilConfig) -> np.ndarray:
     """Deterministic initial condition: hot top edge, cold elsewhere."""
+    import numpy as np
     g = np.zeros((cfg.rows, cfg.cols))
     g[0, :] = 100.0
     g[-1, :] = -25.0
@@ -69,6 +72,7 @@ def ampi_stencil_main(cfg: StencilConfig, results: Dict[int, np.ndarray],
     """
 
     def main(mpi):
+        import numpy as np
         n = mpi.size
         rows_per = cfg.rows // n
         lo = mpi.rank * rows_per
@@ -113,6 +117,7 @@ def run_ampi_stencil(cfg: StencilConfig, num_procs: int, num_ranks: int,
                      strategy: Strategy | None = None,
                      checkpoint_period: int = 0):
     """Run the AMPI stencil; returns (runtime, assembled final grid)."""
+    import numpy as np
     results: Dict[int, np.ndarray] = {}
     rt = AmpiRuntime(num_procs, num_ranks,
                      ampi_stencil_main(cfg, results, checkpoint_period),

@@ -25,6 +25,17 @@ def test_apply_op_numpy_elementwise():
     np.testing.assert_array_equal(apply_op("sum", [a, b]), [4.0, 7.0])
 
 
+@pytest.mark.parametrize("scalar", [3.0, np.float64(3.0), 3],
+                         ids=["float", "float64", "int"])
+def test_min_max_mixing_arrays_and_scalars_ignore_fold_order(scalar):
+    """A reduction folds ``[acc, partial]`` in tree order, so an array may
+    arrive on either side of a scalar; both orders go elementwise."""
+    a = np.array([1.0, 5.0])
+    for values in ([a, scalar], [scalar, a]):
+        np.testing.assert_array_equal(apply_op("min", values), [1.0, 3.0])
+        np.testing.assert_array_equal(apply_op("max", values), [3.0, 5.0])
+
+
 def test_apply_op_errors():
     with pytest.raises(AmpiError):
         apply_op("median", [1])

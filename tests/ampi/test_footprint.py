@@ -15,7 +15,11 @@ one-record rank are in brackets.
   lists, a posted-receive list, a body closure with its cell tuple and
   two cells, and a bound method per post];
 * a rank that never mallocs has no heap, a rank that never irecvs no
-  posted-receive list — migration included.
+  posted-receive list — migration included;
+* a cross-processor message in flight is its ``AmpiMessage``, the
+  network ``Message`` carrying it, its kernel slot and that slot's
+  ``(msg, arrival)`` args tuple [5: also a ``Processor.deliver`` bound
+  per send].
 """
 
 from repro.ampi import AmpiRuntime
@@ -58,3 +62,21 @@ def test_a_rank_carries_no_heap_or_posted_list_it_did_not_use():
     assert rt.migrator.migrations_completed == 4
     assert posted == [[0]] and rt._posted == {}
     assert has_heap == {0: True, 1: False, 2: False, 3: False}
+
+
+def test_an_in_flight_message_is_at_most_four_tracked_objects():
+    def prepare(n):
+        rt = AmpiRuntime(2, 2, main)
+        assert rt.rank_pe(0) != rt.rank_pe(1)
+        return rt, n
+
+    def send(state):
+        rt, n = state
+        ctx = rt.rank_ctx[0]
+        for _ in range(n):
+            ctx.send(1, None, size_bytes=8)
+        assert len(rt.cluster.queue) >= n       # posted, none delivered
+        return state
+
+    per_message = tracked_per_unit(prepare, send)
+    assert per_message <= 4, per_message

@@ -198,6 +198,8 @@ def test_deadlock_detected_with_diagnostics():
 
 def test_wire_size_estimates():
     assert wire_size(np.zeros(10, dtype=np.int64)) == 80 + 64
+    assert wire_size([np.zeros(2, dtype=np.int32), None]) == 16 + 72 + 16
+    assert wire_size(np.float64(1.0)) == 32       # a float, not an array
     assert wire_size(b"abc") == 35
     assert wire_size("abc") == 35
     assert wire_size(5) == 32
