@@ -322,9 +322,8 @@ class StackCopyStacks(SingleAddressStacks):
         if live:
             # Live stack data sits at the top of the stack.
             off = self.stack_bytes - live
-            data = self.space.read(rec.backing.start + off, live)
-            self.space.write(rec.base + off, data)
-            self.space.bytes_copied += live
+            self.space.memcpy_in(rec.base + off, rec.backing.start + off,
+                                 live)
             cost += self.profile.mem.memcpy_cost(live)
         self.active[0] = rec
         return cost
@@ -337,9 +336,8 @@ class StackCopyStacks(SingleAddressStacks):
         live = rec.live_bytes
         if live:
             off = self.stack_bytes - live
-            data = self.space.read(rec.base + off, live)
-            self.space.write(rec.backing.start + off, data)
-            self.space.bytes_copied += live
+            self.space.memcpy_in(rec.backing.start + off, rec.base + off,
+                                 live)
             cost += self.profile.mem.memcpy_cost(live)
         self.active[0] = None
         return cost

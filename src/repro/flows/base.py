@@ -87,19 +87,20 @@ class FlowMechanism(ABC):
                 f"{self.profile.name}: per-user memory cap reached at "
                 f"{limit} user-level threads")
 
-    def _reserve_stack(self, index: int, nbytes: int, tag: str,
+    def _reserve_stack(self, nbytes: int, tag: str,
                        addr: Optional[int] = None) -> tuple:
         """A thread flow's stack: a reserved virtual range in the mmap
         area (at ``addr`` when given), lazily faulted — a fresh thread
         has touched only its first page, which is how real machines fit
         tens of thousands of 16 KB-reserved stacks in 1 GB of RAM.
         A refusal of that page (Table 2's memory limit) gives the
-        reservation back.  Returns the payload ``(stack, touched)``."""
+        reservation back.  Returns the payload ``(stack, touched)``: the
+        mapping, tagged ``tag``, and its one touched frame."""
         space = self.processor.space
         stack = space.mmap(nbytes, region="iso", addr=addr,
-                           reserve_only=True, tag=f"{tag}{index}")
+                           reserve_only=True, tag=tag)
         try:
-            touched = space.physical.allocate_frames(1)
+            touched = space.physical.allocate_frames(1)[0]
         except OutOfPhysicalMemory:
             space.munmap(stack)
             raise
@@ -108,7 +109,7 @@ class FlowMechanism(ABC):
     def _release_stack(self, payload: tuple) -> None:
         stack, touched = payload
         self.processor.space.munmap(stack)
-        self.processor.space.physical.free_frames(touched)
+        self.processor.space.physical.free_frames((touched,))
 
     def create_flow(self) -> Any:
         """Create one more flow, charging its creation cost; returns its

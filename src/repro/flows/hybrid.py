@@ -49,7 +49,7 @@ class HybridThreadFlow(FlowMechanism):
             processor.charge(self.profile.pthread_create_ns)
 
     def _create(self, index: int) -> tuple:
-        payload = self._reserve_stack(index, self.stack_bytes, "nm-stack")
+        payload = self._reserve_stack(self.stack_bytes, "nm-stack")
         self.processor.charge(self.profile.uthread_create_ns
                               + self.coordination_ns)
         return payload

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import VMError
 from repro.flows.base import FlowMechanism
 
 __all__ = ["KernelThreadFlow"]
@@ -26,9 +27,13 @@ class KernelThreadFlow(FlowMechanism):
     stack_bytes = 16 * 1024
 
     def _create(self, index: int) -> tuple:
-        self.processor.kernel.thread_create()
-        payload = self._reserve_stack(index, self.stack_bytes,
-                                      "pthread-stack")
+        kernel = self.processor.kernel
+        kernel.thread_create()
+        try:
+            payload = self._reserve_stack(self.stack_bytes, "pthread-stack")
+        except VMError:                 # no stack: no kernel thread either
+            kernel.thread_exit()
+            raise
         self.processor.charge(self.profile.pthread_create_ns)
         return payload
 

@@ -45,17 +45,17 @@ def probe_limit(mechanism: FlowMechanism, cap: int,
         Stop probing after this many successful creations (the paper's
         experiments also stopped somewhere, hence "90000+").
     chunk:
-        Create in batches of this size (probe speed knob; the limit is
-        still located exactly because refusals are per-creation).
+        Ignored: flows are created one at a time whatever its value, so
+        the probe is the same with or without it.  Kept so existing
+        callers that pass it still run.
     """
     count = 0
     factor = mechanism.limiting_factor
     hit = False
     try:
         while count < cap:
-            for _ in range(min(chunk, cap - count)):
-                mechanism.create_flow()
-                count += 1
+            mechanism.create_flow()
+            count += 1
     except OSLimitError:
         hit = True
     except (OutOfPhysicalMemory, OutOfVirtualAddressSpace):

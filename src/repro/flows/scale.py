@@ -66,7 +66,8 @@ def mechanism_limit_cell(params: Dict[str, Any],
     """Probe one mechanism's creation limit (a Table 2 point).
 
     ``params``: ``mechanism`` (a :data:`repro.flows.MECHANISMS` key),
-    ``platform``, ``cap``, ``chunk`` (default 1024).  The probe creates
+    ``platform``, ``cap``; a ``chunk`` key names the cell but changes
+    nothing the probe does.  The probe creates
     until the platform's OS/memory model refuses, exactly like
     :func:`repro.flows.limits.probe_limit` — because it is that probe,
     wrapped in a cell.
@@ -77,8 +78,7 @@ def mechanism_limit_cell(params: Dict[str, Any],
     cls = MECHANISMS[params["mechanism"]]
     proc = Processor(0, get_platform(params.get("platform", "linux_x86")))
     mech = cls(proc)
-    probe = probe_limit(mech, int(params["cap"]),
-                        chunk=int(params.get("chunk", 1024)))
+    probe = probe_limit(mech, int(params["cap"]))
     return {
         "mechanism": probe.mechanism,
         "platform": probe.platform,

@@ -36,7 +36,7 @@ class UserThreadFlow(FlowMechanism):
 
     def _create(self, index: int) -> tuple:
         self._refuse_past_uthread_cap()
-        payload = self._reserve_stack(index, self.stack_bytes, "cth-stack")
+        payload = self._reserve_stack(self.stack_bytes, "cth-stack")
         self.processor.charge(self.profile.uthread_create_ns)
         return payload
 
@@ -75,8 +75,8 @@ class AmpiThreadFlow(FlowMechanism):
         # The whole slot's virtual range is claimed, exactly as isomalloc
         # reserves it cluster-wide; only the first stack page is faulted.
         try:
-            payload = self._reserve_stack(index, self.arena.slot_bytes,
-                                          "ampi-slot", addr=base)
+            payload = self._reserve_stack(self.arena.slot_bytes, "ampi-slot",
+                                          addr=base)
         except VMError:
             self.arena.release_slot(base)
             raise

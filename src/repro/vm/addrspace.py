@@ -426,6 +426,22 @@ class AddressSpace:
         m.cow.discard(index)
         return frame
 
+    def _break_cows(self, m: Mapping, address: int,
+                    reach: int) -> Tuple[int, Optional[OutOfPhysicalMemory]]:
+        """Break copy-on-write on the shared pages of ``[address, reach)``
+        in ``m``, in address order.  Returns how far a store may go and
+        the :class:`OutOfPhysicalMemory` that stopped it short, if any:
+        the base of the page whose private copy found no frame."""
+        page_size = self.layout.page_size
+        first = (address - m.start) // page_size
+        last = (reach - 1 - m.start) // page_size + 1
+        for index in sorted(m.cow.intersection(range(first, last))):
+            try:
+                self._break_cow(m, index)
+            except OutOfPhysicalMemory as exc:
+                return max(address, m.start + index * page_size), exc
+        return reach, None
+
     def read(self, address: int, length: int) -> bytes:
         """Read ``length`` bytes starting at ``address`` (may span pages
         and mappings), copied once.
@@ -477,7 +493,6 @@ class AddressSpace:
         """
         view = memoryview(payload)
         end = address + len(view)
-        page_size = self.layout.page_size
         done = 0
         while address < end:
             m = self.mapping_at(address)
@@ -489,15 +504,7 @@ class AddressSpace:
             reach = self._reach(m, address, stop, _WRITE, "write")
             no_copy = None
             if m.cow:
-                first = (address - m.start) // page_size
-                last = (reach - 1 - m.start) // page_size + 1
-                for index in sorted(m.cow.intersection(range(first, last))):
-                    try:
-                        self._break_cow(m, index)
-                    except OutOfPhysicalMemory as exc:
-                        no_copy = exc
-                        reach = max(address, m.start + index * page_size)
-                        break
+                reach, no_copy = self._break_cows(m, address, reach)
             count = reach - address
             self.physical.store(m.frames, address - m.start,
                                 view[done:done + count])
@@ -523,8 +530,65 @@ class AddressSpace:
         self.write(address, bytes([value]) * length)
 
     def memcpy_in(self, dst: int, src: int, length: int) -> None:
-        """Copy ``length`` bytes within this address space, counting the copy."""
-        self.write(dst, self.read(src, length))
+        """Copy ``length`` bytes within this address space, counting the copy.
+
+        The copy moves frames, not bytes.  The whole source is checked
+        first, with :meth:`read`'s faults in its order, and a fault there
+        writes nothing.  The destination then takes :meth:`write`'s faults,
+        copy-on-write breaks and partial-write rule.  Overlapping ranges
+        copy as ``memmove`` does.  A whole destination page copied from
+        pages nobody wrote ends with no host buffer; a written page costs
+        one page-sized copy, and ragged edge pages are slice copies.
+        ``bytes_read`` counts a source that checks out; ``bytes_written``
+        and ``bytes_copied`` count a copy that completes.  A negative
+        ``length`` is refused with a :class:`VMError`.
+        """
+        if length < 0:
+            raise VMError(f"read of negative length {length} at "
+                          f"{src:#x} in {self.name!r}")
+        page_size = self.layout.page_size
+        address, end = src, src + length
+        frames: List[Frame] = []
+        while address < end:
+            m = self.mapping_at(address)
+            if m is None:
+                raise SegmentationFault(address, self.name)
+            stop = m.start + m.length
+            if stop > end:
+                stop = end
+            reach = self._reach(m, address, stop, _READ, "read")
+            if reach < stop:
+                self.page_faults += 1
+                raise PageFault(reach, self.name)
+            frames += m.frames[(address - m.start) // page_size:
+                               (stop - 1 - m.start) // page_size + 1]
+            address = stop
+        self.bytes_read += length
+        physical = self.physical
+        source = physical._buffers(frames, dst < end and src < dst + length)
+        start = src % page_size
+        address, end = dst, dst + length
+        while address < end:
+            m = self.mapping_at(address)
+            if m is None:
+                raise SegmentationFault(address, self.name)
+            stop = m.start + m.length
+            if stop > end:
+                stop = end
+            reach = self._reach(m, address, stop, _WRITE, "write")
+            no_copy = None
+            if m.cow:
+                reach, no_copy = self._break_cows(m, address, reach)
+            count = reach - address
+            physical._copy(m.frames, address - m.start, source, start, count)
+            if no_copy is not None:
+                raise no_copy
+            if reach < stop:
+                self.page_faults += 1
+                raise PageFault(reach, self.name)
+            start += count
+            address = stop
+        self.bytes_written += length
         self.bytes_copied += length
 
     # ------------------------------------------------------------------

@@ -248,6 +248,67 @@ class PhysicalMemory:
             done = stop
             offset = 0
 
+    # -- copies from one run of frames to another: ``AddressSpace.memcpy_in``
+    # takes the source's buffers once the whole source is checked, then
+    # copies them into each destination mapping's run.
+
+    @staticmethod
+    def _buffers(frames: Sequence[Frame],
+                 detach: bool) -> list[Optional[bytes]]:
+        """The buffer behind each of ``frames`` (``None``: nobody wrote
+        it); a private copy of each when ``detach`` — the destination
+        overlaps the source, so it must not see its own stores."""
+        if detach:
+            return [None if f._data is None else bytes(f._data)
+                    for f in frames]
+        return [f._data for f in frames]
+
+    def _copy(self, frames: Sequence[Frame], offset: int,
+              source: Sequence[Optional[bytes]], start: int,
+              length: int) -> None:
+        """Copy ``length`` bytes from ``start`` of the page buffers
+        ``source`` to ``offset`` of ``frames``, a page at a time.  A whole
+        page copied from pages nobody wrote ends with no host buffer, as
+        :meth:`Frame.copy_from` leaves it; a whole aligned page onto a
+        frame nobody wrote becomes that frame's buffer in one copy; the
+        rest are slice copies, as :meth:`store` makes them."""
+        if not length:
+            return
+        page = self.page_size
+        first, offset = divmod(offset, page)
+        zero = memoryview(bytes(page))
+        last = first + (offset + length + page - 1) // page
+        done = 0
+        for frame in frames[first:last]:
+            count = page - offset
+            if count > length - done:
+                count = length - done
+            index, lo = divmod(start + done, page)
+            head = source[index]
+            split = page - lo
+            if count == page and head is None and (
+                    not lo or source[index + 1] is None):
+                frame._data = None
+            elif count == page and not lo and frame._data is None:
+                frame._data = bytearray(head)
+            else:
+                data = frame._data
+                if data is None:
+                    data = frame._data = bytearray(page)
+                if count <= split:
+                    data[offset:offset + count] = (
+                        zero if head is None else memoryview(head)
+                    )[lo:lo + count]
+                else:
+                    tail = source[index + 1]
+                    data[offset:offset + split] = (
+                        zero if head is None else memoryview(head))[lo:]
+                    data[offset + split:offset + count] = (
+                        zero if tail is None else memoryview(tail)
+                    )[:count - split]
+            done += count
+            offset = 0
+
     def free_frames(self, frames: Iterable[Frame]) -> None:
         """Return several frames to the pool, in order."""
         pool = self._frames

@@ -13,14 +13,16 @@ slope); the values before the one-record layout are in brackets.
   generator — no separate context, no mailbox until a message
   arrives [5 per rank, both forms];
 * a compiled ``create_flow`` allocates nothing — its payload is
-  ``None`` [1]; a Cth flow is its stack mapping, the touched frame and
-  the list and tuple that hold them [5];
+  ``None`` [1]; a Cth or AMPI flow is its stack mapping, the touched
+  frame and the tuple that holds them [5, then 4 while a one-frame list
+  held the frame];
 * seeding posts exactly one kernel slot per rank.
 """
 
 import pytest
 
-from repro.flows import CompiledContinuationFlow, UserThreadFlow
+from repro.flows import (AmpiThreadFlow, CompiledContinuationFlow,
+                         UserThreadFlow)
 from repro.flows.programs import spin_program
 from repro.flows.runtime import FlowWorld
 from repro.sim import Processor, get_platform
@@ -59,8 +61,10 @@ def test_creating_a_compiled_flow_allocates_nothing_tracked():
     assert _created(CompiledContinuationFlow) == 0
 
 
-def test_creating_a_cth_flow_is_at_most_four_tracked_objects():
-    assert _created(UserThreadFlow) <= 4
+@pytest.mark.parametrize("mechanism", [UserThreadFlow, AmpiThreadFlow],
+                         ids=["cth", "ampi"])
+def test_creating_a_thread_flow_is_at_most_three_tracked_objects(mechanism):
+    assert _created(mechanism) <= 3
 
 
 def test_seeding_posts_exactly_one_slot_per_rank():

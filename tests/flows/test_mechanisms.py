@@ -7,6 +7,7 @@ from repro.errors import (ProcessLimitExceeded, ReproError,
 from repro.flows import (AmpiThreadFlow, EventObjectFlow, FlowProgram,
                          KernelThreadFlow, MECHANISMS, ProcessFlow,
                          UserThreadFlow)
+from repro.flows.limits import probe_limit
 from repro.flows.programs import ring_program
 from repro.sim import Processor, get_platform
 
@@ -169,6 +170,17 @@ def test_a_creation_refused_while_populating_leaks_no_real_flow():
     with pytest.raises(ThreadLimitExceeded):
         mech.run_workload(ring_program(300, 1))
     assert mech.n_flows == 0
+    assert p.kernel.kthread_count == 0
+    assert _stacks(p, "pthread-stack") == []
+
+
+def test_a_pthread_refused_its_stack_page_leaks_no_kernel_thread():
+    """With no pthread limit, memory refuses the 65th stack page: that
+    creation's kernel thread is exited along with the 64 torn down."""
+    p = Processor(0, get_platform("linux_x86").with_overrides(
+        physical_memory_bytes=64 * 4096, max_kthreads=None))
+    probe = probe_limit(KernelThreadFlow(p), cap=10_000)
+    assert (probe.count, probe.limiting_factor) == (64, "memory")
     assert p.kernel.kthread_count == 0
     assert _stacks(p, "pthread-stack") == []
 

@@ -190,15 +190,17 @@ def test_extent_operations_do_no_per_page_host_work():
 
 
 #: The image road pays per image and per mapping, never per page or per
-#: field.  ``AddressSpace.read``/``write`` contain no ``yield`` and call
-#: no generator helper (they resumed ``_pages`` once per page); each of
-#: their ``while`` loops turns once per mapping (it calls ``mapping_at``)
+#: field.  ``AddressSpace.read``/``write``/``memcpy_in`` contain no
+#: ``yield`` and call no generator helper (``read``/``write`` resumed
+#: ``_pages`` once per page; ``memcpy_in`` was the two of them, through
+#: one whole-range byte string); each of their ``while`` loops turns
+#: once per mapping (it calls ``mapping_at``)
 #: and no ``for`` loop runs over a ``range`` of pages.  ``pack_value``'s
 #: walk calls no pupper method (a ``PackingPupper`` ran ``int`` →
 #: ``_prim`` → ``_tick`` per field) and builds no pupper.
 PER_IMAGE = {
     "loads_and_stores": ("vm/addrspace.py", "AddressSpace",
-                         {"read", "write"}),
+                         {"read", "write", "memcpy_in"}),
     "value_walk": ("core/pup.py", {"pack_value", "_walk", "_kind"}),
 }
 

@@ -104,6 +104,27 @@ class PageModel:
             frame.write(offset, payload[i:i + 1])
         self.n["bytes_written"] += len(payload)
 
+    def memcpy(self, dst, src, length):
+        """Read every source byte, then write every destination byte;
+        then each whole destination page written whose source bytes all
+        sat in frames nobody wrote drops its buffer again."""
+        data = self.read(src, length)
+        blank = [not self.translate(src + i, False)[0].materialized
+                 for i in range(length)]
+        written = []
+        try:
+            for i in range(length):
+                frame, offset = self.translate(dst + i, True)
+                frame.write(offset, data[i:i + 1])
+                written.append(frame)
+        finally:
+            for i in range(-dst % self.page, len(written) - self.page + 1,
+                           self.page):
+                if all(blank[i:i + self.page]):
+                    written[i].zero()
+        self.n["bytes_written"] += length
+        self.n["bytes_copied"] += length
+
     def fork(self, cow):
         child = PageModel(self.physical)
         for first, npages in self.extents.items():

@@ -1,21 +1,26 @@
 """The extent-based ``AddressSpace`` against the per-page reference model.
 
 A Hypothesis state machine drives random mmap / munmap / mprotect /
-attach / detach / remap / fork / read / write sequences through a real
-``AddressSpace`` and through ``pagemodel.PageModel`` (each on its own frame
-pool) and demands, after every step: the same exception type and faulting
-address, the same bytes, the same counters, the same frame index behind
-every page, the same ``frames_in_use``, and the same frames materialized —
-a page nobody wrote holds no host buffer.  Loads and stores also run
+attach / detach / remap / fork / read / write / memcpy sequences through
+a real ``AddressSpace`` and through ``pagemodel.PageModel`` (each on its
+own frame pool) and demands, after every step: the same exception type
+and faulting address, the same bytes, the same counters, the same frame
+index behind every page, the same ``frames_in_use``, and the same frames
+materialized — a page nobody wrote holds no host buffer, and neither
+does a whole page copied from one.  Loads, stores and copies also run
 across the boundary of two adjacent fixed-address mappings and as whole
 pages onto frames nobody wrote, the two shapes a per-mapping ``read``/
-``write`` treats differently from a per-page one.
+``write`` treats differently from a per-page one; copies also overlap
+inside one mapping and land on pages shared copy-on-write.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.bench.figures import stack_size_series
 from repro.core import IsomallocArena, make_stack_manager
 from repro.errors import (MapError, OutOfPhysicalMemory,
                           OutOfVirtualAddressSpace, ReproError)
@@ -354,6 +359,80 @@ class ExtentsMatchPages(RuleBasedStateMachine):
             both(lambda: world.real.write(m.start + page * PAGE, payload),
                  lambda: world.model.write(m.start + page * PAGE, payload))
 
+    # -- copies ------------------------------------------------------------
+
+    def _memcpy(self, world, dst, src, length):
+        both(lambda: world.real.memcpy_in(dst, src, length),
+             lambda: world.model.memcpy(dst, src, length))
+
+    @rule(w=picks, pick=picks, spick=picks, offset=st.integers(-8, 4 * PAGE),
+          soffset=st.integers(-8, 4 * PAGE),
+          length=st.integers(-3, 3 * PAGE))
+    def memcpy(self, w, pick, spick, offset, soffset, length):
+        """From anywhere to anywhere: ragged ends, across the boundary of
+        two mappings, faulting on either side."""
+        world = self._world(w)
+        self._memcpy(world, self._address(world, pick, offset),
+                     self._address(world, spick, soffset), length)
+
+    @rule(w=picks, pick=picks, spick=picks, page=st.integers(0, 4),
+          spage=st.integers(0, 4), npages=st.integers(1, 5))
+    def memcpy_whole_pages(self, w, pick, spick, page, spage, npages):
+        """Page-aligned whole pages: a page nobody wrote stays unwritten,
+        a written one is one page-sized copy."""
+        world = self._world(w)
+        m, s = self._mapping(world, pick), self._mapping(world, spick)
+        if m is not None and s is not None:
+            self._memcpy(world, m.start + page * PAGE, s.start + spage * PAGE,
+                         npages * PAGE)
+
+    @rule(w=picks, pick=picks, at=st.integers(0, 5 * PAGE),
+          shift=st.integers(-PAGE - 3, PAGE + 3),
+          length=st.integers(0, 3 * PAGE),
+          fill=st.none() | st.integers(0, 250))
+    def memcpy_overlapping(self, w, pick, at, shift, length, fill):
+        """Source and destination in one mapping, ``shift`` apart: the
+        copy is ``memmove``'s.  With ``fill``, the mapping is first made
+        writable and written with bytes no shift maps onto themselves."""
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        if m is None:
+            return
+        if fill is not None:
+            self.mprotect(w, pick, Protection.RW)
+            payload = bytes((fill + i) % 251 for i in range(m.length))
+            both(lambda: world.real.write(m.start, payload),
+                 lambda: world.model.write(m.start, payload))
+        src = at % m.length
+        dst = min(max(src + shift, 0), m.length - 1)
+        length = min(length, m.length - max(src, dst))
+        self._memcpy(world, m.start + dst, m.start + src, length)
+
+    @rule(w=picks, pick=picks, spick=picks, keep=st.integers(0, 3),
+          kid=st.booleans(), shift=st.integers(0, PAGE + 5))
+    def memcpy_onto_cow_with_pool_exhausted(self, w, pick, spick, keep, kid,
+                                            shift):
+        """Fork a world copy-on-write, take all but ``keep`` free frames,
+        then copy onto one shared mapping whole, in the parent or the
+        child: each page's sharing breaks before it is stored, and a
+        break may find no frame partway through."""
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        forks = len(self.worlds)
+        if m is None or m.frames is None or forks == 4:
+            return
+        self.mprotect(w, pick, Protection.RW)
+        self.fork(w, True)
+        if len(self.worlds) == forks:
+            return
+        want = self.real_pool.frames_free - keep
+        if want > 0:
+            self.grab_frames([True] * want)
+        target = self.worlds[-1] if kid else world
+        dm = target.live[world.live.index(m)]
+        sm = self._mapping(target, spick)
+        self._memcpy(target, dm.start, sm.start + shift, dm.length)
+
     # -- what must agree after every step ----------------------------------
 
     @invariant()
@@ -421,3 +500,35 @@ def test_packing_a_never_written_stack_materializes_no_frame(technique):
         else image["contents"]
     assert stack == bytes(8 * page)
     assert not any(f.materialized for f in proc.space.physical._frames)
+
+
+def test_switching_a_never_written_stack_copy_thread_materializes_no_frame():
+    """Switching an 8-page stack-copy thread nobody wrote in and out
+    copies 16 pages, between its backing store and the common stack,
+    without giving any frame a host buffer."""
+    cluster = Cluster(1)
+    proc = cluster[0]
+    page = proc.space.layout.page_size
+    mgr = make_stack_manager("stack_copy", proc.space, cluster.platform,
+                             8 * page, None)
+    rec = mgr.create_stack()
+    rec.consume(8 * page)
+    copied = proc.space.bytes_copied
+    mgr.switch_in(rec)
+    mgr.switch_out(rec)
+    assert proc.space.bytes_copied - copied == 16 * page
+    assert not any(f.materialized for f in proc.space.physical._frames)
+
+
+def test_a_figure_9_point_at_8_mb_costs_the_host_under_4_mb():
+    """One Figure 9 point — a switch cycle of two 8 MB stacks under each
+    technique — holds no host buffer for stack bytes nobody wrote: stack
+    copying moves frames, not two 8 MB byte strings and 24 MB of zero
+    pages."""
+    tracemalloc.start()
+    try:
+        stack_size_series(sizes=[8 << 20])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
