@@ -32,8 +32,8 @@ __all__ = ["Communicator"]
 class _AnyTagOf:
     """Tag pattern equal to every point-to-point tag of one communicator.
 
-    Stands where the runtime's matcher expects a tag: ``msg.tag != pattern``
-    falls through the tuple's own comparison to :meth:`__eq__` here, so a
+    Stands where the rank protocol expects a tag: ``tag == pattern`` falls
+    through the tuple's own comparison to :meth:`__eq__` here, so a
     wildcard receive on a communicator suspends in the ordinary matcher
     and still never sees a sibling communicator's (or the world's) traffic.
     """

@@ -16,21 +16,18 @@ from repro.errors import AmpiError
 from repro.ampi.communicator import Communicator
 from repro.ampi.datatypes import ANY_SOURCE, ANY_TAG, wire_size
 from repro.ampi.request import Request
+from repro.core.ranks import matches
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ampi.runtime import AmpiRuntime
 
 __all__ = ["AmpiMessage", "AmpiContext", "AT_MIGRATE", "AT_CHECKPOINT"]
 
-# Why a rank is parked: the record a blocking operation leaves in
-# ``AmpiRuntime.parked`` before it suspends.  Plain data — a parked rank
-# can be dumped, packed and compared — in one of four shapes:
-#
-#   ("recv", source, tag)   a blocking receive of that pattern
-#   ("wait", mode, seqs)    MPI_Wait*: "all" / "any" of the posted
-#                           receives numbered ``seqs`` (``Request.seq``)
-#   AT_MIGRATE              the MPI_Migrate barrier
-#   AT_CHECKPOINT           the coordinated-checkpoint barrier
+# Why a rank is parked: the plain-data record a blocking operation leaves
+# in ``AmpiRuntime.parked`` (its ``RankProtocol``'s table) — a receive's
+# ("recv", source, tag); ("wait", mode, seqs) for MPI_Wait*, "all"/"any"
+# of the posted receives numbered ``seqs`` (``Request.seq``); AT_MIGRATE
+# and AT_CHECKPOINT for the two barriers.
 AT_MIGRATE = ("migrate",)
 AT_CHECKPOINT = ("checkpoint",)
 
@@ -44,14 +41,6 @@ class AmpiMessage:
     tag: Any
     data: Any
     size_bytes: int
-
-    def matches(self, source: int, tag: Any) -> bool:
-        """Whether this message satisfies a recv(source, tag) pattern."""
-        if source != ANY_SOURCE and self.src != source:
-            return False
-        if tag != ANY_TAG and self.tag != tag:
-            return False
-        return True
 
 
 class AmpiContext:
@@ -123,31 +112,24 @@ class AmpiContext:
         Returns the message *data*; use :meth:`recv_msg` to also see the
         source and tag.
         """
-        # Its own match/park loop (recv_msg's, returning the data): one
-        # generator frame per blocking receive, not two.
-        runtime = self.runtime
+        # recv_msg's loop, not a call to it: one generator frame, not two.
+        protocol = self.runtime.protocol
         rank = self.rank
         while True:
-            msg = runtime._match(rank, source, tag)
-            if msg is not None:
-                return msg.data
-            if source != ANY_SOURCE and not 0 <= source < runtime.num_ranks:
-                raise runtime._bad_source(rank, source)
-            runtime.parked[rank] = ("recv", source, tag)
+            rec = protocol.take(rank, source, tag)
+            if rec is not None:
+                return rec[2].data
             yield "suspend"
 
     def recv_msg(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG,
                  ) -> Generator[Any, Any, AmpiMessage]:
         """Blocking receive returning the full :class:`AmpiMessage`."""
-        runtime = self.runtime
+        protocol = self.runtime.protocol
         rank = self.rank
         while True:
-            msg = runtime._match(rank, source, tag)
-            if msg is not None:
-                return msg
-            if source != ANY_SOURCE and not 0 <= source < runtime.num_ranks:
-                raise runtime._bad_source(rank, source)
-            runtime.parked[rank] = ("recv", source, tag)
+            rec = protocol.take(rank, source, tag)
+            if rec is not None:
+                return rec[2]
             yield "suspend"
 
     # -- non-blocking operations ------------------------------------------
@@ -212,7 +194,8 @@ class AmpiContext:
 
     def iprobe(self, source: int = ANY_SOURCE, tag: Any = ANY_TAG) -> bool:
         """Non-blocking check for a matching pending message."""
-        return self.runtime._peek(self.rank, source, tag)
+        queue = self.runtime.protocol.queues[self.rank] or ()
+        return any(matches(src, mtag, source, tag) for src, mtag, _ in queue)
 
     # ------------------------------------------------------------------
     # collectives: MPI_COMM_WORLD's, implemented once in Communicator

@@ -5,14 +5,10 @@ from __future__ import annotations
 import sys
 from typing import Any, Callable, Dict
 
+from repro.core.ranks import ANY_SOURCE, ANY_TAG
 from repro.errors import AmpiError
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "OPS", "wire_size", "apply_op"]
-
-#: Wildcard source for :meth:`AmpiContext.recv`.
-ANY_SOURCE = -1
-#: Wildcard tag for :meth:`AmpiContext.recv`.
-ANY_TAG = -1
 
 
 def _numpy_for(a: Any, b: Any) -> Any:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import AmpiError, CheckpointError, MigrationAborted
 from repro.ampi.context import (AT_CHECKPOINT, AT_MIGRATE, AmpiContext,
                                 AmpiMessage)
-from repro.ampi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.ampi.request import Request
 from repro.balance.instrument import LBDatabase
 from repro.balance.manager import LBManager, RebalanceReport
@@ -17,6 +15,7 @@ from repro.core.checkpoint import Checkpointer
 from repro.core.isomalloc import IsomallocArena
 from repro.core.scheduler import CthScheduler
 from repro.core.migration import ThreadMigrator
+from repro.core.ranks import ANY_SOURCE, ANY_TAG, RankProtocol, matches
 from repro.core.stacks import make_stack_manager
 from repro.core.swapglobal import GlobalRegistry
 from repro.core.thread import ThreadState, UThread
@@ -103,12 +102,9 @@ class AmpiRuntime:
         # rank state
         self.rank_thread: List[UThread] = []
         self.rank_ctx: List[AmpiContext] = []
-        self._queues: List[Deque[AmpiMessage]] = [deque()
-                                                  for _ in range(num_ranks)]
-        #: The park table: rank -> why it is suspended, one plain-data
-        #: record (see :mod:`repro.ampi.context`) written by the rank's
-        #: blocking operation and deleted by whatever wakes it.
-        self.parked: Dict[int, tuple] = {}
+        self.protocol = RankProtocol(num_ranks, AmpiError)
+        #: The protocol's park table (records: :mod:`repro.ampi.context`).
+        self.parked = self.protocol.parked
         #: rank -> its posted (not yet matched) irecv requests, in post
         #: order; a rank has an entry only while it has some pending.
         self._posted: Dict[int, List[Request]] = {}
@@ -193,18 +189,14 @@ class AmpiRuntime:
         if posted and dst in posted:
             reqs = posted[dst]
             for i, req in enumerate(reqs):
-                if msg.matches(req.source, req.tag):
+                if matches(msg.src, msg.tag, req.source, req.tag):
                     del reqs[i]
                     if not reqs:
                         del posted[dst]
                     req._complete(msg)
                     self._wake_if_satisfied(dst)
                     return
-        self._queues[dst].append(msg)
-        why = self.parked.get(dst)
-        if (why is not None and why[0] == "recv"
-                and msg.matches(why[1], why[2])):
-            del self.parked[dst]
+        if self.protocol.arrive(dst, msg.src, msg.tag, msg):
             self._wake(dst)
 
     def _wake(self, rank: int) -> None:
@@ -216,27 +208,15 @@ class AmpiRuntime:
 
     def _post_recv(self, req: Request) -> None:
         """Post an irecv: match the unexpected queue first, else park it."""
-        msg = self._match(req.rank, req.source, req.tag)
-        if msg is not None:
-            req._complete(msg)
+        rec = self.protocol.take(req.rank, req.source, req.tag)
+        if rec is not None:
+            req._complete(rec[2])
             return
-        source = req.source
-        if source != ANY_SOURCE and not 0 <= source < self.num_ranks:
-            raise self._bad_source(req.rank, source)
+        # take parked the rank; it runs on, the request waits instead.
+        del self.parked[req.rank]
         req.seq = self._posts
         self._posts += 1
-        reqs = self._posted.get(req.rank)
-        if reqs is None:
-            self._posted[req.rank] = [req]
-        else:
-            reqs.append(req)
-
-    def _bad_source(self, rank: int, source: int) -> AmpiError:
-        """The error for a receive no message can ever match: one from a
-        rank outside the world.  Receives test for it only where they
-        would park or post, so one that matches at once pays nothing."""
-        return AmpiError(f"rank {rank}: receive from bad rank {source} "
-                         f"(size {self.num_ranks})")
+        self._posted.setdefault(req.rank, []).append(req)
 
     def _wake_if_satisfied(self, rank: int) -> None:
         """A posted receive of ``rank`` just completed: resume the rank if
@@ -250,50 +230,9 @@ class AmpiRuntime:
                 del self.parked[rank]
                 self._wake(rank)
 
-    def _match(self, rank: int, source: int, tag: Any,
-               ) -> Optional[AmpiMessage]:
-        q = self._queues[rank]
-        if not q:
-            return None
-        any_source = source == ANY_SOURCE
-        any_tag = tag == ANY_TAG
-        for i, msg in enumerate(q):
-            # AmpiMessage.matches, inlined against the two flags.
-            if ((any_source or msg.src == source)
-                    and (any_tag or msg.tag == tag)):
-                if i == 0:
-                    q.popleft()
-                else:
-                    del q[i]
-                return msg
-        return None
-
-    def _peek(self, rank: int, source: int, tag: Any) -> bool:
-        return any(m.matches(source, tag) for m in self._queues[rank])
-
     # ------------------------------------------------------------------
     # MPI_Migrate / load balancing
     # ------------------------------------------------------------------
-
-    def _release_barrier(self, barrier: tuple, action) -> bool:
-        """Collect-and-release, the one shape of both AMPI barriers: once
-        every live rank is parked at ``barrier``, run ``action(ranks)``
-        and resume them.  Returns whether that happened."""
-        parked = self.parked
-        live = self.num_ranks - self._finished
-        if len(parked) < live:
-            # Some live rank is not parked at all: refused without a scan.
-            return False
-        ranks = sorted([rank for rank, why in parked.items()
-                        if why == barrier])
-        if not ranks or len(ranks) != live:
-            return False
-        for rank in ranks:
-            del self.parked[rank]
-        action(ranks)
-        for rank in ranks:
-            self._wake(rank)
-        return True
 
     def _run_checkpoint(self, ranks: List[int]) -> None:
         """Coordinated checkpoint: every live rank is suspended at the
@@ -429,10 +368,16 @@ class AmpiRuntime:
                         net_budget -= processed
                     if processed:
                         progressed = True
-            if self._release_barrier(AT_MIGRATE, self._run_rebalance):
-                progressed = True
-            if self._release_barrier(AT_CHECKPOINT, self._run_checkpoint):
-                progressed = True
+            # Both barriers: act on and resume every live rank parked at one.
+            for barrier, action in ((AT_MIGRATE, self._run_rebalance),
+                                    (AT_CHECKPOINT, self._run_checkpoint)):
+                ranks = self.protocol.release(
+                    barrier, self.num_ranks - self._finished)
+                if ranks:
+                    action(ranks)
+                    for rank in ranks:
+                        self._wake(rank)
+                    progressed = True
             if not progressed:
                 if bounded:
                     return

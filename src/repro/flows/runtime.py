@@ -3,8 +3,9 @@
 A thread body and the event form the compiler derives from it must run
 *the same program* before their costs and limits can be compared
 honestly.  This module is the shared substrate: a :class:`FlowWorld`
-owns one fast-path :class:`~repro.kernel.EventKernel` plus per-rank
-mailboxes, and drives
+owns one fast-path :class:`~repro.kernel.EventKernel` plus one
+:class:`~repro.core.ranks.RankProtocol` (queues, park table, barrier),
+and drives
 
 * **generator tasks** — UThread-style bodies (``def main(mpi)``
   generators speaking the directive protocol) trampolined one resume
@@ -27,22 +28,6 @@ a receive whose message is already queued continues synchronously in
 both (no kernel event).  Bulk transitions — seeding all ranks, barrier
 release — go through ``post_batch``.
 
-One pass per message (pinned by ``tests/flows/test_message_budget.py``):
-a mailbox entry is the plain tuple ``(src, tag, data)``;
-:meth:`FlowContext.send` range-checks, appends and tests the
-destination's ``(source, tag)`` wait inline, posting the resume itself;
-``recv``/``op_recv`` scan their own mailbox with inline comparisons and
-write ``_waiting[rank]`` directly.  Each task carries its ``(task,)``
-kernel args tuple once, so no post builds one.
-
-What a rank costs the host (pinned by ``tests/flows/test_footprint.py``):
-a rank is one task object — a :class:`FlowContext` subclass, so no
-separate context — plus its args tuple and its generator or frame
-record, and a rank that is never sent to has no mailbox (the slot stays
-``None`` until the first message).  The cyclic collector re-walks every
-such object at each full collection, so the count is a host cost of its
-own: at seven objects per flow it was a third of the 80 000-flow drain.
-
 Cost model: the world charges ``dispatch_cost_ns`` (the owning
 mechanism's modeled switch cost) per dispatch into
 :attr:`FlowWorld.modeled_switch_ns`, and bodies charge their compute
@@ -56,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.ranks import ANY_SOURCE, ANY_TAG, RankProtocol
 from repro.errors import ReproError
 from repro.flows.compile import compile_flow
 from repro.kernel import EventKernel
@@ -84,6 +70,8 @@ class _Sentinel:
 DONE = _Sentinel("flow-done")
 #: Returned by a continuation state after parking a resume point.
 SUSPENDED = _Sentinel("flow-suspended")
+#: The park record of a rank at the barrier.
+AT_BARRIER = ("barrier",)
 
 
 @dataclass
@@ -102,20 +90,14 @@ class FlowContext:
     """One rank of a world, and the runtime handle its body receives
     (the ``mpi`` receiver).
 
-    Deliberately a semantic subset of
-    :class:`~repro.ampi.context.AmpiContext`, with the same suspend
-    contract per method name, so the interprocedural flow analysis
-    (``repro.analysis.flow``) classifies bodies written against it with
-    the unchanged AMPI runtime interface: ``recv``/``barrier`` suspend,
-    ``send``/``charge`` do not.
-
-    A rank is one host object: the two task classes below *are*
-    contexts, adding what their form resumes — the body generator, or
-    the compiled form's parked ``(state, frame)`` and the ``op_*``
-    continuation primitives its lowered suspend points call.  ``flow``
-    is the rank's kernel label (``r<rank>``) and ``args`` its ``(task,)``
-    kernel args tuple, built once and shared by every post of its
-    resume.
+    A semantic subset of :class:`~repro.ampi.context.AmpiContext` with
+    the same suspend contract per method name (``recv``/``barrier``
+    suspend, ``send``/``charge`` do not), so ``repro.analysis.flow``
+    classifies bodies written against either alike.  A rank is one host
+    object (``tests/flows/test_footprint.py``): the two task classes
+    below *are* contexts, adding what their form resumes.  ``flow`` is
+    the rank's kernel label (``r<rank>``) and ``args`` its ``(task,)``
+    kernel args tuple, built once and shared by every post.
     """
 
     __slots__ = ("_world", "rank", "nranks", "flow", "args")
@@ -130,31 +112,25 @@ class FlowContext:
     # -- non-suspending -------------------------------------------------
 
     def send(self, dest: int, data: Any, tag: Any = None) -> None:
-        """Deposit ``(rank, tag, data)`` in ``dest``'s mailbox (eager,
-        never suspends), waking ``dest`` if it is suspended in a receive
-        the message matches."""
+        """Queue ``(rank, tag, data)`` for ``dest`` (eager, never
+        suspends), resuming ``dest`` if it is parked in a receive the
+        message matches."""
         world = self._world
-        mailbox = world._mailbox
+        protocol = world.protocol
         try:
-            box = mailbox[dest] if 0 <= dest < self.nranks else False
-        except TypeError:  # 1.0, None: ordered or not, it is no index
-            box = False
-        if box is False:
+            # The subscript refuses what orders but is no index (1.0).
+            bad = (not 0 <= dest < self.nranks
+                   or protocol.queues[dest] is False)
+        except TypeError:
+            bad = True
+        if bad:
             raise ReproError(
                 f"flow r{self.rank}: bad destination rank {dest!r} "
                 f"(world has ranks 0..{self.nranks - 1})")
-        if box is None:  # dest's first message opens its mailbox
-            box = mailbox[dest] = []
-        box.append((self.rank, tag, data))
-        waiting = world._waiting[dest]
-        if waiting is not None:
-            source, wtag = waiting
-            if (source is None or self.rank == source) \
-                    and (wtag is None or tag == wtag):
-                world._waiting[dest] = None
-                task = world._tasks[dest]
-                world.kernel.post(0.0, world._resume, task.args,
-                                  "flow.resume", task.flow)
+        if protocol.arrive(dest, self.rank, tag, data):
+            task = world._tasks[dest]
+            world.kernel.post(0.0, world._resume, task.args,
+                              "flow.resume", task.flow)
 
     def charge(self, ns: float) -> None:
         """Account ``ns`` of modeled compute for this rank."""
@@ -168,29 +144,24 @@ class FlowContext:
     # -- suspending, thread form (generator methods, ``yield from``) ----
 
     def recv(self, source: Optional[int] = None, tag: Any = None):
-        """Receive a matching message's payload (MPI-style wildcards:
-        ``None`` = any); suspends until one arrives.  Returns
-        synchronously (no kernel event) when a match is already queued
-        — the compiled form mirrors this exactly."""
-        world = self._world
+        """Receive a matching message's payload (wildcards
+        ``ANY_SOURCE``/``ANY_TAG``, or ``None``); suspends until one
+        arrives.  Returns synchronously (no kernel event) when a match
+        is already queued — the compiled form mirrors this exactly."""
+        source = ANY_SOURCE if source is None else source
+        tag = ANY_TAG if tag is None else tag
+        protocol = self._world.protocol
         rank = self.rank
         while True:
-            # Read the slot on every scan: this rank's first message
-            # replaces the ``None`` there with the mailbox.
-            box = world._mailbox[rank]
-            if box:
-                for i, (src, mtag, data) in enumerate(box):
-                    if (source is None or src == source) \
-                            and (tag is None or mtag == tag):
-                        del box[i]
-                        return data
-            world._waiting[rank] = (source, tag)
+            rec = protocol.take(rank, source, tag)
+            if rec is not None:
+                return rec[2]
             yield "suspend"
 
     def barrier(self):
         """Block until every rank has arrived; the last arrival releases
         all ranks with one ``post_batch``."""
-        self._world._barrier_arrive()
+        self._world._barrier_arrive(self.rank)
         yield "suspend"
 
 
@@ -263,26 +234,33 @@ class CompiledTask(FlowContext):
                 source: Optional[int] = None, tag: Any = None):
         """``x = yield from mpi.recv(...)`` in continuation form.
 
-        Match now → store and continue synchronously; no match →
-        register the wait and park ``retry`` (which re-runs the match,
-        exactly like the generator's receive loop)."""
-        box = self._world._mailbox[self.rank]
-        if box:
-            for i, (src, mtag, data) in enumerate(box):
-                if (source is None or src == source) \
-                        and (tag is None or mtag == tag):
-                    del box[i]
+        Match now → store and continue synchronously; no match → park
+        the receive and ``retry`` (which re-runs the match, exactly like
+        the generator's receive loop)."""
+        source = ANY_SOURCE if source is None else source
+        tag = ANY_TAG if tag is None else tag
+        protocol = self._world.protocol
+        queue = protocol.queues[self.rank]
+        if queue:
+            # RankProtocol.take, inlined: a call per scan puts the compiled
+            # stencil over its calls-per-message ceiling (14.14 of 14.0).
+            i = 0
+            for rec in queue:
+                if ((rec[0] == source or source == ANY_SOURCE)
+                        and (rec[1] == tag or tag == ANY_TAG)):
+                    del queue[i]
                     if var is not None:
-                        setattr(frame, var, data)
+                        setattr(frame, var, rec[2])
                     return (cont, frame)
-        self._world._waiting[self.rank] = (source, tag)
+                i += 1
+        protocol.take(self.rank, source, tag)    # no match: parks
         self._pc = retry
         self._frame = frame
         return SUSPENDED
 
     def op_barrier(self, frame, cont):
         """``yield from mpi.barrier()`` in continuation form."""
-        self._world._barrier_arrive()
+        self._world._barrier_arrive(self.rank)
         self._pc = cont
         self._frame = frame
         return SUSPENDED
@@ -337,7 +315,7 @@ class WorkloadRun:
 
 
 class FlowWorld:
-    """Per-run execution world: kernel + mailboxes + completion."""
+    """Per-run execution world: kernel + rank protocol + completion."""
 
     def __init__(self, ranks: int, dispatch_cost_ns: float = 0.0) -> None:
         if ranks <= 0:
@@ -347,11 +325,7 @@ class FlowWorld:
         self.kernel = EventKernel(name="flows", causality=False)
         self.dispatch_cost_ns = dispatch_cost_ns
         self._tasks: List[Any] = []
-        #: Per-rank queues of ``(src, tag, data)`` tuples; ``None`` until
-        #: the rank's first message arrives.
-        self._mailbox: List[Optional[List[tuple]]] = [None] * ranks
-        self._waiting: List[Optional[tuple]] = [None] * ranks
-        self._barrier_count = 0
+        self.protocol = RankProtocol(ranks)
         self._done = 0
         self.dispatches = 0
         self.work_ns = 0.0
@@ -385,16 +359,13 @@ class FlowWorld:
 
     # -- execution ------------------------------------------------------
 
-    def _post_all(self) -> None:
-        """Post one resume per rank in a single batch."""
+    def seed(self) -> None:
+        """Post one resume per rank in a single batch: the initial
+        resumes, and a barrier's release."""
         tasks = self._tasks
         self.kernel.post_batch(
             [0.0] * len(tasks), self._resume, [t.args for t in tasks],
             [t.flow for t in tasks], "flow.resume")
-
-    def seed(self) -> None:
-        """Post the initial resume for every rank (one batch)."""
-        self._post_all()
 
     def run(self) -> int:
         """Seed (if nothing is pending) and drain to quiescence.
@@ -410,11 +381,12 @@ class FlowWorld:
             self.seed()
         processed = self.kernel.run_batch()
         if self._done < len(self._tasks):
-            stuck = [f"r{rank}(waiting={wait})"
-                     for rank, wait in enumerate(self._waiting)
-                     if wait is not None]
-            if self._barrier_count:
-                stuck.append(f"{self._barrier_count} of {len(self._tasks)} "
+            parked = sorted(self.protocol.parked.items())
+            stuck = [f"r{rank}(waiting={why[1:]})"
+                     for rank, why in parked if why[0] == "recv"]
+            at_barrier = sum(why == AT_BARRIER for _, why in parked)
+            if at_barrier:
+                stuck.append(f"{at_barrier} of {len(self._tasks)} "
                              f"ranks at the barrier")
             raise ReproError(
                 f"flow world drained with {len(self._tasks) - self._done} "
@@ -430,11 +402,12 @@ class FlowWorld:
 
     # -- barrier (messaging lives on FlowContext) ----------------------
 
-    def _barrier_arrive(self) -> None:
-        self._barrier_count += 1
-        if self._barrier_count == len(self._tasks):
-            self._barrier_count = 0
-            self._post_all()
+    def _barrier_arrive(self, rank: int) -> None:
+        # The quorum is every rank, finished or not (a rank that returned
+        # without arriving blocks the barrier), so a release is all ranks.
+        self.protocol.parked[rank] = AT_BARRIER
+        if self.protocol.release(AT_BARRIER, self.ranks):
+            self.seed()
 
     @property
     def finished(self) -> int:

@@ -329,7 +329,9 @@ def _flow_state(spec: RunSpec, program, world,
     # Deliberately no ``form`` anywhere in the dump: the thread and
     # compiled forms of one program must produce byte-identical state
     # (the same contract their traces are pinned to).
+    from repro.flows.runtime import AT_BARRIER
     kernel = world.kernel
+    parked = world.protocol.parked
     return {
         "kind": "flows",
         "program": program.name,
@@ -338,14 +340,16 @@ def _flow_state(spec: RunSpec, program, world,
         "events_processed": kernel.events_processed,
         "dispatches": world.dispatches,
         "finished": world.finished,
-        "barrier_arrivals": world._barrier_count,
+        "barrier_arrivals": sum(why == AT_BARRIER
+                                for why in parked.values()),
         "mailboxes": {
             str(r): [{"src": src, "tag": _jsonable(tag),
                       "data": _jsonable(data)}
                      for src, tag, data in box or ()]
-            for r, box in enumerate(world._mailbox)},
-        "waiting": {str(r): _jsonable(w and list(w))
-                    for r, w in enumerate(world._waiting)},
+            for r, box in enumerate(world.protocol.queues)},
+        "waiting": dict.fromkeys(map(str, range(world.ranks))) | {
+            str(r): _jsonable(why[1:]) for r, why in parked.items()
+            if why[0] == "recv"},
         "pending_events": [_event_record(ev)
                            for ev in kernel.live_events()],
         "results": {str(r): _jsonable(v)

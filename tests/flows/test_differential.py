@@ -65,6 +65,37 @@ def _make_delegating_body(rounds, seed):
     return main
 
 
+def _make_wildcard_body(seed):
+    """Rank 0 drains every other rank's three messages with all three
+    wildcard shapes; the senders interleave by seeded yields, so queued
+    messages of other tags and sources are skipped in both forms."""
+    rng = random.Random(seed)
+    delays = [rng.randrange(3) for _ in range(64)]
+
+    def main(mpi):
+        if mpi.rank == 0:
+            got = []
+            for _ in range(mpi.nranks - 1):
+                msg = yield from mpi.recv(source=None, tag="b")
+                got.append(msg)
+            for src in range(mpi.nranks - 1, 0, -1):
+                msg = yield from mpi.recv(source=src)
+                got.append(msg)
+            for _ in range(mpi.nranks - 1):
+                msg = yield from mpi.recv()
+                got.append(msg)
+            mpi.results[0] = got
+        else:
+            mpi.send(0, ("a", mpi.rank), tag="a")
+            for _ in range(delays[mpi.rank]):
+                yield "yield"
+            mpi.send(0, ("b", mpi.rank), tag="b")
+            mpi.send(0, ("c", mpi.rank), tag=mpi.rank)
+            mpi.results[mpi.rank] = delays[mpi.rank]
+
+    return main
+
+
 def make_proc(platform="linux_x86"):
     return Processor(0, get_platform(platform))
 
@@ -115,6 +146,18 @@ def test_helper_delegation_traces_byte_identical_across_seeds(seed):
     thread, _ = assert_byte_identical(lambda: FlowProgram(
         "delegating", 5, _make_delegating_body(3, seed)))
     assert any(thread.results.values())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_wildcard_receive_traces_byte_identical_across_seeds(seed):
+    # recv(), recv(source=None, tag=t) and recv(source=s): the compiled
+    # receive's wildcard branch and its None -> ANY mapping at entry.
+    thread, _ = assert_byte_identical(lambda: FlowProgram(
+        "wildcard", 5, _make_wildcard_body(seed)))
+    got = thread.results[0]
+    assert sorted(got[:4]) == [("b", r) for r in range(1, 5)]
+    assert got[4:8] == [("a", r) for r in range(4, 0, -1)]
+    assert sorted(got[8:]) == [("c", r) for r in range(1, 5)]
 
 
 def test_spin_traces_byte_identical():

@@ -1,15 +1,18 @@
 """What one ``FlowWorld`` message costs the host, as a call count.
 
-``mpi.send`` → mailbox append → wait test → ``kernel.post`` → ``_resume``
-→ ``step`` → ``recv``/``op_recv``: a mailbox entry is a plain tuple, the
-match is inline, the compiled form enters one state per straight-line
-run.  Total Python+C calls per ``send`` on the two ``flows_msg``
-programs is the deterministic proxy (sibling of
+``mpi.send`` → ``RankProtocol.arrive`` (queue, wake test) →
+``kernel.post`` → ``_resume`` → ``step`` → ``recv``/``op_recv``: a
+queued message is a plain tuple, the thread form's receive is one
+``RankProtocol.take`` per scan, the compiled form's an inline scan of
+the protocol's queue, and the compiled form enters one state per
+straight-line run.  Total Python+C calls per ``send`` on the two
+``flows_msg`` programs is the deterministic proxy (sibling of
 ``tests/ampi/test_message_budget.py``).  Before the one-pass rewrite:
-ring 17.4 (thread) / 24.9 (compiled), stencil 25.8 / 31.4; after it
-13.4 / 17.0 and 10.3 / 13.6.  The bounds leave room for less than one
-call per message, not for a message class, a ``matches()`` per queued
-entry or a one-line state per statement coming back.
+ring 17.4 (thread) / 24.9 (compiled), stencil 25.8 / 31.4.  Before the
+shared rank protocol: ring 10.38 / 13.94, stencil 9.37 / 12.67; with
+it 11.40 / 13.96 and 10.84 / 13.14.  The bounds leave room for less
+than one call per message, not for a message class, a ``matches()``
+per queued entry or a one-line state per statement coming back.
 """
 
 import pytest

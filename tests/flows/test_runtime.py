@@ -4,7 +4,9 @@ A world that drains with unfinished flows says where each is stuck — in
 a receive (``r<rank>(waiting=(source, tag))``) or at the barrier
 (``k of n ranks at the barrier``) — and a ``send`` to something that is
 not a rank of the world is a ``ReproError`` naming sender and value,
-whatever the value's type.
+whatever the value's type.  A receive from a rank outside the world is
+refused where it would park, as AMPI refuses it, instead of draining
+into a deadlock report.
 """
 
 import pytest
@@ -75,4 +77,31 @@ def test_send_to_the_last_rank_is_delivered(form):
     world = FlowWorld(3)
     world.spawn(form, FlowProgram("edge", 3, _make_sender(2)))
     world.run()
-    assert world._mailbox[2] == [(r, None, "payload") for r in range(3)]
+    assert world.protocol.queues[2] == [(r, None, "payload") for r in range(3)]
+
+
+def _make_receiver(source):
+    def main(mpi):
+        if mpi.rank == 0:
+            yield from mpi.recv(source=source, tag="t")
+        else:
+            mpi.send(0, "payload", tag="t")
+    return main
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("source", [5, 2, -5])
+def test_receive_from_a_bad_source_is_refused_where_it_parks(form, source):
+    with pytest.raises(ReproError) as exc:
+        _run(form, 2, _make_receiver(source))
+    assert type(exc.value) is ReproError
+    assert str(exc.value) == (f"rank 0: receive from bad rank {source} "
+                              f"(size 2)")
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_receive_from_the_last_rank_is_not_refused(form):
+    world = FlowWorld(2)
+    world.spawn(form, FlowProgram("edge", 2, _make_receiver(1)))
+    world.run()
+    assert world.finished == 2 and world.protocol.parked == {}

@@ -73,7 +73,7 @@ def test_one_bulk_post_call_site_in_the_flows_runtime():
     posters = _functions_calling(
         [RUNTIME],
         lambda f: isinstance(f, ast.Attribute) and f.attr == "post_batch")
-    assert posters == {("runtime.py", "_post_all")}
+    assert posters == {("runtime.py", "seed")}
 
 
 def test_one_delivery_path_and_one_dispatch_target():

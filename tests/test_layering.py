@@ -308,7 +308,8 @@ PER_MESSAGE = {
     "sim/cluster.py": ("Cluster", {"send"}),
     "sim/processor.py": ("Processor", {"deliver"}),
     "sim/dispatch.py": ("TagDispatcher", {"_dispatch"}),
-    "ampi/runtime.py": ("AmpiRuntime", {"_send", "_enqueue", "_match"}),
+    "ampi/runtime.py": ("AmpiRuntime", {"_send", "_enqueue"}),
+    "core/ranks.py": ("RankProtocol", {"arrive", "take"}),
 }
 
 
@@ -446,7 +447,9 @@ def test_the_per_sweep_scan_tells_reading_from_writing():
 #: in no loop of its own — the pool's ``load``/``store`` move them as one
 #: run (it had three loops, then one); the migrator reads no key of a
 #: stack image; and a parked rank is one record in one table, written by
-#: the blocking operation itself.
+#: the blocking operation itself — the one ``RankProtocol`` both
+#: runtimes hold, beside which neither keeps a queue, park table or
+#: barrier counter of its own.
 PER_THREAD = {
     "definitions": {"evacuate": 2, "stack_read": 2, "stack_write": 2,
                     "pack": 3, "unpack": 3},
@@ -454,7 +457,8 @@ PER_THREAD = {
     "image_keys": {"contents", "slot", "heap_state", "stack_contents",
                    "heap_contents"},
     "park_containers": {"_waiting", "_wait_pred", "_at_migrate",
-                        "_at_checkpoint"},
+                        "_at_checkpoint", "_mailbox", "_barrier_count",
+                        "_queues"},
 }
 
 FRAME_METHODS = {"read", "write", "zero", "copy_from"}
@@ -539,7 +543,9 @@ def test_the_migrator_reads_no_key_of_a_stack_image():
 
 
 def test_a_parked_rank_is_one_record_written_by_its_blocking_operation():
-    for path in sorted((SRC / "ampi").glob("*.py")):
+    paths = [*(SRC / "ampi").glob("*.py"), *(SRC / "flows").glob("*.py"),
+             SRC / "query" / "replay.py"]
+    for path in sorted(paths):
         tree = ast.parse(path.read_text())
         assert not names_mentioned(tree) & PER_THREAD["park_containers"], path
     context = ast.parse((SRC / "ampi" / "context.py").read_text())
@@ -557,15 +563,17 @@ def test_the_per_thread_scans_see_what_they_forbid():
         "            frame.write(0, image['contents'][i])\n"
         "        return b''.join(f.read(0, page) for f in rec.frames)\n"
         "    def evacuate(self, rec):\n"
-        "        while self._waiting:\n"
+        "        while self._waiting or world._mailbox[0]:\n"
         "            self.runtime._set_waiting(1)\n"
         "            runtime._at_migrate_point(2)\n"
-        "            runtime._match(3)\n")
+        "            runtime._match(3)\n"
+        "        _wait_pred = self._queues[rec] + _barrier_count\n"
+        "        _at_migrate, _at_checkpoint = rec\n")
     assert concrete_definitions([tree, tree], ["pack", "unpack", "evacuate"]) \
         == {"pack": 0, "unpack": 2, "evacuate": 2}
     assert frame_loops(tree.body[0]) == 2
     assert subscripted_keys(tree) == {"contents"}
-    assert "_waiting" in names_mentioned(tree)
+    assert PER_THREAD["park_containers"] <= names_mentioned(tree)
     assert sorted(filter(is_park_setter, runtime_calls(tree))) == [
         "_at_migrate_point", "_set_waiting"]
     assert not is_park_setter("_match")
