@@ -12,18 +12,16 @@ Output formats:
   ``{"ev": kind, "t": virtual_time, "seq": ..., "kernel": name}`` plus
   ``category``/``flow``/``site`` where known.  Kinds: ``schedule``,
   ``begin``, ``end``, ``cancel``, ``idle``, ``quiescence``.
-* :meth:`KernelTracer.timeline` — per-flow dispatch timeline
-  (``flow → [(time, category, site), ...]``).
-* :attr:`KernelTracer.counters` — aggregate metrics: events scheduled /
-  dispatched / skipped / cancelled, context switches (``cth.resume``
-  dispatches), messages (``net.*`` dispatches), quiescence count, and
-  total virtual idle time between dispatches.
+
+The entries are the tracer's only record: counts (dispatches per
+category or flow, switches, messages) are folds over them, e.g.
+``python -m repro.query aggregate``/``timeline``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import ReproError
 
@@ -85,23 +83,11 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
 
 
 class KernelTracer:
-    """Structured event log + counters for one :class:`EventKernel`."""
+    """Structured event log for one :class:`EventKernel`."""
 
     def __init__(self) -> None:
         self.entries: List[Dict[str, Any]] = []
-        self.counters: Dict[str, Any] = {
-            "scheduled": 0,
-            "dispatched": 0,
-            "skipped": 0,
-            "cancelled": 0,
-            "switches": 0,
-            "messages": 0,
-            "quiescences": 0,
-            "idle_ns": 0.0,
-            "by_category": {},
-        }
         self._kernel = None
-        self._last_end_time: Optional[float] = None
 
     # -- attachment -----------------------------------------------------
 
@@ -110,29 +96,27 @@ class KernelTracer:
         if self._kernel is not None:
             raise ReproError("tracer is already attached")
         self._kernel = kernel
-        bus = kernel.hooks
-        bus.subscribe("on_schedule", self._on_schedule)
-        bus.subscribe("on_dispatch_begin", self._on_begin)
-        bus.subscribe("on_dispatch_end", self._on_end)
-        bus.subscribe("on_cancel", self._on_cancel)
-        bus.subscribe("on_idle", self._on_idle)
-        bus.subscribe("on_quiescence", self._on_quiescence)
+        for hook, fn in self._hooks():
+            kernel.hooks.subscribe(hook, fn)
         return self
 
     def detach(self) -> None:
         """Unsubscribe; the kernel returns to its zero-cost path."""
         if self._kernel is None:
             raise ReproError("tracer is not attached")
-        bus = self._kernel.hooks
-        bus.unsubscribe("on_schedule", self._on_schedule)
-        bus.unsubscribe("on_dispatch_begin", self._on_begin)
-        bus.unsubscribe("on_dispatch_end", self._on_end)
-        bus.unsubscribe("on_cancel", self._on_cancel)
-        bus.unsubscribe("on_idle", self._on_idle)
-        bus.unsubscribe("on_quiescence", self._on_quiescence)
+        for hook, fn in self._hooks():
+            self._kernel.hooks.unsubscribe(hook, fn)
         self._kernel = None
 
     # -- hook callbacks -------------------------------------------------
+
+    def _hooks(self):
+        return (("on_schedule", self._on_schedule),
+                ("on_dispatch_begin", self._on_begin),
+                ("on_dispatch_end", self._on_end),
+                ("on_cancel", self._on_cancel),
+                ("on_idle", self._on_idle),
+                ("on_quiescence", self._on_quiescence))
 
     def _entry(self, kind: str, kernel, ev=None) -> Dict[str, Any]:
         entry: Dict[str, Any] = {"ev": kind, "kernel": kernel.name,
@@ -166,37 +150,17 @@ class KernelTracer:
         return entry
 
     def _on_schedule(self, kernel, ev) -> None:
-        self.counters["scheduled"] += 1
         self._entry("schedule", kernel, ev)
 
     def _on_begin(self, kernel, ev) -> None:
         self._entry("begin", kernel, ev)
-        if self._last_end_time is not None and ev.time > self._last_end_time:
-            self.counters["idle_ns"] += ev.time - self._last_end_time
 
     def _on_end(self, kernel, ev) -> None:
         entry = self._entry("end", kernel, ev)
-        if kernel is self._kernel:
-            # The idle clock follows the attached kernel only: a subclass
-            # may feed other kernels' dispatches (RunObserver's thread
-            # kernels, which run on FIFO priority keys, not time).
-            self._last_end_time = ev.time
-        c = self.counters
         if kernel._skip:
             entry["skipped"] = True
-            c["skipped"] += 1
-            return
-        c["dispatched"] += 1
-        cat = ev.category or "uncategorized"
-        by_cat = c["by_category"]
-        by_cat[cat] = by_cat.get(cat, 0) + 1
-        if cat == "cth.resume":
-            c["switches"] += 1
-        elif cat.startswith("net."):
-            c["messages"] += 1
 
     def _on_cancel(self, kernel, ev) -> None:
-        self.counters["cancelled"] += 1
         self._entry("cancel", kernel, ev)
 
     def _on_idle(self, kernel) -> bool:
@@ -204,21 +168,9 @@ class KernelTracer:
         return False  # observation only: never re-arms work
 
     def _on_quiescence(self, kernel) -> None:
-        self.counters["quiescences"] += 1
         self._entry("quiescence", kernel)
 
-    # -- reports --------------------------------------------------------
-
-    def timeline(self) -> Dict[str, List[tuple]]:
-        """Per-flow dispatch timeline from the recorded ``begin`` entries."""
-        out: Dict[str, List[tuple]] = {}
-        for e in self.entries:
-            if e["ev"] != "begin":
-                continue
-            flow = e.get("flow", "?")
-            out.setdefault(flow, []).append(
-                (e["t"], e.get("category", ""), e.get("site", "")))
-        return out
+    # -- output ---------------------------------------------------------
 
     def dump(self, path: str) -> int:
         """Write the event log as JSON lines; returns the entry count."""
@@ -227,6 +179,4 @@ class KernelTracer:
         return len(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        c = self.counters
-        return (f"<KernelTracer dispatched={c['dispatched']} "
-                f"scheduled={c['scheduled']} entries={len(self.entries)}>")
+        return f"<KernelTracer entries={len(self.entries)}>"

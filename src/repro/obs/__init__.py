@@ -14,6 +14,10 @@ layer riding the kernel's hook bus:
 * :func:`build_report` / ``python -m repro.obs report <trace>`` — the
   Projections-style post-mortem analyzer (:mod:`repro.obs.report`).
 
+Trace entries are a run's one record: hooks only append them, and every
+count (report views, the registry at :meth:`RunObserver.finalize`) is a
+fold over them.
+
 Everything here is virtual time and deterministic; host time is measured
 from outside the package, by ``python3 perf/run.py`` (judged by
 ``perf/compare.py``).  Everything is strictly opt-in: with no observer
@@ -25,8 +29,9 @@ overhead tests.
 from repro.obs.metrics import (BYTE_BUCKETS, Counter, Gauge, Histogram,
                                MetricsRegistry, RATIO_BUCKETS,
                                TIME_NS_BUCKETS)
+from repro.kernel.trace import load_trace
 from repro.obs.collect import RunObserver
-from repro.obs.report import build_report, load_trace, render_report
+from repro.obs.report import build_report, render_report
 
 __all__ = [
     "BYTE_BUCKETS",

@@ -17,7 +17,8 @@ import json
 import sys
 
 from repro.errors import ReproError
-from repro.obs.report import build_report, load_trace, render_report
+from repro.kernel.trace import load_trace
+from repro.obs.report import build_report, render_report
 
 
 def main(argv=None) -> int:

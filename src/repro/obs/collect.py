@@ -22,8 +22,12 @@ The observer therefore:
   every processor's final ``busy_ns``;
 * subscribes the sanctioned channels — ``net.send``,
   ``migration.done``, ``checkpoint.write`` — recording ``send`` /
-  ``migration`` / ``checkpoint`` entries and populating the
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+  ``migration`` / ``checkpoint`` entries.
+
+The entries are the run's one record: no hook counts anything.  The
+registry's run instruments are filled by :meth:`RunObserver.finalize`
+(which ``dump`` calls): :func:`repro.obs.report.fold_metrics`, the
+report's own folds, over the entries added since the previous call.
 
 Everything follows the hook bus's zero-cost-when-off discipline: an
 unattached observer costs the kernels nothing but the one ``hot`` bool
@@ -38,8 +42,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.kernel import KernelTracer
-from repro.obs.metrics import (BYTE_BUCKETS, MetricsRegistry,
-                               TIME_NS_BUCKETS)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import fold_metrics
 
 __all__ = ["RunObserver"]
 
@@ -56,8 +60,8 @@ class RunObserver(KernelTracer):
         dispatches are folded into the same trace (context switches and
         the busy time charged by thread slices).
     registry:
-        An existing :class:`MetricsRegistry` to populate, or ``None``
-        for a fresh one.
+        An existing :class:`MetricsRegistry` to add this run to, or
+        ``None`` for a fresh one.
     """
 
     def __init__(self, cluster, schedulers=(),
@@ -71,18 +75,8 @@ class RunObserver(KernelTracer):
         self._thread_kernels = [s.kernel for s in self.schedulers]
         self._attached_extra: List[Any] = []
         self._channel_subs: List[tuple] = []
-        r = self.registry
-        self._c_dispatched = r.counter("kernel.dispatched")
-        self._c_switches = r.counter("kernel.switches")
-        self._c_msgs = r.counter("net.messages")
-        self._c_net_bytes = r.counter("net.bytes")
-        self._h_msg_bytes = r.histogram("net.msg_bytes", BYTE_BUCKETS)
-        self._h_latency = r.histogram("net.latency_ns", TIME_NS_BUCKETS)
-        self._c_mig_done = r.counter("migration.completed")
-        self._c_mig_ret = r.counter("migration.returned")
-        self._c_mig_bytes = r.counter("migration.bytes")
-        self._c_ckpt = r.counter("checkpoint.writes")
-        self._c_ckpt_bytes = r.counter("checkpoint.bytes")
+        self._folded = 0  # entries finalize() has folded so far
+        fold_metrics([], self.registry)  # create the run instruments
 
     @classmethod
     def for_ampi(cls, rt, registry: Optional[MetricsRegistry] = None
@@ -132,6 +126,22 @@ class RunObserver(KernelTracer):
 
     # -- dispatch hooks --------------------------------------------------
 
+    def _charges(self) -> Optional[tuple]:
+        """``(busy, clock)`` maps of every processor charged since the
+        last call, or ``None`` when none was."""
+        busy = self._last_busy
+        if busy is None:
+            return None
+        busy_map: Dict[str, float] = {}
+        clock_map: Dict[str, float] = {}
+        for i, p in enumerate(self._procs):
+            delta = p.busy_ns - busy[i]
+            if delta:
+                busy_map[str(i)] = delta
+                clock_map[str(i)] = p.now
+                busy[i] = p.busy_ns
+        return (busy_map, clock_map) if busy_map else None
+
     def _flush_outside(self, t: float) -> None:
         """Attribute busy time charged *outside* any observed dispatch.
 
@@ -142,20 +152,10 @@ class RunObserver(KernelTracer):
         the trace's invariant exact: summing every entry's ``busy`` map
         reproduces each processor's ``busy_ns`` to the nanosecond.
         """
-        busy = self._last_busy
-        if busy is None:
-            return
-        busy_map: Dict[str, float] = {}
-        clock_map: Dict[str, float] = {}
-        for i, p in enumerate(self._procs):
-            delta = p.busy_ns - busy[i]
-            if delta:
-                busy_map[str(i)] = delta
-                clock_map[str(i)] = p.now
-                busy[i] = p.busy_ns
-        if busy_map:
+        charges = self._charges()
+        if charges is not None:
             self.entries.append({"ev": "charge", "t": t,
-                                 "busy": busy_map, "clock": clock_map})
+                                 "busy": charges[0], "clock": charges[1]})
 
     def _on_begin(self, kernel, ev) -> None:
         # Charges since the last dispatch ended belong to the driver,
@@ -165,59 +165,29 @@ class RunObserver(KernelTracer):
             super()._on_begin(kernel, ev)
 
     def _on_end(self, kernel, ev) -> None:
-        # One entry schema and one set of aggregate counters for the
-        # cluster kernel and the thread kernels alike.
+        # One entry schema for the cluster and thread kernels alike.
         super()._on_end(kernel, ev)
-        entry = self.entries[-1]
-        category = ev.category
-        skipped = entry.get("skipped", False)
-        if not skipped:
-            self._c_dispatched.inc()
-            if category == "cth.resume":
-                self._c_switches.inc()
-            if (category and category.startswith("net.")
-                    and "sent" in entry):
-                self._h_latency.observe(ev.time - entry["sent"])
-        busy = self._last_busy
-        if busy is not None:
-            busy_map: Dict[str, float] = {}
-            clock_map: Dict[str, float] = {}
-            for i, p in enumerate(self._procs):
-                delta = p.busy_ns - busy[i]
-                if delta:
-                    busy_map[str(i)] = delta
-                    clock_map[str(i)] = p.now
-                    busy[i] = p.busy_ns
-            if busy_map:
-                entry["busy"] = busy_map
-                entry["clock"] = clock_map
+        charges = self._charges()
+        if charges is not None:
+            entry = self.entries[-1]
+            entry["busy"], entry["clock"] = charges
 
     # -- channel subscribers (all pass their value through unchanged) ---
 
     def _on_net_send(self, arrivals, msg=None, **ctx):
         if msg is not None:
-            self._c_msgs.inc()
-            self._c_net_bytes.inc(msg.size_bytes)
-            self._h_msg_bytes.observe(msg.size_bytes)
             self.entries.append({
                 "ev": "send", "t": msg.send_time, "src": msg.src,
                 "dst": msg.dst, "bytes": msg.size_bytes, "tag": msg.tag})
         return arrivals
 
     def _on_migration_done(self, payload, **ctx):
-        if payload.get("returned"):
-            self._c_mig_ret.inc()
-        else:
-            self._c_mig_done.inc()
-        self._c_mig_bytes.inc(payload["bytes"])
         entry = {"ev": "migration"}
         entry.update(payload)
         self.entries.append(entry)
         return payload
 
     def _on_checkpoint(self, blob, key=None, **ctx):
-        self._c_ckpt.inc()
-        self._c_ckpt_bytes.inc(len(blob))
         self.entries.append({"ev": "checkpoint", "key": key,
                              "bytes": len(blob)})
         return blob
@@ -225,14 +195,16 @@ class RunObserver(KernelTracer):
     # -- finalization ---------------------------------------------------
 
     def finalize(self) -> MetricsRegistry:
-        """Fold end-of-run state into the registry; returns it.
+        """Fold the run into the registry; returns it.
 
-        Safe to call more than once (gauges are overwritten, and the
-        per-PE busy integration lives in the trace, not in deltas here).
+        Each entry is folded once, however often this is called (mid-run
+        included); the gauges are overwritten with the processors' state.
         """
         r = self.registry
         makespan = max((p.now for p in self._procs), default=0.0)
         self._flush_outside(makespan)  # tail charges after the last event
+        fold_metrics(self.entries[self._folded:], r)
+        self._folded = len(self.entries)
         r.gauge("run.makespan_ns").set(makespan)
         for p in self._procs:
             r.gauge(f"pe{p.id}.busy_ns").set(p.busy_ns)

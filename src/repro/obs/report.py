@@ -18,49 +18,75 @@ Every view degrades gracefully: a plain ``KernelTracer`` dump (no
 ``busy``/``send``/``migration`` entries) still yields category counts
 and whatever the schema carries, with the missing sections marked
 absent rather than wrong.  Entries that do not fit the schema follow the
-query engines' rule: a ``t``/``clock``/``busy``/``bytes`` value that is
-not a number is skipped, never coerced, an entry without a numeric ``t``
-charges window 0, and a ``migration`` entry without numeric ``src`` and
-``dst`` is not a move.  ``--json`` output is fully deterministic —
-sorted keys, fixed buckets, no host timestamps — so fingerprints of it
-are stable across runs (and are pinned by the golden-metrics tests).
+query engines' rule: a ``t``/``clock``/``busy``/``bytes``/``sent`` value
+that is not a finite number (NaN and infinities included) is skipped,
+never coerced, an entry without one as its ``t`` charges window 0, and a
+``migration`` entry without numeric ``src`` and ``dst`` is not a move —
+so the report is always valid JSON.  ``--json`` output is fully
+deterministic — sorted keys, fixed buckets, no host timestamps — so
+fingerprints of it are stable across runs (and are pinned by the
+golden-metrics tests).  :func:`fold_metrics` runs the same folds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, List, Tuple
 
-# Re-exported here for backward compatibility; the loader lives with the
-# tracer so every trace consumer shares one parsing/validation surface.
 from repro.errors import QueryError
-from repro.kernel.trace import load_trace
-from repro.obs.metrics import BYTE_BUCKETS, Histogram, TIME_NS_BUCKETS
+from repro.obs.metrics import (BYTE_BUCKETS, Histogram, MetricsRegistry,
+                               TIME_NS_BUCKETS)
 from repro.query.engines import (aggregate_entries, filter_entries,
-                                 is_number, trace_makespan, window_index)
+                                 trace_makespan, window_index)
 
-__all__ = ["load_trace", "build_report", "render_report"]
+__all__ = ["build_report", "fold_metrics", "render_report"]
 
-# The report's fixed views are just canned queries; keeping them in the
-# query language makes `python -m repro.query` and this report read the
-# trace identically (and documents the schema each view depends on).
-_IS_MIGRATION = "ev == 'migration'"
-_IS_SEND = "ev == 'send'"
-_IS_NET_DELIVERY = ("ev == 'end' and not skipped "
-                    "and startswith(category, 'net.') and has(sent)")
-_IS_DISPATCH_END = "ev == 'end' and not skipped"
+# The report's fixed views are just canned queries over the entries of
+# one kind (`ev`); keeping them in the query language makes `python -m
+# repro.query` and this report read the trace identically (and documents
+# the schema each view depends on).
+_IS_NET_DELIVERY = "has(sent) and not skipped and startswith(category, 'net.')"
+_IS_DISPATCH = "not skipped"
 
 
 # ---------------------------------------------------------------------------
 
 
-def _busy_charges(entries) -> Iterator[tuple]:
-    """``(entry, pe, ns)`` for every charge in the trace's ``busy`` maps."""
+def _finite(v: Any) -> bool:
+    """A number, not a flag, NaN or infinity (``v - v`` is 0 exactly)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and v - v == 0)
+
+
+def _by_kind(entries) -> Dict[str, List[Dict[str, Any]]]:
+    """The entries of each ``ev`` kind, in trace order: one pass, after
+    which each view reads only the kinds it counts."""
+    kinds: Dict[str, List[Dict[str, Any]]] = {}
+    for e in entries:
+        try:
+            kinds[e.get("ev")].append(e)
+        except KeyError:
+            kinds[e.get("ev")] = [e]
+        except TypeError:
+            pass  # an unhashable ``ev`` (a list, a map) names no kind
+    return kinds
+
+
+def _busy_charges(entries) -> List[tuple]:
+    """``(t, pe, ns)`` for every charge in the trace's ``busy`` maps,
+    ``t`` the entry's time (``None`` when not a finite number)."""
+    charges = []
     for e in entries:
         busy = e.get("busy")
         if isinstance(busy, dict):
+            t = e.get("t")
+            if not _finite(t):
+                t = None
             for pe, ns in busy.items():
-                if is_number(ns):
-                    yield e, pe, ns
+                # _finite(ns), spelled inline: this loop runs per charge.
+                if (isinstance(ns, (int, float)) and not isinstance(ns, bool)
+                        and ns - ns == 0):
+                    charges.append((t, pe, ns))
+    return charges
 
 
 def _pe_order(pe: str) -> tuple:
@@ -71,9 +97,9 @@ def _pe_order(pe: str) -> tuple:
         return (1, 0, pe)
 
 
-def _utilization(entries, makespan: float) -> Dict[str, Any]:
+def _utilization(charges, makespan: float) -> Dict[str, Any]:
     busy: Dict[str, float] = {}
-    for _, pe, ns in _busy_charges(entries):
+    for _, pe, ns in charges:
         busy[pe] = busy.get(pe, 0.0) + ns
     pes = sorted(busy, key=_pe_order)
     return {
@@ -84,7 +110,7 @@ def _utilization(entries, makespan: float) -> Dict[str, Any]:
     }
 
 
-def _imbalance_timeline(entries, makespan: float,
+def _imbalance_timeline(charges, makespan: float,
                         windows: int) -> List[Dict[str, Any]]:
     """Windowed max/avg busy-time ratio across PEs.
 
@@ -103,8 +129,8 @@ def _imbalance_timeline(entries, makespan: float,
     pes: set = set()
     per_window: List[Dict[str, float]] = [dict() for _ in range(windows)]
     width = makespan / windows
-    for e, pe, ns in _busy_charges(entries):
-        acc = per_window[window_index(e.get("t"), width, windows)]
+    for t, pe, ns in charges:
+        acc = per_window[window_index(t, width, windows)]
         pes.add(pe)
         acc[pe] = acc.get(pe, 0.0) + ns
     n_pes = len(pes)
@@ -122,7 +148,7 @@ def _imbalance_timeline(entries, makespan: float,
     return out
 
 
-def _migration_table(entries) -> Dict[str, Any]:
+def _migration_table(kinds) -> Dict[str, Any]:
     """Per-route move counts/bytes from ``migration`` entries.
 
     ``migration`` entries come from the ``migration.done`` channel and
@@ -133,9 +159,9 @@ def _migration_table(entries) -> Dict[str, Any]:
     routes: Dict[tuple, Dict[str, Any]] = {}
     completed = returned = 0
     bytes_moved = 0
-    for e in filter_entries(entries, _IS_MIGRATION):
+    for e in kinds.get("migration", ()):
         src, dst = e.get("src"), e.get("dst")
-        if not (is_number(src) and is_number(dst)):
+        if not (_finite(src) and _finite(dst)):
             continue
         row = routes.setdefault((src, dst),
                                 {"moves": 0, "returns": 0, "bytes": 0})
@@ -146,7 +172,7 @@ def _migration_table(entries) -> Dict[str, Any]:
             row["moves"] += 1
             completed += 1
         size = e.get("bytes")
-        if is_number(size):
+        if _finite(size):
             row["bytes"] += size
             bytes_moved += size
     return {
@@ -160,26 +186,67 @@ def _migration_table(entries) -> Dict[str, Any]:
     }
 
 
-def _message_histograms(entries) -> Dict[str, Any]:
+def _observe_messages(kinds, sizes: Histogram,
+                      latency: Histogram) -> Tuple[int, int]:
+    """Observe send sizes and delivery latencies; returns ``(sends,
+    bytes)``, an int byte total unlike the histogram's float one."""
+    sends = sent_bytes = 0
+    for e in kinds.get("send", ()):
+        size = e.get("bytes")
+        if _finite(size):
+            sizes.observe(size)
+            sends += 1
+            sent_bytes += size
+    for e in filter_entries(kinds.get("end", ()), _IS_NET_DELIVERY):
+        t, sent = e.get("t"), e["sent"]
+        if _finite(t) and _finite(sent):
+            latency.observe(t - sent)
+    return sends, sent_bytes
+
+
+def _message_histograms(kinds) -> Dict[str, Any]:
     sizes = Histogram("net.msg_bytes", BYTE_BUCKETS)
     latency = Histogram("net.latency_ns", TIME_NS_BUCKETS)
-    for e in filter_entries(entries, _IS_SEND):
-        size = e.get("bytes")
-        if is_number(size):
-            sizes.observe(size)
-    for e in filter_entries(entries, _IS_NET_DELIVERY):
-        t, sent = e.get("t"), e["sent"]
-        if is_number(t) and is_number(sent):
-            latency.observe(t - sent)
+    _observe_messages(kinds, sizes, latency)
     return {"sizes": sizes.snapshot(), "latency_ns": latency.snapshot()}
 
 
-def _categories(entries) -> Dict[str, int]:
-    result = aggregate_entries(filter_entries(entries, _IS_DISPATCH_END),
+def _categories(kinds) -> Dict[str, int]:
+    result = aggregate_entries(filter_entries(kinds.get("end", ()),
+                                              _IS_DISPATCH),
                                "count() by category")
-    return {row["group"]["category"] or "uncategorized":
-            row["aggregates"]["count()"]
-            for row in result["rows"]}
+    counts: Dict[str, int] = {}
+    for row in result["rows"]:
+        category = row["group"]["category"] or "uncategorized"
+        counts[category] = (counts.get(category, 0)
+                            + row["aggregates"]["count()"])
+    return counts
+
+
+def fold_metrics(entries: List[Dict[str, Any]],
+                 registry: MetricsRegistry) -> MetricsRegistry:
+    """Add ``entries`` to ``registry``'s run instruments (created if
+    missing, so folding ``[]`` creates them) with :func:`build_report`'s
+    folds; a registry shared across runs adds up."""
+    r = registry
+    kinds = _by_kind(entries)
+    categories = _categories(kinds)
+    r.counter("kernel.dispatched").inc(sum(categories.values()))
+    r.counter("kernel.switches").inc(categories.get("cth.resume", 0))
+    sends, sent_bytes = _observe_messages(
+        kinds, r.histogram("net.msg_bytes", BYTE_BUCKETS),
+        r.histogram("net.latency_ns", TIME_NS_BUCKETS))
+    r.counter("net.messages").inc(sends)
+    r.counter("net.bytes").inc(sent_bytes)
+    moves = _migration_table(kinds)
+    r.counter("migration.completed").inc(moves["completed"])
+    r.counter("migration.returned").inc(moves["returned"])
+    r.counter("migration.bytes").inc(moves["bytes"])
+    (written,) = aggregate_entries(kinds.get("checkpoint", ()),
+                                   "count(), sum(bytes)")["rows"]
+    r.counter("checkpoint.writes").inc(written["aggregates"]["count()"])
+    r.counter("checkpoint.bytes").inc(written["aggregates"]["sum(bytes)"])
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +260,15 @@ def build_report(entries: List[Dict[str, Any]],
     an optional :class:`MetricsRegistry` to embed its snapshot.
     """
     makespan = trace_makespan(entries)
+    charges, kinds = _busy_charges(entries), _by_kind(entries)
     report: Dict[str, Any] = {
         "events": len(entries),
-        "utilization": _utilization(entries, makespan),
-        "imbalance_timeline": _imbalance_timeline(entries, makespan,
+        "utilization": _utilization(charges, makespan),
+        "imbalance_timeline": _imbalance_timeline(charges, makespan,
                                                   windows),
-        "migrations": _migration_table(entries),
-        "messages": _message_histograms(entries),
-        "categories": _categories(entries),
+        "migrations": _migration_table(kinds),
+        "messages": _message_histograms(kinds),
+        "categories": _categories(kinds),
     }
     if registry is not None:
         report["metrics"] = registry.snapshot()

@@ -15,12 +15,13 @@ imbalance timeline is a specialization of the same attribution rule
 run's extent), and both follow one rule for entries that do not fit the
 schema — a time, clock, busy or byte value that is not a number is
 skipped, never coerced, and an entry without a numeric ``t`` charges
-window 0.
+window 0 (the makespan and the report skip NaN and infinities too).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.errors import QueryError
@@ -66,19 +67,19 @@ def window_index(t: Any, width: float, windows: int) -> int:
 def trace_makespan(entries: Iterable[Entry]) -> float:
     """Run extent in virtual ns: the max over observer clock snapshots
     and ``end``-entry event times (0.0 for an empty trace).  Values that
-    are not numbers — and ``clock`` fields that are not maps — are
-    skipped."""
+    are not finite numbers — and ``clock`` fields that are not maps —
+    are skipped."""
     makespan = 0.0
     for e in entries:
         clock = e.get("clock")
         if isinstance(clock, dict):
             for t in clock.values():
-                if (isinstance(t, (int, float)) and t > makespan
+                if (isinstance(t, (int, float)) and makespan < t < math.inf
                         and not isinstance(t, bool)):
                     makespan = t
         if e.get("ev") == "end":
             t = e.get("t")
-            if (isinstance(t, (int, float)) and t > makespan
+            if (isinstance(t, (int, float)) and makespan < t < math.inf
                     and not isinstance(t, bool)):
                 makespan = t
     return makespan

@@ -1,4 +1,5 @@
-"""Tests for the kernel tracer: entries, counters, timelines, dump."""
+"""Tests for the kernel tracer: entries, the counts folded over them,
+dump."""
 
 import json
 
@@ -6,6 +7,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.kernel import EventKernel, KernelTracer, load_trace
+from repro.query import aggregate_entries, filter_entries
 from repro.sim import Cluster
 from tests.core.conftest import make_cluster
 
@@ -18,6 +20,18 @@ def traced_kernel():
 
 def named_handler(log, tag):
     log.append(tag)
+
+
+def count_by(entries, field):
+    """``{value of field: number of entries}`` — the tracer keeps no
+    counters; every count is a fold like this over its entries."""
+    rows = aggregate_entries(entries, f"count() by {field}")["rows"]
+    return {row["group"][field]: row["aggregates"]["count()"]
+            for row in rows}
+
+
+def dispatches(entries):
+    return filter_entries(entries, "ev == 'end' and not skipped")
 
 
 # -- lifecycle entries ------------------------------------------------------
@@ -39,20 +53,18 @@ def test_entries_cover_the_event_lifecycle():
                      "site": "named_handler"}
 
 
-def test_counters_aggregate_dispatch_metrics():
+def test_dispatch_counts_are_folds_over_the_entries():
     k, tr = traced_kernel()
     ev = k.schedule(1.0, lambda: None, category="work")
     k.schedule(2.0, lambda: None, category="work")
-    k.schedule(102.0, lambda: None)       # a 100ns virtual-time gap
+    k.schedule(102.0, lambda: None)
     ev.cancel()
     k.run()
-    c = tr.counters
-    assert c["scheduled"] == 3
-    assert c["dispatched"] == 2
-    assert c["cancelled"] == 1
-    assert c["quiescences"] == 1
-    assert c["idle_ns"] == 100.0
-    assert c["by_category"] == {"work": 1, "uncategorized": 1}
+    assert count_by(tr.entries, "ev") == {
+        "schedule": 3, "cancel": 1, "begin": 2, "end": 2, "idle": 1,
+        "quiescence": 1}
+    assert count_by(dispatches(tr.entries), "category") == {
+        "work": 1, None: 1}
 
 
 def test_skipped_dispatches_are_counted_separately():
@@ -60,10 +72,9 @@ def test_skipped_dispatches_are_counted_separately():
     k.schedule(1.0, k.skip_current)
     k.schedule(2.0, lambda: None)
     k.run()
-    assert tr.counters["skipped"] == 1
-    assert tr.counters["dispatched"] == 1
     skipped = [e for e in tr.entries if e.get("skipped")]
     assert len(skipped) == 1 and skipped[0]["ev"] == "end"
+    assert len(dispatches(tr.entries)) == 1
 
 
 def test_timeline_groups_dispatches_by_flow():
@@ -73,7 +84,10 @@ def test_timeline_groups_dispatches_by_flow():
     k.schedule(2.0, named_handler, log, "b", category="step", flow="beta")
     k.schedule(3.0, named_handler, log, "c", category="ack", flow="alpha")
     k.run()
-    tl = tr.timeline()
+    tl = {}
+    for e in filter_entries(tr.entries, "ev == 'begin'"):
+        tl.setdefault(e["flow"], []).append(
+            (e["t"], e["category"], e["site"]))
     assert tl == {
         "alpha": [(1.0, "step", "named_handler"),
                   (3.0, "ack", "named_handler")],
@@ -133,8 +147,8 @@ def test_thread_switches_show_up_as_cth_resume():
     scheds[0].create(body)
     scheds[0].create(body)
     scheds[0].run()
-    assert tr.counters["switches"] == tr.counters["dispatched"] > 0
-    assert set(tr.counters["by_category"]) == {"cth.resume"}
+    assert count_by(dispatches(tr.entries), "category") == {
+        "cth.resume": len(dispatches(tr.entries))}
 
 
 def test_network_traffic_shows_up_as_messages():
@@ -145,10 +159,11 @@ def test_network_traffic_shows_up_as_messages():
     cl.send(0, 1, "ping", 64, tag="t")
     cl.send(1, 0, "pong", 64, tag="t")
     cl.run()
-    assert tr.counters["messages"] == 2
-    assert all(cat.startswith("net.") for cat in tr.counters["by_category"])
-    flows = tr.timeline()
-    assert set(flows) == {"pe0", "pe1"}
+    delivered = dispatches(tr.entries)
+    assert len(delivered) == 2
+    assert all(e["category"].startswith("net.") for e in delivered)
+    assert set(count_by(filter_entries(tr.entries, "ev == 'begin'"),
+                        "flow")) == {"pe0", "pe1"}
 
 
 # -- the trace file contract --------------------------------------------------

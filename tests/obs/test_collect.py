@@ -1,4 +1,7 @@
-"""RunObserver: attachment hygiene, busy attribution, channel capture."""
+"""RunObserver: attachment hygiene, busy attribution, channel capture,
+and the fold that fills the registry at ``finalize``."""
+
+import json
 
 import pytest
 
@@ -6,6 +9,7 @@ from repro.ampi import AmpiRuntime
 from repro.errors import ReproError
 from repro.kernel.hooks import NOTIFY_HOOKS
 from repro.obs import MetricsRegistry, RunObserver
+from repro.obs.report import fold_metrics
 
 from tests.obs.conftest import ring_migrate_main
 
@@ -35,7 +39,7 @@ def test_detach_restores_every_kernel_to_the_cold_path():
 
 def test_registry_counters_match_runtime_ground_truth(observed_run):
     rt, obs = observed_run
-    r = obs.registry
+    r = obs.finalize()
     mig = rt.migrator
     assert r.counter("migration.completed").value == \
         mig.migrations_completed
@@ -85,14 +89,76 @@ def test_finalize_publishes_per_pe_gauges(observed_run):
         assert 0.0 <= util <= 1.0
 
 
+def _dispatched(obs):
+    return sum(1 for e in obs.entries
+               if e.get("ev") == "end" and not e.get("skipped"))
+
+
 def test_observer_accepts_a_shared_registry():
     registry = MetricsRegistry()
     registry.counter("kernel.dispatched").inc(5)
-    rt = AmpiRuntime(2, 4, ring_migrate_main(iterations=1))
-    obs = RunObserver.for_ampi(rt, registry=registry)
-    assert obs.registry is registry
-    obs.attach()
-    rt.run()
+    runs = []
+    for _ in range(2):
+        rt = AmpiRuntime(2, 4, ring_migrate_main(iterations=1))
+        obs = RunObserver.for_ampi(rt, registry=registry)
+        assert obs.registry is registry
+        obs.attach()
+        rt.run()
+        obs.finalize()
+        runs.append(obs)
     # The pre-existing count is additive, not reset — shared registries
     # aggregate across runs by design.
-    assert registry.counter("kernel.dispatched").value > 5
+    assert registry.counter("kernel.dispatched").value == \
+        5 + sum(_dispatched(obs) for obs in runs)
+    assert registry.counter("net.messages").value == \
+        sum(sum(1 for e in obs.entries if e.get("ev") == "send")
+            for obs in runs)
+
+
+def _snapshot(obs):
+    return json.dumps(obs.registry.snapshot(), sort_keys=True)
+
+
+def test_hooks_count_nothing_until_finalize(observed_run):
+    _, obs = observed_run
+    run_instruments = fold_metrics([], MetricsRegistry()).snapshot()
+    snap = obs.registry.snapshot()
+    for kind in ("counters", "histograms"):
+        assert {name: snap[kind][name] for name in run_instruments[kind]} \
+            == run_instruments[kind]
+    assert obs.finalize().counter("kernel.dispatched").value == \
+        _dispatched(obs) > 0
+
+
+def test_finalize_twice_gives_an_identical_snapshot(observed_run):
+    _, obs = observed_run
+    obs.finalize()
+    first = _snapshot(obs)
+    obs.finalize()
+    assert _snapshot(obs) == first
+
+
+def _ring_run(at_150us):
+    rt = AmpiRuntime(2, 4, ring_migrate_main(iterations=2))
+    obs = RunObserver.for_ampi(rt).attach()
+    rt.cluster.queue.schedule(150_000.0, at_150us, obs)
+    rt.run()
+    return obs
+
+
+def test_a_mid_run_finalize_folds_each_entry_once():
+    """``finalize`` mid-run and again at the end leaves the registry
+    exactly as one end-of-run ``finalize`` of the same run does."""
+    midway = []
+
+    def finalize(obs):
+        midway.append(obs.finalize().counter("kernel.dispatched").value)
+
+    def nothing(obs):
+        pass
+
+    twice, once = _ring_run(finalize), _ring_run(nothing)
+    twice.finalize()
+    once.finalize()
+    assert 0 < midway[0] < twice.registry.counter("kernel.dispatched").value
+    assert _snapshot(twice) == _snapshot(once)

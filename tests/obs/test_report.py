@@ -37,10 +37,25 @@ def test_report_migrations_match_migrator_counters(traced_run):
     assert sum(r["moves"] for r in mig["routes"]) == mig["completed"]
     assert sum(r["returns"] for r in mig["routes"]) == mig["returned"]
     assert sum(r["bytes"] for r in mig["routes"]) == mig["bytes"]
-    # The embedded registry agrees with the trace-derived table.
-    m = report["metrics"]["counters"]
-    assert m["migration.completed"] == mig["completed"]
-    assert m["migration.returned"] == mig["returned"]
+    # The embedded registry agrees with the trace-derived tables: the
+    # observer's finalize runs the report's folds.
+    m = report["metrics"]
+    counters = m["counters"]
+    assert counters["migration.completed"] == mig["completed"]
+    assert counters["migration.returned"] == mig["returned"]
+    assert counters["migration.bytes"] == mig["bytes"]
+    msgs = report["messages"]
+    assert m["histograms"]["net.msg_bytes"] == msgs["sizes"]
+    assert m["histograms"]["net.latency_ns"] == msgs["latency_ns"]
+    assert counters["net.messages"] == msgs["sizes"]["count"] > 0
+    assert counters["net.bytes"] == msgs["sizes"]["total"]
+    assert type(counters["net.bytes"]) is int
+    assert counters["kernel.dispatched"] == sum(report["categories"].values())
+    assert counters["kernel.switches"] == report["categories"]["cth.resume"]
+    checkpoints = [e for e in load_trace(path) if e["ev"] == "checkpoint"]
+    assert counters["checkpoint.writes"] == len(checkpoints) > 0
+    assert counters["checkpoint.bytes"] == \
+        sum(e["bytes"] for e in checkpoints)
 
 
 def test_report_utilization_and_messages(traced_run):
@@ -155,10 +170,22 @@ def test_empty_trace_report_is_finite_and_renderable():
 
 def test_report_skips_values_that_do_not_fit_the_schema():
     """Lines ``load_trace`` accepts must get a report, not a traceback:
-    non-numeric t/clock/busy/bytes values are skipped (never coerced), a
-    foreign PE key sorts after the integer ones, and a ``migration``
-    without numeric ``src``/``dst`` is not a move."""
+    non-numeric t/clock/busy/bytes/sent values — NaN and the infinities
+    among them — are skipped (never coerced), a foreign PE key sorts
+    after the integer ones, a ``migration`` without numeric
+    ``src``/``dst`` is not a move, and the report is valid JSON
+    (regression: NaN and Infinity were added up and printed)."""
+    nan, inf = float("nan"), float("inf")
     entries = [
+        {"ev": "end", "t": inf, "clock": {"0": inf, "3": nan},
+         "busy": {"0": inf, "3": nan}},
+        {"ev": "end", "t": nan, "busy": {"0": -inf}},
+        {"ev": "migration", "src": nan, "dst": 1, "bytes": 5},
+        {"ev": "migration", "src": 0, "dst": 1, "bytes": inf},
+        {"ev": "send", "bytes": nan},
+        {"ev": "send", "bytes": inf},
+        {"ev": "end", "category": "net.x", "sent": nan, "t": 3.0},
+        {"ev": "end", "category": "net.x", "sent": 1.0, "t": inf},
         {"ev": "end", "t": 10.0, "clock": {"0": 10.0, "1": "x"},
          "busy": {"0": 4.0, "1": "x", "10": 1.0, "2": 1.0, "pe-a": 2.0}},
         {"ev": "end", "t": None, "busy": {"0": None, "2": 0.5}},
@@ -187,12 +214,14 @@ def test_report_skips_values_that_do_not_fit_the_schema():
     assert [w["busy_ns"] for w in report["imbalance_timeline"]] == \
         [0.5, 8.0]
     assert report["migrations"] == {
-        "completed": 1, "returned": 1, "bytes": 7,
-        "routes": [{"src": 0, "dst": 1, "moves": 1, "returns": 1,
+        "completed": 2, "returned": 1, "bytes": 7,
+        "routes": [{"src": 0, "dst": 1, "moves": 2, "returns": 1,
                     "bytes": 7}]}
     assert report["messages"]["sizes"]["count"] == 1
+    assert report["messages"]["sizes"]["buckets"]["le_64"] == 0
     assert report["messages"]["latency_ns"]["count"] == 1
     assert report["messages"]["latency_ns"]["total"] == 2.0
+    json.dumps(report, allow_nan=False)
     assert render_report(report)
 
 

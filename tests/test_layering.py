@@ -9,7 +9,8 @@ scan only: nothing is imported, lazy in-function imports count.  Two
 more structural rules ride on the same scan: ``repro.vm``'s extent
 operations contain no per-page loop (``PER_PAGE_LOOPS``), and the
 point-to-point message road builds no string and consults the
-``net.send`` filter only when it is subscribed (``PER_MESSAGE``); a
+``net.send`` filter only when it is subscribed (``PER_MESSAGE``); the
+tracers' hooks append trace entries and count nothing (``PER_ENTRY``); a
 thread image crosses the host per mapping and per image, never per page
 or per field (``PER_IMAGE``); the host side derives what is fixed per
 journal, per sweep and per cell in one place each (``PER_SWEEP``); a
@@ -379,6 +380,123 @@ def test_the_per_message_scan_sees_what_it_forbids():
         "        self.hooks.filter('net.send', [])\n").body
     assert per_message_work(func) == ["f-string at line 2",
                                       ".filter( at line 10"]
+
+
+#: file -> the class whose ``_on_*`` hooks run once per trace entry.
+#: A hook — and every method it reaches on ``self`` or ``super()`` —
+#: appends its entry and attaches the busy/clock maps; it counts
+#: nothing: no instrument ``.inc(``/``.observe(``/``.set(``, no
+#: augmented assignment, no store into a counters mapping.  The entries
+#: are the run's one record; every count is a fold over them
+#: (``repro.obs.report.fold_metrics``, the query engines).
+PER_ENTRY = {
+    "kernel/trace.py": "KernelTracer",
+    "obs/collect.py": "RunObserver",
+}
+INSTRUMENT_CALLS = {"inc", "observe", "set"}
+
+
+def entry_road(cls):
+    """``{name: FunctionDef}`` of the methods of ``cls`` a hook runs: its
+    ``_on_*`` methods and, transitively, the methods of ``cls`` they call
+    on ``self`` or ``super()``."""
+    methods = {fn.name: fn for fn in cls.body
+               if isinstance(fn, ast.FunctionDef)}
+
+    def on_self(node):
+        return ((isinstance(node, ast.Name) and node.id == "self")
+                or (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "super"))
+
+    road, todo = {}, [name for name in methods if name.startswith("_on_")]
+    while todo:
+        name = todo.pop()
+        if name in road or name not in methods:
+            continue
+        road[name] = methods[name]
+        todo += [node.func.attr for node in ast.walk(methods[name])
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and on_self(node.func.value)]
+    return road
+
+
+def per_entry_counting(func):
+    """Descriptions of the counting ``func`` does: instrument calls,
+    augmented assignments, and stores into a mapping or attribute that
+    is named like a counter or read back by the stored value."""
+    def counts_into(target, value):
+        base = target.value if isinstance(target, ast.Subscript) else target
+        text = ast.unparse(base)
+        return "counter" in text or any(
+            ast.unparse(n) == text for n in ast.walk(value)
+            if isinstance(n, (ast.Name, ast.Attribute)))
+
+    found = []
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in INSTRUMENT_CALLS):
+            found.append((node.lineno, f".{node.func.attr}("))
+        elif isinstance(node, ast.AugAssign):
+            found.append((node.lineno, "augmented assignment"))
+        elif isinstance(node, ast.Assign):
+            targets = [t for target in node.targets
+                       for t in getattr(target, "elts", [target])]
+            if any(isinstance(t, (ast.Subscript, ast.Attribute))
+                   and counts_into(t, node.value) for t in targets):
+                found.append((node.lineno, "counter store"))
+    return [f"{what} at line {line}" for line, what in sorted(found)]
+
+
+def test_the_tracer_hooks_append_entries_and_count_nothing():
+    seen = {}
+    for rel, cls_name in PER_ENTRY.items():
+        (cls,) = (node for node in ast.parse((SRC / rel).read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == cls_name)
+        road = entry_road(cls)
+        assert any(name.startswith("_on_") for name in road), cls_name
+        for name, fn in road.items():
+            seen[f"{cls_name}.{name}"] = per_entry_counting(fn)
+    assert {name: found for name, found in seen.items() if found} == {}
+    assert {"KernelTracer._entry", "RunObserver._charges",
+            "RunObserver._flush_outside"} <= set(seen)
+
+
+def test_the_per_entry_scan_sees_what_it_forbids():
+    (cls,) = ast.parse(
+        "class Tracer:\n"
+        "    def _on_end(self, kernel, ev):\n"
+        "        entry = self._entry(ev)\n"
+        "        entry['skipped'] = True\n"
+        "        busy[i] = p.busy_ns\n"
+        "        entry['busy'], entry['clock'] = maps\n"
+        "        self._c_dispatched.inc()\n"
+        "        self._h_latency.observe(ev.time - entry['sent'])\n"
+        "        self.registry.gauge('pe0.util').set(1.0)\n"
+        "        self.counters['dispatched'] += 1\n"
+        "        c = self.counters\n"
+        "        c['skipped'] = c['skipped'] + 1\n"
+        "        by_cat = c['by_category']\n"
+        "        by_cat[cat] = by_cat.get(cat, 0) + 1\n"
+        "        self.counters = {}\n"
+        "        self.n = self.n + 1\n"
+        "    def _entry(self, ev):\n"
+        "        self.entries.append({'t': ev.time})\n"
+        "        self._count()\n"
+        "    def _count(self):\n"
+        "        self.seen += 1\n"
+        "    def finalize(self):\n"
+        "        self.registry.counter('x').inc()\n").body
+    road = entry_road(cls)
+    assert sorted(road) == ["_count", "_entry", "_on_end"]
+    assert per_entry_counting(road["_on_end"]) == [
+        ".inc( at line 7", ".observe( at line 8", ".set( at line 9",
+        "augmented assignment at line 10",
+        "counter store at line 12", "counter store at line 14",
+        "counter store at line 15", "counter store at line 16"]
+    assert per_entry_counting(road["_entry"]) == []
+    assert per_entry_counting(road["_count"]) == [
+        "augmented assignment at line 21"]
 
 
 #: file -> the functions holding the one call that derives the fact the
