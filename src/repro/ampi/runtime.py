@@ -464,7 +464,7 @@ class AmpiRuntime:
         if self.checkpointer.checkpoints_taken:
             lines.append(
                 f"  checkpoints      : {self.checkpointer.checkpoints_taken} "
-                f"({self.checkpointer.bytes_written / 1024:.1f} KiB on disk)")
+                f"({self.checkpointer.bytes_written / 1024:.1f} KiB written)")
         per_pe = [0.0] * len(self.cluster)
         for p in self.cluster.processors:
             per_pe[p.id] = p.busy_ns

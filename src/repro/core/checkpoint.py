@@ -27,7 +27,7 @@ memory image) genuinely round-trips through bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (CheckpointError, MigrationAborted, MigrationError,
                           PupError)
@@ -74,7 +74,16 @@ class CheckpointRecord:
 
 
 class Checkpointer:
-    """Checkpoint, restore, and evacuate migratable threads."""
+    """Checkpoint, restore, and evacuate migratable threads.
+
+    A thread keeps one generation of images: writing a new image retires
+    the thread's earlier ones once it has run since they were taken —
+    :meth:`restore` would refuse them (the generator is process-local),
+    so a retired key is gone from :meth:`stored`.  Images written with
+    no slice between them all stay.  Under the coordinated protocol that
+    is each rank's last committed image, so the store holds
+    O(threads) images, not O(threads × epochs).
+    """
 
     def __init__(self, migrator: ThreadMigrator,
                  disk: Optional[DiskModel] = None):
@@ -82,6 +91,9 @@ class Checkpointer:
         self.disk = disk or DiskModel()
         self._hooks = migrator.cluster.queue.hooks
         self._store: Dict[str, CheckpointRecord] = {}
+        #: tid -> (switch count, keys) of the thread's stored images:
+        #: its latest generation.
+        self._generation: Dict[tuple, Tuple[int, List[str]]] = {}
         self.checkpoints_taken = 0
         self.restores_done = 0
         self.bytes_written = 0
@@ -95,7 +107,9 @@ class Checkpointer:
         """Persist a non-running thread's state to the simulated disk.
 
         Non-destructive: the thread keeps running afterwards.  Returns the
-        checkpoint key.
+        checkpoint key.  The thread's earlier images are retired if it
+        has run since they were written (see the class docstring); a
+        write the ``checkpoint.write`` filter refuses retires nothing.
         """
         if thread.state not in (ThreadState.READY, ThreadState.SUSPENDED):
             raise MigrationError(
@@ -110,6 +124,16 @@ class Checkpointer:
         # blob (chaos: transient CheckpointError or a corrupted image that
         # the seal catches at restore).
         blob = self._hooks.filter("checkpoint.write", blob, key=key)
+        switches, keys = self._generation.get(thread.tid, (None, ()))
+        if switches != thread.switches:
+            for old in keys:
+                # Spare a key another thread has rewritten since: its image.
+                if (old in self._store
+                        and self._store[old].thread_obj is thread):
+                    del self._store[old]
+            keys = []
+            self._generation[thread.tid] = (thread.switches, keys)
+        keys.append(key)
         self._store[key] = CheckpointRecord(
             key=key, blob=blob, tid=thread.tid, name=thread.name,
             switches_at_checkpoint=thread.switches, thread_obj=thread)
@@ -119,11 +143,14 @@ class Checkpointer:
         return key
 
     def records(self) -> List[CheckpointRecord]:
-        """All stored checkpoint records (for inspection/integrity audits)."""
+        """The stored checkpoint records (for inspection/integrity
+        audits): each thread's latest generation; retired images are
+        gone (see the class docstring)."""
         return list(self._store.values())
 
     def stored(self, key: str) -> CheckpointRecord:
-        """Look up a checkpoint record."""
+        """Look up a checkpoint record; an unknown or retired key raises
+        :class:`~repro.errors.MigrationError`."""
         try:
             return self._store[key]
         except KeyError:

@@ -324,6 +324,9 @@ class FlowWorld:
         #: The world's own kernel; tracers attach here before ``run()``.
         self.kernel = EventKernel(name="flows", causality=False)
         self.dispatch_cost_ns = dispatch_cost_ns
+        #: The dispatch site bound once, so a resume post allocates no
+        #: bound method; its trace ``site`` stays ``FlowWorld._resume``.
+        self._resume = self._resume
         self._tasks: List[Any] = []
         self.protocol = RankProtocol(ranks)
         self._done = 0

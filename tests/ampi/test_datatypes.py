@@ -52,6 +52,8 @@ def test_runtime_summary_mentions_key_facts():
         mpi.charge(1e6 if mpi.rank % 2 == 0 else 1e4)
         yield from mpi.migrate()
         yield from mpi.allreduce(1)
+        yield from mpi.checkpoint()
+        yield from mpi.checkpoint()
 
     rt = AmpiRuntime(2, 6, main, strategy=GreedyLB())
     rt.run()
@@ -60,6 +62,13 @@ def test_runtime_summary_mentions_key_facts():
     assert "finished ranks   : 6/6" in text
     assert "migrations" in text
     assert "GreedyLB" in text
+    # Twelve images written; the disk keeps one generation per rank, so
+    # the line reports bytes written, not bytes held.
+    ck = rt.checkpointer
+    assert ck.checkpoints_taken == 12
+    assert len(ck.records()) == 6
+    assert (f"  checkpoints      : 12 ({ck.bytes_written / 1024:.1f} "
+            f"KiB written)") in text.splitlines()
     assert "\\n" not in text              # real newlines, not escapes
 
 

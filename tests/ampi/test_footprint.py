@@ -20,11 +20,20 @@ one-record rank are in brackets.
 * a cross-processor message in flight is its ``AmpiMessage``, the
   network ``Message`` carrying it, its kernel slot and that slot's
   ``(msg, arrival)`` args tuple [5: also a ``Processor.deliver`` bound
-  per send].
+  per send];
+* coordinated checkpoints keep one image per rank, however many epochs
+  a run takes [one per rank per epoch: 8/16/32/64 records below].
 """
+
+import gc
+import tracemalloc
+
+import pytest
 
 from repro.ampi import AmpiRuntime
 from repro.balance import RotateLB
+from repro.workloads import BTMZConfig
+from repro.workloads.btmz import make_btmz_main
 from tests.gccount import tracked_per_unit
 
 #: BigSim's per-rank sizes (``repro.bigsim.simulator``).
@@ -81,3 +90,42 @@ def test_an_in_flight_message_is_at_most_four_tracked_objects():
 
     per_message = tracked_per_unit(prepare, send)
     assert per_message <= 4, per_message
+
+
+def _checkpointed_btmz(period):
+    """BT-MZ class A, 8 ranks on 4 PEs, 16 iterations under RotateLB
+    (every rank moves every step), checkpointing every ``period``; the
+    finished runtime and the run's tracemalloc peak in bytes."""
+    cfg = BTMZConfig("A", 8, 4, iterations=16)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rt = AmpiRuntime(4, 8, make_btmz_main(cfg, checkpoint_period=period),
+                         strategy=RotateLB())
+        rt.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rt, peak
+
+
+@pytest.fixture(scope="module")
+def checkpointed():
+    return {period: _checkpointed_btmz(period) for period in (16, 8, 4, 2)}
+
+
+@pytest.mark.parametrize("period", [16, 8, 4, 2])
+def test_checkpoints_keep_one_image_per_rank(checkpointed, period):
+    ck = checkpointed[period][0].checkpointer
+    assert ck.checkpoints_taken == 8 * 16 // period
+    records = ck.records()
+    assert sorted(r.name for r in records) == sorted(
+        t.name for t in checkpointed[period][0].rank_thread)
+    assert len(records) == 8
+    assert sum(r.nbytes for r in records) == 269_056
+
+
+def test_checkpoint_footprint_does_not_grow_with_epochs(checkpointed):
+    """Eight epochs of images cost what one does (2.44 vs 0.64 MB before
+    a rank kept one image)."""
+    assert checkpointed[2][1] <= 1.1 * checkpointed[16][1]

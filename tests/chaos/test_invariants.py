@@ -126,3 +126,13 @@ def test_unexpected_checkpoint_corruption_is_a_violation():
     # A corruption the injector *injected* (and recorded) is expected.
     injector.corrupted_keys.add(key)
     check_invariants(ctx, "quiescence")
+    # A slice later the thread's next image retires that one; the audit
+    # covers the retained image, the only one a restore can accept.
+    rt.schedulers[0].awaken(thread)
+    rt.schedulers[0].run()                     # one slice, parked again
+    retained = rt.checkpointer.checkpoint(thread)
+    assert [r.key for r in rt.checkpointer.records()] == [retained]
+    record = rt.checkpointer.stored(retained)
+    record.blob = record.blob[:-1] + bytes([record.blob[-1] ^ 0xFF])
+    with pytest.raises(InvariantViolation, match=retained):
+        check_invariants(ctx, "quiescence")

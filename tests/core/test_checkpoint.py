@@ -9,7 +9,7 @@ import repro
 from repro.core import Checkpointer, DiskModel
 from repro.core.pup import pack_value, pup_seal
 from repro.core.thread import ThreadState
-from repro.errors import MigrationError
+from repro.errors import CheckpointError, MigrationError
 from tests.core.conftest import make_cluster
 
 
@@ -215,3 +215,83 @@ def test_private_globals_survive_checkpoint_restore():
     scheds[1].awaken(t)
     scheds[1].run()
     assert out == [777]
+
+
+def _yielder(th):
+    for _ in range(4):
+        yield "yield"
+    yield "suspend"
+
+
+def test_a_thread_that_ran_keeps_one_image():
+    """A new image retires the ones ``restore`` would refuse: the thread
+    ran between them, so only the new one can come back."""
+    cl, scheds, mig, ck = make_world()
+    t = scheds[0].create(_yielder)
+    scheds[0].run(max_switches=1)
+    old = ck.checkpoint(t)
+    old_bytes = ck.stored(old).nbytes
+    scheds[0].run(max_switches=1)
+    new = ck.checkpoint(t)
+    assert [r.key for r in ck.records()] == [new]
+    with pytest.raises(MigrationError, match="no checkpoint"):
+        ck.stored(old)
+    # The counters still count writes, retired images included.
+    assert ck.checkpoints_taken == 2
+    assert ck.bytes_written == old_bytes + ck.stored(new).nbytes
+    mig.depart(t)
+    assert ck.restore(new, dst_pe=1) is t
+
+
+def test_two_threads_keep_two_images():
+    cl, scheds, mig, ck = make_world()
+    a, b = scheds[0].create(_yielder), scheds[0].create(_yielder)
+    for _ in range(2):
+        scheds[0].run(max_switches=2)
+        keys = [ck.checkpoint(a), ck.checkpoint(b)]
+    assert sorted(r.key for r in ck.records()) == sorted(keys)
+    assert {r.tid for r in ck.records()} == {a.tid, b.tid}
+
+
+def test_images_with_no_slice_between_them_all_stay_restorable():
+    cl, scheds, mig, ck = make_world()
+    t = scheds[0].create(_yielder)
+    scheds[0].run(max_switches=1)
+    first, second = ck.checkpoint(t), ck.checkpoint(t)
+    assert [r.key for r in ck.records()] == [first, second]
+    mig.depart(t)
+    ck.restore(first, dst_pe=1)
+    mig.depart(t)
+    ck.restore(second, dst_pe=0)
+    scheds[0].awaken(t)
+    scheds[0].run(max_switches=1)
+    third = ck.checkpoint(t)
+    assert [r.key for r in ck.records()] == [third]
+
+
+def test_a_refused_write_retires_nothing():
+    cl, scheds, mig, ck = make_world()
+    t = scheds[0].create(_yielder)
+    scheds[0].run(max_switches=1)
+    key = ck.checkpoint(t)
+    scheds[0].run(max_switches=1)
+
+    def refuse(blob, key):
+        raise CheckpointError(f"disk full writing {key!r}")
+
+    cl.queue.hooks.subscribe("checkpoint.write", refuse)
+    with pytest.raises(CheckpointError):
+        ck.checkpoint(t)
+    assert [r.key for r in ck.records()] == [key]
+
+
+def test_retiring_spares_a_key_another_thread_rewrote():
+    cl, scheds, mig, ck = make_world()
+    a, b = scheds[0].create(_yielder), scheds[0].create(_yielder)
+    scheds[0].run(max_switches=2)
+    ck.checkpoint(a, key="shared")
+    ck.checkpoint(b, key="shared")          # b's image now holds the key
+    scheds[0].run(max_switches=2)
+    ck.checkpoint(a, key="a-next")
+    assert ck.stored("shared").thread_obj is b
+    assert sorted(r.key for r in ck.records()) == ["a-next", "shared"]

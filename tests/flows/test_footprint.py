@@ -16,7 +16,10 @@ slope); the values before the one-record layout are in brackets.
   ``None`` [1]; a Cth or AMPI flow is its stack mapping, the touched
   frame and the tuple that holds them [5, then 4 while a one-frame list
   held the frame];
-* seeding posts exactly one kernel slot per rank.
+* seeding posts exactly one kernel slot per rank;
+* a round of yields from the seeded slots leaves nothing tracked: each
+  resume replaces its slot and re-posts the world's one bound
+  ``_resume`` [1 per rank: a bound method per post].
 """
 
 import pytest
@@ -73,3 +76,16 @@ def test_seeding_posts_exactly_one_slot_per_rank():
         world.spawn("compiled", spin_program(n, 2))
         return world
     assert tracked_per_unit(prepare, FlowWorld.seed) == 1
+
+
+@pytest.mark.parametrize("form", ["compiled", "thread"])
+def test_a_round_of_yields_leaves_nothing_tracked_per_rank(form):
+    def prepare(n):
+        world = FlowWorld(n)
+        world.spawn(form, spin_program(n, 3))
+        world.seed()
+        return world
+
+    def one_round(world):
+        assert world.kernel.run_batch(max_events=world.ranks) == world.ranks
+    assert tracked_per_unit(prepare, one_round) == 0

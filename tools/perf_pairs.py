@@ -9,9 +9,10 @@ untracked-but-not-ignored files, uncommitted edits included) into a
 temporary directory, run ``perf/run.py --trace 0`` alternately in the two
 exports — parent first in odd pairs, change first in even ones, so that
 machine drift and run order land on both sides — then print
-``perf/compare.py parent.jsonl change.jsonl``, preceded by each pair's own
-``wall_s`` and the number of pairs the change won (a claimed gain has to
-win nine in ten).  ``--seed`` is passed through to ``perf/run.py``: a
+``perf/compare.py parent.jsonl change.jsonl``, preceded, per workload, by
+each pair's own ``wall_s``, ``setup_s`` and ``peak_rss_mb`` and the number
+of pairs in which the change read lower (a claimed gain has to win nine in
+ten on its metric).  ``--seed`` is passed through to ``perf/run.py``: a
 claim has to hold on a seed not used while the change was written.
 Nothing is written under the checkout's ``perf/`` (no ``history.jsonl``
 line, no ``perf/out``); the exit code is compare's: 1 when any cell is
@@ -49,20 +50,29 @@ def export(side_dir, rev):
     os.remove(tarball)
 
 
+#: The end-to-end metrics printed pair by pair (all lower-is-better).
+PAIRED = ("wall_s", "setup_s", "peak_rss_mb")
+
+
 def print_pairs(tmp):
-    """Per workload: both sides' ``wall_s`` pair by pair, and who won."""
-    walls = {}
+    """Per workload and ``PAIRED`` metric: both sides' medians pair by
+    pair, and in how many pairs the change read lower."""
+    values = {}
     for side in ("parent", "change"):
         with open(os.path.join(tmp, side + ".jsonl")) as fh:
             for pair, line in enumerate(fh):
                 for name, row in json.loads(line)["workloads"].items():
-                    wall = row["end_to_end"]["wall_s"]["median"]
-                    walls.setdefault(name, {}).setdefault(pair, {})[side] = wall
-    for name, pairs in sorted(walls.items()):
-        wins = sum(p["change"] < p["parent"] for p in pairs.values())
-        print(f"{name} wall_s, parent/change per pair: "
+                    for metric, cell in row["end_to_end"].items():
+                        if metric in PAIRED:
+                            values.setdefault((name, metric), {}).setdefault(
+                                pair, {})[side] = cell["median"]
+    for name, metric in sorted(values,
+                               key=lambda k: (k[0], PAIRED.index(k[1]))):
+        pairs = [p for p in values[name, metric].values() if len(p) == 2]
+        wins = sum(p["change"] < p["parent"] for p in pairs)
+        print(f"{name} {metric}, parent/change per pair: "
               + "  ".join(f"{p['parent']:.3f}/{p['change']:.3f}"
-                          for p in pairs.values())
+                          for p in pairs)
               + f"  -> change lower in {wins}/{len(pairs)}")
 
 
