@@ -33,52 +33,71 @@ __all__ = ["KernelTracer", "load_trace"]
 _encode_line = json.JSONEncoder(sort_keys=True).encode
 _decode_line = json.JSONDecoder().raw_decode
 
+#: Entries joined per ``write`` in :meth:`KernelTracer.dump`: the file's
+#: bytes are one ``_encode_line`` per entry whatever the chunk, and the
+#: text held at once stays bounded however long the trace.
+_DUMP_CHUNK = 1024
+
 
 def load_trace(path: str) -> List[Dict[str, Any]]:
     """Read a JSON-lines trace file into a list of entry dicts.
 
     This is the one trace-reading surface: the obs report, the query
-    CLI, and the replay tooling all load through here.  Two validity
+    CLI, and the replay tooling all load through here.  Three validity
     rules beyond "each line parses":
 
     * Every line must decode to a JSON *object* — a bare array or
       scalar would crash every consumer downstream, so it is rejected
       here with the file/line position.
+    * Every line must be UTF-8 text; a line holding any other byte is
+      rejected with its position.
     * A torn **final** line is tolerated, but only when the file does
       not end in a newline: a run killed mid-append (SIGKILL between
       ``write`` calls) legitimately leaves an unterminated tail, and
       the serve journal already honors exactly this contract.  A
       malformed line that *is* newline-terminated — or sits mid-file —
       is corruption and stays a hard error.
+
+    The file is read a line at a time, and equal keys and equal string
+    values share one object across the loaded entries, so a trace read
+    back takes about the memory of the same entries recorded in memory.
     """
-    with open(path) as fh:
-        data = fh.read()
     entries: List[Dict[str, Any]] = []
-    raw_lines = data.split("\n")
-    terminated = data.endswith("\n")
-    last = len(raw_lines) - 1
-    for index, line in enumerate(raw_lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry, end = _decode_line(line)
-            if end != len(line):
-                # ``line`` is stripped, so whatever follows the value is
-                # data; report it where ``json.loads`` would, past any
-                # JSON whitespace.
-                rest = line[end:].lstrip(" \t\n\r")
-                raise json.JSONDecodeError("Extra data", line,
-                                           len(line) - len(rest))
-        except ValueError as e:
-            if index == last and not terminated:
-                break  # torn tail from a killed writer: drop it
-            raise ReproError(
-                f"{path}:{index + 1}: not a JSON trace line: {e}")
-        if not isinstance(entry, dict):
-            raise ReproError(
-                f"{path}:{index + 1}: trace line is not a JSON object")
-        entries.append(entry)
+    share = {}.setdefault
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            # Only the unterminated last line can be a torn append.
+            torn = not line.endswith("\n")
+            if not line.isascii():
+                try:
+                    line.encode()
+                except UnicodeEncodeError:
+                    if torn:
+                        break
+                    raise ReproError(
+                        f"{path}:{number}: trace line is not UTF-8 text")
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry, end = _decode_line(line)
+                if end != len(line):
+                    # ``line`` is stripped, so whatever follows the value
+                    # is data; report it where ``json.loads`` would, past
+                    # any JSON whitespace.
+                    rest = line[end:].lstrip(" \t\n\r")
+                    raise json.JSONDecodeError("Extra data", line,
+                                               len(line) - len(rest))
+            except ValueError as e:
+                if torn:
+                    break  # torn tail from a killed writer: drop it
+                raise ReproError(
+                    f"{path}:{number}: not a JSON trace line: {e}")
+            if not isinstance(entry, dict):
+                raise ReproError(
+                    f"{path}:{number}: trace line is not a JSON object")
+            entries.append({share(k, k): share(v, v) if v.__class__ is str
+                            else v for k, v in entry.items()})
     return entries
 
 
@@ -174,9 +193,12 @@ class KernelTracer:
 
     def dump(self, path: str) -> int:
         """Write the event log as JSON lines; returns the entry count."""
+        entries = self.entries
         with open(path, "w") as fh:
-            fh.write("".join([_encode_line(e) + "\n" for e in self.entries]))
-        return len(self.entries)
+            for start in range(0, len(entries), _DUMP_CHUNK):
+                fh.write("".join([_encode_line(e) + "\n" for e in
+                                  entries[start:start + _DUMP_CHUNK]]))
+        return len(entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<KernelTracer entries={len(self.entries)}>"

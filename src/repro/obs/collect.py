@@ -71,6 +71,9 @@ class RunObserver(KernelTracer):
         self.schedulers = list(schedulers)
         self.registry = registry or MetricsRegistry()
         self._procs = cluster.processors
+        #: ``busy``/``clock`` map keys, one string per processor for the
+        #: whole run.
+        self._labels = [str(i) for i in range(len(self._procs))]
         self._last_busy: Optional[List[float]] = None
         self._thread_kernels = [s.kernel for s in self.schedulers]
         self._attached_extra: List[Any] = []
@@ -132,13 +135,15 @@ class RunObserver(KernelTracer):
         busy = self._last_busy
         if busy is None:
             return None
+        labels = self._labels
         busy_map: Dict[str, float] = {}
         clock_map: Dict[str, float] = {}
         for i, p in enumerate(self._procs):
             delta = p.busy_ns - busy[i]
             if delta:
-                busy_map[str(i)] = delta
-                clock_map[str(i)] = p.now
+                label = labels[i]
+                busy_map[label] = delta
+                clock_map[label] = p.now
                 busy[i] = p.busy_ns
         return (busy_map, clock_map) if busy_map else None
 

@@ -1,15 +1,25 @@
 """Tests for the kernel tracer: entries, the counts folded over them,
-dump."""
+dump, and what a trace costs the host on the way to disk and back."""
 
+import gc
 import json
+import pathlib
+import tracemalloc
 
 import pytest
 
+from repro.ampi import AmpiRuntime
+from repro.balance import RotateLB
 from repro.errors import ReproError
 from repro.kernel import EventKernel, KernelTracer, load_trace
+from repro.obs import RunObserver
 from repro.query import aggregate_entries, filter_entries
 from repro.sim import Cluster
+from repro.workloads import BTMZConfig
+from repro.workloads.btmz import make_btmz_main
 from tests.core.conftest import make_cluster
+
+PERF = pathlib.Path(__file__).resolve().parents[2] / "perf"
 
 
 def traced_kernel():
@@ -189,8 +199,10 @@ def test_dump_of_an_empty_trace_is_an_empty_file(tmp_path):
 
 def _load_by_json_loads(path):
     """``load_trace`` as it was written over ``json.loads``: the
-    per-line contract the bound decoder must keep, message for message."""
-    with open(path) as fh:
+    per-line contract the bound decoder must keep, message for message.
+    It reads the whole file as UTF-8, so it raises ``UnicodeDecodeError``
+    on any other byte; those cases carry their outcome explicitly."""
+    with open(path, encoding="utf-8") as fh:
         data = fh.read()
     entries = []
     raw_lines = data.split("\n")
@@ -245,15 +257,28 @@ def _load_by_json_loads(path):
                                  "value: line 1 column 1 (char 0)"),
     # ...and a complete non-object tail is still rejected
     ('{"a": 1}\n[1, 2]', ":2: trace line is not a JSON object"),
+    # UTF-8 text loads, escaped or not; any other byte is refused...
+    ('{"a": "caf\u00e9", "\u00e9": "\\u00e9"}\n', 1),
+    (b'{"a": 1}\n{"b": "\xff"}\n', ":2: trace line is not UTF-8 text"),
+    (b'\xe9\n{"a": 1}\n', ":1: trace line is not UTF-8 text"),
+    (b'{"a": 1}\n{"b": "\xed\xa0\x80"}\n{"c":',
+     ":2: trace line is not UTF-8 text"),
+    # ...unless it is in a torn tail, which is dropped like any other
+    (b'{"a": 1}\n{"b": "\xff', [{"a": 1}]),
+    (b'{"a": 1}\n{"b": "\xc3"}', [{"a": 1}]),
 ])
 def test_load_trace_line_contract(tmp_path, text, outcome):
     path = tmp_path / "t.jsonl"
-    path.write_bytes(text.encode())
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     try:
         want = _load_by_json_loads(str(path))
     except ReproError as exc:
         want = str(exc)
-    if isinstance(outcome, int):
+    except UnicodeDecodeError:
+        want = outcome if isinstance(outcome, list) else f"{path}{outcome}"
+    if isinstance(outcome, list):
+        assert load_trace(str(path)) == want
+    elif isinstance(outcome, int):
         assert len(want) == outcome
         assert load_trace(str(path)) == want
         assert [list(e) for e in load_trace(str(path))] == \
@@ -263,3 +288,92 @@ def test_load_trace_line_contract(tmp_path, text, outcome):
         with pytest.raises(ReproError) as caught:
             load_trace(str(path))
         assert str(caught.value) == want
+
+
+# -- what a trace costs the host ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def storm_trace(tmp_path_factory):
+    """The check-size ``trace_query`` run of ``perf/``: BT-MZ under
+    RotateLB with an observer attached, dumped; ``(path, file bytes)``."""
+    sizes = json.loads((PERF / "config.json").read_text())[
+        "sizes"]["check"]["trace_query"]
+    cfg = BTMZConfig(sizes["btmz_class"], sizes["ranks"], sizes["pes"],
+                     iterations=sizes["iterations"])
+    rt = AmpiRuntime(sizes["pes"], sizes["ranks"],
+                     make_btmz_main(cfg, checkpoint_period=sizes[
+                         "checkpoint_period"]),
+                     strategy=RotateLB(), technique="isomalloc")
+    rt.cluster.enable_tracing()
+    observer = RunObserver.for_ampi(rt).attach()
+    rt.run()
+    observer.detach()
+    path = tmp_path_factory.mktemp("storm") / "trace.jsonl"
+    observer.dump(str(path))
+    return str(path), path.stat().st_size
+
+
+def _traced(act):
+    """``act()``'s result, the bytes it left allocated and its transient
+    peak above those, by ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = act()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before, peak - after
+
+
+def test_a_loaded_trace_holds_one_string_per_name_and_value(storm_trace):
+    """Equal keys, and equal string values, are one object across the
+    loaded entries [4 251 key objects for 17 names before sharing]."""
+    entries = load_trace(storm_trace[0])
+    keys = [k for e in entries for k in e]
+    assert len({id(k) for k in keys}) == len(set(keys))
+    values = [v for e in entries for v in e.values() if isinstance(v, str)]
+    assert len({id(v) for v in values}) == len(set(values))
+
+
+def _traced_load(storm_trace):
+    path, size = storm_trace
+    load_trace(path)                  # codec and file machinery warm
+    entries, retained, transient = _traced(lambda: load_trace(path))
+    assert len(entries) == 510 and size == 82_661
+    return retained / size, transient / size
+
+
+def test_a_loaded_trace_costs_the_host_about_its_recorded_size(storm_trace):
+    """The check-size storm trace (510 entries, 82 661 bytes) loads into
+    at most 4.5x its file bytes of entries [7.7x before sharing
+    strings]."""
+    retained, _ = _traced_load(storm_trace)
+    assert retained <= 4.5, retained
+
+
+def test_loading_a_trace_holds_one_line_at_a_time(storm_trace):
+    """Reading the storm trace holds at most half its size above the
+    loaded entries at any one time [2.4x before streaming: the whole
+    text plus its lines]."""
+    _, transient = _traced_load(storm_trace)
+    assert transient <= 0.5, transient
+
+
+def test_dump_holds_a_bounded_chunk_of_the_text(tmp_path):
+    """``dump`` writes in chunks, so the text held at once does not grow
+    with the trace [2.3x the file bytes as one joined string before]."""
+    tracer = KernelTracer()
+    tracer.entries = [
+        {"ev": "end", "kernel": "cth-pe0", "t": float(i), "seq": i,
+         "category": "net.ampi", "site": "Processor.deliver",
+         "busy": {"0": 1250.0}, "clock": {"0": float(i)}}
+        for i in range(10_000)]
+    path = tmp_path / "trace.jsonl"
+    tracer.dump(str(path))            # file machinery warm
+    count, _, transient = _traced(lambda: tracer.dump(str(path)))
+    size = path.stat().st_size
+    assert count == 10_000
+    assert transient <= 0.5 * size, transient / size

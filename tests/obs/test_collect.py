@@ -53,6 +53,20 @@ def test_registry_counters_match_runtime_ground_truth(observed_run):
             if e.get("ev") == "end" and not e.get("skipped"))
 
 
+def test_each_pe_label_is_one_string_for_the_whole_run(observed_run):
+    """Every ``busy``/``clock`` key naming a processor is the one label
+    string the observer built for it, not a fresh ``str(i)`` per entry."""
+    rt, obs = observed_run
+    obs.finalize()
+    labels = {}
+    for e in obs.entries:
+        for field in ("busy", "clock"):
+            for key in e.get(field, ()):
+                labels.setdefault(key, set()).add(id(key))
+    assert set(labels) == {str(p.id) for p in rt.cluster.processors}
+    assert all(len(ids) == 1 for ids in labels.values()), labels
+
+
 def test_busy_attribution_sums_to_processor_busy_time(observed_run):
     rt, obs = observed_run
     obs.finalize()  # flushes tail charges after the last dispatch

@@ -268,6 +268,18 @@ def test_cli_refuses_a_timeline_without_windows(traced_run, windows):
     assert "at least one window" in proc.stderr
 
 
+def test_cli_non_utf8_trace_is_a_positioned_error(tmp_path):
+    """A byte that is not UTF-8 text used to escape as a
+    ``UnicodeDecodeError`` traceback with exit 1; it is now the loader's
+    positioned diagnostic, exit 2."""
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b'{"ev": "end", "t": 1.0}\n{"ev": "\xff"}\n')
+    proc = _cli("report", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}:2: trace line is not UTF-8 text\n"
+
+
 def test_cli_empty_trace_is_a_diagnosed_error(tmp_path):
     """An empty trace used to fall through to a meaningless all-zero
     report; it is now a usage error: exit 2, one-line diagnostic."""

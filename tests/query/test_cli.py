@@ -74,6 +74,18 @@ def test_timeline_cli_renders_and_serializes(chaos_trace_file):
     assert len(json.loads(machine.stdout)["windows"]) == 4
 
 
+def test_non_utf8_trace_is_exit_2_not_a_miss(tmp_path):
+    """A byte that is not UTF-8 text used to escape as a traceback with
+    exit 1, which ``filter`` means as "nothing matched"."""
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"ev": "end", "t": 1.0}\n{"ev": "\xff"}\n')
+    proc = _cli("filter", str(path), "ev == 'end'", "--count")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"{path}:2: trace line is not UTF-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_trace_and_bad_runspec_are_exit_2():
     assert _cli("filter", "no-such.trace", "ev").returncode == 2
     proc = _cli("bisect", "chaos:nope:seed=1", "chaos:stencil:seed=2")

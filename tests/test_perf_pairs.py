@@ -31,16 +31,20 @@ def test_every_end_to_end_metric_is_printed_pair_by_pair(perf_pairs,
     sides = {
         "parent": [dict(storm=dict(wall_s=2.0, setup_s=0.5,
                                    peak_rss_mb=98.4, fail_frac=0.0),
-                        drain=dict(wall_s=1.0, setup_s=0.25)),
+                        drain=dict(wall_s=1.0, setup_s=0.25),
+                        trace=dict(wall_s=3.0, trace_on_ratio=1.5)),
                    dict(storm=dict(wall_s=2.0, setup_s=0.5,
                                    peak_rss_mb=98.0, fail_frac=0.0),
-                        drain=dict(wall_s=1.0, setup_s=0.25))],
+                        drain=dict(wall_s=1.0, setup_s=0.25),
+                        trace=dict(wall_s=3.0, trace_on_ratio=1.5))],
         "change": [dict(storm=dict(wall_s=2.5, setup_s=0.5,
                                    peak_rss_mb=74.6, fail_frac=0.0),
-                        drain=dict(wall_s=0.5, setup_s=0.125)),
+                        drain=dict(wall_s=0.5, setup_s=0.125),
+                        trace=dict(wall_s=3.0, trace_on_ratio=1.25)),
                    dict(storm=dict(wall_s=1.5, setup_s=0.75,
                                    peak_rss_mb=75.0, fail_frac=0.0),
-                        drain=dict(wall_s=1.5, setup_s=0.25))],
+                        drain=dict(wall_s=1.5, setup_s=0.25),
+                        trace=dict(wall_s=3.0, trace_on_ratio=1.625))],
     }
     for side, lines in sides.items():
         (tmp_path / f"{side}.jsonl").write_text(
@@ -57,4 +61,8 @@ def test_every_end_to_end_metric_is_printed_pair_by_pair(perf_pairs,
         "  -> change lower in 0/2",
         "storm peak_rss_mb, parent/change per pair: 98.400/74.600"
         "  98.000/75.000  -> change lower in 2/2",
+        "trace wall_s, parent/change per pair: 3.000/3.000  3.000/3.000"
+        "  -> change lower in 0/2",
+        "trace trace_on_ratio, parent/change per pair: 1.500/1.250"
+        "  1.500/1.625  -> change lower in 1/2",
     ]

@@ -10,10 +10,11 @@ temporary directory, run ``perf/run.py --trace 0`` alternately in the two
 exports — parent first in odd pairs, change first in even ones, so that
 machine drift and run order land on both sides — then print
 ``perf/compare.py parent.jsonl change.jsonl``, preceded, per workload, by
-each pair's own ``wall_s``, ``setup_s`` and ``peak_rss_mb`` and the number
-of pairs in which the change read lower (a claimed gain has to win nine in
-ten on its metric).  ``--seed`` is passed through to ``perf/run.py``: a
-claim has to hold on a seed not used while the change was written.
+each pair's own ``wall_s``, ``setup_s`` and ``peak_rss_mb`` (and
+``trace_query``'s ``trace_on_ratio``) and the number of pairs in which the
+change read lower (a claimed gain has to win nine in ten on its metric).
+``--seed`` is passed through to ``perf/run.py``: a claim has to hold on a
+seed not used while the change was written.
 Nothing is written under the checkout's ``perf/`` (no ``history.jsonl``
 line, no ``perf/out``); the exit code is compare's: 1 when any cell is
 ``worse``.  A full run (no ``--workload``) takes about 3 minutes per side
@@ -50,8 +51,9 @@ def export(side_dir, rev):
     os.remove(tarball)
 
 
-#: The end-to-end metrics printed pair by pair (all lower-is-better).
-PAIRED = ("wall_s", "setup_s", "peak_rss_mb")
+#: The end-to-end metrics printed pair by pair (all lower-is-better), each
+#: for the workloads that report it.
+PAIRED = ("wall_s", "setup_s", "peak_rss_mb", "trace_on_ratio")
 
 
 def print_pairs(tmp):
