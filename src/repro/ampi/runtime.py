@@ -101,7 +101,6 @@ class AmpiRuntime:
         self.lb = LBManager(self.db, self.strategy, self._lb_migrate)
         # rank state
         self.rank_thread: List[UThread] = []
-        self.rank_ctx: List[AmpiContext] = []
         self.protocol = RankProtocol(num_ranks, AmpiError)
         #: The protocol's park table (records: :mod:`repro.ampi.context`).
         self.parked = self.protocol.parked
@@ -131,12 +130,10 @@ class AmpiRuntime:
             if not 0 <= pe < npes:
                 raise AmpiError(f"placement({rank}) = {pe} out of range")
             # The context is the thread's body: calling it starts main.
-            ctx = AmpiContext(self, rank)
             thread = self.schedulers[pe].create(
-                ctx, name=f"rank{rank}",
+                AmpiContext(self, rank), name=f"rank{rank}",
                 privatize_globals=bool(globals_decl))
             self.rank_thread.append(thread)
-            self.rank_ctx.append(ctx)
             self._rank_of_tid[thread.tid] = rank
             self.db.register(rank, pe)
 
@@ -145,6 +142,11 @@ class AmpiRuntime:
         raised, so it counts as finished and leaves the LB database."""
         self._finished += 1
         self.db.unregister(self._rank_of_tid[thread.tid])
+        # The rank's world communicator points back at its context (the
+        # body): drop it, or the two outlive the rank as a cycle.
+        ctx = thread.body
+        if "world" in ctx.__dict__:
+            del ctx.world
 
     # ------------------------------------------------------------------
     # rank-to-rank messaging
@@ -351,6 +353,7 @@ class AmpiRuntime:
         net_budget = max_net_events
         for _ in range(max_rounds):
             if self.done:
+                self._retire()
                 return
             progressed = False
             for sched in self.schedulers:
@@ -383,6 +386,31 @@ class AmpiRuntime:
                     return
                 self._raise_deadlock()
         raise AmpiError(f"run() exceeded {max_rounds} scheduling rounds")
+
+    def _retire(self) -> None:
+        """Cut the run's back-edges: every rank has finished.
+
+        While ranks run, the machine points back at the runtime — each
+        scheduler's ``on_exit``, the migrator's ``on_arrival``, the LB
+        manager's ``migrate_fn``, every processor's ``ampi`` and
+        migration handlers, and ``main`` (a bound method when a
+        :class:`~repro.bigsim.BigSimEngine` owns the runtime).  None is
+        needed once the last rank exits (each rank cut its own thread's
+        edges then), so they go here and a finished runtime is freed by
+        reference counting.  Every post-run reader — makespan, placement,
+        profiles, summary, migrator and checkpointer counters, stored
+        images — reads forward edges only.  A partial or failed run
+        never gets here and keeps its graph for replay and diagnosis.
+        """
+        if self.main is None:
+            return
+        self.main = None
+        self.lb.migrate_fn = None
+        self.migrator.detach()
+        for sched in self.schedulers:
+            sched.on_exit = None
+        for proc in self.cluster.processors:
+            TagDispatcher.of(proc).unregister(_TAG)
 
     def _raise_deadlock(self) -> None:
         """Raise the deadlock report, derived from the park table alone.

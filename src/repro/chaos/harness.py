@@ -133,6 +133,9 @@ def drive_ampi_chaos(workload, schedule: FaultSchedule,
         outcome, detail = "detected", f"{type(e).__name__}: {e}"
     except Exception as e:  # noqa: BLE001 - the whole point is to catch it
         outcome, detail = "error", f"{type(e).__name__}: {e}"
+    # The run is judged: the checker hook (injector -> ctx -> runtime,
+    # whose bus holds the injector) is not needed any more.
+    injector.on_inject = None
     return ChaosResult(
         workload=workload.name,
         seed=seed,

@@ -24,6 +24,7 @@ paths.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from repro.chaos.faults import KINDS, FaultEvent, FaultSchedule
@@ -57,7 +58,9 @@ class FaultInjector:
         #: Called with each applied :class:`FaultEvent` (the chaos harness
         #: runs the invariant checkers here).
         self.on_inject = None
-        self.cluster = None
+        #: The cluster this injector is attached to, weakly: its kernel's
+        #: hook bus holds the injector.
+        self._cluster = None
 
     # ------------------------------------------------------------------
 
@@ -69,20 +72,22 @@ class FaultInjector:
         twice (to any cluster) would double the schedule consultations
         and wreck determinism, so it is an error.
         """
-        if self.cluster is not None:
+        if self._cluster is not None:
             raise ChaosError("injector is already attached to a cluster")
-        self.cluster = cluster
+        self._cluster = weakref.ref(cluster)
         for channel, fn in self._subscriptions():
             cluster.queue.hooks.subscribe(channel, fn)
         return self
 
     def detach(self) -> None:
         """Unsubscribe every ``on_*`` method from the cluster's bus."""
-        if self.cluster is None:
+        if self._cluster is None:
             raise ChaosError("injector is not attached")
-        for channel, fn in self._subscriptions():
-            self.cluster.queue.hooks.unsubscribe(channel, fn)
-        self.cluster = None
+        cluster = self._cluster()
+        if cluster is not None:
+            for channel, fn in self._subscriptions():
+                cluster.queue.hooks.unsubscribe(channel, fn)
+        self._cluster = None
 
     def _subscriptions(self):
         return (("net.send", self.on_send),

@@ -89,6 +89,18 @@ class ThreadMigrator:
         for proc in cluster.processors:
             TagDispatcher.of(proc).register(_TAG, self._on_message)
 
+    def detach(self) -> None:
+        """Stop receiving thread images and drop :attr:`on_arrival`.
+
+        The processors' dispatchers hold this migrator while its handler
+        is registered (and it holds the cluster): an owner whose run is
+        over detaches it, so neither keeps the other alive.  Counters
+        stay readable.
+        """
+        self.on_arrival = None
+        for proc in self._processors:
+            TagDispatcher.of(proc).unregister(_TAG)
+
     # -- the one image path: migrate ships it, a checkpoint writes it --
 
     def pack(self, thread: UThread) -> dict:

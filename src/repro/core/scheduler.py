@@ -100,10 +100,11 @@ class CthScheduler:
         #: thread priority under "priority"), not a clock.
         self.kernel = EventKernel(name=f"cth-pe{processor.id}",
                                   causality=False)
-        #: The one resumption callable every post hands the kernel, bound
-        #: once: a bound method made per post is one more object per
-        #: pending thread (traces still name ``CthScheduler._resume``).
-        self._resume_fn = self._resume
+        #: The one resumption callable every post hands the kernel, kept
+        #: on the instance because a post reads it faster there than off
+        #: the class: the plain function, not a bound method (that would
+        #: point back at the scheduler).
+        self._resume_fn = CthScheduler._resume
         #: Called with each thread whose body is over — it returned, or
         #: it raised (then before the exception leaves the dispatch).
         self.on_exit: Optional[Callable[[UThread], None]] = None
@@ -229,15 +230,23 @@ class CthScheduler:
         """Run exactly one ready thread to its next directive."""
         return self.run(max_switches=1) == 1
 
-    def _resume(self, thread: UThread) -> None:
+    @staticmethod
+    def _resume(thread: UThread) -> None:
         """Kernel dispatch target for one queued thread resumption: the
         whole context switch — switch-in, one step of the body,
         switch-out, the directive — in one frame.
+
+        A plain function of the thread, not a bound method: the
+        scheduler is ``thread.scheduler`` (a queued slot always sits on
+        its thread's scheduler — ``remove`` unqueues before ``adopt``
+        re-homes), so no slot and no attribute of the scheduler points
+        back at it.
 
         A thread that is no longer READY (it was popped through another
         path, suspended, or finished since this resumption was queued)
         makes the event void — it must not count against a switch budget.
         """
+        self = thread.scheduler
         if thread.state is not ThreadState.READY:
             self.kernel.skip_current()
             return
@@ -321,6 +330,11 @@ class CthScheduler:
         self.threads_finished += 1
         if self.on_exit is not None:
             self.on_exit(thread)
+        # CthExit frees the thread's flow of control: the body and the
+        # generator go (one an explicit "exit" left suspended is closed
+        # as it goes), so no edge leads from the finished thread back
+        # into the program that ran it.
+        thread.body = thread._gen = None
 
     def _handle_io(self, thread: UThread, duration_ns: float) -> None:
         """A blocking call, e.g. disk or socket I/O (paper Section 2.3).
@@ -333,7 +347,8 @@ class CthScheduler:
         non-blocking one; this thread suspends, a completion timer is
         scheduled, and other user-level threads run in the meantime.
         """
-        if self.io_mode == "naive" or self.processor.cluster is None:
+        cluster = self.processor.cluster
+        if self.io_mode == "naive" or cluster is None:
             self.processor.charge(duration_ns)
             thread.state = ThreadState.READY
             self._enqueue(thread)
@@ -345,8 +360,8 @@ class CthScheduler:
             self.processor.charge(self.profile.syscall_ns)
             self.upcalls += 1
         thread.state = ThreadState.SUSPENDED
-        self.processor.cluster.after(self.processor.id, duration_ns,
-                                     self._io_complete, thread)
+        cluster.after(self.processor.id, duration_ns, self._io_complete,
+                      thread)
 
     def _io_complete(self, thread: UThread) -> None:
         if self.io_mode == "activations":

@@ -185,6 +185,8 @@ class UThread:
         """
         gen = self._gen
         if gen is None:
+            if self.state is ThreadState.FINISHED:
+                return "exit"           # CthExit dropped the body
             gen = self._gen = self.body(self)
         value = self.resume_value
         try:

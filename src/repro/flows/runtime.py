@@ -38,12 +38,12 @@ byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.ranks import ANY_SOURCE, ANY_TAG, RankProtocol
 from repro.errors import ReproError
-from repro.flows.compile import compile_flow
+from repro.flows.compile import CompiledFlow, compile_flow
 from repro.kernel import EventKernel
 
 __all__ = [
@@ -84,6 +84,20 @@ class FlowProgram:
     name: str
     ranks: int
     body: Callable[..., Any]
+    _compiled: Optional[CompiledFlow] = field(default=None, init=False,
+                                              repr=False, compare=False)
+
+    def compiled(self) -> CompiledFlow:
+        """The compiled form of :attr:`body`, built once per program.
+
+        Compiled code is cyclic by nature (its state functions' globals
+        hold them, its frame record is a class), so the program keeps
+        the one it built instead of each world building and dropping
+        another.
+        """
+        if self._compiled is None:
+            self._compiled = compile_flow(self.body)
+        return self._compiled
 
 
 class FlowContext:
@@ -181,6 +195,7 @@ class _GeneratorTask(FlowContext):
             directive = self.gen.send(None)
         except StopIteration:
             world._done += 1
+            self._world = self.args = None      # see CompiledTask.step
             return
         if directive == "suspend":
             return
@@ -191,6 +206,7 @@ class _GeneratorTask(FlowContext):
         if directive == "exit":
             self.gen.close()
             world._done += 1
+            self._world = self.args = None
             return
         raise ReproError(
             f"flow {self.flow}: unsupported directive {directive!r} "
@@ -223,6 +239,10 @@ class CompiledTask(FlowContext):
             res = pc(self, frame)
         if res is DONE:
             world._done += 1
+            # The rank is over: cut its edges back into the world (and
+            # the args tuple holding the task itself), so a finished
+            # world is freed by reference counting.
+            self._world = self.args = None
         elif res is not SUSPENDED:
             raise ReproError(
                 f"flow {self.flow}: compiled state returned {res!r} "
@@ -324,9 +344,11 @@ class FlowWorld:
         #: The world's own kernel; tracers attach here before ``run()``.
         self.kernel = EventKernel(name="flows", causality=False)
         self.dispatch_cost_ns = dispatch_cost_ns
-        #: The dispatch site bound once, so a resume post allocates no
-        #: bound method; its trace ``site`` stays ``FlowWorld._resume``.
-        self._resume = self._resume
+        #: The dispatch site, kept on the instance because a post reads
+        #: it faster there than off the class: the plain function, not a
+        #: bound method (that would point back at the world).  Its trace
+        #: ``site`` is ``FlowWorld._resume``.
+        self._resume = FlowWorld._resume
         self._tasks: List[Any] = []
         self.protocol = RankProtocol(ranks)
         self._done = 0
@@ -350,7 +372,7 @@ class FlowWorld:
             self._tasks = [_GeneratorTask(self, r, program.body)
                            for r in ranks]
         elif form == "compiled":
-            compiled = compile_flow(program.body)
+            compiled = program.compiled()
             entry, new_frame = compiled.entry, compiled.frame_factory
             self._tasks = [CompiledTask(self, r, entry, new_frame())
                            for r in ranks]
@@ -398,10 +420,12 @@ class FlowWorld:
 
     # -- the dispatch site (shared by thread + compiled forms) ----------
 
-    def _resume(self, task) -> None:
-        self.dispatches += 1
-        self.modeled_switch_ns += self.dispatch_cost_ns
-        task.step(self)
+    @staticmethod
+    def _resume(task) -> None:
+        world = task._world
+        world.dispatches += 1
+        world.modeled_switch_ns += world.dispatch_cost_ns
+        task.step(world)
 
     # -- barrier (messaging lives on FlowContext) ----------------------
 

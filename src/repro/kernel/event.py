@@ -100,6 +100,13 @@ class KernelEvent:
     slots, and a handle is only built when ``schedule()`` is used or a
     hook needs one.  All state lives in the slot, so a handle and its
     kernel always agree.
+
+    Lifetime: a handle holds its slot (and its kernel weakly); the slot
+    memoizes the handle only while the event is pending, so one event's
+    schedule, dispatch-begin and dispatch-end hooks see one handle.
+    Once the event fires (after the dispatch-end hooks) or is
+    cancelled, the slot drops it, so slot and handle are never a cycle
+    after the fact and the event's args go with the last reference.
     """
 
     __slots__ = ("_item", "_kernel")
@@ -335,6 +342,7 @@ class EventKernel:
             ev = item[_HANDLE] or self._handle(item)
             for h in hooks.on_cancel:
                 h(self, ev)
+        item[_HANDLE] = None
         return True
 
     # -- dispatch -------------------------------------------------------
@@ -519,6 +527,10 @@ class EventKernel:
                     ev = item[_HANDLE] or self._handle(item)
                     for h in hooks.on_dispatch_end:
                         h(self, ev)
+                # A fired slot lets go of its handle: the two would
+                # otherwise be a cycle holding the event's args until a
+                # collection.  A handle someone holds still reads it.
+                item[_HANDLE] = None
             if self._skip:
                 self._skip = False
             else:

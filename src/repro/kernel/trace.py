@@ -21,6 +21,7 @@ category or flow, switches, messages) are folds over them, e.g.
 from __future__ import annotations
 
 import json
+import weakref
 from typing import Any, Dict, List
 
 from repro.errors import ReproError
@@ -111,10 +112,15 @@ class KernelTracer:
     # -- attachment -----------------------------------------------------
 
     def attach(self, kernel) -> "KernelTracer":
-        """Subscribe to every notification hook of ``kernel``."""
+        """Subscribe to every notification hook of ``kernel``.
+
+        The kernel's hook bus holds the tracer; the tracer holds the
+        kernel only weakly (for :meth:`detach`), so an attached tracer
+        never keeps a finished run alive, nor the run it.
+        """
         if self._kernel is not None:
             raise ReproError("tracer is already attached")
-        self._kernel = kernel
+        self._kernel = weakref.ref(kernel)
         for hook, fn in self._hooks():
             kernel.hooks.subscribe(hook, fn)
         return self
@@ -123,8 +129,10 @@ class KernelTracer:
         """Unsubscribe; the kernel returns to its zero-cost path."""
         if self._kernel is None:
             raise ReproError("tracer is not attached")
-        for hook, fn in self._hooks():
-            self._kernel.hooks.unsubscribe(hook, fn)
+        kernel = self._kernel()
+        if kernel is not None:
+            for hook, fn in self._hooks():
+                kernel.hooks.unsubscribe(hook, fn)
         self._kernel = None
 
     # -- hook callbacks -------------------------------------------------

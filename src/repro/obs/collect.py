@@ -39,7 +39,8 @@ are identical with or without an observer attached (pinned by tests).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import weakref
+from typing import Dict, List, Optional
 
 from repro.kernel import KernelTracer
 from repro.obs.metrics import MetricsRegistry
@@ -67,17 +68,16 @@ class RunObserver(KernelTracer):
     def __init__(self, cluster, schedulers=(),
                  registry: Optional[MetricsRegistry] = None):
         super().__init__()
-        self.cluster = cluster
-        self.schedulers = list(schedulers)
         self.registry = registry or MetricsRegistry()
         self._procs = cluster.processors
         #: ``busy``/``clock`` map keys, one string per processor for the
         #: whole run.
         self._labels = [str(i) for i in range(len(self._procs))]
         self._last_busy: Optional[List[float]] = None
-        self._thread_kernels = [s.kernel for s in self.schedulers]
-        self._attached_extra: List[Any] = []
-        self._channel_subs: List[tuple] = []
+        #: The observed kernels, weakly: their hook buses hold this
+        #: observer, so a strong reference back would be a cycle.
+        self._cluster_kernel = weakref.ref(cluster.queue)
+        self._thread_kernels = [weakref.ref(s.kernel) for s in schedulers]
         self._folded = 0  # entries finalize() has folded so far
         fold_metrics([], self.registry)  # create the run instruments
 
@@ -97,35 +97,41 @@ class RunObserver(KernelTracer):
 
     def attach(self, kernel=None) -> "RunObserver":
         """Attach to the cluster kernel, thread kernels, and channels."""
-        super().attach(kernel or self.cluster.queue)
+        cluster_kernel = self._cluster_kernel()
+        super().attach(kernel or cluster_kernel)
         self._last_busy = [p.busy_ns for p in self._procs]
         #: Busy time already on the clocks when observation began (e.g.
         #: thread-creation costs charged at runtime construction); the
         #: trace attributes everything *after* this baseline, so
         #: ``sum(busy maps) == busy_ns - busy_at_attach`` exactly.
         self.busy_at_attach = tuple(self._last_busy)
-        for k in self._thread_kernels:
-            k.hooks.subscribe("on_dispatch_begin", self._on_begin)
-            k.hooks.subscribe("on_dispatch_end", self._on_end)
-            self._attached_extra.append(k)
-        bus = self.cluster.queue.hooks
-        for channel, fn in (("net.send", self._on_net_send),
-                            ("migration.done", self._on_migration_done),
-                            ("checkpoint.write", self._on_checkpoint)):
-            bus.subscribe(channel, fn)
-            self._channel_subs.append((bus, channel, fn))
+        for ref in self._thread_kernels:
+            hooks = ref().hooks
+            hooks.subscribe("on_dispatch_begin", self._on_thread_begin)
+            hooks.subscribe("on_dispatch_end", self._on_end)
+        for channel, fn in self._channels():
+            cluster_kernel.hooks.subscribe(channel, fn)
         return self
 
     def detach(self) -> None:
         """Unsubscribe everywhere; every kernel's hook bus goes cold."""
-        for k in self._attached_extra:
-            k.hooks.unsubscribe("on_dispatch_begin", self._on_begin)
-            k.hooks.unsubscribe("on_dispatch_end", self._on_end)
-        self._attached_extra = []
-        for bus, channel, fn in self._channel_subs:
-            bus.unsubscribe(channel, fn)
-        self._channel_subs = []
+        if self._kernel is not None:
+            for ref in self._thread_kernels:
+                k = ref()
+                if k is not None:
+                    k.hooks.unsubscribe("on_dispatch_begin",
+                                        self._on_thread_begin)
+                    k.hooks.unsubscribe("on_dispatch_end", self._on_end)
+            cluster_kernel = self._cluster_kernel()
+            if cluster_kernel is not None:
+                for channel, fn in self._channels():
+                    cluster_kernel.hooks.unsubscribe(channel, fn)
         super().detach()
+
+    def _channels(self):
+        return (("net.send", self._on_net_send),
+                ("migration.done", self._on_migration_done),
+                ("checkpoint.write", self._on_checkpoint))
 
     # -- dispatch hooks --------------------------------------------------
 
@@ -166,8 +172,11 @@ class RunObserver(KernelTracer):
         # Charges since the last dispatch ended belong to the driver,
         # not to this event: flush them before baselining.
         self._flush_outside(ev.time)
-        if kernel is self._kernel:
-            super()._on_begin(kernel, ev)
+        super()._on_begin(kernel, ev)
+
+    def _on_thread_begin(self, kernel, ev) -> None:
+        # A thread kernel's dispatch gets no ``begin`` entry of its own.
+        self._flush_outside(ev.time)
 
     def _on_end(self, kernel, ev) -> None:
         # One entry schema for the cluster and thread kernels alike.

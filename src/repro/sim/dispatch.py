@@ -22,7 +22,9 @@ class TagDispatcher:
     """Routes messages arriving at one processor by tag prefix."""
 
     def __init__(self, processor: Processor):
-        self.processor = processor
+        #: The processor's id, for messages (the processor holds this
+        #: dispatcher; a reference back would be a cycle).
+        self.pe = processor.id
         self._handlers: Dict[str, Callable[[Message], None]] = {}
         processor.set_message_handler(self._dispatch)
 
@@ -30,8 +32,15 @@ class TagDispatcher:
         """Register ``handler`` for messages whose tag prefix is ``prefix``."""
         if prefix in self._handlers:
             raise CommError(f"tag prefix {prefix!r} already registered "
-                            f"on processor {self.processor.id}")
+                            f"on processor {self.pe}")
         self._handlers[prefix] = handler
+
+    def unregister(self, prefix: str) -> None:
+        """Drop the handler for ``prefix`` (a runtime whose run is over
+        lets go of the processors it was delivered on)."""
+        if self._handlers.pop(prefix, None) is None:
+            raise CommError(f"tag prefix {prefix!r} is not registered "
+                            f"on processor {self.pe}")
 
     def _dispatch(self, msg: Message) -> None:
         # A tag without ":" is its own prefix (every "ampi" message):
@@ -43,7 +52,7 @@ class TagDispatcher:
         if handler is None:
             raise CommError(
                 f"no handler for tag {msg.tag!r} on processor "
-                f"{self.processor.id} (registered: {sorted(self._handlers)})"
+                f"{self.pe} (registered: {sorted(self._handlers)})"
             )
         handler(msg)
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import (CommError, ProcessLimitExceeded, ReproError,
                           ThreadLimitExceeded)
-from repro.sim.network import Message
+from repro.sim.network import Message, Network
 from repro.sim.platform import PlatformProfile
 from repro.vm.addrspace import AddressSpace
 from repro.vm.physical import PhysicalMemory
@@ -72,13 +73,21 @@ class Processor:
     (the Converse-style scheduler, the Charm runtime) register a message
     handler; the cluster calls :meth:`deliver` when a message's arrival
     event fires.
+
+    The cluster owns its processors; a processor reaches back to its
+    cluster only weakly (:attr:`cluster`), so a finished machine is freed
+    by reference counting.  Delivery reads :attr:`network` directly.
     """
 
     def __init__(self, proc_id: int, profile: PlatformProfile,
                  cluster: Optional["Cluster"] = None):
         self.id = proc_id
         self.profile = profile
-        self.cluster = cluster
+        self._cluster = None if cluster is None else weakref.ref(cluster)
+        #: The cluster's network (``None`` standalone): what a delivery
+        #: charges per message.
+        self.network: Optional[Network] = (
+            None if cluster is None else cluster.network)
         #: This processor's local virtual time in ns.  Work moves it with
         #: :meth:`charge`; a delivery or timer pulls an idle processor's
         #: clock forward to the event's time, never backward.
@@ -106,6 +115,11 @@ class Processor:
         self.messages_received = 0
         self.bytes_sent = 0
         self.busy_ns = 0.0
+
+    @property
+    def cluster(self) -> Optional["Cluster"]:
+        """The cluster this processor belongs to (``None`` standalone)."""
+        return None if self._cluster is None else self._cluster()
 
     # -- time ---------------------------------------------------------------
 
@@ -136,9 +150,10 @@ class Processor:
 
     def send(self, dst: int, payload, size_bytes: int, tag: str = "") -> Message:
         """Send a message to processor ``dst`` via the cluster network."""
-        if self.cluster is None:
+        cluster = self.cluster
+        if cluster is None:
             raise RuntimeError(f"processor {self.id} is not attached to a cluster")
-        return self.cluster.send(self.id, dst, payload, size_bytes, tag)
+        return cluster.send(self.id, dst, payload, size_bytes, tag)
 
     def deliver(self, msg: Message, arrival_time: float) -> None:
         """Called by the cluster when ``msg`` arrives at ``arrival_time``."""
@@ -148,9 +163,9 @@ class Processor:
                 f"{self.id} — in-flight traffic at crash time")
         if arrival_time > self.now:
             self.now = arrival_time
-        cluster = self.cluster
-        if cluster is not None:
-            self.charge(cluster.network.per_message_cpu_ns)
+        network = self.network
+        if network is not None:
+            self.charge(network.per_message_cpu_ns)
         self.messages_received += 1
         handler = self._handler
         if handler is None:

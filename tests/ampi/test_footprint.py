@@ -82,7 +82,7 @@ def test_an_in_flight_message_is_at_most_four_tracked_objects():
 
     def send(state):
         rt, n = state
-        ctx = rt.rank_ctx[0]
+        ctx = rt.rank_thread[0].body
         for _ in range(n):
             ctx.send(1, None, size_bytes=8)
         assert len(rt.cluster.queue) >= n       # posted, none delivered

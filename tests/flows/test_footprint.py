@@ -18,8 +18,8 @@ slope); the values before the one-record layout are in brackets.
   held the frame];
 * seeding posts exactly one kernel slot per rank;
 * a round of yields from the seeded slots leaves nothing tracked: each
-  resume replaces its slot and re-posts the world's one bound
-  ``_resume`` [1 per rank: a bound method per post].
+  resume replaces its slot and re-posts the one ``FlowWorld._resume``
+  function [1 per rank: a bound method per post].
 """
 
 import pytest

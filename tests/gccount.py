@@ -18,6 +18,7 @@ containers that hold the units) cancels.
 """
 
 import gc
+from collections import Counter
 
 
 def tracked_left_alive(prepare, act, n):
@@ -42,3 +43,31 @@ def tracked_per_unit(prepare, act, small=1000, large=3000):
     tracked_left_alive(prepare, act, small)
     return ((tracked_left_alive(prepare, act, large)
              - tracked_left_alive(prepare, act, small)) / (large - small))
+
+
+def cyclic_garbage(act, warm=True):
+    """The objects only the cyclic collector would free after ``act()``,
+    as a :class:`~collections.Counter` of type names.
+
+    ``act`` builds a graph and drops it (returns nothing it keeps).  It
+    runs with ``gc`` off, so nothing is collected behind it; one
+    collection under ``DEBUG_SAVEALL`` then moves every unreachable
+    object into ``gc.garbage`` instead of freeing it.  What reference
+    counting freed when ``act``'s last reference went is not there —
+    an empty counter means the graph freed itself.  With ``warm``, one
+    unmeasured call first, so first-use imports and tables stay out.
+    """
+    if warm:
+        act()
+    gc.collect()
+    gc.disable()
+    try:
+        act()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    return found

@@ -19,7 +19,7 @@ weighs, why its rank is parked — have one owner each (``PER_THREAD``);
 every channel the fault injector subscribes is a runtime's
 (``PER_FAULT``); nothing stored on ``self`` goes unread
 (``WRITE_ONLY_ALLOWED``); and nothing under ``src/`` switches the
-cyclic collector off or down (``GC_TUNING``).  And the host stays
+cyclic collector off or down, or forces a collection (``GC_TUNING``).  And the host stays
 outside the simulation: which package may import ``heapq``, a clock,
 ``random``, ``multiprocessing`` or a pickler (``HOST_IMPORTS``); the
 module-scope state is the reviewed import-time registries
@@ -838,14 +838,16 @@ def test_the_write_only_scan_tells_a_store_from_a_load():
 #: cost is paid in objects the cyclic GC tracks (``tests/flows/
 #: test_footprint.py`` counts them); turning the collector off or down
 #: would hide that cost instead of removing it, for every program that
-#: imports the package.
-GC_TUNING = {"disable", "freeze", "set_threshold"}
+#: imports the package.  Nor may it force a collection: a finished run
+#: frees itself by reference counting (``tests/test_lifetime.py``), and
+#: a ``collect()`` would hide garbage instead of not making it.
+GC_TUNING = {"disable", "freeze", "set_threshold", "collect"}
 
 
 def gc_tuning_calls(tree):
-    """``(line, name)`` of each ``gc.disable()``/``freeze``/``set_threshold``
-    call in ``tree``, through the module (any alias) or a name imported
-    from it."""
+    """``(line, name)`` of each ``gc.disable()``/``freeze``/
+    ``set_threshold``/``collect`` call in ``tree``, through the module
+    (any alias) or a name imported from it."""
     modules, functions = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -891,7 +893,7 @@ def test_the_gc_scan_sees_what_it_forbids():
         "pool.disable()\n"
         "freeze()\n")
     assert gc_tuning_calls(tree) == [(4, "disable"), (5, "set_threshold"),
-                                     (6, "freeze")]
+                                     (6, "freeze"), (7, "collect")]
 
 
 # -- the host stays outside the simulation ------------------------------------
