@@ -98,6 +98,68 @@ _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
 
 
+def _scan(node: Optional[ast.AST], protect: Tuple[str, ...],
+          out: List[SuspendPoint]) -> None:
+    """Append the suspends of one statement or header expression."""
+    if node is None:
+        return
+    found = [n for n in (node, *walk_shallow(node))
+             if isinstance(n, (ast.Yield, ast.YieldFrom))]
+    for y in sorted(found, key=lambda y: (y.lineno, y.col_offset)):
+        kind, directive = classify_yield(y)
+        target = None
+        if kind == "delegate":
+            target = (isinstance(y.value, ast.Call)
+                      and call_name(y.value)) or "<expr>"
+        out.append(SuspendPoint(y.lineno, y.col_offset, kind,
+                                directive, target, protect))
+
+
+def _walk(stmts: Sequence[ast.stmt], protect: Tuple[str, ...],
+          out: List[SuspendPoint]) -> None:
+    """Append the suspends of a block, inside the regions ``protect``
+    names (a module function: a recursive closure would be a cycle
+    holding the tree until a collection)."""
+    for st in stmts:
+        if isinstance(st, _SCOPES):
+            continue  # a nested def/class is one opaque binding
+        if isinstance(st, (ast.With, ast.AsyncWith)):
+            inner = protect + ("with",)
+            for item in st.items:
+                _scan(item, inner, out)
+            _walk(st.body, inner, out)
+        elif isinstance(st, _TRY):
+            # A finally makes the whole statement one cleanup
+            # region; without one the body (and else) still runs
+            # within the handlers' reach.
+            if st.finalbody:
+                whole = guarded = protect + ("try/finally",)
+            else:
+                whole, guarded = protect, protect + ("try",)
+            _walk(st.body, guarded, out)
+            _walk(st.orelse, guarded, out)
+            for handler in st.handlers:
+                _scan(handler.type, guarded, out)
+                _walk(handler.body, whole + ("except",), out)
+            _walk(st.finalbody, whole, out)
+        elif isinstance(st, ast.Match):
+            inner = protect + ("match",)
+            _scan(st.subject, inner, out)
+            for case in st.cases:
+                _scan(case.guard, inner, out)
+                _walk(case.body, inner, out)
+        elif isinstance(st, (ast.If, ast.While)):
+            _scan(st.test, protect, out)  # suspends before the branch
+            _walk(st.body, protect, out)
+            _walk(st.orelse, protect, out)
+        elif isinstance(st, (ast.For, ast.AsyncFor)):
+            _scan(st.iter, protect, out)  # evaluated once, up front
+            _walk(st.body, protect, out)
+            _walk(st.orelse, protect, out)
+        else:
+            _scan(st, protect, out)
+
+
 def suspend_points(func: ast.AST) -> List[SuspendPoint]:
     """Every ``yield``/``yield from`` of one ``def``, in execution-site
     order, each with the stack of protected regions around it.
@@ -108,62 +170,7 @@ def suspend_points(func: ast.AST) -> List[SuspendPoint]:
     of a ``try`` statement, and a ``match`` from its subject down.
     """
     out: List[SuspendPoint] = []
-
-    def scan(node: Optional[ast.AST], protect: Tuple[str, ...]) -> None:
-        if node is None:
-            return
-        found = [n for n in (node, *walk_shallow(node))
-                 if isinstance(n, (ast.Yield, ast.YieldFrom))]
-        for y in sorted(found, key=lambda y: (y.lineno, y.col_offset)):
-            kind, directive = classify_yield(y)
-            target = None
-            if kind == "delegate":
-                target = (isinstance(y.value, ast.Call)
-                          and call_name(y.value)) or "<expr>"
-            out.append(SuspendPoint(y.lineno, y.col_offset, kind,
-                                    directive, target, protect))
-
-    def walk(stmts: Sequence[ast.stmt], protect: Tuple[str, ...]) -> None:
-        for st in stmts:
-            if isinstance(st, _SCOPES):
-                continue  # a nested def/class is one opaque binding
-            if isinstance(st, (ast.With, ast.AsyncWith)):
-                inner = protect + ("with",)
-                for item in st.items:
-                    scan(item, inner)
-                walk(st.body, inner)
-            elif isinstance(st, _TRY):
-                # A finally makes the whole statement one cleanup
-                # region; without one the body (and else) still runs
-                # within the handlers' reach.
-                if st.finalbody:
-                    whole = guarded = protect + ("try/finally",)
-                else:
-                    whole, guarded = protect, protect + ("try",)
-                walk(st.body, guarded)
-                walk(st.orelse, guarded)
-                for handler in st.handlers:
-                    scan(handler.type, guarded)
-                    walk(handler.body, whole + ("except",))
-                walk(st.finalbody, whole)
-            elif isinstance(st, ast.Match):
-                inner = protect + ("match",)
-                scan(st.subject, inner)
-                for case in st.cases:
-                    scan(case.guard, inner)
-                    walk(case.body, inner)
-            elif isinstance(st, (ast.If, ast.While)):
-                scan(st.test, protect)  # suspends before the branch
-                walk(st.body, protect)
-                walk(st.orelse, protect)
-            elif isinstance(st, (ast.For, ast.AsyncFor)):
-                scan(st.iter, protect)  # evaluated once, up front
-                walk(st.body, protect)
-                walk(st.orelse, protect)
-            else:
-                scan(st, protect)
-
-    walk(func.body, ())
+    _walk(func.body, (), out)
     return out
 
 

@@ -45,7 +45,9 @@ class ChaosResult:
     outcome: str                       # pass | detected | violation | error
     detail: str
     schedule: List[FaultEvent]         # faults actually applied
-    trace_hash: str                    # SHA-256 of the message trace
+    # SHA-256 of the sends, Cluster.send_digest (a dumped kernel trace
+    # is analyzed by ``python -m repro.query report`` instead).
+    trace_hash: str
     state_hash: str                    # SHA-256 of the final state
     makespan_ns: float
     counters: Dict[str, int] = field(default_factory=dict)
@@ -95,7 +97,7 @@ def build_ampi_chaos(workload, schedule: FaultSchedule):
     both see the same event sequence.
     """
     rt, check = workload.build()
-    rt.cluster.enable_tracing()
+    rt.cluster.enable_tracing()    # before the injector's net.send filter
     injector = FaultInjector(schedule)
     return rt, check, injector, wire_ampi_faults(rt, injector)
 
@@ -142,26 +144,11 @@ def drive_ampi_chaos(workload, schedule: FaultSchedule,
         outcome=outcome,
         detail=detail,
         schedule=schedule.script(),
-        trace_hash=_hash_trace(rt),
+        trace_hash=rt.cluster.send_digest.hexdigest(),
         state_hash=_hash_state(rt, injector, outcome, detail),
         makespan_ns=rt.makespan_ns,
         counters=dict(injector.counters),
     )
-
-
-def _hash_trace(rt) -> str:
-    """SHA-256 of the full message trace.
-
-    Trace tuples are (send_time, src, dst, tag, size): everything that
-    identifies a message except its ``msg_id``, which is redundant with
-    send order (and was once a process-global counter that broke
-    replay comparison across runs — see ``Cluster._next_msg_id``).
-    """
-    h = hashlib.sha256()
-    for entry in (rt.cluster.message_trace or []):
-        h.update(repr(entry).encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 def _hash_state(rt, injector: FaultInjector, outcome: str,

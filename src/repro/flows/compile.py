@@ -647,35 +647,42 @@ class _FunctionLowering:
             n.id for fn in self.states for n in ast.walk(fn)
             if isinstance(n, ast.Name) and n.id in bodies)
 
-        def resolve(block: List[ast.stmt]) -> List[ast.stmt]:
-            # Gotos end blocks, and blocks nest through ``if`` only.
-            for st in block:
-                if isinstance(st, ast.If):
-                    resolve(st.body)
-                    resolve(st.orelse)
-            last = block[-1] if block else None
-            if isinstance(last, ast.Return) \
-                    and isinstance(last.value, ast.Tuple) \
-                    and last.value.elts[1].id == "_f":
-                target = last.value.elts[0].id
-                body = bodies[target]
-                if len(body) == 1 and isinstance(body[0], ast.Return) \
-                        and isinstance(body[0].value, ast.Call):
-                    block[-1] = body[0]
-                elif named[target] == 1 and target != entry:
-                    block[-1:] = resolve(body)
-            return block
-
         keep = set()
         work = [entry]
         while work:
             name = work.pop()
             if name not in keep:
                 keep.add(name)
-                work.extend(n.id for st in resolve(bodies[name])
+                work.extend(n.id for st in self._resolve(bodies[name], bodies,
+                                                         named, entry)
                             for n in ast.walk(st)
                             if isinstance(n, ast.Name) and n.id in bodies)
         self.states = [fn for fn in self.states if fn.name in keep]
+
+    @staticmethod
+    def _resolve(block: List[ast.stmt], bodies: Dict[str, List[ast.stmt]],
+                 named: "collections.Counter[str]",
+                 entry: str) -> List[ast.stmt]:
+        """:meth:`fuse`'s rewrite of one block, in place (a method, not a
+        recursive closure: that would be a cycle holding the tree)."""
+        # Gotos end blocks, and blocks nest through ``if`` only.
+        for st in block:
+            if isinstance(st, ast.If):
+                _FunctionLowering._resolve(st.body, bodies, named, entry)
+                _FunctionLowering._resolve(st.orelse, bodies, named, entry)
+        last = block[-1] if block else None
+        if isinstance(last, ast.Return) \
+                and isinstance(last.value, ast.Tuple) \
+                and last.value.elts[1].id == "_f":
+            target = last.value.elts[0].id
+            body = bodies[target]
+            if len(body) == 1 and isinstance(body[0], ast.Return) \
+                    and isinstance(body[0].value, ast.Call):
+                block[-1] = body[0]
+            elif named[target] == 1 and target != entry:
+                block[-1:] = _FunctionLowering._resolve(body, bodies, named,
+                                                        entry)
+        return block
 
     # -- frame ----------------------------------------------------------
 
@@ -729,6 +736,9 @@ class _Compiler:
             low = _FunctionLowering(self, fn_node, self._prefix())
             entry = low.lower_function()
             low.fuse(entry)
+            # Lowered: the helpers it delegates to are compiled, so the
+            # back-edge goes before the lowering joins ``lowerings``.
+            low.compiler = None
             self.lowerings.append(low)
             return entry, low.frame_name, low.params
         finally:

@@ -15,7 +15,7 @@ Output formats:
 
 The entries are the tracer's only record: counts (dispatches per
 category or flow, switches, messages) are folds over them, e.g.
-``python -m repro.query aggregate``/``timeline``.
+``python -m repro.query aggregate``/``timeline``/``report``.
 """
 
 from __future__ import annotations
@@ -162,9 +162,9 @@ class KernelTracer:
                 entry["site"] = site
             if category and category.startswith("net."):
                 # Message deliveries carry the Message as their first
-                # argument; surface its identity so trace consumers (the
-                # repro.obs report) can build size/latency histograms and
-                # migration tables without the live objects.
+                # argument; surface its identity so trace consumers
+                # (``python -m repro.query report``) can build size/latency
+                # histograms and migration tables without the live objects.
                 args = ev.args
                 msg = args[0] if args else None
                 src = getattr(msg, "src", None)

@@ -11,7 +11,7 @@ layer riding the kernel's hook bus:
 * :class:`RunObserver` — a run-wide :class:`KernelTracer` that also
   watches the thread kernels and the sanctioned runtime channels,
   attributing busy time per PE (:mod:`repro.obs.collect`);
-* :func:`build_report` / ``python -m repro.obs report <trace>`` — the
+* :func:`build_report` / ``python -m repro.query report <trace>`` — the
   Projections-style post-mortem analyzer (:mod:`repro.obs.report`).
 
 Trace entries are a run's one record: hooks only append them, and every

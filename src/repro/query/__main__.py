@@ -16,6 +16,11 @@ Subcommands (exit codes follow migralint's convention — 0 success,
     Windowed series over the makespan using the obs attribution rule
     (entry charged to the window containing its event time, clamped).
 
+``report <trace> [--json] [--windows N]``
+    The Projections-style report (:func:`repro.obs.report.build_report`):
+    per-PE utilization, a load-imbalance timeline, the migration table
+    and message histograms.  An empty trace is exit 2.
+
 ``bisect <runspec-a> <runspec-b> [--json]``
     Re-execute both runs under a recording tracer and report the first
     event at which the traces diverge.  Exit 0 when the traces are
@@ -40,6 +45,7 @@ from typing import Any, Dict
 
 from repro.errors import QuerySyntaxError, ReproError
 from repro.kernel.trace import load_trace
+from repro.obs.report import build_report, render_report
 from repro.query.engines import (aggregate_entries, canonical_json,
                                  compile_predicate, timeline_entries)
 from repro.query.replay import (first_divergence, parse_runspec,
@@ -141,6 +147,15 @@ def _cmd_timeline(args) -> int:
     return 0
 
 
+def _cmd_report(args) -> int:
+    entries = load_trace(args.trace)
+    if not entries:
+        return _fail(f"{args.trace}: empty trace (no entries to analyze)")
+    _emit(build_report(entries, windows=args.windows), args.json,
+          render_report)
+    return 0
+
+
 def _cmd_bisect(args) -> int:
     spec_a = parse_runspec(args.runspec_a)
     spec_b = parse_runspec(args.runspec_b)
@@ -202,6 +217,13 @@ def main(argv=None) -> int:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_timeline)
 
+    p = sub.add_parser("report", help="utilization, imbalance, migrations "
+                                      "and message histograms")
+    p.add_argument("trace")
+    p.add_argument("--windows", type=int, default=8)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=_cmd_report)
+
     p = sub.add_parser("bisect",
                        help="first divergence between two replayed runs")
     p.add_argument("runspec_a", metavar="runspec-a")
@@ -220,11 +242,14 @@ def main(argv=None) -> int:
         return args.fn(args)
     except QuerySyntaxError as e:
         return _fail_syntax(e)
-    except (OSError, ReproError) as e:
-        return _fail(str(e))
     except BrokenPipeError:
+        # Downstream (``| head``) closed the pipe: not an error, but
+        # Python would print a traceback at exit unless the dangling
+        # stdout is abandoned first.  Caught before OSError, its base.
         sys.stdout = None
         return 0
+    except (OSError, ReproError) as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

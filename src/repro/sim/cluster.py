@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Callable, List, Optional
 
 from repro.errors import CommError, ReproError
@@ -39,9 +40,9 @@ class Cluster:
         self.processors: List[Processor] = [
             Processor(i, platform, cluster=self) for i in range(num_processors)
         ]
-        #: When tracing is enabled, every send appends
-        #: (send_time, src, dst, tag, size_bytes) here.
-        self.message_trace: Optional[List[tuple]] = None
+        #: Once :meth:`enable_tracing` runs, a running SHA-256 over every
+        #: later send's ``(send_time, src, dst, tag, size_bytes)``.
+        self.send_digest: Optional["hashlib._Hash"] = None
         #: Per-cluster message-id counter: ids restart at 1 for every
         #: cluster, so identical runs in one host process get identical
         #: ids (replay/fingerprint comparisons may key on msg_id).
@@ -98,8 +99,6 @@ class Cluster:
             arrival = cur
         sender.messages_sent += 1
         sender.bytes_sent += size_bytes
-        if self.message_trace is not None:
-            self.message_trace.append((send_time, src, dst, tag, size_bytes))
         category = self._net_categories.get(tag)
         if category is None:
             category = self._net_categories[tag] = f"net.{tag or 'raw'}"
@@ -153,23 +152,26 @@ class Cluster:
         return self.queue.run(policy, until=until, max_events=max_events)
 
     def enable_tracing(self) -> None:
-        """Record every message send into :attr:`message_trace` (debugging).
+        """Digest every later send into :attr:`send_digest`; idempotent.
 
-        The trace is (send_time, src, dst, tag, size_bytes) tuples in send
-        order; :meth:`format_trace` renders it.
+        Each send feeds ``repr((send_time, src, dst, tag, size_bytes))``
+        and a newline to one SHA-256 (the chaos fingerprint's trace
+        hash).  The digest is a ``net.send`` subscriber: subscribed
+        before a fault injector, it sees a send even when a later filter
+        raises on it.  It closes over the hash object only, so the
+        cluster stays free of reference cycles.
         """
-        if self.message_trace is None:
-            self.message_trace = []
+        if self.send_digest is not None:
+            return
+        digest = self.send_digest = hashlib.sha256()
+        update = digest.update
 
-    def format_trace(self, limit: int = 50) -> str:
-        """Render the last ``limit`` traced messages as aligned text."""
-        if not self.message_trace:
-            return "(no messages traced)"
-        lines = ["   time(us)  src -> dst  bytes  tag"]
-        for t, src, dst, tag, size in self.message_trace[-limit:]:
-            lines.append(f"{t / 1000:11.2f}  {src:3d} -> {dst:3d}  "
-                         f"{size:5d}  {tag}")
-        return "\n".join(lines)
+        def record(arrivals, msg):
+            update(repr((msg.send_time, msg.src, msg.dst, msg.tag,
+                         msg.size_bytes)).encode() + b"\n")
+            return arrivals
+
+        self.queue.hooks.subscribe("net.send", record)
 
     @property
     def time(self) -> float:

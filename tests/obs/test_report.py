@@ -1,12 +1,9 @@
-"""The Projections-style report against ground truth — the PR's
-acceptance test: migration counts in the report must agree *exactly*
-with the ThreadMigrator's counters, through the module API and through
-the ``python -m repro.obs report`` CLI alike."""
+"""The Projections-style report against ground truth: migration counts
+in the report must agree *exactly* with the ThreadMigrator's counters
+(the ``python -m repro.query report`` CLI is tested with the other
+verbs, in ``tests/query/test_cli.py``)."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -14,9 +11,6 @@ from repro.errors import ReproError
 from repro.obs import build_report, load_trace, render_report
 
 from tests.obs.conftest import run_observed
-
-ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
-
 
 @pytest.fixture(scope="module")
 def traced_run(tmp_path_factory):
@@ -223,70 +217,3 @@ def test_report_skips_values_that_do_not_fit_the_schema():
     assert report["messages"]["latency_ns"]["total"] == 2.0
     json.dumps(report, allow_nan=False)
     assert render_report(report)
-
-
-def _cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.obs", *args],
-        capture_output=True, text=True, env=env, cwd=ROOT)
-
-
-def test_cli_json_matches_module_api(traced_run):
-    rt, obs, path = traced_run
-    proc = _cli("report", path, "--json")
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["migrations"]["completed"] == \
-        rt.migrator.migrations_completed
-    assert report["migrations"]["returned"] == \
-        rt.migrator.migrations_returned
-    # --json output is deterministic: same trace, same bytes.
-    again = _cli("report", path, "--json")
-    assert again.stdout == proc.stdout
-
-
-def test_cli_text_mode_and_error_path(traced_run):
-    _, _, path = traced_run
-    proc = _cli("report", path)
-    assert proc.returncode == 0, proc.stderr
-    assert "per-PE utilization" in proc.stdout
-    missing = _cli("report", os.path.join(ROOT, "no-such.trace"))
-    assert missing.returncode == 2
-    assert missing.stderr.strip()
-
-
-@pytest.mark.parametrize("windows", ["0", "-3"])
-def test_cli_refuses_a_timeline_without_windows(traced_run, windows):
-    """The rule ``python -m repro.query timeline --windows 0`` follows:
-    exit 2, not a report that silently has no timeline."""
-    _, _, path = traced_run
-    proc = _cli("report", path, "--windows", windows)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "at least one window" in proc.stderr
-
-
-def test_cli_non_utf8_trace_is_a_positioned_error(tmp_path):
-    """A byte that is not UTF-8 text used to escape as a
-    ``UnicodeDecodeError`` traceback with exit 1; it is now the loader's
-    positioned diagnostic, exit 2."""
-    bad = tmp_path / "bad.trace"
-    bad.write_bytes(b'{"ev": "end", "t": 1.0}\n{"ev": "\xff"}\n')
-    proc = _cli("report", str(bad))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == f"error: {bad}:2: trace line is not UTF-8 text\n"
-
-
-def test_cli_empty_trace_is_a_diagnosed_error(tmp_path):
-    """An empty trace used to fall through to a meaningless all-zero
-    report; it is now a usage error: exit 2, one-line diagnostic."""
-    empty = tmp_path / "empty.trace"
-    empty.write_text("")
-    proc = _cli("report", str(empty))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.strip().splitlines()) == 1
-    assert "empty trace" in proc.stderr

@@ -6,6 +6,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from repro.kernel.trace import load_trace
+from repro.obs.report import build_report, render_report
+from repro.query import canonical_json
+from tests.obs.conftest import run_observed
+
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
 
@@ -127,3 +134,96 @@ def test_at_cli_output_is_byte_stable():
     assert compiled.stdout == first.stdout
     state = json.loads(first.stdout)
     assert state["kind"] == "flows"
+
+
+# -- report -----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def observed_trace(tmp_path_factory):
+    """A dumped ``RunObserver`` trace of a migrating AMPI run and the
+    runtime that made it."""
+    rt, obs = run_observed()
+    path = str(tmp_path_factory.mktemp("report") / "run.trace")
+    obs.dump(path)
+    return rt, path
+
+
+def test_report_json_matches_module_api(observed_trace):
+    rt, path = observed_trace
+    proc = _cli("report", path, "--json")
+    assert proc.returncode == 0, proc.stderr
+    want = build_report(load_trace(path))
+    assert proc.stdout == canonical_json(want) + "\n"
+    report = json.loads(proc.stdout)
+    assert report == want
+    assert report["migrations"]["completed"] == \
+        rt.migrator.migrations_completed
+    assert report["migrations"]["returned"] == \
+        rt.migrator.migrations_returned
+    # --json output is deterministic: same trace, same bytes.
+    assert _cli("report", path, "--json").stdout == proc.stdout
+
+
+def test_report_text_mode_and_error_path(observed_trace):
+    _, path = observed_trace
+    proc = _cli("report", path, "--windows", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "per-PE utilization" in proc.stdout
+    assert proc.stdout == render_report(
+        build_report(load_trace(path), windows=3)) + "\n"
+    missing = _cli("report", os.path.join(ROOT, "no-such.trace"))
+    assert missing.returncode == 2
+    assert missing.stderr.strip()
+
+
+@pytest.mark.parametrize("windows", ["0", "-3"])
+def test_report_refuses_a_timeline_without_windows(observed_trace, windows):
+    """The rule ``timeline --windows 0`` follows: exit 2, not a report
+    that silently has no timeline."""
+    _, path = observed_trace
+    proc = _cli("report", path, "--windows", windows)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "at least one window" in proc.stderr
+
+
+def test_report_non_utf8_trace_is_a_positioned_error(tmp_path):
+    """A byte that is not UTF-8 text is the loader's positioned
+    diagnostic, exit 2 — not a ``UnicodeDecodeError`` traceback."""
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(b'{"ev": "end", "t": 1.0}\n{"ev": "\xff"}\n')
+    proc = _cli("report", str(bad))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {bad}:2: trace line is not UTF-8 text\n"
+
+
+def test_report_empty_trace_is_a_diagnosed_error(tmp_path):
+    """An empty trace is a usage error, not a meaningless all-zero
+    report: exit 2, one-line diagnostic."""
+    empty = tmp_path / "empty.trace"
+    empty.write_text("")
+    proc = _cli("report", str(empty))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "empty trace" in proc.stderr
+
+
+def test_a_reader_closing_the_pipe_is_exit_0_and_silent(tmp_path):
+    """``filter … | head -1``: ``BrokenPipeError`` is an ``OSError``, and
+    the ``OSError`` branch used to catch it first — ``error: [Errno 32]
+    Broken pipe``, exit 2.  The output is larger than a pipe's buffer,
+    so the write that meets the closed pipe happens while the verb runs."""
+    path = tmp_path / "big.trace"
+    path.write_text("".join(f'{{"ev":"x","t":{i}}}\n' for i in range(20000)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.query", "filter", str(path), "true"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=ROOT)
+    assert proc.stdout.readline() == b'{"ev": "x", "t": 0}\n'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

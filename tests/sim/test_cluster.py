@@ -1,6 +1,7 @@
 """Tests for processors, kernel model, network, and cluster DES."""
 
 import ast
+import hashlib
 import inspect
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 import repro.sim.cluster
 from repro.ampi import AmpiRuntime
 from repro.balance.strategies import GreedyLB
-from repro.errors import ProcessLimitExceeded, ReproError, ThreadLimitExceeded
+from repro.errors import (CommError, ProcessLimitExceeded, ReproError,
+                          ThreadLimitExceeded)
 from repro.kernel import KernelTracer
 from repro.sim import Cluster, Message, Network, get_platform
 from repro.sim.processor import KernelModel, Processor
@@ -150,39 +152,65 @@ def test_cluster_platform_by_name():
         Cluster(0)
 
 
-def test_message_tracing():
+def _send_line(msg):
+    return repr((msg.send_time, msg.src, msg.dst, msg.tag,
+                 msg.size_bytes)).encode() + b"\n"
+
+
+def test_the_send_digest_covers_exactly_the_sends_after_enable_tracing():
+    cl = Cluster(2)
+    for proc in cl.processors:
+        proc.set_message_handler(lambda m: None)
+    cl.send(0, 1, "before-enable", 10, tag="x")
+    assert cl.send_digest is None
+    cl.enable_tracing()
+    sent = [cl.send(0, 1, "a", 10, tag="t1"), cl.send(1, 0, "b", 20)]
+
+    def refuse(arrivals, msg):
+        sent.append(msg)
+        raise CommError("refused by a later filter")
+    cl.queue.hooks.subscribe("net.send", refuse)
+    with pytest.raises(CommError):
+        cl.send(0, 1, "c", 30, tag="t3")
+    cl.queue.hooks.unsubscribe("net.send", refuse)
+    cl.run()
+    # The refused send is hashed too: the digest runs before the filter.
+    assert [(m.src, m.dst, m.tag, m.size_bytes) for m in sent] == \
+        [(0, 1, "t1", 10), (1, 0, "", 20), (0, 1, "t3", 30)]
+    want = hashlib.sha256(b"".join(map(_send_line, sent)))
+    assert cl.send_digest.hexdigest() == want.hexdigest()
+
+
+def test_enabling_tracing_twice_subscribes_once():
     cl = Cluster(2)
     cl[1].set_message_handler(lambda m: None)
-    cl.send(0, 1, "before-enable", 10, tag="x")
     cl.enable_tracing()
-    cl.send(0, 1, "a", 10, tag="t1")
-    cl.send(0, 1, "b", 20, tag="t2")
-    cl.run()
-    assert len(cl.message_trace) == 2
-    assert cl.message_trace[0][2:] == (1, "t1", 10)
-    text = cl.format_trace()
-    assert "t1" in text and "t2" in text and "->" in text
-    # Enabling twice keeps the existing trace.
+    digest = cl.send_digest
     cl.enable_tracing()
-    assert len(cl.message_trace) == 2
-
-
-def test_format_trace_empty():
-    cl = Cluster(1)
-    cl.enable_tracing()
-    assert "no messages" in cl.format_trace()
+    assert cl.send_digest is digest
+    msg = cl.send(0, 1, "a", 10, tag="t1")
+    assert digest.hexdigest() == hashlib.sha256(_send_line(msg)).hexdigest()
 
 
 def test_cluster_has_a_single_send_path():
     """Exactly one function in ``sim/cluster.py`` consults the
-    ``net.send`` filter channel, so every message meets the chaos
-    injector on the same road and a second send path cannot return."""
+    ``net.send`` filter channel (``hooks.has``/``hooks.filter``), so
+    every message meets the chaos injector on the same road and a second
+    send path cannot return; the one other function naming the channel
+    subscribes the send digest to it."""
     tree = ast.parse(inspect.getsource(repro.sim.cluster))
-    consulting = sorted({
-        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Constant) and node.value == "net.send"})
-    assert consulting == ["send"]
+    naming = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and any(isinstance(a, ast.Constant)
+                                and a.value == "net.send"
+                                for a in node.args):
+                    naming.setdefault(node.func.attr, set()).add(fn.name)
+    assert naming == {"has": {"send"}, "filter": {"send"},
+                      "subscribe": {"enable_tracing"}}
 
 
 # -- refusals on the send road ----------------------------------------------

@@ -19,7 +19,8 @@ weighs, why its rank is parked — have one owner each (``PER_THREAD``);
 every channel the fault injector subscribes is a runtime's
 (``PER_FAULT``); nothing stored on ``self`` goes unread
 (``WRITE_ONLY_ALLOWED``); and nothing under ``src/`` switches the
-cyclic collector off or down, or forces a collection (``GC_TUNING``).  And the host stays
+cyclic collector off or down, or forces a collection (``GC_TUNING``);
+one command-line entry point reads trace files (``TRACE_READERS``).  And the host stays
 outside the simulation: which package may import ``heapq``, a clock,
 ``random``, ``multiprocessing`` or a pickler (``HOST_IMPORTS``); the
 module-scope state is the reviewed import-time registries
@@ -143,6 +144,31 @@ def test_the_only_cycles_are_the_named_ones():
         assert ready, ("import cycle among "
                        f"{sorted(set(graph) - done)}")
         done |= ready
+
+
+#: The ``__main__`` modules that read a trace file: every verb over a
+#: dumped trace (``report`` included) is ``python -m repro.query``'s.
+TRACE_READERS = {"query/__main__.py"}
+
+
+def reads_traces(tree):
+    """Whether ``tree`` imports or calls ``load_trace``."""
+    return any(
+        isinstance(node, ast.ImportFrom)
+        and any(a.name == "load_trace" for a in node.names)
+        or isinstance(node, ast.Name) and node.id == "load_trace"
+        or isinstance(node, ast.Attribute) and node.attr == "load_trace"
+        for node in ast.walk(tree))
+
+
+def test_one_command_line_reads_traces():
+    found = {label for label, tree in scanned(examples=False)
+             if label.endswith("__main__.py") and reads_traces(tree)}
+    assert found == TRACE_READERS
+    for expect in ("from repro.obs import load_trace",
+                   "import repro.kernel.trace as t\nt.load_trace(p)"):
+        assert reads_traces(ast.parse(expect)), expect
+    assert not reads_traces(ast.parse("from repro.obs import build_report"))
 
 
 def test_the_load_bearing_layers_hold_in_the_reviewed_graph():
