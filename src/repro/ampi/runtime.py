@@ -20,12 +20,15 @@ from repro.core.stacks import make_stack_manager
 from repro.core.swapglobal import GlobalRegistry
 from repro.core.thread import ThreadState, UThread
 from repro.sim.cluster import Cluster
-from repro.sim.dispatch import TagDispatcher
 from repro.sim.network import Message, Network
 
 __all__ = ["AmpiRuntime"]
 
 _TAG = "ampi"
+
+#: Scheduling rounds :meth:`AmpiRuntime.run` makes before it gives up:
+#: a bound on a livelock, far above any real run's count.
+_MAX_ROUNDS = 10_000_000
 
 #: Signature of a rank program: a generator function over the context.
 RankMain = Callable[[AmpiContext], Generator]
@@ -123,7 +126,7 @@ class AmpiRuntime:
         self.rebalance_in_progress = False
         self.reports: List[RebalanceReport] = []
         for proc in self.cluster.processors:
-            TagDispatcher.of(proc).register(_TAG, self._on_message)
+            proc.register(_TAG, self._on_message)
         # spawn ranks; default placement is round-robin over processors
         for rank in range(num_ranks):
             pe = placement(rank) if placement else rank % npes
@@ -317,8 +320,7 @@ class AmpiRuntime:
         """Whether every rank has finished."""
         return self._finished == self.num_ranks
 
-    def run(self, max_rounds: int = 10_000_000,
-            until: Optional[float] = None,
+    def run(self, until: Optional[float] = None,
             max_net_events: Optional[int] = None) -> None:
         """Drive schedulers and the network until every rank finishes.
 
@@ -351,7 +353,7 @@ class AmpiRuntime:
         """
         bounded = until is not None or max_net_events is not None
         net_budget = max_net_events
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             if self.done:
                 self._retire()
                 return
@@ -385,7 +387,7 @@ class AmpiRuntime:
                 if bounded:
                     return
                 self._raise_deadlock()
-        raise AmpiError(f"run() exceeded {max_rounds} scheduling rounds")
+        raise AmpiError(f"run() exceeded {_MAX_ROUNDS} scheduling rounds")
 
     def _retire(self) -> None:
         """Cut the run's back-edges: every rank has finished.
@@ -410,7 +412,7 @@ class AmpiRuntime:
         for sched in self.schedulers:
             sched.on_exit = None
         for proc in self.cluster.processors:
-            TagDispatcher.of(proc).unregister(_TAG)
+            proc.unregister(_TAG)
 
     def _raise_deadlock(self) -> None:
         """Raise the deadlock report, derived from the park table alone.

@@ -23,7 +23,6 @@ from repro.charm.sdag import SdagDriver
 from repro.core.pup import pup_pack, pup_registered, pup_unpack
 from repro.kernel import QuiescenceCounter
 from repro.sim.cluster import Cluster
-from repro.sim.dispatch import TagDispatcher
 from repro.sim.network import Message
 
 __all__ = ["CharmRuntime", "ArrayProxy", "ElementProxy"]
@@ -119,7 +118,7 @@ class CharmRuntime:
         #: method (the mainchare's processor).
         self._pe_stack: List[int] = [0]
         for proc in cluster.processors:
-            TagDispatcher.of(proc).register(_TAG, self._on_message)
+            proc.register(_TAG, self._on_message)
         # -- statistics ------------------------------------------------------
         self.entries_invoked = 0
         self.messages_forwarded = 0

@@ -24,7 +24,6 @@ from repro.errors import MigrationAborted, MigrationError
 from repro.core.scheduler import CthScheduler
 from repro.core.thread import ThreadState, UThread
 from repro.sim.cluster import Cluster
-from repro.sim.dispatch import TagDispatcher
 from repro.sim.network import Message
 
 __all__ = ["ThreadImage", "ThreadMigrator"]
@@ -87,19 +86,19 @@ class ThreadMigrator:
         self.migrations_returned = 0
         self.bytes_shipped = 0
         for proc in cluster.processors:
-            TagDispatcher.of(proc).register(_TAG, self._on_message)
+            proc.register(_TAG, self._on_message)
 
     def detach(self) -> None:
         """Stop receiving thread images and drop :attr:`on_arrival`.
 
-        The processors' dispatchers hold this migrator while its handler
-        is registered (and it holds the cluster): an owner whose run is
-        over detaches it, so neither keeps the other alive.  Counters
-        stay readable.
+        The processors hold this migrator while its handler is
+        registered (and it holds the cluster): an owner whose run is over
+        detaches it, so neither keeps the other alive.  Counters stay
+        readable.
         """
         self.on_arrival = None
         for proc in self._processors:
-            TagDispatcher.of(proc).unregister(_TAG)
+            proc.unregister(_TAG)
 
     # -- the one image path: migrate ships it, a checkpoint writes it --
 

@@ -5,7 +5,9 @@ deterministic discrete-event :class:`Cluster` of :class:`Processor` objects
 connected by a latency/bandwidth :class:`Network`, each processor described
 by a :class:`PlatformProfile` that captures the word size, memory-system
 costs, scheduler costs, OS limits, and portability quirks of one of the
-paper's evaluation machines.
+paper's evaluation machines.  Each processor routes the messages that
+arrive at it by exact tag to the handler a runtime registered
+(:meth:`Processor.register`).
 
 All time is *virtual*, in nanoseconds, and every run is exactly
 reproducible.  The profiles are calibrated to the paper's reported orders of

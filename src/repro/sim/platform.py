@@ -59,6 +59,12 @@ class PlatformProfile:
     memalias_impl: bool = True             # we have run memory aliasing here
 
     # -- context-switch cost constants (ns) --------------------------------
+    #: Kernel entry and exit a *context switch* pays: the process and
+    #: kernel-thread switches (``ProcessFlow``, ``KernelThreadFlow``, the
+    #: kernel share of ``HybridThreadFlow``) and each scheduler-activation
+    #: upcall of ``CthScheduler``'s blocking I/O.  A mapping call's kernel
+    #: entry is ``mem.syscall_ns``, a separate constant with a different
+    #: value on every built-in platform.
     syscall_ns: float = 300.0
     process_switch_ns: float = 1_500.0     # kernel work beyond the syscall
     kthread_switch_ns: float = 1_200.0
@@ -68,7 +74,10 @@ class PlatformProfile:
     runqueue_ns_per_flow: float = 0.0      # O(n) kernel scheduler coefficient
     cache_penalty_ns: float = 300.0        # saturating cache-pollution ceiling
     cache_flows_scale: float = 2_000.0     # flows at which penalty half-saturates
-    tlb_flush_ns: float = 500.0            # paid by address-space switches
+    #: The TLB flush a process switch pays (``ProcessFlow``).  A
+    #: memory-aliasing remap's flush is ``mem.tlb_flush_ns``, a separate
+    #: constant.
+    tlb_flush_ns: float = 500.0
     ignores_repeated_sched_yield: bool = False
     sched_yield_noop_ns: float = 250.0     # quirk: cost of the ignored yield
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import (CommError, ProcessLimitExceeded, ReproError,
                           ThreadLimitExceeded)
@@ -69,10 +69,11 @@ class Processor:
     """One simulated processor (one node of the cluster).
 
     A processor owns a virtual clock, a physical-memory pool, a main
-    address space (the runtime process), and a kernel model.  Higher layers
-    (the Converse-style scheduler, the Charm runtime) register a message
-    handler; the cluster calls :meth:`deliver` when a message's arrival
-    event fires.
+    address space (the runtime process), and a kernel model.  Each
+    runtime that receives messages here (AMPI, the thread migrator,
+    Charm, POSE) registers a handler for its tag (:meth:`register`); the
+    cluster calls :meth:`deliver` when a message's arrival event fires,
+    and :meth:`deliver` calls the handler for the message's exact tag.
 
     The cluster owns its processors; a processor reaches back to its
     cluster only weakly (:attr:`cluster`), so a finished machine is freed
@@ -99,7 +100,9 @@ class Processor:
         self.space = AddressSpace(self.layout, self.physical,
                                   name=f"pe{proc_id}")
         self.kernel = KernelModel(profile)
-        self._handler: Optional[Callable[[Message], None]] = None
+        #: tag -> the function called for each message with that tag:
+        #: this processor's one routing table.
+        self._handlers: Dict[str, Callable[[Message], None]] = {}
         #: Fail-stop flag: a crashed (or evacuated-then-shut-down) node.
         #: Set by the chaos harness; a failed processor must neither send
         #: nor receive — both paths raise :class:`~repro.errors.CommError`
@@ -144,16 +147,19 @@ class Processor:
 
     # -- messaging ------------------------------------------------------------
 
-    def set_message_handler(self, fn: Callable[[Message], None]) -> None:
-        """Install the function called for each arriving message."""
-        self._handler = fn
+    def register(self, tag: str, handler: Callable[[Message], None]) -> None:
+        """Call ``handler`` for each message that arrives with ``tag``."""
+        if tag in self._handlers:
+            raise CommError(f"tag {tag!r} already registered "
+                            f"on processor {self.id}")
+        self._handlers[tag] = handler
 
-    def send(self, dst: int, payload, size_bytes: int, tag: str = "") -> Message:
-        """Send a message to processor ``dst`` via the cluster network."""
-        cluster = self.cluster
-        if cluster is None:
-            raise RuntimeError(f"processor {self.id} is not attached to a cluster")
-        return cluster.send(self.id, dst, payload, size_bytes, tag)
+    def unregister(self, tag: str) -> None:
+        """Drop the handler for ``tag`` (a runtime whose run is over lets
+        go of the processors it was delivered on)."""
+        if self._handlers.pop(tag, None) is None:
+            raise CommError(f"tag {tag!r} is not registered "
+                            f"on processor {self.id}")
 
     def deliver(self, msg: Message, arrival_time: float) -> None:
         """Called by the cluster when ``msg`` arrives at ``arrival_time``."""
@@ -167,11 +173,12 @@ class Processor:
         if network is not None:
             self.charge(network.per_message_cpu_ns)
         self.messages_received += 1
-        handler = self._handler
-        if handler is None:
-            raise RuntimeError(
-                f"processor {self.id} received a message but has no handler"
-            )
+        try:
+            handler = self._handlers[msg.tag]
+        except KeyError:
+            raise CommError(
+                f"no handler for tag {msg.tag!r} on processor {self.id} "
+                f"(registered: {sorted(self._handlers)})") from None
         handler(msg)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

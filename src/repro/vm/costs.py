@@ -29,10 +29,15 @@ class MemoryCostModel:
         ``2 * stack_bytes / memcpy_bytes_per_ns`` per switch (copy out the
         old thread, copy in the new one).
     syscall_ns:
-        Fixed cost of entering and leaving the kernel once.  The paper notes
-        that "if a user-level thread context switch involves even one system
-        call, most of the speed advantage of user-level threads is lost"
-        (Section 4.3) — this constant is why.
+        Kernel entry and exit of one mapping call, part of
+        :meth:`mmap_cost`: every stack allocation (:meth:`allocation_cost`,
+        charged when a thread is created) and every memory-aliasing remap
+        (:meth:`remap_cost`) pays it.  The paper notes that "if a user-level
+        thread context switch involves even one system call, most of the
+        speed advantage of user-level threads is lost" (Section 4.3) — this
+        constant is why aliasing switches cost microseconds.  A context
+        switch's kernel entry is ``PlatformProfile.syscall_ns``, a separate
+        constant with a different value on every built-in platform.
     mmap_fixed_ns:
         Cost of one mmap/mremap call beyond the bare syscall (VMA bookkeeping).
     per_page_map_ns:
@@ -40,7 +45,9 @@ class MemoryCostModel:
         This term gives memory-aliasing stacks their slow growth with stack
         size in Figure 9.
     tlb_flush_ns:
-        Cost of the TLB shootdown a remap or address-space switch implies.
+        The TLB shootdown a memory-aliasing remap implies
+        (:meth:`remap_cost`).  A process switch's flush is
+        ``PlatformProfile.tlb_flush_ns``, a separate constant.
     page_zero_ns:
         Cost of zeroing a fresh page at allocation.
     """

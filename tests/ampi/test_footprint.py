@@ -19,8 +19,9 @@ one-record rank are in brackets.
   posted-receive list — migration included;
 * a cross-processor message in flight is its ``AmpiMessage``, the
   network ``Message`` carrying it, its kernel slot and that slot's
-  ``(msg, arrival)`` args tuple [5: also a ``Processor.deliver`` bound
-  per send];
+  ``(msg, arrival)`` args tuple; delivery adds none (the processor's
+  routing table holds the ``ampi`` handler once per run) [5: also a
+  ``Processor.deliver`` bound per send];
 * coordinated checkpoints keep one image per rank, however many epochs
   a run takes [one per rank per epoch: 8/16/32/64 records below].
 """

@@ -2,19 +2,23 @@
 
 ``ctx.send`` → ``Cluster.send`` → ``Processor.deliver`` → ``_enqueue`` →
 wake → ``_resume`` → ``recv``: every hop binds what is fixed for the
-run once and makes one pass.  Calls per send on a fixed BT-MZ run is the
-deterministic proxy (83.2 before the one-pass rewrite, 57.9 after it,
-56.5 with ``Processor.now`` a plain attribute rather than a property over
-a clock object, 50.8 with a context switch one frame and no wrapper
-generator around the rank's ``main``); the bound leaves room for a call
-or two per message, not for a shim layer coming back.
+run once and makes one pass, and ``Processor.deliver`` looks the
+handler up by exact tag in the processor's one routing table.  Calls
+per send on a fixed BT-MZ run is the deterministic proxy (83.2 before
+the one-pass rewrite, 57.9 after it, 56.5 with ``Processor.now`` a plain
+attribute rather than a property over a clock object, 50.8 with a
+context switch one frame and no wrapper generator around the rank's
+``main``, 48.49 while a separate tag dispatcher routed each
+cross-processor arrival, 47.78 with the routing table on the
+processor); the bound is the measured value rounded up, so a hop or a
+shim layer coming back fails it.
 """
 
 from repro.balance.strategies import GreedyLB
 from repro.workloads.btmz import BTMZConfig, run_btmz
 from tests.callcount import count_calls
 
-CALLS_PER_SEND = 52
+CALLS_PER_SEND = 48
 
 
 def test_calls_per_ampi_send_stay_within_budget():

@@ -119,3 +119,23 @@ def test_waitall_sleeps_until_its_last_receive_completes():
     rt.run()
     assert seen == [({1: ("wait", "all", (0, 1))}, "suspended")]
     assert rt.done and not rt.parked
+
+
+def test_a_run_past_the_round_bound_is_refused(monkeypatch):
+    """The bound is a module constant, not a ``run()`` argument: a
+    ping-pong needs more rounds than a bound of 2 allows."""
+    monkeypatch.setattr("repro.ampi.runtime._MAX_ROUNDS", 2)
+
+    def main(mpi):
+        peer = 1 - mpi.rank
+        for _ in range(3):
+            if mpi.rank == 0:
+                mpi.send(peer, "ping")
+                yield from mpi.recv(source=peer)
+            else:
+                yield from mpi.recv(source=peer)
+                mpi.send(peer, "pong")
+
+    with pytest.raises(AmpiError,
+                       match=r"run\(\) exceeded 2 scheduling rounds"):
+        AmpiRuntime(2, 2, main).run()

@@ -17,7 +17,8 @@ def message_cluster(n=2):
     cl = Cluster(n)
     log = []
     for proc in cl.processors:
-        proc.set_message_handler(lambda msg, log=log: log.append(msg.payload))
+        for tag in ("ampi", "other"):
+            proc.register(tag, lambda msg, log=log: log.append(msg.payload))
     return cl, log
 
 

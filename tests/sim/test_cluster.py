@@ -70,7 +70,7 @@ def test_cluster_message_roundtrip():
     cl = Cluster(2, network=Network(latency_ns=1000, bytes_per_ns=1.0,
                                     per_message_cpu_ns=100))
     received = []
-    cl[1].set_message_handler(lambda m: received.append(m.payload))
+    cl[1].register("", lambda m: received.append(m.payload))
     cl.send(0, 1, "hello", size_bytes=100)
     cl.run()
     assert received == ["hello"]
@@ -83,7 +83,7 @@ def test_cluster_message_roundtrip():
 def test_cluster_messages_arrive_in_time_order():
     cl = Cluster(3)
     order = []
-    cl[2].set_message_handler(lambda m: order.append(m.payload))
+    cl[2].register("", lambda m: order.append(m.payload))
     cl.send(0, 2, "big", size_bytes=1_000_000)   # slow: bandwidth bound
     cl.send(1, 2, "small", size_bytes=10)        # fast
     cl.run()
@@ -103,7 +103,7 @@ def test_cluster_chained_sends():
         return handler
 
     for pe in range(1, 4):
-        cl[pe].set_message_handler(make_handler(pe))
+        cl[pe].register("", make_handler(pe))
     cl.send(0, 1, "token", size_bytes=64)
     cl.run()
     assert log == [(1, "token"), (2, "token"), (3, "token")]
@@ -132,16 +132,11 @@ def test_cluster_makespan():
     assert cl.makespan == 1000
 
 
-def test_unattached_processor_send_fails():
-    p = Processor(0, get_platform("linux_x86"))
-    with pytest.raises(RuntimeError):
-        p.send(1, "x", 10)
-
-
 def test_handler_missing_raises():
     cl = Cluster(2)
     cl.send(0, 1, "x", 10)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(CommError, match=r"no handler for tag '' on "
+                                        r"processor 1 \(registered: \[\]\)"):
         cl.run()
 
 
@@ -160,7 +155,8 @@ def _send_line(msg):
 def test_the_send_digest_covers_exactly_the_sends_after_enable_tracing():
     cl = Cluster(2)
     for proc in cl.processors:
-        proc.set_message_handler(lambda m: None)
+        for tag in ("x", "t1", "", "t3"):
+            proc.register(tag, lambda m: None)
     cl.send(0, 1, "before-enable", 10, tag="x")
     assert cl.send_digest is None
     cl.enable_tracing()
@@ -183,7 +179,7 @@ def test_the_send_digest_covers_exactly_the_sends_after_enable_tracing():
 
 def test_enabling_tracing_twice_subscribes_once():
     cl = Cluster(2)
-    cl[1].set_message_handler(lambda m: None)
+    cl[1].register("t1", lambda m: None)
     cl.enable_tracing()
     digest = cl.send_digest
     cl.enable_tracing()
@@ -249,7 +245,7 @@ def test_deliver_charges_receive_overhead_only_when_attached():
     cl = Cluster(2, network=Network(per_message_cpu_ns=100))
     detached = Processor(0, get_platform("linux_x86"))
     for proc in (cl[1], detached):
-        proc.set_message_handler(lambda m: None)
+        proc.register("", lambda m: None)
         proc.deliver(Message(0, proc.id, None, 8), 1000.0)
     assert (cl[1].busy_ns, cl[1].now) == (100.0, 1100.0)
     assert (detached.busy_ns, detached.now) == (0.0, 1000.0)
@@ -293,7 +289,7 @@ def test_identity_net_send_subscriber_changes_nothing(tmp_path):
 def test_net_send_subscriber_still_drops_and_duplicates():
     cl = Cluster(2)
     got = []
-    cl[1].set_message_handler(lambda m: got.append(m.payload))
+    cl[1].register("", lambda m: got.append(m.payload))
     verdicts = {"drop": lambda arrivals: [],
                 "twice": lambda arrivals: arrivals + [arrivals[0] + 5.0],
                 "past": lambda arrivals: [-1.0]}

@@ -17,7 +17,7 @@ def run_ping_round(n_msgs=5):
     cl = Cluster(2)
     seen = []
     for proc in cl.processors:
-        proc.set_message_handler(lambda msg: seen.append(msg.msg_id))
+        proc.register("t", lambda msg: seen.append(msg.msg_id))
     for i in range(n_msgs):
         cl.send(i % 2, (i + 1) % 2, payload=i, size_bytes=64, tag="t")
     cl.run()
@@ -37,7 +37,7 @@ def test_two_runs_in_one_process_see_identical_msg_ids():
 def test_msg_ids_start_at_one_per_cluster():
     run_ping_round()                       # another would-be polluter
     cl = Cluster(2)
-    cl.processors[1].set_message_handler(lambda msg: None)
+    cl.processors[1].register("", lambda msg: None)
     msg = cl.send(0, 1, payload="x", size_bytes=16)
     assert msg.msg_id == 1
     assert cl.send(0, 1, payload="y", size_bytes=16).msg_id == 2
@@ -51,8 +51,8 @@ def test_full_send_record_is_byte_identical_across_runs():
         cl = Cluster(3)
         log = []
         for proc in cl.processors:
-            proc.set_message_handler(
-                lambda msg: log.append(
+            for tag in ("t0", "t1"):
+                proc.register(tag, lambda msg: log.append(
                     (msg.msg_id, msg.src, msg.dst, msg.tag, msg.send_time)))
         for i in range(9):
             cl.send(i % 3, (i + 1) % 3, payload=i, size_bytes=32 * (i + 1),

@@ -62,8 +62,8 @@ def test_cluster_delivery_respects_topology():
                   topology=FatTree(8, radix=4))
     cl = Cluster(8, network=net)
     times = {}
-    cl[1].set_message_handler(lambda m: times.__setitem__("near", cl[1].now))
-    cl[5].set_message_handler(lambda m: times.__setitem__("far", cl[5].now))
+    cl[1].register("", lambda m: times.__setitem__("near", cl[1].now))
+    cl[5].register("", lambda m: times.__setitem__("far", cl[5].now))
     cl.send(0, 1, "x", 10)       # same leaf: 2 hops
     cl.send(0, 5, "x", 10)       # cross-core: 4 hops
     cl.run()

@@ -334,7 +334,6 @@ def test_the_per_image_scans_see_what_they_forbid():
 PER_MESSAGE = {
     "sim/cluster.py": ("Cluster", {"send"}),
     "sim/processor.py": ("Processor", {"deliver"}),
-    "sim/dispatch.py": ("TagDispatcher", {"_dispatch"}),
     "ampi/runtime.py": ("AmpiRuntime", {"_send", "_enqueue"}),
     "core/ranks.py": ("RankProtocol", {"arrive", "take"}),
 }

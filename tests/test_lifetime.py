@@ -18,7 +18,8 @@ Where the edges are cut (``docs/architecture.md`` § Object lifetime):
 * a kernel slot's handle, when the event fires or is cancelled;
 * a lowered function's edge to its compiler (``compile_flow``);
 * a subscriber (tracer, observer, injector) holds what it subscribes to
-  only weakly.
+  only weakly, and so does the ``pose`` handler each processor holds
+  its ``PoseEngine`` by.
 
 A partial or failed run keeps its graph: replay reads it.
 """
@@ -30,8 +31,10 @@ import pytest
 
 from repro.ampi import AmpiRuntime
 from repro.balance import RotateLB
+from repro.bench.ablations import pose_throttle_run
 from repro.bigsim import BigSimEngine, TargetMachine
 from repro.chaos import STANDARD_RATES
+from repro.errors import CommError
 from repro.exec.runners import run_chaos_cell
 from repro.flows import (CompiledContinuationFlow, UserThreadFlow,
                          compile_flow)
@@ -40,8 +43,9 @@ from repro.flows.runtime import FlowWorld
 from repro.flows.stencil import stencil_program
 from repro.kernel import KernelTracer
 from repro.obs.collect import RunObserver
+from repro.pose import PoseEngine
 from repro.query.replay import parse_runspec, replay_at
-from repro.sim import Processor, get_platform
+from repro.sim import Cluster, Processor, get_platform
 from repro.workloads import BTMZConfig
 from repro.workloads.btmz import make_btmz_main
 from repro.workloads.md import MDConfig, MDWorkload
@@ -133,6 +137,23 @@ def test_a_finished_bigsim_engine_leaves_no_cycle():
                               MDWorkload(MDConfig(dims=dims)), steps=1)
         assert engine.run().host_ns_per_step > 0
     assert cyclic_garbage(act) == {}
+
+
+def test_a_finished_pose_run_leaves_no_cycle():
+    # [67: every processor's ``pose`` handler was the engine's bound
+    # method, and the engine holds the cluster]
+    def act():
+        _, stats = pose_throttle_run(None)
+        assert stats.rollbacks > 0
+    assert cyclic_garbage(act) == {}
+
+
+def test_a_pose_message_after_its_engine_is_freed_is_refused():
+    cluster = Cluster(2)
+    PoseEngine(cluster)                     # dropped at once
+    cluster.send(0, 1, None, 8, tag="pose")
+    with pytest.raises(CommError, match="processor 1 after its engine"):
+        cluster.run()
 
 
 def test_a_traced_run_makes_no_cycle_alive_or_dropped():

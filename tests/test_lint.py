@@ -9,6 +9,8 @@ isomalloc address hygiene) a permanent tier-1 gate for every PR.
 
 import os
 
+import pytest
+
 from repro.analysis import ModuleContext, analyze_paths
 from repro.analysis.core import collect_files
 
@@ -18,6 +20,12 @@ GATE_PATHS = [
     os.path.join(ROOT, "examples"),
     os.path.join(ROOT, "src", "repro", "workloads"),
 ]
+
+
+@pytest.fixture(scope="module")
+def findings():
+    """One analyzer pass over the gate, shared by every test here."""
+    return analyze_paths(GATE_PATHS)
 
 
 def test_gate_covers_the_whole_tree():
@@ -49,8 +57,7 @@ def test_gate_covers_the_whole_tree():
             "replay.py"} <= names
 
 
-def test_shipped_tree_is_lint_clean():
-    findings = analyze_paths(GATE_PATHS)
+def test_shipped_tree_is_lint_clean(findings):
     active = [f for f in findings if not f.suppressed]
     assert not active, "migralint gate failed:\n" + "\n".join(
         f.render() for f in active)
@@ -62,19 +69,18 @@ def test_shipped_tree_is_lint_clean():
 SUPPRESSED = {"examples/stencil_sdag.py:78 MIG002"}
 
 
-def test_suppressions_stay_rare():
+def test_suppressions_stay_rare(findings):
     """An escape hatch, not a lifestyle: the set is exact, so adding or
     retiring one is a reviewed edit here."""
     found = {f"{os.path.relpath(f.path, ROOT)}:{f.line} {f.rule}"
-             for f in analyze_paths(GATE_PATHS) if f.suppressed}
+             for f in findings if f.suppressed}
     assert found == SUPPRESSED
 
 
-def test_every_suppression_suppresses_something():
+def test_every_suppression_suppresses_something(findings):
     """A suppression comment that covers no finding is dead weight that
     would silently mask a future one."""
-    covered = {(f.path, f.line) for f in analyze_paths(GATE_PATHS)
-               if f.suppressed}
+    covered = {(f.path, f.line) for f in findings if f.suppressed}
     dead = []
     for path in collect_files(GATE_PATHS):
         with open(path, encoding="utf-8") as fh:
