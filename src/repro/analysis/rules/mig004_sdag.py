@@ -1,8 +1,8 @@
 """MIG004 sdag-discipline: SDAG methods speak only When/Overlap/Atomic.
 
 Section 2.4.2: an SDAG entry method expresses a chare's life cycle with
-``when``/``overlap``/``atomic`` constructs, which the driver compiles
-into a finite-state machine (:class:`repro.charm.sdag.SdagDriver`).  The
+``when``/``overlap``/``atomic`` constructs, which the driver runs as a
+state machine (:class:`repro.charm.sdag.SdagDriver`).  The
 generator protocol is the construct surface — yielding anything else
 (a string, a tuple, a bare ``yield``) is a directive the FSM rejects at
 runtime, on the destination processor, possibly long after a migration.

@@ -26,13 +26,17 @@ class Chare:
     ``thisProxy``
         An :class:`~repro.charm.runtime.ArrayProxy` for the whole array.
     ``runtime``
-        The hosting :class:`~repro.charm.runtime.CharmRuntime`.
+        The hosting :class:`~repro.charm.runtime.CharmRuntime`, read
+        through ``thisProxy``, which holds it weakly.
     """
 
     thisIndex: int = -1
     thisProxy: Optional["ArrayProxy"] = None
-    runtime: Optional["CharmRuntime"] = None
     _pe: int = -1
+
+    @property
+    def runtime(self) -> "CharmRuntime":
+        return self.thisProxy.runtime
 
     @property
     def my_pe(self) -> int:
@@ -41,20 +45,18 @@ class Chare:
 
     def charge(self, ns: float) -> None:
         """Account ``ns`` of entry-method computation to the local processor."""
-        assert self.runtime is not None
         self.runtime.cluster[self._pe].charge(ns)
 
     def contribute(self, value: Any, op: str, callback: str) -> None:
         """Join the array-wide reduction ``op``; the reduced value is
         delivered to entry method ``callback`` of element 0."""
-        assert self.runtime is not None and self.thisProxy is not None
-        self.runtime._contribute(self.thisProxy.aid, self.thisIndex,
-                                 value, op, callback)
+        self.runtime._contribute(self.thisProxy.aid, self.thisIndex, value,
+                                 op, callback)
 
     def pup(self, p) -> None:
         """Pack/unpack application state; default packs nothing.
 
         Subclasses with state must override (and remember that the
-        runtime re-injects ``thisIndex``/``thisProxy``/``runtime`` after
-        unpacking, so only application fields belong here).
+        runtime re-injects ``thisIndex``/``thisProxy`` after unpacking,
+        so only application fields belong here).
         """

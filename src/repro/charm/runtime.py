@@ -7,58 +7,78 @@ local location cache; a message reaching a processor the element has left
 is forwarded — via the departure tombstone or the home — so "object or
 thread migration with ongoing point-to-point communication" just works.
 
-Entry methods are ordinary methods; generator methods are SDAG methods and
-are driven by :class:`repro.charm.sdag.SdagDriver`.
+Every invocation takes one road, :meth:`CharmRuntime._execute`: a method of
+the chare is called (a generator method starts the element's one SDAG
+continuation); any other name is a ``when`` message for the element's one
+buffer.  Both are the element's :class:`repro.charm.sdag.SdagDriver`.  The
+processors' handler and the proxies hold the runtime weakly, so a finished
+run is freed by reference counting.
 """
 
 from __future__ import annotations
 
 import inspect
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.errors import CommError
+from repro.errors import CommError, SdagError
 from repro.charm.chare import Chare
 from repro.charm.reduction import combine
 from repro.charm.sdag import SdagDriver
-from repro.core.pup import pup_pack, pup_registered, pup_unpack
+from repro.core.pup import (pack_value, pup_pack, pup_registered, pup_unpack,
+                             unpack_value)
 from repro.kernel import QuiescenceCounter
 from repro.sim.cluster import Cluster
 from repro.sim.network import Message
+from repro.sim.processor import weak_handler
 
 __all__ = ["CharmRuntime", "ArrayProxy", "ElementProxy"]
 
 _TAG = "charm"
 
 
-class ElementProxy:
+class _Proxy:
+    """A proxy's ``_runtime_ref`` is weak: the runtime holds the elements,
+    which hold their proxies.  A proxy that outlives it refuses to send."""
+
+    @property
+    def runtime(self) -> "CharmRuntime":
+        """The hosting runtime."""
+        runtime = self._runtime_ref()
+        if runtime is None:
+            raise CommError(f"a proxy of array a{self.aid} outlived its "
+                            f"runtime")
+        return runtime
+
+
+class ElementProxy(_Proxy):
     """Handle for sending messages to one array element."""
 
-    def __init__(self, runtime: "CharmRuntime", aid: int, index: int):
-        self._runtime = runtime
-        self.aid = aid
-        self.index = index
+    def __init__(self, runtime_ref: "weakref.ref[CharmRuntime]", aid: int,
+                 index: int):
+        self._runtime_ref, self.aid, self.index = runtime_ref, aid, index
 
     def send(self, method: str, *args: Any, size_bytes: int = 64) -> None:
         """Asynchronously invoke ``method(*args)`` on the element."""
-        self._runtime.send_invoke(self.aid, self.index, method, args,
-                                  size_bytes)
+        # Dereferenced inline on this hot path; ``runtime`` raises if freed.
+        runtime = self._runtime_ref() or self.runtime
+        runtime.send_invoke(self.aid, self.index, method, args, size_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ElementProxy a{self.aid}[{self.index}]>"
 
 
-class ArrayProxy:
+class ArrayProxy(_Proxy):
     """Handle for a whole chare array."""
 
-    def __init__(self, runtime: "CharmRuntime", aid: int, n: int):
-        self._runtime = runtime
-        self.aid = aid
-        self.n = n
+    def __init__(self, runtime_ref: "weakref.ref[CharmRuntime]", aid: int,
+                 n: int):
+        self._runtime_ref, self.aid, self.n = runtime_ref, aid, n
 
     def __getitem__(self, index: int) -> ElementProxy:
         if not 0 <= index < self.n:
             raise CommError(f"array index {index} out of range [0,{self.n})")
-        return ElementProxy(self._runtime, self.aid, index)
+        return ElementProxy(self._runtime_ref, self.aid, index)
 
     def __len__(self) -> int:
         return self.n
@@ -69,29 +89,27 @@ class ArrayProxy:
             self[i].send(method, *args, size_bytes=size_bytes)
 
 
-class SectionProxy:
+class SectionProxy(_Proxy):
     """Multicast handle over a subset of an array's elements."""
 
-    def __init__(self, runtime: "CharmRuntime", aid: int, indices: list):
-        self._runtime = runtime
-        self.aid = aid
-        self.indices = list(indices)
+    def __init__(self, runtime_ref: "weakref.ref[CharmRuntime]", aid: int,
+                 indices: list):
+        self._runtime_ref, self.aid, self.indices = runtime_ref, aid, indices
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def send(self, method: str, *args: Any, size_bytes: int = 64) -> None:
         """Invoke ``method`` on every element of the section."""
+        runtime = self.runtime
         for i in self.indices:
-            self._runtime.send_invoke(self.aid, i, method, args, size_bytes)
+            runtime.send_invoke(self.aid, i, method, args, size_bytes)
 
 
 class _ArrayRecord:
     """Runtime bookkeeping for one chare array."""
 
-    def __init__(self, aid: int, cls: Type[Chare], n: int):
-        self.aid = aid
-        self.cls = cls
+    def __init__(self, n: int):
         self.n = n
         self.reductions: Dict[Tuple[str, str, int], List[Any]] = {}
         self.red_rounds: Dict[int, int] = {}     # per-element round counter
@@ -112,13 +130,16 @@ class CharmRuntime:
             {} for _ in range(self.nproc)]
         self._tombstone: List[Dict[Tuple[int, int], int]] = [
             {} for _ in range(self.nproc)]
-        self._drivers: Dict[Tuple[int, int], SdagDriver] = {}
-        self._early: Dict[Tuple[int, int], List[Tuple[str, Any]]] = {}
+        #: Each element's SDAG record: its ``when`` buffer and live
+        #: continuation, made by the first message or SDAG method it gets.
+        self._sdag: Dict[Tuple[int, int], SdagDriver] = {}
+        self._ref = weakref.ref(self)
         #: Processor considered "current" for sends made outside any entry
         #: method (the mainchare's processor).
         self._pe_stack: List[int] = [0]
+        on_message = weak_handler(self._on_message, "runtime")
         for proc in cluster.processors:
-            proc.register(_TAG, self._on_message)
+            proc.register(_TAG, on_message)
         # -- statistics ------------------------------------------------------
         self.entries_invoked = 0
         self.messages_forwarded = 0
@@ -143,9 +164,9 @@ class CharmRuntime:
             raise CommError("array needs at least one element")
         aid = self._next_aid
         self._next_aid += 1
-        rec = _ArrayRecord(aid, cls, n)
+        rec = _ArrayRecord(n)
         self._arrays[aid] = rec
-        proxy = ArrayProxy(self, aid, n)
+        proxy = ArrayProxy(self._ref, aid, n)
         for i in range(n):
             pe = placement(i) if placement else i % self.nproc
             self._install(cls(*args), proxy, i, pe)
@@ -159,14 +180,12 @@ class CharmRuntime:
         """Inject the runtime attributes and make ``chare`` local to ``pe``."""
         chare.thisIndex = index
         chare.thisProxy = proxy
-        chare.runtime = self
         chare._pe = pe
         self._local[pe][(proxy.aid, index)] = chare
 
     def proxy(self, aid: int) -> ArrayProxy:
         """Re-obtain the proxy for an existing array."""
-        rec = self._arrays[aid]
-        return ArrayProxy(self, rec.aid, rec.n)
+        return ArrayProxy(self._ref, aid, self._arrays[aid].n)
 
     def _home(self, index: int) -> int:
         return index % self.nproc
@@ -203,7 +222,7 @@ class CharmRuntime:
         if key in self._local[src]:
             self.cluster.after(src, self.cluster.platform.event_dispatch_ns,
                                self._execute, src, aid, index, method, args,
-                               category="charm.exec")
+                               size_bytes, category="charm.exec")
             return
         dst = self._believed_location(src, key)
         self.cluster.send(src, dst, ("invoke", aid, index, method, args),
@@ -216,9 +235,9 @@ class CharmRuntime:
         home = self._home(key[1])
         if pe == home:
             return self._home_loc[home][key]
-        return self._home_loc[home].get(key, home)  # shared-read of home map
-        # Note: reading the home map from afar models the sender's cached
+        # Reading the home map from afar models the sender's cached
         # location; staleness is handled by forwarding on arrival.
+        return self._home_loc[home].get(key, home)
 
     def _on_message(self, msg: Message) -> None:
         kind = msg.payload[0]
@@ -227,7 +246,7 @@ class CharmRuntime:
             _, aid, index, method, args = msg.payload
             key = (aid, index)
             if key in self._local[pe]:
-                self._execute(pe, aid, index, method, args)
+                self._execute(pe, aid, index, method, args, msg.size_bytes)
             else:
                 self._forward(pe, msg)
         elif kind == "migrate":
@@ -245,75 +264,53 @@ class CharmRuntime:
         _, aid, index, method, args = msg.payload
         key = (aid, index)
         self.messages_forwarded += 1
-        tomb = self._tombstone[pe].get(key)
-        if tomb is not None and tomb != pe:
-            self.cluster.send(pe, tomb, msg.payload,
-                              size_bytes=msg.size_bytes, tag=_TAG)
-            return
-        home = self._home(index)
-        if pe == home:
-            loc = self._home_loc[home].get(key)
-            if loc is None or loc == pe:
-                raise CommError(
-                    f"home {home} has no live location for a{aid}[{index}]")
-            self.cluster.send(pe, loc, msg.payload,
-                              size_bytes=msg.size_bytes, tag=_TAG)
-        else:
-            self.cluster.send(pe, home, msg.payload,
-                              size_bytes=msg.size_bytes, tag=_TAG)
+        dst = self._tombstone[pe].get(key)
+        if dst is None or dst == pe:
+            dst = home = self._home(index)
+            if pe == home:
+                dst = self._home_loc[home].get(key)
+                if dst is None or dst == pe:
+                    raise CommError(f"home {home} has no live location "
+                                    f"for a{aid}[{index}]")
+        self.cluster.send(pe, dst, msg.payload, size_bytes=msg.size_bytes,
+                          tag=_TAG)
 
     # ------------------------------------------------------------------
     # entry-method execution
     # ------------------------------------------------------------------
 
     def _execute(self, pe: int, aid: int, index: int, method: str,
-                 args: Tuple) -> None:
+                 args: Tuple, size_bytes: int) -> None:
+        """Run one invocation (the one road; see the module docstring)."""
         key = (aid, index)
         chare = self._local[pe].get(key)
         if chare is None:
-            # Raced with a migration that happened after scheduling; the
-            # message stays outstanding (no processed count).
-            dst = self._believed_location(pe, key)
-            self.cluster.send(pe, dst, ("invoke", aid, index, method, args),
-                              size_bytes=64, tag=_TAG)
+            # Raced with a migration that happened after scheduling: send
+            # it on at its own size, counted created again.
+            self._qd.note_processed()
             self.messages_forwarded += 1
-            self._qd.note_processed()  # balanced by the resend's arrival
-            self._qd.note_created()
+            self.send_invoke(aid, index, method, args, size_bytes, src_pe=pe)
             return
         self.cluster[pe].charge(self.cluster.platform.event_dispatch_ns)
         self.entries_invoked += 1
         self._qd.note_processed()
-        driver = self._drivers.get(key)
-        if driver is not None and not driver.finished:
-            # An active SDAG method consumes named messages.
-            payload = args[0] if len(args) == 1 else args
-            self._pe_stack.append(pe)
-            try:
-                driver.deliver(method, payload)
-            finally:
-                self._pe_stack.pop()
-            return
         fn = getattr(chare, method, None)
-        if fn is None:
-            # A named message for an SDAG method that has not started yet:
-            # buffer until the driver exists (early-arrival tolerance).
-            payload = args[0] if len(args) == 1 else args
-            self._early.setdefault(key, []).append((method, payload))
-            return
         self._pe_stack.append(pe)
         try:
-            if inspect.isgeneratorfunction(fn.__func__ if hasattr(fn, "__func__") else fn):
-                gen = fn(*args)
-                driver = SdagDriver(gen,
-                                    on_finish=lambda k=key: self._drivers.pop(k, None))
-                self._drivers[key] = driver
-                driver.start()
-                # Deliver any messages that arrived before the driver existed.
-                for name, payload in self._early.pop(key, []):
-                    if not driver.finished:
-                        driver.deliver(name, payload)
-            else:
+            if fn is not None and not inspect.isgeneratorfunction(fn):
                 fn(*args)
+                return
+            sdag = self._sdag.get(key)
+            if sdag is None:
+                sdag = self._sdag[key] = SdagDriver()
+            if fn is None:
+                sdag.deliver(method, args[0] if len(args) == 1 else args)
+            elif sdag.finished:
+                sdag.start(fn(*args))
+            else:
+                raise SdagError(
+                    f"a{aid}[{index}] on processor {pe}: SDAG method "
+                    f"{method!r} invoked while {sdag.gen.__name__!r} is live")
         finally:
             self._pe_stack.pop()
 
@@ -365,27 +362,25 @@ class CharmRuntime:
             blob = pup_pack(chare)
             wire = len(blob)
         del self._local[src][key]
-        driver = self._drivers.pop(key, None)
         self._tombstone[src][key] = dst_pe
         self.cluster[src].charge(self.cluster.platform.mem.memcpy_cost(wire))
         self.cluster.send(src, dst_pe,
-                          ("migrate", aid, index, blob, chare, driver, wire),
+                          ("migrate", aid, index, blob, chare, wire),
                           size_bytes=wire, tag=_TAG)
         self.migrations += 1
 
     def _arrive(self, pe: int, payload: Tuple) -> None:
-        _, aid, index, blob, chare, driver, wire = payload
+        _, aid, index, blob, chare, wire = payload
         key = (aid, index)
-        if blob is not None and driver is None:
+        sdag = self._sdag.get(key)
+        if blob is not None and (sdag is None or sdag.finished):
             # With no live SDAG continuation, the serialized image is the
             # whole object: rebuild from bytes (the real PUP path).  A live
-            # driver's generator closes over the original object, so that
-            # object itself is kept (see DESIGN.md on generator state).
+            # continuation's generator closes over the original object, so
+            # that object itself is kept (see DESIGN.md on generator state).
             chare = pup_unpack(blob)
         self._install(chare, self.proxy(aid), index, pe)
         self.cluster[pe].charge(self.cluster.platform.mem.memcpy_cost(wire))
-        if driver is not None:
-            self._drivers[key] = driver
         self._tombstone[pe].pop(key, None)
         home = self._home(index)
         if home == pe:
@@ -428,7 +423,7 @@ class CharmRuntime:
         for i in idx:
             if not 0 <= i < rec.n:
                 raise CommError(f"section index {i} out of range")
-        return SectionProxy(self, aid, idx)
+        return SectionProxy(self._ref, aid, idx)
 
     # ------------------------------------------------------------------
     # whole-array checkpointing (PUP to bytes)
@@ -438,17 +433,20 @@ class CharmRuntime:
         """Serialize every element of an array (application state only).
 
         Elements must be ``pup_register``'ed.  Returns real bytes; restore
-        with :meth:`restore_array`.  Elements with live SDAG continuations
-        cannot be checkpointed (generator state is process-local).
+        with :meth:`restore_array`.  An element with a live SDAG
+        continuation (generator state is process-local) or buffered
+        ``when`` messages is refused: the image must be its whole state.
         """
-        from repro.core.pup import pack_value
         rec = self._arrays[aid]
         blobs = []
         for i in range(rec.n):
-            if (aid, i) in self._drivers:
-                raise CommError(
-                    f"element a{aid}[{i}] has a live SDAG continuation; "
-                    f"checkpoint at a quiescent point")
+            sdag = self._sdag.get((aid, i))
+            if sdag is not None and (not sdag.finished
+                                     or any(sdag.buffers.values())):
+                held = ("a live SDAG continuation" if not sdag.finished
+                        else "buffered when messages")
+                raise CommError(f"element a{aid}[{i}] has {held}; "
+                                f"checkpoint at a quiescent point")
             chare = self.element(aid, i)
             blobs.append((i, chare.my_pe, pup_pack(chare)))
         return pack_value({"aid": aid, "n": rec.n,
@@ -460,31 +458,22 @@ class CharmRuntime:
         The elements replace the current ones of the same array id (a
         restart-in-place model).
         """
-        from repro.core.pup import unpack_value
         image = unpack_value(blob)
         aid = image["aid"]
         rec = self._arrays.get(aid)
         if rec is None or rec.n != image["n"]:
             raise CommError("restore_array: no matching live array")
-        proxy = ArrayProxy(self, aid, rec.n)
+        proxy = self.proxy(aid)
         for i, pe, data in image["elements"]:
-            # Remove the old element wherever it currently lives.
+            # Remove the old element and its SDAG record.
             for p in range(self.nproc):
                 self._local[p].pop((aid, i), None)
+            self._sdag.pop((aid, i), None)
             self._install(pup_unpack(data), proxy, i, pe)
             self._home_loc[self._home(i)][(aid, i)] = pe
         return proxy
 
     # ------------------------------------------------------------------
-
-    # quiescence counters, exposed for tests and the conformance suite
-    @property
-    def _qd_created(self) -> int:
-        return self._qd.created
-
-    @property
-    def _qd_processed(self) -> int:
-        return self._qd.processed
 
     def run(self, **kwargs) -> int:
         """Drain the cluster's event queue — the charm runtime has no run

@@ -5,10 +5,10 @@ straight-line code with ``when``/``overlap``/``atomic`` constructs instead
 of inverted event-handler style; a preprocessor turns the syntax into an
 efficient finite-state machine.
 
-Here the "preprocessor output" is a driver over a Python generator: an SDAG
-entry method is a generator method that yields :class:`When` /
-:class:`Overlap` / :class:`Atomic` directives.  The Figure 1 stencil
-program becomes::
+Here nothing is compiled: an SDAG entry method is a generator method that
+yields :class:`When` / :class:`Overlap` / :class:`Atomic` directives, and
+:class:`SdagDriver` is a driven state machine over it — the generator's
+suspended frame is the state.  The Figure 1 stencil program becomes::
 
     class Stencil(Chare):
         def lifecycle(self):                       # entry void stencilLifeCycle()
@@ -19,17 +19,22 @@ program becomes::
                     When("strip_from_right"))      #   when getStripFromRight(...)
                 self.do_work(left, right)          # atomic { doWork(); }
 
-The driver buffers messages per name, so the two strips "can occur and be
-processed in any order" — exactly the overlap semantics; ordinary Python
-code between yields is atomic by construction (one entry method runs at a
-time per processor), matching the ``atomic`` construct.
+Each chare has one driver, holding its one per-name buffer of ``when``
+messages: the two strips "can occur and be processed in any order" —
+exactly the overlap semantics — and a message that arrives before the
+method waiting for it (or before the method starts) waits in the same
+buffer.  The driver resumes the generator in one loop until a directive
+the buffer cannot satisfy yet, so any number of buffered messages drain
+at a constant stack depth.  Ordinary Python code between yields is atomic
+by construction (one entry method runs at a time per processor), matching
+the ``atomic`` construct.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
 
 from repro.errors import SdagError
 
@@ -61,9 +66,16 @@ class Overlap:
     whens: Tuple[When, ...]
 
     def __init__(self, *whens: When):
-        if not whens or not all(isinstance(w, When) for w in whens):
+        if not whens:
             raise SdagError("Overlap takes one or more When clauses")
-        object.__setattr__(self, "whens", tuple(whens))
+        need: Dict[str, int] = {}
+        for w in whens:
+            if not isinstance(w, When):
+                raise SdagError(f"Overlap takes When clauses, not {w!r}")
+            need[w.name] = need.get(w.name, 0) + w.count
+        object.__setattr__(self, "whens", whens)
+        #: How many messages of each name the clauses take together.
+        object.__setattr__(self, "need", tuple(need.items()))
 
 
 @dataclass(frozen=True)
@@ -77,106 +89,95 @@ class Atomic:
     fn: Callable[[], Any]
 
 
-class SdagDriver:
-    """The finite-state machine driving one chare's SDAG entry method.
+_BLOCKED = object()     # what :meth:`SdagDriver._take` returns when it cannot
 
-    The driver owns per-name message buffers; arriving messages either
-    satisfy the directive currently waited on or are buffered for a later
-    ``when`` — "the Structured Dagger preprocessor transforms all this
-    syntax into code for an efficient finite-state machine".
+
+class SdagDriver:
+    """One chare's SDAG state machine: its per-name buffer of ``when``
+    messages, and at most one live continuation drawing from it.
+
+    :meth:`deliver` appends a message to the buffer; :meth:`start` begins
+    a continuation.  Either then runs :meth:`_advance`, the one loop, which
+    resumes the generator until it waits on a directive the buffer cannot
+    satisfy yet, or returns.  Messages no continuation has taken stay in
+    the buffer for the next one, as Charm++'s per-object buffer keeps them.
     """
 
-    def __init__(self, gen: Generator, on_finish: Optional[Callable[[], None]] = None):
-        self.gen = gen
+    def __init__(self, gen: Optional[Generator] = None):
         self.buffers: Dict[str, deque] = {}
-        self._waiting: Optional[Tuple[When, ...]] = None
-        self._collected: Dict[int, List[Any]] = {}
-        self.finished = False
-        self.on_finish = on_finish
+        #: The live continuation; ``None`` once it has returned.
+        self.gen = gen
+        self._waiting: Union[When, Overlap, None] = None
 
-    # -- message intake -----------------------------------------------------
-
-    def wants(self, name: str) -> bool:
-        """Whether this driver will ever consume messages named ``name``.
-
-        The runtime uses this to decide between buffering for the driver
-        and invoking a plain entry method.  Conservatively true — SDAG
-        methods receive through the driver for their whole life.
-        """
-        return not self.finished
+    @property
+    def finished(self) -> bool:
+        """No continuation is live: none started, or the last returned."""
+        return self.gen is None
 
     def deliver(self, name: str, payload: Any) -> None:
-        """Feed one message to the driver; advances the FSM if unblocked."""
-        if self.finished:
-            raise SdagError(f"message {name!r} delivered to finished driver")
-        self.buffers.setdefault(name, deque()).append(payload)
-        self._try_advance()
+        """Buffer one message; a continuation waiting on it advances."""
+        buf = self.buffers.get(name)
+        if buf is None:
+            buf = self.buffers[name] = deque()
+        buf.append(payload)
+        if self._waiting is not None:
+            self._advance(None)
 
-    # -- FSM ---------------------------------------------------------------
+    def start(self, gen: Optional[Generator] = None) -> None:
+        """Begin ``gen`` (or the generator the driver was made with); the
+        previous continuation must have finished."""
+        if gen is not None:
+            self.gen = gen
+        self._advance(None)
 
-    def start(self) -> None:
-        """Begin executing the entry method."""
-        self._step(None)
-
-    def _step(self, send_value: Any) -> None:
+    def _advance(self, value: Any) -> None:
         while True:
+            waiting = self._waiting
+            if waiting is not None:
+                value = self._take(waiting)
+                if value is _BLOCKED:
+                    return
+                self._waiting = None
             try:
-                directive = self.gen.send(send_value)
+                directive = self.gen.send(value)
             except StopIteration:
-                self.finished = True
-                if self.on_finish:
-                    self.on_finish()
+                self.gen = None
                 return
             if isinstance(directive, Atomic):
-                send_value = directive.fn()
-                continue
-            if isinstance(directive, When):
-                directive = Overlap(directive)
-                single = True
-            elif isinstance(directive, Overlap):
-                single = False
+                value = directive.fn()
+            elif isinstance(directive, (When, Overlap)):
+                self._waiting = directive
             else:
                 raise SdagError(
                     f"SDAG method yielded {directive!r}; expected "
                     f"When/Overlap/Atomic")
-            self._waiting = directive.whens
-            self._waiting_single = single
-            self._collected = {i: [] for i in range(len(directive.whens))}
-            if not self._try_advance():
-                return
-            # _try_advance re-entered _step; unwind this frame.
-            return
 
-    def _try_advance(self) -> bool:
-        """If the waited-on directive is satisfiable from buffers, resume.
-
-        Returns True when the FSM advanced (and this call re-entered
-        :meth:`_step`).
-        """
-        if self._waiting is None:
-            return False
-        # Draw buffered messages into each clause, up to its count.
-        for i, w in enumerate(self._waiting):
-            got = self._collected[i]
-            buf = self.buffers.get(w.name)
-            while buf and len(got) < w.count:
-                got.append(buf.popleft())
-        if not all(len(self._collected[i]) == w.count
-                   for i, w in enumerate(self._waiting)):
-            return False
-        results = []
-        for i, w in enumerate(self._waiting):
-            vals = self._collected[i]
-            results.append(vals[0] if w.count == 1 else list(vals))
-        value = results[0] if self._waiting_single else tuple(results)
-        self._waiting = None
-        self._collected = {}
-        self._step(value)
-        return True
+    def _take(self, directive: Union[When, Overlap]) -> Any:
+        """Draw ``directive``'s value from the buffers, or return
+        ``_BLOCKED`` and draw nothing when they cannot satisfy it."""
+        buffers = self.buffers
+        if isinstance(directive, When):
+            buf = buffers.get(directive.name)
+            if buf is None or len(buf) < directive.count:
+                return _BLOCKED
+            return _pop(buf, directive.count)
+        for name, count in directive.need:
+            buf = buffers.get(name)
+            if buf is None or len(buf) < count:
+                return _BLOCKED
+        return tuple([_pop(buffers[w.name], w.count) for w in directive.whens])
 
     @property
     def waiting_on(self) -> List[str]:
-        """Names of messages the driver is currently blocked on."""
-        if self._waiting is None:
-            return []
-        return [w.name for w in self._waiting]
+        """Names of messages the continuation is currently blocked on."""
+        waiting = self._waiting
+        if isinstance(waiting, When):
+            return [waiting.name]
+        return [w.name for w in waiting.whens] if waiting else []
+
+
+def _pop(buf: deque, count: int) -> Any:
+    """One payload, or a list of ``count`` (a ``When`` with a count)."""
+    if count == 1:
+        return buf.popleft()
+    return [buf.popleft() for _ in range(count)]

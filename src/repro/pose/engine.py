@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import CommError, ReproError
+from repro.errors import ReproError
 from repro.core.pup import pup_pack, pup_unpack
 from repro.sim.cluster import Cluster
+from repro.sim.processor import weak_handler
 from repro.sim.network import Message
 
 __all__ = ["Poser", "PoseEngine", "PoseStats"]
@@ -78,19 +78,6 @@ class PoseStats:
     gvt: float
 
 
-def _weak_handler(engine_ref: "weakref.ref[PoseEngine]"):
-    """The ``pose`` handler every processor holds.  It reaches the engine
-    only weakly: the engine holds the cluster, so a strong edge back
-    would be a cycle and a finished run would wait for the collector."""
-    def on_message(msg: Message) -> None:
-        engine = engine_ref()
-        if engine is None:
-            raise CommError(f"pose message reached processor {msg.dst} "
-                            f"after its engine was freed")
-        engine._deliver(msg.payload)
-    return on_message
-
-
 class PoseEngine:
     """Optimistic PDES over the simulated cluster.
 
@@ -132,7 +119,7 @@ class PoseEngine:
         #: uids annihilated by an antimessage before their positive twin
         #: was processed; the twin is dropped on arrival.
         self._dead_uid: set = set()
-        on_message = _weak_handler(weakref.ref(self))
+        on_message = weak_handler(self._on_message, "engine")
         for proc in cluster.processors:
             proc.register(_TAG, on_message)
         # -- statistics ------------------------------------------------------
@@ -213,6 +200,9 @@ class PoseEngine:
         else:
             self.cluster.send(src_pe, dst_pe, ev, size_bytes=64 + ev.uid % 7,
                               tag=_TAG)
+
+    def _on_message(self, msg: Message) -> None:
+        self._deliver(msg.payload)
 
     def _deliver(self, ev: _Event) -> None:
         if ev.anti:

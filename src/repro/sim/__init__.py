@@ -7,7 +7,8 @@ by a :class:`PlatformProfile` that captures the word size, memory-system
 costs, scheduler costs, OS limits, and portability quirks of one of the
 paper's evaluation machines.  Each processor routes the messages that
 arrive at it by exact tag to the handler a runtime registered
-(:meth:`Processor.register`).
+(:meth:`Processor.register`); :func:`weak_handler` wraps a runtime's
+bound method so the processors do not keep the runtime alive.
 
 All time is *virtual*, in nanoseconds, and every run is exactly
 reproducible.  The profiles are calibrated to the paper's reported orders of
@@ -17,7 +18,7 @@ magnitude; see DESIGN.md Section 2 for what is real versus modeled.
 from repro.sim.platform import PlatformProfile, PLATFORMS, get_platform
 from repro.sim.network import Network, Message
 from repro.sim.topology import FatTree, FullyConnected, Topology, Torus3D
-from repro.sim.processor import Processor
+from repro.sim.processor import Processor, weak_handler
 from repro.sim.cluster import Cluster
 
 __all__ = [
@@ -32,4 +33,5 @@ __all__ = [
     "FatTree",
     "Processor",
     "Cluster",
+    "weak_handler",
 ]

@@ -15,7 +15,29 @@ from repro.vm.physical import PhysicalMemory
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster
 
-__all__ = ["KernelModel", "Processor"]
+__all__ = ["KernelModel", "Processor", "weak_handler"]
+
+
+def weak_handler(method: Callable[[Message], None],
+                 owner: str) -> Callable[[Message], None]:
+    """A handler for :meth:`Processor.register` that calls the bound
+    ``method`` but reaches its object only weakly.
+
+    A runtime holds its cluster, and the cluster its processors; a
+    processor holding the runtime's bound method would close a cycle, so
+    a finished run would wait for the collector.  A message that arrives
+    after the object is freed is a :class:`CommError` naming ``owner``.
+    """
+    ref = weakref.ref(method.__self__)
+    fn = method.__func__
+
+    def on_message(msg: Message) -> None:
+        obj = ref()
+        if obj is None:
+            raise CommError(f"{msg.tag} message reached processor {msg.dst} "
+                            f"after its {owner} was freed")
+        fn(obj, msg)
+    return on_message
 
 
 class KernelModel:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.charm import Chare, CharmRuntime, When, Overlap
 from repro.core.pup import pup_register
-from repro.errors import CommError, PupError
+from repro.errors import CommError, PupError, SdagError
 from repro.sim import Cluster
 
 
@@ -243,3 +243,94 @@ def test_sdag_chare_migration_keeps_driver():
     cl.run()
     elem = rt.element(proxy.aid, 0)
     assert elem.got == [(1, 0), (2, 1)]
+
+
+# -- one road, one buffer per element ------------------------------------
+
+class Mixed(Chare):
+    """An SDAG method beside a plain entry method and a second SDAG one."""
+
+    def __init__(self):
+        self.got = []
+        self.pings = 0
+
+    def ping(self):
+        self.pings += 1
+
+    def collect(self, n=1):
+        for _ in range(n):
+            self.got.append((yield When("item")))
+
+    def other(self):
+        self.got.append((yield When("thing")))
+
+
+def test_a_plain_entry_method_runs_while_an_sdag_method_is_live():
+    cl, rt, proxy = make(1, 1, Mixed)
+    proxy[0].send("collect")
+    proxy[0].send("ping")
+    proxy[0].send("ping")
+    cl.run()
+    elem = rt.element(proxy.aid, 0)
+    assert elem.pings == 2 and elem.got == []
+    proxy[0].send("item", "x")
+    cl.run()
+    assert elem.got == ["x"]
+
+
+def test_a_second_live_sdag_method_is_a_positioned_error():
+    cl, rt, proxy = make(2, 2, Mixed)
+    proxy[1].send("collect")
+    proxy[1].send("other")
+    with pytest.raises(SdagError, match=r"a0\[1\] on processor 1: SDAG "
+                       r"method 'other' invoked while 'collect' is live"):
+        cl.run()
+
+
+def test_a_leftover_when_message_is_taken_by_the_next_sdag_method():
+    cl, rt, proxy = make(1, 1, Mixed)
+    proxy[0].send("collect")
+    for item in ("a", "b", "c"):
+        proxy[0].send("item", item)
+    proxy[0].send("thing", "t")          # before "other" starts
+    cl.run()
+    elem = rt.element(proxy.aid, 0)
+    assert elem.got == ["a"]
+    proxy[0].send("other")
+    proxy[0].send("collect", 2)
+    cl.run()
+    assert elem.got == ["a", "t", "b", "c"]
+
+
+def test_ten_thousand_buffered_when_messages_drain_over_the_runtime():
+    n = 10_000
+
+    class Gate(Chare):
+        def __init__(self):
+            self.got = []
+
+        def drain(self):
+            yield When("go")
+            for _ in range(n):
+                self.got.append((yield When("m")))
+
+    cl, rt, proxy = make(1, 1, Gate)
+    proxy[0].send("drain")
+    for i in range(n):
+        proxy[0].send("m", i)
+    proxy[0].send("go")
+    cl.run()
+    assert rt.element(proxy.aid, 0).got == list(range(n))
+    assert rt._qd.created == rt._qd.processed == n + 2
+
+
+def test_a_migration_raced_invocation_keeps_its_size_on_the_wire():
+    cl, rt, proxy = make(2, 1)
+    proxy[0].send("bump", 5, size_bytes=4096)    # local: scheduled on PE 0
+    rt.migrate_element(proxy.aid, 0, 1)          # leaves before it runs
+    sent = cl[0].bytes_sent
+    cl.run()
+    assert cl[0].bytes_sent - sent == 4096
+    assert rt.element(proxy.aid, 0).value == 5
+    assert rt.messages_forwarded == 1
+    assert rt._qd.created == rt._qd.processed == 2   # sent, resent

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.charm import Chare, CharmRuntime
+from repro.charm import Chare, CharmRuntime, When
 from repro.core.pup import pup_register
 from repro.errors import CommError
 from repro.sim import Cluster
@@ -46,7 +46,7 @@ def test_quiescence_fires_after_all_messages_drain():
     # At quiescence every ping had been processed: 21 hops over 4 elements.
     total = sum(rt.element(proxy.aid, i).pings for i in range(4))
     assert total == 21
-    assert rt._qd_created == rt._qd_processed
+    assert rt._qd.created == rt._qd.processed
 
 
 def test_quiescence_on_idle_system():
@@ -169,3 +169,42 @@ def test_checkpoint_with_live_sdag_rejected():
     cl.run()
     with pytest.raises(CommError, match="SDAG continuation"):
         rt.checkpoint_array(wp.aid)
+
+
+@pup_register
+class Collector(Chare):
+    def __init__(self):
+        self.got = []
+
+    def pup(self, p):
+        self.got = p.list_int(self.got)
+
+    def collect(self):
+        self.got.append((yield When("item")))
+
+
+def test_checkpoint_with_buffered_when_messages_rejected():
+    cl = Cluster(1)
+    rt = CharmRuntime(cl)
+    proxy = rt.create_array(Collector, 2)
+    proxy[1].send("item", 7)             # no method live: buffered
+    cl.run()
+    with pytest.raises(CommError, match=r"a0\[1\] has buffered when"):
+        rt.checkpoint_array(proxy.aid)
+
+
+def test_restore_drops_the_continuation_of_the_element_it_replaces():
+    cl = Cluster(2)
+    rt = CharmRuntime(cl)
+    proxy = rt.create_array(Collector, 2)
+    blob = rt.checkpoint_array(proxy.aid)
+    proxy[1].send("collect")             # live after the checkpoint
+    cl.run()
+    old = rt.element(proxy.aid, 1)
+    rt.restore_array(blob)
+    proxy[1].send("collect")
+    proxy[1].send("item", 5)
+    cl.run()
+    assert rt.element(proxy.aid, 1).got == [5]
+    assert old.got == []
+    assert rt.checkpoint_array(proxy.aid)     # nothing live, nothing held

@@ -125,14 +125,47 @@ def test_overlap_with_counts():
     assert log == [([1, 2], "B")]
 
 
-def test_deliver_after_finish_rejected():
+def test_a_message_after_finish_waits_for_the_next_method():
+    """The buffer is the chare's, not one method's: what arrives after a
+    continuation returns is taken by the next one."""
     def gen(log):
-        yield When("once")
+        log.append((yield When("once")))
 
     log, driver = drive(gen, ("once", 1))
     assert driver.finished
-    with pytest.raises(SdagError):
-        driver.deliver("once", 2)
+    driver.deliver("once", 2)
+    assert list(driver.buffers["once"]) == [2]
+    driver.start(gen(log))
+    assert log == [1, 2]
+    assert driver.finished and not driver.buffers["once"]
+
+
+@pytest.mark.parametrize("unblock", ["start", "when"])
+def test_ten_thousand_buffered_messages_drain_in_one_loop(unblock):
+    """Each buffered message a continuation takes is one turn of one loop,
+    not one more frame on the stack: 10 000 already buffered drain when
+    the method starts, or when the ``when`` holding them back is met."""
+    n = 10_000
+    got = []
+
+    def gen():
+        if unblock == "when":
+            yield When("go")
+        for _ in range(n):
+            got.append((yield When("m")))
+
+    driver = SdagDriver(gen())
+    if unblock == "when":
+        driver.start()
+    for i in range(n):
+        driver.deliver("m", i)
+    assert got == []
+    if unblock == "when":
+        driver.deliver("go", None)
+    else:
+        driver.start()
+    assert got == list(range(n))
+    assert driver.finished
 
 
 def test_bad_yield_rejected():
@@ -146,18 +179,6 @@ def test_bad_yield_rejected():
 def test_empty_overlap_rejected():
     with pytest.raises(SdagError):
         Overlap()
-
-
-def test_on_finish_callback():
-    done = []
-
-    def gen(log):
-        yield When("go")
-
-    driver = SdagDriver(gen([]), on_finish=lambda: done.append(True))
-    driver.start()
-    driver.deliver("go", None)
-    assert done == [True]
 
 
 def test_stencil_lifecycle_shape():

@@ -18,8 +18,9 @@ Where the edges are cut (``docs/architecture.md`` § Object lifetime):
 * a kernel slot's handle, when the event fires or is cancelled;
 * a lowered function's edge to its compiler (``compile_flow``);
 * a subscriber (tracer, observer, injector) holds what it subscribes to
-  only weakly, and so does the ``pose`` handler each processor holds
-  its ``PoseEngine`` by.
+  only weakly, and so do the ``pose`` and ``charm`` handlers each
+  processor holds its ``PoseEngine`` or ``CharmRuntime`` by
+  (``repro.sim.weak_handler``), and a chare's proxies their runtime.
 
 A partial or failed run keeps its graph: replay reads it.
 """
@@ -34,6 +35,7 @@ from repro.balance import RotateLB
 from repro.bench.ablations import pose_throttle_run
 from repro.bigsim import BigSimEngine, TargetMachine
 from repro.chaos import STANDARD_RATES
+from repro.charm import Chare, CharmRuntime, Overlap, When
 from repro.errors import CommError
 from repro.exec.runners import run_chaos_cell
 from repro.flows import (CompiledContinuationFlow, UserThreadFlow,
@@ -49,6 +51,8 @@ from repro.sim import Cluster, Processor, get_platform
 from repro.workloads import BTMZConfig
 from repro.workloads.btmz import make_btmz_main
 from repro.workloads.md import MDConfig, MDWorkload
+from repro.workloads.stencil_chare import (start_stencil_chares,
+                                           stencil_chare_results)
 from tests.gccount import cyclic_garbage
 
 PROGRAMS = {"ring": ring_program(6, 3, 1),
@@ -153,6 +157,54 @@ def test_a_pose_message_after_its_engine_is_freed_is_refused():
     PoseEngine(cluster)                     # dropped at once
     cluster.send(0, 1, None, 8, tag="pose")
     with pytest.raises(CommError, match="processor 1 after its engine"):
+        cluster.run()
+
+
+class _SdagStrip(Chare):
+    """Figure 1's life cycle in SDAG on a ring, three iterations."""
+
+    def __init__(self):
+        self.got = []
+
+    def lifecycle(self):
+        n = len(self.thisProxy)
+        for i in range(3):
+            self.thisProxy[(self.thisIndex - 1) % n].send("from_right", i)
+            self.thisProxy[(self.thisIndex + 1) % n].send("from_left", i)
+            self.got.append((yield Overlap(When("from_left"),
+                                           When("from_right"))))
+
+
+def _hand_inverted_stencil(rt):
+    proxy = start_stencil_chares(rt, 8, steps=4)
+    rt.run()
+    assert len(stencil_chare_results(rt, proxy)) == 8
+
+
+def _sdag_stencil(rt):
+    proxy = rt.create_array(_SdagStrip, 8)
+    proxy.broadcast("lifecycle")
+    rt.run()
+    assert rt.element(proxy.aid, 7).got == [(0, 0), (1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("stencil", [_hand_inverted_stencil, _sdag_stencil])
+def test_a_finished_charm_run_leaves_no_cycle(stencil):
+    # [hand-inverted 142, SDAG 167: every processor's ``charm`` handler
+    # was the runtime's bound method, and each chare held the runtime
+    # and a proxy that held it again]
+    def act():
+        stencil(CharmRuntime(Cluster(4)))
+    assert cyclic_garbage(act) == {}
+
+
+def test_a_charm_proxy_or_message_after_its_runtime_is_freed_is_refused():
+    cluster = Cluster(2)
+    proxy = CharmRuntime(cluster).create_array(_SdagStrip, 2)   # dropped
+    with pytest.raises(CommError, match="a0 outlived its runtime"):
+        proxy[1].send("lifecycle")
+    cluster.send(0, 1, None, 8, tag="charm")
+    with pytest.raises(CommError, match="processor 1 after its runtime"):
         cluster.run()
 
 
