@@ -1,9 +1,16 @@
-"""Series builders for the paper's figures."""
+"""Series builders for the paper's figures.
+
+A series whose points share nothing is built from *cells* — pure,
+module-level ``(params, seed) -> plain data`` functions that construct
+their runtimes per call.  Figures 11 and 12 map theirs over every usable
+CPU with :func:`repro.exec.map_cells`; Figures 4-8 run theirs in-process,
+where a fan-out buys nothing.
+"""
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.balance.strategies import GreedyLB, NullLB
 from repro.bigsim import BigSimEngine, TargetMachine
@@ -21,8 +28,8 @@ from repro.workloads.md import MDConfig, MDWorkload
 __all__ = ["FIGURE_PLATFORMS", "FLOW_GRID", "STACK_SIZES",
            "context_switch_cell", "context_switch_series",
            "stack_size_series",
-           "minimal_swap_rows", "bigsim_series", "btmz_series",
-           "full_scale"]
+           "minimal_swap_rows", "bigsim_cell", "bigsim_series",
+           "btmz_cell", "btmz_series", "full_scale"]
 
 #: Figure number -> platform, as in the paper's Section 4.1.
 FIGURE_PLATFORMS = {
@@ -44,6 +51,17 @@ STACK_SIZES = [8 * 1024 << i for i in range(11)]      # 8 KB .. 8 MB
 def full_scale() -> bool:
     """Whether full-paper-scale runs were requested (REPRO_FULL=1)."""
     return os.environ.get("REPRO_FULL", "") == "1"
+
+
+def _map_heaviest_first(runner: str, params_list: List[Dict],
+                        weight: Callable[[Dict], float]) -> List:
+    """:func:`repro.exec.map_cells` with the heaviest cells dispatched
+    first (so no heavy cell starts last); values in input order."""
+    from repro.exec import map_cells
+    order = sorted(range(len(params_list)),
+                   key=lambda i: -weight(params_list[i]))
+    values = map_cells(runner, [params_list[i] for i in order])
+    return [value for _, value in sorted(zip(order, values))]
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +189,18 @@ def minimal_swap_rows(cpu_ghz: float = 2.2) -> List[List]:
 # Figure 11: BigSim MD simulation time per step
 # ---------------------------------------------------------------------------
 
+def bigsim_cell(params: Dict, seed) -> float:
+    """One Figure 11 point, as a cell: host ms per simulated MD step.
+
+    ``params = {"dims": [x, y, z], "host_procs": int, "steps": int}``.
+    """
+    dims = tuple(params["dims"])
+    engine = BigSimEngine(params["host_procs"], TargetMachine(dims=dims),
+                          MDWorkload(MDConfig(dims=dims)),
+                          steps=params["steps"])
+    return engine.run().host_ns_per_step / 1e6            # ms
+
+
 def bigsim_series(host_procs: Sequence[int] = (4, 8, 16, 32, 64),
                   steps: int = 2,
                   ) -> Tuple[List[int], Dict[str, List[float]], int]:
@@ -179,17 +209,17 @@ def bigsim_series(host_procs: Sequence[int] = (4, 8, 16, 32, 64),
     Default target machine is 2,000 processors (a 10x10x20 torus); with
     ``REPRO_FULL=1`` the paper's full 200,000 (50x50x80) is used — slow in
     host wall-clock but identical in structure.
+
+    One :func:`bigsim_cell` per host-processor count.
     """
     dims = (50, 50, 80) if full_scale() else (10, 10, 20)
-    cfg = MDConfig(dims=dims)
-    workload = MDWorkload(cfg)
-    times: List[float] = []
-    for p in host_procs:
-        engine = BigSimEngine(p, TargetMachine(dims=dims), workload,
-                              steps=steps)
-        res = engine.run()
-        times.append(res.host_ns_per_step / 1e6)          # ms
-    return list(host_procs), {"time_per_step_ms": times}, cfg.num_cells
+    params = [{"dims": list(dims), "host_procs": p, "steps": steps}
+              for p in host_procs]
+    # More simulating processors cost the host a little more per step.
+    times = _map_heaviest_first("repro.bench.figures:bigsim_cell", params,
+                                lambda p: p["host_procs"])
+    return (list(host_procs), {"time_per_step_ms": times},
+            MDConfig(dims=dims).num_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +231,44 @@ BTMZ_CASES = [("A", 8, 4), ("A", 16, 8), ("B", 16, 8), ("B", 32, 8),
               ("B", 64, 8)]
 
 
+#: Figure 12's two runs per configuration, without LB then with it.
+_BTMZ_STRATEGIES = {"NullLB": NullLB, "GreedyLB": GreedyLB}
+
+
+def btmz_cell(params: Dict, seed) -> Dict:
+    """One Figure 12 run, as a cell: one configuration under one strategy.
+
+    ``params = {"case": [class, nprocs, npes], "iterations": int,
+    "strategy": "NullLB" | "GreedyLB"}`` → the :class:`BTMZResult`'s
+    fields but its config.
+    """
+    cls_name, nprocs, npes = params["case"]
+    cfg = BTMZConfig(cls_name, nprocs, npes,
+                     iterations=params["iterations"])
+    res = run_btmz(cfg, _BTMZ_STRATEGIES[params["strategy"]]())
+    return {"strategy": res.strategy, "makespan_ns": res.makespan_ns,
+            "migrations": res.migrations,
+            "imbalance_before": res.imbalance_before,
+            "imbalance_after": res.imbalance_after}
+
+
 def btmz_series(cases: Sequence[Tuple[str, int, int]] = tuple(BTMZ_CASES),
                 iterations: int = 6,
                 ) -> List[Tuple[str, BTMZResult, BTMZResult]]:
-    """(label, without-LB result, with-LB result) per configuration."""
+    """(label, without-LB result, with-LB result) per configuration.
+
+    One :func:`btmz_cell` per configuration and strategy.
+    """
+    params = [{"case": list(case), "iterations": iterations,
+               "strategy": strategy}
+              for case in cases for strategy in _BTMZ_STRATEGIES]
+    # A run's host cost grows with its rank count (B.64 is ~6x A.8).
+    values = _map_heaviest_first("repro.bench.figures:btmz_cell", params,
+                                 lambda p: p["case"][1])
     out = []
-    for cls_name, nprocs, npes in cases:
+    for i, (cls_name, nprocs, npes) in enumerate(cases):
         cfg = BTMZConfig(cls_name, nprocs, npes, iterations=iterations)
-        no_lb = run_btmz(cfg, NullLB())
-        with_lb = run_btmz(cfg, GreedyLB())
+        no_lb, with_lb = (BTMZResult(config=cfg, **value)
+                          for value in values[2 * i:2 * i + 2])
         out.append((cfg.label, no_lb, with_lb))
     return out

@@ -303,14 +303,18 @@ class CharmRuntime:
             sdag = self._sdag.get(key)
             if sdag is None:
                 sdag = self._sdag[key] = SdagDriver()
-            if fn is None:
-                sdag.deliver(method, args[0] if len(args) == 1 else args)
-            elif sdag.finished:
-                sdag.start(fn(*args))
-            else:
+            if fn is not None and not sdag.finished:
                 raise SdagError(
                     f"a{aid}[{index}] on processor {pe}: SDAG method "
                     f"{method!r} invoked while {sdag.gen.__name__!r} is live")
+            try:
+                if fn is None:
+                    sdag.deliver(method, args[0] if len(args) == 1 else args)
+                else:
+                    sdag.start(fn(*args))
+            except SdagError as e:
+                raise SdagError(f"a{aid}[{index}] on processor {pe}: {e}") \
+                    from e
         finally:
             self._pe_stack.pop()
 

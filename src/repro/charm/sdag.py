@@ -131,26 +131,33 @@ class SdagDriver:
         self._advance(None)
 
     def _advance(self, value: Any) -> None:
-        while True:
-            waiting = self._waiting
-            if waiting is not None:
-                value = self._take(waiting)
-                if value is _BLOCKED:
+        try:
+            while True:
+                waiting = self._waiting
+                if waiting is not None:
+                    value = self._take(waiting)
+                    if value is _BLOCKED:
+                        return
+                    self._waiting = None
+                try:
+                    directive = self.gen.send(value)
+                except StopIteration:
+                    self.gen = None
                     return
-                self._waiting = None
-            try:
-                directive = self.gen.send(value)
-            except StopIteration:
-                self.gen = None
-                return
-            if isinstance(directive, Atomic):
-                value = directive.fn()
-            elif isinstance(directive, (When, Overlap)):
-                self._waiting = directive
-            else:
-                raise SdagError(
-                    f"SDAG method yielded {directive!r}; expected "
-                    f"When/Overlap/Atomic")
+                if isinstance(directive, Atomic):
+                    value = directive.fn()
+                elif isinstance(directive, (When, Overlap)):
+                    self._waiting = directive
+                else:
+                    raise SdagError(
+                        f"SDAG method {self.gen.__name__!r} yielded "
+                        f"{directive!r}; expected When/Overlap/Atomic")
+        except BaseException:
+            # A continuation that raised (or yielded no directive) is
+            # over: the chare takes its next SDAG method, and checkpoints.
+            self.gen = None
+            self._waiting = None
+            raise
 
     def _take(self, directive: Union[When, Overlap]) -> Any:
         """Draw ``directive``'s value from the buffers, or return

@@ -12,6 +12,8 @@ guarantee:
   (the ``--jobs 1`` debugging reference) running the *same* cell code;
 * a disk :class:`ResultCache` keyed on content hashes;
 * crash containment with the chaos retry-once discipline;
+* :func:`map_cells`, one runner over a list of params on every usable
+  CPU, for a figure series whose points share nothing;
 * progress on the kernel :class:`~repro.kernel.HookBus` conventions;
 * a merge that orders results by cell id, so output files are
   byte-identical no matter how many workers raced to produce them.
@@ -24,7 +26,7 @@ processes: nothing a cell needs lives anywhere but its spec.
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
 from repro.exec.pool import (LocalPool, SerialBackend, backend_from_spec,
-                             backend_names, run_cell)
+                             backend_names, map_cells, run_cell)
 from repro.exec.progress import EXEC_CHANNELS, ProgressReporter
 from repro.exec.runners import (chaos_result_row, fault_config_params,
                                 run_chaos_cell)
@@ -33,7 +35,7 @@ from repro.exec.spec import Cell, CellResult, SweepSpec, resolve_runner
 __all__ = [
     "Cell", "CellResult", "SweepSpec", "resolve_runner",
     "ResultCache",
-    "SerialBackend", "LocalPool", "run_cell",
+    "SerialBackend", "LocalPool", "run_cell", "map_cells",
     "backend_from_spec", "backend_names",
     "EXEC_CHANNELS", "ProgressReporter",
     "SweepExecutor",

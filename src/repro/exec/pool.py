@@ -10,7 +10,8 @@ killed sweep keeps every cell it finished):
 * :class:`SerialBackend` executes cells in-process, in order.  It is the
   debugging reference: ``--jobs 1`` goes through it, and a parallel run
   must merge to byte-identical results.
-* :class:`LocalPool` fans cells out over ``jobs`` worker processes.
+* :class:`LocalPool` fans cells out over ``jobs`` worker processes
+  (default: one per CPU this process may run on, :func:`usable_cpus`).
   Each worker warms up (imports the sweep's runner modules) before its
   first cell; the parent dispatches exactly one cell per worker at a
   time, so when a worker *dies* (hard crash, not a Python exception) the
@@ -24,20 +25,25 @@ deterministic, so a raising cell would raise again; the worker catches
 the exception and returns an ``error`` result with the full traceback.
 Both backends take this exact path, which is what keeps serial and
 parallel output byte-identical even for failing cells.
+
+:func:`map_cells` is the small road over the same backends: a list of
+params through one runner, values back in input order, fanned out when
+there is more than one cell and more than one CPU to put them on.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_mod
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.exec.spec import Cell, CellResult, resolve_runner
 
-__all__ = ["SerialBackend", "LocalPool", "run_cell",
+__all__ = ["SerialBackend", "LocalPool", "run_cell", "map_cells",
            "backend_from_spec", "backend_names"]
 
 #: notify callback: ``notify(event, payload_dict)``.
@@ -158,8 +164,7 @@ class LocalPool:
     _POLL_S = 0.1
 
     def __init__(self, jobs: Optional[int] = None):
-        self.jobs = max(1, jobs if jobs is not None
-                        else (multiprocessing.cpu_count() or 1))
+        self.jobs = max(1, jobs if jobs is not None else usable_cpus())
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
@@ -279,6 +284,44 @@ class LocalPool:
                 spawn()
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one (a CPU-pinned container), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _ignore(event: str, payload: dict) -> None:
+    """The :func:`map_cells` notify: nobody watches its progress."""
+
+
+def map_cells(runner: str, params_list: Sequence[Dict[str, Any]]) -> List:
+    """``runner(params, None)`` for each params dict; values in input order.
+
+    ``runner`` is a ``pkg.mod:function`` path, each params dict plain
+    data.  The cells run on a :class:`LocalPool` when there is more than
+    one of them, more than one usable CPU, and the caller is not itself
+    a (daemonic, so childless) pool worker; otherwise in this process,
+    through :class:`SerialBackend`.  Either way every worker is joined
+    before this returns.  A raising cell raises :class:`ReproError`
+    naming the cell, with the runner's traceback.
+    """
+    cells = [Cell(experiment=runner, runner=runner, params=params)
+             for params in params_list]
+    if (len(cells) > 1 and usable_cpus() > 1
+            and not multiprocessing.current_process().daemon):
+        backend = LocalPool()
+    else:
+        backend = SerialBackend()
+    results = backend.run(cells, [runner], _ignore)
+    for cell, result in zip(cells, results):
+        if not result.ok:
+            raise ReproError(f"cell {runner} {cell.params!r} failed:\n"
+                             f"{result.error}")
+    return [result.value for result in results]
+
+
 def backend_names() -> List[str]:
     """The backend names :func:`backend_from_spec` accepts, sorted (for
     CLI help/validation)."""
@@ -289,7 +332,7 @@ def backend_from_spec(spec: str, jobs: Optional[int] = None):
     """Build a backend from a ``name`` or ``name:jobs`` spec string.
 
     ``"serial"`` → the in-process reference; ``"local:4"`` → a 4-worker
-    :class:`LocalPool` (no count: one worker per CPU); an explicit
+    :class:`LocalPool` (no count: one worker per usable CPU); an explicit
     ``jobs`` argument wins over the suffix.
     """
     name, _, suffix = spec.partition(":")

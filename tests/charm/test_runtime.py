@@ -334,3 +334,35 @@ def test_a_migration_raced_invocation_keeps_its_size_on_the_wire():
     assert rt.element(proxy.aid, 0).value == 5
     assert rt.messages_forwarded == 1
     assert rt._qd.created == rt._qd.processed == 2   # sent, resent
+
+
+@pup_register
+class Faulty(Chare):
+    """An SDAG method that yields no directive beside a sound one."""
+
+    def __init__(self):
+        self.got = []
+
+    def pup(self, p):
+        self.got = p.list_int(self.got)
+
+    def bad(self):
+        yield "oops"
+
+    def collect(self):
+        self.got.append((yield When("item")))
+
+
+def test_an_sdag_method_that_yields_no_directive_leaves_no_wedge():
+    cl, rt, proxy = make(1, 1, Faulty)
+    proxy[0].send("bad")
+    with pytest.raises(SdagError, match=r"a0\[0\] on processor 0: SDAG "
+                       r"method 'bad' yielded 'oops'; expected "
+                       r"When/Overlap/Atomic"):
+        cl.run()
+    proxy[0].send("collect")
+    proxy[0].send("item", 7)
+    cl.run()
+    assert rt.element(proxy.aid, 0).got == [7]
+    blob = rt.checkpoint_array(proxy.aid)
+    assert isinstance(blob, bytes) and blob

@@ -172,8 +172,11 @@ def test_bad_yield_rejected():
     def gen(log):
         yield "not-a-directive"
 
-    with pytest.raises(SdagError):
-        SdagDriver(gen([])).start()
+    driver = SdagDriver(gen([]))
+    with pytest.raises(SdagError, match="SDAG method 'gen' yielded "
+                       "'not-a-directive'"):
+        driver.start()
+    assert driver.finished and driver.waiting_on == []
 
 
 def test_empty_overlap_rejected():

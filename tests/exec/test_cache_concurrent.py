@@ -38,12 +38,17 @@ def writer_proc(root, rounds):
         cache.put(cell, result)
 
 
-def reader_proc(root, rounds, verdict_q):
+def reader_proc(root, rounds, verdict_q, writers_done):
     cache = ResultCache(root)
     cell = the_cell()
     hits = 0
     try:
-        for _ in range(rounds):
+        # Read for as long as the writers run, then ``rounds`` more times:
+        # the reads overlap the writes whichever process the OS starts
+        # first, and the entry is on disk before the last read.
+        while rounds:
+            if writers_done.is_set():
+                rounds -= 1
             result = cache.get(cell)
             if result is None:
                 continue                       # miss: entry not there yet
@@ -65,14 +70,20 @@ def test_parallel_put_get_same_key_never_tears(tmp_path):
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else "spawn")
     verdict_q = ctx.Queue()
+    writers_done = ctx.Event()
     writers = [ctx.Process(target=writer_proc, args=(root, 200))
                for _ in range(2)]
-    readers = [ctx.Process(target=reader_proc, args=(root, 400, verdict_q))
+    readers = [ctx.Process(target=reader_proc,
+                           args=(root, 400, verdict_q, writers_done))
                for _ in range(2)]
     for p in writers + readers:
         p.start()
+    for p in writers:
+        p.join(60)
+        assert p.exitcode == 0
+    writers_done.set()
     verdicts = [verdict_q.get(timeout=120) for _ in readers]
-    for p in writers + readers:
+    for p in readers:
         p.join(60)
         assert p.exitcode == 0
     for kind, detail in verdicts:

@@ -41,3 +41,16 @@ def slow_echo(params, seed):
     import time
     time.sleep(params.get("sleep_s", 0.05))
     return {"seed": seed}
+
+
+def pid(params, seed):
+    """The process that ran the cell, beside its params."""
+    return {"pid": os.getpid(), "params": dict(params)}
+
+
+def nested_pids(params, seed):
+    """A cell that maps cells itself: which processes ran them?"""
+    from repro.exec import map_cells
+    return {"pid": os.getpid(),
+            "pids": [v["pid"] for v in map_cells("tests.exec.workers:pid",
+                                                 [{}, {}, {}])]}
