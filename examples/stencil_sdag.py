@@ -42,10 +42,10 @@ class StencilStrip(Chare):
         for it in range(CFG.iterations):
             # atomic { sendStripToLeftAndRight(); }
             if up >= 0:
-                self.thisProxy[up].send("strip_from_right", strip[0].copy(),
+                self.thisProxy[up].send("strip_from_right", strip[0],
                                         size_bytes=strip[0].nbytes)
             if down < n:
-                self.thisProxy[down].send("strip_from_left", strip[-1].copy(),
+                self.thisProxy[down].send("strip_from_left", strip[-1],
                                           size_bytes=strip[-1].nbytes)
             # overlap { when strip_from_left ... when strip_from_right ... }
             if up >= 0 and down < n:

@@ -92,11 +92,22 @@ class AmpiContext:
         """Buffered send: enqueue ``data`` for ``dest`` and return.
 
         (MPI_Send with an eager protocol — the simulation has unbounded
-        buffering, so sends never block.)
+        buffering, so sends never block.)  The receiver gets its own
+        value: once this returns, the sender may write to ``data``
+        freely.  What a rank can send is what PUP can pack
+        (:func:`repro.core.pup.freeze_value`); anything else is an
+        :class:`~repro.errors.AmpiError` here.
         """
         runtime = self.runtime
-        if not 0 <= dest < runtime.num_ranks:
-            raise AmpiError(f"send to bad rank {dest} (size {self.size})")
+        try:
+            # The subscript refuses what orders but is no index (1.0).
+            bad = (not 0 <= dest < runtime.num_ranks
+                   or runtime.rank_thread[dest] is None)
+        except TypeError:
+            bad = True
+        if bad:
+            raise AmpiError(f"rank {self.rank}: send to bad rank {dest!r} "
+                            f"(size {self.size}, tag={tag!r})")
         if size_bytes is None:
             size_bytes = wire_size(data)
         elif size_bytes < 0:

@@ -65,7 +65,10 @@ def wire_size(data: Any) -> int:
 
     NumPy arrays count their buffer exactly; containers are summed
     recursively; scalars cost one header's worth.  This drives bandwidth
-    accounting only — payloads travel by reference inside the host process.
+    accounting only: what a message carries is frozen at the send by
+    :func:`repro.core.pup.freeze_value` (an immutable value as it is, a
+    mutable one as its packed bytes), and the modeled size is this
+    estimate, not that form's length.
     """
     if data is None:
         return 16

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import AmpiError, CheckpointError, MigrationAborted
+from repro.errors import (AmpiError, CheckpointError, MigrationAborted,
+                          PupError)
 from repro.ampi.context import (AT_CHECKPOINT, AT_MIGRATE, AmpiContext,
                                 AmpiMessage)
 from repro.ampi.request import Request
@@ -15,6 +16,7 @@ from repro.core.checkpoint import Checkpointer
 from repro.core.isomalloc import IsomallocArena
 from repro.core.scheduler import CthScheduler
 from repro.core.migration import ThreadMigrator
+from repro.core.pup import FROZEN, Frozen, freeze_value, thaw_value
 from repro.core.ranks import ANY_SOURCE, ANY_TAG, RankProtocol, matches
 from repro.core.stacks import make_stack_manager
 from repro.core.swapglobal import GlobalRegistry
@@ -161,6 +163,19 @@ class AmpiRuntime:
 
     def _send(self, src_rank: int, dst_rank: int, data: Any, tag: Any,
               size: int) -> None:
+        # Ownership passes here: the receiver gets its own value, however
+        # the sender writes to ``data`` next (thawed in ``_enqueue``).  A
+        # flat tuple of immutables (BigSim's ``(tclock, ghost)``) is
+        # checked inline, so it costs no call either.
+        if data.__class__ not in FROZEN:
+            for item in data if data.__class__ is tuple else (data,):
+                if item.__class__ not in FROZEN:
+                    try:
+                        data = freeze_value(data)
+                    except PupError as e:
+                        raise AmpiError(f"rank {src_rank} -> {dst_rank} "
+                                        f"(tag={tag!r}): {e}") from None
+                    break
         msg = AmpiMessage(src_rank, dst_rank, tag, data, size)
         threads = self.rank_thread
         src_proc = threads[src_rank].scheduler.processor
@@ -186,6 +201,11 @@ class AmpiRuntime:
         self._enqueue(msg)
 
     def _enqueue(self, msg: AmpiMessage) -> None:
+        if msg.data.__class__ is Frozen:
+            # Each delivery unpacks its own value into a new record: a
+            # duplicated in-flight message must not alias the first.
+            msg = AmpiMessage(msg.src, msg.dst, msg.tag,
+                              thaw_value(msg.data), msg.size_bytes)
         dst = msg.dst
         self.db.record_comm(msg.src, dst, msg.size_bytes)
         # Posted receives match before the unexpected-message queue

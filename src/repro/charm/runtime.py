@@ -13,6 +13,10 @@ continuation); any other name is a ``when`` message for the element's one
 buffer.  Both are the element's :class:`repro.charm.sdag.SdagDriver`.  The
 processors' handler and the proxies hold the runtime weakly, so a finished
 run is freed by reference counting.
+
+Arguments and contributions are the receiver's own: ``send_invoke`` and
+``_contribute`` freeze them (:func:`repro.core.pup.freeze_value`), and
+``_execute`` and ``_on_reduce`` thaw a fresh copy per delivery.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import inspect
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.errors import CommError, SdagError
+from repro.errors import CommError, PupError, SdagError
 from repro.charm.chare import Chare
 from repro.charm.reduction import combine
 from repro.charm.sdag import SdagDriver
-from repro.core.pup import (pack_value, pup_pack, pup_registered, pup_unpack,
-                             unpack_value)
+from repro.core.pup import (FROZEN, Frozen, freeze_value, pack_value,
+                             pup_pack, pup_registered, pup_unpack,
+                             thaw_value, unpack_value)
 from repro.kernel import QuiescenceCounter
 from repro.sim.cluster import Cluster
 from repro.sim.network import Message
@@ -59,7 +64,8 @@ class ElementProxy(_Proxy):
         self._runtime_ref, self.aid, self.index = runtime_ref, aid, index
 
     def send(self, method: str, *args: Any, size_bytes: int = 64) -> None:
-        """Asynchronously invoke ``method(*args)`` on the element."""
+        """Asynchronously invoke ``method(*args)`` on the element, which
+        gets its own copy of every mutable argument."""
         # Dereferenced inline on this hot path; ``runtime`` raises if freed.
         runtime = self._runtime_ref() or self.runtime
         runtime.send_invoke(self.aid, self.index, method, args, size_bytes)
@@ -214,7 +220,17 @@ class CharmRuntime:
     def send_invoke(self, aid: int, index: int, method: str, args: Tuple,
                     size_bytes: int, src_pe: Optional[int] = None) -> None:
         """Send an entry-method invocation to an element, wherever it is."""
-        src = self.current_pe if src_pe is None else src_pe
+        # Ownership passes here: the element gets its own arguments,
+        # however the sender writes to them next (thawed in ``_execute``).
+        for arg in args:
+            if arg.__class__ not in FROZEN:
+                try:
+                    args = freeze_value(args)
+                except PupError as e:
+                    raise CommError(f"a{aid}[{index}].{method}: {e}") \
+                        from None
+                break
+        src = self._pe_stack[-1] if src_pe is None else src_pe
         self._qd.note_created()
         key = (aid, index)
         # Local fast path: same-processor invocations skip the network,
@@ -282,6 +298,8 @@ class CharmRuntime:
     def _execute(self, pe: int, aid: int, index: int, method: str,
                  args: Tuple, size_bytes: int) -> None:
         """Run one invocation (the one road; see the module docstring)."""
+        if args.__class__ is Frozen:
+            args = thaw_value(args)
         key = (aid, index)
         chare = self._local[pe].get(key)
         if chare is None:
@@ -324,6 +342,12 @@ class CharmRuntime:
 
     def _contribute(self, aid: int, index: int, value: Any, op: str,
                     callback: str) -> None:
+        if value.__class__ not in FROZEN:
+            try:
+                value = freeze_value(value)     # thawed in ``_on_reduce``
+            except PupError as e:
+                raise CommError(f"a{aid}[{index}] contribute({op!r}, "
+                                f"{callback!r}): {e}") from None
         rec = self._arrays[aid]
         rnd = rec.red_rounds[index]
         rec.red_rounds[index] = rnd + 1
@@ -337,6 +361,8 @@ class CharmRuntime:
 
     def _on_reduce(self, pe: int, payload: Tuple) -> None:
         _, aid, rnd, op, callback, value = payload
+        if value.__class__ is Frozen:
+            value = thaw_value(value)
         rec = self._arrays[aid]
         bucket = rec.reductions.setdefault((op, callback, rnd), [])
         bucket.append(value)

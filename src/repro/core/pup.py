@@ -28,8 +28,8 @@ from __future__ import annotations
 import struct
 import sys
 import zlib
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Type,
-                    runtime_checkable)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Protocol, Tuple, Type, runtime_checkable)
 
 from repro.errors import PupError
 
@@ -50,6 +50,10 @@ __all__ = [
     "pup_unseal",
     "pup_pack_checked",
     "pup_unpack_checked",
+    "Frozen",
+    "FROZEN",
+    "freeze_value",
+    "thaw_value",
 ]
 
 
@@ -463,6 +467,10 @@ _TAG_LEN = struct.Struct("<qQ").pack
 _TAG_DOUBLE = struct.Struct("<qd").pack
 _TAG_BYTE = struct.Struct("<qB").pack
 _NONE = _INT(_VT_NONE)
+_READ_INT = struct.Struct("<q").unpack_from
+_READ_LEN = struct.Struct("<Q").unpack_from
+_READ_DOUBLE = struct.Struct("<d").unpack_from
+_READ_BYTE = struct.Struct("<B").unpack_from
 
 #: The types the walk encodes, in the order a subclass is matched: the
 #: scalars, then ``numpy.ndarray``, then the containers.  A value of a
@@ -537,30 +545,67 @@ def _walk(value: Any, out: Any) -> None:
         out(raw)
 
 
-def _unpack_value_from(p: UnpackingPupper) -> Any:
-    tag = p.int()
-    if tag == _VT_NONE:
-        return None
-    if tag == _VT_BOOL:
-        return p.bool()
+def _blob_end(data: bytes, at: int, n: int) -> int:
+    end = at + n
+    if end > len(data):
+        raise PupError(f"unpack_value: a {n}-byte blob at offset {at} ran "
+                       f"past end of buffer — truncated blob")
+    return end
+
+
+def _unwalk(data: bytes, at: int) -> Tuple[Any, int]:
+    """Decode the value ``_walk`` encoded at offset ``at`` of ``data``;
+    returns it and the offset after it."""
+    tag = _READ_INT(data, at)[0]
+    at += 8
     if tag == _VT_INT:
-        return p.int()
+        return _READ_INT(data, at)[0], at + 8
     if tag == _VT_FLOAT:
-        return p.double()
-    if tag == _VT_BYTES:
-        return p.bytes()
-    if tag == _VT_STR:
-        return p.str()
-    if tag == _VT_ARRAY:
-        return p.array()
-    if tag in (_VT_LIST, _VT_TUPLE):
-        n = p.int()
-        items = [_unpack_value_from(p) for _ in range(n)]
-        return items if tag == _VT_LIST else tuple(items)
+        return _READ_DOUBLE(data, at)[0], at + 8
+    if tag == _VT_LIST or tag == _VT_TUPLE:
+        n = _READ_INT(data, at)[0]
+        at += 8
+        items = []
+        append = items.append
+        for _ in range(n):
+            item, at = _unwalk(data, at)
+            append(item)
+        return (items if tag == _VT_LIST else tuple(items)), at
+    if tag == _VT_STR or tag == _VT_BYTES:
+        n = _READ_LEN(data, at)[0]
+        at += 8
+        end = _blob_end(data, at, n)
+        raw = bytes(data[at:end])
+        return (raw.decode("utf-8") if tag == _VT_STR else raw), end
     if tag == _VT_DICT:
-        n = p.int()
-        return {(_unpack_value_from(p)): _unpack_value_from(p)
-                for _ in range(n)}
+        n = _READ_INT(data, at)[0]
+        at += 8
+        out = {}
+        for _ in range(n):
+            key, at = _unwalk(data, at)
+            out[key], at = _unwalk(data, at)
+        return out, at
+    if tag == _VT_NONE:
+        return None, at
+    if tag == _VT_BOOL:
+        return bool(_READ_BYTE(data, at)[0]), at + 1
+    if tag == _VT_ARRAY:
+        import numpy as np
+        n = _READ_LEN(data, at)[0]
+        at += 8
+        end = _blob_end(data, at, n)
+        dtype = np.dtype(bytes(data[at:end]).decode("ascii"))
+        ndim = _READ_INT(data, end)[0]
+        at = end + 8
+        shape = []
+        for _ in range(ndim):
+            shape.append(_READ_INT(data, at)[0])
+            at += 8
+        n = _READ_LEN(data, at)[0]
+        at += 8
+        end = _blob_end(data, at, n)
+        return (np.frombuffer(data[at:end], dtype=dtype)
+                .reshape(tuple(shape)).copy()), end
     raise PupError(f"pack_value stream corrupt: unknown tag {tag}")
 
 
@@ -579,9 +624,136 @@ def pack_value(value: Any) -> bytes:
 
 
 def unpack_value(data: bytes) -> Any:
-    """Rebuild a value tree from :func:`pack_value` output."""
-    p = UnpackingPupper(data)
-    out = _unpack_value_from(p)
-    if not p.exhausted:
+    """Rebuild a value tree from :func:`pack_value` output.
+
+    The mirror of the walk: prebound ``struct`` readers over one offset,
+    no pupper.  A truncated, over-long or mistagged stream is a
+    :class:`PupError`.
+    """
+    try:
+        out, at = _unwalk(data, 0)
+    except struct.error as e:
+        raise PupError(f"unpack_value ran past end of buffer — truncated "
+                       f"blob: {e}") from None
+    if at != len(data):
         raise PupError("trailing bytes after unpack_value")
     return out
+
+
+# ---------------------------------------------------------------------------
+# message ownership: what a rank sends is the receiver's own
+# ---------------------------------------------------------------------------
+#
+# A message crosses address spaces, so the receiver must never see the
+# sender's later writes, nor share one object with another delivery of
+# the same message (a duplicated or forwarded one).  Every runtime takes
+# ownership at one seam: the send freezes the value, the delivery thaws
+# it.  An immutable value is its own frozen form; a mutable one travels
+# as its packed bytes (an array as its own copy) and each delivery
+# unpacks a fresh value.
+
+
+class Frozen:
+    """A mutable value in flight: the private form it travels in (its
+    packed bytes, or a NumPy array's own copy) and that form's unpacker.
+
+    Immutable itself, so one in-flight message may be delivered twice
+    (a chaos ``dup``) or forwarded; each :func:`thaw_value` builds a new
+    value.
+    """
+
+    __slots__ = ("data", "unpack")
+
+    def __init__(self, data: Any, unpack: Callable[[Any], Any]) -> None:
+        self.data = data
+        self.unpack = unpack
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Frozen {self.unpack.__name__}>"
+
+
+#: The exact classes a message carries as they are: immutable, so the
+#: receiver holding the sender's object is the same as holding a copy.
+#: A send site tests ``value.__class__ in FROZEN`` before it calls
+#: :func:`freeze_value`, so these cost no call at all.
+FROZEN = frozenset({type(None), bool, int, float, complex, str, bytes,
+                    Frozen})
+
+#: The exact classes :func:`pack_value` gives back as themselves.
+_PACKS_AS_IS = frozenset({type(None), bool, int, float, str, bytes})
+
+
+def _numpy_scalar(value: Any) -> bool:
+    np = sys.modules.get("numpy")
+    return (np is not None and isinstance(value, np.generic)
+            and not isinstance(value, np.void))
+
+
+def _thaw_items(forms: tuple) -> tuple:
+    """The unpacker of a tuple frozen item by item."""
+    return tuple([form.unpack(form.data) if form.__class__ is Frozen
+                  else form for form in forms])
+
+
+def freeze_value(value: Any) -> Any:
+    """The form ``value`` travels in: the receiver's own, whatever the
+    sender does next.
+
+    Immutable values are their own form: the :data:`FROZEN` classes,
+    NumPy scalars, and tuples of those.  A tuple holding a mutable value
+    freezes item by item.  A ``pup_register``'ed object packs with
+    :func:`pup_pack`; an exact ``list`` or ``dict`` packs with
+    :func:`pack_value` when its whole tree is of the classes that codec
+    gives back as themselves; a NumPy array (no object dtype) travels as
+    its own copy, which is what its packed bytes would unpack to.
+    Anything else raises :class:`PupError`: what a rank can send is what
+    PUP can pack.
+    """
+    kind = value.__class__
+    if kind in FROZEN:
+        return value
+    if kind is tuple:
+        todo = [value]
+        for node in todo:
+            for item in node:
+                cls = item.__class__
+                if cls is tuple:
+                    todo += (item,)
+                elif cls not in FROZEN and not _numpy_scalar(item):
+                    return Frozen(tuple([freeze_value(item)
+                                         for item in value]), _thaw_items)
+        return value
+    if "_pup_name" in vars(kind):
+        return Frozen(pup_pack(value), pup_unpack)
+    np = sys.modules.get("numpy")
+    array = np.ndarray if np is not None else None
+    if kind is array and not value.dtype.hasobject:
+        # What its packed bytes unpack to — an owned C-ordered array of
+        # the same dtype, shape and bytes — for one copy, not a codec walk.
+        return Frozen(value.copy(), array.copy)
+    # Packed whole: every class in the tree must come back as itself.
+    todo = [value]
+    for node in todo:
+        cls = node.__class__
+        if cls in _PACKS_AS_IS:
+            continue
+        if cls is list or cls is tuple:
+            todo += node
+        elif cls is dict:
+            todo += node.keys()
+            todo += node.values()
+        elif cls is not array or node.dtype.hasobject:
+            if node is value and _numpy_scalar(value):
+                return value
+            what = cls.__name__
+            if node is not value:
+                what += f" inside a {kind.__name__}"
+            raise PupError(f"cannot send {what}; a rank sends what PUP "
+                           f"packs")
+    return Frozen(pack_value(value), unpack_value)
+
+
+def thaw_value(frozen: Frozen) -> Any:
+    """A fresh value from :func:`freeze_value`'s :class:`Frozen` form;
+    every call builds a new one."""
+    return frozen.unpack(frozen.data)

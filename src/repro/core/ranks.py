@@ -4,7 +4,9 @@ AMPI ranks suspend in a receive and resume when a matching message
 arrives (Sections 3.4 and 4.5).  ``FlowWorld`` and ``AmpiRuntime`` each
 hold one :class:`RankProtocol`; each keeps only its transport (what
 calls ``arrive``) and its resume (of the ranks ``arrive``/``release``
-hand back).
+hand back).  A queued payload is already the receiver's own value: each
+transport takes ownership before it calls ``arrive``
+(:func:`repro.core.pup.freeze_value` / :func:`~repro.core.pup.thaw_value`).
 """
 
 from __future__ import annotations

@@ -41,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.core.pup import FROZEN, Frozen, freeze_value, thaw_value
 from repro.core.ranks import ANY_SOURCE, ANY_TAG, RankProtocol
-from repro.errors import ReproError
+from repro.errors import PupError, ReproError
 from repro.flows.compile import CompiledFlow, compile_flow
 from repro.kernel import EventKernel
 
@@ -128,7 +129,9 @@ class FlowContext:
     def send(self, dest: int, data: Any, tag: Any = None) -> None:
         """Queue ``(rank, tag, data)`` for ``dest`` (eager, never
         suspends), resuming ``dest`` if it is parked in a receive the
-        message matches."""
+        message matches.  The queue holds the receiver's own value
+        (:func:`repro.core.pup.freeze_value`): the sender may write to
+        ``data`` once this returns."""
         world = self._world
         protocol = world.protocol
         try:
@@ -141,6 +144,16 @@ class FlowContext:
             raise ReproError(
                 f"flow r{self.rank}: bad destination rank {dest!r} "
                 f"(world has ranks 0..{self.nranks - 1})")
+        if data.__class__ not in FROZEN:
+            # Delivery is immediate: the queue takes the receiver's own
+            # value, however the sender writes to ``data`` next.
+            try:
+                data = freeze_value(data)
+            except PupError as e:
+                raise ReproError(f"flow r{self.rank} -> r{dest} "
+                                 f"(tag={tag!r}): {e}") from None
+            if data.__class__ is Frozen:
+                data = thaw_value(data)
         if protocol.arrive(dest, self.rank, tag, data):
             task = world._tasks[dest]
             world.kernel.post(0.0, world._resume, task.args,

@@ -81,9 +81,9 @@ def ampi_stencil_main(cfg: StencilConfig, results: Dict[int, np.ndarray],
         strip = full[lo:hi].copy()
         for it in range(cfg.iterations):
             if mpi.rank > 0:
-                mpi.send(mpi.rank - 1, strip[0].copy(), tag=("dn", it))
+                mpi.send(mpi.rank - 1, strip[0], tag=("dn", it))
             if mpi.rank < n - 1:
-                mpi.send(mpi.rank + 1, strip[-1].copy(), tag=("up", it))
+                mpi.send(mpi.rank + 1, strip[-1], tag=("up", it))
             above = (yield from mpi.recv(source=mpi.rank - 1, tag=("up", it))) \
                 if mpi.rank > 0 else None
             below = (yield from mpi.recv(source=mpi.rank + 1, tag=("dn", it))) \

@@ -55,7 +55,7 @@ class StencilChare(Chare):
     # -- entry methods ---------------------------------------------------
 
     def start(self, data: List[float], steps: int) -> None:
-        self.data = list(data)
+        self.data = data
         self.steps = steps
         self.started = True
         if steps:

@@ -32,3 +32,30 @@ def test_calls_per_ampi_send_stay_within_budget():
     sends = calls.of("_send")
     assert sends == 600
     assert calls.total / sends <= CALLS_PER_SEND, calls.total / sends
+
+
+#: Calls per send of the AMPI stencil, whose every message is a NumPy
+#: row: 71.18 while the sender copied the row and the receiver got that
+#: copy by reference, 78.18 with ownership taken at the runtime's seam
+#: (``freeze_value`` copies the row once, ``thaw_value`` once more per
+#: delivery).  Packing the row with ``pack_value`` instead cost 157.18
+#: (120.18 once ``unpack_value`` no longer read through an
+#: ``UnpackingPupper``).  The bound is the measured value rounded up, so
+#: a third copy or a codec walk per row fails it.
+CALLS_PER_STRIP_SEND = 79
+
+
+def test_calls_per_ampi_array_send_stay_within_budget():
+    from repro.workloads.stencil import StencilConfig, run_ampi_stencil
+
+    def run():
+        return run_ampi_stencil(StencilConfig(rows=64, cols=32,
+                                              iterations=10), 2, 4)
+
+    run()                         # imports and per-process tables warm
+    (rt, grid), calls = count_calls(run)
+    assert rt.makespan_ns == 181152.0
+    assert float(grid.sum()) == 5306.706190109253
+    sends = calls.of("_send")
+    assert sends == 60
+    assert calls.total / sends <= CALLS_PER_STRIP_SEND, calls.total / sends

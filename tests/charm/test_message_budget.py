@@ -6,8 +6,11 @@ driver's one loop.  Calls per ``when`` message on the Figure 1 stencil
 (8 elements in a ring on 2 processors, 50 iterations: 800 messages) is
 the deterministic proxy: 62.14 while a live driver and an early-message
 buffer were two roads and each satisfied ``when`` re-entered the driver
-one frame deeper, 56.62 with one road, one buffer and one loop.  The
-bound is the measured value rounded up, so a hop coming back fails it.
+one frame deeper, 56.62 with one road, one buffer and one loop, 56.61
+with the arguments frozen at ``send_invoke`` (the tuple argument costs
+one ``freeze_value`` call; reading the current processor inline pays
+for it).  The bound is the measured value rounded up, so a hop coming
+back fails it.
 """
 
 from repro.charm import Chare, CharmRuntime, Overlap, When

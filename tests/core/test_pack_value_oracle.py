@@ -7,7 +7,9 @@ dicts) — encodes to the bytes ``tests/core/pupref.py`` writes, so a
 checkpoint blob (``pup_seal`` of them) and its simulated disk time are
 unchanged.  What the reference refuses, ``pack_value`` refuses with the
 same exception type: an int outside 64 bits or a type the codec has no
-tag for is a ``PupError``.
+tag for is a ``PupError``.  ``unpack_value`` rebuilds what the
+reference decoder rebuilds, type for type, and fails on a cut, padded
+or flipped stream with the reference's exception type.
 """
 
 import collections
@@ -101,6 +103,57 @@ def test_what_the_reference_refuses_is_refused_alike(value, bad, where):
     got, want = (outcome(pack_value, tree),
                  outcome(pupref.pack_value, tree))
     assert got == want and want[1] is not None, (got, want)
+
+
+def same(got, want):
+    """Equal as values and as types, all the way down (NaN equals NaN;
+    an array by dtype, shape and bytes)."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes())
+        assert got.flags.writeable and got.flags.owndata
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same(g, w)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for k in want:
+            same(got[k], want[k])
+    elif want != want:
+        assert got != got
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(values)
+def test_unpack_value_rebuilds_what_the_reference_rebuilds(value):
+    blob = pack_value(value)
+    same(unpack_value(blob), pupref.unpack_value(blob))
+
+
+@settings(max_examples=150, deadline=None)
+@given(values, st.data())
+def test_a_damaged_stream_fails_as_the_reference_does(value, data):
+    """A cut, an extra byte or a flipped byte: the same value or the
+    same exception type as the reference decoder."""
+    blob = bytearray(pack_value(value))
+    damage = data.draw(st.sampled_from(["cut", "extend", "flip"]))
+    if damage == "cut":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif damage == "extend":
+        blob += b"\x00"
+    else:
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+    got, want = (outcome(unpack_value, bytes(blob)),
+                 outcome(pupref.unpack_value, bytes(blob)))
+    if want[1] is None:
+        same(got[0], want[0])
+    else:
+        assert got[1] is want[1], (got, want)
 
 
 def test_a_surrogate_str_fails_as_the_reference_does():

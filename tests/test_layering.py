@@ -223,12 +223,14 @@ def test_extent_operations_do_no_per_page_host_work():
 #: one whole-range byte string); each of their ``while`` loops turns
 #: once per mapping (it calls ``mapping_at``)
 #: and no ``for`` loop runs over a ``range`` of pages.  ``pack_value``'s
-#: walk calls no pupper method (a ``PackingPupper`` ran ``int`` →
-#: ``_prim`` → ``_tick`` per field) and builds no pupper.
+#: walk and ``unpack_value``'s mirror of it call no pupper method (a
+#: ``PackingPupper`` ran ``int`` → ``_prim`` → ``_tick`` per field, an
+#: ``UnpackingPupper`` the same per field read) and build no pupper.
 PER_IMAGE = {
     "loads_and_stores": ("vm/addrspace.py", "AddressSpace",
                          {"read", "write", "memcpy_in"}),
-    "value_walk": ("core/pup.py", {"pack_value", "_walk", "_kind"}),
+    "value_walk": ("core/pup.py", {"pack_value", "_walk", "_kind",
+                                   "unpack_value", "_unwalk"}),
 }
 
 
