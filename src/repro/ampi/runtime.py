@@ -103,7 +103,7 @@ class AmpiRuntime:
         self.migrator.on_arrival = self._thread_arrived
         self.db = LBDatabase(npes)
         self.strategy = strategy or GreedyLB()
-        self.lb = LBManager(self.db, self.strategy, self._lb_migrate)
+        self.lb = LBManager(self.db, self.strategy)
         # rank state
         self.rank_thread: List[UThread] = []
         self.protocol = RankProtocol(num_ranks, AmpiError)
@@ -117,7 +117,6 @@ class AmpiRuntime:
         #: rank -> key of its most recent coordinated checkpoint.
         self.last_checkpoint: Dict[int, str] = {}
         self.checkpointer = Checkpointer(self.migrator)
-        self._lb_moves: List[Tuple[int, int]] = []
         #: tid -> rank, for placement bookkeeping on thread arrival (tids
         #: are stable across migration; never key runtime state on id()).
         self._rank_of_tid: Dict[tuple, int] = {}
@@ -294,9 +293,6 @@ class AmpiRuntime:
         self._wake(rank)
         self.db.moved(rank, dst_pe)
 
-    def _lb_migrate(self, rank: int, dst_pe: int) -> None:
-        self._lb_moves.append((rank, dst_pe))
-
     def _thread_arrived(self, thread: UThread) -> None:
         # Keep the LB database honest about where ranks really are —
         # matters when a migration bounced back to its source processor.
@@ -305,21 +301,19 @@ class AmpiRuntime:
             self.db.moved(rank, thread.scheduler.processor.id)
 
     def _run_rebalance(self, ranks: List[int]) -> None:
-        self._lb_moves.clear()
+        """One LB step: the manager plans, the moves are made here.  An
+        aborted move is retried once (no state moved yet); a second abort
+        leaves the rank home and the database is told the truth."""
         for pe, proc in enumerate(self.cluster.processors):
             self.db.set_pe_speed(pe, max(1e-6, 1.0 - proc.background_load))
         self.rebalance_in_progress = True
         try:
-            report = self.lb.rebalance()      # fills _lb_moves
-            for rank, dst in self._lb_moves:
+            report, plan = self.lb.rebalance()
+            for rank, dst in plan:
                 thread = self.rank_thread[rank]
                 try:
                     self.migrator.migrate(thread, dst)
                 except MigrationAborted:
-                    # Abort-and-retry: the abort happened before any
-                    # state moved, so one retry is safe; if that aborts
-                    # too the rank stays home and the database is told
-                    # the truth.
                     try:
                         self.migrator.migrate(thread, dst)
                     except MigrationAborted:
@@ -413,21 +407,20 @@ class AmpiRuntime:
         """Cut the run's back-edges: every rank has finished.
 
         While ranks run, the machine points back at the runtime — each
-        scheduler's ``on_exit``, the migrator's ``on_arrival``, the LB
-        manager's ``migrate_fn``, every processor's ``ampi`` and
-        migration handlers, and ``main`` (a bound method when a
-        :class:`~repro.bigsim.BigSimEngine` owns the runtime).  None is
-        needed once the last rank exits (each rank cut its own thread's
-        edges then), so they go here and a finished runtime is freed by
-        reference counting.  Every post-run reader — makespan, placement,
-        profiles, summary, migrator and checkpointer counters, stored
-        images — reads forward edges only.  A partial or failed run
-        never gets here and keeps its graph for replay and diagnosis.
+        scheduler's ``on_exit``, the migrator's ``on_arrival``, every
+        processor's ``ampi`` and migration handlers, and ``main`` (a
+        bound method when a :class:`~repro.bigsim.BigSimEngine` owns the
+        runtime).  None is needed once the last rank exits (each rank cut
+        its own thread's edges then), so they go here and a finished
+        runtime is freed by reference counting.  Every post-run reader —
+        makespan, placement, profiles, summary, migrator and checkpointer
+        counters, stored images — reads forward edges only.  A partial or
+        failed run never gets here and keeps its graph for replay and
+        diagnosis.
         """
         if self.main is None:
             return
         self.main = None
-        self.lb.migrate_fn = None
         self.migrator.detach()
         for sched in self.schedulers:
             sched.on_exit = None

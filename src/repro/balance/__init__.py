@@ -4,7 +4,7 @@ The paper's load-balancing story: run many more migratable flows than
 processors, measure each flow's load, and periodically migrate flows from
 overloaded to underloaded processors.  This package provides the load
 database, the placement strategies, and the manager that turns a strategy's
-output into thread migrations.
+output into a migration plan, which the runtime then carries out.
 """
 
 from repro.balance.instrument import LBDatabase

@@ -1,20 +1,22 @@
-"""The LB manager: turn a strategy's placement into actual migrations."""
+"""The LB manager: turn a strategy's placement into one migration plan."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Hashable, List, Tuple
 
 from repro.balance.instrument import LBDatabase
 from repro.balance.strategies import Strategy
-from repro.errors import MigrationError
 
 __all__ = ["LBManager", "RebalanceReport"]
+
+#: One LB step's moves: ``(obj, dst_pe)`` pairs in object-key order.
+Plan = List[Tuple[Hashable, int]]
 
 
 @dataclass(frozen=True)
 class RebalanceReport:
-    """What one rebalance did."""
+    """What one rebalance decided."""
 
     strategy: str
     epoch: int
@@ -22,73 +24,59 @@ class RebalanceReport:
     migrations: int
     imbalance_before: float
     imbalance_after: float
-    #: Moves the strategy wanted that ``migrate_fn`` refused
-    #: (:class:`~repro.errors.MigrationError`); those objects stayed put
-    #: and the database still records their true placement.
-    failed: int = 0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        tail = f" ({self.failed} failed)" if self.failed else ""
         return (f"[{self.strategy} epoch {self.epoch}] {self.objects} objs, "
-                f"{self.migrations} migrations{tail}, max/avg "
+                f"{self.migrations} migrations, max/avg "
                 f"{self.imbalance_before:.2f} -> {self.imbalance_after:.2f}")
 
 
 class LBManager:
-    """Runs a strategy against the database and issues migrations.
+    """Runs a strategy against the database and plans the moves.
 
-    ``migrate_fn(obj, dst_pe)`` performs the actual move (the AMPI runtime
-    passes its thread migrator; tests can pass a recorder).
+    The manager moves nothing: :meth:`rebalance` returns the plan, and
+    the runtime that owns the objects migrates it (in AMPI,
+    ``AmpiRuntime._run_rebalance``), telling the database where a move
+    it could not make left the object.
     """
 
-    def __init__(self, db: LBDatabase, strategy: Strategy,
-                 migrate_fn: Callable[[Hashable, int], None]):
+    def __init__(self, db: LBDatabase, strategy: Strategy):
         self.db = db
         self.strategy = strategy
-        self.migrate_fn = migrate_fn
-        self.reports: list[RebalanceReport] = []
 
-    def rebalance(self) -> RebalanceReport:
-        """Measure, decide, migrate, and open a new measurement window."""
-        loads = self.db.intrinsic_loads()
-        current = self.db.placement()
-        before = self.db.imbalance()
-        feed = getattr(self.strategy, "set_comm_graph", None)
-        if feed is not None:
-            feed(self.db.comm_graph())
-        feed_speeds = getattr(self.strategy, "set_pe_speeds", None)
-        if feed_speeds is not None:
-            feed_speeds(self.db.pe_speeds())
-        new = self.strategy.map_objects(loads, current, self.db.npes)
+    def rebalance(self) -> Tuple[RebalanceReport, Plan]:
+        """Measure, decide, and open a new measurement window.
+
+        The strategy gets every measurement it reads as an argument.
+        Returns the report and the plan: each object the strategy moved
+        with its new processor, sorted by ``str`` of the object.  Every
+        planned move is recorded in the database before the window
+        closes, so the report's ``imbalance_after`` and the window's
+        ``lb.imbalance`` reading see the planned placement.
+        """
+        db = self.db
+        loads = db.intrinsic_loads()
+        current = db.placement()
+        before = db.imbalance()
+        new = self.strategy.map_objects(loads, current, db.npes,
+                                        speeds=db.pe_speeds(),
+                                        comm=db.comm_graph())
         missing = set(loads) - set(new)
         if missing:
             raise ValueError(
                 f"{self.strategy.name} dropped objects: {sorted(map(str, missing))}")
-        moves = 0
-        failed = 0
-        for obj, dst in sorted(new.items(), key=lambda kv: str(kv[0])):
-            if current.get(obj) != dst:
-                # The database is only told about moves that actually
-                # happened: a migrate_fn failure leaves the object's
-                # recorded placement — and reality — unchanged, and the
-                # rebalance presses on with the remaining moves.
-                try:
-                    self.migrate_fn(obj, dst)
-                except MigrationError:
-                    failed += 1
-                    continue
-                self.db.moved(obj, dst)
-                moves += 1
-        after = self.db.imbalance()
+        plan = [(obj, dst)
+                for obj, dst in sorted(new.items(), key=lambda kv: str(kv[0]))
+                if current.get(obj) != dst]
+        for obj, dst in plan:
+            db.moved(obj, dst)
         report = RebalanceReport(
             strategy=self.strategy.name,
-            epoch=self.db.epoch,
+            epoch=db.epoch,
             objects=len(loads),
-            migrations=moves,
+            migrations=len(plan),
             imbalance_before=before,
-            imbalance_after=after,
-            failed=failed,
+            imbalance_after=db.imbalance(),
         )
-        self.reports.append(report)
-        self.db.reset_loads()
-        return report
+        db.reset_loads()
+        return report, plan

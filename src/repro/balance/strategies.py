@@ -1,8 +1,10 @@
 """Load-balancing placement strategies.
 
-Each strategy maps measured per-object loads and the current placement to a
-new placement.  The names and behaviours follow the classic Charm++
-strategy suite:
+Each strategy maps measured per-object loads, the current placement and
+the window's other measurements — per-processor speeds and the object
+traffic matrix, arguments like the loads — to a new placement; it keeps
+no measurement between calls.  The names and behaviours follow the
+classic Charm++ strategy suite:
 
 ``GreedyLB``
     Ignore current placement; assign objects heaviest-first to the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Optional, Sequence
 
 from repro.kernel import MinHeap
 
@@ -31,16 +33,21 @@ __all__ = ["Strategy", "GreedyLB", "GreedyCommLB", "RefineLB", "RotateLB",
 
 Placement = Dict[Hashable, int]
 Loads = Dict[Hashable, float]
+#: Relative speed per processor (``None``: all 1.0).
+Speeds = Optional[Sequence[float]]
+#: Bytes sent per directed ``(src, dst)`` object pair (``None``: none).
+Comm = Optional[Dict[tuple, int]]
 
 
 class Strategy(ABC):
-    """Interface for placement strategies."""
+    """Interface for placement strategies: every measurement one reads is
+    an argument of :meth:`map_objects`."""
 
     name: str = "?"
 
     @abstractmethod
-    def map_objects(self, loads: Loads, current: Placement,
-                    npes: int) -> Placement:
+    def map_objects(self, loads: Loads, current: Placement, npes: int, *,
+                    speeds: Speeds = None, comm: Comm = None) -> Placement:
         """Return the new placement (must cover exactly ``loads``'s keys)."""
 
 
@@ -49,33 +56,25 @@ class NullLB(Strategy):
 
     name = "NullLB"
 
-    def map_objects(self, loads: Loads, current: Placement,
-                    npes: int) -> Placement:
+    def map_objects(self, loads: Loads, current: Placement, npes: int, *,
+                    speeds: Speeds = None, comm: Comm = None) -> Placement:
         return dict(current)
 
 
 class GreedyLB(Strategy):
     """Heaviest-first onto the earliest-finishing processor (LPT).
 
-    Speed-aware: with per-processor speeds (fed by the LB manager from the
-    database), a processor's finish time is its assigned work divided by
-    its speed, so slow (externally loaded) nodes receive proportionally
-    less — paper reference [10]'s workstation-cluster adaptation.
+    Speed-aware: with per-processor ``speeds``, a processor's finish time
+    is its assigned work divided by its speed, so slow (externally
+    loaded) nodes receive proportionally less — paper reference [10]'s
+    workstation-cluster adaptation.
     """
 
     name = "GreedyLB"
 
-    def __init__(self):
-        self._speeds: list = []
-
-    def set_pe_speeds(self, speeds: list) -> None:
-        """Provide relative processor speeds (manager hook)."""
-        self._speeds = list(speeds)
-
-    def map_objects(self, loads: Loads, current: Placement,
-                    npes: int) -> Placement:
-        speeds = (self._speeds if len(self._speeds) == npes
-                  else [1.0] * npes)
+    def map_objects(self, loads: Loads, current: Placement, npes: int, *,
+                    speeds: Speeds = None, comm: Comm = None) -> Placement:
+        speeds = speeds or [1.0] * npes
         heap = MinHeap((0.0, pe) for pe in range(npes))
         out: Placement = {}
         # Ties broken deterministically by object key order.
@@ -99,16 +98,10 @@ class RefineLB(Strategy):
 
     def __init__(self, tolerance: float = 1.05):
         self.tolerance = tolerance
-        self._speeds: list = []
 
-    def set_pe_speeds(self, speeds: list) -> None:
-        """Provide relative processor speeds (manager hook)."""
-        self._speeds = list(speeds)
-
-    def map_objects(self, loads: Loads, current: Placement,
-                    npes: int) -> Placement:
-        speeds = (self._speeds if len(self._speeds) == npes
-                  else [1.0] * npes)
+    def map_objects(self, loads: Loads, current: Placement, npes: int, *,
+                    speeds: Speeds = None, comm: Comm = None) -> Placement:
+        speeds = speeds or [1.0] * npes
         out = dict(current)
         pe_load = [0.0] * npes
         pe_objs: Dict[int, list] = {pe: [] for pe in range(npes)}
@@ -156,8 +149,8 @@ class RotateLB(Strategy):
 
     name = "RotateLB"
 
-    def map_objects(self, loads: Loads, current: Placement,
-                    npes: int) -> Placement:
+    def map_objects(self, loads: Loads, current: Placement, npes: int, *,
+                    speeds: Speeds = None, comm: Comm = None) -> Placement:
         return {obj: (current.get(obj, 0) + 1) % npes for obj in loads}
 
 
@@ -177,8 +170,8 @@ class RandomLB(Strategy):
         self.seed = seed
         self._invocation = 0
 
-    def map_objects(self, loads: Loads, current: Placement,
-                    npes: int) -> Placement:
+    def map_objects(self, loads: Loads, current: Placement, npes: int, *,
+                    speeds: Speeds = None, comm: Comm = None) -> Placement:
         rng = random.Random(f"{self.seed}:{self._invocation}")
         self._invocation += 1
         return {obj: rng.randrange(npes)
@@ -196,27 +189,23 @@ class GreedyCommLB(Strategy):
     pull toward each other, trading a little compute balance for locality —
     the trade-off the Charm++ comm-aware strategies make.
 
-    The communication graph comes from
-    :meth:`repro.balance.instrument.LBDatabase.record_comm`; pass it via
-    ``set_comm_graph`` (the LB manager does this automatically when the
-    database has one).
+    The traffic matrix is ``comm``, which the LB manager reads from
+    :meth:`repro.balance.instrument.LBDatabase.comm_graph`; with none,
+    only compute load decides.
     """
 
     name = "GreedyCommLB"
 
     def __init__(self, byte_cost: float = 4.0):
         self.byte_cost = byte_cost
-        self._comm: Dict[tuple, int] = {}
 
-    def set_comm_graph(self, comm: Dict[tuple, int]) -> None:
-        """Provide the measured (src, dst) -> bytes traffic matrix."""
-        self._comm = dict(comm)
+    def map_objects(self, loads: Loads, current: Placement, npes: int, *,
+                    speeds: Speeds = None, comm: Comm = None) -> Placement:
+        comm = comm or {}
 
-    def _traffic(self, a: Hashable, b: Hashable) -> int:
-        return self._comm.get((a, b), 0) + self._comm.get((b, a), 0)
+        def traffic(a: Hashable, b: Hashable) -> int:
+            return comm.get((a, b), 0) + comm.get((b, a), 0)
 
-    def map_objects(self, loads: Loads, current: Placement,
-                    npes: int) -> Placement:
         pe_load = [0.0] * npes
         placed: Dict[int, list] = {pe: [] for pe in range(npes)}
         out: Placement = {}
@@ -228,10 +217,10 @@ class GreedyCommLB(Strategy):
                 cost = pe_load[pe] + loads[obj]
                 # Communication cost: traffic to already-placed objects
                 # that live elsewhere.
-                remote = sum(self._traffic(obj, other)
+                remote = sum(traffic(obj, other)
                              for p, objs in placed.items() if p != pe
                              for other in objs)
-                local_saving = sum(self._traffic(obj, other)
+                local_saving = sum(traffic(obj, other)
                                    for other in placed[pe])
                 cost += self.byte_cost * (remote - local_saving)
                 if best_cost is None or cost < best_cost:

@@ -153,19 +153,10 @@ class CthScheduler:
             thread.got = GlobalOffsetTable.privatize(
                 self.globals_registry, thread.malloc)
         if self.emulate_swap:
-            ctx = self._ctx_slot(thread.tid)
-            # A fresh thread's stack carries a zeroed register image.
-            owner = self.current
-            if not self.stack_manager.concurrent_active:
-                # Seeding writes through the manager so an inactive
-                # single-address stack lands in its backing store.
-                self._seed_inactive(thread, ctx)
-            else:
-                MinimalSwap.seed_context(self.space, self.arch, ctx,
-                                         rec.top)
-                rec.extra_live = (len(self.swap.saved)
-                                  * self.space.layout.word_bytes)
-            assert owner is self.current
+            # A fresh thread's stack carries a zeroed register image,
+            # written through the manager wherever that stack lives (a
+            # private home while another thread runs at its address).
+            self._seed_inactive(thread, self._ctx_slot(thread.tid))
         thread.state = ThreadState.READY
         self._enqueue(thread)
         self.threads[thread.tid] = thread

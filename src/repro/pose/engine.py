@@ -6,8 +6,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ReproError
-from repro.core.pup import pup_pack, pup_unpack
+from repro.errors import PupError, ReproError
+from repro.core.pup import (FROZEN, Frozen, freeze_value, pup_pack,
+                            pup_unpack, thaw_value)
 from repro.sim.cluster import Cluster
 from repro.sim.processor import weak_handler
 from repro.sim.network import Message
@@ -44,7 +45,9 @@ class Poser:
 
 @dataclass(frozen=True)
 class _Event:
-    """One timestamped simulation event (or its antimessage)."""
+    """One timestamped simulation event (or its antimessage).  ``data``
+    is frozen where the event is made and thawed afresh for each
+    execution, so a re-run after a rollback sees the value that was sent."""
 
     vt: float
     uid: int
@@ -55,6 +58,16 @@ class _Event:
 
     def key(self) -> Tuple[float, int]:
         return (self.vt, self.uid)
+
+
+def _frozen(src: str, dst: str, event: str, data: Any) -> Any:
+    """``data`` in the form an event carries it (:func:`freeze_value`);
+    what PUP cannot pack is refused, naming the event."""
+    try:
+        return freeze_value(data)
+    except PupError as e:
+        raise ReproError(f"{src} -> poser {dst!r} (event {event!r}): "
+                         f"{e}") from None
 
 
 @dataclass
@@ -152,6 +165,8 @@ class PoseEngine:
     def schedule(self, dst: str, event: str, data: Any = None,
                  at: float = 0.0) -> None:
         """Inject an initial event at virtual time ``at`` (from outside)."""
+        if data.__class__ not in FROZEN:
+            data = _frozen("schedule", dst, event, data)
         self._send(src_pe=0, ev=_Event(at, next(self._uid), dst, event,
                                        data))
 
@@ -239,7 +254,10 @@ class PoseEngine:
             vt_before=self._lvt[ev.dst],
         )
         self.snapshot_bytes += len(record.snapshot)
-        outputs = poser.handle(ev.name, ev.data)
+        data = ev.data
+        if data.__class__ is Frozen:
+            data = thaw_value(data)
+        outputs = poser.handle(ev.name, data)
         self._lvt[ev.dst] = max(self._lvt[ev.dst], ev.vt)
         pe = self._pe[ev.dst]
         self.cluster[pe].charge(self.cluster.platform.event_dispatch_ns)
@@ -247,6 +265,8 @@ class PoseEngine:
             if delay <= 0:
                 raise ReproError(
                     f"{ev.dst}: event delay must be positive, got {delay}")
+            if data.__class__ not in FROZEN:
+                data = _frozen(f"poser {ev.dst!r}", dst, name, data)
             record.outputs.append(
                 _Event(ev.vt + delay, next(self._uid), dst, name, data))
         for out in record.outputs:

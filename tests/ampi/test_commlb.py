@@ -10,9 +10,8 @@ from repro.balance.instrument import LBDatabase
 def test_commlb_colocates_chatty_pairs():
     """Equal loads, heavy traffic inside pairs: each pair shares a PE."""
     loads = {i: 10.0 for i in range(4)}
-    strat = GreedyCommLB(byte_cost=1.0)
-    strat.set_comm_graph({(0, 1): 10_000, (2, 3): 10_000})
-    out = strat.map_objects(loads, {}, 2)
+    out = GreedyCommLB(byte_cost=1.0).map_objects(
+        loads, {}, 2, comm={(0, 1): 10_000, (2, 3): 10_000})
     assert out[0] == out[1]
     assert out[2] == out[3]
     assert out[0] != out[2]              # still balanced across PEs
@@ -37,14 +36,12 @@ def test_commlb_tradeoff_knob():
     loads = {0: 10.0, 1: 10.0, 2: 1.0, 3: 1.0}
     comm = {(0, 1): 1_000_000}          # objects 0 and 1 are inseparable
 
-    hi = GreedyCommLB(byte_cost=100.0)
-    hi.set_comm_graph(comm)
-    out_hi = hi.map_objects(loads, {}, 2)
+    out_hi = GreedyCommLB(byte_cost=100.0).map_objects(loads, {}, 2,
+                                                       comm=comm)
     assert out_hi[0] == out_hi[1]       # locality wins
 
-    lo = GreedyCommLB(byte_cost=0.0)
-    lo.set_comm_graph(comm)
-    out_lo = lo.map_objects(loads, {}, 2)
+    out_lo = GreedyCommLB(byte_cost=0.0).map_objects(loads, {}, 2,
+                                                     comm=comm)
     assert out_lo[0] != out_lo[1]       # pure LPT splits the heavies
 
 

@@ -184,8 +184,8 @@ def test_random_lb_successive_rebalances_differ():
 
 def test_lb_manager_rejects_incomplete_strategy():
     class Broken(GreedyLB):
-        def map_objects(self, loads, current, npes):
-            out = super().map_objects(loads, current, npes)
+        def map_objects(self, loads, current, npes, **measured):
+            out = super().map_objects(loads, current, npes, **measured)
             out.popitem()
             return out
 
@@ -194,7 +194,7 @@ def test_lb_manager_rejects_incomplete_strategy():
     db.register("y", 1)
     db.record("x", 5.0)
     db.record("y", 5.0)
-    mgr = LBManager(db, Broken(), lambda o, p: None)
+    mgr = LBManager(db, Broken())
     with pytest.raises(ValueError):
         mgr.rebalance()
 

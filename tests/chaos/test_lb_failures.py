@@ -1,13 +1,10 @@
 """Failure-path tests for load balancing: aborts, bounces, honest databases."""
 
-import pytest
-
 from repro.ampi import AmpiRuntime
 from repro.balance.instrument import LBDatabase
 from repro.balance.manager import LBManager
 from repro.chaos import (FaultEvent, FaultInjector, FaultSchedule,
                          check_invariants, wire_ampi_faults)
-from repro.errors import MigrationError
 
 
 class PinRank:
@@ -19,52 +16,37 @@ class PinRank:
         self.obj = obj
         self.dst = dst
 
-    def map_objects(self, loads, current, npes):
+    def map_objects(self, loads, current, npes, *, speeds=None, comm=None):
         out = dict(current)
         out[self.obj] = self.dst
         return out
 
 
-# -- LBManager against a failing migrate_fn ---------------------------------
+# -- LBManager plans; the runtime migrates ------------------------------------
 
 class MoveEverythingToZero:
     name = "all-to-zero"
 
-    def map_objects(self, loads, current, npes):
+    def map_objects(self, loads, current, npes, *, speeds=None, comm=None):
         return {obj: 0 for obj in loads}
 
 
-def test_migrate_fn_failure_leaves_database_consistent():
-    """A migrate_fn that raises mid-rebalance: the object stays put, the
-    database still records the truth, and the report counts the failure."""
+def test_plan_is_recorded_and_returned_in_sorted_order():
+    """The manager moves nothing: it returns the changed (obj, dst)
+    pairs sorted by object key, and has recorded each in the database
+    before the window closes — so the report's imbalance is the planned
+    placement's.  Objects already in place are not in the plan."""
     db = LBDatabase(2)
-    for obj, pe in [("a", 1), ("b", 1), ("c", 1)]:
+    for obj, pe in [("c", 1), ("a", 1), ("z", 0), ("b", 1)]:
         db.register(obj, pe)
         db.record(obj, 10.0)
 
-    def migrate_fn(obj, dst):
-        if obj == "b":
-            raise MigrationError("simulated mid-rebalance failure")
-
-    mgr = LBManager(db, MoveEverythingToZero(), migrate_fn)
-    report = mgr.rebalance()
-    assert report.migrations == 2
-    assert report.failed == 1
-    assert db.placement() == {"a": 0, "b": 1, "c": 0}
-
-
-def test_all_moves_failing_is_a_clean_no_op():
-    db = LBDatabase(2)
-    for obj in ("a", "b"):
-        db.register(obj, 1)
-        db.record(obj, 5.0)
-
-    def migrate_fn(obj, dst):
-        raise MigrationError("nothing moves today")
-
-    report = LBManager(db, MoveEverythingToZero(), migrate_fn).rebalance()
-    assert (report.migrations, report.failed) == (0, 2)
-    assert db.placement() == {"a": 1, "b": 1}
+    report, plan = LBManager(db, MoveEverythingToZero()).rebalance()
+    assert plan == [("a", 0), ("b", 0), ("c", 0)]
+    assert report.migrations == 3
+    assert db.placement() == {"a": 0, "b": 0, "c": 0, "z": 0}
+    assert report.imbalance_after == 2.0       # everything on pe0
+    assert db.loads() == {"a": 0.0, "b": 0.0, "c": 0.0, "z": 0.0}
 
 
 # -- the AMPI runtime's abort-and-retry protocol -----------------------------

@@ -131,3 +131,28 @@ def test_unpack_needs_enough_slots():
     proc1, mgr1 = make_mgr(slots=1)
     with pytest.raises(MigrationError, match="alias slots"):
         mgr1.unpack(image)
+
+
+def test_create_seeds_a_shared_slot_stack_in_its_home():
+    """With swap emulation, a thread created into the slot the creating
+    thread runs in gets its register image in its own private home: the
+    running thread's live stack, mapped at the common address they
+    share, keeps every byte."""
+    proc, mgr = make_mgr(slots=2)
+    sched = CthScheduler(proc, mgr, emulate_swap=True)
+    seen = []
+
+    def body(th):
+        top = th.alloca(64)
+        th.write(top, b"\xab" * 64)
+        sched.create(lambda t: iter(()))            # slot 1
+        newcomer = sched.create(lambda t: iter(()))  # slot 0, like ``a``
+        assert newcomer.stack.address_class == th.stack.address_class
+        seen.append(th.read(top, 64))
+        yield "yield"
+        seen.append(th.read(top, 64))
+
+    a = sched.create(body)
+    assert a.stack.address_class == 0
+    sched.run()
+    assert seen == [b"\xab" * 64] * 2

@@ -82,9 +82,8 @@ def test_refinelb_speed_aware_unit():
 
     loads = {i: 10.0 for i in range(8)}
     current = {i: i % 2 for i in range(8)}     # 4 objects per PE
-    strat = RefineLB(tolerance=1.05)
-    strat.set_pe_speeds([0.25, 1.0])           # PE0 is quarter speed
-    out = strat.map_objects(loads, current, 2)
+    out = RefineLB(tolerance=1.05).map_objects(
+        loads, current, 2, speeds=[0.25, 1.0])  # PE0 is quarter speed
     per_pe = [sum(loads[o] for o, p in out.items() if p == pe)
               for pe in range(2)]
     # Finish-time balance: PE0 should end with ~1/5 of the work.

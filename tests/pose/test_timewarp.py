@@ -166,3 +166,71 @@ def test_forwarding_chain_equals_sequential(vts):
     expected = sorted(float(v) for v in vts)
     assert eng.poser("hub").log == expected
     assert eng.poser("down").log == expected
+
+
+# -- event ownership -------------------------------------------------------------
+
+@pup_register
+class Lender(Poser):
+    """Sends its buffer to ``b`` at VT 10, then appends 99 to it at VT 1
+    of its own clock; also notes what it is sent."""
+
+    def __init__(self):
+        self.buf = []
+        self.got = ""
+
+    def pup(self, p):
+        self.buf = p.list_int(self.buf)
+        self.got = p.str(self.got)
+
+    def on_lend(self, data):
+        self.buf = [1]
+        return [("b", "take", self.buf, 10.0)]
+
+    def on_spoil(self, data):
+        self.buf.append(99)
+        return []
+
+    def on_take(self, data):
+        self.got += repr(data)
+        data.append(-1)                 # the receiver's own to write
+        return []
+
+
+@pytest.mark.parametrize("n_pe", [1, 2])
+def test_event_data_is_the_receivers_own(n_pe):
+    """What a poser sends is frozen where the event is made: a later
+    write by the sender never reaches the receiver, and a rolled-back
+    event re-runs on the value that was sent, not on what the last run
+    did to it."""
+    cl = Cluster(n_pe)
+    eng = PoseEngine(cl)
+    eng.register("a", Lender(), 0)
+    eng.register("b", Lender(), 1 % n_pe)
+    eng.schedule("a", "lend", at=0.0)
+    eng.schedule("a", "spoil", at=1.0)
+    eng.schedule("b", "take", [7], at=20.0)      # runs first: a straggler
+    eng.run()                                   # follows and rolls it back
+    assert eng.poser("b").got == "[1][7]"
+    assert eng.poser("a").buf == [1, 99]
+
+
+def test_event_data_pup_cannot_pack_is_refused():
+    cl, eng = make_engine()
+    with pytest.raises(ReproError, match=r"schedule -> poser 'a' "
+                                         r"\(event 'note'\): cannot send set"):
+        eng.schedule("a", "note", {1, 2}, at=1.0)
+
+    @pup_register
+    class Leaker(Poser):
+        def pup(self, p):
+            pass
+
+        def on_go(self, data):
+            return [("a", "note", {3}, 1.0)]
+
+    eng.register("c", Leaker(), 0)
+    eng.schedule("c", "go", at=1.0)
+    with pytest.raises(ReproError, match=r"poser 'c' -> poser 'a' "
+                                         r"\(event 'note'\): cannot send set"):
+        eng.run()

@@ -79,7 +79,7 @@ def imported_names(tree):
 IMPORTS = {
     "ampi": {"balance", "core", "errors", "sim"},
     "analysis": set(),
-    "balance": {"errors", "kernel"},
+    "balance": {"kernel"},
     "bench": {"balance", "bigsim", "core", "errors", "exec", "flows", "pose",
               "sim", "workloads"},
     "bigsim": {"ampi", "balance", "errors", "workloads"},
@@ -1340,3 +1340,75 @@ def test_the_drain_scan_sees_what_it_forbids():
 def test_the_worker_scan_sees_what_it_forbids():
     assert worker_impurities(ast.parse(WORKER_CASES)) == marked(
         WORKER_CASES, "worker")
+
+
+#: One road from a load-balancing decision to a moved rank.  A strategy
+#: gets every measurement it reads as an argument of ``map_objects``: it
+#: has no ``set_*`` feed for the manager to find with ``getattr``.  And a
+#: fresh thread's register image is seeded only through its stack
+#: manager (``_seed_inactive``): ``MinimalSwap.seed_context`` writes
+#: through whatever is mapped at the stack's address, which under k-slot
+#: aliasing is the running thread's live stack.
+ONE_ROAD = {
+    "balance/strategies.py": "setter",
+    "balance/manager.py": "probe",
+    "core/scheduler.py": "seed",
+}
+
+
+def setter_methods(tree):
+    """Line of each method named ``set_*``."""
+    return sorted(fn.lineno for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name.startswith("set_"))
+
+
+def strategy_probes(tree):
+    """Line of each ``getattr``/``hasattr`` on a ``strategy``."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and callee(n) in ("getattr", "hasattr") and n.args
+                  and "strategy" in (getattr(n.args[0], "id", None),
+                                     getattr(n.args[0], "attr", None)))
+
+
+def seed_context_calls(tree):
+    """Line of each call of a ``seed_context``."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and callee(n) == "seed_context")
+
+
+ONE_ROAD_SCANS = {"setter": setter_methods, "probe": strategy_probes,
+                  "seed": seed_context_calls}
+
+
+def test_one_road_from_a_balancing_decision_to_a_seeded_stack():
+    found = {path: lines for path, scan in ONE_ROAD.items()
+             if (lines := ONE_ROAD_SCANS[scan](
+                 ast.parse((SRC / path).read_text())))}
+    assert found == {}
+
+
+ONE_ROAD_CASES = """\
+class Strategy:
+    def set_pe_speeds(self, speeds):  # expect: setter
+        self.speeds = speeds
+    def map_objects(self, loads, current, npes, *, speeds=None):
+        return settle(loads)
+def set_module_level(x):
+    return x
+def rebalance(self):
+    feed = getattr(self.strategy, "set_comm_graph", None)  # expect: probe
+    if hasattr(strategy, "set_pe_speeds"):  # expect: probe
+        name = getattr(self.db, "npes")
+    MinimalSwap.seed_context(space, arch, ctx, top)  # expect: seed
+    self.swap.seed_context(space, arch, ctx, top)  # expect: seed
+    self._seed_inactive(thread, ctx)
+"""
+
+
+def test_the_one_road_scans_see_what_they_forbid():
+    tree = ast.parse(ONE_ROAD_CASES)
+    for scan, fn in ONE_ROAD_SCANS.items():
+        assert fn(tree) == marked(ONE_ROAD_CASES, scan), scan
