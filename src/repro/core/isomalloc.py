@@ -25,7 +25,7 @@ routes its allocation calls here when running in a thread context, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (MapError, MigrationError, OutOfVirtualAddressSpace,
                           ThreadError)
@@ -88,28 +88,54 @@ class IsomallocArena:
 
     def allocate_slot(self, pe: int) -> int:
         """Grant a globally unique slot base address from ``pe``'s range."""
+        return self.allocate_slots(pe, 1)[0]
+
+    def allocate_slots(self, pe: int, count: int) -> List[int]:
+        """Grant ``count`` slot base addresses from ``pe``'s range, the
+        ones ``count`` calls of :meth:`allocate_slot` would grant, in
+        their order: freed slots first, most recently freed first, then
+        fresh ones.  All or nothing: a range with too few slots left
+        refuses the grant and changes nothing."""
         self._check_pe(pe)
-        if self._free_indices[pe]:
-            index = self._free_indices[pe].pop()
-        else:
-            index = self._next_index[pe]
-            if index >= self.slots_per_pe:
-                raise OutOfVirtualAddressSpace(
-                    f"processor {pe} exhausted its isomalloc range "
-                    f"({self.slots_per_pe} slots of {self.slot_bytes} bytes)")
-            self._next_index[pe] += 1
+        free = self._free_indices[pe]
+        fresh = count - len(free)
+        if fresh > self.slots_per_pe - self._next_index[pe]:
+            raise OutOfVirtualAddressSpace(
+                f"processor {pe} exhausted its isomalloc range "
+                f"({self.slots_per_pe} slots of {self.slot_bytes} bytes)")
+        indices = free[:-count - 1:-1] if count > 0 else []
+        del free[len(free) - len(indices):]
+        if fresh > 0:
+            first = self._next_index[pe]
+            self._next_index[pe] = first + fresh
+            indices += range(first, first + fresh)
         start, _ = self.pe_range(pe)
-        base = start + index * self.slot_bytes
-        self._owner[base] = pe
-        return base
+        slot, owner = self.slot_bytes, self._owner
+        bases = [start + index * slot for index in indices]
+        for base in bases:
+            owner[base] = pe
+        return bases
+
+    def slots_free(self, pe: int) -> int:
+        """How many more slots ``pe``'s range can grant."""
+        self._check_pe(pe)
+        return (len(self._free_indices[pe])
+                + self.slots_per_pe - self._next_index[pe])
 
     def release_slot(self, base: int) -> None:
         """Return a slot to its birth processor's free pool."""
-        pe = self._owner.pop(base, None)
-        if pe is None:
-            raise ThreadError(f"slot base {base:#x} was not allocated")
-        start, _ = self.pe_range(pe)
-        self._free_indices[pe].append((base - start) // self.slot_bytes)
+        self.release_slots((base,))
+
+    def release_slots(self, bases: Iterable[int]) -> None:
+        """Return slots to their birth processors' free pools, in the
+        given order (the last one returned is the first granted again)."""
+        owner = self._owner
+        for base in bases:
+            pe = owner.pop(base, None)
+            if pe is None:
+                raise ThreadError(f"slot base {base:#x} was not allocated")
+            start, _ = self.pe_range(pe)
+            self._free_indices[pe].append((base - start) // self.slot_bytes)
 
     def slots_in_use(self) -> int:
         """Total slots currently allocated across the machine."""

@@ -7,7 +7,8 @@ with a thread body runs real message-passing workloads through the shared
 :meth:`FlowMechanism.run_workload`, so thread, hybrid and
 compiled-continuation flows are interchangeable behind one contract:
 
-``create`` (real resources, real limits) / ``run_workload`` (execute a
+``create_flows`` (real resources, real limits, a run of flows at a
+time) / ``run_workload`` (execute a
 :class:`~repro.flows.runtime.FlowProgram` in the mechanism's ``form``) /
 ``switch_cost_ns`` (the mechanistic model); Table 2's probe is
 :func:`repro.flows.limits.probe_limit`.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Iterator, List, Optional, Sequence
 
 from repro.errors import (OutOfPhysicalMemory, ReproError,
                           ThreadLimitExceeded)
@@ -46,6 +47,12 @@ class FlowMechanism(ABC):
 
     Subclasses implement creation (acquiring the mechanism's real resources
     and hitting its real limits) and the mechanistic switch-cost model.
+    Creation and teardown go a run of flows at a time: Cth, AMPI,
+    pthread and compiled flows override :meth:`_create_run`/
+    :meth:`_destroy_run` and ask each layer under them for a whole run
+    at once; processes (``fork`` is per flow by nature), N:M threads and
+    event objects implement :meth:`_create`/:meth:`_destroy`, which the
+    base calls once per flow.
     """
 
     #: Mechanism label used in figures ("process", "pthread", "cth", "ampi").
@@ -62,66 +69,100 @@ class FlowMechanism(ABC):
     def __init__(self, processor: Processor):
         self.processor = processor
         self.profile = processor.profile
-        #: Each live flow's payload (what :meth:`_create` returned); a
+        #: Each live flow's payload (its real resources, or ``None``); a
         #: flow's index is its position.
         self.flows: List[Any] = []
 
     # -- creation ---------------------------------------------------------
 
-    @abstractmethod
+    def create_flows(self, count: int) -> None:
+        """Create ``count`` more flows as one run, charging each one's
+        creation cost; a count of zero or less creates none.
+
+        A refusal (an OS limit, the address space, physical memory)
+        raises at the flow the one-at-a-time road refused, with every
+        flow before it created and whatever the refused one had taken
+        given back.
+        """
+        if count > 0:
+            self._create_run(count)
+
+    def create_flow(self) -> Any:
+        """Create one more flow (a run of one); returns its payload."""
+        self.create_flows(1)
+        return self.flows[-1]
+
+    def destroy_all(self) -> None:
+        """Tear down every flow this mechanism created, newest first, in
+        one pass."""
+        self._destroy_run()
+
+    def _create_run(self, count: int) -> None:
+        """Mechanism-specific creation of ``count`` flows onto
+        :attr:`flows`.  The default calls :meth:`_create` once per flow,
+        for mechanisms whose flows are made one at a time by nature."""
+        flows = self.flows
+        for _ in range(count):
+            flows.append(self._create(len(flows)))
+
     def _create(self, index: int) -> Any:
-        """Mechanism-specific creation; returns the flow's payload (its
-        real resources, or ``None`` when it holds none).  May raise an
-        OS-limit error."""
+        """One flow's creation; returns its payload (its real resources,
+        or ``None`` when it holds none).  May raise an OS-limit error."""
+        raise NotImplementedError
 
-    @abstractmethod
+    def _destroy_run(self) -> None:
+        """Tear down :attr:`flows`, newest first, leaving it empty.  The
+        default calls :meth:`_destroy` once per flow."""
+        flows = self.flows
+        while flows:
+            self._destroy(flows.pop())
+
     def _destroy(self, payload: Any) -> None:
-        """Mechanism-specific teardown of one flow's payload."""
+        """One flow's teardown."""
+        raise NotImplementedError
 
-    def _refuse_past_uthread_cap(self) -> None:
-        """The administrative per-user memory cap on user-level threads
-        (how the IBM SP tops out near 15,000 in Table 2)."""
+    def _uthread_room(self, count: int) -> int:
+        """How many of ``count`` more user-level threads the
+        administrative per-user memory cap allows (how the IBM SP tops
+        out near 15,000 in Table 2); refuses when it allows none."""
         limit = self.profile.max_uthreads
-        if limit is not None and self.n_flows >= limit:
+        if limit is None:
+            return count
+        if self.n_flows >= limit:
             raise ThreadLimitExceeded(
                 f"{self.profile.name}: per-user memory cap reached at "
                 f"{limit} user-level threads")
+        return min(count, limit - self.n_flows)
 
-    def _reserve_stack(self, nbytes: int, tag: str,
-                       addr: Optional[int] = None) -> tuple:
-        """A thread flow's stack: a reserved virtual range in the mmap
-        area (at ``addr`` when given), lazily faulted — a fresh thread
+    def _reserve_stacks(self, count: int, nbytes: int, tag: str,
+                        bases: Optional[List[int]] = None) -> Iterator:
+        """``count`` thread stacks: reserved virtual ranges in the mmap
+        area (at ``bases`` when given), lazily faulted — a fresh thread
         has touched only its first page, which is how real machines fit
         tens of thousands of 16 KB-reserved stacks in 1 GB of RAM.
-        A refusal of that page (Table 2's memory limit) gives the
-        reservation back.  Returns the payload ``(stack, touched)``: the
-        mapping, tagged ``tag``, and its one touched frame."""
+        Returns the payloads ``(stack, touched)``: each mapping, tagged
+        ``tag``, and its one touched frame.
+
+        All or nothing, like the layers under it: a refusal of the pages
+        (Table 2's memory limit) gives the reservations back.
+        """
         space = self.processor.space
-        stack = space.mmap(nbytes, region="iso", addr=addr,
-                           reserve_only=True, tag=tag)
+        stacks = space.reserve_run(count, nbytes, region="iso", bases=bases,
+                                   tag=tag)
         try:
-            touched = space.physical.allocate_frames(1)[0]
+            touched = space.physical.allocate_frames(count)
         except OutOfPhysicalMemory:
-            space.munmap(stack)
+            space.release_run(stacks)
             raise
-        return stack, touched
+        return zip(stacks, touched)
 
-    def _release_stack(self, payload: tuple) -> None:
-        stack, touched = payload
-        self.processor.space.munmap(stack)
-        self.processor.space.physical.free_frames((touched,))
-
-    def create_flow(self) -> Any:
-        """Create one more flow, charging its creation cost; returns its
-        payload."""
-        payload = self._create(len(self.flows))
-        self.flows.append(payload)
-        return payload
-
-    def destroy_all(self) -> None:
-        """Tear down every flow this mechanism created."""
-        while self.flows:
-            self._destroy(self.flows.pop())
+    def _release_stacks(self, payloads: Sequence[tuple]) -> None:
+        """Give back the stacks and touched frames of ``payloads``, the
+        last one first."""
+        space = self.processor.space
+        space.release_run(stack for stack, _ in reversed(payloads))
+        space.physical.free_frames(touched for _, touched
+                                   in reversed(payloads))
 
     @property
     def n_flows(self) -> int:
@@ -154,8 +195,8 @@ class FlowMechanism(ABC):
                      real_flows: bool = True) -> WorkloadRun:
         """Execute ``program`` under this mechanism, in its ``form``.
 
-        ``real_flows`` creates one real flow per rank first (stacks,
-        kernel objects...), so OS-limit and memory failures surface
+        ``real_flows`` first creates one real flow per rank, as one run
+        (stacks, kernel objects...), so OS-limit and memory failures surface
         exactly as in :func:`repro.flows.limits.probe_limit`; the
         modeled switch cost at that population is charged per dispatch.
         ``trace=True`` attaches a :class:`KernelTracer` and returns its
@@ -165,8 +206,7 @@ class FlowMechanism(ABC):
         """
         try:
             if real_flows:
-                while self.n_flows < program.ranks:
-                    self.create_flow()
+                self.create_flows(program.ranks - self.n_flows)
             world = FlowWorld(program.ranks,
                               dispatch_cost_ns=self.switch_cost_ns(
                                   program.ranks))
@@ -194,14 +234,16 @@ class FlowMechanism(ABC):
                             keep: bool = False) -> YieldBenchmarkResult:
         """The paper's microbenchmark: n flows each yield ``rounds`` times.
 
-        Creates the flows for real (so limit and memory failures surface),
-        then charges ``n_flows * rounds`` modeled switches to the processor
-        clock and reports time per flow per switch.
+        Creates the flows for real, as one run up to ``n_flows`` (so
+        limit and memory failures surface at the flow that hits them),
+        then charges ``n_flows * rounds`` modeled switches to the
+        processor clock and reports time per flow per switch.  With
+        ``keep`` the flows stay for the next, larger point: a grid is
+        grown a run at a time.
         """
         if n_flows <= 0:
             raise ReproError("benchmark needs at least one flow")
-        while self.n_flows < n_flows:
-            self.create_flow()
+        self.create_flows(n_flows - self.n_flows)
         start = self.processor.now
         per_switch = self.switch_cost_ns(n_flows)
         switches = n_flows * rounds

@@ -12,6 +12,7 @@ to 10⁶ flows per PE.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
 from repro.flows.base import FlowMechanism
@@ -33,19 +34,19 @@ class CompiledContinuationFlow(FlowMechanism):
     #: Trampoline + frame indirection on top of a raw event dispatch.
     continuation_ns = 20.0
 
-    def _create(self, index: int) -> None:
+    def _create_run(self, count: int) -> None:
         # A compiled flow is pure user data, like an event object: no
         # stack mapping, no kernel resource.  Creation is one dispatch
-        # to run the entry state up to its first suspend.
-        self.processor.charge(self.profile.event_dispatch_ns
-                              + self.continuation_ns)
+        # per flow to run the entry state up to its first suspend.
+        self.processor.charge_run(self.profile.event_dispatch_ns
+                                  + self.continuation_ns, count)
         # No payload object at all: ``flows`` holds ``None`` per flow, so
         # a million flows allocate nothing here beyond the list's slots
         # — the mechanism's whole argument.
-        return None
+        self.flows += repeat(None, count)
 
-    def _destroy(self, payload: None) -> None:
-        pass
+    def _destroy_run(self) -> None:
+        self.flows.clear()
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One kernel dispatch into a state function via the trampoline."""

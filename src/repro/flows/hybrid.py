@@ -49,13 +49,13 @@ class HybridThreadFlow(FlowMechanism):
             processor.charge(self.profile.pthread_create_ns)
 
     def _create(self, index: int) -> tuple:
-        payload = self._reserve_stack(self.stack_bytes, "nm-stack")
+        payload, = self._reserve_stacks(1, self.stack_bytes, "nm-stack")
         self.processor.charge(self.profile.uthread_create_ns
                               + self.coordination_ns)
         return payload
 
     def _destroy(self, payload: tuple) -> None:
-        self._release_stack(payload)
+        self._release_stacks((payload,))
 
     def teardown(self) -> None:
         """Release the M kernel entities (after destroy_all)."""

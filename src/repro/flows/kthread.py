@@ -26,20 +26,36 @@ class KernelThreadFlow(FlowMechanism):
     #: where pthread stacks are lazily faulted).
     stack_bytes = 16 * 1024
 
-    def _create(self, index: int) -> tuple:
+    def _create_run(self, count: int) -> None:
         kernel = self.processor.kernel
-        kernel.thread_create()
-        try:
-            payload = self._reserve_stack(self.stack_bytes, "pthread-stack")
-        except VMError:                 # no stack: no kernel thread either
-            kernel.thread_exit()
-            raise
-        self.processor.charge(self.profile.pthread_create_ns)
-        return payload
+        space = self.processor.space
+        limit = self.profile.max_kthreads
+        while count > 0:
+            room = count if limit is None else limit - kernel.kthread_count
+            # None left means a run of one, refused by the first layer
+            # that refuses it: the kernel, then the stack's address
+            # range, then its page.
+            run = max(1, min(count, room,
+                             space.reservable(self.stack_bytes, "iso"),
+                             space.physical.frames_free))
+            for _ in range(run):
+                kernel.thread_create()
+            try:
+                self.flows += self._reserve_stacks(run, self.stack_bytes,
+                                                   "pthread-stack")
+            except VMError:             # no stack: no kernel thread either
+                for _ in range(run):
+                    kernel.thread_exit()
+                raise
+            self.processor.charge_run(self.profile.pthread_create_ns, run)
+            count -= run
 
-    def _destroy(self, payload: tuple) -> None:
-        self._release_stack(payload)
-        self.processor.kernel.thread_exit()
+    def _destroy_run(self) -> None:
+        kernel = self.processor.kernel
+        self._release_stacks(self.flows)
+        for _ in self.flows:
+            kernel.thread_exit()
+        self.flows.clear()
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One sched_yield()-driven kernel-thread switch.

@@ -45,23 +45,22 @@ def probe_limit(mechanism: FlowMechanism, cap: int,
         Stop probing after this many successful creations (the paper's
         experiments also stopped somewhere, hence "90000+").
     chunk:
-        Ignored: flows are created one at a time whatever its value, so
-        the probe is the same with or without it.  Kept so existing
-        callers that pass it still run.
+        Ignored: the probe creates its flows as one run, which stops at
+        the flow the platform refuses, whatever its value.  Kept so
+        existing callers that pass it still run.
     """
-    count = 0
+    created = mechanism.n_flows
     factor = mechanism.limiting_factor
     hit = False
     try:
-        while count < cap:
-            mechanism.create_flow()
-            count += 1
+        mechanism.create_flows(cap)
     except OSLimitError:
         hit = True
     except (OutOfPhysicalMemory, OutOfVirtualAddressSpace):
         hit = True
         factor = "memory"
     finally:
+        created = mechanism.n_flows - created
         mechanism.destroy_all()
     return LimitProbe(mechanism.label, mechanism.profile.name,
-                      count, hit, factor)
+                      created, hit, factor)

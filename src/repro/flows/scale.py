@@ -67,10 +67,10 @@ def mechanism_limit_cell(params: Dict[str, Any],
 
     ``params``: ``mechanism`` (a :data:`repro.flows.MECHANISMS` key),
     ``platform``, ``cap``; a ``chunk`` key names the cell but changes
-    nothing the probe does.  The probe creates
-    until the platform's OS/memory model refuses, exactly like
-    :func:`repro.flows.limits.probe_limit` — because it is that probe,
-    wrapped in a cell.
+    nothing the probe does.  The probe creates up to ``cap`` flows as
+    one run, which stops where the platform's OS/memory model refuses,
+    exactly like :func:`repro.flows.limits.probe_limit` — because it is
+    that probe, wrapped in a cell.
     """
     from repro.flows import MECHANISMS, probe_limit
     from repro.sim import Processor, get_platform

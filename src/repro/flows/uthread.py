@@ -7,6 +7,12 @@ Two variants are measured in Figures 4–8:
 * **AMPI threads**: migratable user-level threads (isomalloc stacks plus
   swap-global), scheduled through the AMPI runtime's extra layer.  Slightly
   heavier than Cth but still far below kernel mechanisms.
+
+Both create and tear down their flows a run at a time: each run asks the
+layers under it (the per-user cap, the isomalloc arena, the address
+space, physical memory) for as many flows as all of them can grant, in
+one call each.  A run that meets a refusal ends with a run of one flow,
+which raises where the one-at-a-time road raised.
 """
 
 from __future__ import annotations
@@ -34,14 +40,23 @@ class UserThreadFlow(FlowMechanism):
     cache_weight = 1.0
     stack_bytes = 16 * 1024
 
-    def _create(self, index: int) -> tuple:
-        self._refuse_past_uthread_cap()
-        payload = self._reserve_stack(self.stack_bytes, "cth-stack")
-        self.processor.charge(self.profile.uthread_create_ns)
-        return payload
+    def _create_run(self, count: int) -> None:
+        space = self.processor.space
+        ns = self.profile.uthread_create_ns
+        while count > 0:
+            # The flows every layer can grant; none left means a run of
+            # one, refused by the first layer that refuses it.
+            run = max(1, min(self._uthread_room(count),
+                             space.reservable(self.stack_bytes, "iso"),
+                             space.physical.frames_free))
+            self.flows += self._reserve_stacks(run, self.stack_bytes,
+                                               "cth-stack")
+            self.processor.charge_run(ns, run)
+            count -= run
 
-    def _destroy(self, payload: tuple) -> None:
-        self._release_stack(payload)
+    def _destroy_run(self) -> None:
+        self._release_stacks(self.flows)
+        self.flows.clear()
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One CthYield(): register swap + scheduler, entirely in user code."""
@@ -69,25 +84,32 @@ class AmpiThreadFlow(FlowMechanism):
         self.arena = arena or IsomallocArena(
             processor.layout, 1, slot_bytes=slot_bytes)
 
-    def _create(self, index: int) -> tuple:
-        self._refuse_past_uthread_cap()
-        base = self.arena.allocate_slot(0)
-        # The whole slot's virtual range is claimed, exactly as isomalloc
-        # reserves it cluster-wide; only the first stack page is faulted.
-        try:
-            payload = self._reserve_stack(self.arena.slot_bytes, "ampi-slot",
-                                          addr=base)
-        except VMError:
-            self.arena.release_slot(base)
-            raise
-        self.processor.charge(self.profile.uthread_create_ns
-                              + self.profile.ampi_overhead_ns)
-        return payload
+    def _create_run(self, count: int) -> None:
+        arena = self.arena
+        frames = self.processor.space.physical
+        ns = self.profile.uthread_create_ns + self.profile.ampi_overhead_ns
+        while count > 0:
+            run = max(1, min(self._uthread_room(count), arena.slots_free(0),
+                             frames.frames_free))
+            bases = arena.allocate_slots(0, run)
+            # The whole slot's virtual range is claimed, exactly as
+            # isomalloc reserves it cluster-wide; only the first stack
+            # page is faulted.
+            try:
+                self.flows += self._reserve_stacks(
+                    run, arena.slot_bytes, "ampi-slot", bases=bases)
+            except VMError:
+                arena.release_slots(reversed(bases))
+                raise
+            self.processor.charge_run(ns, run)
+            count -= run
 
-    def _destroy(self, payload: tuple) -> None:
-        self._release_stack(payload)
-        # The stack was mapped at its slot's base.
-        self.arena.release_slot(payload[0].start)
+    def _destroy_run(self) -> None:
+        flows = self.flows
+        self._release_stacks(flows)
+        # Each stack was mapped at its slot's base.
+        self.arena.release_slots(stack.start for stack, _ in reversed(flows))
+        flows.clear()
 
     def switch_cost_ns(self, n_flows: Optional[int] = None) -> float:
         """One MPI_Yield(): Cth switch + GOT swap + AMPI scheduler layer."""

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import (Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import (
     MapError,
@@ -58,6 +60,7 @@ class Protection(enum.Flag):
 
 _READ = Protection.READ.value
 _WRITE = Protection.WRITE.value
+_start = attrgetter("start")
 
 
 class Mapping:
@@ -121,14 +124,47 @@ class _FreeList:
 
     def allocate(self, length: int, align: int) -> int:
         """Carve out an aligned range of ``length`` bytes; first fit."""
+        return self.allocate_run(1, length, align)[0][0]
+
+    def allocate_run(self, count: int, length: int,
+                     align: int) -> List[Tuple[int, int]]:
+        """Carve out ``count`` aligned ranges of ``length`` bytes (a
+        multiple of ``align``) where ``count`` first-fit :meth:`allocate`
+        calls would: each interval, lowest first, gives as many
+        consecutive ranges as fit.  Returns ``(base, n)`` for each block
+        of ``n`` ranges from ``base``.  All or nothing: too little room
+        refuses the run and changes nothing."""
+        if count <= 0:
+            return []
+        plan = []
+        need = count
         for i, (lo, hi) in enumerate(self._intervals):
             base = -(-lo // align) * align
-            if base + length <= hi:
-                self._remove_range(i, lo, hi, base, base + length)
-                return base
-        raise OutOfVirtualAddressSpace(
-            f"no free interval of {length} bytes (align {align})"
-        )
+            n = (hi - base) // length
+            if n > 0:
+                if n > need:
+                    n = need
+                plan.append((i, lo, hi, base, n))
+                need -= n
+                if not need:
+                    break
+        else:
+            raise OutOfVirtualAddressSpace(
+                f"no free interval of {length} bytes (align {align})"
+            )
+        for i, lo, hi, base, n in reversed(plan):
+            self._remove_range(i, lo, hi, base, base + n * length)
+        return [(base, n) for _, _, _, base, n in plan]
+
+    def fits(self, length: int, align: int) -> int:
+        """How many ranges of ``length`` bytes (a multiple of ``align``)
+        :meth:`allocate_run` could carve out now."""
+        total = 0
+        for lo, hi in self._intervals:
+            base = -(-lo // align) * align
+            if hi > base:
+                total += (hi - base) // length
+        return total
 
     def allocate_fixed(self, start: int, length: int) -> None:
         """Carve out exactly ``[start, start+length)``; error if not free."""
@@ -301,6 +337,142 @@ class AddressSpace:
         else:
             del starts[bisect.bisect_left(starts, start)]
         self.munmap_calls += 1
+
+    def reservable(self, length: int, region: str = "heap") -> int:
+        """How many reserve-only mappings of ``length`` bytes a first-fit
+        :meth:`reserve_run` in ``region`` could make now."""
+        free = self._free.get(region)
+        if free is None:                # untouched: the whole region
+            r = self.layout.regions[region]
+            free = _FreeList(r.start, r.end)
+        page_size = self.layout.page_size
+        return free.fits(self.layout.pages_for(length) * page_size, page_size)
+
+    def reserve_run(self, count: int, length: int, *, region: str = "heap",
+                    bases: Optional[Sequence[int]] = None,
+                    tag: str = "") -> List[Mapping]:
+        """Make ``count`` reserve-only read-write mappings of ``length``
+        bytes each, as ``count`` calls of ``mmap(length, region=region,
+        addr=base, reserve_only=True, tag=tag)`` would make them: first
+        fit in ``region``, or at each of ``bases`` (each in its own
+        region) — the same addresses, free intervals and counters.
+
+        All or nothing: a run that does not fit raises what the first
+        refused ``mmap`` would raise (a run of one raises exactly that)
+        and changes nothing.
+        """
+        if count <= 0:
+            return []
+        if length <= 0:
+            raise MapError(f"mmap length must be positive, got {length}")
+        page_size = self.layout.page_size
+        npages = self.layout.pages_for(length)
+        length = npages * page_size
+        rw = Protection.RW
+        if bases is None:
+            runs = self._region_free(region).allocate_run(
+                count, length, page_size)
+            made = [Mapping(start, length, rw, region, tag)
+                    for base, n in runs
+                    for start in range(base, base + n * length, length)]
+        else:
+            made = [Mapping(base, length, rw, name, tag) for base, name
+                     in zip(bases, self._claim_fixed(bases, length))]
+        starts = self._starts
+        last = starts[-1] if starts else -1
+        mappings = self._mappings
+        for m in made:
+            mappings[m.start] = m
+        starts += (m.start for m in made)
+        if bases is not None or made[0].start < last:
+            starts.sort()
+        self.mmap_calls += count
+        self.pages_mapped += count * npages
+        return made
+
+    def _claim_fixed(self, bases: Sequence[int], length: int) -> List[str]:
+        """Carve ``[base, base+length)`` for each of ``bases`` out of its
+        region's free list, one block per stretch of adjacent bases;
+        returns each base's region name.  A base that is not page
+        aligned, in no region, or not free gives back what was carved
+        and raises what ``mmap(addr=base)`` would."""
+        page_size = self.layout.page_size
+        carved: List[Tuple[_FreeList, int, int]] = []
+        claimed: List[str] = []
+        region = None
+        block = end = 0
+        try:
+            for base in bases:
+                if region is None or base != end or base >= region.end:
+                    if region is not None:
+                        free.allocate_fixed(block, end - block)
+                        carved.append((free, block, end - block))
+                    if base % page_size:
+                        raise MapError(
+                            f"fixed mmap address {base:#x} not page aligned")
+                    region = self.layout.region_of(base)
+                    free = self._region_free(region.name)
+                    block = base
+                end = base + length
+                claimed.append(region.name)
+            free.allocate_fixed(block, end - block)
+        except VMError:
+            for free, start, size in carved:
+                free.release(start, size)
+            raise
+        return claimed
+
+    def release_run(self, mappings: Iterable[Mapping]) -> None:
+        """Destroy mappings as that many :meth:`munmap` calls in the
+        given order would: resident frames freed in that order, the same
+        free intervals and counters.  A mapping that is not live raises
+        :class:`MapError` once the ones before it are destroyed."""
+        live = self._mappings
+        physical = self.physical
+        gone: List[Mapping] = []
+        try:
+            for m in mappings:
+                if live.get(m.start) is not m:
+                    raise MapError(
+                        f"mapping {m!r} not found in {self.name!r}")
+                frames = m.frames
+                if frames is not None:
+                    if None in frames:
+                        frames = [f for f in frames if f is not None]
+                    physical.free_frames(frames)
+                    self._resident_pages -= len(frames)
+                    m.frames = None
+                del live[m.start]
+                gone.append(m)
+        finally:
+            self._forget(gone)
+
+    def _forget(self, gone: List[Mapping]) -> None:
+        """Give the ranges of destroyed mappings back to their regions'
+        free lists, one block per stretch of adjacent ranges, and drop
+        their starts from the sorted index."""
+        if not gone:
+            return
+        gone.sort(key=_start)
+        block = gone[0]
+        end = block.start + block.length
+        for m in gone[1:]:
+            if m.start != end or m.region != block.region:
+                self._free[block.region].release(block.start,
+                                                 end - block.start)
+                block = m
+            end = m.start + m.length
+        self._free[block.region].release(block.start, end - block.start)
+        starts = self._starts
+        i = bisect.bisect_left(starts, gone[0].start)
+        j = i + len(gone)
+        if j <= len(starts) and starts[j - 1] == gone[-1].start and all(
+                s == m.start for s, m in zip(starts[i:j], gone)):
+            del starts[i:j]
+        else:
+            for m in reversed(gone):
+                del starts[bisect.bisect_left(starts, m.start)]
+        self.munmap_calls += len(gone)
 
     def mprotect(self, mapping: Mapping, prot: Protection) -> None:
         """Change every page's protection bits in an existing mapping."""

@@ -12,10 +12,11 @@ slope); the values before the one-record layout are in brackets.
   ``(task,)`` kernel args tuple, and its frame record or body
   generator — no separate context, no mailbox until a message
   arrives [5 per rank, both forms];
-* a compiled ``create_flow`` allocates nothing — its payload is
-  ``None`` [1]; a Cth or AMPI flow is its stack mapping, the touched
-  frame and the tuple that holds them [5, then 4 while a one-frame list
-  held the frame];
+* a run of compiled flows (``create_flows``) allocates nothing per
+  flow — each payload is ``None`` [1]; a Cth or AMPI flow is its stack
+  mapping, the touched frame and the tuple that holds them [5, then 4
+  while a one-frame list held the frame] — a run keeps no set of starts
+  and no second copy of any start;
 * seeding posts exactly one kernel slot per rank;
 * a round of yields from the seeded slots leaves nothing tracked: each
   resume replaces its slot and re-posts the one ``FlowWorld._resume``
@@ -55,8 +56,7 @@ def _created(mechanism):
 
     def create(state):
         mech, n = state
-        for _ in range(n):
-            mech.create_flow()
+        mech.create_flows(n)
     return tracked_per_unit(prepare, create)
 
 

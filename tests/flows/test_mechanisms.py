@@ -71,7 +71,8 @@ def test_uthread_admin_cap_on_ibm_sp():
     mech = UserThreadFlow(p)
     mech.flows = [None] * 15_000         # pretend 15k already exist
     with pytest.raises(ThreadLimitExceeded):
-        mech._create(15_000)
+        mech.create_flow()
+    assert mech.n_flows == 15_000
 
 
 def test_ordering_of_switch_costs_linux():

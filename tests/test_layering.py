@@ -1412,3 +1412,66 @@ def test_the_one_road_scans_see_what_they_forbid():
     tree = ast.parse(ONE_ROAD_CASES)
     for scan, fn in ONE_ROAD_SCANS.items():
         assert fn(tree) == marked(ONE_ROAD_CASES, scan), scan
+
+
+#: One creation road, a run at a time.  A loop that creates flows one
+#: call at a time pays every layer under the mechanism once per flow;
+#: ``create_flows(count)`` asks each layer once per run, and
+#: ``create_flow()`` is its run of one — never a loop's body.  The
+#: stack reservation has one road too: ``_reserve_stacks(count, ...)``
+#: (a run of one for pthread and N:M), with no per-flow twin.
+LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+              ast.DictComp, ast.GeneratorExp)
+
+
+def looped_creations(tree):
+    """Line of each ``create_flow`` call inside a loop or comprehension."""
+    return sorted({n.lineno for loop in ast.walk(tree)
+                   if isinstance(loop, LOOP_NODES)
+                   for n in ast.walk(loop)
+                   if isinstance(n, ast.Call) and callee(n) == "create_flow"})
+
+
+def per_flow_stack_roads(tree):
+    """Line of each definition or use of a ``_reserve_stack``."""
+    return sorted({n.lineno for n in ast.walk(tree)
+                   if (isinstance(n, ast.FunctionDef)
+                       and n.name == "_reserve_stack")
+                   or (isinstance(n, ast.Attribute)
+                       and n.attr == "_reserve_stack")
+                   or (isinstance(n, ast.Name) and n.id == "_reserve_stack")})
+
+
+CREATION_SCANS = {"looped": looped_creations,
+                  "stack": per_flow_stack_roads}
+
+
+def test_flows_are_created_a_run_at_a_time_through_one_stack_road():
+    found = {(label, scan): lines for label, tree in scanned(examples=False)
+             for scan, fn in CREATION_SCANS.items() if (lines := fn(tree))}
+    assert found == {}
+
+
+CREATION_CASES = """\
+def populate(mech, n):
+    while mech.n_flows < n:
+        mech.create_flow()  # expect: looped
+    for _ in range(n):
+        if mech.n_flows < n:
+            mech.create_flow()  # expect: looped
+    return [mech.create_flow() for _ in range(n)]  # expect: looped
+def one(mech):
+    mech.create_flows(3)
+    return mech.create_flow()
+class Flow:
+    def _reserve_stack(self, nbytes, tag):  # expect: stack
+        return self._reserve_stacks(1, nbytes, tag)
+    def _create(self, index):
+        return self._reserve_stack(16384, "t")  # expect: stack
+"""
+
+
+def test_the_creation_scans_see_what_they_forbid():
+    tree = ast.parse(CREATION_CASES)
+    for scan, fn in CREATION_SCANS.items():
+        assert fn(tree) == marked(CREATION_CASES, scan), scan
