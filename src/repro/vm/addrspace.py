@@ -6,7 +6,8 @@ which frames are behind each page) and a
 :class:`~repro.vm.physical.PhysicalMemory` pool (what is resident).  It
 exposes the handful of operations the paper's techniques are built from:
 
-* ``mmap``/``munmap`` with either kernel-chosen or fixed addresses;
+* ``mmap``/``munmap`` with either kernel-chosen or fixed addresses, and
+  their runs, ``reserve_run``/``release_run``: one road each;
 * *reserved* mappings that consume virtual address space but no physical
   frames — how isomalloc claims remote threads' slots "only in principle";
 * ``attach_frames``/``detach_frames`` to make a reserved range resident or
@@ -122,18 +123,14 @@ class _FreeList:
     def __init__(self, start: int, end: int):
         self._intervals: List[Tuple[int, int]] = [(start, end)]
 
-    def allocate(self, length: int, align: int) -> int:
-        """Carve out an aligned range of ``length`` bytes; first fit."""
-        return self.allocate_run(1, length, align)[0][0]
-
     def allocate_run(self, count: int, length: int,
-                     align: int) -> List[Tuple[int, int]]:
+                     align: int) -> List[int]:
         """Carve out ``count`` aligned ranges of ``length`` bytes (a
-        multiple of ``align``) where ``count`` first-fit :meth:`allocate`
-        calls would: each interval, lowest first, gives as many
-        consecutive ranges as fit.  Returns ``(base, n)`` for each block
-        of ``n`` ranges from ``base``.  All or nothing: too little room
-        refuses the run and changes nothing."""
+        multiple of ``align``), first fit: each interval, lowest first,
+        gives as many consecutive ranges as fit — where ``count``
+        one-range carves would put them.  Returns their starts, lowest
+        first.  All or nothing: too little room refuses the run and
+        changes nothing."""
         if count <= 0:
             return []
         plan = []
@@ -154,7 +151,8 @@ class _FreeList:
             )
         for i, lo, hi, base, n in reversed(plan):
             self._remove_range(i, lo, hi, base, base + n * length)
-        return [(base, n) for _, _, _, base, n in plan]
+        return [start for _, _, _, base, n in plan
+                for start in range(base, base + n * length, length)]
 
     def fits(self, length: int, align: int) -> int:
         """How many ranges of ``length`` bytes (a multiple of ``align``)
@@ -265,7 +263,9 @@ class AddressSpace:
     def mmap(self, length: int, prot: Protection = Protection.RW, *,
              region: str = "heap", addr: Optional[int] = None,
              reserve_only: bool = False, tag: str = "") -> Mapping:
-        """Create a new mapping.
+        """Create a new mapping: a run of one on the road
+        :meth:`reserve_run` takes for a run of ``count``, so the two
+        place and count mappings alike.
 
         Parameters
         ----------
@@ -285,58 +285,14 @@ class AddressSpace:
         tag:
             Debugging/bookkeeping label.
         """
-        if length <= 0:
-            raise MapError(f"mmap length must be positive, got {length}")
-        page_size = self.layout.page_size
-        npages = self.layout.pages_for(length)
-        length = npages * page_size
-        if addr is None:
-            start = self._region_free(region).allocate(length, page_size)
-        else:
-            if addr % page_size:
-                raise MapError(f"fixed mmap address {addr:#x} not page aligned")
-            region = self.layout.region_of(addr).name
-            self._region_free(region).allocate_fixed(addr, length)
-            start = addr
-        frames = None
-        if not reserve_only:
-            try:
-                frames = self.physical.allocate_frames(npages)
-            except Exception:
-                self._free[region].release(start, length)
-                raise
-            self._resident_pages += npages
-        mapping = Mapping(start, length, prot, region, tag, frames)
-        starts = self._starts
-        if not starts or starts[-1] < start:
-            starts.append(start)
-        else:
-            bisect.insort(starts, start)
-        self._mappings[start] = mapping
-        self.mmap_calls += 1
-        self.pages_mapped += npages
-        return mapping
+        return self._map(1, length, prot, region,
+                         None if addr is None else (addr,), reserve_only,
+                         tag)[0]
 
     def munmap(self, mapping: Mapping) -> None:
-        """Destroy a mapping, freeing any resident frames."""
-        start = mapping.start
-        if self._mappings.get(start) is not mapping:
-            raise MapError(f"mapping {mapping!r} not found in {self.name!r}")
-        frames = mapping.frames
-        if frames is not None:
-            if None in frames:
-                frames = [f for f in frames if f is not None]
-            self.physical.free_frames(frames)
-            self._resident_pages -= len(frames)
-            mapping.frames = None
-        self._free[mapping.region].release(start, mapping.length)
-        del self._mappings[start]
-        starts = self._starts
-        if starts[-1] == start:
-            starts.pop()
-        else:
-            del starts[bisect.bisect_left(starts, start)]
-        self.munmap_calls += 1
+        """Destroy a mapping, freeing any resident frames: a
+        :meth:`release_run` of one."""
+        self.release_run((mapping,))
 
     def reservable(self, length: int, region: str = "heap") -> int:
         """How many reserve-only mappings of ``length`` bytes a first-fit
@@ -352,86 +308,96 @@ class AddressSpace:
                     bases: Optional[Sequence[int]] = None,
                     tag: str = "") -> List[Mapping]:
         """Make ``count`` reserve-only read-write mappings of ``length``
-        bytes each, as ``count`` calls of ``mmap(length, region=region,
-        addr=base, reserve_only=True, tag=tag)`` would make them: first
-        fit in ``region``, or at each of ``bases`` (each in its own
-        region) — the same addresses, free intervals and counters.
+        bytes each, first fit in ``region`` or at each of ``bases`` (each
+        in its own region; a run at fixed bases is as long as ``bases``,
+        and a ``count`` that disagrees is refused).  :meth:`mmap` is this
+        road's run of one, so a run places and counts its mappings as
+        ``count`` such calls would.
 
-        All or nothing: a run that does not fit raises what the first
-        refused ``mmap`` would raise (a run of one raises exactly that)
-        and changes nothing.
+        All or nothing: a run that does not fit raises what its first
+        refused mapping would raise and changes nothing.
         """
+        if bases is not None and len(bases) != count:
+            raise MapError(f"reserve_run of {count} mappings given "
+                           f"{len(bases)} bases")
         if count <= 0:
             return []
+        return self._map(count, length, Protection.RW, region, bases, True,
+                         tag)
+
+    def _map(self, count: int, length: int, prot: Protection, region: str,
+             bases: Optional[Sequence[int]], reserve_only: bool,
+             tag: str) -> List[Mapping]:
+        """The one road every mapping is made by: ``count`` mappings of
+        ``length`` bytes (rounded up to whole pages), first fit in
+        ``region`` or at each of ``bases`` (each in its own region, one
+        carve per stretch of adjacent bases), reserved or — a run of one,
+        as only :meth:`mmap` asks for — on fresh frames.  The address
+        space refuses first, in ``bases`` order, then physical memory; a
+        refused run gives back what it carved and raises what its first
+        refused ``mmap`` would."""
         if length <= 0:
             raise MapError(f"mmap length must be positive, got {length}")
         page_size = self.layout.page_size
-        npages = self.layout.pages_for(length)
+        npages = -(-length // page_size)
         length = npages * page_size
-        rw = Protection.RW
-        if bases is None:
-            runs = self._region_free(region).allocate_run(
-                count, length, page_size)
-            made = [Mapping(start, length, rw, region, tag)
-                    for base, n in runs
-                    for start in range(base, base + n * length, length)]
-        else:
-            made = [Mapping(base, length, rw, name, tag) for base, name
-                     in zip(bases, self._claim_fixed(bases, length))]
-        starts = self._starts
-        last = starts[-1] if starts else -1
+        made: List[Mapping] = []
+        carved = 0                      # how many of ``made`` hold a range
+        try:
+            if bases is None:
+                new = self._region_free(region).allocate_run(
+                    count, length, page_size)
+                made = [Mapping(start, length, prot, region, tag)
+                        for start in new]
+            else:
+                new = bases
+                area = None
+                for base in bases:
+                    if area is None or base != end or base >= area.end:
+                        if area is not None:
+                            free.allocate_fixed(block, end - block)
+                            carved = len(made)
+                        if base % page_size:
+                            raise MapError(f"fixed mmap address {base:#x} "
+                                           f"not page aligned")
+                        area = self.layout.region_of(base)
+                        free = self._region_free(area.name)
+                        block = base
+                    end = base + length
+                    made.append(Mapping(base, length, prot, area.name, tag))
+                free.allocate_fixed(block, end - block)
+            carved = count
+            if not reserve_only:
+                (mapping,) = made
+                mapping.frames = self.physical.allocate_frames(npages)
+                self._resident_pages += npages
+        except VMError:
+            if carved:
+                self._give_back(made[:carved])
+            raise
         mappings = self._mappings
         for m in made:
             mappings[m.start] = m
-        starts += (m.start for m in made)
-        if bases is not None or made[0].start < last:
+        starts = self._starts
+        last = starts[-1] if starts else -1
+        starts += new
+        if new[0] < last or bases is not None and count > 1:
             starts.sort()
         self.mmap_calls += count
         self.pages_mapped += count * npages
         return made
 
-    def _claim_fixed(self, bases: Sequence[int], length: int) -> List[str]:
-        """Carve ``[base, base+length)`` for each of ``bases`` out of its
-        region's free list, one block per stretch of adjacent bases;
-        returns each base's region name.  A base that is not page
-        aligned, in no region, or not free gives back what was carved
-        and raises what ``mmap(addr=base)`` would."""
-        page_size = self.layout.page_size
-        carved: List[Tuple[_FreeList, int, int]] = []
-        claimed: List[str] = []
-        region = None
-        block = end = 0
-        try:
-            for base in bases:
-                if region is None or base != end or base >= region.end:
-                    if region is not None:
-                        free.allocate_fixed(block, end - block)
-                        carved.append((free, block, end - block))
-                    if base % page_size:
-                        raise MapError(
-                            f"fixed mmap address {base:#x} not page aligned")
-                    region = self.layout.region_of(base)
-                    free = self._region_free(region.name)
-                    block = base
-                end = base + length
-                claimed.append(region.name)
-            free.allocate_fixed(block, end - block)
-        except VMError:
-            for free, start, size in carved:
-                free.release(start, size)
-            raise
-        return claimed
-
     def release_run(self, mappings: Iterable[Mapping]) -> None:
-        """Destroy mappings as that many :meth:`munmap` calls in the
-        given order would: resident frames freed in that order, the same
-        free intervals and counters.  A mapping that is not live raises
-        :class:`MapError` once the ones before it are destroyed."""
+        """Destroy mappings in the given order, freeing their resident
+        frames in that order; :meth:`munmap` is this road's run of one,
+        so the two free and count alike.  A mapping that is not live
+        raises :class:`MapError` once the ones before it are destroyed."""
         live = self._mappings
         physical = self.physical
-        gone: List[Mapping] = []
+        gone = list(mappings)
+        done = 0
         try:
-            for m in mappings:
+            for m in gone:
                 if live.get(m.start) is not m:
                     raise MapError(
                         f"mapping {m!r} not found in {self.name!r}")
@@ -443,36 +409,38 @@ class AddressSpace:
                     self._resident_pages -= len(frames)
                     m.frames = None
                 del live[m.start]
-                gone.append(m)
+                done += 1
         finally:
-            self._forget(gone)
+            if done:
+                del gone[done:]
+                if done > 1:
+                    gone.sort(key=_start)
+                self._give_back(gone)
+                starts = self._starts
+                if starts[-done] == gone[0].start:
+                    del starts[-done:]          # the newest starts
+                else:
+                    i = bisect.bisect_left(starts, gone[0].start)
+                    if starts[i + done - 1] == gone[-1].start:
+                        del starts[i:i + done]  # one stretch of them
+                    else:
+                        for m in reversed(gone):
+                            del starts[bisect.bisect_left(starts, m.start)]
+                self.munmap_calls += done
 
-    def _forget(self, gone: List[Mapping]) -> None:
-        """Give the ranges of destroyed mappings back to their regions'
-        free lists, one block per stretch of adjacent ranges, and drop
-        their starts from the sorted index."""
-        if not gone:
-            return
-        gone.sort(key=_start)
-        block = gone[0]
-        end = block.start + block.length
-        for m in gone[1:]:
+    def _give_back(self, ranges: List[Mapping]) -> None:
+        """Return ``ranges`` to their regions' free lists, one block per
+        stretch of them adjacent in the given order: sorted by start,
+        they make the fewest blocks."""
+        block = ranges[0]
+        end = block.start
+        for m in ranges:
             if m.start != end or m.region != block.region:
                 self._free[block.region].release(block.start,
                                                  end - block.start)
                 block = m
             end = m.start + m.length
         self._free[block.region].release(block.start, end - block.start)
-        starts = self._starts
-        i = bisect.bisect_left(starts, gone[0].start)
-        j = i + len(gone)
-        if j <= len(starts) and starts[j - 1] == gone[-1].start and all(
-                s == m.start for s, m in zip(starts[i:j], gone)):
-            del starts[i:j]
-        else:
-            for m in reversed(gone):
-                del starts[bisect.bisect_left(starts, m.start)]
-        self.munmap_calls += len(gone)
 
     def mprotect(self, mapping: Mapping, prot: Protection) -> None:
         """Change every page's protection bits in an existing mapping."""

@@ -9,10 +9,15 @@ road ``ThreadMigrator.pack/rebuild/depart`` and the stack managers'
 every switch bumped two counters nothing read, and 1 031 272 / 885 127 /
 814 832 while loads and stores resumed a generator per page and
 ``pack_value`` ran every field through a ``PackingPupper``, 707 312 /
-666 503 / 635 696 with one pass per mapping and per image, and they are
-668 531 / 643 594 / 612 787 with a context switch one frame, no wrapper
-generator around a rank's ``main`` and no heap in a slot nobody
-mallocs from.
+666 503 / 635 696 with one pass per mapping and per image, 668 531 /
+643 594 / 612 787 with a context switch one frame, no wrapper generator
+around a rank's ``main`` and no heap in a slot nobody mallocs from, and
+636 525 / 619 076 / 580 397 by the time flows were created a run at a
+time.  They are 641 645 / 624 324 / 580 397 with ``mmap`` and
+``munmap`` runs of one on the address space's one road each (about two
+calls more per fixed-address ``mmap`` + ``munmap`` pair: the core's
+call, ``release_run``'s and ``_give_back``'s, less ``pages_for``'s);
+the budgets sit about 0.5 % above them.
 Memory aliasing made 43 520, then 23 040, ``Frame.read`` +
 ``Frame.write`` calls; its private frames now move through the pool's
 ``load``/``store``, one run per image.  The simulated outcome is pinned
@@ -29,9 +34,9 @@ from tests.callcount import count_calls
 
 #: technique -> (calls allowed, makespan_ns, bytes shipped).
 STORM = {
-    "isomalloc": (672_000, 974659842.0, 84705280),
-    "stack_copy": (647_000, 974490882.0, 84541440),
-    "memory_alias": (616_000, 976926914.0, 84541440),
+    "isomalloc": (645_000, 974659842.0, 84705280),
+    "stack_copy": (627_500, 974490882.0, 84541440),
+    "memory_alias": (583_500, 976926914.0, 84541440),
 }
 
 #: ``Frame.read`` + ``Frame.write`` calls under memory aliasing: none —

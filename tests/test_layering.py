@@ -1475,3 +1475,117 @@ def test_the_creation_scans_see_what_they_forbid():
     tree = ast.parse(CREATION_CASES)
     for scan, fn in CREATION_SCANS.items():
         assert fn(tree) == marked(CREATION_CASES, scan), scan
+
+
+#: One road that makes mappings and one that destroys them.  In
+#: ``AddressSpace`` only the core, ``_map``, carves a region's free list
+#: (``allocate_run``/``allocate_fixed``) or adds to the live index
+#: (``_mappings``/``_starts``); only the release road — ``release_run``
+#: and the ``_give_back`` it shares with a refused ``_map`` — returns
+#: ranges to a free list (``release``) or drops entries from the index.
+#: ``mmap`` and ``reserve_run`` are the core's runs, ``munmap`` is a
+#: ``release_run`` of one: none of them keeps its own copy.
+MAPPING_ROADS = {"carve": {"_map"}, "insert": {"_map"},
+                 "release": {"_give_back"}, "drop": {"release_run"}}
+INDEXES = {"_mappings", "_starts"}
+
+
+def mapping_road_steps(cls):
+    """``(line, step)`` of each free-list carve or release, and each
+    insertion into or removal from the live index (through ``self.`` or
+    a local name bound to it), in a method of ``cls`` that is not the
+    road ``MAPPING_ROADS`` gives that step."""
+    found = []
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        aliases = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                   and isinstance(n.value, ast.Attribute)
+                   and n.value.attr in INDEXES
+                   for t in n.targets if isinstance(t, ast.Name)}
+
+        def index(node):
+            return (isinstance(node, ast.Attribute) and node.attr in INDEXES
+                    or isinstance(node, ast.Name) and node.id in aliases)
+
+        for node in ast.walk(fn):
+            step = None
+            if isinstance(node, ast.Call):
+                name = callee(node)
+                if name in ("allocate", "allocate_run", "allocate_fixed"):
+                    step = "carve"
+                elif name == "release":
+                    step = "release"
+                elif name in ("insort", "insort_left", "insort_right"):
+                    step = "insert" if index(node.args[0]) else None
+                elif isinstance(node.func, ast.Attribute) and index(
+                        node.func.value):
+                    step = {"append": "insert", "extend": "insert",
+                            "insert": "insert", "update": "insert",
+                            "setdefault": "insert", "pop": "drop",
+                            "remove": "drop", "clear": "drop"}.get(name)
+            elif isinstance(node, ast.AugAssign) and index(node.target):
+                step = "insert"
+            elif isinstance(node, (ast.Assign, ast.Delete)) and any(
+                    isinstance(t, ast.Subscript) and index(t.value)
+                    for t in node.targets):
+                step = "drop" if isinstance(node, ast.Delete) else "insert"
+            if step and fn.name not in MAPPING_ROADS[step]:
+                found.append((node.lineno, step))
+    return sorted(found)
+
+
+def test_one_road_makes_mappings_and_one_destroys_them():
+    tree = ast.parse((SRC / "vm" / "addrspace.py").read_text())
+    (space,) = (node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "AddressSpace")
+    assert mapping_road_steps(space) == []
+
+
+MAPPING_ROAD_CASES = """\
+class AddressSpace:
+    def mmap(self, length, region, addr):
+        start = self._free[region].allocate(length, 4096)  # expect: carve
+        self._free[region].allocate_fixed(addr, length)  # expect: carve
+        self._mappings[start] = Mapping(start, length)  # expect: insert
+        starts = self._starts
+        bisect.insort(starts, start)  # expect: insert
+        starts.append(start)  # expect: insert
+        self._starts += [start]  # expect: insert
+        self._free[region].release(start, length)  # expect: release
+        return self._mappings[start]
+    def munmap(self, m):
+        self._free[m.region].release(m.start, m.length)  # expect: release
+        live = self._mappings
+        del live[m.start]  # expect: drop
+        self._starts.pop()  # expect: drop
+        del self._starts[0]  # expect: drop
+    def _map(self, count, length, bases):
+        for base in self._region_free("heap").allocate_run(count, length):
+            self._mappings[base] = Mapping(base, length)
+        starts = self._starts
+        starts += bases
+        starts.sort()
+    def release_run(self, gone):
+        live = self._mappings
+        for m in gone:
+            del live[m.start]
+        self._give_back(gone)
+        del self._starts[:len(gone)]
+    def _give_back(self, ranges):
+        for m in ranges:
+            self._free[m.region].release(m.start, m.length)
+    def mapping_at(self, address):
+        starts = self._starts
+        i = bisect.bisect_right(starts, address) - 1
+        physical.release_frames(self._mappings[starts[i]].frames)
+        return self._mappings[starts[i]]
+"""
+
+
+def test_the_mapping_road_scan_sees_what_it_forbids():
+    (space,) = ast.parse(MAPPING_ROAD_CASES).body
+    found = mapping_road_steps(space)
+    for step in MAPPING_ROADS:
+        assert [line for line, s in found if s == step] == marked(
+            MAPPING_ROAD_CASES, step), step

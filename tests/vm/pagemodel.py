@@ -6,7 +6,8 @@ time from the model's own pool.  Slow and obvious on purpose; the extent
 implementation is checked against it in ``test_extent_oracle.py``.  A
 mapping is named by its first page (the caller picks it: address choice is
 ``_FreeList``'s job, tested on its own); ``extents`` keeps the page counts
-in creation order.
+in creation order.  There are no run forms: a run is replayed as one call
+per mapping, and ``forget`` takes back a refused run's earlier ones.
 """
 
 from collections import Counter
@@ -44,6 +45,15 @@ class PageModel:
         self.extents[first] = npages
         self.n["mmap_calls"] += 1
         self.n["pages_mapped"] += npages
+
+    def forget(self, first):
+        """Take back a reserved ``mmap(first, …)`` whole, counters too: a
+        refused run's earlier mappings, as the run never made them."""
+        npages = self.extents.pop(first)
+        for i in range(npages):
+            del self.pages[first + i]
+        self.n["mmap_calls"] -= 1
+        self.n["pages_mapped"] -= npages
 
     def munmap(self, first):
         for pte in self._ptes(first):

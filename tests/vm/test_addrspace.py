@@ -98,6 +98,38 @@ def test_fixed_mmap_must_be_aligned(space):
         space.mmap(4096, addr=space.layout.regions["iso"].start + 1)
 
 
+def test_a_fixed_base_run_is_as_long_as_its_bases(space):
+    """A ``count`` that disagrees with ``bases`` is refused, naming both,
+    before anything is mapped or counted."""
+    base = space.layout.regions["iso"].start
+    with pytest.raises(MapError, match="3 mappings given 1 bases"):
+        space.reserve_run(3, 8192, bases=[base])
+    assert (space.mmap_calls, space.pages_mapped, space.mapped_bytes) == \
+        (0, 0, 0)
+    assert space.region_free_bytes("iso") == \
+        space.layout.regions["iso"].size
+    run = space.reserve_run(2, 8192, bases=[base, base + 8192])
+    assert [m.start for m in run] == [base, base + 8192]
+    assert (space.mmap_calls, space.pages_mapped, space.mapped_bytes) == \
+        (2, 4, 16384)
+
+
+def test_a_fixed_base_run_crosses_into_the_next_region(space):
+    """Adjacent bases on either side of a region boundary are one stretch
+    of addresses but two regions' mappings, each carved from (and given
+    back to) its own region's free list."""
+    data = space.layout.regions["data"]
+    page = space.layout.page_size
+    before = space.region_free_bytes("text"), space.region_free_bytes("data")
+    run = space.reserve_run(2, page, bases=[data.start - page, data.start])
+    assert [m.region for m in run] == ["text", "data"]
+    assert (space.region_free_bytes("text"), space.region_free_bytes("data")) \
+        == (before[0] - page, before[1] - page)
+    space.release_run(run)
+    assert (space.region_free_bytes("text"),
+            space.region_free_bytes("data")) == before
+
+
 def test_munmap_releases_va_and_frames(space):
     before_free = space.region_free_bytes("heap")
     m = space.mmap(16384)

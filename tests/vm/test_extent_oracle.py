@@ -1,9 +1,11 @@
 """The extent-based ``AddressSpace`` against the per-page reference model.
 
-A Hypothesis state machine drives random mmap / munmap / mprotect /
-attach / detach / remap / fork / read / write / memcpy sequences through
-a real ``AddressSpace`` and through ``pagemodel.PageModel`` (each on its
-own frame pool) and demands, after every step: the same exception type
+A Hypothesis state machine drives random mmap / munmap / reserve_run /
+release_run / mprotect / attach / detach / remap / fork / read / write /
+memcpy sequences through a real ``AddressSpace`` and through
+``pagemodel.PageModel`` (each on its own frame pool; the model replays a
+run as one call per mapping) and demands, after every step: the same
+exception type
 and faulting address, the same bytes, the same counters, the same frame
 index behind every page, the same ``frames_in_use``, and the same frames
 materialized — a page nobody wrote holds no host buffer, and neither
@@ -23,7 +25,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.bench.figures import stack_size_series
 from repro.core import IsomallocArena, make_stack_manager
 from repro.errors import (MapError, OutOfPhysicalMemory,
-                          OutOfVirtualAddressSpace, ReproError)
+                          OutOfVirtualAddressSpace, ReproError, VMError)
 from repro.sim import Cluster
 from repro.vm import (AddressSpace, AddressSpaceLayout, PhysicalMemory,
                       Protection, Region)
@@ -33,9 +35,12 @@ from .pagemodel import PageModel
 PAGE = 256
 REGION_PAGES = 24
 REGIONS = ("text", "data", "heap", "iso", "stack")
+#: Regions a gap apart, but for "stack", which starts where "iso" ends:
+#: a run of fixed-base mappings may cross from one region into the next.
 LAYOUT = AddressSpaceLayout(32, PAGE, [
     Region(name, (i + 1) * 0x10000, REGION_PAGES * PAGE)
-    for i, name in enumerate(REGIONS)])
+    for i, name in enumerate(REGIONS[:-1])] + [
+    Region("stack", 0x40000 + REGION_PAGES * PAGE, REGION_PAGES * PAGE)])
 POOL_FRAMES = 40
 COUNTERS = ("mmap_calls", "munmap_calls", "remap_calls", "pages_mapped",
             "page_faults", "cow_breaks", "bytes_copied", "bytes_read",
@@ -63,6 +68,28 @@ def both(real, model):
             raised.append((type(exc), getattr(exc, "address", None)))
     assert raised[0] == raised[1], raised
     return results[0], results[1], raised[0] is None
+
+
+def first_fit(model, region, npages):
+    """The lowest first page of ``npages`` free pages in ``region``."""
+    lo = LAYOUT.regions[region].start // PAGE
+    return next((v for v in range(lo, lo + REGION_PAGES - npages + 1)
+                 if not any(v + i in model.pages for i in range(npages))),
+                None)
+
+
+def fixed_place(base, npages):
+    """``mmap(addr=base)``'s checks, in its order: the first page of a
+    mapping at ``base``, or the error that refuses it there."""
+    if base % PAGE:
+        raise MapError("model: not page aligned")
+    region = next((r for r in LAYOUT.regions.values()
+                   if r.start <= base < r.end), None)
+    if region is None:
+        raise VMError("model: in no region")
+    if base + npages * PAGE > region.end:
+        raise MapError("model: runs off the region")
+    return base // PAGE
 
 
 class World:
@@ -114,9 +141,7 @@ class ExtentsMatchPages(RuleBasedStateMachine):
     def _mmap(self, world, npages, prot, region, reserve, fixed):
         lo = LAYOUT.regions[region].start // PAGE
         if fixed is None:       # first fit, as _FreeList promises
-            first = next((v for v in range(lo, lo + REGION_PAGES - npages + 1)
-                          if not any(v + i in world.model.pages
-                                     for i in range(npages))), None)
+            first = first_fit(world.model, region, npages)
         else:
             first = lo + fixed
 
@@ -135,6 +160,134 @@ class ExtentsMatchPages(RuleBasedStateMachine):
         if ok:
             assert m.start == first * PAGE and m.length == npages * PAGE
             world.live.append(m)
+
+    # -- runs: the model replays one as a call per mapping ----------------
+
+    @rule(w=picks, count=st.integers(1, 6), npages=st.integers(1, 4),
+          region=st.sampled_from(REGIONS))
+    def reserve_run(self, w, count, npages, region):
+        """First fit in ``region``: as ``count`` first-fit ``mmap`` calls
+        would place them, or refused whole."""
+        world = self._world(w)
+        self._run(world, npages, [None] * count, lambda: world.real.reserve_run(
+            count, npages * PAGE - 7, region=region), region)
+
+    @rule(w=picks, npages=st.integers(1, 3),
+          region=st.sampled_from(REGIONS), first=st.integers(0, REGION_PAGES),
+          count=st.integers(1, 5), at=st.integers(1, 4),
+          jump=st.integers(0, 2), reverse=st.booleans(),
+          skew=st.none() | st.integers(0, 4), undo=st.booleans())
+    def reserve_fixed_run(self, w, npages, region, first, count, at, jump,
+                          reverse, skew, undo):
+        """Adjacent fixed bases from page ``first`` of ``region``, ``jump``
+        pages further on from base ``at`` (a second stretch), reversed or
+        not (a stretch per base); the run may cross the region's end,
+        into "stack" after "iso" or into no region, and base ``skew`` is
+        8 bytes off its page.  With ``undo``, the run is released whole,
+        in the order it was made."""
+        lo = LAYOUT.regions[region].start
+        bases = [lo + (first + i * npages + (jump if i >= at else 0)) * PAGE
+                 for i in range(count)]
+        if skew is not None and skew < count:
+            bases[skew] += 8
+        if reverse:
+            bases.reverse()
+        world = self._world(w)
+        made = self._fixed_run(world, npages, bases)
+        if undo and made:
+            self._release(world, made)
+
+    @rule(w=picks, npages=st.integers(1, 2), back=st.integers(1, 3),
+          count=st.integers(2, 5), undo=st.booleans())
+    def reserve_fixed_run_across_regions(self, w, npages, back, count, undo):
+        """Adjacent fixed bases from ``back`` mappings before the end of
+        "iso" on into "stack": one stretch of bases, two regions' free
+        lists.  With ``undo``, the run is released whole."""
+        world = self._world(w)
+        start = LAYOUT.regions["stack"].start - back * npages * PAGE
+        made = self._fixed_run(world, npages, [start + i * npages * PAGE
+                                               for i in range(count)])
+        if undo and made:
+            self._release(world, made)
+
+    @rule(w=picks, pick=picks, npages=st.integers(1, 3),
+          count=st.integers(1, 4), back=st.integers(0, 3))
+    def reserve_fixed_run_into_a_live_mapping(self, w, pick, npages, count,
+                                              back):
+        """Adjacent fixed bases from ``back`` mappings before a live
+        mapping's start: a base already taken, unless the stretch stops
+        short of it; with ``back`` 0, from the live mapping's end."""
+        world = self._world(w)
+        m = self._mapping(world, pick)
+        if m is not None:
+            start = m.start - back * npages * PAGE if back else m.end
+            self._fixed_run(world, npages, [start + i * npages * PAGE
+                                            for i in range(count)])
+
+    def _fixed_run(self, world, npages, bases):
+        return self._run(world, npages, bases, lambda: world.real.reserve_run(
+            len(bases), npages * PAGE - 7, bases=bases))
+
+    def _run(self, world, npages, bases, real_run, region=None):
+        """Run ``real_run`` against one ``mmap`` per entry of ``bases`` (a
+        fixed base, or ``None`` for first fit in ``region``) in the model,
+        taking back the ones made before a refusal."""
+        def model_run():
+            made = []
+            try:
+                for base in bases:
+                    if base is None:
+                        first = first_fit(world.model, region, npages)
+                        if first is None:
+                            raise OutOfVirtualAddressSpace("model")
+                    else:
+                        first = fixed_place(base, npages)
+                    world.model.mmap(first, npages, Protection.RW, True)
+                    made.append(first)
+            except ReproError:
+                for first in made:
+                    world.model.forget(first)
+                raise
+            return made
+
+        run, firsts, ok = both(real_run, model_run)
+        if ok:
+            assert [m.start // PAGE for m in run] == firsts
+            assert all(m.length == npages * PAGE and m.reserved
+                       for m in run)
+            world.live += run
+        return run
+
+    @rule(w=picks, picks_=st.lists(picks, max_size=6), stale=picks,
+          with_stale=st.booleans())
+    def release_run(self, w, picks_, stale, with_stale):
+        """A random subset of the live mappings, in random order (a
+        mapping picked twice is not live the second time), and maybe a
+        dead handle among them: as one ``munmap`` per mapping, up to the
+        first that is not live."""
+        world = self._world(w)
+        if not world.live:
+            return
+        victims = [world.live[p % len(world.live)] for p in picks_]
+        if with_stale and self.dead:
+            victims.insert(stale % (len(victims) + 1),
+                           self.dead[stale % len(self.dead)][1])
+        self._release(world, victims)
+
+    def _release(self, world, victims):
+        gone = []
+
+        def model_run():
+            for m in victims:
+                if m in gone or m not in world.live:
+                    raise MapError("model: not live")
+                world.model.munmap(m.start // PAGE)
+                gone.append(m)
+
+        both(lambda: world.real.release_run(victims), model_run)
+        for m in gone:
+            world.live.remove(m)
+            self.dead.append((world, m))
 
     @rule(w=picks, pick=picks)
     def munmap(self, w, pick):
@@ -454,6 +607,19 @@ class ExtentsMatchPages(RuleBasedStateMachine):
             assert real.mappings() == world.live
             assert [m.start // PAGE for m in world.live] == list(model.extents)
             assert real._starts == sorted(real._mappings)
+            for name in REGIONS:
+                # The free list is exactly the region's unmapped pages.
+                region = LAYOUT.regions[name]
+                free = real._free.get(name)
+                intervals = free._intervals if free else [(region.start,
+                                                           region.end)]
+                pages = [p for lo, hi in intervals
+                         for p in range(lo // PAGE, hi // PAGE)]
+                assert pages == [p for p in range(region.start // PAGE,
+                                                  region.end // PAGE)
+                                 if p not in model.pages]
+                assert all(hi < nlo for (_, hi), (nlo, _)
+                           in zip(intervals, intervals[1:]))
             assert real.mapped_bytes == len(model.pages) * PAGE
             assert real.resident_bytes == PAGE * sum(
                 pte[0] is not None for pte in model.pages.values())

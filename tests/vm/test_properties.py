@@ -58,7 +58,7 @@ def test_freelist_never_double_allocates(sizes, rng):
         if live and rng.random() < 0.4:
             start, ln = live.pop(rng.randrange(len(live)))
             fl.release(start, ln)
-        start = fl.allocate(length, page)
+        (start,) = fl.allocate_run(1, length, page)
         # No overlap with any live allocation.
         for other_start, other_len in live:
             assert start + length <= other_start or other_start + other_len <= start
@@ -80,7 +80,7 @@ def test_freelist_conservation(sizes):
         length = npages * 4096
         if fl.largest_free() < length:
             continue
-        fl.allocate(length, 4096)
+        fl.allocate_run(1, length, 4096)
         allocated += length
         assert fl.free_bytes() == total - allocated
 
