@@ -11,20 +11,25 @@ killed sweep keeps every cell it finished):
   debugging reference: ``--jobs 1`` goes through it, and a parallel run
   must merge to byte-identical results.
 * :class:`LocalPool` fans cells out over ``jobs`` worker processes
-  (default: one per CPU this process may run on, :func:`usable_cpus`).
-  Each worker warms up (imports the sweep's runner modules) before its
-  first cell; the parent dispatches exactly one cell per worker at a
-  time, so when a worker *dies* (hard crash, not a Python exception) the
-  parent knows precisely which cell it held, retries that cell once on a
-  fresh worker, and only then marks it ``error`` — the chaos
-  retry-once discipline applied to the harness itself.  ``Ctrl-C``
-  tears the pool down gracefully (terminate, join, re-raise).
+  (default: one per CPU this process may run on, :func:`usable_cpus`),
+  each warmed up (the sweep's runner modules imported) before its first
+  cell and each on a pipe of its own.  The parent hands a worker one
+  cell at a time and waits on every pipe and process sentinel at once,
+  so a worker that *dies* (hard crash, not a Python exception) is seen
+  at once, even mid-message, holding a known cell: that cell is retried
+  once on another worker, then marked ``error`` — the chaos retry-once
+  discipline applied to the harness itself.  Workers share no lock,
+  queue or pipe, so no death can block another worker.  Idle workers
+  are stopped and joined at the end; if the sweep raised (``Ctrl-C``),
+  those still holding a cell are terminated.
 
 Python exceptions inside a runner are *not* retried: cells are
 deterministic, so a raising cell would raise again; the worker catches
 the exception and returns an ``error`` result with the full traceback.
 Both backends take this exact path, which is what keeps serial and
-parallel output byte-identical even for failing cells.
+parallel output byte-identical even for failing cells.  A value the
+pipe cannot pickle is the pool's one extra failure: it comes back as
+that cell's ``error`` with the pickling traceback, also not retried.
 
 :func:`map_cells` is the small road over the same backends: a list of
 params through one runner, values back in input order, fanned out when
@@ -35,9 +40,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 import traceback
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -60,7 +66,7 @@ def run_cell(cell: Cell) -> dict:
     calls it in a child process, :class:`SerialBackend` in the parent),
     so a cell cannot behave differently under ``--jobs 1``.  A raising
     runner becomes ``status="error"`` with the traceback; the payload is
-    always plain data, safe to ship over a queue.
+    always plain data, safe to ship over a pipe.
     """
     # duration_s is host-side diagnostics about the run, not part of
     # the result value; cells themselves stay pure in (params, seed).
@@ -109,59 +115,59 @@ class SerialBackend:
         return results
 
 
-def _worker_main(token: int, task_q, result_q,
-                 warmup_runners: Sequence[str]) -> None:
-    """Worker loop: warm up, then run one cell per message until sentinel.
+def _worker_main(conn, inherited, warmup_runners: Sequence[str]) -> None:
+    """Worker loop: warm up, then run one cell per message until ``None``
+    or EOF (closing the ``inherited`` parent ends of the pipes makes the
+    parent's death EOF here).
 
     Warmup imports every runner module the sweep uses so the first real
     cell does not pay import cost; a broken runner path is reported by
     the cell that names it, not the warmup.
     """
+    for parent_end in inherited:
+        parent_end.close()
     for dotted in warmup_runners:
         try:
             resolve_runner(dotted)
         except Exception:  # noqa: BLE001 - surfaced per-cell later
             pass
-    result_q.put(("ready", token, None, None))
     while True:
-        item = task_q.get()
-        if item is None:
+        try:
+            cell = conn.recv()
+        except (EOFError, OSError):
+            return                          # the parent is gone
+        if cell is None:
             return
-        idx, cell = item
-        result_q.put(("done", token, idx, run_cell(cell)))
+        raw = run_cell(cell)
+        try:
+            data = ForkingPickler.dumps(raw)
+        except Exception:  # noqa: BLE001 - a value the pipe cannot carry
+            data = ForkingPickler.dumps(dict(
+                raw, status="error", value=None,
+                error=traceback.format_exc()))
+        try:
+            conn.send_bytes(data)
+        except OSError:
+            return                          # the parent is gone
 
 
 class _Worker:
-    """Parent-side bookkeeping for one worker process."""
+    """Parent-side bookkeeping for one worker process and its pipe."""
 
-    def __init__(self, ctx, token: int, result_q,
+    def __init__(self, ctx, others: Sequence["_Worker"],
                  warmup_runners: Sequence[str]):
-        self.token = token
-        self.task_q = ctx.SimpleQueue()
+        self.conn, child_end = ctx.Pipe()
         self.proc = ctx.Process(
-            target=_worker_main, name=f"exec-worker-{token}",
-            args=(token, self.task_q, result_q, tuple(warmup_runners)),
-            daemon=True)
+            target=_worker_main, name="exec-worker", daemon=True,
+            args=(child_end, [w.conn for w in others] + [self.conn],
+                  tuple(warmup_runners)))
         self.proc.start()
+        child_end.close()
         self.busy: Optional[int] = None      # index of the in-flight cell
-
-    def dispatch(self, idx: int, cell: Cell) -> None:
-        assert self.busy is None
-        self.busy = idx
-        self.task_q.put((idx, cell))
-
-    def stop(self) -> None:
-        try:
-            self.task_q.put(None)
-        except (OSError, ValueError):  # pragma: no cover - late teardown
-            pass
 
 
 class LocalPool:
     """A ``multiprocessing`` fan-out backend with crash containment."""
-
-    #: How long to wait on the result queue before polling worker health.
-    _POLL_S = 0.1
 
     def __init__(self, jobs: Optional[int] = None):
         self.jobs = max(1, jobs if jobs is not None else usable_cpus())
@@ -172,116 +178,85 @@ class LocalPool:
     def run(self, cells: Sequence[Cell], warmup_runners: Sequence[str],
             notify: Notify, on_result: OnResult = None) -> List[CellResult]:
         cells = list(cells)
-        if not cells:
-            return []
-        result_q = self._ctx.Queue()
         todo: List[int] = list(range(len(cells)))       # not yet dispatched
-        attempts: Dict[int, int] = {i: 0 for i in todo}
+        attempts = [0] * len(cells)
         results: Dict[int, CellResult] = {}
-        workers: Dict[int, _Worker] = {}
-        next_token = 0
+        workers: List[_Worker] = []
 
-        def spawn() -> _Worker:
-            nonlocal next_token
-            w = _Worker(self._ctx, next_token, result_q, warmup_runners)
-            workers[w.token] = w
-            next_token += 1
-            return w
+        def finish(idx: int, result: CellResult) -> None:
+            results[idx] = result
+            if on_result is not None:
+                on_result(cells[idx], result)
+            notify("cell.done", done_payload(result))
 
-        def dispatch_idle() -> None:
-            idle = sorted(t for t, w in workers.items() if w.busy is None)
-            for token in idle:
-                if not todo:
-                    break
-                idx = todo.pop(0)
-                attempts[idx] += 1
-                workers[token].dispatch(idx, cells[idx])
-                notify("cell.start", {"cell_id": cells[idx].cell_id})
-
-        try:
-            for _ in range(min(self.jobs, len(cells))):
-                spawn()
-            dispatch_idle()
-            while len(results) < len(cells):
-                try:
-                    kind, token, idx, raw = result_q.get(
-                        timeout=self._POLL_S)
-                except queue_mod.Empty:
-                    self._handle_dead_workers(cells, workers, todo, attempts,
-                                              results, notify, spawn,
-                                              on_result)
-                    dispatch_idle()
-                    continue
-                worker = workers.get(token)
-                if worker is None:
-                    continue                 # late message from a reaped worker
-                if kind == "ready":
-                    continue
-                if kind == "done" and worker.busy == idx:
-                    worker.busy = None
-                    results[idx] = cell_result(cells[idx], raw,
-                                               attempts[idx])
-                    if on_result is not None:
-                        on_result(cells[idx], results[idx])
-                    notify("cell.done", done_payload(results[idx]))
-                    dispatch_idle()
-            return [results[i] for i in range(len(cells))]
-        except KeyboardInterrupt:
-            for w in workers.values():
-                w.proc.terminate()
-            raise
-        finally:
-            for w in workers.values():
-                w.stop()
-            # Shutdown grace period for worker processes — host
-            # plumbing after every cell result is already in hand.
-            deadline = time.monotonic() + 2.0
-            for w in workers.values():
-                w.proc.join(max(0.0, deadline - time.monotonic()))
-                if w.proc.is_alive():  # pragma: no cover - stuck worker
-                    w.proc.terminate()
-                    w.proc.join(1.0)
-            result_q.cancel_join_thread()
-            result_q.close()
-
-    def _handle_dead_workers(self, cells, workers, todo, attempts, results,
-                             notify, spawn, on_result: OnResult = None
-                             ) -> None:
-        """Contain hard crashes: retry the held cell once, then error."""
-        for token in sorted(workers):
-            w = workers[token]
-            if w.proc.is_alive():
-                continue
-            idx = w.busy
-            del workers[token]
+        def lost(w: _Worker) -> None:
+            """A worker died: retry the cell it held once, then error."""
+            w.proc.join()
+            workers.remove(w)
+            w.conn.close()
+            idx, exitcode = w.busy, w.proc.exitcode
             if idx is None:
-                # Died idle (e.g. during warmup with nothing assigned).
-                if todo:
-                    spawn()
-                continue
-            cell = cells[idx]
-            exitcode = w.proc.exitcode
-            if attempts[idx] < 2:
-                notify("cell.crash", {"cell_id": cell.cell_id,
-                                      "exitcode": exitcode,
-                                      "will_retry": True})
-                todo.insert(0, idx)          # retry first, on a fresh worker
+                return                       # it held no cell
+            retry = attempts[idx] < 2
+            notify("cell.crash", {"cell_id": cells[idx].cell_id,
+                                  "exitcode": exitcode,
+                                  "will_retry": retry})
+            if retry:
+                todo.insert(0, idx)          # retry first, on another worker
             else:
-                notify("cell.crash", {"cell_id": cell.cell_id,
-                                      "exitcode": exitcode,
-                                      "will_retry": False})
-                results[idx] = CellResult(
-                    cell_id=cell.cell_id, status="error",
+                finish(idx, CellResult(
+                    cell_id=cells[idx].cell_id, status="error",
                     error=(f"worker process died twice running this cell "
                            f"(last exit code {exitcode}); no Python "
                            f"traceback — the crash killed the "
                            f"interpreter"),
-                    attempts=attempts[idx])
-                if on_result is not None:
-                    on_result(cell, results[idx])
-                notify("cell.done", done_payload(results[idx]))
-            if todo:
-                spawn()
+                    attempts=attempts[idx]))
+
+        try:
+            while len(results) < len(cells):
+                # Fill the idle workers, starting workers up to ``jobs``.
+                while todo:
+                    w = next((w for w in workers if w.busy is None), None)
+                    if w is None:
+                        if len(workers) == self.jobs:
+                            break
+                        w = _Worker(self._ctx, workers, warmup_runners)
+                        workers.append(w)
+                    try:
+                        w.conn.send(cells[todo[0]])
+                    except OSError:          # it died idle: the cell waits
+                        lost(w)
+                        continue
+                    w.busy = idx = todo.pop(0)
+                    attempts[idx] += 1
+                    notify("cell.start", {"cell_id": cells[idx].cell_id})
+                ready = wait([w.conn for w in workers]
+                             + [w.proc.sentinel for w in workers])
+                for w in list(workers):
+                    if w.conn in ready:
+                        try:
+                            raw = w.conn.recv()
+                        except (EOFError, OSError):   # died, maybe mid-send
+                            lost(w)
+                            continue
+                        idx, w.busy = w.busy, None
+                        finish(idx, cell_result(cells[idx], raw,
+                                                attempts[idx]))
+                    elif w.proc.sentinel in ready:
+                        lost(w)
+            return [results[i] for i in range(len(cells))]
+        finally:
+            for w in workers:
+                if w.busy is None:
+                    try:
+                        w.conn.send(None)
+                    except OSError:
+                        pass
+                else:                        # the sweep raised mid-cell
+                    w.proc.terminate()
+            for w in workers:
+                w.proc.join()
+                w.conn.close()
 
 
 def usable_cpus() -> int:
@@ -331,20 +306,27 @@ def backend_names() -> List[str]:
 def backend_from_spec(spec: str, jobs: Optional[int] = None):
     """Build a backend from a ``name`` or ``name:jobs`` spec string.
 
-    ``"serial"`` → the in-process reference; ``"local:4"`` → a 4-worker
-    :class:`LocalPool` (no count: one worker per usable CPU); an explicit
-    ``jobs`` argument wins over the suffix.
+    ``"serial"`` (or ``"serial:1"``) → the in-process reference;
+    ``"local:4"`` → a 4-worker :class:`LocalPool` (no count: one worker
+    per usable CPU).  The suffix is checked whether or not an explicit
+    ``jobs`` argument then wins over it.
     """
-    name, _, suffix = spec.partition(":")
-    if suffix:
-        try:
-            jobs = int(suffix) if jobs is None else jobs
-        except ValueError:
-            raise ReproError(f"backend spec {spec!r}: jobs suffix must be "
-                             f"an integer")
+    name, colon, suffix = spec.partition(":")
     if name not in backend_names():
         raise ReproError(f"unknown backend {name!r}; registered: "
                          f"{', '.join(backend_names())}")
+    if colon:
+        try:
+            count = int(suffix)
+        except ValueError:
+            raise ReproError(f"backend spec {spec!r}: jobs suffix must be "
+                             f"an integer")
+        if count < 1:
+            raise ReproError(f"backend jobs must be >= 1, got {count}")
+        if name == "serial" and count != 1:
+            raise ReproError(f"backend spec {spec!r}: the serial backend "
+                             f"runs one cell at a time")
+        jobs = count if jobs is None else jobs
     if jobs is not None and jobs < 1:
         raise ReproError(f"backend jobs must be >= 1, got {jobs}")
     return SerialBackend() if name == "serial" else LocalPool(jobs=jobs)

@@ -61,3 +61,13 @@ def test_jobs_must_be_positive():
         backend_from_spec("local:0")
     assert backend_from_spec("serial").jobs == 1
     assert backend_from_spec("local:3").jobs == 3
+    # The suffix is checked even when an explicit jobs count wins over it.
+    for spec, jobs, refusal in [("local:abc", 2, "must be an integer"),
+                                ("local:", None, "must be an integer"),
+                                ("local:0", 3, "jobs must be >= 1"),
+                                ("serial:7", None, "one cell at a time"),
+                                ("serial:0", None, "jobs must be >= 1")]:
+        with pytest.raises(ReproError, match=refusal):
+            backend_from_spec(spec, jobs=jobs)
+    assert backend_from_spec("local:3", jobs=2).jobs == 2
+    assert backend_from_spec("serial:1").jobs == 1

@@ -1088,15 +1088,15 @@ def test_the_module_state_scan_sees_what_it_forbids():
 #: file -> the functions in it that read a host clock or sleep on one.
 #: Simulated time is the kernel's and a run is a function of its inputs
 #: and seed; these time or bound host work only: a cell's and a sweep's
-#: duration, the worker-shutdown grace, the progress ETA, a client's wait
-#: for the service socket, the flow-scale cell's wall time, the elapsed
-#: time the bench CLI and an example print.  And every ``Random`` /
+#: duration, the progress ETA, a client's wait for the service socket,
+#: the flow-scale cell's wall time, the elapsed time the bench CLI and an
+#: example print.  And every ``Random`` /
 #: ``default_rng`` gets a seed; nothing draws from a process-global one.
 HOST_CLOCK = {
     "bench/__main__.py": {"main"},
     "examples/bigsim_md.py": {"main"},
     "exec/executor.py": {"SweepExecutor.run"},
-    "exec/pool.py": {"run_cell", "LocalPool.run"},
+    "exec/pool.py": {"run_cell"},
     "exec/progress.py": {"ProgressReporter.__init__"},
     "flows/scale.py": {"compiled_scale_cell"},
     "serve/client.py": {"wait_until_up"},
@@ -1287,6 +1287,52 @@ def test_sweep_workers_get_module_level_targets_and_build_runtimes_per_cell():
     found = {label: lines for label, tree in scanned()
              if label in workers and (lines := worker_impurities(tree))}
     assert found == {}
+
+
+#: Multiprocessing channels that more than one process writes: a queue's
+#: pipe is shared by every process that puts to it, under one lock, and
+#: a manager's by every proxy.  A worker that dies holding the lock or
+#: half a message blocks every other writer, so ``repro.exec`` gives each
+#: worker a pipe of its own and constructs none of these.
+SHARED_CHANNELS = {"Queue", "SimpleQueue", "JoinableQueue", "Manager"}
+
+
+def shared_channels(tree):
+    """Line of each call that builds a ``SHARED_CHANNELS`` object, however
+    it is reached (``ctx.Queue()``, ``multiprocessing.Manager()``, an
+    imported name)."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and callee(node) in SHARED_CHANNELS)
+
+
+def test_no_exec_channel_has_two_writers():
+    found = {label: lines for label, tree in scanned(examples=False)
+             if package(label) == "exec" and (lines := shared_channels(tree))}
+    assert found == {}
+
+
+SHARED_CHANNEL_CASES = """\
+import multiprocessing
+from multiprocessing import Manager, SimpleQueue
+class LocalPool:
+    def run(self, cells):
+        result_q = self._ctx.Queue()  # expect: channel
+        conn, child_end = self._ctx.Pipe()
+        return result_q, conn
+class _Worker:
+    def __init__(self, ctx, token, result_q):
+        self.task_q = ctx.SimpleQueue()  # expect: channel
+        self.done_q = multiprocessing.JoinableQueue()  # expect: channel
+        self.shared = Manager().dict()  # expect: channel
+        self.local = SimpleQueue()  # expect: channel
+        self.queued = result_q.put(("ready", token, None, None))
+"""
+
+
+def test_the_shared_channel_scan_sees_what_it_forbids():
+    found = shared_channels(ast.parse(SHARED_CHANNEL_CASES))
+    assert found == marked(SHARED_CHANNEL_CASES, "channel")
 
 
 DRAIN_CASES = """\
